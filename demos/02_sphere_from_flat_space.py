@@ -59,8 +59,7 @@ print(np.round(L2.matrix([q[0], q[2]]), 12))
 
 print("\n r      curvature     closed form")
 for r in (0.0 + 1e-6, 0.5, 1.0, 2.0, 5.0):
-    dps = 40 if r < 0.05 else None
-    K = geometry.gaussian_curvature(red.metric, [r, 0.0], dps=dps)
+    K = geometry.gaussian_curvature(red.metric, [r, 0.0], dps=geometry.curvature_dps(r))
     print(f"{r:5.2f}   {K:.8f}   {red.targets['curvature'](r):.8f}")
 
 chi, err = geometry.euler_characteristic(red.metric, r_scale=a)

@@ -82,7 +82,7 @@ eye = np.eye(4)
 worst = 0.0
 for p in tn.sample(25, seed=2):
     gv = tn.metric.value(p)
-    I, J, K = (-np.linalg.solve(gv, tn.forms[k].value(p))
+    I, J, K = (reduction.complex_structure(gv, tn.forms[k].value(p))
                for k in ("omega_I", "omega_J", "omega_K"))
     for D in (I @ I + eye, J @ J + eye, K @ K + eye,
               I @ J - K, J @ K - I, K @ I - J):

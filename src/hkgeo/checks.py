@@ -419,8 +419,8 @@ def check_toy_curvature(ctx, rng):
         rs = np.concatenate([[1e-6, 1e-4, 1e-2],
                              rng.uniform(0.05, 10.0, size=10), [10.0]])
         for r in rs:
-            dps = 40 if r < 0.05 else None
-            got = geometry.gaussian_curvature(red.metric, [float(r), 1.0], dps=dps)
+            got = geometry.gaussian_curvature(red.metric, [float(r), 1.0],
+                                              dps=geometry.curvature_dps(r))
             worst = max(worst, abs(got - K(r)))
             n += 1
     return worst, 1e-6, n, (
@@ -625,7 +625,8 @@ def check_tn_hyperkahler(ctx, rng):
     keys = ("omega_I", "omega_J", "omega_K")
     for p in pts:
         gv = tn.metric.value(p)
-        I, J, K = (-np.linalg.solve(gv, tn.forms[k].value(p)) for k in keys)
+        I, J, K = (reduction.complex_structure(gv, tn.forms[k].value(p))
+                   for k in keys)
         for D in (I @ I + eye, J @ J + eye, K @ K + eye,
                   I @ J - K, J @ K - I, K @ I - J):
             worst = max(worst, float(np.max(np.abs(D))))

@@ -97,8 +97,8 @@ def _cmd_curvature_profile(args):
     lines = ["r,K_numeric,K_closed_form,abs_err"]
     for i in range(args.steps):
         r = 1e-6 + (args.rmax - 1e-6) * i / (args.steps - 1)
-        dps = 40 if r < 0.05 else None
-        K = geometry.gaussian_curvature(red.metric, [r, 1.0], dps=dps)
+        K = geometry.gaussian_curvature(red.metric, [r, 1.0],
+                                        dps=geometry.curvature_dps(r))
         Kref = target(r)
         lines.append(f"{r:.12g},{K:.12g},{Kref:.12g},{abs(K - Kref):.6g}")
     text = "\n".join(lines) + "\n"

@@ -10,11 +10,12 @@ all components in a single pass.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet2, evaluate_jet
+from .jets import Jet2
 
 __all__ = [
     "Chart",
@@ -23,7 +24,7 @@ __all__ = [
     "VectorFieldR",
     "EmbeddingMap",
     "constant_form",
-    "check_point",
+    "mirror_triangle",
 ]
 
 
@@ -44,73 +45,80 @@ class Chart:
         return "(" + ", ".join(self.names) + ")"
 
 
-def check_point(p, dim):
-    """Validate and return a coordinate array for a ``dim``-dimensional chart."""
-    q = np.asarray(p, dtype=object if any(not isinstance(x, (int, float, np.floating)) for x in p) else float)
-    if q.shape != (dim,):
-        raise ValueError(f"point of length {q.shape} does not fit a {dim}-dimensional chart")
-    if q.dtype != object and not np.all(np.isfinite(q.astype(float))):
-        raise ValueError(f"non-finite coordinates in {p!r}")
-    return q
-
-
 def _seed_coords(p):
     dim = len(p)
     return [Jet2.variable(x, i, dim) for i, x in enumerate(p)]
 
 
-def _use_object_dtype(p):
-    return any(not isinstance(x, (int, float, np.floating)) for x in p)
+def _point_dtype(p):
+    return object if any(not isinstance(x, (int, float, np.floating)) for x in p) else float
 
 
 def _entry_jet(e, dim, like):
     return e if isinstance(e, Jet2) else Jet2.constant(e, dim, like=like)
 
 
-def _collect_square(fn, p, sym):
-    """Jet-evaluate a matrix-valued field; mirror one triangle.
+def mirror_triangle(a, sign=1):
+    """Full square matrix from the upper triangle of ``a``.
 
-    ``sym`` is +1 (symmetric), -1 (antisymmetric, zero diagonal) or 0.
+    The last two axes of ``a`` (an array or a nested sequence) index the
+    matrix; leading axes, such as derivative slots, are carried along.
+    ``sign=+1`` mirrors the upper triangle onto the lower one (symmetric);
+    ``sign=-1`` mirrors it with the opposite sign and puts zeros on the
+    diagonal (antisymmetric).  Entries below the diagonal, and on it when
+    ``sign=-1``, are never read, so they may be ``None``.  Entries are
+    moved, not recomputed, except for the negations of the antisymmetric
+    mirror, so floats, mpmath numbers and jets all come through unchanged.
+    """
+    a = np.asarray(a)
+    d = a.shape[-1]
+    if sign > 0:
+        return np.where(_upper_mask(d, 0), a, np.swapaxes(a, -1, -2))
+    strict = np.where(_upper_mask(d, 1), a, 0.0)
+    return np.where(_upper_mask(d, 1).T, -np.swapaxes(strict, -1, -2), strict)
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_mask(d, k):
+    """Read-only mask of the entries ``[M, N]``, ``N - M >= k``, of a d x d matrix."""
+    mask = np.triu(np.ones((d, d), dtype=bool), k)
+    mask.flags.writeable = False
+    return mask
+
+
+def _triangle(raw, sign):
+    """``(M, N, entry)`` over the triangle of ``raw`` that a mirror reads."""
+    d = len(raw)
+    return ((M, N, raw[M][N]) for M in range(d)
+            for N in range(M if sign > 0 else M + 1, d))
+
+
+def _square_value(fn, p, sign):
+    raw = fn(list(p))
+    V = np.zeros((len(raw), len(raw)), dtype=_point_dtype(p))
+    for M, N, e in _triangle(raw, sign):
+        V[M, N] = e
+    return mirror_triangle(V, sign)
+
+
+def _square_jet(fn, p, sign):
+    """Jet-evaluate a matrix-valued field from one triangle.
+
     Returns ``(V, D1, D2)`` with ``D1[P, M, N] = d_P V[M, N]`` and
-    ``D2[P, Q, M, N]`` the second derivatives.
+    ``D2[P, Q, M, N]`` the second derivatives.  The triangle is lifted to
+    jets and packed into one array; the array, not the jets, is mirrored.
     """
     dim = len(p)
-    coords = _seed_coords(p)
-    raw = fn(coords)
+    raw = fn(_seed_coords(p))
     d = len(raw)
-    dt = object if _use_object_dtype(p) else float
-    V = np.zeros((d, d), dtype=dt)
-    D1 = np.zeros((dim, d, d), dtype=dt)
-    D2 = np.zeros((dim, dim, d, d), dtype=dt)
-
-    def put(M, N, jet):
-        V[M, N] = jet.value
-        D1[:, M, N] = jet.gradient
-        D2[:, :, M, N] = jet.hessian
-        if sym and M != N:
-            V[N, M] = sym * jet.value
-            D1[:, N, M] = sym * jet.gradient
-            D2[:, :, N, M] = sym * jet.hessian
-
-    for M in range(d):
-        N0 = M if sym == 1 else (M + 1 if sym == -1 else 0)
-        for N in range(N0, d):
-            put(M, N, _entry_jet(raw[M][N], dim, p[0]))
-    return V, D1, D2
-
-
-def _value_square(fn, p, sym):
-    raw = fn(list(p))
-    d = len(raw)
-    dt = object if _use_object_dtype(p) else float
-    V = np.zeros((d, d), dtype=dt)
-    for M in range(d):
-        N0 = M if sym == 1 else (M + 1 if sym == -1 else 0)
-        for N in range(N0, d):
-            V[M, N] = raw[M][N]
-            if sym and M != N:
-                V[N, M] = sym * raw[M][N]
-    return V
+    packed = np.zeros((d, d, 1 + dim + dim * dim), dtype=_point_dtype(p))
+    for M, N, e in _triangle(raw, sign):
+        j = _entry_jet(e, dim, p[0])
+        packed[M, N, 0] = j.value
+        packed[M, N, 1:dim + 1] = j.gradient
+        packed[M, N, dim + 1:] = j.hessian.ravel()
+    full = mirror_triangle(np.moveaxis(packed, 2, 0), sign)
+    return full[0], full[1:dim + 1], full[dim + 1:].reshape(dim, dim, d, d)
 
 
 class MetricField:
@@ -131,10 +139,10 @@ class MetricField:
         return self.chart.dim
 
     def value(self, p):
-        return _value_square(self.fn, p, +1)
+        return _square_value(self.fn, p, +1)
 
     def jet(self, p):
-        return _collect_square(self.fn, p, +1)
+        return _square_jet(self.fn, p, +1)
 
     def __repr__(self):
         return f"MetricField({self.name or self.chart})"
@@ -164,7 +172,7 @@ class FormField:
     def value(self, p):
         if self.degree == 1:
             return np.array([float(x) for x in self.fn(list(p))])
-        return _value_square(self.fn, p, -1)
+        return _square_value(self.fn, p, -1)
 
     def jet(self, p):
         """Components and first/second derivatives at ``p``."""
@@ -181,7 +189,7 @@ class FormField:
                 D1[:, M] = j.gradient
                 D2[:, :, M] = j.hessian
             return V, D1, D2
-        return _collect_square(self.fn, p, -1)
+        return _square_jet(self.fn, p, -1)
 
     def __repr__(self):
         return f"FormField(degree={self.degree}, {self.name or self.chart})"

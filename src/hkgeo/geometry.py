@@ -30,7 +30,8 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .jets import fd_oracle
+from .fields import mirror_triangle
+from .jets import fd_oracle, solve
 
 __all__ = [
     "MetricDomainError",
@@ -45,6 +46,7 @@ __all__ = [
     "covariant_derivative_02",
     "killing_deviation",
     "euler_characteristic",
+    "curvature_dps",
 ]
 
 
@@ -56,37 +58,20 @@ class DivergenceError(RuntimeError):
     """Improper curvature integral did not converge to tolerance."""
 
 
-def _assert_spd(gv, context=""):
-    try:
-        np.linalg.cholesky(np.asarray(gv, dtype=float))
-    except np.linalg.LinAlgError as err:
-        raise MetricDomainError(f"metric not positive definite {context}: {err}") from err
-
-
 def _solve(gv, B):
-    """Solve ``gv @ X = B`` for SPD ``gv``; dtype-generic."""
-    _assert_spd(gv)
-    if gv.dtype != object:
-        c = scipy.linalg.cho_factor(gv)
-        return scipy.linalg.cho_solve(c, B)
-    # object dtype (mpmath entries): plain Gaussian elimination, partial pivot
-    d = gv.shape[0]
-    A = gv.copy()
-    X = B.copy()
-    for k in range(d):
-        piv = max(range(k, d), key=lambda r: abs(A[r, k]))
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            X[[k, piv]] = X[[piv, k]]
-        for r in range(k + 1, d):
-            m = A[r, k] / A[k, k]
-            A[r, k:] = A[r, k:] - m * A[k, k:]
-            X[r] = X[r] - m * X[k]
-    for k in range(d - 1, -1, -1):
-        for r in range(k + 1, d):
-            X[k] = X[k] - A[k, r] * X[r]
-        X[k] = X[k] / A[k, k]
-    return X
+    """Solve ``gv @ X = B`` for SPD ``gv``; dtype-generic.
+
+    A metric that is not positive definite raises :class:`MetricDomainError`;
+    float metrics are factored once by Cholesky, mpmath ones are checked by
+    a float64 Cholesky and then eliminated at full precision.
+    """
+    try:
+        if gv.dtype != object:
+            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(gv), B)
+        np.linalg.cholesky(gv.astype(float))
+    except np.linalg.LinAlgError as err:
+        raise MetricDomainError(f"metric not positive definite: {err}") from err
+    return np.array(solve(gv, B), dtype=object)
 
 
 def _det(gv):
@@ -97,14 +82,16 @@ def _det(gv):
     raise NotImplementedError("extended-precision determinant only needed for 2x2")
 
 
+def _lowered_christoffel(dg):
+    """``T[P, M, N] = (d_M g_PN + d_N g_PM - d_P g_MN) / 2`` (any leading axes)."""
+    return (np.einsum("...mpn->...pmn", dg) + np.einsum("...npm->...pmn", dg)
+            - dg) / 2
+
+
 def _christoffel_from(gv, dg):
     d = gv.shape[0]
-    T = np.zeros((d, d * d), dtype=gv.dtype)
-    for P in range(d):
-        for M in range(d):
-            for N in range(d):
-                T[P, M * d + N] = (dg[M, P, N] + dg[N, P, M] - dg[P, M, N]) / 2
-    return _solve(gv, T).reshape(d, d, d)
+    T = _lowered_christoffel(dg)
+    return _solve(gv, T.reshape(d, d * d)).reshape(d, d, d)
 
 
 def christoffel(g, p):
@@ -126,70 +113,31 @@ def christoffel_fd(g, p):
         for N in range(M, d):
             comp = fd_oracle(lambda q, M=M, N=N: float(g.fn(q)[M][N]), p)
             dg[:, M, N] = comp.gradient
-            dg[:, N, M] = comp.gradient
-    return _christoffel_from(gv, dg)
+    return _christoffel_from(gv, mirror_triangle(dg, +1))
 
 
 def christoffel_with_derivative(g, p):
     """Connection and its coordinate derivative ``dG[Q, S, M, N] = d_Q Gamma^S_{MN}``."""
     gv, dg, d2g = g.jet(p)
-    d = gv.shape[0]
     G = _christoffel_from(gv, dg)
-    ginv = _solve(gv, np.eye(d) if gv.dtype != object else _object_eye(d))
-    dG = np.zeros((d, d, d, d), dtype=gv.dtype)
-    for Q in range(d):
-        # d_Q g^{SP} = -(g^{-1} (d_Q g) g^{-1})^{SP}
-        dginv = -np.dot(ginv, np.dot(dg[Q], ginv))
-        for S in range(d):
-            for M in range(d):
-                for N in range(d):
-                    acc = 0 * gv[0, 0]
-                    for P in range(d):
-                        t = (dg[M, P, N] + dg[N, P, M] - dg[P, M, N]) / 2
-                        dt = (d2g[Q, M, P, N] + d2g[Q, N, P, M] - d2g[Q, P, M, N]) / 2
-                        acc = acc + dginv[S, P] * t + ginv[S, P] * dt
-                    dG[Q, S, M, N] = acc
+    ginv = _solve(gv, np.eye(gv.shape[0], dtype=gv.dtype))
+    # d_Q g^{SP} = -(g^{-1} (d_Q g) g^{-1})^{SP}
+    dginv = -np.matmul(ginv, np.matmul(dg, ginv))
+    dG = (np.einsum("qsp,pmn->qsmn", dginv, _lowered_christoffel(dg))
+          + np.einsum("sp,qpmn->qsmn", ginv, _lowered_christoffel(d2g)))
     return G, dG
-
-
-def _object_eye(d):
-    eye = np.full((d, d), mpmath.mpf(0), dtype=object)
-    for i in range(d):
-        eye[i, i] = mpmath.mpf(1)
-    return eye
 
 
 def riemann(g, p):
     """``R[A, B, C, D] = R^A_{BCD}`` at ``p``."""
     G, dG = christoffel_with_derivative(g, p)
-    d = G.shape[0]
-    R = np.zeros((d, d, d, d), dtype=G.dtype)
-    for A in range(d):
-        for B in range(d):
-            for C in range(d):
-                for D in range(d):
-                    acc = dG[C, A, D, B] - dG[D, A, C, B]
-                    for S in range(d):
-                        acc = acc + G[A, C, S] * G[S, D, B] - G[A, D, S] * G[S, C, B]
-                    R[A, B, C, D] = acc
-    return R
+    return (np.einsum("cadb->abcd", dG) - np.einsum("dacb->abcd", dG)
+            + np.einsum("acs,sdb->abcd", G, G) - np.einsum("ads,scb->abcd", G, G))
 
 
 def riemann_lowered(g, p):
     """``R_{ABCD} = g_{AE} R^E_{BCD}``."""
-    gv = g.value(p) if not _needs_object(p) else _value_object(g, p)
-    R = riemann(g, p)
-    return np.tensordot(gv, R, axes=([1], [0]))
-
-
-def _needs_object(p):
-    return any(isinstance(x, (mpmath.mpf, mpmath.mpc)) for x in p)
-
-
-def _value_object(g, p):
-    from .fields import _value_square
-
-    return _value_square(g.fn, p, +1)
+    return np.tensordot(g.value(p), riemann(g, p), axes=([1], [0]))
 
 
 def ricci_scalar(g, p):
@@ -198,21 +146,17 @@ def ricci_scalar(g, p):
     Independent of :func:`gaussian_curvature`'s single-component route; the
     two must agree on 2-dimensional metrics.
     """
-    R = riemann(g, p)
-    d = R.shape[0]
-    ric = np.zeros((d, d), dtype=R.dtype)
-    for B in range(d):
-        for D in range(d):
-            acc = 0 * R[0, 0, 0, 0]
-            for A in range(d):
-                acc = acc + R[A, B, A, D]
-            ric[B, D] = acc
-    gv = g.value(p) if not _needs_object(p) else _value_object(g, p)
-    contracted = _solve(gv, ric)  # g^{BP} ric[P, D]
-    out = 0 * contracted[0, 0]
-    for B in range(d):
-        out = out + contracted[B, B]
-    return out
+    ric = np.einsum("abad->bd", riemann(g, p))
+    return np.trace(_solve(g.value(p), ric))  # g^{BP} ric[P, B]
+
+
+def curvature_dps(r):
+    """Digits for :func:`gaussian_curvature` at radius ``r`` of a polar chart.
+
+    40 below ``r = 0.05``, where float64 cancellation near the origin would
+    dominate the error; ``None`` (float64) from there on.
+    """
+    return 40 if r < 0.05 else None
 
 
 def gaussian_curvature(g, p, dps=None):
@@ -223,6 +167,7 @@ def gaussian_curvature(g, p, dps=None):
     float64 roundoff like ``1/r**2``; passing ``dps`` re-evaluates the whole
     chain (metric components included) in mpmath arithmetic with that many
     digits, which keeps the result honest down to ``r ~ 1e-6``.
+    :func:`curvature_dps` says where that is needed.
     """
     if g.dim != 2:
         raise ValueError("gaussian_curvature expects a 2-dimensional metric")
@@ -230,8 +175,7 @@ def gaussian_curvature(g, p, dps=None):
         with mpmath.workdps(dps):
             q = [mpmath.mpf(float(x)) for x in p]
             R = riemann_lowered(g, q)
-            gv = _value_object(g, q)
-            K = 2 * R[0, 1, 0, 1] / _det(gv)
+            K = 2 * R[0, 1, 0, 1] / _det(g.value(q))
             return float(K)
     R = riemann_lowered(g, p)
     gv = g.value(p)
@@ -242,32 +186,16 @@ def covariant_derivative_02(g, T, p):
     """``nabla_P T_{MN}`` of a rank-(0,2) field along ``g``'s connection."""
     G = christoffel(g, p)
     Tv, dT, _ = T.jet(p)
-    d = G.shape[0]
-    out = np.array(dT, dtype=dT.dtype, copy=True)
-    for P in range(d):
-        for M in range(d):
-            for N in range(d):
-                acc = out[P, M, N]
-                for S in range(d):
-                    acc = acc - G[S, P, M] * Tv[S, N] - G[S, P, N] * Tv[M, S]
-                out[P, M, N] = acc
-    return out
+    return (dT - np.einsum("spm,sn->pmn", G, Tv)
+            - np.einsum("spn,ms->pmn", G, Tv))
 
 
 def killing_deviation(g, V, p):
     """Lie derivative ``(L_V g)_{MN}``; identically zero iff V is Killing."""
     gv, dg, _ = g.jet(p)
     Vv, dV = V.jet(p)
-    d = gv.shape[0]
-    L = np.zeros((d, d), dtype=gv.dtype)
-    for M in range(d):
-        for N in range(d):
-            acc = 0 * gv[0, 0]
-            for P in range(d):
-                acc = (acc + Vv[P] * dg[P, M, N]
-                       + gv[P, N] * dV[M, P] + gv[M, P] * dV[N, P])
-            L[M, N] = acc
-    return L
+    return (np.einsum("p,pmn->mn", Vv, dg) + np.einsum("pn,mp->mn", gv, dV)
+            + np.einsum("mp,np->mn", gv, dV))
 
 
 def euler_characteristic(g, period=2 * math.pi, r_scale=1.0, quad_tol=1e-8,

@@ -27,6 +27,7 @@ __all__ = [
     "evaluate_jet",
     "fd_oracle",
     "fd_step",
+    "solve",
     "exp",
     "log",
     "sqrt",
@@ -322,6 +323,45 @@ def evaluate_jet(f, p):
                 f"non-finite derivative in coordinate {i} at {p}", index=i
             )
     return out
+
+
+def solve(A, B, rtol=0.0):
+    """Solve ``A X = B`` by Gauss-Jordan elimination on any entry type.
+
+    Entries may be floats, :class:`Jet2` or mpmath numbers, mixed freely, so
+    the solution carries exact derivatives when ``A`` or ``B`` does.  Rows
+    are pivoted on the size of the value part; exact-zero float multipliers
+    are skipped.  ``B`` is a vector or a matrix (rows indexed like ``A``);
+    the result is a list, or a list of rows, of the same shape.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If the largest available pivot is not above ``rtol`` times the
+        largest entry of ``A`` (a singular matrix).
+    """
+    n = len(A)
+    vector = np.ndim(B[0]) == 0
+    rows = [list(A[i]) + ([B[i]] if vector else list(B[i])) for i in range(n)]
+
+    def size(x):
+        return abs(x.value if isinstance(x, Jet2) else x)
+
+    scale = max(size(x) for row in rows for x in row[:n])
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: size(rows[r][col]))
+        pivot = size(rows[piv][col])
+        if not pivot > rtol * scale:
+            raise np.linalg.LinAlgError(f"singular matrix: pivot {float(pivot):.3e}")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv_p = 1.0 / rows[col][col]
+        rows[col] = [x * inv_p for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r == col or (isinstance(f, float) and f == 0.0):
+                continue
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [row[n] for row in rows] if vector else [row[n:] for row in rows]
 
 
 def fd_step(x):

@@ -20,21 +20,23 @@ Hermitian ``h`` on a symplectic pairing ``Omega`` (block-diagonal
 * ``omega_J``, ``omega_K``: the real and imaginary parts of the
   holomorphic pairing built from ``Omega`` (metric independent).
 
-Mixed-index structures are raised by ``X = -g^{-1} W``, the convention in
-which ``w(U, V) = g(XU, V)`` and the flat case satisfies the quaternion
-algebra ``I J = K``, ``J K = I``, ``K I = J``.
+Mixed-index structures are raised by ``X = -g^{-1} W``
+(:func:`hkgeo.reduction.complex_structure`), the convention in which
+``w(U, V) = g(XU, V)`` and the flat case satisfies the quaternion algebra
+``I J = K``, ``J K = I``, ``K I = J``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Chart, FormField, MetricField
+from .fields import Chart, FormField, MetricField, mirror_triangle
 from .geometry import MetricDomainError
-from .jets import Jet2, evaluate_jet
+from .jets import evaluate_jet
+from .reduction import complex_structure
 
 __all__ = [
     "ComplexChart",
@@ -115,35 +117,13 @@ def metric_from_potential(potential, n, p):
     """
     jet = evaluate_jet(potential, p)
     H = jet.hessian
-    h = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for k in range(n):
-            re = 0.25 * (H[2 * i, 2 * k] + H[2 * i + 1, 2 * k + 1])
-            im = 0.25 * (H[2 * i, 2 * k + 1] - H[2 * i + 1, 2 * k])
-            h[i, k] = re + 1j * im
+    re = 0.25 * (H[0::2, 0::2] + H[1::2, 1::2])
+    im = 0.25 * (H[0::2, 1::2] - H[1::2, 0::2])
+    h = re + 1j * im
     dev = float(np.max(np.abs(h - h.conj().T)))
     if dev > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
         raise HermiticityError(f"Hessian combination non-Hermitian by {dev:.3e}")
     return h
-
-
-def _mirror_sym(raw, n):
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(i, n):
-            out[i][k] = raw[i][k]
-            if k != i:
-                out[k][i] = raw[i][k]
-    return out
-
-
-def _mirror_antisym(raw, n, zero):
-    out = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(i + 1, n):
-            out[i][k] = raw[i][k]
-            out[k][i] = -raw[i][k] if isinstance(raw[i][k], Jet2) else -raw[i][k]
-    return out
 
 
 class HermitianMetricField:
@@ -172,18 +152,13 @@ class HermitianMetricField:
         self.name = name
 
     def _parts(self, coords):
-        A = _mirror_sym(self.re_fn(coords), self.n)
-        B = _mirror_antisym(self.im_fn(coords), self.n, 0.0)
-        return A, B
+        return (mirror_triangle(self.re_fn(coords), +1),
+                mirror_triangle(self.im_fn(coords), -1))
 
     def matrix(self, p):
         """Complex component matrix at interleaved real point ``p``."""
         A, B = self._parts([float(x) for x in p])
-        out = np.zeros((self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            for k in range(self.n):
-                out[i, k] = float(A[i][k]) + 1j * float(B[i][k])
-        return out
+        return A.astype(float) + 1j * B.astype(float)
 
     def real_metric(self):
         """The realified metric as a jet-capable :class:`MetricField`."""
@@ -191,36 +166,19 @@ class HermitianMetricField:
 
         def fn(coords):
             A, B = self._parts(coords)
-            rows = [[None] * (2 * n) for _ in range(2 * n)]
-            for i in range(n):
-                for k in range(n):
-                    rows[2 * i][2 * k] = A[i][k]
-                    rows[2 * i + 1][2 * k + 1] = A[i][k]
-                    rows[2 * i][2 * k + 1] = B[i][k]
-                    rows[2 * i + 1][2 * k] = -B[i][k] if isinstance(B[i][k], Jet2) else -B[i][k]
+            rows = np.empty((2 * n, 2 * n), dtype=object)
+            rows[0::2, 0::2] = rows[1::2, 1::2] = A
+            rows[0::2, 1::2] = B
+            rows[1::2, 0::2] = -B
             return rows
 
         return MetricField(self.chart.real_chart(), fn, name=f"realify({self.name})")
 
-    def _entry_jets(self, p):
-        dim = 2 * self.n
-        coords = [Jet2.variable(float(x), i, dim) for i, x in enumerate(p)]
-        A, B = self._parts(coords)
-        lift = lambda e: e if isinstance(e, Jet2) else Jet2.constant(float(e), dim)
-        return ([[lift(A[i][k]) for k in range(self.n)] for i in range(self.n)],
-                [[lift(B[i][k]) for k in range(self.n)] for i in range(self.n)])
-
     def holomorphic_derivative(self, p):
         """``dH[p, m, q] = d h_mq / d z^p`` (Wirtinger) at ``p``."""
-        A, B = self._entry_jets(p)
-        n = self.n
-        dH = np.zeros((n, n, n), dtype=complex)
-        for m in range(n):
-            for q in range(n):
-                grad = A[m][q].gradient + 1j * B[m][q].gradient
-                for pd in range(n):
-                    dH[pd, m, q] = 0.5 * (grad[2 * pd] - 1j * grad[2 * pd + 1])
-        return dH
+        _, dg, _ = self.real_metric().jet([float(x) for x in p])
+        grad = dg[:, 0::2, 0::2] + 1j * dg[:, 0::2, 1::2]  # real derivatives of h
+        return 0.5 * (grad[0::2] - 1j * grad[1::2])
 
     def __repr__(self):
         return f"HermitianMetricField(n={self.n}, {self.name!r})"
@@ -441,11 +399,8 @@ def triple_at(h, omega, p=None):
     W_I = _mixed_form_to_real(0.5j * h)
     W_J = _pair_form_to_real(omega / 2.0)
     W_K = _pair_form_to_real(-0.5j * np.asarray(omega, dtype=complex))
-    try:
-        mix = lambda W: -np.linalg.solve(g, W)
-    except np.linalg.LinAlgError as err:  # pragma: no cover - defensive
-        raise MetricDomainError(str(err)) from err
-    return Triple(W_I, W_J, W_K, mix(W_I), mix(W_J), mix(W_K), g)
+    return Triple(W_I, W_J, W_K, complex_structure(g, W_I),
+                  complex_structure(g, W_J), complex_structure(g, W_K), g)
 
 
 def quaternion_residual(t):
@@ -498,13 +453,7 @@ def spin_connection_trace(hfield, p):
     gv, dg, _ = greal.jet(p)
     d = gv.shape[0]
     t = np.array([np.trace(np.linalg.solve(gv, dg[P])) for P in range(d)])
-    n = hfield.n
-    holo = np.zeros(n, dtype=complex)
-    anti = np.zeros(n, dtype=complex)
-    for i in range(n):
-        holo[i] = (t[2 * i] - 1j * t[2 * i + 1]) / 8.0
-        anti[i] = (t[2 * i] + 1j * t[2 * i + 1]) / 8.0
-    return holo, anti
+    return (t[0::2] - 1j * t[1::2]) / 8.0, (t[0::2] + 1j * t[1::2]) / 8.0
 
 
 def x_matrices(hfield, p):

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Chart, MetricField
-from .jets import Jet2, evaluate_jet
+from .fields import Chart, MetricField, mirror_triangle
+from .jets import evaluate_jet, solve
 
 __all__ = [
     "DegenerateLagrangianError",
@@ -92,50 +92,12 @@ class QuadraticKinetic:
         return f"QuadraticKinetic({self.name or self.labels})"
 
 
-def _pivot_size(x):
-    return abs(x.value) if isinstance(x, Jet2) else abs(float(x))
-
-
-def _gauss_invert(rows, d):
-    """Invert a nested matrix of floats/jets by Gauss-Jordan elimination.
-
-    Partial pivoting keyed on the value part.  A vanishing pivot (relative
-    to the largest entry seen) means a singular mass matrix.
-    """
-    A = [list(r) for r in rows]
-    eye = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
-    scale = max((_pivot_size(A[i][j]) for i in range(d) for j in range(d)), default=0.0)
-    if scale == 0.0:
-        raise DegenerateLagrangianError("zero mass matrix")
-    for col in range(d):
-        piv = max(range(col, d), key=lambda r: _pivot_size(A[r][col]))
-        if _pivot_size(A[piv][col]) <= 1e-13 * scale:
-            raise DegenerateLagrangianError(
-                f"mass matrix is singular (pivot {_pivot_size(A[piv][col]):.3e})"
-            )
-        A[col], A[piv] = A[piv], A[col]
-        eye[col], eye[piv] = eye[piv], eye[col]
-        inv_p = 1.0 / A[col][col]
-        A[col] = [x * inv_p for x in A[col]]
-        eye[col] = [x * inv_p for x in eye[col]]
-        for r in range(d):
-            if r == col:
-                continue
-            f = A[r][col]
-            if isinstance(f, float) and f == 0.0:
-                continue
-            A[r] = [a - f * b for a, b in zip(A[r], A[col])]
-            eye[r] = [a - f * b for a, b in zip(eye[r], eye[col])]
-    return eye
-
-
-def _mirror_upper(raw, d):
-    out = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            out[i][j] = raw[i][j]
-            out[j][i] = raw[i][j]
-    return out
+def _solve_mass(M, B):
+    """``jets.solve`` with a singular mass matrix reported as such."""
+    try:
+        return solve(M, B, rtol=1e-13)
+    except np.linalg.LinAlgError as err:
+        raise DegenerateLagrangianError(f"mass matrix: {err}") from err
 
 
 def legendre_to_hamiltonian(L, q):
@@ -159,9 +121,7 @@ def hamiltonian_field(L):
 
     def H(coords):
         q, mom = coords[:n], coords[n:]
-        M = _mirror_upper(L.fn(q), n)
-        Minv = _gauss_invert(M, n)
-        x = [sum(Minv[i][j] * mom[j] for j in range(n)) for i in range(n)]
+        x = _solve_mass(mirror_triangle(L.fn(q), +1), mom)
         acc = 0.0
         for pi, xi in zip(mom, x):
             acc = acc + pi * xi
@@ -240,9 +200,9 @@ def constrain_and_reduce(L, fiber_index, probe_points=None, tol=1e-10):
     def reduced_fn(coords):
         full = list(coords)
         full.insert(fiber_index, 0.0)
-        Minv = _gauss_invert(_mirror_upper(L.fn(full), n), n)
+        Minv = _solve_mass(mirror_triangle(L.fn(full), +1), np.eye(n).tolist())
         block = [[Minv[i][j] for j in keep] for i in keep]
-        return _gauss_invert(block, n - 1)
+        return _solve_mass(block, np.eye(n - 1).tolist())
 
     return QuadraticKinetic(labels, reduced_fn,
                             name=f"{L.name or 'kinetic'} / {L.labels[fiber_index]}")

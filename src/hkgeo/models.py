@@ -36,7 +36,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from . import jets
-from .fields import Chart, EmbeddingMap, FormField, MetricField, VectorFieldR
+from .fields import (Chart, EmbeddingMap, FormField, MetricField, VectorFieldR,
+                     constant_form, mirror_triangle)
 from .sampling import Exclusion, SampleSpec, sample_points
 
 __all__ = [
@@ -344,6 +345,14 @@ def _inverse_var_change_fn(c):
     return [y1, y2, y3, y4]
 
 
+def _constant_form(chart, entries, name):
+    """Constant 2-form from its upper-triangle entries ``(m, n, value)``."""
+    W = np.zeros((chart.dim, chart.dim))
+    for m, n, v in entries:
+        W[m, n] = v
+    return constant_form(chart, mirror_triangle(W, -1), name=name)
+
+
 def gh_flat(a=1.0):
     """Flat ``R^4`` in monopole coordinates, with the Cartesian companion.
 
@@ -361,12 +370,6 @@ def gh_flat(a=1.0):
         "omega_J": [(0, 2, 1.0), (1, 3, -1.0)],
         "omega_K": [(0, 3, 1.0), (1, 2, 1.0)],
     }
-
-    def const_form(chart_, entries, name):
-        W = np.zeros((4, 4))
-        for m, n, v in entries:
-            W[m, n] = v
-        return FormField(chart_, 2, lambda c: W, name=name)
 
     return Model(
         name="gh-flat",
@@ -391,7 +394,7 @@ def gh_flat(a=1.0):
         extras={
             "cart_chart": cart,
             "cart_metric": cart_metric,
-            "cart_forms": {k: const_form(cart, v, k) for k, v in eye_w.items()},
+            "cart_forms": {k: _constant_form(cart, v, k) for k, v in eye_w.items()},
             "cart_box": ((*_CART,), (*_CART,), (*_CART,), (*_CART,)),
             "cart_exclusions": (_pole_exclusion(),),
         },
@@ -456,12 +459,6 @@ def r8_parent(a=1.0):
         "omega_J": [(0, 2, 1.0), (1, 3, -1.0), (5, 6, 1.0), (4, 7, a)],
         "omega_K": [(0, 3, 1.0), (1, 2, 1.0), (4, 6, -1.0), (5, 7, a)],
     }
-
-    def const_form(entries, name):
-        W = np.zeros((8, 8))
-        for m, n, v in entries:
-            W[m, n] = v
-        return FormField(cart, 2, lambda c: W, name=name)
 
     cart_V = VectorFieldR(
         cart, lambda c: [-c[1], c[0], c[3], -c[2], 0.0, 0.0, 0.0, 1.0],
@@ -530,7 +527,7 @@ def r8_parent(a=1.0):
         extras={
             "cart_chart": cart,
             "cart_metric": MetricField(cart, cart_gfn, name="8-metric, cartesian"),
-            "cart_forms": {k: const_form(v, k) for k, v in cart_w.items()},
+            "cart_forms": {k: _constant_form(cart, v, k) for k, v in cart_w.items()},
             "cart_killing": cart_V,
             "cart_moments": {"mu_I": mu_I_cart, "mu_J": mu_J_cart,
                              "mu_K": mu_K_cart},
@@ -571,16 +568,7 @@ def taub_nut_triple(x, a=1.0):
     monopole_potential(x)  # domain check
     fns = _xpsi_triple_fns(lambda r: 1.0 / r + 1.0 / (a * a))
     p = [float(v) for v in x] + [0.0]
-    out = []
-    for fn in fns:
-        rows = fn(p)
-        W = np.zeros((4, 4))
-        for m in range(4):
-            for n in range(m + 1, 4):
-                W[m, n] = rows[m][n]
-                W[n, m] = -rows[m][n]
-        out.append(W)
-    return tuple(out)
+    return tuple(mirror_triangle(fn(p), -1) for fn in fns)
 
 
 def taub_nut(a=1.0):

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .fields import FormField, MetricField, VectorFieldR
-from .geometry import DivergenceError, killing_deviation
+from .fields import FormField, MetricField, VectorFieldR, mirror_triangle
+from .geometry import DivergenceError, MetricDomainError, killing_deviation
 
 __all__ = [
     "NotExactError",
@@ -72,17 +72,6 @@ class DegeneratePullbackWarning(UserWarning):
     """Jacobian of the map is rank deficient; the pullback is degenerate."""
 
 
-def _antisym_entries(raw, d):
-    """Full antisymmetric nested list from the strict upper triangle of ``raw``."""
-    out = [[0.0] * d for _ in range(d)]
-    for M in range(d):
-        for N in range(M + 1, d):
-            e = raw[M][N]
-            out[M][N] = e
-            out[N][M] = -e
-    return out
-
-
 def _as_vector_fn(V, dim):
     if isinstance(V, VectorFieldR):
         return V.fn
@@ -109,13 +98,13 @@ def contraction_field(form, V, name=""):
     vfn = _as_vector_fn(V, d)
 
     def fn(coords):
-        W = _antisym_entries(form.fn(coords), d)
+        W = mirror_triangle(form.fn(coords), -1)
         v = vfn(coords)
         out = []
         for M in range(d):
             s = 0.0
             for N in range(d):
-                w = W[M][N]
+                w = W[M, N]
                 if isinstance(w, float) and w == 0.0:
                     continue
                 s = s + w * v[N]
@@ -136,13 +125,7 @@ def exterior_derivative(form, p):
     _, D1, _ = form.jet(p)
     if form.degree == 1:
         return D1 - D1.T
-    d = form.dim
-    T = np.zeros((d, d, d))
-    for M in range(d):
-        for N in range(d):
-            for P in range(d):
-                T[M, N, P] = D1[M, N, P] + D1[N, P, M] + D1[P, M, N]
-    return T
+    return D1 + np.einsum("npm->mnp", D1) + np.einsum("pmn->mnp", D1)
 
 
 def recover_moment_map(alpha, base, p, base_value=0.0, closure_tol=1e-6,
@@ -248,8 +231,16 @@ def quotient_form(form, fiber_index, invariant, p, tol=1e-10):
 
 
 def complex_structure(gv, W):
-    """Mixed structure ``I^M_N = g^MP W_PN`` from a metric and 2-form value."""
-    return np.linalg.solve(gv, W)
+    """Mixed structure ``X = -g^{-1} W`` raised from a 2-form value.
+
+    The sign is the one in which ``w(U, V) = g(XU, V)``; with it the flat
+    triple satisfies ``I J = K``.  A singular ``gv`` raises
+    :class:`~hkgeo.geometry.MetricDomainError`.
+    """
+    try:
+        return -np.linalg.solve(gv, W)
+    except np.linalg.LinAlgError as err:
+        raise MetricDomainError(f"cannot raise a 2-form with a singular metric: {err}") from err
 
 
 def raise_first_index(gv, T):

@@ -188,9 +188,8 @@ def test_criterion_07_curvature_and_topology():
         rs = np.concatenate([[1e-6, 1e-5, 1e-4, 1e-3, 1e-2],
                              rng.uniform(0.05, 10.0, size=12), [10.0]])
         for r in rs:
-            dps = 40 if r < 0.05 else None
             got = geometry.gaussian_curvature(red.metric, [float(r), 0.7],
-                                              dps=dps)
+                                              dps=geometry.curvature_dps(r))
             worst_K = max(worst_K, abs(got - target(r)))
         chi, quad_err = geometry.euler_characteristic(red.metric, r_scale=a)
         worst_chi = max(worst_chi, abs(chi - 2.0) + quad_err)

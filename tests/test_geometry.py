@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from hkgeo import geometry, jets
-from hkgeo.fields import Chart, FormField, MetricField, VectorFieldR
+from hkgeo.fields import Chart, FormField, MetricField, VectorFieldR, mirror_triangle
 from hkgeo.geometry import (
     MetricDomainError,
     christoffel,
     christoffel_fd,
     covariant_derivative_02,
+    curvature_dps,
     euler_characteristic,
     gaussian_curvature,
     killing_deviation,
@@ -97,6 +98,27 @@ def test_small_radius_needs_extended_precision():
                                [None, c[0] ** 2 / (1.0 + c[0] ** 2)]])
     K = gaussian_curvature(g, [1e-6, 0.0], dps=40)
     assert K == pytest.approx(8.0, abs=1e-9)
+
+
+def test_curvature_precision_switch():
+    assert curvature_dps(0.05 - 1e-12) == 40
+    assert curvature_dps(0.05) is None
+    assert curvature_dps(9.5) is None
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_mirror_triangle(sign):
+    upper = [[1.0, 2.0, 3.0], [None, 4.0, 5.0], [None, None, 6.0]]
+    want = (np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]]) if sign > 0
+            else np.array([[0.0, 2.0, 3.0], [-2.0, 0.0, 5.0], [-3.0, -5.0, 0.0]]))
+    assert np.array_equal(mirror_triangle(upper, sign).astype(float), want)
+    # leading axes are carried along; only the last two are mirrored
+    stacked = np.stack([np.triu(want), 2.0 * np.triu(want)])
+    assert np.array_equal(mirror_triangle(stacked, sign), np.stack([want, 2.0 * want]))
+    # jet entries come through as jets
+    t = jets.Jet2.variable(2.0, 0, 1)
+    full = mirror_triangle([[1.0, t], [None, 1.0]], sign)
+    assert full[1, 0].value == sign * 2.0 and full[1, 0].gradient[0] == sign
 
 
 def test_volume_form_covariantly_constant():

@@ -15,6 +15,7 @@ from hkgeo.jets import (
     evaluate_jet,
     fd_oracle,
     fd_step,
+    solve,
 )
 
 
@@ -150,3 +151,38 @@ def test_mp_dtype_passthrough():
         assert j.gradient.dtype == object
         assert mpmath.almosteq(j.gradient[0], mpmath.mpf("2"))
         assert mpmath.almosteq(j.hessian[0, 0], mpmath.mpf("4"))
+
+
+SOLVE_A = np.array([[4.0, 1.0, 0.0], [2.0, 5.0, 1.0], [0.0, 1.0, 3.0]])
+SOLVE_DA = np.array([[0.5, 0.0, 1.0], [0.0, -1.0, 0.0], [2.0, 0.0, 0.0]])
+SOLVE_B = np.array([1.0, -2.0, 0.5])
+
+
+@pytest.mark.parametrize("kind", ["float", "jet", "mp40"])
+def test_solve_matches_numpy(kind):
+    want = np.linalg.solve(SOLVE_A, SOLVE_B)
+    if kind == "float":
+        assert np.allclose(solve(SOLVE_A, SOLVE_B), want, rtol=0, atol=1e-14)
+        X = solve(SOLVE_A, np.eye(3))
+        assert np.allclose(X, np.linalg.inv(SOLVE_A), rtol=0, atol=1e-14)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 0.0])
+    elif kind == "jet":
+        # A(t) = A + t dA: x(0) = A^-1 b and x'(0) = -A^-1 dA x(0)
+        t = Jet2.variable(0.0, 0, 1)
+        A = [[a + da * t for a, da in zip(ra, rda)] for ra, rda in zip(SOLVE_A, SOLVE_DA)]
+        x = solve(A, list(SOLVE_B))
+        assert np.allclose([xi.value for xi in x], want, rtol=0, atol=1e-14)
+        dx = -np.linalg.solve(SOLVE_A, SOLVE_DA @ want)
+        assert np.allclose([xi.gradient[0] for xi in x], dx, rtol=0, atol=1e-14)
+    else:
+        import mpmath
+
+        with mpmath.workdps(40):
+            A = [[mpmath.mpf(a) for a in row] for row in SOLVE_A]
+            b = [mpmath.mpf(v) for v in SOLVE_B]
+            x = solve(A, b)
+            assert np.allclose([float(v) for v in x], want, rtol=0, atol=1e-14)
+            residual = max(abs(sum(A[i][j] * x[j] for j in range(3)) - b[i])
+                           for i in range(3))
+            assert residual < mpmath.mpf(10) ** -38

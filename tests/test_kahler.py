@@ -127,6 +127,11 @@ def test_triple_compatibility():
         assert np.max(np.abs(W + W.T)) < 1e-12
 
 
+def test_triple_singular_metric_rejected():
+    with pytest.raises(MetricDomainError):
+        triple_at(np.array([[1.0, 1.0], [1.0, 1.0]]), symplectic_matrix(2))
+
+
 def test_covariant_constancy_and_control():
     om = symplectic_matrix(2)
     shear = unit_determinant_shear_field()

@@ -37,6 +37,9 @@ def test_singular_mass_rejected():
     L = kinetic(lambda c: [[1.0, 1.0], [None, 1.0]])
     with pytest.raises(DegenerateLagrangianError):
         legendre_to_hamiltonian(L, [0.0, 0.0])
+    with pytest.raises(DegenerateLagrangianError):
+        poisson_bracket(momentum_field(0, 2), hamiltonian_field(L),
+                        PhasePoint((0.0, 0.0), (1.0, 0.0)))
 
 
 def test_hamiltonian_value():

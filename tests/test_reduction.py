@@ -6,6 +6,7 @@ import pytest
 
 from hkgeo import jets, models, reduction
 from hkgeo.fields import Chart, EmbeddingMap, FormField, MetricField, VectorFieldR
+from hkgeo.geometry import MetricDomainError
 from hkgeo.reduction import (
     DegenerateFiberError,
     DegeneratePullbackWarning,
@@ -147,6 +148,9 @@ def test_complex_structure_square():
     W = np.array([[0.0, 1.0], [-1.0, 0.0]])
     I = complex_structure(g, W)
     assert np.allclose(I @ I, -np.eye(2))
+    assert np.allclose(g @ I, -W)  # X = -g^{-1} W
+    with pytest.raises(MetricDomainError):
+        complex_structure(np.zeros((2, 2)), W)
 
 
 def test_raise_first_index_layout():
