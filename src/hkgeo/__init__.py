@@ -5,13 +5,15 @@ carries out symplectic and hyperkahler quotients numerically (level sets,
 fiber projections, moment maps), cross-checks the same reductions through
 Hamiltonian mechanics, and verifies curvature and quaternionic identities
 against closed forms.  Everything differentiable runs on forward-mode
-second-order jets with finite differences kept as an independent oracle.
+jets (first order where only gradients are read, second order where
+curvature needs Hessians) with finite differences kept as an independent
+oracle.
 """
 
 from ._version import __version__
 from .checks import CheckReport, RunManifest, run_suite
 from .fields import Chart, EmbeddingMap, FormField, MetricField, VectorFieldR
-from .jets import Jet2, evaluate_jet, fd_oracle
+from .jets import Jet1, Jet2, evaluate_jet, fd_oracle
 from .models import MODEL_NAMES, build
 from .sampling import Exclusion, SampleSpec, sample_points
 
@@ -22,6 +24,7 @@ __all__ = [
     "EmbeddingMap",
     "Exclusion",
     "FormField",
+    "Jet1",
     "Jet2",
     "MODEL_NAMES",
     "MetricField",

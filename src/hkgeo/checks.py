@@ -515,7 +515,7 @@ def check_tn_moment_gradients(ctx, rng):
         for wk, mk in pairs:
             alpha = reduction.contract(m.extras["cart_forms"][wk],
                                        m.extras["cart_killing"], q)
-            grad = evaluate_jet(m.extras["cart_moments"][mk], q).gradient
+            grad = evaluate_jet(m.extras["cart_moments"][mk], q, order=1).gradient
             worst = max(worst, float(np.max(np.abs(alpha - grad))))
     return worst, 1e-8, len(pts), (
         "each contraction i_V omega is the gradient of its moment map"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet2
+from .jets import _JET_OF_ORDER, Jet, Jet2, call_field
 
 __all__ = [
     "Chart",
@@ -45,17 +45,8 @@ class Chart:
         return "(" + ", ".join(self.names) + ")"
 
 
-def _seed_coords(p):
-    dim = len(p)
-    return [Jet2.variable(x, i, dim) for i, x in enumerate(p)]
-
-
 def _point_dtype(p):
     return object if any(not isinstance(x, (int, float, np.floating)) for x in p) else float
-
-
-def _entry_jet(e, dim, like):
-    return e if isinstance(e, Jet2) else Jet2.constant(e, dim, like=like)
 
 
 def mirror_triangle(a, sign=1):
@@ -94,31 +85,54 @@ def _triangle(raw, sign):
 
 
 def _square_value(fn, p, sign):
-    raw = fn(list(p))
+    raw = call_field(fn, p)
     V = np.zeros((len(raw), len(raw)), dtype=_point_dtype(p))
     for M, N, e in _triangle(raw, sign):
         V[M, N] = e
     return mirror_triangle(V, sign)
 
 
-def _square_jet(fn, p, sign):
+def _square_jet(fn, p, sign, order):
     """Jet-evaluate a matrix-valued field from one triangle.
 
     Returns ``(V, D1, D2)`` with ``D1[P, M, N] = d_P V[M, N]`` and
-    ``D2[P, Q, M, N]`` the second derivatives.  The triangle is lifted to
-    jets and packed into one array; the array, not the jets, is mirrored.
+    ``D2[P, Q, M, N]`` the second derivatives, or ``D2 = None`` at
+    ``order=1``.  The triangle is lifted to jets of that order and packed
+    into one array; the array, not the jets, is mirrored.
     """
     dim = len(p)
-    raw = fn(_seed_coords(p))
+    cls = _JET_OF_ORDER[order]
+    second = cls is Jet2
+    raw = call_field(fn, p, order)
     d = len(raw)
-    packed = np.zeros((d, d, 1 + dim + dim * dim), dtype=_point_dtype(p))
+    width = 1 + dim + (dim * dim if second else 0)
+    packed = np.zeros((d, d, width), dtype=_point_dtype(p))
     for M, N, e in _triangle(raw, sign):
-        j = _entry_jet(e, dim, p[0])
+        j = e if isinstance(e, Jet) else cls.constant(e, dim, like=p[0])
         packed[M, N, 0] = j.value
         packed[M, N, 1:dim + 1] = j.gradient
-        packed[M, N, dim + 1:] = j.hessian.ravel()
+        if second:
+            packed[M, N, dim + 1:] = j.hessian.ravel()
     full = mirror_triangle(np.moveaxis(packed, 2, 0), sign)
-    return full[0], full[1:dim + 1], full[dim + 1:].reshape(dim, dim, d, d)
+    D2 = full[dim + 1:].reshape(dim, dim, d, d) if second else None
+    return full[0], full[1:dim + 1], D2
+
+
+def _vector_jet(fn, p):
+    """Values ``V[M]`` and first derivatives ``D[P, M] = d_P V[M]`` of a vector-valued field."""
+    raw = call_field(fn, p, 1)
+    V = np.zeros(len(raw))
+    D = np.zeros((len(p), len(raw)))
+    for M, e in enumerate(raw):
+        if isinstance(e, Jet):
+            V[M], D[:, M] = e.value, e.gradient
+        else:
+            V[M] = e
+    return V, D
+
+
+def _vector_value(fn, p):
+    return np.array([float(x) for x in call_field(fn, p)])
 
 
 class MetricField:
@@ -141,8 +155,13 @@ class MetricField:
     def value(self, p):
         return _square_value(self.fn, p, +1)
 
-    def jet(self, p):
-        return _square_jet(self.fn, p, +1)
+    def jet(self, p, order=2):
+        """``(V, D1, D2)``: components and their first and second derivatives.
+
+        ``D1[P, M, N] = d_P g_MN`` and ``D2[P, Q, M, N] = d_P d_Q g_MN``;
+        ``order=1`` skips the second derivatives and returns ``D2 = None``.
+        """
+        return _square_jet(self.fn, p, +1, order)
 
     def __repr__(self):
         return f"MetricField({self.name or self.chart})"
@@ -171,25 +190,19 @@ class FormField:
 
     def value(self, p):
         if self.degree == 1:
-            return np.array([float(x) for x in self.fn(list(p))])
+            return _vector_value(self.fn, p)
         return _square_value(self.fn, p, -1)
 
     def jet(self, p):
-        """Components and first/second derivatives at ``p``."""
+        """``(V, D1, None)``: components and their first derivatives at ``p``.
+
+        ``D1[P, M] = d_P a_M`` for a 1-form and ``D1[P, M, N] = d_P w_MN``
+        for a 2-form.  No caller reads second derivatives of a form, so
+        none are computed; the third slot is always ``None``.
+        """
         if self.degree == 1:
-            dim = len(p)
-            coords = _seed_coords(p)
-            raw = self.fn(coords)
-            V = np.zeros(len(raw))
-            D1 = np.zeros((dim, len(raw)))
-            D2 = np.zeros((dim, dim, len(raw)))
-            for M, e in enumerate(raw):
-                j = _entry_jet(e, dim, p[0])
-                V[M] = j.value
-                D1[:, M] = j.gradient
-                D2[:, :, M] = j.hessian
-            return V, D1, D2
-        return _square_jet(self.fn, p, -1)
+            return (*_vector_jet(self.fn, p), None)
+        return _square_jet(self.fn, p, -1, 1)
 
     def __repr__(self):
         return f"FormField(degree={self.degree}, {self.name or self.chart})"
@@ -216,20 +229,11 @@ class VectorFieldR:
         return self.chart.dim
 
     def value(self, p):
-        return np.array([float(v) for v in self.fn(list(p))])
+        return _vector_value(self.fn, p)
 
     def jet(self, p):
         """Component values and first derivatives ``dV[P, M] = d_P V^M``."""
-        dim = len(p)
-        coords = _seed_coords(p)
-        raw = self.fn(coords)
-        V = np.zeros(len(raw))
-        dV = np.zeros((dim, len(raw)))
-        for M, e in enumerate(raw):
-            j = _entry_jet(e, dim, p[0])
-            V[M] = j.value
-            dV[:, M] = j.gradient
-        return V, dV
+        return _vector_jet(self.fn, p)
 
     def __repr__(self):
         return f"VectorFieldR({self.name or self.chart})"
@@ -245,22 +249,16 @@ class EmbeddingMap:
         self.name = name
 
     def value(self, p):
-        out = self.fn(list(p))
+        out = _vector_value(self.fn, p)
         if len(out) != self.target.dim:
             raise ValueError(
                 f"map produced {len(out)} components for target {self.target}"
             )
-        return np.array([float(x) for x in out])
+        return out
 
     def jacobian(self, p):
         """``J[M, m] = d phi^M / d x^m`` (target index first)."""
-        coords = _seed_coords(p)
-        raw = self.fn(coords)
-        J = np.zeros((self.target.dim, self.source.dim))
-        for M, e in enumerate(raw):
-            j = _entry_jet(e, self.source.dim, p[0])
-            J[M, :] = j.gradient
-        return J
+        return np.ascontiguousarray(_vector_jet(self.fn, p)[1].T)
 
     def __repr__(self):
         return f"EmbeddingMap({self.name or (str(self.source) + ' -> ' + str(self.target))})"

@@ -96,7 +96,7 @@ def _christoffel_from(gv, dg):
 
 def christoffel(g, p):
     """``Gamma^S_{MN}`` of ``g`` at ``p`` from jet derivatives."""
-    gv, dg, _ = g.jet(p)
+    gv, dg, _ = g.jet(p, order=1)
     return _christoffel_from(gv, dg)
 
 
@@ -192,7 +192,7 @@ def covariant_derivative_02(g, T, p):
 
 def killing_deviation(g, V, p):
     """Lie derivative ``(L_V g)_{MN}``; identically zero iff V is Killing."""
-    gv, dg, _ = g.jet(p)
+    gv, dg, _ = g.jet(p, order=1)
     Vv, dV = V.jet(p)
     return (np.einsum("p,pmn->mn", Vv, dg) + np.einsum("pn,mp->mn", gv, dV)
             + np.einsum("mp,np->mn", gv, dV))

@@ -1,15 +1,33 @@
-"""Second-order forward-mode jets with a finite-difference cross check.
+"""Forward-mode jets with a finite-difference cross check.
 
 A :class:`Jet2` carries the value, gradient and Hessian of a scalar quantity
 at a point, propagated through arithmetic by the truncated second-order
-Taylor rules.  Field code throughout the package is written against the
-dispatching math helpers in this module (:func:`sqrt`, :func:`exp`,
-:func:`atan2`, ...) so the same expression evaluates on plain floats, on
-jets, or on mpmath numbers when extra precision is required (curvature of
-nearly degenerate polar charts, for instance).
+Taylor rules; a :class:`Jet1` carries the value and gradient only.  Field
+code throughout the package is written against the dispatching math helpers
+in this module (:func:`sqrt`, :func:`exp`, :func:`atan2`, ...) so the same
+expression evaluates on plain floats, on jets of either order, or on mpmath
+numbers when extra precision is required (curvature of nearly degenerate
+polar charts, for instance).
+
+Which order is used where
+-------------------------
+Most derivative reads in the package are first order, and a first-order
+jet costs a fraction of a second-order one (no ``d x d`` Hessian update on
+every product), so every entry point that reads no second derivative seeds
+:class:`Jet1`: Poisson brackets (so also the cyclicity probes of
+:func:`hkgeo.mechanics.constrain_and_reduce`), Christoffel symbols,
+covariant derivatives of 2-tensors, Killing deviations, exterior
+derivatives, Wirtinger derivatives and spin-connection traces of Hermitian
+fields, vector-field derivatives, Jacobians of maps and moment-map
+gradients.  :class:`Jet2` stays where second derivatives are read: the
+derivative of the connection (so the Riemann tensor and every curvature,
+float64 and 40-digit), metrics from Kaehler potentials and the jet-vs-
+finite-difference hygiene check.  Both orders share every elementary
+derivative rule (the ``f, f', f''`` triple in :class:`Jet`), so their
+values and gradients agree bit for bit.
 
 :func:`fd_oracle` produces the same (value, gradient, Hessian) triple from
-central differences only.  It shares no derivative code with `Jet2` and is
+central differences only.  It shares no derivative code with the jets and is
 used as the independent reference wherever jet output is trusted.
 """
 
@@ -21,9 +39,12 @@ import mpmath
 import numpy as np
 
 __all__ = [
+    "Jet",
+    "Jet1",
     "Jet2",
     "EvaluationError",
     "StencilExclusionError",
+    "call_field",
     "evaluate_jet",
     "fd_oracle",
     "fd_step",
@@ -75,56 +96,34 @@ def _zeros(shape, like):
     return np.zeros(shape)
 
 
-class Jet2:
-    """Value, gradient and symmetric Hessian of a scalar at a point.
+class Jet:
+    """Forward-mode jet of a scalar at a point: the rules both orders share.
 
-    Arithmetic follows the second-order product/chain rules; the Hessian
-    stays exactly symmetric because every update is built from symmetric
-    terms (``outer(a, b) + outer(b, a)`` and scalar multiples of symmetric
-    arrays).
+    A jet carries the value and the gradient (and, in :class:`Jet2`, the
+    Hessian) of a scalar quantity.  Every elementary derivative rule is
+    written here once, as the ``f, f', f''`` triple handed to
+    ``_compose``; :class:`Jet1` reads the first two and :class:`Jet2` all
+    three.  The subclasses supply only the ring operations and the two
+    composition rules at their order.
     """
 
-    __slots__ = ("value", "gradient", "hessian")
-
-    def __init__(self, value, gradient, hessian):
-        self.value = value
-        self.gradient = np.asarray(gradient)
-        self.hessian = np.asarray(hessian)
-
-    # -- constructors -----------------------------------------------------
+    __slots__ = ("value", "gradient")
 
     @classmethod
     def variable(cls, value, index, dim):
         """Seed jet for coordinate ``index`` of a ``dim``-dimensional chart."""
-        g = _zeros(dim, value)
-        g[index] = value * 0 + 1  # one of the same scalar type as `value`
-        return cls(value, g, _zeros((dim, dim), value))
-
-    @classmethod
-    def constant(cls, value, dim, like=None):
-        ref = value if like is None else like
-        return cls(value, _zeros(dim, ref), _zeros((dim, dim), ref))
+        jet = cls.constant(value, dim)
+        jet.gradient[index] = value * 0 + 1  # one of the same scalar type as `value`
+        return jet
 
     @property
     def dim(self):
         return self.gradient.shape[0]
 
     def __repr__(self):
-        return f"Jet2(value={self.value!r}, dim={self.dim})"
+        return f"{type(self).__name__}(value={self.value!r}, dim={self.dim})"
 
-    # -- ring operations --------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(self.value + other.value,
-                        self.gradient + other.gradient,
-                        self.hessian + other.hessian)
-        return Jet2(self.value + other, self.gradient, self.hessian)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.gradient, -self.hessian)
+    # -- ring operations built on the order-specific ones -----------------
 
     def __sub__(self, other):
         return self + (-other)
@@ -132,21 +131,8 @@ class Jet2:
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other):
-        if isinstance(other, Jet2):
-            ga, gb = self.gradient, other.gradient
-            return Jet2(
-                self.value * other.value,
-                self.value * gb + other.value * ga,
-                self.value * other.hessian + other.value * self.hessian
-                + np.outer(ga, gb) + np.outer(gb, ga),
-            )
-        return Jet2(self.value * other, self.gradient * other, self.hessian * other)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        if isinstance(other, Jet2):
+        if isinstance(other, Jet):
             return self * other._reciprocal()
         return self * (1.0 / other)
 
@@ -155,18 +141,13 @@ class Jet2:
 
     def __pow__(self, k):
         if k == 0:
-            return Jet2.constant(self.value * 0 + 1, self.dim, like=self.value)
+            return self.constant(self.value * 0 + 1, self.dim, like=self.value)
         if k == 1:
             return self
         u = self.value
         return self._compose(u ** k, k * u ** (k - 1), k * (k - 1) * u ** (k - 2))
 
     # -- composition with smooth scalar functions -------------------------
-
-    def _compose(self, f0, f1, f2):
-        """Jet of ``f(self)`` given ``f``, ``f'``, ``f''`` at ``self.value``."""
-        g = self.gradient
-        return Jet2(f0, f1 * g, f1 * self.hessian + f2 * np.outer(g, g))
 
     def _reciprocal(self):
         u = self.value
@@ -208,50 +189,151 @@ class Jet2:
         return self._compose(m.cosh(self.value), m.sinh(self.value), m.cosh(self.value))
 
 
-def _compose2(a, b, f0, fa, fb, faa, fab, fbb):
-    """Jet of a smooth two-argument function given its partials at (a, b)."""
-    ga, gb = a.gradient, b.gradient
-    grad = fa * ga + fb * gb
-    hess = (fa * a.hessian + fb * b.hessian
-            + faa * np.outer(ga, ga)
-            + fab * (np.outer(ga, gb) + np.outer(gb, ga))
-            + fbb * np.outer(gb, gb))
-    return Jet2(f0, grad, hess)
+class Jet2(Jet):
+    """Value, gradient and symmetric Hessian of a scalar at a point.
+
+    Arithmetic follows the second-order product/chain rules; the Hessian
+    stays exactly symmetric because every update is built from symmetric
+    terms (``outer(a, b) + outer(b, a)`` and scalar multiples of symmetric
+    arrays).
+    """
+
+    __slots__ = ("hessian",)
+
+    def __init__(self, value, gradient, hessian):
+        self.value = value
+        self.gradient = np.asarray(gradient)
+        self.hessian = np.asarray(hessian)
+
+    @classmethod
+    def constant(cls, value, dim, like=None):
+        ref = value if like is None else like
+        return cls(value, _zeros(dim, ref), _zeros((dim, dim), ref))
+
+    def __add__(self, other):
+        if isinstance(other, Jet2):
+            return Jet2(self.value + other.value,
+                        self.gradient + other.gradient,
+                        self.hessian + other.hessian)
+        return Jet2(self.value + other, self.gradient, self.hessian)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet2(-self.value, -self.gradient, -self.hessian)
+
+    def __mul__(self, other):
+        if isinstance(other, Jet2):
+            ga, gb = self.gradient, other.gradient
+            return Jet2(
+                self.value * other.value,
+                self.value * gb + other.value * ga,
+                self.value * other.hessian + other.value * self.hessian
+                + np.outer(ga, gb) + np.outer(gb, ga),
+            )
+        return Jet2(self.value * other, self.gradient * other, self.hessian * other)
+
+    __rmul__ = __mul__
+
+    def _compose(self, f0, f1, f2):
+        """Jet of ``f(self)`` given ``f``, ``f'``, ``f''`` at ``self.value``."""
+        g = self.gradient
+        return Jet2(f0, f1 * g, f1 * self.hessian + f2 * np.outer(g, g))
+
+    def _compose2(self, b, f0, fa, fb, faa, fab, fbb):
+        """Jet of a smooth two-argument ``f(self, b)`` given its partials."""
+        ga, gb = self.gradient, b.gradient
+        grad = fa * ga + fb * gb
+        hess = (fa * self.hessian + fb * b.hessian
+                + faa * np.outer(ga, ga)
+                + fab * (np.outer(ga, gb) + np.outer(gb, ga))
+                + fbb * np.outer(gb, gb))
+        return Jet2(f0, grad, hess)
+
+
+class Jet1(Jet):
+    """Value and gradient of a scalar at a point, no Hessian.
+
+    The first-order truncation of :class:`Jet2`: its value and gradient
+    follow the same formulas in the same order, so they agree with
+    ``Jet2``'s bit for bit, at a fraction of the cost where only gradients
+    are read.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, value, gradient):
+        self.value = value
+        self.gradient = np.asarray(gradient)
+
+    @classmethod
+    def constant(cls, value, dim, like=None):
+        return cls(value, _zeros(dim, value if like is None else like))
+
+    def __add__(self, other):
+        if isinstance(other, Jet1):
+            return Jet1(self.value + other.value, self.gradient + other.gradient)
+        return Jet1(self.value + other, self.gradient)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet1(-self.value, -self.gradient)
+
+    def __mul__(self, other):
+        if isinstance(other, Jet1):
+            return Jet1(self.value * other.value,
+                        self.value * other.gradient + other.value * self.gradient)
+        return Jet1(self.value * other, self.gradient * other)
+
+    __rmul__ = __mul__
+
+    def _compose(self, f0, f1, f2):
+        """Jet of ``f(self)`` given ``f``, ``f'`` (``f''`` unused) at ``self.value``."""
+        return Jet1(f0, f1 * self.gradient)
+
+    def _compose2(self, b, f0, fa, fb, faa, fab, fbb):
+        """Jet of ``f(self, b)`` given its partials (second ones unused)."""
+        return Jet1(f0, fa * self.gradient + fb * b.gradient)
+
+
+#: Jet class of each derivative order.
+_JET_OF_ORDER = {1: Jet1, 2: Jet2}
 
 
 # -- dispatching scalar helpers ------------------------------------------
 
 
 def exp(x):
-    return x.exp() if isinstance(x, Jet2) else _mathmod(x).exp(x)
+    return x.exp() if isinstance(x, Jet) else _mathmod(x).exp(x)
 
 
 def log(x):
-    return x.log() if isinstance(x, Jet2) else _mathmod(x).log(x)
+    return x.log() if isinstance(x, Jet) else _mathmod(x).log(x)
 
 
 def sqrt(x):
-    return x.sqrt() if isinstance(x, Jet2) else _mathmod(x).sqrt(x)
+    return x.sqrt() if isinstance(x, Jet) else _mathmod(x).sqrt(x)
 
 
 def sin(x):
-    return x.sin() if isinstance(x, Jet2) else _mathmod(x).sin(x)
+    return x.sin() if isinstance(x, Jet) else _mathmod(x).sin(x)
 
 
 def cos(x):
-    return x.cos() if isinstance(x, Jet2) else _mathmod(x).cos(x)
+    return x.cos() if isinstance(x, Jet) else _mathmod(x).cos(x)
 
 
 def atan(x):
-    return x.atan() if isinstance(x, Jet2) else _mathmod(x).atan(x)
+    return x.atan() if isinstance(x, Jet) else _mathmod(x).atan(x)
 
 
 def sinh(x):
-    return x.sinh() if isinstance(x, Jet2) else _mathmod(x).sinh(x)
+    return x.sinh() if isinstance(x, Jet) else _mathmod(x).sinh(x)
 
 
 def cosh(x):
-    return x.cosh() if isinstance(x, Jet2) else _mathmod(x).cosh(x)
+    return x.cosh() if isinstance(x, Jet) else _mathmod(x).cosh(x)
 
 
 def atan2(y, x):
@@ -260,12 +342,12 @@ def atan2(y, x):
     Smooth away from the half line ``{y = 0, x <= 0}``; callers sampling near
     the cut are expected to guard it with an exclusion predicate.
     """
-    if not isinstance(y, Jet2) and not isinstance(x, Jet2):
+    if not isinstance(y, Jet) and not isinstance(x, Jet):
         return _mathmod(y).atan2(y, x)
-    if not isinstance(y, Jet2):
-        y = Jet2.constant(y, x.dim, like=x.value)
-    if not isinstance(x, Jet2):
-        x = Jet2.constant(x, y.dim, like=y.value)
+    if not isinstance(y, Jet):
+        y = x.constant(y, x.dim, like=x.value)
+    if not isinstance(x, Jet):
+        x = y.constant(x, y.dim, like=y.value)
     xv, yv = x.value, y.value
     r2 = xv * xv + yv * yv
     r4 = r2 * r2
@@ -275,7 +357,7 @@ def atan2(y, x):
     fyy = -2 * xv * yv / r4
     fxx = 2 * xv * yv / r4
     fxy = (yv * yv - xv * xv) / r4
-    return _compose2(y, x, f0, fy, fx, fyy, fxy, fxx)
+    return y._compose2(x, f0, fy, fx, fyy, fxy, fxx)
 
 
 # -- evaluation entry points ---------------------------------------------
@@ -287,48 +369,69 @@ def _isfinite(x):
     return math.isfinite(x)
 
 
-def evaluate_jet(f, p):
+def call_field(f, p, order=None):
+    """``f`` at point ``p``: on plain coordinates, or on jet seeds of ``order``.
+
+    ``order`` is ``None`` for plain values, 1 for :class:`Jet1` seeds or 2
+    for :class:`Jet2` seeds.  This is where every field evaluation of the
+    package calls the field, so a division by zero inside it (a field
+    evaluated on its singular locus) surfaces as :class:`EvaluationError`.
+    """
+    coords = list(p)
+    if order is not None:
+        dim = len(coords)
+        coords = [_JET_OF_ORDER[order].variable(x, i, dim) for i, x in enumerate(coords)]
+    try:
+        return f(coords)
+    except ZeroDivisionError as err:
+        raise EvaluationError(f"division by zero evaluating a field at {list(p)}") from err
+
+
+def evaluate_jet(f, p, order=2):
     """Evaluate scalar field ``f`` at ``p`` with jet coordinates.
 
     Parameters
     ----------
     f : callable
-        Accepts a list of coordinate values (floats or `Jet2`) and returns a
+        Accepts a list of coordinate values (floats or jets) and returns a
         scalar.  Must be written with the dispatching helpers of this module.
     p : sequence of float (or mpmath.mpf)
+    order : {1, 2}
+        2 (the default) returns a :class:`Jet2`; 1 returns a :class:`Jet1`,
+        with the same value and gradient, for callers that read no second
+        derivatives.
 
     Returns
     -------
-    Jet2
+    Jet1 or Jet2
 
     Raises
     ------
     EvaluationError
-        If the result or any derivative is non-finite; the error carries the
-        first offending coordinate index when one can be identified.
+        If the field divides by zero, or the result or any derivative it
+        carries is non-finite; the error carries the first offending
+        coordinate index when one can be identified.
     """
     p = list(p)
     dim = len(p)
-    coords = [Jet2.variable(x, i, dim) for i, x in enumerate(p)]
-    out = f(coords)
-    if not isinstance(out, Jet2):
-        out = Jet2.constant(out, dim, like=p[0])
+    out = call_field(f, p, order)
+    if not isinstance(out, Jet):
+        out = _JET_OF_ORDER[order].constant(out, dim, like=p[0])
     if not _isfinite(out.value):
         raise EvaluationError(f"non-finite value at {p}")
     for i in range(dim):
-        if not _isfinite(out.gradient[i]) or any(
-            not _isfinite(out.hessian[i, j]) for j in range(dim)
-        ):
+        row = out.hessian[i] if isinstance(out, Jet2) else ()
+        if not _isfinite(out.gradient[i]) or not all(map(_isfinite, row)):
             raise EvaluationError(
                 f"non-finite derivative in coordinate {i} at {p}", index=i
             )
     return out
 
 
-def solve(A, B, rtol=0.0):
+def solve(A, B):
     """Solve ``A X = B`` by Gauss-Jordan elimination on any entry type.
 
-    Entries may be floats, :class:`Jet2` or mpmath numbers, mixed freely, so
+    Entries may be floats, jets or mpmath numbers, mixed freely, so
     the solution carries exact derivatives when ``A`` or ``B`` does.  Rows
     are pivoted on the size of the value part; exact-zero float multipliers
     are skipped.  ``B`` is a vector or a matrix (rows indexed like ``A``);
@@ -337,21 +440,20 @@ def solve(A, B, rtol=0.0):
     Raises
     ------
     numpy.linalg.LinAlgError
-        If the largest available pivot is not above ``rtol`` times the
-        largest entry of ``A`` (a singular matrix).
+        If a column has no nonzero pivot left (a singular matrix).  How
+        close to singular a matrix may be is the caller's rule.
     """
     n = len(A)
     vector = np.ndim(B[0]) == 0
     rows = [list(A[i]) + ([B[i]] if vector else list(B[i])) for i in range(n)]
 
     def size(x):
-        return abs(x.value if isinstance(x, Jet2) else x)
+        return abs(x.value if isinstance(x, Jet) else x)
 
-    scale = max(size(x) for row in rows for x in row[:n])
     for col in range(n):
         piv = max(range(col, n), key=lambda r: size(rows[r][col]))
         pivot = size(rows[piv][col])
-        if not pivot > rtol * scale:
+        if not pivot > 0:
             raise np.linalg.LinAlgError(f"singular matrix: pivot {float(pivot):.3e}")
         rows[col], rows[piv] = rows[piv], rows[col]
         inv_p = 1.0 / rows[col][col]

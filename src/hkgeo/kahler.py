@@ -176,7 +176,7 @@ class HermitianMetricField:
 
     def holomorphic_derivative(self, p):
         """``dH[p, m, q] = d h_mq / d z^p`` (Wirtinger) at ``p``."""
-        _, dg, _ = self.real_metric().jet([float(x) for x in p])
+        _, dg, _ = self.real_metric().jet([float(x) for x in p], order=1)
         grad = dg[:, 0::2, 0::2] + 1j * dg[:, 0::2, 1::2]  # real derivatives of h
         return 0.5 * (grad[0::2] - 1j * grad[1::2])
 
@@ -281,7 +281,8 @@ def heavenly_check(h, omega, tol=1e-10):
     Raises
     ------
     HeavenlyViolation
-        If the residual exceeds tolerance or ``C <= 0``.
+        If the residual exceeds tolerance or ``C`` is not positive (NaN
+        fails both).
     """
     h = np.asarray(h, dtype=complex)
     omega = np.asarray(omega, dtype=float)
@@ -289,12 +290,12 @@ def heavenly_check(h, omega, tol=1e-10):
     C = float(np.real(np.sum(omega * M)) / np.sum(omega * omega))
     residual = float(np.max(np.abs(M - C * omega)))
     scale = max(1.0, float(np.max(np.abs(M))))
-    if residual > tol * scale:
+    if not residual <= tol * scale:  # written so that NaN fails
         raise HeavenlyViolation(
             f"h Omega h^T deviates from C Omega by {residual:.3e} (C = {C:.6g})",
             residual=residual,
         )
-    if C <= 0:
+    if not C > 0:
         raise HeavenlyViolation(f"proportionality constant C = {C:.6g} is not positive",
                                 residual=residual)
     return C
@@ -450,7 +451,7 @@ def spin_connection_trace(hfield, p):
     except np.linalg.LinAlgError as err:
         raise MetricDomainError(f"Hermitian metric not positive definite at {p}") from err
     greal = hfield.real_metric()
-    gv, dg, _ = greal.jet(p)
+    gv, dg, _ = greal.jet(p, order=1)
     d = gv.shape[0]
     t = np.array([np.trace(np.linalg.solve(gv, dg[P])) for P in range(d)])
     return (t[0::2] - 1j * t[1::2]) / 8.0, (t[0::2] + 1j * t[1::2]) / 8.0

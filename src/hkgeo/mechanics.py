@@ -9,7 +9,9 @@ metric ``M``, which is the point the cross-module tests drive home.
 
 Phase-space scalars are plain callables over the ``2n`` coordinates
 ``(q_1 .. q_n, p_1 .. p_n)``; Poisson brackets differentiate them with
-jets, so no finite differencing is involved.
+first-order jets (a bracket reads gradients only), so no finite
+differencing is involved.  A mass matrix counts as singular when
+``1 / cond(M) < MIN_RCOND``; every inversion or solve applies that rule.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Chart, MetricField, mirror_triangle
-from .jets import evaluate_jet, solve
+from .jets import Jet, evaluate_jet, solve
 
 __all__ = [
     "DegenerateLagrangianError",
@@ -92,20 +94,39 @@ class QuadraticKinetic:
         return f"QuadraticKinetic({self.name or self.labels})"
 
 
+#: Smallest reciprocal condition number of an invertible mass matrix.
+MIN_RCOND = 1e-13
+
+
+def _check_mass(M):
+    """Reject a mass matrix whose value part is non-finite or singular.
+
+    The one singularity rule of this module, applied wherever a mass matrix
+    is inverted or solved: ``1 / cond(M) < MIN_RCOND`` (2-norm) raises
+    :class:`DegenerateLagrangianError`.  Jet entries are judged by their
+    values.
+    """
+    Mv = np.array([[x.value if isinstance(x, Jet) else x for x in row] for row in M],
+                  dtype=float)
+    if not np.all(np.isfinite(Mv)):
+        raise DegenerateLagrangianError("mass matrix has non-finite entries")
+    sv = np.linalg.svd(Mv, compute_uv=False)
+    rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
+    if rcond < MIN_RCOND:
+        raise DegenerateLagrangianError(
+            f"mass matrix is singular (1/cond = {rcond:.3e} < {MIN_RCOND:.0e})")
+
+
 def _solve_mass(M, B):
-    """``jets.solve`` with a singular mass matrix reported as such."""
-    try:
-        return solve(M, B, rtol=1e-13)
-    except np.linalg.LinAlgError as err:
-        raise DegenerateLagrangianError(f"mass matrix: {err}") from err
+    """``M X = B`` in jet-capable arithmetic, for a mass matrix ``M``."""
+    _check_mass(M)
+    return solve(M, B)
 
 
 def legendre_to_hamiltonian(L, q):
     """Kinetic matrix ``M(q)^{-1}`` of the Hamiltonian ``p^T M^{-1} p / 2``."""
     M = L.matrix(q)
-    d = M.shape[0]
-    if not np.all(np.isfinite(M)) or 1.0 / np.linalg.cond(M) < 1e-13:
-        raise DegenerateLagrangianError(f"mass matrix is singular at {list(q)}")
+    _check_mass(M)
     Minv = np.linalg.inv(M)
     return 0.5 * (Minv + Minv.T)
 
@@ -140,11 +161,11 @@ def momentum_field(i, n):
 
 
 def poisson_bracket(f, g, s):
-    """``{f, g}`` at a :class:`PhasePoint`, by jet differentiation."""
+    """``{f, g}`` at a :class:`PhasePoint`, by first-order jet differentiation."""
     coords = s.coords
     n = len(s.q)
-    jf = evaluate_jet(f, coords)
-    jg = evaluate_jet(g, coords)
+    jf = evaluate_jet(f, coords, order=1)
+    jg = evaluate_jet(g, coords, order=1)
     acc = 0.0
     for i in range(n):
         acc += jf.gradient[i] * jg.gradient[n + i] - jf.gradient[n + i] * jg.gradient[i]

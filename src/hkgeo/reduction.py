@@ -197,12 +197,12 @@ def quotient_metric(g, V, invariant, p):
 
     ``g`` is the level-set metric field (or a plain matrix), ``V`` the
     fiber vector (field or constant components).  Raises
-    :class:`DegenerateFiberError` when ``g(V, V) <= 0``.
+    :class:`DegenerateFiberError` unless ``g(V, V) > 0`` (so also on NaN).
     """
     gv = g.value(p) if isinstance(g, MetricField) else np.asarray(g, dtype=float)
     v = V.value(p) if isinstance(V, VectorFieldR) else np.asarray(V, dtype=float)
     gvv = float(v @ gv @ v)
-    if gvv <= 0.0:
+    if not gvv > 0.0:  # written so that NaN fails
         raise DegenerateFiberError(f"fiber norm g(V, V) = {gvv:.3e} at {list(p)}")
     gu = gv @ v
     proj = gv - np.outer(gu, gu) / gvv

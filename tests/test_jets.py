@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkgeo import jets
+from hkgeo import jets, models
 from hkgeo.jets import (
     EvaluationError,
+    Jet1,
     Jet2,
     StencilExclusionError,
     evaluate_jet,
@@ -100,11 +101,44 @@ def test_evaluation_error_on_nonfinite_value():
 
 
 def test_evaluation_error_on_nonfinite_derivative():
-    # finite value, infinite gradient: the error names the coordinate
-    bad = Jet2(1.0, np.array([float("inf")]), np.zeros((1, 1)))
-    with pytest.raises(EvaluationError) as exc:
-        evaluate_jet(lambda c: bad, [1.0])
-    assert exc.value.index == 0
+    # finite value, infinite gradient: the error names the coordinate, at
+    # either jet order
+    inf_grad = np.array([0.0, float("inf")])
+    for order, bad in ((2, Jet2(1.0, inf_grad, np.zeros((2, 2)))),
+                       (1, Jet1(1.0, inf_grad))):
+        with pytest.raises(EvaluationError) as exc:
+            evaluate_jet(lambda c: bad, [1.0, 2.0], order=order)
+        assert exc.value.index == 1
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_division_by_zero_is_evaluation_error(order):
+    for f in (lambda c: 1.0 / c[0], lambda c: c[0].sqrt()):
+        with pytest.raises(EvaluationError) as exc:
+            evaluate_jet(f, [0.0], order=order)
+        assert isinstance(exc.value.__cause__, ZeroDivisionError)
+
+
+@pytest.mark.parametrize("dps", [None, 40])
+def test_first_order_gradient_is_jet2_gradient(dps):
+    # Jet1 shares Jet2's rules and formula order: values and gradients agree
+    # bit for bit on every registered scalar field, at float64 and 40 digits
+    import mpmath
+
+    n = 0
+    for spec in models.scalar_fields(1.0):
+        pts = models.sample_points(models.SampleSpec(
+            np.asarray(spec.box, dtype=float), 8, 5, tuple(spec.exclusions)))
+        for p in pts:
+            with mpmath.workdps(dps or 15):
+                q = [mpmath.mpf(float(x)) for x in p] if dps else list(p)
+                j1 = evaluate_jet(spec.fn, q, order=1)
+                j2 = evaluate_jet(spec.fn, q)
+            assert isinstance(j1, Jet1) and isinstance(j2, Jet2)
+            assert j1.value == j2.value, spec.name
+            assert list(j1.gradient) == list(j2.gradient), spec.name
+            n += 1
+    assert n == 8 * len(models.scalar_fields(1.0))
 
 
 def test_fd_step_scales_with_coordinate():

@@ -88,6 +88,13 @@ def test_negative_constant_rejected():
         heavenly_check(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), om)
 
 
+def test_nan_metric_fails_heavenly_check():
+    # NaN must fail the criterion, not pass it with C = nan
+    om = symplectic_matrix(2)
+    with pytest.raises(HeavenlyViolation):
+        heavenly_check(np.full((2, 2), np.nan), om)
+
+
 def test_potential_reproduces_entries():
     shear = unit_determinant_shear_field()
     for p in RNG.uniform(-1.0, 1.0, size=(10, 4)):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from hkgeo import models
+from hkgeo.jets import evaluate_jet
 from hkgeo.mechanics import (
     DegenerateLagrangianError,
     InvalidConstraintError,
@@ -34,12 +36,17 @@ def test_legendre_position_dependent():
 
 
 def test_singular_mass_rejected():
-    L = kinetic(lambda c: [[1.0, 1.0], [None, 1.0]])
-    with pytest.raises(DegenerateLagrangianError):
-        legendre_to_hamiltonian(L, [0.0, 0.0])
-    with pytest.raises(DegenerateLagrangianError):
-        poisson_bracket(momentum_field(0, 2), hamiltonian_field(L),
-                        PhasePoint((0.0, 0.0), (1.0, 0.0)))
+    # exactly singular, and singular to the 1/cond < 1e-13 rule: every entry
+    # point that inverts or solves a mass matrix applies the same rule
+    for m11 in (1.0, 1.0 + 3e-13):
+        L = kinetic(lambda c, m11=m11: [[1.0, 1.0], [None, m11]])
+        with pytest.raises(DegenerateLagrangianError):
+            legendre_to_hamiltonian(L, [0.0, 0.0])
+        with pytest.raises(DegenerateLagrangianError):
+            poisson_bracket(momentum_field(0, 2), hamiltonian_field(L),
+                            PhasePoint((0.0, 0.0), (1.0, 0.0)))
+        with pytest.raises(DegenerateLagrangianError):
+            constrain_and_reduce(L, 1)
 
 
 def test_hamiltonian_value():
@@ -78,6 +85,36 @@ def test_cyclic_momentum_conserved():
     s = PhasePoint((0.8, -0.4), (0.5, 1.2))
     assert poisson_bracket(momentum_field(1, 2), H, s) == pytest.approx(0.0, abs=1e-14)
     assert abs(poisson_bracket(momentum_field(0, 2), H, s)) > 1e-3
+
+
+def _bracket_second_order(f, g, s):
+    # the bracket as computed before first-order jets: full Jet2 gradients
+    n = len(s.q)
+    jf, jg = evaluate_jet(f, s.coords), evaluate_jet(g, s.coords)
+    acc = 0.0
+    for i in range(n):
+        acc += jf.gradient[i] * jg.gradient[n + i] - jf.gradient[n + i] * jg.gradient[i]
+    return float(acc)
+
+
+@pytest.mark.parametrize("name", ["toy-parent", "r8-parent"])
+def test_bracket_matches_second_order_reference(name):
+    # toy 3-chart and 5-chart level Hamiltonians: the first-order bracket is
+    # the Jet2 bracket, bit for bit
+    m = models.build(name, 1.0)
+    L = QuadraticKinetic(m.extras["level_chart"].names, m.extras["level_metric"].fn)
+    H = hamiltonian_field(L)
+    rng = np.random.default_rng(12)
+    pts = models.sample_points(models.SampleSpec(
+        np.asarray(m.extras["level_box"], dtype=float), 6, 3,
+        tuple(m.extras.get("level_exclusions", ()))))
+    for p in pts:
+        s = PhasePoint(tuple(p), tuple(rng.normal(size=L.dim)))
+        for i in range(L.dim):
+            pi = momentum_field(i, L.dim)
+            assert poisson_bracket(pi, H, s) == _bracket_second_order(pi, H, s)
+            qi = lambda c, i=i: c[i] * c[i]
+            assert poisson_bracket(qi, H, s) == _bracket_second_order(qi, H, s)
 
 
 def test_constrain_decoupled_fiber():

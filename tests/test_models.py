@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hkgeo import geometry, models, reduction
-from hkgeo.jets import fd_oracle
+from hkgeo.jets import EvaluationError, fd_oracle
 from hkgeo.models import (
     MODEL_NAMES,
     MONOPOLE_CURL_SIGN,
@@ -59,6 +59,29 @@ def test_declared_forms_closed(name):
         for p in pts:
             res = reduction.exterior_derivative(f, p)
             assert np.max(np.abs(res)) < 1e-8, (name, f.name)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_first_order_metric_jet(name):
+    # order=1 returns the same value and first derivatives as order=2, bit
+    # for bit, and no second derivatives
+    m = build(name, 1.0)
+    for p in m.sample(4, seed=6):
+        V1, D1, none = m.metric.jet(p, order=1)
+        V2, D2_1, D2 = m.metric.jet(p)
+        assert none is None and D2 is not None
+        assert np.array_equal(V1, V2) and np.array_equal(D1, D2_1)
+
+
+def test_field_division_by_zero_is_evaluation_error():
+    # the Taub-NUT metric divides by r: at the origin that is an
+    # EvaluationError from every entry point, not a bare ZeroDivisionError
+    g = build("taub-nut", 1.0).metric
+    origin = [0.0, 0.0, 0.0, 0.0]
+    for evaluate in (g.value, lambda p: g.jet(p, order=1), g.jet):
+        with pytest.raises(EvaluationError) as exc:
+            evaluate(origin)
+        assert isinstance(exc.value.__cause__, ZeroDivisionError)
 
 
 def test_monopole_curl_sign():

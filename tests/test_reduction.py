@@ -128,6 +128,12 @@ def test_quotient_metric_rejects_null_fiber():
         quotient_metric(g, np.array([0.0, 1.0]), (0,), [0.0, 0.0])
 
 
+def test_quotient_metric_rejects_nan_fiber():
+    g = np.diag([1.0, np.nan])
+    with pytest.raises(DegenerateFiberError):
+        quotient_metric(g, np.array([0.0, 1.0]), (0,), [0.0, 0.0])
+
+
 def test_quotient_form_cancellation_enforced():
     W = np.array([[0.0, 2.0, 0.0],
                   [-2.0, 0.0, 0.0],
