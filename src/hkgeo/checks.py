@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry, kahler, mechanics, models, reduction
 from ._version import __version__
-from .jets import evaluate_jet, fd_oracle
+from .jets import evaluate_jet, fd_oracle, worst_of
 from .sampling import SampleSpec, sample_points
 
 __all__ = [
@@ -152,7 +152,7 @@ def check_coset_constant(ctx, rng, n):
     worst = 0.0
     for hf in _coset_fields(ctx, rng, n, count):
         C = kahler.heavenly_check(hf.matrix([0.0] * (2 * n)), om)
-        worst = max(worst, abs(C - 1.0))
+        worst = worst_of(worst, abs(C - 1.0))
     return worst, 1e-10, count, (
         f"unit-determinant condition h Om h^T = C Om with C = 1 on {count} "
         f"random exp(v.t) metrics, n = {n}"
@@ -166,13 +166,13 @@ def check_det_equality(ctx, rng):
     for hf in _coset_fields(ctx, rng, 2, count):
         h = hf.matrix([0.0, 0.0, 0.0, 0.0])
         C = kahler.heavenly_check(h, om)
-        worst = max(worst, abs(C - float(np.real(np.linalg.det(h)))))
+        worst = worst_of(worst, abs(C - float(np.real(np.linalg.det(h)))))
     shear = kahler.unit_determinant_shear_field()
     pts = _box_points(((-1.5, 1.5),) * 4, (), 20, ctx.subseed(rng))
     for p in pts:
         h = shear.matrix(p)
         C = kahler.heavenly_check(h, om)
-        worst = max(worst, abs(C - float(np.real(np.linalg.det(h)))))
+        worst = worst_of(worst, abs(C - float(np.real(np.linalg.det(h)))))
     return worst, 1e-12, count + 20, (
         "for n = 2 the proportionality constant C equals det h"
     )
@@ -198,13 +198,13 @@ def check_quaternion_triple(ctx, rng):
         om = kahler.symplectic_matrix(n)
         for hf in _coset_fields(ctx, rng, n, 10):
             t = kahler.triple_at(hf, om, [0.0] * (2 * n))
-            worst = max(worst, kahler.quaternion_residual(t))
+            worst = worst_of(worst, kahler.quaternion_residual(t))
             n_metrics += 1
     om2 = kahler.symplectic_matrix(2)
     shear = kahler.unit_determinant_shear_field()
     for p in _box_points(((-1.5, 1.5),) * 4, (), 20, ctx.subseed(rng)):
         t = kahler.triple_at(shear, om2, p)
-        worst = max(worst, kahler.quaternion_residual(t))
+        worst = worst_of(worst, kahler.quaternion_residual(t))
         n_metrics += 1
     return worst, 1e-10, n_metrics, (
         "I, J, K from passing metrics obey the quaternion algebra "
@@ -223,8 +223,8 @@ def check_covariant_constancy(ctx, rng):
     for p in pts:
         dJ = geometry.covariant_derivative_02(greal, fJ, p)
         dK = geometry.covariant_derivative_02(greal, fK, p)
-        worst = max(worst, float(np.max(np.abs(dJ + 1j * dK))),
-                    float(np.max(np.abs(dJ - 1j * dK))))
+        worst = worst_of(worst, float(np.max(np.abs(dJ + 1j * dK))),
+                         float(np.max(np.abs(dJ - 1j * dK))))
     return worst, 1e-8, len(pts), (
         "the J/K pair is covariantly constant for the varying "
         "unit-determinant metric (both J + iK and J - iK)"
@@ -238,7 +238,7 @@ def check_covariant_negative_control(ctx, rng):
     fJ, _ = kahler.quaternion_form_fields(ctrl, om)
     dev = 0.0
     for p in _box_points(((-1.5, 1.5),) * 4, (), 10, ctx.subseed(rng)):
-        dev = max(dev, float(np.max(np.abs(
+        dev = worst_of(dev, float(np.max(np.abs(
             geometry.covariant_derivative_02(greal, fJ, p)))))
     err = 0.0 if dev > 1e-3 else 1.0
     return err, 0.0, 10, (
@@ -255,7 +255,7 @@ def check_sp_algebra(ctx, rng):
                       ctx.subseed(rng))
     for p in pts:
         for X in kahler.x_matrices(shear, p):
-            worst = max(worst, kahler.sp_residual(X, om))
+            worst = worst_of(worst, kahler.sp_residual(X, om))
     return worst, 1e-8, len(pts), (
         "derivative matrices 2 (d_p h) h^-1 of a passing metric lie in the "
         "symplectic algebra (X Om + Om X^T = 0)"
@@ -273,7 +273,7 @@ def check_toy_contraction(ctx, rng):
     for p in pts:
         got = reduction.contract(m.forms["omega"], m.killing["shift"], p)
         want = np.array([p[0], 0.0, m.a, 0.0])
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        worst = worst_of(worst, float(np.max(np.abs(got - want))))
     return worst, 1e-12, len(pts), (
         "contraction of the symplectic form with the shift vector gives "
         "r dr + a dx"
@@ -287,7 +287,7 @@ def check_toy_killing(ctx, rng):
                                    m.invariant, m.fiber_index)
     pts = m.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     kd, closed = spec.validate(pts)
-    return max(kd, max(closed)), 1e-10, len(pts), (
+    return worst_of(kd, *closed), 1e-10, len(pts), (
         "shift vector is Killing and its contraction with the form is closed"
     )
 
@@ -301,7 +301,7 @@ def check_toy_moment(ctx, rng):
     pts = m.sample(ctx.samples, ctx.subseed(rng))
     for p in pts:
         got = reduction.recover_moment_map(alpha, base, p, base_value=mu(base))
-        worst = max(worst, abs(got - mu(p)))
+        worst = worst_of(worst, abs(got - mu(p)))
     return worst, 1e-8, len(pts), (
         "line-integrated moment map matches r^2/2 + a x"
     )
@@ -315,7 +315,7 @@ def check_toy_level_pullback(ctx, rng):
     pts = _box_points(m.extras["level_box"], (), ctx.samples, ctx.subseed(rng))
     for p in pts:
         got = reduction.pullback_metric(m.metric, lev, p)
-        worst = max(worst, float(np.max(np.abs(got - lm.value(p)))))
+        worst = worst_of(worst, float(np.max(np.abs(got - lm.value(p)))))
     return worst, 1e-10, len(pts), (
         "pullback onto the zero level set matches the closed-form 3-metric"
     )
@@ -331,7 +331,7 @@ def check_toy_quotient(ctx, rng):
     for p in pts:
         got = reduction.quotient_metric(lm, fiber, m.invariant, p)
         want = red.metric.value([p[0], p[2]])
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        worst = worst_of(worst, float(np.max(np.abs(got - want))))
     return worst, 1e-10, len(pts), (
         "orthogonal-projection quotient matches the reduced surface metric"
     )
@@ -347,7 +347,7 @@ def check_toy_quotient_form(ctx, rng):
         W = reduction.pullback_form(m.forms["omega"], lev, p)
         Wq = reduction.quotient_form(W, m.fiber_index, m.invariant, p)
         want = red.forms["omega"].value([p[0], p[2]])
-        worst = max(worst, float(np.max(np.abs(Wq - want))))
+        worst = worst_of(worst, float(np.max(np.abs(Wq - want))))
     return worst, 1e-10, len(pts), (
         "fiber components of the pulled-back form cancel and the rest is "
         "the area form r dr d chi"
@@ -362,10 +362,10 @@ def check_toy_complex_structure(ctx, rng):
         gv = red.metric.value(p)
         W = red.forms["omega"].value(p)
         I = reduction.complex_structure(gv, W)
-        worst = max(worst, float(np.max(np.abs(I @ I + np.eye(2)))))
+        worst = worst_of(worst, float(np.max(np.abs(I @ I + np.eye(2)))))
         dW = geometry.covariant_derivative_02(red.metric, red.forms["omega"], p)
         dI = reduction.raise_first_index(gv, dW)
-        worst = max(worst, float(np.max(np.abs(dI))))
+        worst = worst_of(worst, float(np.max(np.abs(dI))))
     return worst, 1e-8, len(pts), (
         "quotient complex structure squares to -1 and is covariantly constant"
     )
@@ -384,7 +384,7 @@ def check_toy_mechanics(ctx, rng):
     for p in pts:
         got = L2.matrix([p[0], p[2]])
         want = reduction.quotient_metric(lm, fiber, m.invariant, p)
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        worst = worst_of(worst, float(np.max(np.abs(got - want))))
     return worst, 1e-12, len(pts), (
         "setting the fiber momentum to zero reproduces the geometric quotient"
     )
@@ -404,7 +404,7 @@ def check_toy_brackets(ctx, rng):
         s = mechanics.PhasePoint(tuple(p), tuple(mom))
         for c in m.extras["level_cyclic"]:
             pf = mechanics.momentum_field(c, L.dim)
-            worst = max(worst, abs(mechanics.poisson_bracket(pf, H, s)))
+            worst = worst_of(worst, abs(mechanics.poisson_bracket(pf, H, s)))
     return worst, 1e-12, len(pts), (
         "momenta of the cyclic angles Poisson-commute with the Hamiltonian"
     )
@@ -421,7 +421,7 @@ def check_toy_curvature(ctx, rng):
         for r in rs:
             got = geometry.gaussian_curvature(red.metric, [float(r), 1.0],
                                               dps=geometry.curvature_dps(r))
-            worst = max(worst, abs(got - K(r)))
+            worst = worst_of(worst, abs(got - K(r)))
             n += 1
     return worst, 1e-6, n, (
         "numeric curvature of the reduced surface matches "
@@ -434,7 +434,7 @@ def check_toy_euler(ctx, rng):
     for a in A_SWEEP:
         red = models.build("toy-reduced", a)
         val, quad_err = geometry.euler_characteristic(red.metric, r_scale=a)
-        worst = max(worst, abs(val - 2.0) + quad_err)
+        worst = worst_of(worst, abs(val - 2.0) + quad_err)
     return worst, 1e-6, len(A_SWEEP), (
         "total-curvature integral gives Euler characteristic 2 (sphere)"
     )
@@ -453,7 +453,7 @@ def check_tn_radius(ctx, rng):
     for y in pts:
         x = vc.value(y)
         r = float(np.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2))
-        worst = max(worst, abs(r - gh.targets["radius"](y)))
+        worst = worst_of(worst, abs(r - gh.targets["radius"](y)))
     return worst, 1e-10, len(pts), (
         "|x(y)| equals the squared Cartesian radius of y"
     )
@@ -467,7 +467,7 @@ def check_tn_gh_metric(ctx, rng):
                       ctx.samples, ctx.subseed(rng))
     for y in pts:
         got = reduction.pullback_metric(gh.metric, vc, y)
-        worst = max(worst, float(np.max(np.abs(got - np.eye(4)))))
+        worst = worst_of(worst, float(np.max(np.abs(got - np.eye(4)))))
     return worst, 1e-8, len(pts), (
         "monopole-coordinate metric pulls back to the flat Cartesian metric"
     )
@@ -481,7 +481,7 @@ def check_tn_gh_triple(ctx, rng):
     for p in pts:
         for k, form in gh.forms.items():
             got = reduction.pullback_form(gh.extras["cart_forms"][k], inv, p)
-            worst = max(worst, float(np.max(np.abs(got - form.value(p)))))
+            worst = worst_of(worst, float(np.max(np.abs(got - form.value(p)))))
     return worst, 1e-8, len(pts), (
         "Cartesian symplectic triple re-expressed in (x, Psi) matches the "
         "monopole-potential closed forms"
@@ -499,7 +499,7 @@ def check_tn_curl(ctx, rng):
                          jA2.gradient[0] - jA1.gradient[1]])
         r = float(np.linalg.norm(x))
         want = models.MONOPOLE_CURL_SIGN * np.asarray(x, dtype=float) / r ** 3
-        worst = max(worst, float(np.max(np.abs(curl - want))))
+        worst = worst_of(worst, float(np.max(np.abs(curl - want))))
     return worst, 1e-6, len(pts), (
         "finite-difference curl of the monopole potential is -x/r^3"
     )
@@ -516,7 +516,7 @@ def check_tn_moment_gradients(ctx, rng):
             alpha = reduction.contract(m.extras["cart_forms"][wk],
                                        m.extras["cart_killing"], q)
             grad = evaluate_jet(m.extras["cart_moments"][mk], q, order=1).gradient
-            worst = max(worst, float(np.max(np.abs(alpha - grad))))
+            worst = worst_of(worst, float(np.max(np.abs(alpha - grad))))
     return worst, 1e-8, len(pts), (
         "each contraction i_V omega is the gradient of its moment map"
     )
@@ -531,7 +531,7 @@ def check_tn_level_moments(ctx, rng):
     for p in pts:
         P = lev.value(p)
         for mk in ("mu_I", "mu_J", "mu_K"):
-            worst = max(worst, abs(m.targets[mk](P)))
+            worst = worst_of(worst, abs(m.targets[mk](P)))
     return worst, 1e-12, len(pts), (
         "all three moment maps vanish along the declared level-set embedding"
     )
@@ -542,12 +542,12 @@ def check_tn_killing(ctx, rng):
     worst = 0.0
     pts = m.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     for p in pts:
-        worst = max(worst, float(np.max(np.abs(
+        worst = worst_of(worst, float(np.max(np.abs(
             geometry.killing_deviation(m.metric, m.killing["G"], p)))))
     cpts = _box_points(m.extras["cart_box"], m.extras["cart_exclusions"],
                        max(10, ctx.samples // 5), ctx.subseed(rng))
     for q in cpts:
-        worst = max(worst, float(np.max(np.abs(geometry.killing_deviation(
+        worst = worst_of(worst, float(np.max(np.abs(geometry.killing_deviation(
             m.extras["cart_metric"], m.extras["cart_killing"], q)))))
     return worst, 1e-10, len(pts) + len(cpts), (
         "the rotation + shift isometry is Killing in both charts"
@@ -563,7 +563,7 @@ def check_tn_level_pullback(ctx, rng):
                       ctx.samples, ctx.subseed(rng))
     for p in pts:
         got = reduction.pullback_metric(m.metric, lev, p)
-        worst = max(worst, float(np.max(np.abs(got - lm.value(p)))))
+        worst = worst_of(worst, float(np.max(np.abs(got - lm.value(p)))))
     return worst, 1e-10, len(pts), (
         "metric restricted to the triple zero level set matches the "
         "closed-form 5-metric"
@@ -579,7 +579,7 @@ def check_tn_quotient_metric(ctx, rng):
                       ctx.samples, ctx.subseed(rng))
     for p in pts:
         got = reduction.quotient_metric(lm, fiber, m.invariant, p)
-        worst = max(worst, float(np.max(np.abs(
+        worst = worst_of(worst, float(np.max(np.abs(
             got - models.taub_nut_metric(p[:3], m.a)))))
     return worst, 1e-10, len(pts), (
         "projecting out the circle fiber of the 5-metric gives the "
@@ -599,7 +599,7 @@ def check_tn_quotient_triple(ctx, rng):
         for i, k in enumerate(keys):
             W5 = reduction.pullback_form(m.forms[k], lev, p)
             Wq = reduction.quotient_form(W5, m.fiber_index, m.invariant, p)
-            worst = max(worst, float(np.max(np.abs(Wq - want[i]))))
+            worst = worst_of(worst, float(np.max(np.abs(Wq - want[i]))))
     return worst, 1e-8, len(pts), (
         "pulled-back triple drops its fiber components and equals the flat "
         "forms with 1/r -> 1/r + 1/a^2"
@@ -612,7 +612,7 @@ def check_tn_triple_closed(ctx, rng):
     pts = tn.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     for p in pts:
         for f in tn.forms.values():
-            worst = max(worst, float(np.max(np.abs(
+            worst = worst_of(worst, float(np.max(np.abs(
                 reduction.exterior_derivative(f, p)))))
     return worst, 1e-8, len(pts), "quotient triple is closed"
 
@@ -629,9 +629,9 @@ def check_tn_hyperkahler(ctx, rng):
                    for k in keys)
         for D in (I @ I + eye, J @ J + eye, K @ K + eye,
                   I @ J - K, J @ K - I, K @ I - J):
-            worst = max(worst, float(np.max(np.abs(D))))
+            worst = worst_of(worst, float(np.max(np.abs(D))))
         for f in tn.forms.values():
-            worst = max(worst, float(np.max(np.abs(
+            worst = worst_of(worst, float(np.max(np.abs(
                 geometry.covariant_derivative_02(tn.metric, f, p)))))
     return worst, 1e-7, len(pts), (
         "Taub-NUT triple is quaternionic and covariantly constant"
@@ -652,7 +652,7 @@ def check_tn_mechanics(ctx, rng):
     for p in pts:
         got = L2.matrix(list(p[:4]))
         want = reduction.quotient_metric(lm, fiber, m.invariant, p)
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        worst = worst_of(worst, float(np.max(np.abs(got - want))))
     return worst, 1e-12, len(pts), (
         "Hamiltonian reduction of the 5-chart kinetic term equals the "
         "geometric quotient"
@@ -674,7 +674,7 @@ def check_mech_roundtrip(ctx, rng):
         L = mechanics.QuadraticKinetic([f"q{i}" for i in range(d)],
                                        lambda c, M=M: M)
         Minv = mechanics.legendre_to_hamiltonian(L, [0.0] * d)
-        worst = max(worst, float(np.max(np.abs(np.linalg.inv(Minv) - M))))
+        worst = worst_of(worst, float(np.max(np.abs(np.linalg.inv(Minv) - M))))
     return worst, 1e-12, count, (
         "Legendre transform is an involution on random SPD mass matrices"
     )
@@ -695,7 +695,7 @@ def check_mech_toy_matrix(ctx, rng):
             [0.0, 1.0 / a ** 2, -1.0 / a ** 2],
             [0.0, -1.0 / a ** 2, (1.0 + r2 / a ** 2) / r2],
         ])
-        worst = max(worst, float(np.max(np.abs(Minv - want))))
+        worst = worst_of(worst, float(np.max(np.abs(Minv - want))))
     return worst, 1e-12, len(pts), (
         "toy Hamiltonian kinetic matrix matches the closed-form coefficients"
     )
@@ -716,7 +716,7 @@ def check_mech_conserved(ctx, rng):
             s = mechanics.PhasePoint(tuple(p), tuple(rng.normal(size=L.dim)))
             for c in m.extras["level_cyclic"]:
                 pf = mechanics.momentum_field(c, L.dim)
-                worst = max(worst, abs(mechanics.poisson_bracket(pf, H, s)))
+                worst = worst_of(worst, abs(mechanics.poisson_bracket(pf, H, s)))
             n_pts += 1
     return worst, 1e-12, n_pts, (
         "declared cyclic momenta Poisson-commute with both model Hamiltonians"
@@ -726,7 +726,7 @@ def check_mech_conserved(ctx, rng):
 def check_mech_equivalence(ctx, rng):
     err_toy = check_toy_mechanics(ctx, rng)[0]
     err_tn = check_tn_mechanics(ctx, rng)[0]
-    return max(err_toy, err_tn), 1e-12, 2, (
+    return worst_of(err_toy, err_tn), 1e-12, 2, (
         "constraining the fiber momentum equals the metric quotient on every "
         "registered reduction model"
     )
@@ -757,12 +757,14 @@ def check_hygiene_jets_vs_fd(ctx, rng):
         for p in pts:
             jet = evaluate_jet(spec.fn, p)
             ora = fd_oracle(spec.fn, p, exclusions=spec.exclusions)
-            worst_g = max(worst_g, float(np.max(np.abs(jet.gradient - ora.gradient))))
-            worst_h = max(worst_h, float(np.max(np.abs(jet.hessian - ora.hessian))))
+            worst_g = worst_of(worst_g,
+                               float(np.max(np.abs(jet.gradient - ora.gradient))))
+            worst_h = worst_of(worst_h,
+                               float(np.max(np.abs(jet.hessian - ora.hessian))))
             n += 1
     # gradients judged at 1e-6, second derivatives at 1e-4; scale the latter
     # so a single worst-error number respects both
-    err = max(worst_g, worst_h * (1e-6 / 1e-4))
+    err = worst_of(worst_g, worst_h * (1e-6 / 1e-4))
     return err, 1e-6, n, (
         "jet derivatives match central differences on every registered "
         "scalar field (gradient 1e-6, second derivatives 1e-4)"

@@ -171,14 +171,15 @@ def gaussian_curvature(g, p, dps=None):
     """
     if g.dim != 2:
         raise ValueError("gaussian_curvature expects a 2-dimensional metric")
-    if dps is not None:
-        with mpmath.workdps(dps):
-            q = [mpmath.mpf(float(x)) for x in p]
-            R = riemann_lowered(g, q)
-            K = 2 * R[0, 1, 0, 1] / _det(g.value(q))
-            return float(K)
-    R = riemann_lowered(g, p)
+    if dps is None:
+        return _curvature(g, p)
+    with mpmath.workdps(dps):
+        return _curvature(g, [mpmath.mpf(float(x)) for x in p])
+
+
+def _curvature(g, p):
     gv = g.value(p)
+    R = np.tensordot(gv, riemann(g, p), axes=([1], [0]))  # as riemann_lowered
     return float(2 * R[0, 1, 0, 1] / _det(gv))
 
 

@@ -26,6 +26,22 @@ finite-difference hygiene check.  Both orders share every elementary
 derivative rule (the ``f, f', f''`` triple in :class:`Jet`), so their
 values and gradients agree bit for bit.
 
+A first-order jet never computes ``f''``: the rules hand it over as a
+zero-argument callable that only :class:`Jet2` calls, so a first-order
+evaluation succeeds where only the second derivative divides by zero or
+underflows (``sqrt`` at ``1e-220``, ``x ** 1.5`` at 0).
+
+Products put the array first
+----------------------------
+Every scalar-times-array product in the jets is written with the array on
+the left (``ga * other.value``, ``self.hessian * f1``).  With an mpmath
+scalar on the left, ``mpf.__mul__`` tries to convert the array to a number
+and fails, and its error message renders the whole array as 40-digit
+strings before Python falls back to ``ndarray.__rmul__`` for the actual
+product; that rendering took about a third of the 40-digit curvature time.
+Float and mpmath products are correctly rounded and commute, so the
+results are the same bit for bit.
+
 :func:`fd_oracle` produces the same (value, gradient, Hessian) triple from
 central differences only.  It shares no derivative code with the jets and is
 used as the independent reference wherever jet output is trusted.
@@ -49,6 +65,7 @@ __all__ = [
     "fd_oracle",
     "fd_step",
     "solve",
+    "worst_of",
     "exp",
     "log",
     "sqrt",
@@ -102,9 +119,10 @@ class Jet:
     A jet carries the value and the gradient (and, in :class:`Jet2`, the
     Hessian) of a scalar quantity.  Every elementary derivative rule is
     written here once, as the ``f, f', f''`` triple handed to
-    ``_compose``; :class:`Jet1` reads the first two and :class:`Jet2` all
-    three.  The subclasses supply only the ring operations and the two
-    composition rules at their order.
+    ``_compose`` (``f''`` as a zero-argument callable); :class:`Jet1` reads
+    the first two and :class:`Jet2` calls the third too.  The subclasses
+    supply only the ring operations and the two composition rules at their
+    order.
     """
 
     __slots__ = ("value", "gradient")
@@ -145,48 +163,51 @@ class Jet:
         if k == 1:
             return self
         u = self.value
-        return self._compose(u ** k, k * u ** (k - 1), k * (k - 1) * u ** (k - 2))
+        return self._compose(u ** k, k * u ** (k - 1),
+                             lambda: k * (k - 1) * u ** (k - 2))
 
     # -- composition with smooth scalar functions -------------------------
 
     def _reciprocal(self):
         u = self.value
-        return self._compose(1 / u, -1 / (u * u), 2 / (u * u * u))
+        return self._compose(1 / u, -1 / (u * u), lambda: 2 / (u * u * u))
 
     def exp(self):
         e = _mathmod(self.value).exp(self.value)
-        return self._compose(e, e, e)
+        return self._compose(e, e, lambda: e)
 
     def log(self):
         u = self.value
-        return self._compose(_mathmod(u).log(u), 1 / u, -1 / (u * u))
+        return self._compose(_mathmod(u).log(u), 1 / u, lambda: -1 / (u * u))
 
     def sqrt(self):
         r = _mathmod(self.value).sqrt(self.value)
-        return self._compose(r, 1 / (2 * r), -1 / (4 * r * r * r))
+        return self._compose(r, 1 / (2 * r), lambda: -1 / (4 * r * r * r))
 
     def sin(self):
         m = _mathmod(self.value)
         s, c = m.sin(self.value), m.cos(self.value)
-        return self._compose(s, c, -s)
+        return self._compose(s, c, lambda: -s)
 
     def cos(self):
         m = _mathmod(self.value)
         s, c = m.sin(self.value), m.cos(self.value)
-        return self._compose(c, -s, -c)
+        return self._compose(c, -s, lambda: -c)
 
     def atan(self):
         u = self.value
         d = 1 + u * u
-        return self._compose(_mathmod(u).atan(u), 1 / d, -2 * u / (d * d))
+        return self._compose(_mathmod(u).atan(u), 1 / d, lambda: -2 * u / (d * d))
 
     def sinh(self):
         m = _mathmod(self.value)
-        return self._compose(m.sinh(self.value), m.cosh(self.value), m.sinh(self.value))
+        s = m.sinh(self.value)
+        return self._compose(s, m.cosh(self.value), lambda: s)
 
     def cosh(self):
         m = _mathmod(self.value)
-        return self._compose(m.cosh(self.value), m.sinh(self.value), m.cosh(self.value))
+        c = m.cosh(self.value)
+        return self._compose(c, m.sinh(self.value), lambda: c)
 
 
 class Jet2(Jet):
@@ -227,8 +248,8 @@ class Jet2(Jet):
             ga, gb = self.gradient, other.gradient
             return Jet2(
                 self.value * other.value,
-                self.value * gb + other.value * ga,
-                self.value * other.hessian + other.value * self.hessian
+                gb * self.value + ga * other.value,
+                other.hessian * self.value + self.hessian * other.value
                 + np.outer(ga, gb) + np.outer(gb, ga),
             )
         return Jet2(self.value * other, self.gradient * other, self.hessian * other)
@@ -236,18 +257,22 @@ class Jet2(Jet):
     __rmul__ = __mul__
 
     def _compose(self, f0, f1, f2):
-        """Jet of ``f(self)`` given ``f``, ``f'``, ``f''`` at ``self.value``."""
+        """Jet of ``f(self)`` given ``f``, ``f'`` and ``f2() = f''`` at the value."""
         g = self.gradient
-        return Jet2(f0, f1 * g, f1 * self.hessian + f2 * np.outer(g, g))
+        return Jet2(f0, g * f1, self.hessian * f1 + np.outer(g, g) * f2())
 
-    def _compose2(self, b, f0, fa, fb, faa, fab, fbb):
-        """Jet of a smooth two-argument ``f(self, b)`` given its partials."""
+    def _compose2(self, b, f0, fa, fb, second):
+        """Jet of a smooth two-argument ``f(self, b)`` given its partials.
+
+        ``second()`` returns the second partials ``(faa, fab, fbb)``.
+        """
         ga, gb = self.gradient, b.gradient
-        grad = fa * ga + fb * gb
-        hess = (fa * self.hessian + fb * b.hessian
-                + faa * np.outer(ga, ga)
-                + fab * (np.outer(ga, gb) + np.outer(gb, ga))
-                + fbb * np.outer(gb, gb))
+        faa, fab, fbb = second()
+        grad = ga * fa + gb * fb
+        hess = (self.hessian * fa + b.hessian * fb
+                + np.outer(ga, ga) * faa
+                + (np.outer(ga, gb) + np.outer(gb, ga)) * fab
+                + np.outer(gb, gb) * fbb)
         return Jet2(f0, grad, hess)
 
 
@@ -283,18 +308,18 @@ class Jet1(Jet):
     def __mul__(self, other):
         if isinstance(other, Jet1):
             return Jet1(self.value * other.value,
-                        self.value * other.gradient + other.value * self.gradient)
+                        other.gradient * self.value + self.gradient * other.value)
         return Jet1(self.value * other, self.gradient * other)
 
     __rmul__ = __mul__
 
     def _compose(self, f0, f1, f2):
-        """Jet of ``f(self)`` given ``f``, ``f'`` (``f''`` unused) at ``self.value``."""
-        return Jet1(f0, f1 * self.gradient)
+        """Jet of ``f(self)``: ``f`` and ``f'`` at the value (``f2`` not called)."""
+        return Jet1(f0, self.gradient * f1)
 
-    def _compose2(self, b, f0, fa, fb, faa, fab, fbb):
-        """Jet of ``f(self, b)`` given its partials (second ones unused)."""
-        return Jet1(f0, fa * self.gradient + fb * b.gradient)
+    def _compose2(self, b, f0, fa, fb, second):
+        """Jet of ``f(self, b)`` given its partials (``second`` never called)."""
+        return Jet1(f0, self.gradient * fa + b.gradient * fb)
 
 
 #: Jet class of each derivative order.
@@ -350,14 +375,14 @@ def atan2(y, x):
         x = y.constant(x, y.dim, like=y.value)
     xv, yv = x.value, y.value
     r2 = xv * xv + yv * yv
-    r4 = r2 * r2
     f0 = _mathmod(yv).atan2(yv, xv)
     # partials of atan2(y, x): smooth off the origin and the cut
-    fy, fx = xv / r2, -yv / r2
-    fyy = -2 * xv * yv / r4
-    fxx = 2 * xv * yv / r4
-    fxy = (yv * yv - xv * xv) / r4
-    return y._compose2(x, f0, fy, fx, fyy, fxy, fxx)
+
+    def second():
+        r4 = r2 * r2
+        return -2 * xv * yv / r4, (yv * yv - xv * xv) / r4, 2 * xv * yv / r4
+
+    return y._compose2(x, f0, xv / r2, -yv / r2, second)
 
 
 # -- evaluation entry points ---------------------------------------------
@@ -367,6 +392,21 @@ def _isfinite(x):
     if _is_mp(x):
         return mpmath.isfinite(x)
     return math.isfinite(x)
+
+
+def worst_of(*errors):
+    """Largest of ``errors``; NaN if any of them is NaN.
+
+    The built-in ``max`` keeps its running value when compared with NaN
+    (every comparison with NaN is false), so a NaN error would vanish from
+    an accumulation ``worst = max(worst, err)`` and its check could pass.
+    Every error accumulation of the package goes through this instead, and
+    a NaN that reaches ``err <= tol`` fails it.
+    """
+    for e in errors:
+        if math.isnan(e):
+            return math.nan
+    return max(errors)
 
 
 def call_field(f, p, order=None):

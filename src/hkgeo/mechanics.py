@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Chart, MetricField, mirror_triangle
-from .jets import Jet, evaluate_jet, solve
+from .jets import Jet, evaluate_jet, solve, worst_of
 
 __all__ = [
     "DegenerateLagrangianError",
@@ -207,8 +207,8 @@ def constrain_and_reduce(L, fiber_index, probe_points=None, tol=1e-10):
     for q in points:
         for mom in _probe_momenta(n):
             s = PhasePoint(tuple(q), tuple(mom))
-            worst = max(worst, abs(poisson_bracket(pf, H, s)))
-    if worst > tol:
+            worst = worst_of(worst, abs(poisson_bracket(pf, H, s)))
+    if not worst <= tol:
         raise InvalidConstraintError(
             f"coordinate {L.labels[fiber_index]!r} is not cyclic "
             f"(bracket residual {worst:.3e})",

@@ -28,6 +28,7 @@ from scipy import integrate
 
 from .fields import FormField, MetricField, VectorFieldR, mirror_triangle
 from .geometry import DivergenceError, MetricDomainError, killing_deviation
+from .jets import worst_of
 
 __all__ = [
     "NotExactError",
@@ -274,12 +275,12 @@ class ReductionSpec:
         worst_killing = 0.0
         for p in points:
             dev = killing_deviation(self.parent_metric, self.killing, p)
-            worst_killing = max(worst_killing, float(np.max(np.abs(dev))))
+            worst_killing = worst_of(worst_killing, float(np.max(np.abs(dev))))
         worst_closed = []
         for form in self.parent_forms:
             alpha = contraction_field(form, self.killing)
             w = 0.0
             for p in points:
-                w = max(w, float(np.max(np.abs(exterior_derivative(alpha, p)))))
+                w = worst_of(w, float(np.max(np.abs(exterior_derivative(alpha, p)))))
             worst_closed.append(w)
         return worst_killing, worst_closed

@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hkgeo import checks, cli
+from hkgeo import checks, cli, reduction
 
 
 def run(argv):
@@ -40,6 +40,18 @@ def test_failing_check_exits_1(monkeypatch, capsys):
     monkeypatch.setitem(checks.SUITES, "mechanics", forced)
     assert run(["verify", "mechanics"]) == 1
     assert "[FAIL] mechanics.forced_failure" in capsys.readouterr().out
+
+
+def test_nan_error_fails_its_check(monkeypatch):
+    # a NaN error must not vanish into the worst-error accumulation
+    monkeypatch.setattr(reduction, "quotient_metric",
+                        lambda *args: np.full((2, 2), np.nan))
+    monkeypatch.setitem(checks.SUITES, "toy",
+                        [("toy.quotient_metric", checks.check_toy_quotient)])
+    (row,) = checks.run_suite("toy", seed=1, samples=5).checks
+    assert row.check_id == "toy.quotient_metric"
+    assert np.isnan(row.max_abs_error)
+    assert row.passed is False
 
 
 def test_report_deterministic_modulo_timing(tmp_path):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hkgeo import geometry, jets
+from hkgeo import geometry, jets, models
 from hkgeo.fields import Chart, FormField, MetricField, VectorFieldR, mirror_triangle
 from hkgeo.geometry import (
     MetricDomainError,
@@ -104,6 +104,18 @@ def test_curvature_precision_switch():
     assert curvature_dps(0.05 - 1e-12) == 40
     assert curvature_dps(0.05) is None
     assert curvature_dps(9.5) is None
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_float_and_mp40_curvature_agree(a):
+    # where float64 is used (r >= 0.05) the 40-digit path gives the same
+    # curvature of the reduced toy surface
+    red = models.build("toy-reduced", a)
+    for r in np.geomspace(0.05, 10.0, 15):
+        p = [float(r), 1.0]
+        K64 = gaussian_curvature(red.metric, p)
+        K40 = gaussian_curvature(red.metric, p, dps=40)
+        assert K64 == pytest.approx(K40, rel=1e-10, abs=0), r
 
 
 @pytest.mark.parametrize("sign", [+1, -1])

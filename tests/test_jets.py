@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkgeo import jets, models
+from hkgeo import geometry, jets, models
 from hkgeo.jets import (
     EvaluationError,
     Jet1,
@@ -17,6 +17,7 @@ from hkgeo.jets import (
     fd_oracle,
     fd_step,
     solve,
+    worst_of,
 )
 
 
@@ -119,6 +120,51 @@ def test_division_by_zero_is_evaluation_error(order):
         assert isinstance(exc.value.__cause__, ZeroDivisionError)
 
 
+@pytest.mark.parametrize("f, x", [
+    (lambda c: jets.sqrt(c[0]), 1e-220),  # f'' = -1/(4 r^3): r^3 underflows
+    (lambda c: c[0] ** 1.5, 0.0),         # f'' = 0.75 / sqrt(x)
+    (lambda c: jets.log(c[0]), 1e-170),   # f'' = -1/x^2: x^2 underflows
+], ids=["sqrt", "pow", "log"])
+def test_first_order_never_computes_second_derivative(f, x):
+    # only f'' divides by zero here: order 1 is finite, order 2 still raises
+    j = evaluate_jet(f, [x], order=1)
+    assert math.isfinite(j.value) and math.isfinite(j.gradient[0])
+    with pytest.raises(EvaluationError):
+        evaluate_jet(f, [x], order=2)
+
+
+def test_mp40_products_convert_no_arrays(monkeypatch):
+    # An mpf on the left of an ndarray makes mpmath render the whole array
+    # into an error message before numpy does the product; jets keep the
+    # array on the left, so 40-digit jet work converts no array at all.
+    import mpmath
+
+    seen = []
+    npconvert = mpmath.mp.npconvert
+
+    def counting(x):
+        if isinstance(x, np.ndarray):
+            seen.append(x.shape)
+        return npconvert(x)
+
+    monkeypatch.setattr(mpmath.mp, "npconvert", counting)
+    red = models.build("toy-reduced", 1.0)
+    K = geometry.gaussian_curvature(red.metric, [0.01, 1.0], dps=40)
+    assert K == pytest.approx(red.targets["curvature"](0.01), rel=1e-12)
+
+    def every_rule(c):
+        x, y = c
+        return (jets.exp(x) * jets.log(y) + jets.sqrt(x * y) / jets.sin(x)
+                + jets.cos(y) * jets.atan(x) + jets.atan2(y, x) * jets.sinh(x)
+                - jets.cosh(y) ** 3 + 2 / y)
+
+    with mpmath.workdps(40):
+        p = [mpmath.mpf("0.7"), mpmath.mpf("1.3")]
+        for order in (1, 2):
+            assert evaluate_jet(every_rule, p, order=order).gradient.dtype == object
+    assert seen == []
+
+
 @pytest.mark.parametrize("dps", [None, 40])
 def test_first_order_gradient_is_jet2_gradient(dps):
     # Jet1 shares Jet2's rules and formula order: values and gradients agree
@@ -139,6 +185,13 @@ def test_first_order_gradient_is_jet2_gradient(dps):
             assert list(j1.gradient) == list(j2.gradient), spec.name
             n += 1
     assert n == 8 * len(models.scalar_fields(1.0))
+
+
+def test_worst_of_keeps_nan():
+    assert max(0.0, math.nan) == 0.0  # what the built-in does
+    assert worst_of(0.0, 2.0, 1.0) == 2.0
+    for errors in ((0.0, math.nan), (math.nan, 1.0), (0.0, 1.0, math.nan)):
+        assert math.isnan(worst_of(*errors))
 
 
 def test_fd_step_scales_with_coordinate():

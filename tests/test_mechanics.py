@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hkgeo import models
+from hkgeo import mechanics, models
 from hkgeo.jets import evaluate_jet
 from hkgeo.mechanics import (
     DegenerateLagrangianError,
@@ -149,6 +149,16 @@ def test_constrain_rejects_non_cyclic():
     with pytest.raises(InvalidConstraintError) as exc:
         constrain_and_reduce(L, 0)
     assert exc.value.residual > 1e-10
+
+
+def test_constrain_rejects_nan_bracket(monkeypatch):
+    # one NaN probe bracket among zeros must not pass as cyclic
+    residuals = iter([0.0, float("nan")])
+    monkeypatch.setattr(mechanics, "poisson_bracket",
+                        lambda *args: next(residuals, 0.0))
+    L = kinetic(lambda c: [[2.0, 1.0], [None, 1.0]])
+    with pytest.raises(InvalidConstraintError):
+        constrain_and_reduce(L, 1)
 
 
 def test_phase_point_validation():
