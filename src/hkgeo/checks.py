@@ -5,11 +5,13 @@ so the report for a fixed seed is bit-stable no matter which subset of
 checks runs or in what order.  A check returns its worst absolute error and
 the tolerance it is judged against; "expected failure" checks (negative
 controls) report error 0 when the failure is correctly detected and 1 when
-it is not.
+it is not.  A check that raises is reported as a failed row carrying the
+exception, and the run goes on.
 """
 
 from __future__ import annotations
 
+import math
 import time
 import zlib
 from dataclasses import dataclass
@@ -35,7 +37,11 @@ A_SWEEP = (0.5, 1.0, 2.0)
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one named check."""
+    """Outcome of one named check.
+
+    ``error`` is ``"<exception class>: <message>"`` when the check raised,
+    and None (absent from the report) when it returned.
+    """
 
     check_id: str
     description: str
@@ -44,9 +50,10 @@ class CheckReport:
     tolerance: float
     passed: bool
     elapsed_ms: int
+    error: str | None = None
 
     def to_dict(self):
-        return {
+        out = {
             "check_id": self.check_id,
             "description": self.description,
             "samples": self.samples,
@@ -55,6 +62,9 @@ class CheckReport:
             "passed": self.passed,
             "elapsed_ms": self.elapsed_ms,
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 @dataclass(frozen=True)
@@ -111,6 +121,7 @@ REPORT_SCHEMA = {
                 "tolerance": {"type": "number"},
                 "passed": {"type": "boolean"},
                 "elapsed_ms": {"type": "integer", "minimum": 0},
+                "error": {"type": "string"},
             },
         }
     },
@@ -376,15 +387,12 @@ def check_toy_mechanics(ctx, rng):
     lm = m.extras["level_metric"]
     L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn,
                                    name="toy kinetic")
-    pts = _box_points(m.extras["level_box"], (), ctx.samples, ctx.subseed(rng))
-    L2 = mechanics.constrain_and_reduce(L, m.fiber_index,
-                                        probe_points=[list(p) for p in pts[:3]])
-    fiber = m.extras["level_fiber"]
-    worst = 0.0
-    for p in pts:
-        got = L2.matrix([p[0], p[2]])
-        want = reduction.quotient_metric(lm, fiber, m.invariant, p)
-        worst = worst_of(worst, float(np.max(np.abs(got - want))))
+    pts = np.array(_box_points(m.extras["level_box"], (), ctx.samples,
+                               ctx.subseed(rng)))
+    L2 = mechanics.constrain_and_reduce(L, m.fiber_index, probe_points=pts[:3])
+    got = L2.matrix(pts[:, [0, 2]])
+    want = reduction.quotient_metric(lm, m.extras["level_fiber"], m.invariant, pts)
+    worst = float(np.max(np.abs(got - want)))  # keeps NaN
     return worst, 1e-12, len(pts), (
         "setting the fiber momentum to zero reproduces the geometric quotient"
     )
@@ -397,14 +405,12 @@ def check_toy_brackets(ctx, rng):
                                    name="toy kinetic")
     H = mechanics.hamiltonian_field(L)
     worst = 0.0
-    pts = _box_points(m.extras["level_box"], (), max(10, ctx.samples // 5),
-                      ctx.subseed(rng))
-    for p in pts:
-        mom = rng.normal(size=L.dim)
-        s = mechanics.PhasePoint(tuple(p), tuple(mom))
-        for c in m.extras["level_cyclic"]:
-            pf = mechanics.momentum_field(c, L.dim)
-            worst = worst_of(worst, abs(mechanics.poisson_bracket(pf, H, s)))
+    pts = np.array(_box_points(m.extras["level_box"], (), max(10, ctx.samples // 5),
+                               ctx.subseed(rng)))
+    s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
+    for c in m.extras["level_cyclic"]:
+        pf = mechanics.momentum_field(c, L.dim)
+        worst = worst_of(worst, float(np.max(np.abs(mechanics.poisson_bracket(pf, H, s)))))
     return worst, 1e-12, len(pts), (
         "momenta of the cyclic angles Poisson-commute with the Hamiltonian"
     )
@@ -643,16 +649,12 @@ def check_tn_mechanics(ctx, rng):
     lm = m.extras["level_metric"]
     L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn,
                                    name="5-chart kinetic")
-    pts = _box_points(m.extras["level_box"], m.extras["level_exclusions"],
-                      max(10, ctx.samples // 2), ctx.subseed(rng))
-    L2 = mechanics.constrain_and_reduce(L, m.fiber_index,
-                                        probe_points=[list(p) for p in pts[:2]])
-    fiber = m.extras["level_fiber"]
-    worst = 0.0
-    for p in pts:
-        got = L2.matrix(list(p[:4]))
-        want = reduction.quotient_metric(lm, fiber, m.invariant, p)
-        worst = worst_of(worst, float(np.max(np.abs(got - want))))
+    pts = np.array(_box_points(m.extras["level_box"], m.extras["level_exclusions"],
+                               max(10, ctx.samples // 2), ctx.subseed(rng)))
+    L2 = mechanics.constrain_and_reduce(L, m.fiber_index, probe_points=pts[:2])
+    got = L2.matrix(pts[:, :4])
+    want = reduction.quotient_metric(lm, m.extras["level_fiber"], m.invariant, pts)
+    worst = float(np.max(np.abs(got - want)))  # keeps NaN
     return worst, 1e-12, len(pts), (
         "Hamiltonian reduction of the 5-chart kinetic term equals the "
         "geometric quotient"
@@ -685,17 +687,16 @@ def check_mech_toy_matrix(ctx, rng):
     a = m.a
     L = mechanics.QuadraticKinetic(m.extras["level_chart"].names,
                                    m.extras["level_metric"].fn)
-    worst = 0.0
-    pts = _box_points(m.extras["level_box"], (), ctx.samples, ctx.subseed(rng))
-    for p in pts:
-        Minv = mechanics.legendre_to_hamiltonian(L, p)
-        r2 = p[0] * p[0]
-        want = np.array([
-            [1.0 / (1.0 + r2 / a ** 2), 0.0, 0.0],
-            [0.0, 1.0 / a ** 2, -1.0 / a ** 2],
-            [0.0, -1.0 / a ** 2, (1.0 + r2 / a ** 2) / r2],
-        ])
-        worst = worst_of(worst, float(np.max(np.abs(Minv - want))))
+    pts = np.array(_box_points(m.extras["level_box"], (), ctx.samples,
+                               ctx.subseed(rng)))
+    Minv = mechanics.legendre_to_hamiltonian(L, pts)
+    r2 = pts[:, 0] * pts[:, 0]
+    want = np.zeros_like(Minv)
+    want[:, 0, 0] = 1.0 / (1.0 + r2 / a ** 2)
+    want[:, 1, 1] = 1.0 / a ** 2
+    want[:, 1, 2] = want[:, 2, 1] = -1.0 / a ** 2
+    want[:, 2, 2] = (1.0 + r2 / a ** 2) / r2
+    worst = float(np.max(np.abs(Minv - want)))  # keeps NaN
     return worst, 1e-12, len(pts), (
         "toy Hamiltonian kinetic matrix matches the closed-form coefficients"
     )
@@ -709,15 +710,16 @@ def check_mech_conserved(ctx, rng):
         lm = m.extras["level_metric"]
         L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn)
         H = mechanics.hamiltonian_field(L)
-        pts = _box_points(m.extras["level_box"],
-                          m.extras.get("level_exclusions", ()),
-                          max(5, ctx.samples // 10), ctx.subseed(rng))
-        for p in pts:
-            s = mechanics.PhasePoint(tuple(p), tuple(rng.normal(size=L.dim)))
-            for c in m.extras["level_cyclic"]:
-                pf = mechanics.momentum_field(c, L.dim)
-                worst = worst_of(worst, abs(mechanics.poisson_bracket(pf, H, s)))
-            n_pts += 1
+        pts = np.array(_box_points(m.extras["level_box"],
+                                   m.extras.get("level_exclusions", ()),
+                                   max(5, ctx.samples // 10), ctx.subseed(rng)))
+        # one draw of (B, dim) is the stream of B draws of dim
+        s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
+        for c in m.extras["level_cyclic"]:
+            pf = mechanics.momentum_field(c, L.dim)
+            worst = worst_of(worst,
+                             float(np.max(np.abs(mechanics.poisson_bracket(pf, H, s)))))
+        n_pts += len(pts)
     return worst, 1e-12, n_pts, (
         "declared cyclic momenta Poisson-commute with both model Hamiltonians"
     )
@@ -827,7 +829,12 @@ SUITE_NAMES = ("all", "heavenly", "toy", "taubnut", "mechanics")
 
 
 def run_suite(suite, seed=0, samples=50, a=1.0):
-    """Run a named suite and return its :class:`RunManifest`."""
+    """Run a named suite and return its :class:`RunManifest`.
+
+    A check that raises becomes a failed row: ``max_abs_error`` and
+    ``tolerance`` NaN, ``samples`` 0 and ``error`` naming the exception.
+    The remaining checks still run.
+    """
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     if samples < 1:
@@ -837,7 +844,13 @@ def run_suite(suite, seed=0, samples=50, a=1.0):
     for check_id, fn in SUITES[suite]:
         rng = ctx.rng(check_id)
         t0 = time.perf_counter()
-        err, tol, n, description = fn(ctx, rng)
+        error = None
+        try:
+            err, tol, n, description = fn(ctx, rng)
+        except Exception as exc:  # one crashing check must not end the run
+            err, tol, n = math.nan, math.nan, 0
+            description = "the check raised before reporting a result"
+            error = f"{type(exc).__name__}: {exc}"
         elapsed = int(round((time.perf_counter() - t0) * 1000.0))
         reports.append(CheckReport(
             check_id=check_id,
@@ -847,6 +860,7 @@ def run_suite(suite, seed=0, samples=50, a=1.0):
             tolerance=float(tol),
             passed=bool(err <= tol),
             elapsed_ms=elapsed,
+            error=error,
         ))
     reports.sort(key=lambda c: c.check_id)
     return RunManifest(

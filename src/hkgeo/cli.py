@@ -1,6 +1,7 @@
 """Command-line front end: ``hkgeo verify | curvature-profile | report-schema``.
 
-Exit codes: 0 when every check passes, 1 when at least one fails, 2 for
+Exit codes: 0 when every check passes, 1 when at least one fails (a check
+that raises counts as failed; the report is still written), 2 for
 configuration errors (bad arguments, unwritable output paths).
 """
 
@@ -67,6 +68,8 @@ def _cmd_verify(args):
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.check_id:<38} max_abs_error={c.max_abs_error:.3e} "
               f"tolerance={c.tolerance:.1e} samples={c.samples}")
+        if c.error is not None:
+            print(f"       raised {c.error}")
     n_pass = sum(c.passed for c in manifest.checks)
     print(f"{n_pass}/{len(manifest.checks)} checks passed "
           f"(suite={args.suite}, seed={manifest.seed}, "

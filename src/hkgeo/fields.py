@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import _JET_OF_ORDER, Jet, Jet2, call_field
+from .jets import _JET_OF_ORDER, Jet, Jet2, _batch_shape, call_field
 
 __all__ = [
     "Chart",
@@ -46,6 +46,8 @@ class Chart:
 
 
 def _point_dtype(p):
+    if isinstance(p, np.ndarray):
+        return object if p.dtype == object else float
     return object if any(not isinstance(x, (int, float, np.floating)) for x in p) else float
 
 
@@ -86,9 +88,9 @@ def _triangle(raw, sign):
 
 def _square_value(fn, p, sign):
     raw = call_field(fn, p)
-    V = np.zeros((len(raw), len(raw)), dtype=_point_dtype(p))
+    V = np.zeros((*_batch_shape(p), len(raw), len(raw)), dtype=_point_dtype(p))
     for M, N, e in _triangle(raw, sign):
-        V[M, N] = e
+        V[..., M, N] = e
     return mirror_triangle(V, sign)
 
 
@@ -132,7 +134,11 @@ def _vector_jet(fn, p):
 
 
 def _vector_value(fn, p):
-    return np.array([float(x) for x in call_field(fn, p)])
+    raw = call_field(fn, p)
+    V = np.empty((*_batch_shape(p), len(raw)))
+    for M, e in enumerate(raw):
+        V[..., M] = e
+    return V
 
 
 class MetricField:
@@ -140,7 +146,9 @@ class MetricField:
 
     ``fn(coords)`` returns a nested sequence (or array) of components; only
     the upper triangle is read, the lower is mirrored, so symmetry is exact
-    by construction.
+    by construction.  :meth:`value` takes one point ``(d,)`` or a batch
+    ``(B, d)`` and returns ``(d, d)`` or ``(B, d, d)``; constant components
+    broadcast over the batch.
     """
 
     def __init__(self, chart, fn, name=""):
@@ -217,7 +225,11 @@ def constant_form(chart, matrix, name=""):
 
 
 class VectorFieldR:
-    """Real vector field ``V^M`` on a chart."""
+    """Real vector field ``V^M`` on a chart.
+
+    :meth:`value` takes one point ``(d,)`` or a batch ``(B, d)`` and
+    returns ``(d,)`` or ``(B, d)``.
+    """
 
     def __init__(self, chart, fn, name=""):
         self.chart = chart
@@ -250,9 +262,9 @@ class EmbeddingMap:
 
     def value(self, p):
         out = _vector_value(self.fn, p)
-        if len(out) != self.target.dim:
+        if out.shape[-1] != self.target.dim:
             raise ValueError(
-                f"map produced {len(out)} components for target {self.target}"
+                f"map produced {out.shape[-1]} components for target {self.target}"
             )
         return out
 

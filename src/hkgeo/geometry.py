@@ -177,8 +177,9 @@ def gaussian_curvature(g, p, dps=None):
         return _curvature(g, [mpmath.mpf(float(x)) for x in p])
 
 
-def _curvature(g, p):
-    gv = g.value(p)
+def _curvature(g, p, gv=None):
+    """``2 R_{0101} / det g`` at ``p``; ``gv`` is ``g.value(p)`` if the caller has it."""
+    gv = g.value(p) if gv is None else gv
     R = np.tensordot(gv, riemann(g, p), axes=([1], [0]))  # as riemann_lowered
     return float(2 * R[0, 1, 0, 1] / _det(gv))
 
@@ -226,8 +227,11 @@ def euler_characteristic(g, period=2 * math.pi, r_scale=1.0, quad_tol=1e-8,
         jac = r_scale / (1.0 - u) ** 2
         r = max(r, r_floor)
         point = [r, 0.0]
-        K = gaussian_curvature(g, point)
-        sg = math.sqrt(_det(g.value(point)))
+        # one metric value per point: the jet's value part can differ from
+        # g.value in the last bit (jet division multiplies by a reciprocal)
+        gv = g.value(point)
+        K = _curvature(g, point, gv)
+        sg = math.sqrt(_det(gv))
         val = (period / (2 * math.pi)) * K * sg * jac
         if weight is not None:
             val *= weight(r)

@@ -42,6 +42,23 @@ product; that rendering took about a third of the 40-digit curvature time.
 Float and mpmath products are correctly rounded and commute, so the
 results are the same bit for bit.
 
+Batch axis
+----------
+A jet may carry a batch of points: its value is then an array ``(B,)``,
+its gradient ``(d, B)`` and its Hessian ``(d, d, B)``.  The point axis is
+*last* so that every rule above broadcasts unchanged (``ga * other.value``
+is ``(d, B) * (B,)``, outer products are ``a[:, None] * b[None, :]``) and
+``jet.gradient[i]`` still means the derivative along coordinate ``i``, now
+at every point.  :func:`call_field` and :func:`evaluate_jet` take one point
+``(d,)`` or a batch ``(B, d)``, and the shape of the input decides: a
+single point is the same code fed scalars.  On a batch the elementary
+functions come from numpy (``np.sqrt``, ``np.atan2``, ...); fields run
+with numpy's division by zero and invalid operations raised, as Python
+floats raise them, and every error names the first offending point of the
+batch.  :func:`solve` pivots per point.  Jets opt
+out of numpy's operator dispatch (``__array_ufunc__ = None``), so
+``array * jet`` is the jet's product, not an object array of jets.
+
 :func:`fd_oracle` produces the same (value, gradient, Hessian) triple from
 central differences only.  It shares no derivative code with the jets and is
 used as the independent reference wherever jet output is trusted.
@@ -64,6 +81,7 @@ __all__ = [
     "evaluate_jet",
     "fd_oracle",
     "fd_step",
+    "first_failure",
     "solve",
     "worst_of",
     "exp",
@@ -84,11 +102,16 @@ FD_STEP = 1e-5
 
 
 class EvaluationError(ArithmeticError):
-    """A field evaluation produced a non-finite value or derivative."""
+    """A field evaluation produced a non-finite value or derivative.
 
-    def __init__(self, message, index=None):
+    ``index`` is the offending coordinate and ``point`` the offending point
+    of a batch, where they are known.
+    """
+
+    def __init__(self, message, index=None, point=None):
         super().__init__(message)
         self.index = index
+        self.point = point
 
 
 class StencilExclusionError(ValueError):
@@ -104,10 +127,15 @@ def _is_mp(x):
 
 
 def _mathmod(x):
+    if isinstance(x, np.ndarray):
+        return np
     return mpmath if _is_mp(x) else math
 
 
 def _zeros(shape, like):
+    """Zeros of ``shape``, followed by the point axis when ``like`` is a batch."""
+    if isinstance(like, np.ndarray):
+        shape = (*shape, *like.shape)
     if _is_mp(like):
         return np.full(shape, mpmath.mpf(0), dtype=object)
     return np.zeros(shape)
@@ -127,6 +155,9 @@ class Jet:
 
     __slots__ = ("value", "gradient")
 
+    # numpy defers to the jet's operators: ``array * jet`` calls ``__rmul__``
+    __array_ufunc__ = None
+
     @classmethod
     def variable(cls, value, index, dim):
         """Seed jet for coordinate ``index`` of a ``dim``-dimensional chart."""
@@ -140,6 +171,11 @@ class Jet:
 
     def __repr__(self):
         return f"{type(self).__name__}(value={self.value!r}, dim={self.dim})"
+
+    def _pick(self, mask, other):
+        """This jet at the points where ``mask`` holds, ``other`` elsewhere."""
+        return type(self)(*(np.where(mask, a, b)
+                            for a, b in zip(self._parts(), other._parts())))
 
     # -- ring operations built on the order-specific ones -----------------
 
@@ -216,7 +252,8 @@ class Jet2(Jet):
     Arithmetic follows the second-order product/chain rules; the Hessian
     stays exactly symmetric because every update is built from symmetric
     terms (``outer(a, b) + outer(b, a)`` and scalar multiples of symmetric
-    arrays).
+    arrays).  Outer products are written ``a[:, None] * b[None, :]``, which
+    equals ``np.outer`` bit for bit and carries a trailing point axis.
     """
 
     __slots__ = ("hessian",)
@@ -229,7 +266,10 @@ class Jet2(Jet):
     @classmethod
     def constant(cls, value, dim, like=None):
         ref = value if like is None else like
-        return cls(value, _zeros(dim, ref), _zeros((dim, dim), ref))
+        return cls(value, _zeros((dim,), ref), _zeros((dim, dim), ref))
+
+    def _parts(self):
+        return self.value, self.gradient, self.hessian
 
     def __add__(self, other):
         if isinstance(other, Jet2):
@@ -250,7 +290,7 @@ class Jet2(Jet):
                 self.value * other.value,
                 gb * self.value + ga * other.value,
                 other.hessian * self.value + self.hessian * other.value
-                + np.outer(ga, gb) + np.outer(gb, ga),
+                + _outer(ga, gb) + _outer(gb, ga),
             )
         return Jet2(self.value * other, self.gradient * other, self.hessian * other)
 
@@ -259,7 +299,7 @@ class Jet2(Jet):
     def _compose(self, f0, f1, f2):
         """Jet of ``f(self)`` given ``f``, ``f'`` and ``f2() = f''`` at the value."""
         g = self.gradient
-        return Jet2(f0, g * f1, self.hessian * f1 + np.outer(g, g) * f2())
+        return Jet2(f0, g * f1, self.hessian * f1 + _outer(g, g) * f2())
 
     def _compose2(self, b, f0, fa, fb, second):
         """Jet of a smooth two-argument ``f(self, b)`` given its partials.
@@ -270,9 +310,9 @@ class Jet2(Jet):
         faa, fab, fbb = second()
         grad = ga * fa + gb * fb
         hess = (self.hessian * fa + b.hessian * fb
-                + np.outer(ga, ga) * faa
-                + (np.outer(ga, gb) + np.outer(gb, ga)) * fab
-                + np.outer(gb, gb) * fbb)
+                + _outer(ga, ga) * faa
+                + (_outer(ga, gb) + _outer(gb, ga)) * fab
+                + _outer(gb, gb) * fbb)
         return Jet2(f0, grad, hess)
 
 
@@ -293,7 +333,10 @@ class Jet1(Jet):
 
     @classmethod
     def constant(cls, value, dim, like=None):
-        return cls(value, _zeros(dim, value if like is None else like))
+        return cls(value, _zeros((dim,), value if like is None else like))
+
+    def _parts(self):
+        return self.value, self.gradient
 
     def __add__(self, other):
         if isinstance(other, Jet1):
@@ -324,6 +367,26 @@ class Jet1(Jet):
 
 #: Jet class of each derivative order.
 _JET_OF_ORDER = {1: Jet1, 2: Jet2}
+
+
+def _outer(a, b):
+    """``np.outer`` over the first axis of ``a`` and ``b``, carrying a point axis."""
+    return a[:, None] * b[None, :]
+
+
+def _select(mask, a, b):
+    """``a`` at the points where ``mask`` holds, ``b`` elsewhere.
+
+    Entries may be floats, arrays over the points or jets, mixed freely.
+    """
+    if a is b:
+        return a
+    if isinstance(a, Jet) or isinstance(b, Jet):
+        like = a if isinstance(a, Jet) else b
+        a, b = (x if isinstance(x, Jet) else like.constant(x, like.dim, like=like.value)
+                for x in (a, b))
+        return a._pick(mask, b)
+    return np.where(mask, a, b)
 
 
 # -- dispatching scalar helpers ------------------------------------------
@@ -394,6 +457,14 @@ def _isfinite(x):
     return math.isfinite(x)
 
 
+def _finite(x):
+    """Entrywise finiteness of a float or mpmath scalar or array."""
+    x = np.asarray(x)
+    if x.dtype == object:
+        return np.asarray(np.frompyfunc(_isfinite, 1, 1)(x), dtype=bool)
+    return np.isfinite(x)
+
+
 def worst_of(*errors):
     """Largest of ``errors``; NaN if any of them is NaN.
 
@@ -401,7 +472,8 @@ def worst_of(*errors):
     (every comparison with NaN is false), so a NaN error would vanish from
     an accumulation ``worst = max(worst, err)`` and its check could pass.
     Every error accumulation of the package goes through this instead, and
-    a NaN that reaches ``err <= tol`` fails it.
+    a NaN that reaches ``err <= tol`` fails it.  Reduce a batch of errors
+    with ``np.max`` (which keeps NaN) before handing it over.
     """
     for e in errors:
         if math.isnan(e):
@@ -409,22 +481,67 @@ def worst_of(*errors):
     return max(errors)
 
 
-def call_field(f, p, order=None):
-    """``f`` at point ``p``: on plain coordinates, or on jet seeds of ``order``.
+def first_failure(ok, p=None):
+    """Where a per-point test first fails, for error messages; None if it never does.
 
-    ``order`` is ``None`` for plain values, 1 for :class:`Jet1` seeds or 2
-    for :class:`Jet2` seeds.  This is where every field evaluation of the
-    package calls the field, so a division by zero inside it (a field
-    evaluated on its singular locus) surfaces as :class:`EvaluationError`.
+    ``ok`` is one boolean for a single point, or one per point of a batch.
+    Returns ``(k, where)``: ``k`` is the index of the first failing point of
+    the batch (None for a single point) and ``where`` reads
+    ``" at [x, y]"`` or ``" at point k [x, y]"``, without the coordinates
+    when ``p`` is None.
     """
-    coords = list(p)
+    ok = np.asarray(ok)
+    if ok.all():
+        return None
+    if ok.ndim == 0:
+        return None, "" if p is None else f" at {np.asarray(p).tolist()}"
+    k = int(np.argmin(ok.reshape(-1)))
+    return k, f" at point {k}" + ("" if p is None else f" {np.asarray(p)[k].tolist()}")
+
+
+def _batch_shape(p):
+    """``(B,)`` for a batch of points, a ``(B, d)`` array; ``()`` for one point."""
+    return p.shape[:1] if isinstance(p, np.ndarray) and p.ndim == 2 else ()
+
+
+def _coords(p):
+    """Coordinate list of one point ``(d,)``, or the columns of a batch ``(B, d)``."""
+    return list(np.ascontiguousarray(p.T)) if _batch_shape(p) else list(p)
+
+
+def call_field(f, p, order=None):
+    """``f`` at ``p``: on plain coordinates, or on jet seeds of ``order``.
+
+    ``p`` is one point ``(d,)`` or a batch of points ``(B, d)``, which ``f``
+    sees as ``d`` coordinate arrays of shape ``(B,)``.  ``order`` is
+    ``None`` for plain values, 1 for :class:`Jet1` seeds or 2 for
+    :class:`Jet2` seeds.  This is where every field evaluation of the
+    package calls the field, so a division by zero or an invalid operation
+    inside it (a field evaluated on its singular locus) surfaces as
+    :class:`EvaluationError`, on Python floats (``ZeroDivisionError``) and
+    numpy scalars or arrays alike (numpy is made to raise).  A failing
+    batch is evaluated again one point at a time to name the first point
+    that fails.
+    """
+    coords = _coords(p)
     if order is not None:
         dim = len(coords)
         coords = [_JET_OF_ORDER[order].variable(x, i, dim) for i, x in enumerate(coords)]
     try:
-        return f(coords)
-    except ZeroDivisionError as err:
-        raise EvaluationError(f"division by zero evaluating a field at {list(p)}") from err
+        with np.errstate(divide="raise", invalid="raise"):
+            return f(coords)
+    except (ZeroDivisionError, FloatingPointError) as err:
+        if _batch_shape(p):
+            for k, q in enumerate(p):
+                try:
+                    call_field(f, q, order)
+                except EvaluationError as bad:
+                    raise EvaluationError(f"{bad} (point {k} of the batch)",
+                                          point=k) from err
+            where = "on a batch of points"
+        else:
+            where = f"at {np.asarray(p).tolist()}"
+        raise EvaluationError(f"{err} evaluating a field {where}") from err
 
 
 def evaluate_jet(f, p, order=2):
@@ -435,7 +552,9 @@ def evaluate_jet(f, p, order=2):
     f : callable
         Accepts a list of coordinate values (floats or jets) and returns a
         scalar.  Must be written with the dispatching helpers of this module.
-    p : sequence of float (or mpmath.mpf)
+    p : sequence of float (or mpmath.mpf), or float array ``(B, d)``
+        One point, or a batch of points evaluated in one pass (the jet then
+        carries the point axis last).
     order : {1, 2}
         2 (the default) returns a :class:`Jet2`; 1 returns a :class:`Jet1`,
         with the same value and gradient, for callers that read no second
@@ -449,22 +568,28 @@ def evaluate_jet(f, p, order=2):
     ------
     EvaluationError
         If the field divides by zero, or the result or any derivative it
-        carries is non-finite; the error carries the first offending
-        coordinate index when one can be identified.
+        carries is non-finite at any point; the error carries the first
+        offending point of a batch and the first offending coordinate
+        index when one can be identified.
     """
-    p = list(p)
-    dim = len(p)
+    coords = _coords(p)
+    dim = len(coords)
     out = call_field(f, p, order)
     if not isinstance(out, Jet):
-        out = _JET_OF_ORDER[order].constant(out, dim, like=p[0])
-    if not _isfinite(out.value):
-        raise EvaluationError(f"non-finite value at {p}")
-    for i in range(dim):
-        row = out.hessian[i] if isinstance(out, Jet2) else ()
-        if not _isfinite(out.gradient[i]) or not all(map(_isfinite, row)):
-            raise EvaluationError(
-                f"non-finite derivative in coordinate {i} at {p}", index=i
-            )
+        out = _JET_OF_ORDER[order].constant(out, dim, like=coords[0])
+    ok_value = np.broadcast_to(_finite(out.value), _batch_shape(p))
+    ok_coord = _finite(out.gradient)
+    if isinstance(out, Jet2):
+        ok_coord = ok_coord & _finite(out.hessian).all(axis=1)
+    failure = first_failure(ok_value & ok_coord.all(axis=0), p)
+    if failure is not None:
+        k, where = failure
+        at = 0 if k is None else k
+        if not ok_value.reshape(-1)[at]:
+            raise EvaluationError(f"non-finite value{where}", point=k)
+        i = int(np.argmin(ok_coord.reshape(dim, -1)[:, at]))
+        raise EvaluationError(f"non-finite derivative in coordinate {i}{where}",
+                              index=i, point=k)
     return out
 
 
@@ -472,16 +597,23 @@ def solve(A, B):
     """Solve ``A X = B`` by Gauss-Jordan elimination on any entry type.
 
     Entries may be floats, jets or mpmath numbers, mixed freely, so
-    the solution carries exact derivatives when ``A`` or ``B`` does.  Rows
-    are pivoted on the size of the value part; exact-zero float multipliers
-    are skipped.  ``B`` is a vector or a matrix (rows indexed like ``A``);
-    the result is a list, or a list of rows, of the same shape.
+    the solution carries exact derivatives when ``A`` or ``B`` does; they
+    may also be arrays (or jets) over a batch of points, solved at once.
+    Rows are pivoted on the size of the value part, per point, taking the
+    first largest candidate as ``max`` does; exact-zero float multipliers
+    are skipped.  A batch gives what its points give one at a time, except
+    that an exact zero may carry the other sign: a zero multiplier is
+    skipped only when it is a plain float, and where points pivot on
+    different rows a float entry that meets a jet travels on as a constant
+    jet.  ``B`` is a vector (of scalars or jets) or a matrix (rows
+    indexed like ``A``); the result is a list, or a list of rows, of the
+    same shape.
 
     Raises
     ------
     numpy.linalg.LinAlgError
-        If a column has no nonzero pivot left (a singular matrix).  How
-        close to singular a matrix may be is the caller's rule.
+        If a column has no nonzero pivot left (a singular matrix), at any
+        point.  How close to singular a matrix may be is the caller's rule.
     """
     n = len(A)
     vector = np.ndim(B[0]) == 0
@@ -491,11 +623,15 @@ def solve(A, B):
         return abs(x.value if isinstance(x, Jet) else x)
 
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: size(rows[r][col]))
-        pivot = size(rows[piv][col])
-        if not pivot > 0:
-            raise np.linalg.LinAlgError(f"singular matrix: pivot {float(pivot):.3e}")
-        rows[col], rows[piv] = rows[piv], rows[col]
+        sizes = [size(rows[r][col]) for r in range(col, n)]
+        if any(isinstance(s, np.ndarray) for s in sizes):
+            _pivot_per_point(rows, col, sizes)
+        else:
+            best = max(range(n - col), key=sizes.__getitem__)
+            if not sizes[best] > 0:
+                raise np.linalg.LinAlgError(
+                    f"singular matrix: pivot {float(sizes[best]):.3e}")
+            rows[col], rows[col + best] = rows[col + best], rows[col]
         inv_p = 1.0 / rows[col][col]
         rows[col] = [x * inv_p for x in rows[col]]
         for r in range(n):
@@ -504,6 +640,28 @@ def solve(A, B):
                 continue
             rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
     return [row[n] for row in rows] if vector else [row[n:] for row in rows]
+
+
+def _pivot_per_point(rows, col, sizes):
+    """Move each point's pivot row (the first largest of ``sizes``) to row ``col``."""
+    sizes = np.stack(np.broadcast_arrays(*sizes))
+    best = np.argmax(sizes, axis=0)
+    pivot = np.max(sizes, axis=0)
+    failure = first_failure(pivot > 0)
+    if failure is not None:
+        k, where = failure
+        raise np.linalg.LinAlgError(f"singular matrix{where}: pivot {float(pivot[k]):.3e}")
+    if np.all(best == best[0]):
+        r = col + int(best[0])
+        rows[col], rows[r] = rows[r], rows[col]
+        return
+    top = rows[col]
+    for off in range(1, len(sizes)):
+        mask = best == off
+        if mask.any():
+            r = col + off
+            rows[col] = [_select(mask, b, a) for a, b in zip(rows[col], rows[r])]
+            rows[r] = [_select(mask, t, b) for t, b in zip(top, rows[r])]
 
 
 def fd_step(x):

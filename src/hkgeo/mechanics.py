@@ -12,6 +12,14 @@ Phase-space scalars are plain callables over the ``2n`` coordinates
 first-order jets (a bracket reads gradients only), so no finite
 differencing is involved.  A mass matrix counts as singular when
 ``1 / cond(M) < MIN_RCOND``; every inversion or solve applies that rule.
+
+Every entry point takes one point or a batch of points, and the shape
+decides: a :class:`PhasePoint` of ``(n,)`` or ``(B, n)`` arrays, a
+configuration ``q`` of ``(n,)`` or ``(B, n)``.  A batch is evaluated in one
+pass (jets with a point axis, batched ``svd`` and ``inv``), with the same
+result as its points one at a time (bit for bit on the registered models;
+see :func:`hkgeo.jets.solve` for the sign of an exact zero); errors name
+the first failing point.
 """
 
 from __future__ import annotations
@@ -20,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Chart, MetricField, mirror_triangle
-from .jets import Jet, evaluate_jet, solve, worst_of
+from .fields import Chart, MetricField, _triangle
+from .jets import Jet, evaluate_jet, first_failure, solve
 
 __all__ = [
     "DegenerateLagrangianError",
@@ -50,20 +58,27 @@ class InvalidConstraintError(ValueError):
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Configuration ``q`` with conjugate momenta ``p``."""
+    """Configuration ``q`` with conjugate momenta ``p``.
+
+    Both are ``(n,)`` sequences for one phase-space point, or ``(B, n)``
+    arrays for a batch of ``B`` points.
+    """
 
     q: tuple
     p: tuple
 
     def __post_init__(self):
-        if len(self.q) != len(self.p):
+        if np.shape(self.q) != np.shape(self.p):
             raise ValueError("q and p must have the same length")
-        if not all(np.isfinite(x) for x in (*self.q, *self.p)):
+        if not np.all(np.isfinite(self.coords)):
             raise ValueError("non-finite phase-space entries")
 
     @property
     def coords(self):
-        return [float(x) for x in (*self.q, *self.p)]
+        """``(q, p)`` joined: a list of ``2n`` floats, or a ``(B, 2n)`` array."""
+        c = np.concatenate([np.asarray(self.q, dtype=float),
+                            np.asarray(self.p, dtype=float)], axis=-1)
+        return c if c.ndim == 2 else c.tolist()
 
 
 class QuadraticKinetic:
@@ -88,6 +103,7 @@ class QuadraticKinetic:
         return self.field.fn
 
     def matrix(self, q):
+        """Mass matrix at ``q``: ``(n, n)``, or ``(B, n, n)`` for a batch ``(B, n)``."""
         return self.field.value(q)
 
     def __repr__(self):
@@ -98,23 +114,54 @@ class QuadraticKinetic:
 MIN_RCOND = 1e-13
 
 
-def _check_mass(M):
+def _mass_entries(L, q):
+    """Mass matrix of ``L`` at ``q`` as an ``n x n`` object array of entries.
+
+    The entries are what ``L.fn`` returns (floats, arrays over a batch of
+    points, or jets), mirrored from the upper triangle, not converted.
+    """
+    M = np.empty((L.dim, L.dim), dtype=object)
+    for i, j, e in _triangle(L.fn(q), +1):
+        M[i, j] = M[j, i] = e
+    return M
+
+
+def _mass_values(M):
+    """Float values of a mass matrix: ``(n, n)``, or ``(B, n, n)`` over a batch."""
+    if isinstance(M, np.ndarray) and M.dtype != object:
+        return M
+    n = len(M)
+    flat = np.broadcast_arrays(*(np.asarray(x.value if isinstance(x, Jet) else x,
+                                            dtype=float)
+                                 for row in M for x in row))
+    return np.moveaxis(np.reshape(flat, (n, n, *flat[0].shape)), (0, 1), (-2, -1))
+
+
+def _check_mass(M, q=None):
     """Reject a mass matrix whose value part is non-finite or singular.
 
     The one singularity rule of this module, applied wherever a mass matrix
     is inverted or solved: ``1 / cond(M) < MIN_RCOND`` (2-norm) raises
     :class:`DegenerateLagrangianError`.  Jet entries are judged by their
-    values.
+    values.  Over a batch the rule holds per point, and the error names the
+    first failing point (with its coordinates, when ``q`` is given).
     """
-    Mv = np.array([[x.value if isinstance(x, Jet) else x for x in row] for row in M],
-                  dtype=float)
-    if not np.all(np.isfinite(Mv)):
-        raise DegenerateLagrangianError("mass matrix has non-finite entries")
+    Mv = _mass_values(M)
+    finite = np.isfinite(Mv).all(axis=(-2, -1))
+    if not finite.all():
+        Mv = np.where(finite[..., None, None], Mv, np.eye(Mv.shape[-1]))
     sv = np.linalg.svd(Mv, compute_uv=False)
-    rcond = sv[-1] / sv[0] if sv[0] > 0 else 0.0
-    if rcond < MIN_RCOND:
-        raise DegenerateLagrangianError(
-            f"mass matrix is singular (1/cond = {rcond:.3e} < {MIN_RCOND:.0e})")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rcond = np.where(sv[..., 0] > 0, sv[..., -1] / sv[..., 0], 0.0)
+    failure = first_failure(finite & (rcond >= MIN_RCOND), q)
+    if failure is None:
+        return
+    k, where = failure
+    at = () if k is None else k
+    if not finite[at]:
+        raise DegenerateLagrangianError(f"mass matrix has non-finite entries{where}")
+    raise DegenerateLagrangianError(
+        f"mass matrix is singular (1/cond = {rcond[at]:.3e} < {MIN_RCOND:.0e}){where}")
 
 
 def _solve_mass(M, B):
@@ -124,11 +171,14 @@ def _solve_mass(M, B):
 
 
 def legendre_to_hamiltonian(L, q):
-    """Kinetic matrix ``M(q)^{-1}`` of the Hamiltonian ``p^T M^{-1} p / 2``."""
+    """Kinetic matrix ``M(q)^{-1}`` of the Hamiltonian ``p^T M^{-1} p / 2``.
+
+    ``(n, n)`` at one configuration, ``(B, n, n)`` over a batch ``(B, n)``.
+    """
     M = L.matrix(q)
-    _check_mass(M)
+    _check_mass(M, q)
     Minv = np.linalg.inv(M)
-    return 0.5 * (Minv + Minv.T)
+    return 0.5 * (Minv + np.swapaxes(Minv, -1, -2))
 
 
 def hamiltonian_field(L):
@@ -142,7 +192,7 @@ def hamiltonian_field(L):
 
     def H(coords):
         q, mom = coords[:n], coords[n:]
-        x = _solve_mass(mirror_triangle(L.fn(q), +1), mom)
+        x = _solve_mass(_mass_entries(L, q), mom)
         acc = 0.0
         for pi, xi in zip(mom, x):
             acc = acc + pi * xi
@@ -161,15 +211,18 @@ def momentum_field(i, n):
 
 
 def poisson_bracket(f, g, s):
-    """``{f, g}`` at a :class:`PhasePoint`, by first-order jet differentiation."""
+    """``{f, g}`` at a :class:`PhasePoint`, by first-order jet differentiation.
+
+    A float at one phase-space point, a ``(B,)`` array over a batch.
+    """
     coords = s.coords
-    n = len(s.q)
+    n = np.shape(s.q)[-1]
     jf = evaluate_jet(f, coords, order=1)
     jg = evaluate_jet(g, coords, order=1)
     acc = 0.0
     for i in range(n):
         acc += jf.gradient[i] * jg.gradient[n + i] - jf.gradient[n + i] * jg.gradient[i]
-    return float(acc)
+    return acc if np.ndim(acc) else float(acc)
 
 
 def _probe_momenta(d):
@@ -190,24 +243,26 @@ def constrain_and_reduce(L, fiber_index, probe_points=None, tol=1e-10):
 
     The fiber coordinate must be cyclic; this is checked literally, as
     Poisson brackets ``{p_fiber, H}`` over a basis of probe momenta at the
-    given configuration points (default: the all-ones configuration).  A
-    residual above ``tol`` raises :class:`InvalidConstraintError`.
+    given configuration points (default: the all-ones configuration), all
+    (point, probe) pairs in one batched bracket.  A residual above ``tol``
+    raises :class:`InvalidConstraintError`.
 
     The reduced mass matrix is computed per evaluation by deleting the
     fiber row/column of ``M^{-1}`` and inverting the remaining block, in
-    jet-capable arithmetic.
+    jet-capable arithmetic; its ``matrix`` takes a batch of configurations
+    like any :class:`QuadraticKinetic`.
     """
     n = L.dim
     if not 0 <= fiber_index < n:
         raise ValueError(f"fiber index {fiber_index} outside 0..{n - 1}")
     H = hamiltonian_field(L)
     pf = momentum_field(fiber_index, n)
-    points = probe_points if probe_points is not None else [[1.0] * n]
-    worst = 0.0
-    for q in points:
-        for mom in _probe_momenta(n):
-            s = PhasePoint(tuple(q), tuple(mom))
-            worst = worst_of(worst, abs(poisson_bracket(pf, H, s)))
+    points = np.asarray(probe_points if probe_points is not None else [[1.0] * n],
+                        dtype=float)
+    probes = np.asarray(_probe_momenta(n))
+    pairs = PhasePoint(np.repeat(points, len(probes), axis=0),
+                       np.tile(probes, (len(points), 1)))
+    worst = float(np.max(np.abs(poisson_bracket(pf, H, pairs))))  # keeps NaN
     if not worst <= tol:
         raise InvalidConstraintError(
             f"coordinate {L.labels[fiber_index]!r} is not cyclic "
@@ -221,7 +276,7 @@ def constrain_and_reduce(L, fiber_index, probe_points=None, tol=1e-10):
     def reduced_fn(coords):
         full = list(coords)
         full.insert(fiber_index, 0.0)
-        Minv = _solve_mass(mirror_triangle(L.fn(full), +1), np.eye(n).tolist())
+        Minv = _solve_mass(_mass_entries(L, full), np.eye(n).tolist())
         block = [[Minv[i][j] for j in keep] for i in keep]
         return _solve_mass(block, np.eye(n - 1).tolist())
 

@@ -28,7 +28,7 @@ from scipy import integrate
 
 from .fields import FormField, MetricField, VectorFieldR, mirror_triangle
 from .geometry import DivergenceError, MetricDomainError, killing_deviation
-from .jets import worst_of
+from .jets import first_failure, worst_of
 
 __all__ = [
     "NotExactError",
@@ -197,18 +197,23 @@ def quotient_metric(g, V, invariant, p):
     """Project out the fiber direction of ``V`` and keep the invariant block.
 
     ``g`` is the level-set metric field (or a plain matrix), ``V`` the
-    fiber vector (field or constant components).  Raises
-    :class:`DegenerateFiberError` unless ``g(V, V) > 0`` (so also on NaN).
+    fiber vector (field or constant components).  ``p`` is one point or a
+    batch ``(B, d)``, for which the result is ``(B, k, k)``.  Raises
+    :class:`DegenerateFiberError` unless ``g(V, V) > 0`` (so also on NaN)
+    at every point, naming the first point where it fails.
     """
     gv = g.value(p) if isinstance(g, MetricField) else np.asarray(g, dtype=float)
     v = V.value(p) if isinstance(V, VectorFieldR) else np.asarray(V, dtype=float)
-    gvv = float(v @ gv @ v)
-    if not gvv > 0.0:  # written so that NaN fails
-        raise DegenerateFiberError(f"fiber norm g(V, V) = {gvv:.3e} at {list(p)}")
-    gu = gv @ v
-    proj = gv - np.outer(gu, gu) / gvv
+    gu = (gv @ v[..., None])[..., 0]
+    gvv = (v[..., None, :] @ gu[..., None])[..., 0, 0]
+    failure = first_failure(gvv > 0.0, p)  # written so that NaN fails
+    if failure is not None:
+        k, where = failure
+        raise DegenerateFiberError(
+            f"fiber norm g(V, V) = {gvv[() if k is None else k]:.3e}{where}")
+    proj = gv - gu[..., :, None] * gu[..., None, :] / gvv[..., None, None]
     idx = np.asarray(invariant, dtype=int)
-    return proj[np.ix_(idx, idx)]
+    return proj[..., idx[:, None], idx]
 
 
 def quotient_form(form, fiber_index, invariant, p, tol=1e-10):

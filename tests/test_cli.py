@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hkgeo import checks, cli, reduction
+from hkgeo import checks, cli, mechanics, reduction
 
 
 def run(argv):
@@ -40,6 +40,29 @@ def test_failing_check_exits_1(monkeypatch, capsys):
     monkeypatch.setitem(checks.SUITES, "mechanics", forced)
     assert run(["verify", "mechanics"]) == 1
     assert "[FAIL] mechanics.forced_failure" in capsys.readouterr().out
+
+
+def test_raising_check_is_a_failed_row(monkeypatch, tmp_path, capsys):
+    # a check that raises fails its own row; the other checks still run and
+    # the report is still written
+    def boom(ctx, rng):
+        raise mechanics.DegenerateLagrangianError("injected at point 3")
+
+    suite = [("mechanics.boom", boom),
+             ("mechanics.singular_mass_rejected", checks.check_mech_singular)]
+    monkeypatch.setitem(checks.SUITES, "mechanics", suite)
+    path = tmp_path / "report.json"
+    assert run(["verify", "mechanics", "--json", str(path)]) == 1
+    assert "raised DegenerateLagrangianError: injected at point 3" in capsys.readouterr().out
+    doc = json.loads(path.read_text())
+    jsonschema.validate(doc, checks.REPORT_SCHEMA)
+    boom_row, ok_row = doc["checks"]
+    assert boom_row["check_id"] == "mechanics.boom"
+    assert boom_row["passed"] is False
+    assert not np.isfinite(boom_row["max_abs_error"])
+    assert boom_row["error"] == "DegenerateLagrangianError: injected at point 3"
+    assert ok_row["passed"] is True
+    assert "error" not in ok_row
 
 
 def test_nan_error_fails_its_check(monkeypatch):

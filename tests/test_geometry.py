@@ -161,6 +161,24 @@ def test_euler_characteristic_weight_is_linear():
     assert val == pytest.approx(1.0, abs=1e-9)
 
 
+def test_euler_characteristic_one_metric_value_per_point(monkeypatch):
+    # every integrand point takes one metric value and one metric jet
+    red = models.build("toy-reduced", 1.0)
+    calls = {"value": 0, "jet": 0}
+    for name in calls:
+        orig = getattr(MetricField, name)
+
+        def counted(self, *args, _orig=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(MetricField, name, counted)
+    val, _ = euler_characteristic(red.metric)
+    assert val == pytest.approx(2.0, abs=1e-6)
+    assert calls["jet"] > 0
+    assert calls["value"] == calls["jet"]
+
+
 def test_euler_characteristic_divergence_guard():
     g = MetricField(Chart(("r", "chi")),
                     lambda c: [[1.0 + c[0] ** 2, 0.0],

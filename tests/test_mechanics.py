@@ -152,10 +152,14 @@ def test_constrain_rejects_non_cyclic():
 
 
 def test_constrain_rejects_nan_bracket(monkeypatch):
-    # one NaN probe bracket among zeros must not pass as cyclic
-    residuals = iter([0.0, float("nan")])
-    monkeypatch.setattr(mechanics, "poisson_bracket",
-                        lambda *args: next(residuals, 0.0))
+    # one NaN probe bracket among zeros must not pass as cyclic; the probes
+    # are bracketed in one batched call, so the stub returns the batch
+    def bracket(f, g, s):
+        out = np.zeros(len(s.coords))
+        out[1] = float("nan")
+        return out
+
+    monkeypatch.setattr(mechanics, "poisson_bracket", bracket)
     L = kinetic(lambda c: [[2.0, 1.0], [None, 1.0]])
     with pytest.raises(InvalidConstraintError):
         constrain_and_reduce(L, 1)

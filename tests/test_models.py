@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hkgeo import geometry, models, reduction
+from hkgeo.fields import Chart, MetricField
 from hkgeo.jets import EvaluationError, fd_oracle
 from hkgeo.models import (
     MODEL_NAMES,
@@ -82,6 +83,12 @@ def test_field_division_by_zero_is_evaluation_error():
         with pytest.raises(EvaluationError) as exc:
             evaluate(origin)
         assert isinstance(exc.value.__cause__, ZeroDivisionError)
+    # numpy floats divide by zero without raising unless told to: a field
+    # fed a numpy point raises too, not returns inf
+    h = MetricField(Chart(("x",)), lambda c: [[1.0 / c[0]]])
+    with pytest.raises(EvaluationError) as exc:
+        h.value(np.zeros(1))
+    assert isinstance(exc.value.__cause__, FloatingPointError)
 
 
 def test_monopole_curl_sign():
