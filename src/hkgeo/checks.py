@@ -11,6 +11,7 @@ exception, and the run goes on.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 import zlib
@@ -53,17 +54,9 @@ class CheckReport:
     error: str | None = None
 
     def to_dict(self):
-        out = {
-            "check_id": self.check_id,
-            "description": self.description,
-            "samples": self.samples,
-            "max_abs_error": self.max_abs_error,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        if self.error is not None:
-            out["error"] = self.error
+        out = dataclasses.asdict(self)
+        if self.error is None:
+            del out["error"]
         return out
 
 
@@ -83,14 +76,8 @@ class RunManifest:
         return all(c.passed for c in self.checks)
 
     def to_dict(self):
-        return {
-            "seed": self.seed,
-            "samples": self.samples,
-            "a": self.a,
-            "a_sweep": list(self.a_sweep),
-            "version": self.version,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {**dataclasses.asdict(self), "a_sweep": list(self.a_sweep),
+                "checks": [c.to_dict() for c in self.checks]}
 
 
 REPORT_SCHEMA = {
@@ -142,8 +129,17 @@ class CheckContext:
 
 
 def _box_points(box, exclusions, count, seed):
+    """Sampled points as one ``(B, d)`` batch."""
     spec = SampleSpec(np.asarray(box, dtype=float), count, seed, tuple(exclusions))
-    return sample_points(spec)
+    return np.asarray(sample_points(spec))
+
+
+def _worst(got, want=0.0):
+    """Largest ``|got - want|`` over a batch, as a float; NaN if any entry is NaN.
+
+    ``np.max`` keeps NaN, so a NaN anywhere in the batch fails its check.
+    """
+    return float(np.max(np.abs(got - want)))
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +224,11 @@ def check_covariant_constancy(ctx, rng):
     shear = kahler.unit_determinant_shear_field()
     greal = shear.real_metric()
     fJ, fK = kahler.quaternion_form_fields(shear, om)
-    worst = 0.0
     pts = _box_points(((-1.5, 1.5),) * 4, (), max(10, ctx.samples // 5),
                       ctx.subseed(rng))
-    for p in pts:
-        dJ = geometry.covariant_derivative_02(greal, fJ, p)
-        dK = geometry.covariant_derivative_02(greal, fK, p)
-        worst = worst_of(worst, float(np.max(np.abs(dJ + 1j * dK))),
-                         float(np.max(np.abs(dJ - 1j * dK))))
+    dJ = geometry.covariant_derivative_02(greal, fJ, pts)
+    dK = geometry.covariant_derivative_02(greal, fK, pts)
+    worst = worst_of(_worst(dJ + 1j * dK), _worst(dJ - 1j * dK))
     return worst, 1e-8, len(pts), (
         "the J/K pair is covariantly constant for the varying "
         "unit-determinant metric (both J + iK and J - iK)"
@@ -247,10 +240,8 @@ def check_covariant_negative_control(ctx, rng):
     ctrl = kahler.non_unimodular_field()
     greal = ctrl.real_metric()
     fJ, _ = kahler.quaternion_form_fields(ctrl, om)
-    dev = 0.0
-    for p in _box_points(((-1.5, 1.5),) * 4, (), 10, ctx.subseed(rng)):
-        dev = worst_of(dev, float(np.max(np.abs(
-            geometry.covariant_derivative_02(greal, fJ, p)))))
+    pts = _box_points(((-1.5, 1.5),) * 4, (), 10, ctx.subseed(rng))
+    dev = _worst(geometry.covariant_derivative_02(greal, fJ, pts))
     err = 0.0 if dev > 1e-3 else 1.0
     return err, 0.0, 10, (
         "varying-determinant control metric must break covariant constancy "
@@ -279,13 +270,11 @@ def check_sp_algebra(ctx, rng):
 
 def check_toy_contraction(ctx, rng):
     m = models.build("toy-parent", ctx.a)
-    worst = 0.0
-    pts = m.sample(ctx.samples, ctx.subseed(rng))
-    for p in pts:
-        got = reduction.contract(m.forms["omega"], m.killing["shift"], p)
-        want = np.array([p[0], 0.0, m.a, 0.0])
-        worst = worst_of(worst, float(np.max(np.abs(got - want))))
-    return worst, 1e-12, len(pts), (
+    pts = np.asarray(m.sample(ctx.samples, ctx.subseed(rng)))
+    got = reduction.contract(m.forms["omega"], m.killing["shift"], pts)
+    want = np.zeros_like(pts)
+    want[:, 0], want[:, 2] = pts[:, 0], m.a
+    return _worst(got, want), 1e-12, len(pts), (
         "contraction of the symplectic form with the shift vector gives "
         "r dr + a dx"
     )
@@ -322,12 +311,9 @@ def check_toy_level_pullback(ctx, rng):
     m = models.build("toy-parent", ctx.a)
     lev = m.embeddings["level"]
     lm = m.extras["level_metric"]
-    worst = 0.0
     pts = _box_points(m.extras["level_box"], (), ctx.samples, ctx.subseed(rng))
-    for p in pts:
-        got = reduction.pullback_metric(m.metric, lev, p)
-        worst = worst_of(worst, float(np.max(np.abs(got - lm.value(p)))))
-    return worst, 1e-10, len(pts), (
+    got = reduction.pullback_metric(m.metric, lev, pts)
+    return _worst(got, lm.value(pts)), 1e-10, len(pts), (
         "pullback onto the zero level set matches the closed-form 3-metric"
     )
 
@@ -337,13 +323,9 @@ def check_toy_quotient(ctx, rng):
     red = models.build("toy-reduced", ctx.a)
     lm = m.extras["level_metric"]
     fiber = m.extras["level_fiber"]
-    worst = 0.0
     pts = _box_points(m.extras["level_box"], (), ctx.samples, ctx.subseed(rng))
-    for p in pts:
-        got = reduction.quotient_metric(lm, fiber, m.invariant, p)
-        want = red.metric.value([p[0], p[2]])
-        worst = worst_of(worst, float(np.max(np.abs(got - want))))
-    return worst, 1e-10, len(pts), (
+    got = reduction.quotient_metric(lm, fiber, m.invariant, pts)
+    return _worst(got, red.metric.value(pts[:, [0, 2]])), 1e-10, len(pts), (
         "orthogonal-projection quotient matches the reduced surface metric"
     )
 
@@ -352,14 +334,10 @@ def check_toy_quotient_form(ctx, rng):
     m = models.build("toy-parent", ctx.a)
     red = models.build("toy-reduced", ctx.a)
     lev = m.embeddings["level"]
-    worst = 0.0
     pts = _box_points(m.extras["level_box"], (), ctx.samples, ctx.subseed(rng))
-    for p in pts:
-        W = reduction.pullback_form(m.forms["omega"], lev, p)
-        Wq = reduction.quotient_form(W, m.fiber_index, m.invariant, p)
-        want = red.forms["omega"].value([p[0], p[2]])
-        worst = worst_of(worst, float(np.max(np.abs(Wq - want))))
-    return worst, 1e-10, len(pts), (
+    W = reduction.pullback_form(m.forms["omega"], lev, pts)
+    Wq = reduction.quotient_form(W, m.fiber_index, m.invariant, pts)
+    return _worst(Wq, red.forms["omega"].value(pts[:, [0, 2]])), 1e-10, len(pts), (
         "fiber components of the pulled-back form cancel and the rest is "
         "the area form r dr d chi"
     )
@@ -367,17 +345,12 @@ def check_toy_quotient_form(ctx, rng):
 
 def check_toy_complex_structure(ctx, rng):
     red = models.build("toy-reduced", ctx.a)
-    worst = 0.0
-    pts = red.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
-    for p in pts:
-        gv = red.metric.value(p)
-        W = red.forms["omega"].value(p)
-        I = reduction.complex_structure(gv, W)
-        worst = worst_of(worst, float(np.max(np.abs(I @ I + np.eye(2)))))
-        dW = geometry.covariant_derivative_02(red.metric, red.forms["omega"], p)
-        dI = reduction.raise_first_index(gv, dW)
-        worst = worst_of(worst, float(np.max(np.abs(dI))))
-    return worst, 1e-8, len(pts), (
+    pts = np.asarray(red.sample(max(10, ctx.samples // 5), ctx.subseed(rng)))
+    gv = red.metric.value(pts)
+    I = reduction.complex_structure(gv, red.forms["omega"].value(pts))
+    dW = geometry.covariant_derivative_02(red.metric, red.forms["omega"], pts)
+    dI = reduction.raise_first_index(gv, dW)
+    return worst_of(_worst(I @ I, -np.eye(2)), _worst(dI)), 1e-8, len(pts), (
         "quotient complex structure squares to -1 and is covariantly constant"
     )
 
@@ -387,8 +360,7 @@ def check_toy_mechanics(ctx, rng):
     lm = m.extras["level_metric"]
     L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn,
                                    name="toy kinetic")
-    pts = np.array(_box_points(m.extras["level_box"], (), ctx.samples,
-                               ctx.subseed(rng)))
+    pts = _box_points(m.extras["level_box"], (), ctx.samples, ctx.subseed(rng))
     L2 = mechanics.constrain_and_reduce(L, m.fiber_index, probe_points=pts[:3])
     got = L2.matrix(pts[:, [0, 2]])
     want = reduction.quotient_metric(lm, m.extras["level_fiber"], m.invariant, pts)
@@ -405,8 +377,8 @@ def check_toy_brackets(ctx, rng):
                                    name="toy kinetic")
     H = mechanics.hamiltonian_field(L)
     worst = 0.0
-    pts = np.array(_box_points(m.extras["level_box"], (), max(10, ctx.samples // 5),
-                               ctx.subseed(rng)))
+    pts = _box_points(m.extras["level_box"], (), max(10, ctx.samples // 5),
+                      ctx.subseed(rng))
     s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
     for c in m.extras["level_cyclic"]:
         pf = mechanics.momentum_field(c, L.dim)
@@ -453,14 +425,11 @@ def check_toy_euler(ctx, rng):
 def check_tn_radius(ctx, rng):
     gh = models.build("gh-flat", ctx.a)
     vc = gh.embeddings["to_monopole"]
-    worst = 0.0
     pts = _box_points(gh.extras["cart_box"], gh.extras["cart_exclusions"],
                       ctx.samples, ctx.subseed(rng))
-    for y in pts:
-        x = vc.value(y)
-        r = float(np.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2))
-        worst = worst_of(worst, abs(r - gh.targets["radius"](y)))
-    return worst, 1e-10, len(pts), (
+    x = vc.value(pts)
+    r = np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2)
+    return _worst(r, gh.targets["radius"](pts)), 1e-10, len(pts), (
         "|x(y)| equals the squared Cartesian radius of y"
     )
 
@@ -468,13 +437,10 @@ def check_tn_radius(ctx, rng):
 def check_tn_gh_metric(ctx, rng):
     gh = models.build("gh-flat", ctx.a)
     vc = gh.embeddings["to_monopole"]
-    worst = 0.0
     pts = _box_points(gh.extras["cart_box"], gh.extras["cart_exclusions"],
                       ctx.samples, ctx.subseed(rng))
-    for y in pts:
-        got = reduction.pullback_metric(gh.metric, vc, y)
-        worst = worst_of(worst, float(np.max(np.abs(got - np.eye(4)))))
-    return worst, 1e-8, len(pts), (
+    got = reduction.pullback_metric(gh.metric, vc, pts)
+    return _worst(got, np.eye(4)), 1e-8, len(pts), (
         "monopole-coordinate metric pulls back to the flat Cartesian metric"
     )
 
@@ -482,12 +448,11 @@ def check_tn_gh_metric(ctx, rng):
 def check_tn_gh_triple(ctx, rng):
     gh = models.build("gh-flat", ctx.a)
     inv = gh.embeddings["to_cartesian"]
-    worst = 0.0
-    pts = gh.sample(ctx.samples, ctx.subseed(rng))
-    for p in pts:
-        for k, form in gh.forms.items():
-            got = reduction.pullback_form(gh.extras["cart_forms"][k], inv, p)
-            worst = worst_of(worst, float(np.max(np.abs(got - form.value(p)))))
+    pts = np.asarray(gh.sample(ctx.samples, ctx.subseed(rng)))
+    worst = worst_of(*(
+        _worst(reduction.pullback_form(gh.extras["cart_forms"][k], inv, pts),
+               form.value(pts))
+        for k, form in gh.forms.items()))
     return worst, 1e-8, len(pts), (
         "Cartesian symplectic triple re-expressed in (x, Psi) matches the "
         "monopole-potential closed forms"
@@ -513,16 +478,14 @@ def check_tn_curl(ctx, rng):
 
 def check_tn_moment_gradients(ctx, rng):
     m = models.build("r8-parent", ctx.a)
-    worst = 0.0
     pts = _box_points(m.extras["cart_box"], m.extras["cart_exclusions"],
                       ctx.samples, ctx.subseed(rng))
     pairs = (("omega_I", "mu_I"), ("omega_J", "mu_J"), ("omega_K", "mu_K"))
-    for q in pts:
-        for wk, mk in pairs:
-            alpha = reduction.contract(m.extras["cart_forms"][wk],
-                                       m.extras["cart_killing"], q)
-            grad = evaluate_jet(m.extras["cart_moments"][mk], q, order=1).gradient
-            worst = worst_of(worst, float(np.max(np.abs(alpha - grad))))
+    worst = worst_of(*(
+        _worst(reduction.contract(m.extras["cart_forms"][wk], m.extras["cart_killing"],
+                                  pts),
+               evaluate_jet(m.extras["cart_moments"][mk], pts, order=1).gradient.T)
+        for wk, mk in pairs))
     return worst, 1e-8, len(pts), (
         "each contraction i_V omega is the gradient of its moment map"
     )
@@ -531,13 +494,10 @@ def check_tn_moment_gradients(ctx, rng):
 def check_tn_level_moments(ctx, rng):
     m = models.build("r8-parent", ctx.a)
     lev = m.embeddings["level"]
-    worst = 0.0
     pts = _box_points(m.extras["level_box"], m.extras["level_exclusions"],
                       ctx.samples, ctx.subseed(rng))
-    for p in pts:
-        P = lev.value(p)
-        for mk in ("mu_I", "mu_J", "mu_K"):
-            worst = worst_of(worst, abs(m.targets[mk](P)))
+    P = lev.value(pts).T  # one coordinate array per component
+    worst = worst_of(*(_worst(m.targets[mk](P)) for mk in ("mu_I", "mu_J", "mu_K")))
     return worst, 1e-12, len(pts), (
         "all three moment maps vanish along the declared level-set embedding"
     )
@@ -545,17 +505,13 @@ def check_tn_level_moments(ctx, rng):
 
 def check_tn_killing(ctx, rng):
     m = models.build("r8-parent", ctx.a)
-    worst = 0.0
-    pts = m.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
-    for p in pts:
-        worst = worst_of(worst, float(np.max(np.abs(
-            geometry.killing_deviation(m.metric, m.killing["G"], p)))))
+    pts = np.asarray(m.sample(max(10, ctx.samples // 5), ctx.subseed(rng)))
+    dev = geometry.killing_deviation(m.metric, m.killing["G"], pts)
     cpts = _box_points(m.extras["cart_box"], m.extras["cart_exclusions"],
                        max(10, ctx.samples // 5), ctx.subseed(rng))
-    for q in cpts:
-        worst = worst_of(worst, float(np.max(np.abs(geometry.killing_deviation(
-            m.extras["cart_metric"], m.extras["cart_killing"], q)))))
-    return worst, 1e-10, len(pts) + len(cpts), (
+    cdev = geometry.killing_deviation(m.extras["cart_metric"], m.extras["cart_killing"],
+                                      cpts)
+    return worst_of(_worst(dev), _worst(cdev)), 1e-10, len(pts) + len(cpts), (
         "the rotation + shift isometry is Killing in both charts"
     )
 
@@ -564,13 +520,10 @@ def check_tn_level_pullback(ctx, rng):
     m = models.build("r8-parent", ctx.a)
     lev = m.embeddings["level"]
     lm = m.extras["level_metric"]
-    worst = 0.0
     pts = _box_points(m.extras["level_box"], m.extras["level_exclusions"],
                       ctx.samples, ctx.subseed(rng))
-    for p in pts:
-        got = reduction.pullback_metric(m.metric, lev, p)
-        worst = worst_of(worst, float(np.max(np.abs(got - lm.value(p)))))
-    return worst, 1e-10, len(pts), (
+    got = reduction.pullback_metric(m.metric, lev, pts)
+    return _worst(got, lm.value(pts)), 1e-10, len(pts), (
         "metric restricted to the triple zero level set matches the "
         "closed-form 5-metric"
     )
@@ -580,14 +533,10 @@ def check_tn_quotient_metric(ctx, rng):
     m = models.build("r8-parent", ctx.a)
     lm = m.extras["level_metric"]
     fiber = m.extras["level_fiber"]
-    worst = 0.0
     pts = _box_points(m.extras["level_box"], m.extras["level_exclusions"],
                       ctx.samples, ctx.subseed(rng))
-    for p in pts:
-        got = reduction.quotient_metric(lm, fiber, m.invariant, p)
-        worst = worst_of(worst, float(np.max(np.abs(
-            got - models.taub_nut_metric(p[:3], m.a)))))
-    return worst, 1e-10, len(pts), (
+    got = reduction.quotient_metric(lm, fiber, m.invariant, pts)
+    return _worst(got, models.taub_nut_metric(pts[:, :3], m.a)), 1e-10, len(pts), (
         "projecting out the circle fiber of the 5-metric gives the "
         "Taub-NUT closed form"
     )
@@ -596,16 +545,14 @@ def check_tn_quotient_metric(ctx, rng):
 def check_tn_quotient_triple(ctx, rng):
     m = models.build("r8-parent", ctx.a)
     lev = m.embeddings["level"]
-    worst = 0.0
     pts = _box_points(m.extras["level_box"], m.extras["level_exclusions"],
                       ctx.samples, ctx.subseed(rng))
     keys = ("omega_I", "omega_J", "omega_K")
-    for p in pts:
-        want = models.taub_nut_triple(p[:3], m.a)
-        for i, k in enumerate(keys):
-            W5 = reduction.pullback_form(m.forms[k], lev, p)
-            Wq = reduction.quotient_form(W5, m.fiber_index, m.invariant, p)
-            worst = worst_of(worst, float(np.max(np.abs(Wq - want[i]))))
+    want = models.taub_nut_triple(pts[:, :3], m.a)
+    worst = worst_of(*(
+        _worst(reduction.quotient_form(reduction.pullback_form(m.forms[k], lev, pts),
+                                       m.fiber_index, m.invariant, pts), want[i])
+        for i, k in enumerate(keys)))
     return worst, 1e-8, len(pts), (
         "pulled-back triple drops its fiber components and equals the flat "
         "forms with 1/r -> 1/r + 1/a^2"
@@ -614,31 +561,24 @@ def check_tn_quotient_triple(ctx, rng):
 
 def check_tn_triple_closed(ctx, rng):
     tn = models.build("taub-nut", ctx.a)
-    worst = 0.0
-    pts = tn.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
-    for p in pts:
-        for f in tn.forms.values():
-            worst = worst_of(worst, float(np.max(np.abs(
-                reduction.exterior_derivative(f, p)))))
+    pts = np.asarray(tn.sample(max(10, ctx.samples // 5), ctx.subseed(rng)))
+    worst = worst_of(*(_worst(reduction.exterior_derivative(f, pts))
+                       for f in tn.forms.values()))
     return worst, 1e-8, len(pts), "quotient triple is closed"
 
 
 def check_tn_hyperkahler(ctx, rng):
     tn = models.build("taub-nut", ctx.a)
-    worst = 0.0
-    pts = tn.sample(ctx.samples, ctx.subseed(rng))
+    pts = np.asarray(tn.sample(ctx.samples, ctx.subseed(rng)))
     eye = np.eye(4)
     keys = ("omega_I", "omega_J", "omega_K")
-    for p in pts:
-        gv = tn.metric.value(p)
-        I, J, K = (reduction.complex_structure(gv, tn.forms[k].value(p))
-                   for k in keys)
-        for D in (I @ I + eye, J @ J + eye, K @ K + eye,
-                  I @ J - K, J @ K - I, K @ I - J):
-            worst = worst_of(worst, float(np.max(np.abs(D))))
-        for f in tn.forms.values():
-            worst = worst_of(worst, float(np.max(np.abs(
-                geometry.covariant_derivative_02(tn.metric, f, p)))))
+    gv = tn.metric.value(pts)
+    I, J, K = (reduction.complex_structure(gv, tn.forms[k].value(pts)) for k in keys)
+    worst = worst_of(
+        _worst(I @ I, -eye), _worst(J @ J, -eye), _worst(K @ K, -eye),
+        _worst(I @ J, K), _worst(J @ K, I), _worst(K @ I, J),
+        *(_worst(geometry.covariant_derivative_02(tn.metric, f, pts))
+          for f in tn.forms.values()))
     return worst, 1e-7, len(pts), (
         "Taub-NUT triple is quaternionic and covariantly constant"
     )
@@ -649,8 +589,8 @@ def check_tn_mechanics(ctx, rng):
     lm = m.extras["level_metric"]
     L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn,
                                    name="5-chart kinetic")
-    pts = np.array(_box_points(m.extras["level_box"], m.extras["level_exclusions"],
-                               max(10, ctx.samples // 2), ctx.subseed(rng)))
+    pts = _box_points(m.extras["level_box"], m.extras["level_exclusions"],
+                      max(10, ctx.samples // 2), ctx.subseed(rng))
     L2 = mechanics.constrain_and_reduce(L, m.fiber_index, probe_points=pts[:2])
     got = L2.matrix(pts[:, :4])
     want = reduction.quotient_metric(lm, m.extras["level_fiber"], m.invariant, pts)
@@ -666,18 +606,22 @@ def check_tn_mechanics(ctx, rng):
 
 
 def check_mech_roundtrip(ctx, rng):
-    worst = 0.0
     count = max(10, ctx.samples // 2)
+    by_dim = {}  # every matrix drawn in order, then one batch per dimension
     for _ in range(count):
         d = int(rng.integers(2, 5))
         Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
         M = (Q * np.exp(rng.uniform(-0.7, 0.7, size=d))) @ Q.T
-        M = 0.5 * (M + M.T)
+        by_dim.setdefault(d, []).append(0.5 * (M + M.T))
+    errors = []
+    for d, Ms in by_dim.items():
+        Ms = np.array(Ms)
+        # configuration k of the batch carries the k-th matrix (entries (B,))
         L = mechanics.QuadraticKinetic([f"q{i}" for i in range(d)],
-                                       lambda c, M=M: M)
-        Minv = mechanics.legendre_to_hamiltonian(L, [0.0] * d)
-        worst = worst_of(worst, float(np.max(np.abs(np.linalg.inv(Minv) - M))))
-    return worst, 1e-12, count, (
+                                       lambda c, S=np.moveaxis(Ms, 0, -1): S)
+        Minv = mechanics.legendre_to_hamiltonian(L, np.zeros((len(Ms), d)))
+        errors.append(_worst(np.linalg.inv(Minv), Ms))
+    return worst_of(*errors), 1e-12, count, (
         "Legendre transform is an involution on random SPD mass matrices"
     )
 
@@ -687,8 +631,7 @@ def check_mech_toy_matrix(ctx, rng):
     a = m.a
     L = mechanics.QuadraticKinetic(m.extras["level_chart"].names,
                                    m.extras["level_metric"].fn)
-    pts = np.array(_box_points(m.extras["level_box"], (), ctx.samples,
-                               ctx.subseed(rng)))
+    pts = _box_points(m.extras["level_box"], (), ctx.samples, ctx.subseed(rng))
     Minv = mechanics.legendre_to_hamiltonian(L, pts)
     r2 = pts[:, 0] * pts[:, 0]
     want = np.zeros_like(Minv)
@@ -710,9 +653,9 @@ def check_mech_conserved(ctx, rng):
         lm = m.extras["level_metric"]
         L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn)
         H = mechanics.hamiltonian_field(L)
-        pts = np.array(_box_points(m.extras["level_box"],
-                                   m.extras.get("level_exclusions", ()),
-                                   max(5, ctx.samples // 10), ctx.subseed(rng)))
+        pts = _box_points(m.extras["level_box"],
+                          m.extras.get("level_exclusions", ()),
+                          max(5, ctx.samples // 10), ctx.subseed(rng))
         # one draw of (B, dim) is the stream of B draws of dim
         s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
         for c in m.extras["level_cyclic"]:

@@ -13,9 +13,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
-from .jets import _JET_OF_ORDER, Jet, Jet2, _batch_shape, call_field
+from .jets import Jet, _batch_shape, call_field
 
 __all__ = [
     "Chart",
@@ -97,39 +98,48 @@ def _square_value(fn, p, sign):
 def _square_jet(fn, p, sign, order):
     """Jet-evaluate a matrix-valued field from one triangle.
 
-    Returns ``(V, D1, D2)`` with ``D1[P, M, N] = d_P V[M, N]`` and
-    ``D2[P, Q, M, N]`` the second derivatives, or ``D2 = None`` at
-    ``order=1``.  The triangle is lifted to jets of that order and packed
-    into one array; the array, not the jets, is mirrored.
+    Returns ``(V, D1, D2)`` with ``D1[..., P, M, N] = d_P V[..., M, N]`` and
+    ``D2[..., P, Q, M, N]`` the second derivatives, or ``D2 = None`` at
+    ``order=1``; the leading axis ``...`` is the batch of points (none for
+    one point).  The triangle is lifted to jets of that order and packed
+    into one array; the array, not the jets, is mirrored.  Constant entries
+    keep zero derivatives.
     """
-    dim = len(p)
-    cls = _JET_OF_ORDER[order]
-    second = cls is Jet2
+    batch = _batch_shape(p)
+    dim = len(p[0]) if batch else len(p)
+    second = order == 2
     raw = call_field(fn, p, order)
     d = len(raw)
-    width = 1 + dim + (dim * dim if second else 0)
-    packed = np.zeros((d, d, width), dtype=_point_dtype(p))
+    shape = (*batch, 1 + dim + (dim * dim if second else 0), d, d)
+    packed = (np.zeros(shape) if _point_dtype(p) is float
+              else np.full(shape, mpmath.mpf(0), dtype=object))
     for M, N, e in _triangle(raw, sign):
-        j = e if isinstance(e, Jet) else cls.constant(e, dim, like=p[0])
-        packed[M, N, 0] = j.value
-        packed[M, N, 1:dim + 1] = j.gradient
+        if not isinstance(e, Jet):
+            packed[..., 0, M, N] = e
+            continue
+        # a jet carries its point axis last, the packed array first
+        packed[..., 0, M, N] = e.value
+        packed[..., 1:dim + 1, M, N] = e.gradient.T
         if second:
-            packed[M, N, dim + 1:] = j.hessian.ravel()
-    full = mirror_triangle(np.moveaxis(packed, 2, 0), sign)
-    D2 = full[dim + 1:].reshape(dim, dim, d, d) if second else None
-    return full[0], full[1:dim + 1], D2
+            packed[..., dim + 1:, M, N] = e.hessian.reshape(dim * dim, *batch).T
+    full = mirror_triangle(packed, sign)
+    D2 = (full[..., dim + 1:, :, :].reshape(*full.shape[:-3], dim, dim, d, d)
+          if second else None)
+    return full[..., 0, :, :], full[..., 1:dim + 1, :, :], D2
 
 
 def _vector_jet(fn, p):
-    """Values ``V[M]`` and first derivatives ``D[P, M] = d_P V[M]`` of a vector-valued field."""
+    """Values ``V[..., M]`` and first derivatives ``D[..., P, M] = d_P V[..., M]``
+    of a vector-valued field; ``...`` is the batch of points, if any."""
     raw = call_field(fn, p, 1)
-    V = np.zeros(len(raw))
-    D = np.zeros((len(p), len(raw)))
+    batch = _batch_shape(p)
+    V = np.zeros((*batch, len(raw)))
+    D = np.zeros((*batch, len(p[0]) if batch else len(p), len(raw)))
     for M, e in enumerate(raw):
         if isinstance(e, Jet):
-            V[M], D[:, M] = e.value, e.gradient
+            V[..., M], D[..., M] = e.value, e.gradient.T
         else:
-            V[M] = e
+            V[..., M] = e
     return V, D
 
 
@@ -146,9 +156,10 @@ class MetricField:
 
     ``fn(coords)`` returns a nested sequence (or array) of components; only
     the upper triangle is read, the lower is mirrored, so symmetry is exact
-    by construction.  :meth:`value` takes one point ``(d,)`` or a batch
-    ``(B, d)`` and returns ``(d, d)`` or ``(B, d, d)``; constant components
-    broadcast over the batch.
+    by construction.  :meth:`value` and :meth:`jet` take one point ``(d,)``
+    or a batch ``(B, d)``; a batch puts its point axis first on every
+    returned array (``(B, d, d)``, ``(B, d, d, d)``, ...), and constant
+    components broadcast over it.
     """
 
     def __init__(self, chart, fn, name=""):
@@ -166,8 +177,9 @@ class MetricField:
     def jet(self, p, order=2):
         """``(V, D1, D2)``: components and their first and second derivatives.
 
-        ``D1[P, M, N] = d_P g_MN`` and ``D2[P, Q, M, N] = d_P d_Q g_MN``;
-        ``order=1`` skips the second derivatives and returns ``D2 = None``.
+        ``D1[..., P, M, N] = d_P g_MN`` and ``D2[..., P, Q, M, N] = d_P d_Q
+        g_MN``, ``...`` the batch axis if any; ``order=1`` skips the second
+        derivatives and returns ``D2 = None``.
         """
         return _square_jet(self.fn, p, +1, order)
 
@@ -182,6 +194,8 @@ class FormField:
     Degree 2: ``fn`` returns the coefficient matrix ``w_MN`` of
     ``sum_{M<N} w_MN dx^M ^ dx^N``; only the strict upper triangle is read
     and the lower mirror carries the opposite sign, so antisymmetry is exact.
+    :meth:`value` and :meth:`jet` take one point or a batch ``(B, d)``, as
+    for :class:`MetricField`.
     """
 
     def __init__(self, chart, degree, fn, name=""):
@@ -204,9 +218,9 @@ class FormField:
     def jet(self, p):
         """``(V, D1, None)``: components and their first derivatives at ``p``.
 
-        ``D1[P, M] = d_P a_M`` for a 1-form and ``D1[P, M, N] = d_P w_MN``
-        for a 2-form.  No caller reads second derivatives of a form, so
-        none are computed; the third slot is always ``None``.
+        ``D1[..., P, M] = d_P a_M`` for a 1-form and ``D1[..., P, M, N] =
+        d_P w_MN`` for a 2-form.  No caller reads second derivatives of a
+        form, so none are computed; the third slot is always ``None``.
         """
         if self.degree == 1:
             return (*_vector_jet(self.fn, p), None)
@@ -227,8 +241,8 @@ def constant_form(chart, matrix, name=""):
 class VectorFieldR:
     """Real vector field ``V^M`` on a chart.
 
-    :meth:`value` takes one point ``(d,)`` or a batch ``(B, d)`` and
-    returns ``(d,)`` or ``(B, d)``.
+    :meth:`value` and :meth:`jet` take one point ``(d,)`` or a batch
+    ``(B, d)`` and put the point axis of a batch first.
     """
 
     def __init__(self, chart, fn, name=""):
@@ -244,7 +258,7 @@ class VectorFieldR:
         return _vector_value(self.fn, p)
 
     def jet(self, p):
-        """Component values and first derivatives ``dV[P, M] = d_P V^M``."""
+        """Component values and first derivatives ``dV[..., P, M] = d_P V^M``."""
         return _vector_jet(self.fn, p)
 
     def __repr__(self):
@@ -252,7 +266,10 @@ class VectorFieldR:
 
 
 class EmbeddingMap:
-    """Smooth map between charts, with jet-derived Jacobian."""
+    """Smooth map between charts, with jet-derived Jacobian.
+
+    :meth:`value` and :meth:`jacobian` take one point or a batch ``(B, d)``.
+    """
 
     def __init__(self, source, target, fn, name=""):
         self.source = source
@@ -269,8 +286,8 @@ class EmbeddingMap:
         return out
 
     def jacobian(self, p):
-        """``J[M, m] = d phi^M / d x^m`` (target index first)."""
-        return np.ascontiguousarray(_vector_jet(self.fn, p)[1].T)
+        """``J[..., M, m] = d phi^M / d x^m`` (target index first)."""
+        return np.ascontiguousarray(np.swapaxes(_vector_jet(self.fn, p)[1], -1, -2))
 
     def __repr__(self):
         return f"EmbeddingMap({self.name or (str(self.source) + ' -> ' + str(self.target))})"

@@ -16,9 +16,14 @@ twice the sectional value); with this normalisation the rotationally
 symmetric reductions built in :mod:`hkgeo.models` integrate to their
 expected topological count via :func:`euler_characteristic`.
 
-Inverse-metric contractions go through a Cholesky factorisation, so a
+Inverse-metric contractions are guarded by a Cholesky factorisation, so a
 non-positive-definite metric surfaces as a :class:`MetricDomainError`
 instead of a silent wrong answer.
+
+:func:`christoffel`, :func:`covariant_derivative_02` and
+:func:`killing_deviation` take one point ``(d,)`` or a batch ``(B, d)``
+(point axis first on the output; errors name the first failing point).
+The curvature chain takes one point, float64 or 40-digit.
 """
 
 from __future__ import annotations
@@ -28,10 +33,9 @@ import math
 import mpmath
 import numpy as np
 import scipy.integrate
-import scipy.linalg
 
 from .fields import mirror_triangle
-from .jets import fd_oracle, solve
+from .jets import fd_oracle, first_failure, solve
 
 __all__ = [
     "MetricDomainError",
@@ -58,20 +62,41 @@ class DivergenceError(RuntimeError):
     """Improper curvature integral did not converge to tolerance."""
 
 
+def _finite_per_matrix(fn, a):
+    """Per matrix ``a[..., :, :]``, whether ``fn`` returns finite values
+    (``LinAlgError`` counts as not): names the failing point of a stack."""
+    def ok(m):
+        try:
+            return bool(np.isfinite(fn(m)).all())
+        except np.linalg.LinAlgError:
+            return False
+
+    return np.reshape([ok(m) for m in a.reshape(-1, *a.shape[-2:])], a.shape[:-2])
+
+
 def _solve(gv, B):
     """Solve ``gv @ X = B`` for SPD ``gv``; dtype-generic.
 
-    A metric that is not positive definite raises :class:`MetricDomainError`;
-    float metrics are factored once by Cholesky, mpmath ones are checked by
-    a float64 Cholesky and then eliminated at full precision.
+    A metric that is not positive definite (NaN included) raises
+    :class:`MetricDomainError`.  Float metrics ``(..., d, d)`` are guarded
+    by a Cholesky factorisation and solved by LU, both broadcasting (the
+    error names the first failing point); mpmath ones are checked by a
+    float64 Cholesky and then eliminated at full precision.
     """
+    if gv.dtype == object:
+        try:
+            np.linalg.cholesky(gv.astype(float))
+        except np.linalg.LinAlgError as err:
+            raise MetricDomainError(f"metric not positive definite: {err}") from err
+        return np.array(solve(gv, B), dtype=object)
     try:
-        if gv.dtype != object:
-            return scipy.linalg.cho_solve(scipy.linalg.cho_factor(gv), B)
-        np.linalg.cholesky(gv.astype(float))
-    except np.linalg.LinAlgError as err:
-        raise MetricDomainError(f"metric not positive definite: {err}") from err
-    return np.array(solve(gv, B), dtype=object)
+        ok = np.isfinite(np.linalg.cholesky(gv)).all(axis=(-2, -1))
+    except np.linalg.LinAlgError:
+        ok = _finite_per_matrix(np.linalg.cholesky, gv)
+    failure = first_failure(ok)
+    if failure is not None:
+        raise MetricDomainError(f"metric not positive definite{failure[1]}")
+    return np.linalg.solve(gv, B)
 
 
 def _det(gv):
@@ -89,13 +114,13 @@ def _lowered_christoffel(dg):
 
 
 def _christoffel_from(gv, dg):
-    d = gv.shape[0]
+    d = gv.shape[-1]
     T = _lowered_christoffel(dg)
-    return _solve(gv, T.reshape(d, d * d)).reshape(d, d, d)
+    return _solve(gv, T.reshape(*T.shape[:-3], d, d * d)).reshape(T.shape)
 
 
 def christoffel(g, p):
-    """``Gamma^S_{MN}`` of ``g`` at ``p`` from jet derivatives."""
+    """``G[..., S, M, N] = Gamma^S_{MN}`` of ``g`` at ``p`` from jet derivatives."""
     gv, dg, _ = g.jet(p, order=1)
     return _christoffel_from(gv, dg)
 
@@ -188,16 +213,17 @@ def covariant_derivative_02(g, T, p):
     """``nabla_P T_{MN}`` of a rank-(0,2) field along ``g``'s connection."""
     G = christoffel(g, p)
     Tv, dT, _ = T.jet(p)
-    return (dT - np.einsum("spm,sn->pmn", G, Tv)
-            - np.einsum("spn,ms->pmn", G, Tv))
+    return (dT - np.einsum("...spm,...sn->...pmn", G, Tv)
+            - np.einsum("...spn,...ms->...pmn", G, Tv))
 
 
 def killing_deviation(g, V, p):
     """Lie derivative ``(L_V g)_{MN}``; identically zero iff V is Killing."""
     gv, dg, _ = g.jet(p, order=1)
     Vv, dV = V.jet(p)
-    return (np.einsum("p,pmn->mn", Vv, dg) + np.einsum("pn,mp->mn", gv, dV)
-            + np.einsum("mp,np->mn", gv, dV))
+    return (np.einsum("...p,...pmn->...mn", Vv, dg)
+            + np.einsum("...pn,...mp->...mn", gv, dV)
+            + np.einsum("...mp,...np->...mn", gv, dV))
 
 
 def euler_characteristic(g, period=2 * math.pi, r_scale=1.0, quad_tol=1e-8,

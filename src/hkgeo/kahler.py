@@ -337,39 +337,24 @@ def realify(h):
     return g
 
 
-def _wedge_add(T, a, b, c):
-    T[a, b] += c
-    T[b, a] -= c
+def _interleaved(uu, vv, uv, vu):
+    """Real ``2n x 2n`` coefficients from the four ``du``/``dv`` blocks."""
+    n = uu.shape[0]
+    T = np.zeros((2 * n, 2 * n))
+    T[0::2, 0::2], T[1::2, 1::2], T[0::2, 1::2], T[1::2, 0::2] = uu, vv, uv, vu
+    return T
 
 
 def _mixed_form_to_real(F):
     """Realify ``sum_{m,q} F_mq dz^m ^ dzbar^q`` (F anti-Hermitian)."""
-    n = F.shape[0]
-    T = np.zeros((2 * n, 2 * n))
-    for m in range(n):
-        for q in range(n):
-            re, im = F[m, q].real, F[m, q].imag
-            um, vm, uq, vq = 2 * m, 2 * m + 1, 2 * q, 2 * q + 1
-            _wedge_add(T, um, uq, re)
-            _wedge_add(T, vm, vq, re)
-            _wedge_add(T, vm, uq, -im)
-            _wedge_add(T, um, vq, +im)
-    return T
+    R, I = F.real, F.imag
+    return _interleaved(R - R.T, R - R.T, I + I.T, -(I + I.T))
 
 
 def _pair_form_to_real(P):
     """Realify ``sum_{m<q} (P_mq dz^m ^ dz^q + conj)`` (P antisymmetric)."""
-    n = P.shape[0]
-    T = np.zeros((2 * n, 2 * n))
-    for m in range(n):
-        for q in range(m + 1, n):
-            re, im = P[m, q].real, P[m, q].imag
-            um, vm, uq, vq = 2 * m, 2 * m + 1, 2 * q, 2 * q + 1
-            _wedge_add(T, um, uq, 2 * re)
-            _wedge_add(T, vm, vq, -2 * re)
-            _wedge_add(T, um, vq, -2 * im)
-            _wedge_add(T, vm, uq, -2 * im)
-    return T
+    U, W = np.triu(2 * P.real, 1), np.triu(-2 * P.imag, 1)
+    return _interleaved(U - U.T, U.T - U, W - W.T, W - W.T)
 
 
 @dataclass(frozen=True)
@@ -452,8 +437,7 @@ def spin_connection_trace(hfield, p):
         raise MetricDomainError(f"Hermitian metric not positive definite at {p}") from err
     greal = hfield.real_metric()
     gv, dg, _ = greal.jet(p, order=1)
-    d = gv.shape[0]
-    t = np.array([np.trace(np.linalg.solve(gv, dg[P])) for P in range(d)])
+    t = np.trace(np.linalg.solve(gv, dg), axis1=-2, axis2=-1)
     return (t[0::2] - 1j * t[1::2]) / 8.0, (t[0::2] + 1j * t[1::2]) / 8.0
 
 

@@ -226,16 +226,9 @@ def poisson_bracket(f, g, s):
 
 
 def _probe_momenta(d):
-    probes = []
-    for j in range(d):
-        e = [0.0] * d
-        e[j] = 1.0
-        probes.append(e)
-        for k in range(j + 1, d):
-            ee = list(e)
-            ee[k] = 1.0
-            probes.append(ee)
-    return probes
+    """``e_j`` followed by ``e_j + e_k`` for every ``k > j``, for each ``j``."""
+    eye = np.eye(d)
+    return [eye[j] + (eye[k] if k > j else 0.0) for j in range(d) for k in range(j, d)]
 
 
 def constrain_and_reduce(L, fiber_index, probe_points=None, tol=1e-10):

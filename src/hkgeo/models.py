@@ -387,7 +387,7 @@ def gh_flat(a=1.0):
             "to_cartesian": EmbeddingMap(chart, cart, _inverse_var_change_fn,
                                          name="(x, Psi) -> y"),
         },
-        targets={"radius": lambda y: float(sum(v * v for v in y))},
+        targets={"radius": lambda y: np.sum(np.square(y), axis=-1)},
         box=((*_CART,), (*_CART,), (*_CART,), (*_ANGLE,)),
         exclusions=(_string_exclusion(),),
         cyclic=(3,),
@@ -546,29 +546,46 @@ def r8_parent(a=1.0):
     )
 
 
+def _gauge_checked(x):
+    """``x`` as a float array ``(3,)`` or ``(B, 3)``, checked against the domain
+    rule of :func:`monopole_potential` (the error names the first bad point)."""
+    x = np.asarray(x, dtype=float)
+    r = np.sqrt(np.sum(x * x, axis=-1))
+    failure = jets.first_failure((r > 0.0) & (r + x[..., 2] > 1e-8 * r), x)
+    if failure is not None:
+        raise SingularGaugeError(f"monopole gauge singular{failure[1]}")
+    return x
+
+
 def taub_nut_metric(x, a=1.0):
     """Closed-form quotient metric over ``(x, chi)`` at the 3-point ``x``.
 
     ``ds^2 = (s/4) dx.dx + (d chi + A.dx)^2 / (4 s)`` with
-    ``s = 1/r + 1/a^2``; monopole gauge preconditions apply.
+    ``s = 1/r + 1/a^2``; monopole gauge preconditions apply.  ``x`` may be
+    a batch ``(B, 3)``, giving ``(B, 4, 4)``.
     """
     a = _check_a(a)
-    A = monopole_potential(x)  # raises off-domain
-    r = math.sqrt(sum(float(v) ** 2 for v in x))
+    x = _gauge_checked(x)
+    r, A1, A2 = _monopole_terms(x[..., 0], x[..., 1], x[..., 2])
     s = 1.0 / r + 1.0 / (a * a)
-    b = np.array([A[0], A[1], 0.0, 1.0])
-    g = np.outer(b, b) / (4.0 * s)
-    g[:3, :3] += np.diag([s / 4.0] * 3)
+    b = np.stack(np.broadcast_arrays(A1, A2, 0.0, 1.0), axis=-1)
+    g = b[..., :, None] * b[..., None, :] / np.expand_dims(4.0 * s, (-2, -1))
+    for m in range(3):
+        g[..., m, m] += s / 4.0
     return g
 
 
 def taub_nut_triple(x, a=1.0):
-    """The three quotient 2-forms at ``x``: flat forms with ``1/r -> 1/r + 1/a^2``."""
+    """The three quotient 2-forms at ``x``: flat forms with ``1/r -> 1/r + 1/a^2``.
+
+    ``x`` may be a batch ``(B, 3)``, giving three ``(B, 4, 4)`` arrays.
+    """
     a = _check_a(a)
-    monopole_potential(x)  # domain check
-    fns = _xpsi_triple_fns(lambda r: 1.0 / r + 1.0 / (a * a))
-    p = [float(v) for v in x] + [0.0]
-    return tuple(mirror_triangle(fn(p), -1) for fn in fns)
+    x = _gauge_checked(x)
+    p = np.concatenate([x, np.zeros((*x.shape[:-1], 1))], axis=-1)
+    chart = Chart(("x1", "x2", "x3", "chi"))
+    return tuple(FormField(chart, 2, fn).value(p)
+                 for fn in _xpsi_triple_fns(lambda r: 1.0 / r + 1.0 / (a * a)))
 
 
 def taub_nut(a=1.0):

@@ -16,6 +16,11 @@ fiber component cancels -- a condition that is checked, not assumed.
 Coefficient conventions follow :class:`~hkgeo.fields.FormField`: a 2-form
 is the antisymmetric matrix of displayed wedge coefficients, and the
 contraction is ``(i_V w)_M = w_MN V^N``.
+
+Every pointwise operation here takes one point ``(d,)`` or a batch
+``(B, d)`` (matrices and tensors with a leading point axis where values
+are passed in), puts the point axis of a batch first on its output and
+names the first failing point of a batch in its errors.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .fields import FormField, MetricField, VectorFieldR, mirror_triangle
-from .geometry import DivergenceError, MetricDomainError, killing_deviation
-from .jets import first_failure, worst_of
+from .fields import FormField, MetricField, VectorFieldR, _triangle
+from .geometry import (DivergenceError, MetricDomainError, _finite_per_matrix,
+                       killing_deviation)
+from .jets import first_failure
 
 __all__ = [
     "NotExactError",
@@ -88,7 +94,7 @@ def contract(form, V, p):
         raise ValueError("contraction is defined here for degree-2 forms")
     W = form.value(p)
     v = V.value(p) if isinstance(V, VectorFieldR) else np.asarray(V, dtype=float)
-    return W @ v
+    return (W @ v[..., None])[..., 0]
 
 
 def contraction_field(form, V, name=""):
@@ -99,17 +105,14 @@ def contraction_field(form, V, name=""):
     vfn = _as_vector_fn(V, d)
 
     def fn(coords):
-        W = mirror_triangle(form.fn(coords), -1)
+        # w_MN V^N over the strict upper triangle, with w_NM = -w_MN; each
+        # row still sums in the order N = 0, 1, ..., and exact zeros are skipped
         v = vfn(coords)
-        out = []
-        for M in range(d):
-            s = 0.0
-            for N in range(d):
-                w = W[M, N]
-                if isinstance(w, float) and w == 0.0:
-                    continue
-                s = s + w * v[N]
-            out.append(s)
+        out = [0.0] * d
+        for M, N, w in _triangle(form.fn(coords), -1):
+            if not (isinstance(w, float) and w == 0.0):
+                out[M] = out[M] + w * v[N]
+                out[N] = out[N] - w * v[M]
         return out
 
     return FormField(form.chart, 1, fn, name=name or f"i_V {form.name}")
@@ -125,8 +128,8 @@ def exterior_derivative(form, p):
     """
     _, D1, _ = form.jet(p)
     if form.degree == 1:
-        return D1 - D1.T
-    return D1 + np.einsum("npm->mnp", D1) + np.einsum("pmn->mnp", D1)
+        return D1 - np.swapaxes(D1, -1, -2)
+    return D1 + np.einsum("...npm->...mnp", D1) + np.einsum("...pmn->...mnp", D1)
 
 
 def recover_moment_map(alpha, base, p, base_value=0.0, closure_tol=1e-6,
@@ -136,23 +139,24 @@ def recover_moment_map(alpha, base, p, base_value=0.0, closure_tol=1e-6,
     Returns ``base_value + integral``, the potential normalised to the
     declared value at ``base``.  Closedness of ``alpha`` is verified at
     points along the segment first (residual of the exterior derivative
-    above ``closure_tol`` raises :class:`NotExactError`); the quadrature
-    must converge to absolute error below ``quad_tol`` or
-    :class:`~hkgeo.geometry.DivergenceError` is raised.
+    above ``closure_tol``, or NaN, raises :class:`NotExactError`; the five
+    points are one batch); the quadrature must converge to absolute error
+    below ``quad_tol`` or :class:`~hkgeo.geometry.DivergenceError` is
+    raised.
     """
     base = np.asarray(base, dtype=float)
     p = np.asarray(p, dtype=float)
     if base.shape != p.shape:
         raise ValueError("base and target points live on different charts")
-    for t in np.linspace(0.0, 1.0, 5):
-        q = base + t * (p - base)
-        res = float(np.max(np.abs(exterior_derivative(alpha, q))))
-        if res > closure_tol:
-            raise NotExactError(
-                f"form is not closed along the path (residual {res:.3e} at t={t:.2f})",
-                residual=res,
-            )
     delta = p - base
+    ts = np.linspace(0.0, 1.0, 5)
+    res = np.max(np.abs(exterior_derivative(alpha, base + ts[:, None] * delta)),
+                 axis=(-2, -1))
+    failure = first_failure(res <= closure_tol)  # written so that NaN fails
+    if failure is not None:
+        k = failure[0]
+        raise NotExactError(f"form is not closed along the path (residual "
+                            f"{res[k]:.3e} at t={ts[k]:.2f})", residual=float(res[k]))
 
     def integrand(t):
         return float(alpha.value(base + t * delta) @ delta)
@@ -167,10 +171,12 @@ def recover_moment_map(alpha, base, p, base_value=0.0, closure_tol=1e-6,
 
 
 def _jacobian_checked(phi, p):
+    """Jacobian of ``phi`` at ``p``; warns at the first rank-deficient point."""
     J = phi.jacobian(p)
-    if np.linalg.matrix_rank(J) < phi.source.dim:
+    failure = first_failure(np.linalg.matrix_rank(J) >= phi.source.dim, p)
+    if failure is not None:
         warnings.warn(
-            f"jacobian of {phi.name or 'map'} is rank deficient at {list(p)}",
+            f"jacobian of {phi.name or 'map'} is rank deficient{failure[1]}",
             DegeneratePullbackWarning,
             stacklevel=3,
         )
@@ -181,7 +187,7 @@ def pullback_metric(g, phi, p):
     """``(phi* g)_mn = d_m phi^M d_n phi^N g_MN`` at the source point ``p``."""
     J = _jacobian_checked(phi, p)
     gv = g.value(phi.value(p))
-    return J.T @ gv @ J
+    return np.swapaxes(J, -1, -2) @ gv @ J
 
 
 def pullback_form(form, phi, p):
@@ -189,8 +195,8 @@ def pullback_form(form, phi, p):
     J = _jacobian_checked(phi, p)
     W = form.value(phi.value(p))
     if form.degree == 1:
-        return J.T @ W
-    return J.T @ W @ J
+        return (np.swapaxes(J, -1, -2) @ W[..., None])[..., 0]
+    return np.swapaxes(J, -1, -2) @ W @ J
 
 
 def quotient_metric(g, V, invariant, p):
@@ -220,38 +226,47 @@ def quotient_form(form, fiber_index, invariant, p, tol=1e-10):
     """Invariant block of a form whose fiber components cancel.
 
     The cancellation is a theorem for the pipelines assembled here, so a
-    fiber component above ``tol`` means the input is wrong and raises
-    :class:`ObstructionError` (with the offending residual) instead of
-    being projected away silently.
+    fiber component above ``tol`` (or NaN) means the input is wrong and
+    raises :class:`ObstructionError` (with the offending residual, at the
+    first such point of a batch) instead of being projected away silently.
+    ``form`` is a :class:`~hkgeo.fields.FormField` or its values
+    ``(..., d, d)`` at ``p``.
     """
     W = form.value(p) if isinstance(form, FormField) else np.asarray(form, dtype=float)
-    residual = float(np.max(np.abs(W[fiber_index, :])))
-    if residual > tol:
+    residual = np.max(np.abs(W[..., fiber_index, :]), axis=-1)
+    failure = first_failure(residual <= tol, p)  # written so that NaN fails
+    if failure is not None:
+        k, where = failure
+        worst = float(residual[() if k is None else k])
         raise ObstructionError(
             f"fiber components of {getattr(form, 'name', 'form') or 'form'} do not "
-            f"cancel (max {residual:.3e} > {tol:.1e})",
-            residual=residual,
+            f"cancel (max {worst:.3e} > {tol:.1e}){where}",
+            residual=worst,
         )
     idx = np.asarray(invariant, dtype=int)
-    return W[np.ix_(idx, idx)]
+    return W[..., idx[:, None], idx]
 
 
 def complex_structure(gv, W):
     """Mixed structure ``X = -g^{-1} W`` raised from a 2-form value.
 
     The sign is the one in which ``w(U, V) = g(XU, V)``; with it the flat
-    triple satisfies ``I J = K``.  A singular ``gv`` raises
-    :class:`~hkgeo.geometry.MetricDomainError`.
+    triple satisfies ``I J = K``.  ``gv`` and ``W`` are ``(d, d)`` or
+    stacks ``(..., d, d)``.  A singular ``gv`` raises
+    :class:`~hkgeo.geometry.MetricDomainError` naming the first singular
+    point of a stack.
     """
     try:
         return -np.linalg.solve(gv, W)
     except np.linalg.LinAlgError as err:
-        raise MetricDomainError(f"cannot raise a 2-form with a singular metric: {err}") from err
+        failure = first_failure(_finite_per_matrix(np.linalg.inv, gv)) or (None, "")
+        raise MetricDomainError(
+            f"cannot raise a 2-form with a singular metric{failure[1]}: {err}") from err
 
 
 def raise_first_index(gv, T):
-    """Raise the first lower index of ``T[P, M, N]`` slices with ``gv``."""
-    return np.stack([np.linalg.solve(gv, T[P]) for P in range(T.shape[0])])
+    """Raise the first lower index of each slice ``T[..., P, :, :]`` with ``gv``."""
+    return np.linalg.solve(gv[..., None, :, :], T)
 
 
 @dataclass(frozen=True)
@@ -271,21 +286,15 @@ class ReductionSpec:
     fiber_index: int
 
     def validate(self, points, closed_tol=1e-8, killing_tol=1e-10):
-        """Check the declared symmetry at ``points``.
+        """Check the declared symmetry at ``points`` (a batch ``(B, d)``).
 
         Returns the worst Killing deviation of the parent metric and the
         worst closedness residual of each contracted form; raises nothing,
         callers assert on the numbers.
         """
-        worst_killing = 0.0
-        for p in points:
-            dev = killing_deviation(self.parent_metric, self.killing, p)
-            worst_killing = worst_of(worst_killing, float(np.max(np.abs(dev))))
-        worst_closed = []
-        for form in self.parent_forms:
-            alpha = contraction_field(form, self.killing)
-            w = 0.0
-            for p in points:
-                w = worst_of(w, float(np.max(np.abs(exterior_derivative(alpha, p)))))
-            worst_closed.append(w)
-        return worst_killing, worst_closed
+        points = np.asarray(points, dtype=float)
+        dev = killing_deviation(self.parent_metric, self.killing, points)
+        worst_closed = [float(np.max(np.abs(exterior_derivative(
+            contraction_field(form, self.killing), points))))  # np.max keeps NaN
+            for form in self.parent_forms]
+        return float(np.max(np.abs(dev))), worst_closed

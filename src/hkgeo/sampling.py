@@ -64,25 +64,29 @@ class SampleSpec:
 def sample_points(spec: SampleSpec) -> list[np.ndarray]:
     """Draw ``spec.count`` points uniformly from the box, honouring exclusions.
 
-    Candidates are drawn one at a time, coordinate by coordinate, so the
-    accepted sequence is a pure function of the seed.  If the exclusion
+    Candidates come coordinate by coordinate from one stream, so the
+    accepted sequence is a pure function of the seed; a block of as many
+    candidates as points are missing is that stream, used to its end, and
+    each candidate meets the exclusions on its own.  If the exclusion
     predicates reject more than ``10 * count`` candidates a
     :class:`SamplingExhaustedError` is raised; that usually means the box and
     the guards disagree.
     """
     rng = np.random.default_rng(spec.seed)
+    lo, hi = np.asarray(spec.box, dtype=float).T
     out: list[np.ndarray] = []
     rejected = 0
     budget = 10 * spec.count
     while len(out) < spec.count:
-        candidate = np.array([rng.uniform(lo, hi) for lo, hi in spec.box])
-        if any(excl(candidate) for excl in spec.exclusions):
-            rejected += 1
-            if rejected > budget:
-                raise SamplingExhaustedError(
-                    f"rejected {rejected} candidates for {spec.count} requested points; "
-                    f"exclusions {[e.name for e in spec.exclusions]} are too tight for the box"
-                )
-            continue
-        out.append(candidate)
+        for candidate in rng.uniform(lo, hi, size=(spec.count - len(out), spec.dim)):
+            if any(excl(candidate) for excl in spec.exclusions):
+                rejected += 1
+                if rejected > budget:
+                    raise SamplingExhaustedError(
+                        f"rejected {rejected} candidates for {spec.count} requested "
+                        f"points; exclusions {[e.name for e in spec.exclusions]} are "
+                        "too tight for the box"
+                    )
+                continue
+            out.append(candidate)
     return out

@@ -1,15 +1,17 @@
 """The batch axis: a batch of points gives what its points give one at a time.
 
-Every comparison is bit for bit (``tobytes`` equality), on the toy 3-chart
-and the 5-chart of the R^8 -> Taub-NUT reduction, and every fault in a
-batch names the first point that has it.
+Field values, jets and everything built from them without a linear solve
+are compared bit for bit (``tobytes`` equality); results that go through a
+solve (connections, covariant derivatives, raised indices) agree to a few
+ulp.  Every fault in a batch names the first point that has it.
 """
 
 import mpmath
 import numpy as np
 import pytest
 
-from hkgeo import models
+from hkgeo import checks, geometry, models, reduction
+from hkgeo.geometry import MetricDomainError
 from hkgeo.jets import EvaluationError, Jet1, Jet2, evaluate_jet, solve
 from hkgeo.mechanics import (
     DegenerateLagrangianError,
@@ -21,7 +23,8 @@ from hkgeo.mechanics import (
     momentum_field,
     poisson_bracket,
 )
-from hkgeo.reduction import DegenerateFiberError, quotient_metric
+from hkgeo.reduction import DegenerateFiberError, ObstructionError, quotient_metric
+from hkgeo.sampling import SampleSpec, sample_points
 
 MODELS = ["toy-parent", "r8-parent"]
 
@@ -149,3 +152,205 @@ def test_mp40_jet2_product_matches_outer_products():
         assert list(got.gradient) == list(b.gradient * a.value + a.gradient * b.value)
         assert got.hessian.dtype == object
         assert got.hessian.tolist() == want.tolist()
+
+
+# -- fields, geometry and reduction over every registry model ---------------
+
+
+def batch_of(box, exclusions=(), count=24, seed=9):
+    spec = SampleSpec(np.asarray(box, dtype=float), count, seed, tuple(exclusions))
+    return np.array(sample_points(spec))
+
+
+def model_batch(name):
+    m = models.build(name, 1.0)
+    return m, batch_of(m.box, m.exclusions)
+
+
+def stacked(fn, pts):
+    return np.stack([fn(p) for p in pts])
+
+
+def few_ulp(batch, singles, ulps=4):
+    """Agreement to ``ulps`` units in the last place of the largest entry."""
+    a, b = np.asarray(batch), np.asarray(singles)
+    assert a.shape == b.shape
+    scale = max(1.0, float(np.max(np.abs(b))))
+    assert float(np.max(np.abs(a - b))) <= ulps * np.finfo(float).eps * scale
+
+
+def embeddings_with_points():
+    """Every registry embedding with a batch from its source chart's box.
+
+    The two maps of gh-flat call atan2, sin and cos, which come from numpy on
+    a batch and from ``math`` at a point, so they are held to a few ulp.
+    """
+    toy, gh, r8 = (models.build(n, 1.0) for n in ("toy-parent", "gh-flat", "r8-parent"))
+    return [
+        (toy, toy.embeddings["level"], batch_of(toy.extras["level_box"]), same_bits),
+        (gh, gh.embeddings["to_monopole"],
+         batch_of(gh.extras["cart_box"], gh.extras["cart_exclusions"]), few_ulp),
+        (gh, gh.embeddings["to_cartesian"], batch_of(gh.box, gh.exclusions), few_ulp),
+        (r8, r8.embeddings["level"],
+         batch_of(r8.extras["level_box"], r8.extras["level_exclusions"]), same_bits),
+    ]
+
+
+@pytest.mark.parametrize("name", models.MODEL_NAMES)
+def test_field_jets_batch_equal_single(name):
+    m, pts = model_batch(name)
+    for order in (1, 2):
+        got = m.metric.jet(pts, order=order)
+        for k, part in enumerate(got):
+            if part is not None:
+                same_bits(part, stacked(lambda p: m.metric.jet(p, order=order)[k], pts))
+    same_bits(m.metric.value(pts), stacked(m.metric.value, pts))
+    fields = list(m.forms.values()) + [
+        reduction.contraction_field(f, V) for f in m.forms.values()
+        for V in m.killing.values()]
+    assert any(f.degree == 1 for f in fields) == bool(m.forms)
+    for f in fields:
+        V, D1, none = f.jet(pts)
+        assert none is None
+        same_bits(V, stacked(lambda p: f.jet(p)[0], pts))
+        same_bits(D1, stacked(lambda p: f.jet(p)[1], pts))
+        same_bits(f.value(pts), stacked(f.value, pts))
+    for X in m.killing.values():
+        for k in (0, 1):
+            same_bits(X.jet(pts)[k], stacked(lambda p: X.jet(p)[k], pts))
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_jacobians_and_pullbacks_batch_equal_single(case):
+    m, phi, pts, equal = embeddings_with_points()[case]
+    equal(phi.jacobian(pts), stacked(phi.jacobian, pts))
+    equal(phi.value(pts), stacked(phi.value, pts))
+    target = m.metric if phi.target == m.chart else m.extras["cart_metric"]
+    forms = m.forms if phi.target == m.chart else m.extras["cart_forms"]
+    equal(reduction.pullback_metric(target, phi, pts),
+          stacked(lambda p: reduction.pullback_metric(target, phi, p), pts))
+    for f in forms.values():
+        W = reduction.pullback_form(f, phi, pts)
+        equal(W, stacked(lambda p: reduction.pullback_form(f, phi, p), pts))
+        if phi.name.endswith("level set"):
+            same_bits(reduction.quotient_form(W, m.fiber_index, m.invariant, pts),
+                      [reduction.quotient_form(w, m.fiber_index, m.invariant, p)
+                       for w, p in zip(W, pts)])
+
+
+@pytest.mark.parametrize("name", models.MODEL_NAMES)
+def test_geometry_batch_equal_single(name):
+    m, pts = model_batch(name)
+    g = m.metric
+    few_ulp(geometry.christoffel(g, pts),
+            stacked(lambda p: geometry.christoffel(g, p), pts))
+    for V in m.killing.values():
+        same_bits(geometry.killing_deviation(g, V, pts),
+                  stacked(lambda p: geometry.killing_deviation(g, V, p), pts))
+    gv = g.value(pts)
+    for f in m.forms.values():
+        dW = geometry.covariant_derivative_02(g, f, pts)
+        few_ulp(dW, stacked(lambda p: geometry.covariant_derivative_02(g, f, p), pts))
+        few_ulp(reduction.raise_first_index(gv, dW),
+                [reduction.raise_first_index(a, b) for a, b in zip(gv, dW)])
+        W = f.value(pts)
+        few_ulp(reduction.complex_structure(gv, W),
+                [reduction.complex_structure(a, b) for a, b in zip(gv, W)])
+        same_bits(reduction.exterior_derivative(f, pts),
+                  stacked(lambda p: reduction.exterior_derivative(f, p), pts))
+        for V in m.killing.values():
+            same_bits(reduction.contract(f, V, pts),
+                      stacked(lambda p: reduction.contract(f, V, p), pts))
+
+
+def test_non_spd_metric_names_the_point():
+    g = models.MetricField(models.Chart(("x", "y")),
+                           lambda c: [[c[0], 0.0], [None, 1.0]], name="sign change")
+    pts = np.array([[1.0, 0.0], [2.0, 1.0], [-0.5, 0.0], [-1.0, 0.0]])
+    with pytest.raises(MetricDomainError, match="point 2"):
+        geometry.christoffel(g, pts)
+    with pytest.raises(MetricDomainError, match="point 1"):
+        geometry.christoffel(g, np.array([[1.0, 0.0], [np.nan, 0.0]]))
+
+
+def test_singular_complex_structure_names_the_point():
+    gv = np.stack([np.eye(2), 2 * np.eye(2), np.zeros((2, 2)), np.eye(2)])
+    W = np.broadcast_to([[0.0, 1.0], [-1.0, 0.0]], gv.shape)
+    with pytest.raises(MetricDomainError, match="point 2"):
+        reduction.complex_structure(gv, W)
+
+
+def test_non_cancelling_fiber_names_the_point():
+    W = np.zeros((5, 3, 3))
+    W[3, 1, 0], W[3, 0, 1] = 1e-3, -1e-3  # a fiber component at point 3
+    pts = np.zeros((5, 3))
+    with pytest.raises(ObstructionError, match="point 3") as exc:
+        reduction.quotient_form(W, 1, (0, 2), pts)
+    assert exc.value.residual == 1e-3
+    W[3] = np.nan  # NaN fails the cancellation too
+    with pytest.raises(ObstructionError, match="point 3"):
+        reduction.quotient_form(W, 1, (0, 2), pts)
+
+
+def test_one_nan_point_in_a_batch_fails_its_row(monkeypatch):
+    real = reduction.quotient_metric
+
+    def nan_at_point_3(*args):
+        out = real(*args).copy()
+        out[3, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(reduction, "quotient_metric", nan_at_point_3)
+    monkeypatch.setitem(checks.SUITES, "taubnut",
+                        [("taubnut.quotient_metric", checks.check_tn_quotient_metric)])
+    (row,) = checks.run_suite("taubnut", seed=1, samples=6).checks
+    assert np.isnan(row.max_abs_error)
+    assert row.passed is False
+    assert np.isnan(checks._worst(np.array([0.0, np.nan, 2.0]), 1.0))
+
+
+def test_closed_form_targets_batch_equal_single():
+    tn, pts = model_batch("taub-nut")
+    x = pts[:, :3]
+    same_bits(models.taub_nut_metric(x, 1.3),
+              stacked(lambda y: models.taub_nut_metric(y, 1.3), x))
+    for k in range(3):
+        same_bits(models.taub_nut_triple(x, 1.3)[k],
+                  stacked(lambda y: models.taub_nut_triple(list(y), 1.3)[k], x))
+    x[4] = [0.0, 0.0, -1.0]  # on the monopole string
+    with pytest.raises(models.SingularGaugeError, match="point 4"):
+        models.taub_nut_metric(x)
+
+
+def test_block_draws_are_the_scalar_stream():
+    # candidates drawn in blocks are the candidates of one uniform draw per
+    # coordinate, and meet the exclusions one at a time, in the same order
+    box = ((0.3, 3.0), (-2.0, 2.0), (0.1, 5.9))
+    seen = []
+
+    def ring(p):
+        seen.append(tuple(p))
+        return 1.0 < p[0] < 2.0 or p[1] * p[2] > 4.0
+
+    got = sample_points(SampleSpec(np.asarray(box), 40, 17,
+                                   (models.Exclusion("ring", ring),)))
+    rng = np.random.default_rng(17)
+    want, candidates = [], []
+    while len(want) < 40:
+        c = np.array([rng.uniform(lo, hi) for lo, hi in box])
+        candidates.append(tuple(c))
+        if not (1.0 < c[0] < 2.0 or c[1] * c[2] > 4.0):
+            want.append(c)
+    assert len(candidates) > 60  # the exclusion rejected a good share
+    same_bits(got, want)
+    assert seen == candidates
+
+
+def test_rank_deficient_jacobian_names_the_point():
+    polar = models.EmbeddingMap(models.Chart(("r", "phi")), models.Chart(("x", "y")),
+                                lambda c: [c[0] * models.jets.cos(c[1]),
+                                           c[0] * models.jets.sin(c[1])])
+    flat = models.MetricField(models.Chart(("x", "y")), lambda c: np.eye(2))
+    pts = np.array([[1.0, 0.3], [2.0, 0.1], [0.0, 0.5], [0.0, 1.0]])
+    with pytest.warns(reduction.DegeneratePullbackWarning, match="point 2"):
+        reduction.pullback_metric(flat, polar, pts)
