@@ -97,11 +97,9 @@ def _cmd_curvature_profile(args):
         return 2
     red = models.build("toy-reduced", args.a)
     target = red.targets["curvature"]
+    rs = [1e-6 + (args.rmax - 1e-6) * i / (args.steps - 1) for i in range(args.steps)]
     lines = ["r,K_numeric,K_closed_form,abs_err"]
-    for i in range(args.steps):
-        r = 1e-6 + (args.rmax - 1e-6) * i / (args.steps - 1)
-        K = geometry.gaussian_curvature(red.metric, [r, 1.0],
-                                        dps=geometry.curvature_dps(r))
+    for r, K in zip(rs, geometry.curvature_at_radii(red.metric, rs)):
         Kref = target(r)
         lines.append(f"{r:.12g},{K:.12g},{Kref:.12g},{abs(K - Kref):.6g}")
     text = "\n".join(lines) + "\n"

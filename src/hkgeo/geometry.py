@@ -20,10 +20,10 @@ Inverse-metric contractions are guarded by a Cholesky factorisation, so a
 non-positive-definite metric surfaces as a :class:`MetricDomainError`
 instead of a silent wrong answer.
 
-:func:`christoffel`, :func:`covariant_derivative_02` and
-:func:`killing_deviation` take one point ``(d,)`` or a batch ``(B, d)``
-(point axis first on the output; errors name the first failing point).
-The curvature chain takes one point, float64 or 40-digit.
+:func:`christoffel`, :func:`covariant_derivative_02`, :func:`killing_deviation`
+and the curvature chain (:func:`riemann`, :func:`riemann_lowered`,
+:func:`gaussian_curvature`, float64 and 40-digit) take one point ``(d,)`` or a
+batch ``(B, d)`` (point axis first on the output; errors name the first point).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import mpmath
 import numpy as np
 import scipy.integrate
 
-from .fields import mirror_triangle
+from .fields import _upper_mask, mirror_triangle
 from .jets import fd_oracle, first_failure, solve
 
 __all__ = [
@@ -42,11 +42,11 @@ __all__ = [
     "DivergenceError",
     "christoffel",
     "christoffel_fd",
-    "christoffel_with_derivative",
     "riemann",
     "riemann_lowered",
     "ricci_scalar",
     "gaussian_curvature",
+    "curvature_at_radii",
     "covariant_derivative_02",
     "killing_deviation",
     "euler_characteristic",
@@ -75,36 +75,33 @@ def _finite_per_matrix(fn, a):
 
 
 def _solve(gv, B):
-    """Solve ``gv @ X = B`` for SPD ``gv``; dtype-generic.
+    """Solve ``gv @ X = B`` for SPD ``gv`` ``(..., d, d)``; dtype-generic.
 
     A metric that is not positive definite (NaN included) raises
-    :class:`MetricDomainError`.  Float metrics ``(..., d, d)`` are guarded
-    by a Cholesky factorisation and solved by LU, both broadcasting (the
-    error names the first failing point); mpmath ones are checked by a
-    float64 Cholesky and then eliminated at full precision.
+    :class:`MetricDomainError` naming the first failing point of a batch.
+    Every metric is guarded by a float64 Cholesky factorisation; float ones
+    are then solved by LU, broadcasting, and mpmath ones eliminated at full
+    precision by :func:`hkgeo.jets.solve`, the point axis moved last.
     """
-    if gv.dtype == object:
-        try:
-            np.linalg.cholesky(gv.astype(float))
-        except np.linalg.LinAlgError as err:
-            raise MetricDomainError(f"metric not positive definite: {err}") from err
-        return np.array(solve(gv, B), dtype=object)
+    g64 = np.asarray(gv, dtype=float)
     try:
-        ok = np.isfinite(np.linalg.cholesky(gv)).all(axis=(-2, -1))
+        ok = np.isfinite(np.linalg.cholesky(g64)).all(axis=(-2, -1))
     except np.linalg.LinAlgError:
-        ok = _finite_per_matrix(np.linalg.cholesky, gv)
+        ok = _finite_per_matrix(np.linalg.cholesky, g64)
     failure = first_failure(ok)
     if failure is not None:
         raise MetricDomainError(f"metric not positive definite{failure[1]}")
-    return np.linalg.solve(gv, B)
+    if gv.dtype != object:
+        return np.linalg.solve(gv, B)
+    X = solve(np.moveaxis(gv, (-2, -1), (0, 1)), np.moveaxis(B, (-2, -1), (0, 1)))
+    return np.moveaxis(np.array(X, dtype=object), (0, 1), (-2, -1))
 
 
 def _det(gv):
+    """Determinant of metrics ``(..., d, d)``; mpmath ones are 2x2 (2-D callers only)."""
     if gv.dtype != object:
-        return float(np.linalg.det(gv))
-    if gv.shape == (2, 2):
-        return gv[0, 0] * gv[1, 1] - gv[0, 1] * gv[1, 0]
-    raise NotImplementedError("extended-precision determinant only needed for 2x2")
+        return np.linalg.det(gv)
+    return gv[..., 0, 0] * gv[..., 1, 1] - gv[..., 0, 1] * gv[..., 1, 0]
 
 
 def _lowered_christoffel(dg):
@@ -141,28 +138,37 @@ def christoffel_fd(g, p):
     return _christoffel_from(gv, mirror_triangle(dg, +1))
 
 
-def christoffel_with_derivative(g, p):
-    """Connection and its coordinate derivative ``dG[Q, S, M, N] = d_Q Gamma^S_{MN}``."""
-    gv, dg, d2g = g.jet(p)
-    G = _christoffel_from(gv, dg)
-    ginv = _solve(gv, np.eye(gv.shape[0], dtype=gv.dtype))
-    # d_Q g^{SP} = -(g^{-1} (d_Q g) g^{-1})^{SP}
-    dginv = -np.matmul(ginv, np.matmul(dg, ginv))
-    dG = (np.einsum("qsp,pmn->qsmn", dginv, _lowered_christoffel(dg))
-          + np.einsum("sp,qpmn->qsmn", ginv, _lowered_christoffel(d2g)))
-    return G, dG
-
-
 def riemann(g, p):
-    """``R[A, B, C, D] = R^A_{BCD}`` at ``p``."""
-    G, dG = christoffel_with_derivative(g, p)
-    return (np.einsum("cadb->abcd", dG) - np.einsum("dacb->abcd", dG)
-            + np.einsum("acs,sdb->abcd", G, G) - np.einsum("ads,scb->abcd", G, G))
+    """``R[..., A, B, C, D] = R^A_{BCD}`` at one point ``(d,)`` or a batch ``(B, d)``.
+
+    Computed on the ``C < D`` triangle and mirrored, as ``g^{AE}(d_C T_{E,DB}
+    - d_D T_{E,CB} - d_C g_{EF} Gamma^F_{DB} + d_D g_{EF} Gamma^F_{CB})
+    + Gamma^A_{CS} Gamma^S_{DB} - Gamma^A_{DS} Gamma^S_{CB}`` (``T`` the
+    lowered Christoffel symbols), so no inverse metric is formed.
+    """
+    gv, dg, d2g = g.jet(p)
+    d, batch = gv.shape[-1], gv.shape[:-2]
+    C, D = np.nonzero(_upper_mask(d, 1))  # the pairs C < D, then swapped: P, Q
+    P, Q, K = np.concatenate([C, D]), np.concatenate([D, C]), len(C)
+    Gm = np.einsum("...smn->...msn", _christoffel_from(gv, dg))  # Gamma^S_{MN}
+    dT = np.einsum("...qemn->...eqmn", _lowered_christoffel(d2g))  # d_Q T_{E,MN}
+
+    def pair(x, y):  # [..., E, k, B] = x[P_k]_{ES} y[Q_k]_{SB}
+        return np.einsum("...kes,...ksb->...ekb", x[..., P, :, :], y[..., Q, :, :])
+
+    Y = dT[..., P, Q, :] - pair(dg, Gm)
+    X = Y[..., :K, :] - Y[..., K:, :]  # [..., E, k, B]: at (C, D) minus at (D, C)
+    raised = _solve(gv, X.reshape(*batch, d, K * d)).reshape(X.shape)  # [..., A, k, B]
+    GG = pair(Gm, Gm)
+    tri = raised + GG[..., :K, :] - GG[..., K:, :]
+    R = np.zeros((*batch, d, d, d, d), dtype=tri.dtype)
+    R[..., C, D] = np.swapaxes(tri, -1, -2)
+    return mirror_triangle(R, -1)
 
 
 def riemann_lowered(g, p):
-    """``R_{ABCD} = g_{AE} R^E_{BCD}``."""
-    return np.tensordot(g.value(p), riemann(g, p), axes=([1], [0]))
+    """``R_{ABCD} = g_{AE} R^E_{BCD}`` at one point or a batch."""
+    return np.einsum("...ae,...ebcd->...abcd", g.value(p), riemann(g, p))
 
 
 def ricci_scalar(g, p):
@@ -184,29 +190,51 @@ def curvature_dps(r):
     return 40 if r < 0.05 else None
 
 
+#: Radii per :func:`gaussian_curvature` call of :func:`curvature_at_radii`.  A
+#: block of 50 40-digit radii adds about 0.5 MB to peak memory; one of 800, 7 MB.
+_CURVATURE_BLOCK = 50
+
+
+def curvature_at_radii(g, rs):
+    """:func:`gaussian_curvature` at the points ``(r, 1)`` of a polar chart, in
+    the order of ``rs``: one call per :func:`curvature_dps` precision and per
+    block of at most ``_CURVATURE_BLOCK`` radii."""
+    pts = np.stack([rs, np.ones(len(rs))], axis=1)
+    K = np.empty(len(rs))
+    dps = [curvature_dps(r) for r in rs]
+    for prec in dict.fromkeys(dps):
+        idx = np.flatnonzero([x == prec for x in dps])
+        for part in np.split(idx, range(_CURVATURE_BLOCK, len(idx), _CURVATURE_BLOCK)):
+            K[part] = gaussian_curvature(g, pts[part], dps=prec)
+    return K
+
+
 def gaussian_curvature(g, p, dps=None):
     """Curvature scalar of a 2D metric, ``2 R_{0101} / det g``.
 
     Normalised so a flat chart gives 0 and the round sphere a positive
-    value.  Polar-type charts degenerate towards their origin and amplify
-    float64 roundoff like ``1/r**2``; passing ``dps`` re-evaluates the whole
-    chain (metric components included) in mpmath arithmetic with that many
-    digits, which keeps the result honest down to ``r ~ 1e-6``.
-    :func:`curvature_dps` says where that is needed.
+    value.  ``p`` is one point ``(2,)`` (a float comes back) or a batch
+    ``(B, 2)`` (a float array).  Polar-type charts degenerate towards their
+    origin and amplify float64 roundoff like ``1/r**2``; passing ``dps``
+    re-evaluates the whole chain (metric components included) in mpmath
+    arithmetic with that many digits, which keeps the result honest down to
+    ``r ~ 1e-6``.  :func:`curvature_dps` says where that is needed.
     """
     if g.dim != 2:
         raise ValueError("gaussian_curvature expects a 2-dimensional metric")
     if dps is None:
         return _curvature(g, p)
     with mpmath.workdps(dps):
-        return _curvature(g, [mpmath.mpf(float(x)) for x in p])
+        return _curvature(g, np.frompyfunc(mpmath.mpf, 1, 1)(np.asarray(p, dtype=float)))
 
 
 def _curvature(g, p, gv=None):
-    """``2 R_{0101} / det g`` at ``p``; ``gv`` is ``g.value(p)`` if the caller has it."""
+    """``2 R_{0101} / det g`` at ``p`` as floats; ``gv`` is ``g.value(p)`` if known."""
     gv = g.value(p) if gv is None else gv
-    R = np.tensordot(gv, riemann(g, p), axes=([1], [0]))  # as riemann_lowered
-    return float(2 * R[0, 1, 0, 1] / _det(gv))
+    R = riemann(g, p)  # R_{0101} = g_{0E} R^E_{101}
+    K = 2 * (gv[..., 0, 0] * R[..., 0, 1, 0, 1] + gv[..., 0, 1] * R[..., 1, 1, 0, 1])
+    K = K / _det(gv)
+    return np.asarray(K, dtype=float) if np.ndim(K) else float(K)
 
 
 def covariant_derivative_02(g, T, p):

@@ -133,10 +133,10 @@ def _mathmod(x):
 
 
 def _zeros(shape, like):
-    """Zeros of ``shape``, followed by the point axis when ``like`` is a batch."""
+    """Zeros of ``shape`` in ``like``'s arithmetic, then its point axis if a batch."""
     if isinstance(like, np.ndarray):
         shape = (*shape, *like.shape)
-    if _is_mp(like):
+    if _is_mp(like) or getattr(like, "dtype", None) == object:
         return np.full(shape, mpmath.mpf(0), dtype=object)
     return np.zeros(shape)
 

@@ -165,11 +165,14 @@ class HermitianMetricField:
         n = self.n
 
         def fn(coords):
-            A, B = self._parts(coords)
-            rows = np.empty((2 * n, 2 * n), dtype=object)
-            rows[0::2, 0::2] = rows[1::2, 1::2] = A
-            rows[0::2, 1::2] = B
-            rows[1::2, 0::2] = -B
+            # the upper triangle, entry by entry: a batch has (B,) arrays next to constants
+            re, im = self.re_fn(coords), self.im_fn(coords)
+            rows = np.zeros((2 * n, 2 * n), dtype=object)
+            for M in range(n):
+                for N in range(M, n):
+                    b = im[M][N] if N > M else 0.0
+                    rows[2 * M, 2 * N] = rows[2 * M + 1, 2 * N + 1] = re[M][N]
+                    rows[2 * M, 2 * N + 1], rows[2 * M + 1, 2 * N] = b, -b
             return rows
 
         return MetricField(self.chart.real_chart(), fn, name=f"realify({self.name})")

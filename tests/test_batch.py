@@ -10,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hkgeo import checks, geometry, models, reduction
+from hkgeo import checks, geometry, kahler, models, reduction
 from hkgeo.geometry import MetricDomainError
 from hkgeo.jets import EvaluationError, Jet1, Jet2, evaluate_jet, solve
 from hkgeo.mechanics import (
@@ -354,3 +354,81 @@ def test_rank_deficient_jacobian_names_the_point():
     pts = np.array([[1.0, 0.3], [2.0, 0.1], [0.0, 0.5], [0.0, 1.0]])
     with pytest.warns(reduction.DegeneratePullbackWarning, match="point 2"):
         reduction.pullback_metric(flat, polar, pts)
+
+
+# -- the curvature chain, float64 and 40-digit --------------------------------
+
+
+@pytest.mark.parametrize("name", models.MODEL_NAMES)
+def test_riemann_batch_equal_single(name):
+    m, pts = model_batch(name)
+    few_ulp(geometry.riemann(m.metric, pts),
+            stacked(lambda p: geometry.riemann(m.metric, p), pts))
+    few_ulp(geometry.riemann_lowered(m.metric, pts),
+            stacked(lambda p: geometry.riemann_lowered(m.metric, p), pts))
+
+
+def toy_radii(count=24):
+    """Points ``(r, 1)`` of toy-reduced on both sides of the 40-digit switch."""
+    rs = np.geomspace(1e-6, 9.0, count)
+    return np.stack([rs, np.ones(count)], axis=1)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.7])
+def test_gaussian_curvature_batch_equal_single(a, monkeypatch):
+    g = models.build("toy-reduced", a).metric
+    pts = toy_radii()
+    few_ulp(geometry.gaussian_curvature(g, pts),
+            [geometry.gaussian_curvature(g, p) for p in pts])
+    # 40 digits: the same rounded floats, point by point
+    same_bits(geometry.gaussian_curvature(g, pts, dps=40),
+              [geometry.gaussian_curvature(g, list(p), dps=40) for p in pts])
+    with mpmath.workdps(40):
+        mp_pts = np.frompyfunc(mpmath.mpf, 1, 1)(pts)
+        same_bits(geometry.riemann(g, mp_pts).astype(float),
+                  stacked(lambda p: geometry.riemann(g, list(p)).astype(float), mp_pts))
+    monkeypatch.setattr(geometry, "_CURVATURE_BLOCK", 5)  # several blocks per precision
+    same_bits(geometry.curvature_at_radii(g, pts[:, 0]),
+              [geometry.gaussian_curvature(g, list(p), dps=geometry.curvature_dps(p[0]))
+               for p in pts])
+
+
+def test_non_spd_metric_in_mp40_batch_names_the_point():
+    g = models.MetricField(models.Chart(("x", "y")),
+                           lambda c: [[c[0], 0.0], [None, 1.0 + c[0] * c[0]]],
+                           name="sign change")
+    pts = np.array([[1.0, 0.0], [2.0, 1.0], [-0.5, 0.0], [-1.0, 0.0]])
+    with pytest.raises(MetricDomainError, match="point 2"):
+        geometry.gaussian_curvature(g, pts, dps=40)
+
+
+def test_mp40_batch_converts_no_arrays(monkeypatch):
+    # with an mpf on the left of an array product, mpmath would render the
+    # whole block as 40-digit strings before numpy did the product
+    seen = []
+    npconvert = mpmath.mp.npconvert
+
+    def counting(x):
+        seen.append(np.shape(x))
+        return npconvert(x)
+
+    monkeypatch.setattr(mpmath.mp, "npconvert", counting)
+    red = models.build("toy-reduced", 1.0)
+    pts = toy_radii(50)
+    pts[:, 0] *= 0.049 / pts[-1, 0]  # every radius below the 40-digit switch
+    K = geometry.gaussian_curvature(red.metric, pts, dps=40)
+    assert np.allclose(K, [red.targets["curvature"](r) for r in pts[:, 0]],
+                       rtol=1e-12, atol=0)
+    assert seen == []
+
+
+def test_hermitian_real_metric_values_batch_equal_single():
+    pts = batch_of(((-1.5, 1.5),) * 4)
+    gens = kahler.sp_generators(2)
+    fields = [kahler.unit_determinant_shear_field(), kahler.non_unimodular_field(),
+              kahler.coset_metric(np.random.default_rng(2).normal(size=len(gens)), gens)]
+    for hf in fields:
+        g = hf.real_metric()
+        same_bits(g.value(pts), stacked(g.value, pts))
+    g = kahler.single_mode_field().real_metric()
+    same_bits(g.value(pts[:, :2]), stacked(g.value, pts[:, :2]))

@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hkgeo import checks, cli, mechanics, reduction
+from hkgeo import checks, cli, geometry, mechanics, reduction
 
 
 def run(argv):
@@ -133,6 +133,22 @@ def test_curvature_profile_csv(tmp_path):
         r, k_num, k_ref, err = (float(v) for v in ln.split(","))
         assert abs(k_num - k_ref) == pytest.approx(err, abs=1e-12)
         assert err < 1e-6
+
+
+def test_curvature_profile_one_call_per_block(monkeypatch, tmp_path):
+    # 800 40-digit radii go to gaussian_curvature in blocks, not one by one
+    calls = []
+    real = geometry.gaussian_curvature
+
+    def counted(g, p, dps=None):
+        calls.append((len(p), dps))
+        return real(g, p, dps)
+
+    monkeypatch.setattr(geometry, "gaussian_curvature", counted)
+    assert run(["curvature-profile", "--rmax", "0.04", "--steps", "800",
+                "--csv", str(tmp_path / "k.csv")]) == 0
+    block = geometry._CURVATURE_BLOCK
+    assert calls == [(block, 40)] * (800 // block)
 
 
 def test_curvature_profile_stdout(capsys):

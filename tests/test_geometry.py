@@ -3,6 +3,7 @@ metrics (polar plane, round sphere, surfaces of revolution)."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -190,3 +191,70 @@ def test_euler_characteristic_divergence_guard():
         warnings.simplefilter("ignore")
         euler_characteristic(g, quad_tol=1e-30,
                              weight=lambda r: math.sin(200.0 * r))
+
+
+# -- the Riemann tensor against the full-tensor formula it replaced ----------
+
+
+def _riemann_reference(g, p):
+    """``R^A_{BCD}`` from the full derivative of the connection, one point.
+
+    ``d_Q Gamma^S_{MN} = d_Q g^{SP} T_{P,MN} + g^{SP} d_Q T_{P,MN}`` with
+    ``d_Q g^{-1} = -g^{-1} (d_Q g) g^{-1}``, every index pair of ``R`` formed.
+    Returns ``(R, scale)``: ``scale`` is the largest entry of the terms that
+    cancel in ``R`` (both parts of ``dGamma`` and ``Gamma Gamma``), the
+    size its roundoff is measured against.
+    """
+    gv, dg, d2g = g.jet(p)
+    G = geometry._christoffel_from(gv, dg)
+    ginv = geometry._solve(gv, np.eye(gv.shape[0], dtype=gv.dtype))
+    dginv = -np.matmul(ginv, np.matmul(dg, ginv))
+    dG_metric = np.einsum("qsp,pmn->qsmn", dginv, geometry._lowered_christoffel(dg))
+    dG_second = np.einsum("sp,qpmn->qsmn", ginv, geometry._lowered_christoffel(d2g))
+    dG = dG_metric + dG_second
+    GG = np.einsum("acs,sdb->abcd", G, G)
+    R = (np.einsum("cadb->abcd", dG) - np.einsum("dacb->abcd", dG)
+         + GG - np.einsum("ads,scb->abcd", G, G))
+    scale = max(np.max(np.abs(x)) for x in (dG_metric, dG_second, GG))
+    return R, scale
+
+
+@pytest.mark.parametrize("name", models.MODEL_NAMES)
+def test_riemann_matches_reference(name):
+    # the two formulas sum in different orders.  On the flat charts (gh-flat
+    # and both parents) R itself is pure roundoff, so the difference is held
+    # to the size of the terms that cancel (up to 9 ulp of them on these
+    # points, 22 on 216 others); where R is O(1) it is also held to R
+    # (up to 1.5 ulp of max(1, |R|) on these points, 16 on 216 others)
+    m = models.build(name, 1.0)
+    eps = np.finfo(float).eps
+    for p in m.sample(24, 3):
+        want, scale = _riemann_reference(m.metric, p)
+        err = np.max(np.abs(riemann(m.metric, p) - want))
+        assert err <= 32 * eps * scale, p
+        if name in ("taub-nut", "toy-reduced"):
+            assert err <= 8 * eps * max(1.0, np.max(np.abs(want))), p
+
+
+@pytest.mark.parametrize("r", [1e-6, 1e-4, 1e-2, 0.04])
+def test_riemann_matches_reference_mp40(r):
+    # 1e-35 relative to R, except where the polar chart's 1/r^2 cancellation
+    # costs more: 40-digit roundoff times 1/r^2 (up to 0.09 of it measured)
+    red = models.build("toy-reduced", 1.0)
+    with mpmath.workdps(40):
+        p = [mpmath.mpf(r), mpmath.mpf(1)]
+        want, _ = _riemann_reference(red.metric, p)
+        err = max(abs(x) for x in (riemann(red.metric, p) - want).ravel())
+        rel = max(mpmath.mpf("1e-35"), mpmath.mpf("1e-40") / p[0] ** 2)
+        assert err <= rel * max(abs(x) for x in want.ravel())
+
+
+@pytest.mark.parametrize("name", ["gh-flat", "taub-nut", "toy-parent", "r8-parent"])
+def test_riemann_symmetries(name):
+    # antisymmetric in C, D (exactly: one triangle is computed, the other
+    # mirrored) and the first Bianchi identity R^A_{BCD} + R^A_{CDB} + R^A_{DBC} = 0
+    m = models.build(name, 1.0)
+    R = riemann(m.metric, np.asarray(m.sample(24, 5)))
+    assert np.array_equal(R, -np.swapaxes(R, -1, -2))
+    bianchi = R + np.einsum("...acdb->...abcd", R) + np.einsum("...adbc->...abcd", R)
+    assert np.max(np.abs(bianchi)) <= 16 * np.finfo(float).eps * max(1.0, np.max(np.abs(R)))
