@@ -18,7 +18,8 @@ expected topological count via :func:`euler_characteristic`.
 
 Inverse-metric contractions are guarded by a Cholesky factorisation, so a
 non-positive-definite metric surfaces as a :class:`MetricDomainError`
-instead of a silent wrong answer.
+instead of a silent wrong answer; every metric solve of the package goes
+through that one guarded solve.
 
 :func:`christoffel`, :func:`covariant_derivative_02`, :func:`killing_deviation`
 and the curvature chain (:func:`riemann`, :func:`riemann_lowered`,
@@ -62,12 +63,12 @@ class DivergenceError(RuntimeError):
     """Improper curvature integral did not converge to tolerance."""
 
 
-def _finite_per_matrix(fn, a):
-    """Per matrix ``a[..., :, :]``, whether ``fn`` returns finite values
+def _finite_per_matrix(a):
+    """Per matrix ``a[..., :, :]``, whether its Cholesky factor is finite
     (``LinAlgError`` counts as not): names the failing point of a stack."""
     def ok(m):
         try:
-            return bool(np.isfinite(fn(m)).all())
+            return bool(np.isfinite(np.linalg.cholesky(m)).all())
         except np.linalg.LinAlgError:
             return False
 
@@ -87,7 +88,7 @@ def _solve(gv, B):
     try:
         ok = np.isfinite(np.linalg.cholesky(g64)).all(axis=(-2, -1))
     except np.linalg.LinAlgError:
-        ok = _finite_per_matrix(np.linalg.cholesky, g64)
+        ok = _finite_per_matrix(g64)
     failure = first_failure(ok)
     if failure is not None:
         raise MetricDomainError(f"metric not positive definite{failure[1]}")

@@ -51,13 +51,15 @@ is ``(d, B) * (B,)``, outer products are ``a[:, None] * b[None, :]``) and
 ``jet.gradient[i]`` still means the derivative along coordinate ``i``, now
 at every point.  :func:`call_field` and :func:`evaluate_jet` take one point
 ``(d,)`` or a batch ``(B, d)``, and the shape of the input decides: a
-single point is the same code fed scalars.  On a batch the elementary
-functions come from numpy (``np.sqrt``, ``np.atan2``, ...); fields run
+single point is the same code fed scalars.  On a float batch the
+elementary functions come from numpy (``np.sqrt``, ``np.atan2``, ...), on
+a 40-digit batch (an object array) from mpmath, entry by entry; fields run
 with numpy's division by zero and invalid operations raised, as Python
 floats raise them, and every error names the first offending point of the
-batch.  :func:`solve` pivots per point.  Jets opt
-out of numpy's operator dispatch (``__array_ufunc__ = None``), so
-``array * jet`` is the jet's product, not an object array of jets.
+batch.  Jets opt out of numpy's operator dispatch (``__array_ufunc__ =
+None``), so ``array * jet`` is the jet's product, not an object array of
+jets.  :func:`solve` is for positive-definite matrices (metrics and mass
+matrices, checked first by their callers) and does not pivot.
 
 :func:`fd_oracle` produces the same (value, gradient, Hessian) triple from
 central differences only.  It shares no derivative code with the jets and is
@@ -67,6 +69,7 @@ used as the independent reference wherever jet output is trusted.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -126,9 +129,16 @@ def _is_mp(x):
     return isinstance(x, (mpmath.mpf, mpmath.mpc))
 
 
+#: mpmath's elementary functions mapped over the entries of an object array.
+_MP_ARRAY = SimpleNamespace(
+    atan2=np.frompyfunc(mpmath.atan2, 2, 1),
+    **{name: np.frompyfunc(getattr(mpmath, name), 1, 1)
+       for name in ("exp", "log", "sqrt", "sin", "cos", "atan", "sinh", "cosh")})
+
+
 def _mathmod(x):
     if isinstance(x, np.ndarray):
-        return np
+        return _MP_ARRAY if x.dtype == object else np
     return mpmath if _is_mp(x) else math
 
 
@@ -171,11 +181,6 @@ class Jet:
 
     def __repr__(self):
         return f"{type(self).__name__}(value={self.value!r}, dim={self.dim})"
-
-    def _pick(self, mask, other):
-        """This jet at the points where ``mask`` holds, ``other`` elsewhere."""
-        return type(self)(*(np.where(mask, a, b)
-                            for a, b in zip(self._parts(), other._parts())))
 
     # -- ring operations built on the order-specific ones -----------------
 
@@ -268,9 +273,6 @@ class Jet2(Jet):
         ref = value if like is None else like
         return cls(value, _zeros((dim,), ref), _zeros((dim, dim), ref))
 
-    def _parts(self):
-        return self.value, self.gradient, self.hessian
-
     def __add__(self, other):
         if isinstance(other, Jet2):
             return Jet2(self.value + other.value,
@@ -335,9 +337,6 @@ class Jet1(Jet):
     def constant(cls, value, dim, like=None):
         return cls(value, _zeros((dim,), value if like is None else like))
 
-    def _parts(self):
-        return self.value, self.gradient
-
     def __add__(self, other):
         if isinstance(other, Jet1):
             return Jet1(self.value + other.value, self.gradient + other.gradient)
@@ -372,21 +371,6 @@ _JET_OF_ORDER = {1: Jet1, 2: Jet2}
 def _outer(a, b):
     """``np.outer`` over the first axis of ``a`` and ``b``, carrying a point axis."""
     return a[:, None] * b[None, :]
-
-
-def _select(mask, a, b):
-    """``a`` at the points where ``mask`` holds, ``b`` elsewhere.
-
-    Entries may be floats, arrays over the points or jets, mixed freely.
-    """
-    if a is b:
-        return a
-    if isinstance(a, Jet) or isinstance(b, Jet):
-        like = a if isinstance(a, Jet) else b
-        a, b = (x if isinstance(x, Jet) else like.constant(x, like.dim, like=like.value)
-                for x in (a, b))
-        return a._pick(mask, b)
-    return np.where(mask, a, b)
 
 
 # -- dispatching scalar helpers ------------------------------------------
@@ -594,44 +578,37 @@ def evaluate_jet(f, p, order=2):
 
 
 def solve(A, B):
-    """Solve ``A X = B`` by Gauss-Jordan elimination on any entry type.
+    """Solve ``A X = B`` for positive-definite ``A`` on any entry type.
 
     Entries may be floats, jets or mpmath numbers, mixed freely, so
     the solution carries exact derivatives when ``A`` or ``B`` does; they
     may also be arrays (or jets) over a batch of points, solved at once.
-    Rows are pivoted on the size of the value part, per point, taking the
-    first largest candidate as ``max`` does; exact-zero float multipliers
-    are skipped.  A batch gives what its points give one at a time, except
+    Gauss-Jordan elimination runs in the given row order, without pivoting,
+    which is stable on positive-definite matrices (growth factor 1); every
+    caller guarantees positive definiteness.  Exact-zero float multipliers
+    are skipped, so a batch gives what its points give one at a time, except
     that an exact zero may carry the other sign: a zero multiplier is
-    skipped only when it is a plain float, and where points pivot on
-    different rows a float entry that meets a jet travels on as a constant
-    jet.  ``B`` is a vector (of scalars or jets) or a matrix (rows
-    indexed like ``A``); the result is a list, or a list of rows, of the
-    same shape.
+    skipped only when it is a plain float.  ``B`` is a matrix (rows indexed
+    like ``A``) when its rows are lists or tuples or it is an array of two
+    or more axes, and a vector (of scalars, arrays over the points or jets)
+    otherwise; the result is a list of rows, or a list, of the same shape.
 
     Raises
     ------
     numpy.linalg.LinAlgError
-        If a column has no nonzero pivot left (a singular matrix), at any
-        point.  How close to singular a matrix may be is the caller's rule.
+        If a pivot is not positive (NaN included), naming the first failing
+        point of a batch.
     """
     n = len(A)
-    vector = np.ndim(B[0]) == 0
+    vector = not (isinstance(B[0], (list, tuple))
+                  or isinstance(B, np.ndarray) and B.ndim >= 2)
     rows = [list(A[i]) + ([B[i]] if vector else list(B[i])) for i in range(n)]
-
-    def size(x):
-        return abs(x.value if isinstance(x, Jet) else x)
-
     for col in range(n):
-        sizes = [size(rows[r][col]) for r in range(col, n)]
-        if any(isinstance(s, np.ndarray) for s in sizes):
-            _pivot_per_point(rows, col, sizes)
-        else:
-            best = max(range(n - col), key=sizes.__getitem__)
-            if not sizes[best] > 0:
-                raise np.linalg.LinAlgError(
-                    f"singular matrix: pivot {float(sizes[best]):.3e}")
-            rows[col], rows[col + best] = rows[col + best], rows[col]
+        pivot = rows[col][col]
+        pivot = pivot.value if isinstance(pivot, Jet) else pivot
+        failure = first_failure(np.asarray(pivot > 0, dtype=bool))
+        if failure is not None:
+            raise np.linalg.LinAlgError(f"pivot {col} not positive{failure[1]}")
         inv_p = 1.0 / rows[col][col]
         rows[col] = [x * inv_p for x in rows[col]]
         for r in range(n):
@@ -640,28 +617,6 @@ def solve(A, B):
                 continue
             rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
     return [row[n] for row in rows] if vector else [row[n:] for row in rows]
-
-
-def _pivot_per_point(rows, col, sizes):
-    """Move each point's pivot row (the first largest of ``sizes``) to row ``col``."""
-    sizes = np.stack(np.broadcast_arrays(*sizes))
-    best = np.argmax(sizes, axis=0)
-    pivot = np.max(sizes, axis=0)
-    failure = first_failure(pivot > 0)
-    if failure is not None:
-        k, where = failure
-        raise np.linalg.LinAlgError(f"singular matrix{where}: pivot {float(pivot[k]):.3e}")
-    if np.all(best == best[0]):
-        r = col + int(best[0])
-        rows[col], rows[r] = rows[r], rows[col]
-        return
-    top = rows[col]
-    for off in range(1, len(sizes)):
-        mask = best == off
-        if mask.any():
-            r = col + off
-            rows[col] = [_select(mask, b, a) for a, b in zip(rows[col], rows[r])]
-            rows[r] = [_select(mask, t, b) for t, b in zip(top, rows[r])]
 
 
 def fd_step(x):

@@ -34,9 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .fields import Chart, FormField, MetricField, mirror_triangle
-from .geometry import MetricDomainError
 from .jets import evaluate_jet
-from .reduction import complex_structure
+from .reduction import complex_structure, raise_first_index
 
 __all__ = [
     "ComplexChart",
@@ -430,18 +429,13 @@ def spin_connection_trace(hfield, p):
     The vielbein is the Cholesky factor of ``h`` (whose determinant is
     ``sqrt(det h)``), so the trace part of the connection reduces to half
     the log-determinant gradient; the holomorphic and antiholomorphic
-    component vectors are returned as a pair.  Non-positive-definite ``h``
-    raises :class:`~hkgeo.geometry.MetricDomainError`.
+    component vectors are returned as a pair (point axis first for a batch).
+    Non-positive-definite ``h`` raises :class:`~hkgeo.geometry.MetricDomainError`.
     """
-    hmat = hfield.matrix(p)
-    try:
-        np.linalg.cholesky(hmat)
-    except np.linalg.LinAlgError as err:
-        raise MetricDomainError(f"Hermitian metric not positive definite at {p}") from err
-    greal = hfield.real_metric()
-    gv, dg, _ = greal.jet(p, order=1)
-    t = np.trace(np.linalg.solve(gv, dg), axis1=-2, axis2=-1)
-    return (t[0::2] - 1j * t[1::2]) / 8.0, (t[0::2] + 1j * t[1::2]) / 8.0
+    gv, dg, _ = hfield.real_metric().jet(p, order=1)
+    t = np.trace(raise_first_index(gv, dg), axis1=-2, axis2=-1)
+    return ((t[..., 0::2] - 1j * t[..., 1::2]) / 8.0,
+            (t[..., 0::2] + 1j * t[..., 1::2]) / 8.0)
 
 
 def x_matrices(hfield, p):

@@ -10,13 +10,15 @@ metric ``M``, which is the point the cross-module tests drive home.
 Phase-space scalars are plain callables over the ``2n`` coordinates
 ``(q_1 .. q_n, p_1 .. p_n)``; Poisson brackets differentiate them with
 first-order jets (a bracket reads gradients only), so no finite
-differencing is involved.  A mass matrix counts as singular when
-``1 / cond(M) < MIN_RCOND``; every inversion or solve applies that rule.
+differencing is involved.  A mass matrix must be positive definite, with
+eigenvalues ``lambda_min >= MIN_RCOND * lambda_max > 0``: an indefinite one
+is rejected even when invertible.  Every inversion or solve applies that
+rule, so the solves need no pivoting (:func:`hkgeo.jets.solve`).
 
 Every entry point takes one point or a batch of points, and the shape
 decides: a :class:`PhasePoint` of ``(n,)`` or ``(B, n)`` arrays, a
 configuration ``q`` of ``(n,)`` or ``(B, n)``.  A batch is evaluated in one
-pass (jets with a point axis, batched ``svd`` and ``inv``), with the same
+pass (jets with a point axis, batched ``eigvalsh`` and ``inv``), with the same
 result as its points one at a time (bit for bit on the registered models;
 see :func:`hkgeo.jets.solve` for the sign of an exact zero); errors name
 the first failing point.
@@ -45,7 +47,7 @@ __all__ = [
 
 
 class DegenerateLagrangianError(ValueError):
-    """The mass matrix is singular; no Hamiltonian exists."""
+    """The mass matrix is not positive definite (singular, nearly so or indefinite)."""
 
 
 class InvalidConstraintError(ValueError):
@@ -110,7 +112,7 @@ class QuadraticKinetic:
         return f"QuadraticKinetic({self.name or self.labels})"
 
 
-#: Smallest reciprocal condition number of an invertible mass matrix.
+#: Smallest ``lambda_min / lambda_max`` of an admissible mass matrix.
 MIN_RCOND = 1e-13
 
 
@@ -138,10 +140,10 @@ def _mass_values(M):
 
 
 def _check_mass(M, q=None):
-    """Reject a mass matrix whose value part is non-finite or singular.
+    """Reject a mass matrix whose value part is non-finite or not positive definite.
 
-    The one singularity rule of this module, applied wherever a mass matrix
-    is inverted or solved: ``1 / cond(M) < MIN_RCOND`` (2-norm) raises
+    The one rule of this module, applied wherever a mass matrix is inverted
+    or solved: eigenvalues ``lambda_min >= MIN_RCOND * lambda_max > 0``, or
     :class:`DegenerateLagrangianError`.  Jet entries are judged by their
     values.  Over a batch the rule holds per point, and the error names the
     first failing point (with its coordinates, when ``q`` is given).
@@ -150,10 +152,8 @@ def _check_mass(M, q=None):
     finite = np.isfinite(Mv).all(axis=(-2, -1))
     if not finite.all():
         Mv = np.where(finite[..., None, None], Mv, np.eye(Mv.shape[-1]))
-    sv = np.linalg.svd(Mv, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rcond = np.where(sv[..., 0] > 0, sv[..., -1] / sv[..., 0], 0.0)
-    failure = first_failure(finite & (rcond >= MIN_RCOND), q)
+    lo, hi = np.moveaxis(np.linalg.eigvalsh(Mv)[..., [0, -1]], -1, 0)  # ascending
+    failure = first_failure(finite & (lo >= MIN_RCOND * hi) & (hi > 0), q)
     if failure is None:
         return
     k, where = failure
@@ -161,7 +161,8 @@ def _check_mass(M, q=None):
     if not finite[at]:
         raise DegenerateLagrangianError(f"mass matrix has non-finite entries{where}")
     raise DegenerateLagrangianError(
-        f"mass matrix is singular (1/cond = {rcond[at]:.3e} < {MIN_RCOND:.0e}){where}")
+        f"mass matrix is not positive definite (eigenvalues {lo[at]:.3e} to "
+        f"{hi[at]:.3e}; need min >= {MIN_RCOND:.0e} max > 0){where}")
 
 
 def _solve_mass(M, B):

@@ -157,14 +157,12 @@ def monopole_potential(x):
     ``A = (x_2, -x_1, 0) / (r (r + x_3))``; its curl is
     ``MONOPOLE_CURL_SIGN * x / r^3``.  Within ``1e-8 r`` of the string
     ``x_1 = x_2 = 0, x_3 <= -r`` (or at the origin) the gauge blows up and
-    :class:`SingularGaugeError` is raised.
+    :class:`SingularGaugeError` is raised.  ``x`` may be a batch ``(B, 3)``,
+    giving ``(B, 3)``; the error names the first singular point.
     """
-    x1, x2, x3 = (float(v) for v in x)
-    r = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
-    if r <= 0.0 or (r + x3) <= 1e-8 * r:
-        raise SingularGaugeError(f"monopole gauge singular at {list(x)}")
-    denom = r * (r + x3)
-    return np.array([x2 / denom, -x1 / denom, 0.0])
+    x = _gauge_checked(x)
+    _, A1, A2 = _monopole_terms(x[..., 0], x[..., 1], x[..., 2])
+    return np.stack(np.broadcast_arrays(A1, A2, 0.0), axis=-1)
 
 
 # ---------------------------------------------------------------------------

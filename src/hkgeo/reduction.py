@@ -32,8 +32,7 @@ import numpy as np
 from scipy import integrate
 
 from .fields import FormField, MetricField, VectorFieldR, _triangle
-from .geometry import (DivergenceError, MetricDomainError, _finite_per_matrix,
-                       killing_deviation)
+from .geometry import DivergenceError, _solve, killing_deviation
 from .jets import first_failure
 
 __all__ = [
@@ -252,21 +251,18 @@ def complex_structure(gv, W):
 
     The sign is the one in which ``w(U, V) = g(XU, V)``; with it the flat
     triple satisfies ``I J = K``.  ``gv`` and ``W`` are ``(d, d)`` or
-    stacks ``(..., d, d)``.  A singular ``gv`` raises
-    :class:`~hkgeo.geometry.MetricDomainError` naming the first singular
+    stacks ``(..., d, d)``.  A ``gv`` that is not positive definite raises
+    :class:`~hkgeo.geometry.MetricDomainError` naming the first failing
     point of a stack.
     """
-    try:
-        return -np.linalg.solve(gv, W)
-    except np.linalg.LinAlgError as err:
-        failure = first_failure(_finite_per_matrix(np.linalg.inv, gv)) or (None, "")
-        raise MetricDomainError(
-            f"cannot raise a 2-form with a singular metric{failure[1]}: {err}") from err
+    return -_solve(gv, W)
 
 
 def raise_first_index(gv, T):
-    """Raise the first lower index of each slice ``T[..., P, :, :]`` with ``gv``."""
-    return np.linalg.solve(gv[..., None, :, :], T)
+    """Raise the first lower index of each slice ``T[..., P, :, :]`` with
+    ``gv``; ``gv`` and the errors are as in :func:`complex_structure`."""
+    S = np.moveaxis(T, -3, -2)  # [..., E, P, N], solved as d x (P N) columns
+    return np.moveaxis(_solve(gv, S.reshape(*S.shape[:-2], -1)).reshape(S.shape), -2, -3)
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ ulp.  Every fault in a batch names the first point that has it.
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkgeo import checks, geometry, kahler, models, reduction
 from hkgeo.geometry import MetricDomainError
-from hkgeo.jets import EvaluationError, Jet1, Jet2, evaluate_jet, solve
+from hkgeo.jets import EvaluationError, Jet1, Jet2, call_field, evaluate_jet, solve
 from hkgeo.mechanics import (
     DegenerateLagrangianError,
     PhasePoint,
@@ -80,11 +82,10 @@ def test_matrices_batch_equal_single(name):
 
 
 def test_solve_pivots_per_point():
-    # point 0 pivots on row 1 (|1| > 0.5), point 1 on row 0; the batch must
-    # swap rows per point, for float and jet entries alike.  A float entry
-    # that shares a row slot with a jet travels as a constant jet, so a zero
-    # derivative may come out as -0.0 on one path and +0.0 on the other:
-    # derivatives are compared by value, everything else bit for bit
+    # the name is historical: solve no longer pivots.  Point 0's first
+    # column (0.5, 1) once pivoted on row 1 and point 1's on row 0; now
+    # both eliminate in the given order, so the batch gives its points bit
+    # for bit, float and jet entries alike, derivatives and zero signs included
     x = np.array([0.5, 2.0])
     dx = np.array([[1.0, 1.0], [0.0, 0.0]])  # gradient (d, B)
     got = solve([[x, 1.0], [1.0, 3.0]], [1.0, -2.0])
@@ -94,8 +95,69 @@ def test_solve_pivots_per_point():
         want_jet = solve([[Jet1(x[k], dx[:, k]), 1.0], [1.0, 3.0]], [1.0, -2.0])
         same_bits([g[k] for g in got], want)
         same_bits([g.value[k] for g in got_jet], [w.value for w in want_jet])
-        assert np.array_equal([g.gradient[:, k] for g in got_jet],
-                              [w.gradient for w in want_jet])
+        same_bits([g.gradient[:, k] for g in got_jet], [w.gradient for w in want_jet])
+
+
+def test_solve_reads_a_vector_of_batch_arrays():
+    # the momenta of a batch are a vector of (B,) arrays, not a matrix
+    L = QuadraticKinetic(("u", "v"), lambda c: [[2.0 + c[0] * c[0], 0.5], [None, 1.0]])
+    H = hamiltonian_field(L)
+    pts = np.array([[0.3, 1.0, 1.2, -0.4], [1.5, -2.0, 0.7, 0.2], [-0.8, 0.1, -1.0, 0.9]])
+    same_bits(call_field(H, pts), [call_field(H, list(p)) for p in pts])
+
+
+def test_non_pd_batch_in_solve_names_the_point():
+    x = np.array([1.0, 2.0, -0.5, 3.0])
+    with pytest.raises(np.linalg.LinAlgError, match="point 2"):
+        solve([[x, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError, match="point 1"):  # second pivot 1 - x
+        solve([[1.0, 1.0], [1.0, np.array([2.0, 1.0, np.nan])]], [1.0, 1.0])
+
+
+def _zeros_unsigned(x):
+    return np.asarray(x, dtype=float) + 0.0  # -0.0 + 0.0 is +0.0
+
+
+def _parts(e, k=None):
+    """Value and gradient (zero for a number) of a solve output, at point ``k``."""
+    if not isinstance(e, Jet1):
+        e = Jet1(e, np.zeros(2))
+    if k is None or e.gradient.ndim == 1:  # one point, or the same at every point
+        return np.append(e.value, e.gradient)
+    return np.append(e.value[k], e.gradient[:, k])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_solve_batch_equals_points(n, count, seed):
+    # a random SPD (diagonally dominant) batch of float, array and Jet1
+    # entries, with structural float zeros and exact zeros at single points.  A
+    # multiplier that is an array (or jet) in the batch but an exact float
+    # zero at one point is skipped at that point alone, and ``a - 0 * b``
+    # may turn a -0.0 into +0.0: so zero signs are compared by value
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-1.0, 1.0, size=(n, n, count))
+    vals[rng.random(size=vals.shape) < 0.2] = 0.0  # exact zeros at single points
+    grads = rng.uniform(-1.0, 1.0, size=(n, n, 2, count))
+    A = [[None] * n for _ in range(n)]
+    for i in range(n):
+        vals[i, i] = n - 0.5 + rng.uniform(0.0, 1.0, size=count)  # > sum of |off-diagonal|
+        for j in range(i, n):
+            v = vals[i, j]  # a structural zero, a float, an array or a jet
+            kind = rng.integers(1 if i == j else 0, 4)
+            A[i][j] = A[j][i] = (0.0, float(v[0]), v, Jet1(v, grads[i, j]))[kind]
+    b = [Jet1(vals[0, k], grads[0, k]) if k % 2 else float(k) for k in range(n)]
+
+    def at(e, k):
+        if isinstance(e, Jet1):
+            return Jet1(e.value[k], e.gradient[:, k])
+        return e[k] if isinstance(e, np.ndarray) else e
+
+    got = solve(A, b)
+    for k in range(count):
+        want = solve([[at(e, k) for e in row] for row in A], [at(e, k) for e in b])
+        same_bits([_zeros_unsigned(_parts(g, k)) for g in got],
+                  [_zeros_unsigned(_parts(w)) for w in want])
 
 
 def test_singular_mass_in_batch_names_the_point():
@@ -280,6 +342,21 @@ def test_singular_complex_structure_names_the_point():
         reduction.complex_structure(gv, W)
 
 
+def test_non_pd_metric_raising_an_index_names_the_point():
+    gv = np.stack([np.eye(2), 2 * np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
+    with pytest.raises(MetricDomainError, match="point 2"):
+        reduction.raise_first_index(gv, np.ones((4, 2, 2, 2)))
+    h = kahler.HermitianMetricField(1, lambda c: [[c[0]]], name="sign change")
+    pts = np.array([[1.0, 0.0], [2.0, 1.0], [-0.5, 0.0], [-1.0, 0.0]])
+    holo, anti = kahler.spin_connection_trace(h, pts[:2])
+    for k in range(2):
+        want = kahler.spin_connection_trace(h, pts[k])
+        same_bits([holo[k].real, holo[k].imag, anti[k].real, anti[k].imag],
+                  [want[0].real, want[0].imag, want[1].real, want[1].imag])
+    with pytest.raises(MetricDomainError, match="point 2"):
+        kahler.spin_connection_trace(h, pts)
+
+
 def test_non_cancelling_fiber_names_the_point():
     W = np.zeros((5, 3, 3))
     W[3, 1, 0], W[3, 0, 1] = 1e-3, -1e-3  # a fiber component at point 3
@@ -400,6 +477,24 @@ def test_non_spd_metric_in_mp40_batch_names_the_point():
     pts = np.array([[1.0, 0.0], [2.0, 1.0], [-0.5, 0.0], [-1.0, 0.0]])
     with pytest.raises(MetricDomainError, match="point 2"):
         geometry.gaussian_curvature(g, pts, dps=40)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name", ["exp", "log", "sqrt", "sin", "cos", "atan",
+                                  "sinh", "cosh", "atan2"])
+def test_mp40_elementary_functions_batch_equal_single(name, order):
+    f = getattr(models.jets, name)
+    fn = (lambda c: f(c[1], c[0]) * c[1]) if name == "atan2" else (lambda c: f(c[0]) * c[1])
+    with mpmath.workdps(40):
+        pts = np.frompyfunc(mpmath.mpf, 1, 1)(np.array([[0.3, 0.7], [1.2, -0.4],
+                                                        [2.0, 0.5]]))
+        got = evaluate_jet(fn, pts, order=order)
+        for k, p in enumerate(pts):
+            want = evaluate_jet(fn, list(p), order=order)
+            assert got.value[k] == want.value
+            assert list(got.gradient[:, k]) == list(want.gradient)
+            if order == 2:
+                assert got.hessian[:, :, k].tolist() == want.hessian.tolist()
 
 
 def test_mp40_batch_converts_no_arrays(monkeypatch):

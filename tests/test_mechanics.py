@@ -49,6 +49,19 @@ def test_singular_mass_rejected():
             constrain_and_reduce(L, 1)
 
 
+def test_indefinite_mass_rejected():
+    # nonsingular and perfectly conditioned, but no kinetic energy: the
+    # solves eliminate without pivoting, so the rule asks for positive definiteness
+    L = kinetic(lambda c: [[0.0, 1.0], [None, 0.0]])
+    with pytest.raises(DegenerateLagrangianError, match="not positive definite"):
+        legendre_to_hamiltonian(L, [0.0, 0.0])
+    with pytest.raises(DegenerateLagrangianError, match="not positive definite"):
+        poisson_bracket(momentum_field(0, 2), hamiltonian_field(L),
+                        PhasePoint((0.0, 0.0), (1.0, 0.0)))
+    with pytest.raises(DegenerateLagrangianError, match="not positive definite"):
+        constrain_and_reduce(L, 1)
+
+
 def test_hamiltonian_value():
     L = kinetic(lambda c: [[2.0, 0.0], [None, 0.5]])
     H = hamiltonian_field(L)

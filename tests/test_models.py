@@ -114,6 +114,15 @@ def test_monopole_gauge_guard():
         taub_nut_metric([0.0, 0.0, -2.0], 1.0)
 
 
+def test_monopole_potential_batch_equals_points():
+    x = np.random.default_rng(3).uniform(-2.0, 2.0, size=(6, 3))
+    got = monopole_potential(x)
+    assert got.tobytes() == np.array([monopole_potential(list(y)) for y in x]).tobytes()
+    x[4] = [0.0, 0.0, -1.5]  # on the string
+    with pytest.raises(SingularGaugeError, match="point 4"):
+        monopole_potential(x)
+
+
 def test_variable_change_example():
     gh = build("gh-flat")
     vc = gh.embeddings["to_monopole"]
