@@ -146,21 +146,17 @@ def _worst(got, want=0.0):
 # heavenly suite
 
 
-def _coset_fields(ctx, rng, n, count):
+def _coset_matrices(rng, n, count):
+    """``count`` random coset metrics ``(count, n, n)``; one draw of every
+    coefficient, the stream of one draw per metric."""
     gens = kahler.sp_generators(n)
-    for _ in range(count):
-        v = rng.normal(scale=0.6, size=len(gens))
-        yield kahler.coset_metric(v, gens)
+    return kahler.coset_exponential(rng.normal(scale=0.6, size=(count, len(gens))), gens)
 
 
 def check_coset_constant(ctx, rng, n):
-    om = kahler.symplectic_matrix(n)
     count = max(ctx.samples, 100)
-    worst = 0.0
-    for hf in _coset_fields(ctx, rng, n, count):
-        C = kahler.heavenly_check(hf.matrix([0.0] * (2 * n)), om)
-        worst = worst_of(worst, abs(C - 1.0))
-    return worst, 1e-10, count, (
+    C = kahler.heavenly_check(_coset_matrices(rng, n, count), kahler.symplectic_matrix(n))
+    return _worst(C, 1.0), 1e-10, count, (
         f"unit-determinant condition h Om h^T = C Om with C = 1 on {count} "
         f"random exp(v.t) metrics, n = {n}"
     )
@@ -169,17 +165,11 @@ def check_coset_constant(ctx, rng, n):
 def check_det_equality(ctx, rng):
     om = kahler.symplectic_matrix(2)
     count = max(ctx.samples, 100)
-    worst = 0.0
-    for hf in _coset_fields(ctx, rng, 2, count):
-        h = hf.matrix([0.0, 0.0, 0.0, 0.0])
-        C = kahler.heavenly_check(h, om)
-        worst = worst_of(worst, abs(C - float(np.real(np.linalg.det(h)))))
-    shear = kahler.unit_determinant_shear_field()
+    coset = _coset_matrices(rng, 2, count)
     pts = _box_points(((-1.5, 1.5),) * 4, (), 20, ctx.subseed(rng))
-    for p in pts:
-        h = shear.matrix(p)
-        C = kahler.heavenly_check(h, om)
-        worst = worst_of(worst, abs(C - float(np.real(np.linalg.det(h)))))
+    shear = kahler.unit_determinant_shear_field().matrix(pts)
+    worst = worst_of(*(_worst(kahler.heavenly_check(h, om), np.real(np.linalg.det(h)))
+                       for h in (coset, shear)))
     return worst, 1e-12, count + 20, (
         "for n = 2 the proportionality constant C equals det h"
     )
@@ -199,21 +189,13 @@ def check_negative_control(ctx, rng):
 
 
 def check_quaternion_triple(ctx, rng):
-    worst = 0.0
-    n_metrics = 0
-    for n in (2, 4):
-        om = kahler.symplectic_matrix(n)
-        for hf in _coset_fields(ctx, rng, n, 10):
-            t = kahler.triple_at(hf, om, [0.0] * (2 * n))
-            worst = worst_of(worst, kahler.quaternion_residual(t))
-            n_metrics += 1
-    om2 = kahler.symplectic_matrix(2)
-    shear = kahler.unit_determinant_shear_field()
-    for p in _box_points(((-1.5, 1.5),) * 4, (), 20, ctx.subseed(rng)):
-        t = kahler.triple_at(shear, om2, p)
-        worst = worst_of(worst, kahler.quaternion_residual(t))
-        n_metrics += 1
-    return worst, 1e-10, n_metrics, (
+    triples = [kahler.triple_at(_coset_matrices(rng, n, 10), kahler.symplectic_matrix(n))
+               for n in (2, 4)]
+    pts = _box_points(((-1.5, 1.5),) * 4, (), 20, ctx.subseed(rng))
+    triples.append(kahler.triple_at(kahler.unit_determinant_shear_field(),
+                                    kahler.symplectic_matrix(2), pts))
+    worst = worst_of(*(_worst(kahler.quaternion_residual(t)) for t in triples))
+    return worst, 1e-10, sum(len(t.g) for t in triples), (
         "I, J, K from passing metrics obey the quaternion algebra "
         "(squares -1, IJ = K, JK = I, KI = J)"
     )
@@ -251,14 +233,10 @@ def check_covariant_negative_control(ctx, rng):
 
 def check_sp_algebra(ctx, rng):
     om = kahler.symplectic_matrix(2)
-    shear = kahler.unit_determinant_shear_field()
-    worst = 0.0
     pts = _box_points(((-1.5, 1.5),) * 4, (), max(10, ctx.samples // 5),
                       ctx.subseed(rng))
-    for p in pts:
-        for X in kahler.x_matrices(shear, p):
-            worst = worst_of(worst, kahler.sp_residual(X, om))
-    return worst, 1e-8, len(pts), (
+    X = kahler.x_matrices(kahler.unit_determinant_shear_field(), pts)
+    return _worst(kahler.sp_residual(X, om)), 1e-8, len(pts), (
         "derivative matrices 2 (d_p h) h^-1 of a passing metric lie in the "
         "symplectic algebra (X Om + Om X^T = 0)"
     )
@@ -297,12 +275,9 @@ def check_toy_moment(ctx, rng):
     alpha = reduction.contraction_field(m.forms["omega"], m.killing["shift"])
     base = np.asarray(m.extras["moment_base"])
     mu = m.targets["moment_map"]
-    worst = 0.0
-    pts = m.sample(ctx.samples, ctx.subseed(rng))
-    for p in pts:
-        got = reduction.recover_moment_map(alpha, base, p, base_value=mu(base))
-        worst = worst_of(worst, abs(got - mu(p)))
-    return worst, 1e-8, len(pts), (
+    pts = np.asarray(m.sample(ctx.samples, ctx.subseed(rng)))
+    got = reduction.recover_moment_map(alpha, base, pts, base_value=mu(base))
+    return _worst(got, mu(pts.T)), 1e-8, len(pts), (
         "line-integrated moment map matches r^2/2 + a x"
     )
 
@@ -615,7 +590,7 @@ def check_mech_roundtrip(ctx, rng):
         L = mechanics.QuadraticKinetic([f"q{i}" for i in range(d)],
                                        lambda c, S=np.moveaxis(Ms, 0, -1): S)
         Minv = mechanics.legendre_to_hamiltonian(L, np.zeros((len(Ms), d)))
-        errors.append(_worst(np.linalg.inv(Minv), Ms))
+        errors.append(_worst(geometry._solve(Minv, np.eye(d)), Ms))
     return worst_of(*errors), 1e-12, count, (
         "Legendre transform is an involution on random SPD mass matrices"
     )

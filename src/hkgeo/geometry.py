@@ -76,19 +76,22 @@ def _finite_per_matrix(a):
 
 
 def _solve(gv, B):
-    """Solve ``gv @ X = B`` for SPD ``gv`` ``(..., d, d)``; dtype-generic.
+    """Solve ``gv @ X = B`` for positive-definite ``gv`` ``(..., d, d)``,
+    real symmetric or complex Hermitian; dtype-generic.
 
     A metric that is not positive definite (NaN included) raises
     :class:`MetricDomainError` naming the first failing point of a batch.
-    Every metric is guarded by a float64 Cholesky factorisation; float ones
-    are then solved by LU, broadcasting, and mpmath ones eliminated at full
-    precision by :func:`hkgeo.jets.solve`, the point axis moved last.
+    Every metric is guarded by a Cholesky factorisation (float64 for mpmath
+    entries, else in its own dtype, so a Hermitian one keeps its imaginary
+    part); float and complex ones are then solved by LU, broadcasting, and
+    mpmath ones eliminated at full precision by :func:`hkgeo.jets.solve`,
+    the point axis moved last.
     """
-    g64 = np.asarray(gv, dtype=float)
+    guard = np.asarray(gv, dtype=float) if gv.dtype == object else gv
     try:
-        ok = np.isfinite(np.linalg.cholesky(g64)).all(axis=(-2, -1))
+        ok = np.isfinite(np.linalg.cholesky(guard)).all(axis=(-2, -1))
     except np.linalg.LinAlgError:
-        ok = _finite_per_matrix(g64)
+        ok = _finite_per_matrix(guard)
     failure = first_failure(ok)
     if failure is not None:
         raise MetricDomainError(f"metric not positive definite{failure[1]}")

@@ -474,11 +474,13 @@ def first_failure(ok, p=None):
     ``" at [x, y]"`` or ``" at point k [x, y]"``, without the coordinates
     when ``p`` is None.
     """
+    if isinstance(ok, (bool, np.bool_)) and ok:  # one passing point: no reduction
+        return None
     ok = np.asarray(ok)
+    if ok.ndim == 0:
+        return None if ok else (None, "" if p is None else f" at {np.asarray(p).tolist()}")
     if ok.all():
         return None
-    if ok.ndim == 0:
-        return None, "" if p is None else f" at {np.asarray(p).tolist()}"
     k = int(np.argmin(ok.reshape(-1)))
     return k, f" at point {k}" + ("" if p is None else f" {np.asarray(p)[k].tolist()}")
 

@@ -33,8 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fields import Chart, FormField, MetricField, mirror_triangle
-from .jets import evaluate_jet
+from .fields import Chart, FormField, MetricField
+from .jets import evaluate_jet, first_failure
 from .reduction import complex_structure, raise_first_index
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "symplectic_matrix",
     "sp_generators",
     "sp_residual",
+    "coset_exponential",
     "coset_metric",
     "heavenly_check",
     "heavenly_constant",
@@ -150,14 +151,11 @@ class HermitianMetricField:
         self.potential = potential
         self.name = name
 
-    def _parts(self, coords):
-        return (mirror_triangle(self.re_fn(coords), +1),
-                mirror_triangle(self.im_fn(coords), -1))
-
     def matrix(self, p):
-        """Complex component matrix at interleaved real point ``p``."""
-        A, B = self._parts([float(x) for x in p])
-        return A.astype(float) + 1j * B.astype(float)
+        """Complex component matrix ``(n, n)`` at interleaved real point ``p``,
+        or a stack ``(B, n, n)`` over a batch ``(B, 2n)``."""
+        g = self.real_metric().value(np.asarray(p, dtype=float))
+        return g[..., 0::2, 0::2] + 1j * g[..., 0::2, 1::2]
 
     def real_metric(self):
         """The realified metric as a jet-capable :class:`MetricField`."""
@@ -177,10 +175,11 @@ class HermitianMetricField:
         return MetricField(self.chart.real_chart(), fn, name=f"realify({self.name})")
 
     def holomorphic_derivative(self, p):
-        """``dH[p, m, q] = d h_mq / d z^p`` (Wirtinger) at ``p``."""
-        _, dg, _ = self.real_metric().jet([float(x) for x in p], order=1)
-        grad = dg[:, 0::2, 0::2] + 1j * dg[:, 0::2, 1::2]  # real derivatives of h
-        return 0.5 * (grad[0::2] - 1j * grad[1::2])
+        """``dH[..., p, m, q] = d h_mq / d z^p`` (Wirtinger) at ``p`` ``(2n,)``
+        or over a batch ``(B, 2n)``."""
+        _, dg, _ = self.real_metric().jet(np.asarray(p, dtype=float), order=1)
+        grad = dg[..., 0::2, 0::2] + 1j * dg[..., 0::2, 1::2]  # real derivatives of h
+        return 0.5 * (grad[..., 0::2, :, :] - 1j * grad[..., 1::2, :, :])
 
     def __repr__(self):
         return f"HermitianMetricField(n={self.n}, {self.name!r})"
@@ -238,89 +237,87 @@ def sp_generators(n):
 
 
 def sp_residual(X, omega):
-    """``max |X^T Omega + Omega X|``; zero iff X is in the symplectic algebra."""
-    return float(np.max(np.abs(X.T @ omega + omega @ X)))
+    """``max |X^T Omega + Omega X|``; zero iff X is in the symplectic algebra.
+
+    A float for one matrix, one value per matrix for a stack ``(..., n, n)``.
+    """
+    r = np.max(np.abs(np.swapaxes(X, -1, -2) @ omega + omega @ X), axis=(-2, -1))
+    return float(r) if r.ndim == 0 else r
+
+
+def coset_exponential(v, generators):
+    """``exp(sum_a v_a t_a)`` for coefficients ``v`` ``(k,)``, or a stack of
+    them for ``v`` ``(..., k)``.
+
+    The exponential is taken by one (stacked) eigendecomposition of the
+    Hermitian combinations, so each result is Hermitian positive definite
+    by construction.
+    """
+    v = np.asarray(v, dtype=float)
+    if v.shape[-1:] != (len(generators),):
+        raise ValueError(f"coefficients {v.shape} for {len(generators)} generators")
+    H = sum(v[..., a, None, None] * t for a, t in enumerate(generators))
+    w, U = np.linalg.eigh(H)
+    h = (U * np.exp(w)[..., None, :]) @ np.swapaxes(U.conj(), -1, -2)
+    return 0.5 * (h + np.swapaxes(h.conj(), -1, -2))
 
 
 def coset_metric(v, generators, name=""):
-    """Constant Hermitian field ``exp(sum_a v_a t_a)``.
-
-    The exponential is taken by eigendecomposition of the Hermitian
-    combination, so the result is Hermitian positive definite by
-    construction.
-    """
-    v = np.asarray(v, dtype=float)
-    if len(v) != len(generators):
-        raise ValueError(f"{len(v)} coefficients for {len(generators)} generators")
-    H = sum(c * t for c, t in zip(v, generators))
-    w, U = np.linalg.eigh(H)
-    h0 = (U * np.exp(w)) @ U.conj().T
-    h0 = 0.5 * (h0 + h0.conj().T)
-    n = h0.shape[0]
+    """Constant Hermitian field ``exp(sum_a v_a t_a)`` (:func:`coset_exponential`)."""
+    h0 = coset_exponential(v, generators)
     A, B = h0.real.copy(), h0.imag.copy()
-    field = HermitianMetricField(
-        n,
-        lambda coords: A,
-        lambda coords: B,
-        name=name or f"coset(|v|={np.linalg.norm(v):.3g})",
-    )
-    return field
+    return HermitianMetricField(len(h0), lambda coords: A, lambda coords: B,
+                                name=name or f"coset(|v|={np.linalg.norm(v):.3g})")
 
 
 class HeavenlyResult(NamedTuple):
     C: float
-    max_residual: float
     spread: float
 
 
 def heavenly_check(h, omega, tol=1e-10):
     """Best constant ``C`` with ``h Omega h^T = C Omega``, or raise.
 
-    ``C`` is the Frobenius projection ``<Omega, M> / <Omega, Omega>`` of
-    ``M = h Omega h^T``; the violation is measured as
-    ``max |M - C Omega|`` against ``tol * max(1, max |M|)``.
+    ``h`` is one matrix ``(n, n)``, giving a float, or a stack
+    ``(..., n, n)``, giving one ``C`` per matrix.  ``C`` is the Frobenius
+    projection ``<Omega, M> / <Omega, Omega>`` of ``M = h Omega h^T``; the
+    violation is measured as ``max |M - C Omega|`` against
+    ``tol * max(1, max |M|)``.
 
     Raises
     ------
     HeavenlyViolation
         If the residual exceeds tolerance or ``C`` is not positive (NaN
-        fails both).
+        fails both), for the first such matrix of a stack, naming its index.
     """
     h = np.asarray(h, dtype=complex)
     omega = np.asarray(omega, dtype=float)
-    M = h @ omega @ h.T
-    C = float(np.real(np.sum(omega * M)) / np.sum(omega * omega))
-    residual = float(np.max(np.abs(M - C * omega)))
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if not residual <= tol * scale:  # written so that NaN fails
-        raise HeavenlyViolation(
-            f"h Omega h^T deviates from C Omega by {residual:.3e} (C = {C:.6g})",
-            residual=residual,
-        )
-    if not C > 0:
-        raise HeavenlyViolation(f"proportionality constant C = {C:.6g} is not positive",
-                                residual=residual)
-    return C
+    M = h @ omega @ np.swapaxes(h, -1, -2)
+    C = np.real(np.sum(omega * M, axis=(-2, -1))) / np.sum(omega * omega)
+    residual = np.max(np.abs(M - C[..., None, None] * omega), axis=(-2, -1))
+    fits = residual <= tol * np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))
+    failure = first_failure(fits & (C > 0))  # written so that NaN fails
+    if failure is not None:
+        k, where = failure
+        at = () if k is None else np.unravel_index(k, C.shape)
+        r, c = float(residual[at]), float(C[at])
+        what = (f"h Omega h^T deviates from C Omega by {r:.3e} (C = {c:.6g})"
+                if not fits[at] else f"proportionality constant C = {c:.6g} is not positive")
+        raise HeavenlyViolation(what + where, residual=r)
+    return float(C) if C.ndim == 0 else C
 
 
 def heavenly_constant(hfield, omega, points, tol=1e-10):
-    """Pointwise heavenly check plus constancy of ``C`` across ``points``."""
-    Cs = []
-    max_residual = 0.0
-    for p in points:
-        h = hfield.matrix(p)
-        M = h @ omega @ h.T
-        C = heavenly_check(h, omega, tol=tol)
-        max_residual = max(max_residual, float(np.max(np.abs(M - C * omega))))
-        Cs.append(C)
-    Cs = np.asarray(Cs)
+    """Heavenly check at a batch of ``points`` ``(B, 2n)`` (one stacked call)
+    plus constancy of ``C`` across them."""
+    Cs = heavenly_check(hfield.matrix(points), omega, tol=tol)
     spread = float(Cs.max() - Cs.min())
     C = float(Cs.mean())
     if spread > tol * max(1.0, abs(C)):
         raise HeavenlyViolation(
             f"C varies by {spread:.3e} across {len(points)} points", residual=spread
         )
-    return HeavenlyResult(C, max_residual, spread)
+    return HeavenlyResult(C, spread)
 
 
 # ---------------------------------------------------------------------------
@@ -328,35 +325,39 @@ def heavenly_constant(hfield, omega, points, tol=1e-10):
 
 
 def realify(h):
-    """Real 2n x 2n metric of Hermitian ``h`` in interleaved coordinates."""
+    """Real 2n x 2n metric of Hermitian ``h`` (or of each of a stack
+    ``(..., n, n)``) in interleaved coordinates."""
     h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    g = np.zeros((2 * n, 2 * n))
-    g[0::2, 0::2] = h.real
-    g[1::2, 1::2] = h.real
-    g[0::2, 1::2] = h.imag
-    g[1::2, 0::2] = -h.imag
-    return g
+    return _interleaved(h.real, h.real, h.imag, -h.imag)
 
 
 def _interleaved(uu, vv, uv, vu):
-    """Real ``2n x 2n`` coefficients from the four ``du``/``dv`` blocks."""
-    n = uu.shape[0]
-    T = np.zeros((2 * n, 2 * n))
-    T[0::2, 0::2], T[1::2, 1::2], T[0::2, 1::2], T[1::2, 0::2] = uu, vv, uv, vu
+    """Real ``2n x 2n`` coefficients from the four ``du``/``dv`` blocks
+    (each ``(..., n, n)``)."""
+    n = uu.shape[-1]
+    T = np.zeros((*uu.shape[:-2], 2 * n, 2 * n))
+    T[..., 0::2, 0::2], T[..., 1::2, 1::2] = uu, vv
+    T[..., 0::2, 1::2], T[..., 1::2, 0::2] = uv, vu
     return T
 
 
 def _mixed_form_to_real(F):
-    """Realify ``sum_{m,q} F_mq dz^m ^ dzbar^q`` (F anti-Hermitian)."""
+    """Realify ``sum_{m,q} F_mq dz^m ^ dzbar^q`` (F anti-Hermitian, or a stack)."""
     R, I = F.real, F.imag
-    return _interleaved(R - R.T, R - R.T, I + I.T, -(I + I.T))
+    A, S = R - np.swapaxes(R, -1, -2), I + np.swapaxes(I, -1, -2)
+    return _interleaved(A, A, S, -S)
 
 
 def _pair_form_to_real(P):
     """Realify ``sum_{m<q} (P_mq dz^m ^ dz^q + conj)`` (P antisymmetric)."""
     U, W = np.triu(2 * P.real, 1), np.triu(-2 * P.imag, 1)
     return _interleaved(U - U.T, U.T - U, W - W.T, W - W.T)
+
+
+def _pair_forms(omega):
+    """The metric-independent ``omega_J``, ``omega_K`` of pairing ``omega``."""
+    return (_pair_form_to_real(np.asarray(omega) / 2.0),
+            _pair_form_to_real(-0.5j * np.asarray(omega, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -375,34 +376,38 @@ class Triple:
 def triple_at(h, omega, p=None):
     """The (I, J, K) structures of Hermitian ``h`` over pairing ``omega``.
 
-    ``h`` may be a matrix or a :class:`HermitianMetricField` with point
-    ``p``.  The construction is pointwise; the quaternion relations among
-    the mixed structures hold precisely when ``h`` passes
-    :func:`heavenly_check` with ``C = 1``.
+    ``h`` may be a matrix, a stack ``(..., n, n)`` (every entry of the
+    triple keeps the leading axes) or a :class:`HermitianMetricField` with
+    point or batch ``p``.  The quaternion relations among the mixed
+    structures hold precisely when ``h`` passes :func:`heavenly_check` with
+    ``C = 1``.
     """
     if isinstance(h, HermitianMetricField):
         h = h.matrix(p)
     h = np.asarray(h, dtype=complex)
     g = realify(h)
     W_I = _mixed_form_to_real(0.5j * h)
-    W_J = _pair_form_to_real(omega / 2.0)
-    W_K = _pair_form_to_real(-0.5j * np.asarray(omega, dtype=complex))
+    W_J, W_K = (np.broadcast_to(W, g.shape) for W in _pair_forms(omega))
     return Triple(W_I, W_J, W_K, complex_structure(g, W_I),
                   complex_structure(g, W_J), complex_structure(g, W_K), g)
 
 
 def quaternion_residual(t):
-    """Largest deviation from ``I^2 = J^2 = K^2 = -1``, ``IJ=K, JK=I, KI=J``."""
-    eye = np.eye(t.I.shape[0])
-    devs = [
+    """Largest deviation from ``I^2 = J^2 = K^2 = -1``, ``IJ=K, JK=I, KI=J``.
+
+    A float for one triple, one value per point for a triple over a stack.
+    """
+    eye = np.eye(t.I.shape[-1])
+    devs = np.stack([
         t.I @ t.I + eye,
         t.J @ t.J + eye,
         t.K @ t.K + eye,
         t.I @ t.J - t.K,
         t.J @ t.K - t.I,
         t.K @ t.I - t.J,
-    ]
-    return float(max(np.max(np.abs(d)) for d in devs))
+    ])
+    r = np.max(np.abs(devs), axis=(0, -2, -1))
+    return float(r) if r.ndim == 0 else r
 
 
 def quaternion_form_fields(hfield, omega):
@@ -413,8 +418,7 @@ def quaternion_form_fields(hfield, omega):
     (heavenly) Hermitian fields.
     """
     chart = hfield.chart.real_chart()
-    W_J = _pair_form_to_real(np.asarray(omega) / 2.0)
-    W_K = _pair_form_to_real(-0.5j * np.asarray(omega, dtype=complex))
+    W_J, W_K = _pair_forms(omega)
     return (FormField(chart, 2, lambda coords: W_J, name="omega_J"),
             FormField(chart, 2, lambda coords: W_K, name="omega_K"))
 
@@ -441,14 +445,17 @@ def spin_connection_trace(hfield, p):
 def x_matrices(hfield, p):
     """``X_p = 2 (d_p h) h^{-1}`` for each holomorphic direction.
 
-    For fields valued in the exponential of the Hermitian symplectic slice
-    these land in the symplectic algebra (see :func:`sp_residual`), which is
-    the linear-algebra step behind covariant constancy of the J/K pair.
+    ``X[..., p, :, :]``, over a batch ``(B, 2n)`` too.  For fields valued in
+    the exponential of the Hermitian symplectic slice these land in the
+    symplectic algebra (see :func:`sp_residual`), which is the linear-algebra
+    step behind covariant constancy of the J/K pair.  ``h^T X_p^T = 2 d_p
+    h^T`` goes through the guarded solve, so an ``h`` that is not positive
+    definite raises :class:`~hkgeo.geometry.MetricDomainError`.
     """
     H = hfield.matrix(p)
     dH = hfield.holomorphic_derivative(p)
-    Hinv = np.linalg.inv(H)
-    return np.array([2.0 * dH[pd] @ Hinv for pd in range(hfield.n)])
+    Xt = raise_first_index(np.swapaxes(H, -1, -2), 2.0 * np.swapaxes(dH, -1, -2))
+    return np.swapaxes(Xt, -1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Chart, MetricField, _triangle
+from .geometry import _solve
 from .jets import Jet, evaluate_jet, first_failure, solve
 
 __all__ = [
@@ -178,7 +179,7 @@ def legendre_to_hamiltonian(L, q):
     """
     M = L.matrix(q)
     _check_mass(M, q)
-    Minv = np.linalg.inv(M)
+    Minv = _solve(M, np.eye(M.shape[-1]))
     return 0.5 * (Minv + np.swapaxes(Minv, -1, -2))
 
 

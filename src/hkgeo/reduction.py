@@ -133,40 +133,57 @@ def exterior_derivative(form, p):
 
 def recover_moment_map(alpha, base, p, base_value=0.0, closure_tol=1e-6,
                        quad_tol=1e-9):
-    """Integrate an exact 1-form along the straight segment ``base -> p``.
+    """Integrate an exact 1-form along the straight segments ``base -> p``.
 
-    Returns ``base_value + integral``, the potential normalised to the
-    declared value at ``base``.  Closedness of ``alpha`` is verified at
-    points along the segment first (residual of the exterior derivative
-    above ``closure_tol``, or NaN, raises :class:`NotExactError`; the five
-    points are one batch); the quadrature must converge to absolute error
-    below ``quad_tol`` or :class:`~hkgeo.geometry.DivergenceError` is
-    raised.
+    ``p`` is one point ``(d,)``, giving a float, or a batch ``(B, d)``,
+    giving one value per segment: ``base_value + integral``, the potential
+    normalised to the declared value at ``base``.  Closedness of ``alpha``
+    is verified first at five points of each segment, in one batch (a
+    residual above ``closure_tol``, or NaN, raises :class:`NotExactError`).
+    All segments share the parameter ``t in [0, 1]``, so one adaptive
+    Gauss-Kronrod cubature evaluates ``alpha`` on every segment's nodes in
+    one call; a segment whose error estimate exceeds ``quad_tol``, or that
+    did not converge, raises :class:`~hkgeo.geometry.DivergenceError`.
+    Errors name the first bad segment of a batch.
     """
     base = np.asarray(base, dtype=float)
     p = np.asarray(p, dtype=float)
-    if base.shape != p.shape:
+    if base.shape != p.shape[-1:]:
         raise ValueError("base and target points live on different charts")
-    delta = p - base
+    delta = np.atleast_2d(p) - base  # (B, d)
+
+    def segment(k):
+        return "" if p.ndim == 1 else f" of segment {k} (to {p[k].tolist()})"
+
     ts = np.linspace(0.0, 1.0, 5)
-    res = np.max(np.abs(exterior_derivative(alpha, base + ts[:, None] * delta)),
-                 axis=(-2, -1))
+    probes = base + ts[:, None] * delta[:, None, :]  # (B, 5, d)
+    res = np.max(np.abs(exterior_derivative(alpha, probes.reshape(-1, base.size))),
+                 axis=(-2, -1)).reshape(len(delta), len(ts))
     failure = first_failure(res <= closure_tol)  # written so that NaN fails
     if failure is not None:
+        k, i = divmod(failure[0], len(ts))
+        raise NotExactError(f"form is not closed along the path{segment(k)} (residual "
+                            f"{res[k, i]:.3e} at t={ts[i]:.2f})", residual=float(res[k, i]))
+
+    def integrand(t):  # nodes (n, 1) -> (n, B), one field call for all segments
+        nodes = base + t[:, :, None] * delta  # (n, B, d)
+        a = alpha.value(nodes.reshape(-1, base.size)).reshape(nodes.shape)
+        return np.sum(a * delta, axis=-1)
+
+    eps = 1e-12
+    out = integrate.cubature(integrand, [0.0], [1.0], rule="gk21", atol=eps, rtol=eps,
+                             max_subdivisions=200)
+    ok = out.error <= quad_tol  # written so that NaN fails
+    if out.status != "converged":  # the segments that kept it subdividing
+        ok &= out.error <= eps + eps * np.abs(out.estimate)
+    failure = first_failure(ok)
+    if failure is not None:
         k = failure[0]
-        raise NotExactError(f"form is not closed along the path (residual "
-                            f"{res[k]:.3e} at t={ts[k]:.2f})", residual=float(res[k]))
-
-    def integrand(t):
-        return float(alpha.value(base + t * delta) @ delta)
-
-    val, err = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12,
-                              limit=200)
-    if err > quad_tol:
         raise DivergenceError(
-            f"line integral error estimate {err:.3e} exceeds {quad_tol:.1e}"
-        )
-    return base_value + val
+            f"line integral{segment(k)} has error estimate {out.error[k]:.3e} "
+            f"(tolerance {quad_tol:.1e}, cubature {out.status})")
+    value = base_value + out.estimate
+    return float(value[0]) if p.ndim == 1 else value
 
 
 def _jacobian_checked(phi, p):

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scipy import integrate
+
 from hkgeo import checks, geometry, kahler, models, reduction
-from hkgeo.geometry import MetricDomainError
+from hkgeo.geometry import DivergenceError, MetricDomainError
 from hkgeo.jets import EvaluationError, Jet1, Jet2, call_field, evaluate_jet, solve
 from hkgeo.mechanics import (
     DegenerateLagrangianError,
@@ -25,7 +27,12 @@ from hkgeo.mechanics import (
     momentum_field,
     poisson_bracket,
 )
-from hkgeo.reduction import DegenerateFiberError, ObstructionError, quotient_metric
+from hkgeo.reduction import (
+    DegenerateFiberError,
+    NotExactError,
+    ObstructionError,
+    quotient_metric,
+)
 from hkgeo.sampling import SampleSpec, sample_points
 
 MODELS = ["toy-parent", "r8-parent"]
@@ -527,3 +534,125 @@ def test_hermitian_real_metric_values_batch_equal_single():
         same_bits(g.value(pts), stacked(g.value, pts))
     g = kahler.single_mode_field().real_metric()
     same_bits(g.value(pts[:, :2]), stacked(g.value, pts[:, :2]))
+
+
+def same_complex_bits(batch, singles):
+    same_bits(np.real(batch), np.real(singles))
+    same_bits(np.imag(batch), np.imag(singles))
+
+
+def hermitian_fields():
+    gens = kahler.sp_generators(2)
+    return [kahler.unit_determinant_shear_field(), kahler.non_unimodular_field(),
+            kahler.coset_metric(np.random.default_rng(2).normal(size=len(gens)), gens)]
+
+
+def test_hermitian_matrices_and_heavenly_batch_equal_single():
+    pts = batch_of(((-1.5, 1.5),) * 4)
+    om = kahler.symplectic_matrix(2)
+    for hf in hermitian_fields():
+        same_complex_bits(hf.matrix(pts), stacked(hf.matrix, pts))
+        same_complex_bits(hf.holomorphic_derivative(pts),
+                          stacked(hf.holomorphic_derivative, pts))
+        few_ulp(kahler.x_matrices(hf, pts),
+                stacked(lambda p: kahler.x_matrices(hf, p), pts))
+    single = kahler.single_mode_field()
+    same_complex_bits(single.matrix(pts[:, :2]), stacked(single.matrix, pts[:, :2]))
+    H = kahler.unit_determinant_shear_field().matrix(pts)
+    same_bits(kahler.heavenly_check(H, om), [kahler.heavenly_check(h, om) for h in H])
+
+
+def test_triples_batch_equal_single():
+    pts = batch_of(((-1.5, 1.5),) * 4)
+    om = kahler.symplectic_matrix(2)
+    shear = kahler.unit_determinant_shear_field()
+    t = kahler.triple_at(shear, om, pts)
+    singles = [kahler.triple_at(shear, om, p) for p in pts]
+    for name in ("omega_I", "omega_J", "omega_K", "g"):
+        same_bits(getattr(t, name), [getattr(u, name) for u in singles])
+    for name in ("I", "J", "K"):
+        few_ulp(getattr(t, name), [getattr(u, name) for u in singles])
+    few_ulp(kahler.quaternion_residual(t), [kahler.quaternion_residual(u) for u in singles])
+    assert np.max(kahler.quaternion_residual(t)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_coset_draw_is_the_per_metric_stream(n):
+    # one draw of every coefficient gives the matrices of one draw per
+    # metric, and leaves the generator where the next subseed expects it
+    ctx = checks.CheckContext(seed=2, samples=100, a=1.0)
+    rng_stack, rng_loop = ctx.rng("heavenly.x"), ctx.rng("heavenly.x")
+    got = checks._coset_matrices(rng_stack, n, 30)
+    gens = kahler.sp_generators(n)
+    want = [kahler.coset_metric(rng_loop.normal(scale=0.6, size=len(gens)), gens)
+            .matrix(np.zeros(2 * n)) for _ in range(30)]
+    same_complex_bits(got, want)
+    assert ctx.subseed(rng_stack) == ctx.subseed(rng_loop)
+
+
+def test_bad_matrix_in_a_heavenly_stack_names_its_index():
+    gens = kahler.sp_generators(4)
+    om = kahler.symplectic_matrix(4)
+    h = kahler.coset_exponential(
+        np.random.default_rng(3).normal(scale=0.6, size=(5, len(gens))), gens)
+    assert np.max(np.abs(kahler.heavenly_check(h, om) - 1.0)) < 1e-12
+    for bad in (np.diag([1.0, 1.0, 2.0, 1.0]), np.full((4, 4), np.nan)):
+        h[2] = bad
+        with pytest.raises(kahler.HeavenlyViolation, match="point 2"):
+            kahler.heavenly_check(h, om)
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])  # h Om h^T = -Om
+    with pytest.raises(kahler.HeavenlyViolation, match="not positive at point 2"):
+        kahler.heavenly_check(np.stack([np.eye(2), np.eye(2), flip]),
+                              kahler.symplectic_matrix(2))
+
+
+def quad_moment(alpha, base, p, base_value):
+    """The line integral ``base -> p`` as one ``scipy.integrate.quad``
+    (the reference the shared-node integration is held to)."""
+    base, delta = np.asarray(base), np.asarray(p) - base
+    val, _ = integrate.quad(lambda t: float(alpha.value(base + t * delta) @ delta),
+                            0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return base_value + val
+
+
+PLANE = models.Chart(("x", "y"))
+
+
+def test_moment_recovery_batch_equals_quad_per_point():
+    m = models.build("toy-parent", 1.0)
+    alpha = reduction.contraction_field(m.forms["omega"], m.killing["shift"])
+    base = np.asarray(m.extras["moment_base"])
+    pts = batch_of(m.box, m.exclusions)
+    got = reduction.recover_moment_map(alpha, base, pts, base_value=0.25)
+    assert got.shape == (len(pts),)
+    want = [quad_moment(alpha, base, p, 0.25) for p in pts]
+    assert np.max(np.abs(got - want)) <= 1e-14
+    one = reduction.recover_moment_map(alpha, base, pts[3], base_value=0.25)
+    assert isinstance(one, float) and abs(one - want[3]) <= 1e-14
+    # a transcendental potential, sin(3x) cosh(y): segments of different
+    # lengths need different refinement, each against its own error estimate
+    wave = models.FormField(PLANE, 1, lambda c: [3.0 * models.jets.cos(3.0 * c[0])
+                                                 * models.jets.cosh(c[1]),
+                                                 models.jets.sin(3.0 * c[0])
+                                                 * models.jets.sinh(c[1])])
+    ends = np.array([[0.1, 0.2], [4.0, -1.5], [-3.0, 2.0], [0.5, 0.5]])
+    got = reduction.recover_moment_map(wave, [0.0, 0.0], ends)
+    assert np.max(np.abs(got - np.sin(3 * ends[:, 0]) * np.cosh(ends[:, 1]))) < 1e-12
+    want = [quad_moment(wave, np.zeros(2), p, 0.0) for p in ends]
+    assert np.max(np.abs(got - want)) <= 1e-14
+
+
+def test_non_closed_or_unconverged_segment_is_named():
+    # d(alpha) = 3 x^2 dx^dy vanishes only on x = 0, so only segment 2 leaves it
+    alpha = models.FormField(PLANE, 1, lambda c: [0.0, c[0] * c[0] * c[0]])
+    ends = np.array([[0.0, 1.0], [0.0, -2.0], [0.5, 1.0], [0.0, 3.0]])
+    with pytest.raises(NotExactError, match="segment 2") as exc:
+        reduction.recover_moment_map(alpha, [0.0, 0.0], ends)
+    assert exc.value.residual == pytest.approx(3 * 0.125 ** 2)
+    got = reduction.recover_moment_map(alpha, [0.0, 0.0], ends[[0, 1, 3]])
+    assert np.array_equal(got, np.zeros(3))
+    # a zero-length segment has error estimate 0; the next one does not
+    wave = models.FormField(PLANE, 1, lambda c: [models.jets.cos(c[0]), 0.0])
+    with pytest.raises(DivergenceError, match="segment 1"):
+        reduction.recover_moment_map(wave, [0.0, 0.0], [[0.0, 0.0], [2.0, 0.0]],
+                                     quad_tol=1e-30)

@@ -15,6 +15,7 @@ from hkgeo.jets import (
     StencilExclusionError,
     evaluate_jet,
     fd_oracle,
+    first_failure,
     fd_step,
     solve,
     worst_of,
@@ -94,6 +95,17 @@ def test_rtruediv():
     assert j.value == pytest.approx(1.5)
     assert j.gradient[0] == pytest.approx(-0.75)
     assert j.hessian[0, 0] == pytest.approx(0.75)
+
+
+def test_first_failure_on_single_points():
+    # every 0-d form of a passing or failing test, NaN-derived ones included
+    nan = np.float64("nan")
+    for ok in (True, np.bool_(True), np.float64(1.0) <= 2.0, np.asarray(True)):
+        assert first_failure(ok, [1.0, 2.0]) is None
+    for ok in (False, np.bool_(False), nan <= 1.0, np.asarray(nan) > 0.0, nan == nan):
+        assert first_failure(ok) == (None, "")
+        assert first_failure(ok, [1.0, 2.0]) == (None, " at [1.0, 2.0]")
+    assert first_failure(np.array([True, nan <= 1.0, False])) == (1, " at point 1")
 
 
 def test_evaluation_error_on_nonfinite_value():

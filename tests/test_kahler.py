@@ -107,13 +107,21 @@ def test_potential_reproduces_entries():
                              - metric_from_potential(single.potential, 1, p))) < 1e-12
 
 
-def test_constancy_across_points():
+def test_constancy_across_points(monkeypatch):
     om = symplectic_matrix(2)
     pts = RNG.uniform(-1.2, 1.2, size=(30, 4))
+    calls = []
+
+    def counted(h, *args, **kwargs):
+        calls.append(np.shape(h))
+        return heavenly_check(h, *args, **kwargs)
+
+    monkeypatch.setattr(kahler, "heavenly_check", counted)
     res = heavenly_constant(unit_determinant_shear_field(), om, pts)
+    assert calls == [(30, 2, 2)]  # one stacked check
     assert res.C == pytest.approx(1.0, abs=1e-12)
     assert res.spread < 1e-12
-    with pytest.raises(HeavenlyViolation):
+    with pytest.raises(HeavenlyViolation, match="C varies"):
         heavenly_constant(non_unimodular_field(), om, pts)
 
 
@@ -166,6 +174,22 @@ def test_x_matrices_in_algebra():
     worst = max(sp_residual(X, om)
                 for X in x_matrices(non_unimodular_field(), [0.5, 0.1, 0.0, 0.0]))
     assert worst > 1e-2
+
+
+def test_x_matrices_require_positive_definite():
+    # h = [[u]]: indefinite at u = -1, singular at u = 0; neither is inverted
+    line = kahler.HermitianMetricField(1, lambda c: [[c[0]]], name="u")
+    for p in ([-1.0, 0.0], [0.0, 0.0]):
+        with pytest.raises(MetricDomainError):
+            x_matrices(line, p)
+    with pytest.raises(MetricDomainError, match="point 2"):
+        x_matrices(line, np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 0.0], [-1.0, 0.0]]))
+    # [[1, 2i], [-2i, 1]] has eigenvalues 3 and -1 but a positive-definite
+    # real part: the guard must see the imaginary part
+    tilted = kahler.HermitianMetricField(2, lambda c: [[1.0, 0.0], [None, 1.0]],
+                                         lambda c: [[0.0, 2.0], [None, 0.0]])
+    with pytest.raises(MetricDomainError):
+        x_matrices(tilted, [0.0, 0.0, 0.0, 0.0])
 
 
 def test_spin_trace_vanishes_when_determinant_constant():
