@@ -33,10 +33,10 @@ import math
 
 import mpmath
 import numpy as np
-import scipy.integrate
 
 from .fields import _upper_mask, mirror_triangle
 from .jets import fd_oracle, first_failure, solve
+from .quadrature import integrate
 
 __all__ = [
     "MetricDomainError",
@@ -263,10 +263,13 @@ def euler_characteristic(g, period=2 * math.pi, r_scale=1.0, quad_tol=1e-8,
     """Improper curvature integral ``(period / 2 pi) * int_0^inf K sqrt(g) dr``.
 
     The radial half line is compactified with ``r = r_scale * u / (1 - u)``,
-    ``u in [0, 1)``, and integrated by adaptive Gauss-Kronrod quadrature.
+    ``u in [0, 1)``, and integrated by :func:`hkgeo.quadrature.integrate`
+    (adaptive Gauss-Kronrod), whose every refinement round is one batched
+    metric value and one curvature call on all of the round's nodes.
     The metric must be 2-dimensional with chart order (radial, angular) and
-    angle-independent components.  ``weight(r)``, if given, multiplies the
-    integrand (useful for linearity checks).
+    angle-independent components.  ``weight(r)``, if given, is a scalar
+    callable that multiplies the integrand, called once per node (useful for
+    linearity checks).
 
     Returns
     -------
@@ -275,29 +278,25 @@ def euler_characteristic(g, period=2 * math.pi, r_scale=1.0, quad_tol=1e-8,
     Raises
     ------
     DivergenceError
-        If the quadrature error estimate exceeds ``quad_tol``.
+        If the quadrature error estimate exceeds ``quad_tol`` (or is NaN).
     """
     if g.dim != 2:
         raise ValueError("euler_characteristic expects a 2-dimensional metric")
 
-    def integrand(u):
-        r = r_scale * u / (1.0 - u)
+    def integrand(u):  # nodes (n,) -> (n,)
+        r = np.maximum(r_scale * u / (1.0 - u), r_floor)
         jac = r_scale / (1.0 - u) ** 2
-        r = max(r, r_floor)
-        point = [r, 0.0]
+        points = np.stack([r, np.zeros_like(r)], axis=-1)
         # one metric value per point: the jet's value part can differ from
         # g.value in the last bit (jet division multiplies by a reciprocal)
-        gv = g.value(point)
-        K = _curvature(g, point, gv)
-        sg = math.sqrt(_det(gv))
-        val = (period / (2 * math.pi)) * K * sg * jac
+        gv = g.value(points)
+        val = (period / (2 * math.pi)) * _curvature(g, points, gv) * np.sqrt(_det(gv)) * jac
         if weight is not None:
-            val *= weight(r)
+            val = val * np.array([weight(float(x)) for x in r])
         return val
 
-    value, err = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=1e-10,
-                                      epsrel=1e-10, limit=200)
-    if err > quad_tol:
+    value, err = integrate(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)[:2]
+    if not err <= quad_tol:
         raise DivergenceError(
             f"quadrature error {err:.3e} above tolerance {quad_tol:.1e}"
         )

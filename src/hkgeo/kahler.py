@@ -309,13 +309,13 @@ def heavenly_check(h, omega, tol=1e-10):
 
 def heavenly_constant(hfield, omega, points, tol=1e-10):
     """Heavenly check at a batch of ``points`` ``(B, 2n)`` (one stacked call)
-    plus constancy of ``C`` across them."""
-    Cs = heavenly_check(hfield.matrix(points), omega, tol=tol)
+    plus constancy of ``C`` across them; one point ``(2n,)`` is a batch of one."""
+    Cs = np.atleast_1d(heavenly_check(hfield.matrix(points), omega, tol=tol))
     spread = float(Cs.max() - Cs.min())
     C = float(Cs.mean())
     if spread > tol * max(1.0, abs(C)):
         raise HeavenlyViolation(
-            f"C varies by {spread:.3e} across {len(points)} points", residual=spread
+            f"C varies by {spread:.3e} across {Cs.size} points", residual=spread
         )
     return HeavenlyResult(C, spread)
 

@@ -29,11 +29,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .fields import FormField, MetricField, VectorFieldR, _triangle
 from .geometry import DivergenceError, _solve, killing_deviation
 from .jets import first_failure
+from .quadrature import integrate
 
 __all__ = [
     "NotExactError",
@@ -140,9 +140,10 @@ def recover_moment_map(alpha, base, p, base_value=0.0, closure_tol=1e-6,
     normalised to the declared value at ``base``.  Closedness of ``alpha``
     is verified first at five points of each segment, in one batch (a
     residual above ``closure_tol``, or NaN, raises :class:`NotExactError`).
-    All segments share the parameter ``t in [0, 1]``, so one adaptive
-    Gauss-Kronrod cubature evaluates ``alpha`` on every segment's nodes in
-    one call; a segment whose error estimate exceeds ``quad_tol``, or that
+    All segments share the parameter ``t in [0, 1]``, so each refinement
+    round of :func:`hkgeo.quadrature.integrate` evaluates ``alpha`` on every
+    segment's nodes in one call; each segment keeps its own subdivision and
+    error estimate, and one whose estimate exceeds ``quad_tol``, or that
     did not converge, raises :class:`~hkgeo.geometry.DivergenceError`.
     Errors name the first bad segment of a batch.
     """
@@ -165,24 +166,20 @@ def recover_moment_map(alpha, base, p, base_value=0.0, closure_tol=1e-6,
         raise NotExactError(f"form is not closed along the path{segment(k)} (residual "
                             f"{res[k, i]:.3e} at t={ts[i]:.2f})", residual=float(res[k, i]))
 
-    def integrand(t):  # nodes (n, 1) -> (n, B), one field call for all segments
-        nodes = base + t[:, :, None] * delta  # (n, B, d)
+    def integrand(t):  # nodes (n,) -> (n, B), one field call for all segments
+        nodes = base + t[:, None, None] * delta  # (n, B, d)
         a = alpha.value(nodes.reshape(-1, base.size)).reshape(nodes.shape)
         return np.sum(a * delta, axis=-1)
 
-    eps = 1e-12
-    out = integrate.cubature(integrand, [0.0], [1.0], rule="gk21", atol=eps, rtol=eps,
-                             max_subdivisions=200)
-    ok = out.error <= quad_tol  # written so that NaN fails
-    if out.status != "converged":  # the segments that kept it subdividing
-        ok &= out.error <= eps + eps * np.abs(out.estimate)
-    failure = first_failure(ok)
+    out = integrate(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
+    failure = first_failure((out.error <= quad_tol) & out.converged)  # NaN fails
     if failure is not None:
         k = failure[0]
         raise DivergenceError(
             f"line integral{segment(k)} has error estimate {out.error[k]:.3e} "
-            f"(tolerance {quad_tol:.1e}, cubature {out.status})")
-    value = base_value + out.estimate
+            f"(tolerance {quad_tol:.1e}"
+            f"{'' if out.converged[k] else ', not converged'})")
+    value = base_value + out.value
     return float(value[0]) if p.ndim == 1 else value
 
 

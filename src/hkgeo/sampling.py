@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy 2 loads it on first use: load it with the package
 
 __all__ = ["Exclusion", "SampleSpec", "SamplingExhaustedError", "sample_points"]
 

@@ -125,6 +125,17 @@ def test_constancy_across_points(monkeypatch):
         heavenly_constant(non_unimodular_field(), om, pts)
 
 
+def test_heavenly_constant_of_one_point():
+    om = symplectic_matrix(2)
+    p = [0.1, 0.2, 0.3, 0.4]
+    res = heavenly_constant(unit_determinant_shear_field(), om, p)
+    assert res.C == pytest.approx(1.0, abs=1e-12) and res.spread == 0.0
+    assert res == heavenly_constant(unit_determinant_shear_field(), om, [p])
+    heavenly_constant(non_unimodular_field(), om, p)  # one point: nothing to vary
+    with pytest.raises(HeavenlyViolation, match="across 2 points"):
+        heavenly_constant(non_unimodular_field(), om, [p, [0.5, -0.3, 0.9, 0.2]])
+
+
 def test_triple_quaternion_algebra():
     om = symplectic_matrix(2)
     shear = unit_determinant_shear_field()

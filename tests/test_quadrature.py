@@ -1,0 +1,161 @@
+"""The in-repo Gauss-Kronrod rule and the two integrals built on it.
+
+The nodes are checked by polynomial exactness and against numpy's
+Gauss-Legendre rule; the adaptive driver by its call pattern (one
+integrand call per refinement round, each node once) and by batch-equals-
+single; the Euler characteristic and the moment map against
+``scipy.integrate.quad``, the independent oracle.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy import integrate as scipy_integrate
+
+from hkgeo import geometry, models, reduction
+from hkgeo.quadrature import gauss_kronrod, integrate
+
+
+def monomial_errors(weights, nodes, degrees):
+    exact = [(1 + (-1) ** d) / (d + 1) for d in degrees]
+    return np.abs([weights @ nodes ** d for d in degrees] - np.asarray(exact))
+
+
+def test_kronrod_exact_to_degree_31_and_gauss_to_19():
+    x, w = gauss_kronrod()
+    assert x.shape == (21,) and np.all(np.diff(x) > 0) and np.all(w[0] > 0)
+    assert np.max(monomial_errors(w[0], x, range(32))) < 1e-14
+    assert np.max(monomial_errors(w[1], x, range(20))) < 1e-14
+    # and not beyond: the degrees are those of the rules, not of luck
+    assert monomial_errors(w[0], x, [32])[0] > 1e-13
+    assert monomial_errors(w[1], x, [20])[0] > 1e-8
+
+
+def test_gauss_nodes_are_the_odd_kronrod_nodes():
+    x, w = gauss_kronrod()
+    assert np.all(w[1, 0::2] == 0.0)
+    gx, gw = np.polynomial.legendre.leggauss(10)
+    assert np.max(np.abs(x[1::2] - gx)) < 1e-15
+    assert np.max(np.abs(w[1, 1::2] - gw)) < 1e-15
+    assert np.array_equal(x, -x[::-1])  # symmetric, the centre node exactly 0
+
+
+FUNCTIONS = [np.sqrt, np.exp, lambda x: np.sin(50.0 * x), lambda x: x * x,
+             np.zeros_like, lambda x: np.sin(1.0 / x)]
+
+
+def test_batched_outputs_equal_per_output_integration():
+    opts = dict(epsabs=1e-10, epsrel=1e-10, limit=60)
+    batch = integrate(lambda x: np.stack([f(x) for f in FUNCTIONS], axis=-1), 0.0, 1.0,
+                      **opts)
+    assert batch.value.shape == batch.error.shape == batch.converged.shape == (6,)
+    nevals = []
+    for k, f in enumerate(FUNCTIONS):
+        one = integrate(f, 0.0, 1.0, **opts)
+        assert isinstance(one.value, float) and isinstance(one.converged, bool)
+        assert (one.value, one.error, one.converged) == (
+            batch.value[k], batch.error[k], batch.converged[k])
+        nevals.append(one.neval)
+    assert max(nevals) <= batch.neval < sum(nevals)  # nodes are shared
+    assert batch.value[:4] == pytest.approx([2 / 3, math.e - 1, (1 - math.cos(50)) / 50,
+                                             1 / 3], abs=1e-10)
+    # outputs of any shape: a (2, 3) integrand gives (2, 3) results
+    grid = integrate(lambda x: np.multiply.outer(x, np.arange(6.0).reshape(2, 3)), 0.0, 2.0)
+    assert grid.value.shape == (2, 3)
+    assert np.max(np.abs(grid.value - 2.0 * np.arange(6.0).reshape(2, 3))) < 1e-14
+
+
+def test_unconverged_integrand_reports_an_error_above_tolerance():
+    out = integrate(lambda x: np.sin(1.0 / x), 0.0, 1.0, epsabs=1e-12, epsrel=1e-12,
+                    limit=20)
+    assert not out.converged and out.error > 1e-12
+    assert out.neval == 21 * (2 * 20 - 1)  # twenty intervals, every one evaluated once
+    nan = integrate(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
+    assert not nan.converged and math.isnan(nan.error)
+    inf = integrate(lambda x: np.where(x == 0.5, np.inf, x), 0.0, 1.0)  # the centre node
+    assert not inf.converged and inf.value == inf.error == math.inf
+    with pytest.raises(ValueError, match="shape"):
+        integrate(lambda x: x[:3], 0.0, 1.0)
+
+
+def test_one_integrand_call_per_round_and_each_node_once():
+    seen = []
+
+    def f(x):
+        seen.append(np.array(x))
+        return np.sin(50.0 * x)
+
+    out = integrate(f, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=100)
+    assert out.converged and len(seen) > 2
+    sizes = [len(x) for x in seen]
+    assert sizes[0] == 21 and all(s % 42 == 0 for s in sizes[1:])  # halves of bisected intervals
+    assert max(sizes) > 42  # a round bisects as many intervals as the tolerance asks for
+    nodes = np.concatenate(seen)
+    assert out.neval == nodes.size == np.unique(nodes).size
+
+
+def test_moment_map_evaluates_each_node_once(monkeypatch):
+    m = models.build("toy-parent", 1.0)
+    alpha = reduction.contraction_field(m.forms["omega"], m.killing["shift"])
+    base, mu = np.asarray(m.extras["moment_base"]), m.targets["moment_map"]
+    pts = np.asarray(m.sample(100, 5))
+    calls = []
+    orig = type(alpha).value
+
+    def counted(self, p, *args, **kwargs):
+        calls.append(np.shape(p))
+        return orig(self, p, *args, **kwargs)
+
+    monkeypatch.setattr(type(alpha), "value", counted)
+    got = reduction.recover_moment_map(alpha, base, pts, base_value=mu(base))
+    assert calls == [(21 * 100, 4)]  # one round, 21 nodes of every segment
+    assert np.max(np.abs(got - mu(pts.T))) < 1e-12
+
+
+def test_unconverged_segment_fails_below_quad_tol():
+    # sin(k x) has 1,600 periods on the second segment: 200 intervals cannot
+    # reach 1e-12, although the error estimate is far below this quad_tol
+    k = 1e4
+    wave = models.FormField(models.Chart(("x", "y")), 1,
+                            lambda c: [k * models.jets.cos(k * c[0]), 0.0])
+    with pytest.raises(geometry.DivergenceError, match="segment 1 .*not converged"):
+        reduction.recover_moment_map(wave, [0.0, 0.0], [[1e-3, 0.0], [1.0, 0.0]],
+                                     quad_tol=1e6)
+
+
+def quad_euler(g, a):
+    """The parent's Euler integral: ``scipy.integrate.quad``, one point at a time."""
+
+    def integrand(u):
+        r = max(a * u / (1.0 - u), 1e-6)
+        K = geometry.gaussian_curvature(g, [r, 0.0])
+        return K * math.sqrt(np.linalg.det(g.value([r, 0.0]))) * a / (1.0 - u) ** 2
+
+    return scipy_integrate.quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10,
+                                limit=200)[0]
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_euler_characteristic_one_riemann_call_per_round(monkeypatch, a):
+    counts = {"riemann": 0, "rounds": 0}
+    riemann, driver = geometry.riemann, geometry.integrate
+
+    def counted_riemann(*args, **kwargs):
+        counts["riemann"] += 1
+        return riemann(*args, **kwargs)
+
+    def counted_driver(f, *args, **kwargs):
+        def round_(x):
+            counts["rounds"] += 1
+            return f(x)
+        return driver(round_, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "riemann", counted_riemann)
+    monkeypatch.setattr(geometry, "integrate", counted_driver)
+    red = models.build("toy-reduced", a)
+    val, err = geometry.euler_characteristic(red.metric, r_scale=a)
+    assert counts["riemann"] == counts["rounds"] >= 1
+    assert abs(val - quad_euler(red.metric, a)) < 1e-10
+    assert abs(val - 2.0) < 1e-10 and err < 1e-10
+

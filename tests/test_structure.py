@@ -1,12 +1,16 @@
-"""Where the linear solves of the package live, checked on its source.
+"""The structure of the package, checked on its source and on a fresh import.
 
 Every metric solve goes through the one guarded solve,
 ``geometry._solve``; the jet-capable elimination ``jets.solve``, which
-does not pivot, is called only behind a positive-definiteness check; and
-no module forms a bare inverse.
+does not pivot, is called only behind a positive-definiteness check; no
+module forms a bare inverse; and the package neither imports scipy nor
+leaves ``numpy.random`` to load lazily inside a run.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hkgeo
@@ -61,3 +65,23 @@ def test_solves_live_where_positive_definiteness_is_checked():
                     stray.append(f"{name} in {path.name}:{owner}")
     assert stray == []
     assert seen == {name for name, where in ALLOWED.items() if where}  # the right names
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}: {n}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_fresh_cli_import_loads_numpy_random_and_no_scipy():
+    code = ("import sys, hkgeo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                         check=True).stdout.split("\n")
+    assert out[:2] == ["[]", "True"]
