@@ -13,9 +13,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
+from .ddouble import DD
 from .jets import Jet, _batch_shape, call_field
 
 __all__ = [
@@ -111,8 +111,7 @@ def _square_jet(fn, p, sign, order):
     raw = call_field(fn, p, order)
     d = len(raw)
     shape = (*batch, 1 + dim + (dim * dim if second else 0), d, d)
-    packed = (np.zeros(shape) if _point_dtype(p) is float
-              else np.full(shape, mpmath.mpf(0), dtype=object))
+    packed = DD.zeros(shape) if isinstance(p, DD) else np.zeros(shape, _point_dtype(p))
     for M, N, e in _triangle(raw, sign):
         if not isinstance(e, Jet):
             packed[..., 0, M, N] = e
@@ -122,7 +121,8 @@ def _square_jet(fn, p, sign, order):
         packed[..., 1:dim + 1, M, N] = e.gradient.T
         if second:
             packed[..., dim + 1:, M, N] = e.hessian.reshape(dim * dim, *batch).T
-    full = mirror_triangle(packed, sign)
+    mirror = functools.partial(mirror_triangle, sign=sign)
+    full = packed.map(mirror) if isinstance(packed, DD) else mirror(packed)
     D2 = (full[..., dim + 1:, :, :].reshape(*full.shape[:-3], dim, dim, d, d)
           if second else None)
     return full[..., 0, :, :], full[..., 1:dim + 1, :, :], D2

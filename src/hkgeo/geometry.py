@@ -12,30 +12,35 @@ the sign fixed so that the round sphere has positive curvature.
 
 ``gaussian_curvature`` returns the curvature scalar of a 2-dimensional
 metric normalised as ``2 R_{0101} / det g`` (the 2D Ricci scalar, i.e.
-twice the sectional value); with this normalisation the rotationally
-symmetric reductions built in :mod:`hkgeo.models` integrate to their
-expected topological count via :func:`euler_characteristic`.
+twice the sectional value), by Brioschi's formula from the metric
+components and their first and second derivatives; with this
+normalisation the rotationally symmetric reductions built in
+:mod:`hkgeo.models` integrate to their expected topological count via
+:func:`euler_characteristic`.  :func:`ricci_scalar`, the full contraction
+of :func:`riemann`, is the independent route it is tested against.
+Below ``r = 0.05`` on a polar chart the curvature runs on double-double
+numbers (:mod:`hkgeo.ddouble`, see :func:`curvature_dps`).
 
-Inverse-metric contractions are guarded by a Cholesky factorisation, so a
-non-positive-definite metric surfaces as a :class:`MetricDomainError`
-instead of a silent wrong answer; every metric solve of the package goes
-through that one guarded solve.
+Inverse-metric contractions and curvatures are guarded by a Cholesky
+factorisation, so a non-positive-definite metric surfaces as a
+:class:`MetricDomainError` instead of a silent wrong answer; every metric
+solve of the package goes through that one guarded solve.
 
-:func:`christoffel`, :func:`covariant_derivative_02`, :func:`killing_deviation`
-and the curvature chain (:func:`riemann`, :func:`riemann_lowered`,
-:func:`gaussian_curvature`, float64 and 40-digit) take one point ``(d,)`` or a
-batch ``(B, d)`` (point axis first on the output; errors name the first point).
+:func:`christoffel`, :func:`covariant_derivative_02`, :func:`killing_deviation`,
+:func:`riemann` and :func:`gaussian_curvature` (at every precision) take one
+point ``(d,)`` or a batch ``(B, d)`` (point axis first on the output; errors
+name the first point).
 """
 
 from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 
+from .ddouble import DD, DIGITS
 from .fields import _upper_mask, mirror_triangle
-from .jets import fd_oracle, first_failure, solve
+from .jets import EvaluationError, fd_oracle, first_failure, solve
 from .quadrature import integrate
 
 __all__ = [
@@ -44,7 +49,6 @@ __all__ = [
     "christoffel",
     "christoffel_fd",
     "riemann",
-    "riemann_lowered",
     "ricci_scalar",
     "gaussian_curvature",
     "curvature_at_radii",
@@ -66,46 +70,45 @@ class DivergenceError(RuntimeError):
 def _finite_per_matrix(a):
     """Per matrix ``a[..., :, :]``, whether its Cholesky factor is finite
     (``LinAlgError`` counts as not): names the failing point of a stack."""
-    def ok(m):
-        try:
-            return bool(np.isfinite(np.linalg.cholesky(m)).all())
-        except np.linalg.LinAlgError:
+    try:
+        return np.isfinite(np.linalg.cholesky(a)).all(axis=(-2, -1))
+    except np.linalg.LinAlgError:
+        if a.ndim == 2:
             return False
+        return np.reshape([_finite_per_matrix(m) for m in a.reshape(-1, *a.shape[-2:])],
+                          a.shape[:-2])
 
-    return np.reshape([ok(m) for m in a.reshape(-1, *a.shape[-2:])], a.shape[:-2])
+
+def _check_positive_definite(gv):
+    """Raise :class:`MetricDomainError` unless every metric of ``gv`` ``(..., d, d)``
+    is positive definite (NaN included), naming the first failing point.
+
+    The guard of every metric solve and every curvature: a Cholesky
+    factorisation in float64 for mpmath and double-double entries, else in
+    the metric's own dtype, so a Hermitian one keeps its imaginary part.
+    """
+    if isinstance(gv, DD):
+        gv = gv.hi
+    elif gv.dtype == object:
+        gv = np.asarray(gv, dtype=float)
+    failure = first_failure(_finite_per_matrix(gv))
+    if failure is not None:
+        raise MetricDomainError(f"metric not positive definite{failure[1]}")
 
 
 def _solve(gv, B):
     """Solve ``gv @ X = B`` for positive-definite ``gv`` ``(..., d, d)``,
     real symmetric or complex Hermitian; dtype-generic.
 
-    A metric that is not positive definite (NaN included) raises
-    :class:`MetricDomainError` naming the first failing point of a batch.
-    Every metric is guarded by a Cholesky factorisation (float64 for mpmath
-    entries, else in its own dtype, so a Hermitian one keeps its imaginary
-    part); float and complex ones are then solved by LU, broadcasting, and
-    mpmath ones eliminated at full precision by :func:`hkgeo.jets.solve`,
-    the point axis moved last.
+    Guarded by :func:`_check_positive_definite`; float and complex metrics
+    are then solved by LU, broadcasting, and mpmath ones eliminated at full
+    precision by :func:`hkgeo.jets.solve`, the point axis moved last.
     """
-    guard = np.asarray(gv, dtype=float) if gv.dtype == object else gv
-    try:
-        ok = np.isfinite(np.linalg.cholesky(guard)).all(axis=(-2, -1))
-    except np.linalg.LinAlgError:
-        ok = _finite_per_matrix(guard)
-    failure = first_failure(ok)
-    if failure is not None:
-        raise MetricDomainError(f"metric not positive definite{failure[1]}")
+    _check_positive_definite(gv)
     if gv.dtype != object:
         return np.linalg.solve(gv, B)
     X = solve(np.moveaxis(gv, (-2, -1), (0, 1)), np.moveaxis(B, (-2, -1), (0, 1)))
     return np.moveaxis(np.array(X, dtype=object), (0, 1), (-2, -1))
-
-
-def _det(gv):
-    """Determinant of metrics ``(..., d, d)``; mpmath ones are 2x2 (2-D callers only)."""
-    if gv.dtype != object:
-        return np.linalg.det(gv)
-    return gv[..., 0, 0] * gv[..., 1, 1] - gv[..., 0, 1] * gv[..., 1, 0]
 
 
 def _lowered_christoffel(dg):
@@ -170,15 +173,10 @@ def riemann(g, p):
     return mirror_triangle(R, -1)
 
 
-def riemann_lowered(g, p):
-    """``R_{ABCD} = g_{AE} R^E_{BCD}`` at one point or a batch."""
-    return np.einsum("...ae,...ebcd->...abcd", g.value(p), riemann(g, p))
-
-
 def ricci_scalar(g, p):
     """Scalar curvature by full contraction ``g^{BD} R^A_{BAD}``.
 
-    Independent of :func:`gaussian_curvature`'s single-component route; the
+    Independent of :func:`gaussian_curvature`'s Brioschi formula; the
     two must agree on 2-dimensional metrics.
     """
     ric = np.einsum("abad->bd", riemann(g, p))
@@ -188,28 +186,22 @@ def ricci_scalar(g, p):
 def curvature_dps(r):
     """Digits for :func:`gaussian_curvature` at radius ``r`` of a polar chart.
 
-    40 below ``r = 0.05``, where float64 cancellation near the origin would
-    dominate the error; ``None`` (float64) from there on.
+    31 (double-double, :data:`hkgeo.ddouble.DIGITS`) below ``r = 0.05``,
+    where float64 cancellation near the origin would dominate the error;
+    ``None`` (float64) from there on.
     """
-    return 40 if r < 0.05 else None
-
-
-#: Radii per :func:`gaussian_curvature` call of :func:`curvature_at_radii`.  A
-#: block of 50 40-digit radii adds about 0.5 MB to peak memory; one of 800, 7 MB.
-_CURVATURE_BLOCK = 50
+    return DIGITS if r < 0.05 else None
 
 
 def curvature_at_radii(g, rs):
     """:func:`gaussian_curvature` at the points ``(r, 1)`` of a polar chart, in
-    the order of ``rs``: one call per :func:`curvature_dps` precision and per
-    block of at most ``_CURVATURE_BLOCK`` radii."""
+    the order of ``rs``: one call per :func:`curvature_dps` precision."""
     pts = np.stack([rs, np.ones(len(rs))], axis=1)
     K = np.empty(len(rs))
     dps = [curvature_dps(r) for r in rs]
     for prec in dict.fromkeys(dps):
         idx = np.flatnonzero([x == prec for x in dps])
-        for part in np.split(idx, range(_CURVATURE_BLOCK, len(idx), _CURVATURE_BLOCK)):
-            K[part] = gaussian_curvature(g, pts[part], dps=prec)
+        K[idx] = gaussian_curvature(g, pts[idx], dps=prec)
     return K
 
 
@@ -220,25 +212,61 @@ def gaussian_curvature(g, p, dps=None):
     value.  ``p`` is one point ``(2,)`` (a float comes back) or a batch
     ``(B, 2)`` (a float array).  Polar-type charts degenerate towards their
     origin and amplify float64 roundoff like ``1/r**2``; passing ``dps``
-    re-evaluates the whole chain (metric components included) in mpmath
-    arithmetic with that many digits, which keeps the result honest down to
-    ``r ~ 1e-6``.  :func:`curvature_dps` says where that is needed.
+    re-evaluates the whole computation (metric components included) with
+    that many digits, which keeps the result honest down to ``r ~ 1e-6``:
+    in double-double arithmetic up to 31 digits (rational metrics only),
+    in mpmath above (imported here; the tests' oracle, no command uses it).
+    :func:`curvature_dps` says where extra digits are needed.
     """
     if g.dim != 2:
         raise ValueError("gaussian_curvature expects a 2-dimensional metric")
     if dps is None:
         return _curvature(g, p)
+    p = np.asarray(p, dtype=float)
+    if dps <= DIGITS:
+        return _curvature(g, DD(p, np.zeros_like(p)))
+    import mpmath
+
     with mpmath.workdps(dps):
-        return _curvature(g, np.frompyfunc(mpmath.mpf, 1, 1)(np.asarray(p, dtype=float)))
+        return _curvature(g, np.frompyfunc(mpmath.mpf, 1, 1)(p))
 
 
-def _curvature(g, p, gv=None):
-    """``2 R_{0101} / det g`` at ``p`` as floats; ``gv`` is ``g.value(p)`` if known."""
-    gv = g.value(p) if gv is None else gv
-    R = riemann(g, p)  # R_{0101} = g_{0E} R^E_{101}
-    K = 2 * (gv[..., 0, 0] * R[..., 0, 1, 0, 1] + gv[..., 0, 1] * R[..., 1, 1, 0, 1])
-    K = K / _det(gv)
-    return np.asarray(K, dtype=float) if np.ndim(K) else float(K)
+def _at(a, *index):
+    """``a[..., *index]``: an entry for one point (never numpy's 0-d array,
+    which an mpmath number on its left would convert), an array for a batch."""
+    return a[(..., *index)][()]
+
+
+def _curvature(g, p):
+    """``2K`` at ``p`` as floats, by Brioschi's formula on ``g.jet(p)``.
+
+    With ``E, F, G`` the metric components on the chart ``(u, v)`` and
+    ``W = EG - F^2``, ``K W^2`` is the difference of two 3x3 determinants
+    of the components and their first and second derivatives (do Carmo,
+    *Differential Geometry of Curves and Surfaces*, section 4-3), so no
+    linear solve is needed and the arithmetic of the entries (float64,
+    double-double or mpmath) is all there is.  A metric that is not
+    positive definite raises :class:`MetricDomainError` and a non-finite
+    curvature :class:`~hkgeo.jets.EvaluationError`, naming the point.
+    """
+    gv, dg, d2g = g.jet(p)
+    _check_positive_definite(gv)
+    E, F, G = _at(gv, 0, 0), _at(gv, 0, 1), _at(gv, 1, 1)
+    Eu, Fu, Gu = _at(dg, 0, 0, 0), _at(dg, 0, 0, 1), _at(dg, 0, 1, 1)
+    Ev, Fv, Gv = _at(dg, 1, 0, 0), _at(dg, 1, 0, 1), _at(dg, 1, 1, 1)
+    Evv, Fuv, Guu = _at(d2g, 1, 1, 0, 0), _at(d2g, 0, 1, 0, 1), _at(d2g, 0, 0, 1, 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        W = E * G - F * F
+        b, c = Fv - Gu * 0.5, Fu - Ev * 0.5
+        det1 = ((Fuv - (Evv + Guu) * 0.5) * W - Eu * (b * G - F * Gv * 0.5) * 0.5
+                + c * (b * F - E * Gv * 0.5))
+        det2 = (Gu * (Ev * F - E * Gu) - Ev * (Ev * G - F * Gu)) * 0.25
+        K = 2 * (det1 - det2) / (W * W)
+    K = K.hi if isinstance(K, DD) else np.asarray(K, dtype=float)
+    failure = first_failure(np.isfinite(K))
+    if failure is not None:
+        raise EvaluationError(f"non-finite curvature{failure[1]}", point=failure[0])
+    return K if K.ndim else float(K)
 
 
 def covariant_derivative_02(g, T, p):
@@ -290,7 +318,7 @@ def euler_characteristic(g, period=2 * math.pi, r_scale=1.0, quad_tol=1e-8,
         # one metric value per point: the jet's value part can differ from
         # g.value in the last bit (jet division multiplies by a reciprocal)
         gv = g.value(points)
-        val = (period / (2 * math.pi)) * _curvature(g, points, gv) * np.sqrt(_det(gv)) * jac
+        val = (period / (2 * math.pi)) * _curvature(g, points) * np.sqrt(np.linalg.det(gv)) * jac
         if weight is not None:
             val = val * np.array([weight(float(x)) for x in r])
         return val

@@ -5,9 +5,11 @@ at a point, propagated through arithmetic by the truncated second-order
 Taylor rules; a :class:`Jet1` carries the value and gradient only.  Field
 code throughout the package is written against the dispatching math helpers
 in this module (:func:`sqrt`, :func:`exp`, :func:`atan2`, ...) so the same
-expression evaluates on plain floats, on jets of either order, or on mpmath
-numbers when extra precision is required (curvature of nearly degenerate
-polar charts, for instance).
+expression evaluates on plain floats, on jets of either order, or with
+extra precision: on double-double numbers (:class:`hkgeo.ddouble.DD`,
+rational fields only), which the curvature of nearly degenerate polar
+charts uses, or on mpmath numbers, which only the tests use (mpmath is
+never imported here; its numbers are recognised once it is loaded).
 
 Which order is used where
 -------------------------
@@ -21,7 +23,7 @@ derivatives, Wirtinger derivatives and spin-connection traces of Hermitian
 fields, vector-field derivatives, Jacobians of maps and moment-map
 gradients.  :class:`Jet2` stays where second derivatives are read: the
 derivative of the connection (so the Riemann tensor and every curvature,
-float64 and 40-digit), metrics from Kaehler potentials and the jet-vs-
+at every precision), metrics from Kaehler potentials and the jet-vs-
 finite-difference hygiene check.  Both orders share every elementary
 derivative rule (the ``f, f', f''`` triple in :class:`Jet`), so their
 values and gradients agree bit for bit.
@@ -53,7 +55,9 @@ at every point.  :func:`call_field` and :func:`evaluate_jet` take one point
 ``(d,)`` or a batch ``(B, d)``, and the shape of the input decides: a
 single point is the same code fed scalars.  On a float batch the
 elementary functions come from numpy (``np.sqrt``, ``np.atan2``, ...), on
-a 40-digit batch (an object array) from mpmath, entry by entry; fields run
+a 40-digit batch (an object array) from mpmath, entry by entry, and a
+double-double batch (a :class:`~hkgeo.ddouble.DD` of shape ``(B, d)``,
+whose gradient is a DD ``(d, B)``) has the arithmetic only; fields run
 with numpy's division by zero and invalid operations raised, as Python
 floats raise them, and every error names the first offending point of the
 batch.  Jets opt out of numpy's operator dispatch (``__array_ufunc__ =
@@ -68,11 +72,14 @@ used as the independent reference wherever jet output is trusted.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from types import SimpleNamespace
 
-import mpmath
 import numpy as np
+
+from .ddouble import DD
 
 __all__ = [
     "Jet",
@@ -126,27 +133,42 @@ class StencilExclusionError(ValueError):
 
 
 def _is_mp(x):
-    return isinstance(x, (mpmath.mpf, mpmath.mpc))
+    """Whether ``x`` is an mpmath number (none exists before mpmath is imported)."""
+    mpmath = sys.modules.get("mpmath")
+    return mpmath is not None and isinstance(x, (mpmath.mpf, mpmath.mpc))
 
 
-#: mpmath's elementary functions mapped over the entries of an object array.
-_MP_ARRAY = SimpleNamespace(
-    atan2=np.frompyfunc(mpmath.atan2, 2, 1),
-    **{name: np.frompyfunc(getattr(mpmath, name), 1, 1)
-       for name in ("exp", "log", "sqrt", "sin", "cos", "atan", "sinh", "cosh")})
+@functools.cache
+def _mp_array():
+    """mpmath's elementary functions mapped over the entries of an object array."""
+    import mpmath
+
+    return SimpleNamespace(
+        atan2=np.frompyfunc(mpmath.atan2, 2, 1),
+        **{name: np.frompyfunc(getattr(mpmath, name), 1, 1)
+           for name in ("exp", "log", "sqrt", "sin", "cos", "atan", "sinh", "cosh")})
 
 
 def _mathmod(x):
     if isinstance(x, np.ndarray):
-        return _MP_ARRAY if x.dtype == object else np
-    return mpmath if _is_mp(x) else math
+        return _mp_array() if x.dtype == object else np
+    if _is_mp(x):
+        return sys.modules["mpmath"]
+    if isinstance(x, DD):
+        raise TypeError("double-double arithmetic is rational only (+, -, *, /, "
+                        "integer powers); evaluate this field in mpmath instead")
+    return math
 
 
 def _zeros(shape, like):
     """Zeros of ``shape`` in ``like``'s arithmetic, then its point axis if a batch."""
-    if isinstance(like, np.ndarray):
+    if isinstance(like, (np.ndarray, DD)):
         shape = (*shape, *like.shape)
+    if isinstance(like, DD):
+        return DD.zeros(shape)
     if _is_mp(like) or getattr(like, "dtype", None) == object:
+        import mpmath
+
         return np.full(shape, mpmath.mpf(0), dtype=object)
     return np.zeros(shape)
 
@@ -265,8 +287,10 @@ class Jet2(Jet):
 
     def __init__(self, value, gradient, hessian):
         self.value = value
-        self.gradient = np.asarray(gradient)
-        self.hessian = np.asarray(hessian)
+        if isinstance(gradient, DD):  # double-double entries stay one array pair
+            self.gradient, self.hessian = gradient, hessian
+        else:
+            self.gradient, self.hessian = np.asarray(gradient), np.asarray(hessian)
 
     @classmethod
     def constant(cls, value, dim, like=None):
@@ -437,7 +461,7 @@ def atan2(y, x):
 
 def _isfinite(x):
     if _is_mp(x):
-        return mpmath.isfinite(x)
+        return sys.modules["mpmath"].isfinite(x)
     return math.isfinite(x)
 
 
@@ -478,21 +502,28 @@ def first_failure(ok, p=None):
         return None
     ok = np.asarray(ok)
     if ok.ndim == 0:
-        return None if ok else (None, "" if p is None else f" at {np.asarray(p).tolist()}")
+        return None if ok else (None, "" if p is None else f" at {_plain(p).tolist()}")
     if ok.all():
         return None
     k = int(np.argmin(ok.reshape(-1)))
-    return k, f" at point {k}" + ("" if p is None else f" {np.asarray(p)[k].tolist()}")
+    return k, f" at point {k}" + ("" if p is None else f" {_plain(p)[k].tolist()}")
+
+
+def _plain(p):
+    """Point(s) ``p`` as an array for messages; a double-double one rounded."""
+    return p.hi if isinstance(p, DD) else np.asarray(p)
 
 
 def _batch_shape(p):
     """``(B,)`` for a batch of points, a ``(B, d)`` array; ``()`` for one point."""
-    return p.shape[:1] if isinstance(p, np.ndarray) and p.ndim == 2 else ()
+    return p.shape[:1] if isinstance(p, (np.ndarray, DD)) and p.ndim == 2 else ()
 
 
 def _coords(p):
     """Coordinate list of one point ``(d,)``, or the columns of a batch ``(B, d)``."""
-    return list(np.ascontiguousarray(p.T)) if _batch_shape(p) else list(p)
+    if not _batch_shape(p):
+        return list(p)
+    return list(p.T if isinstance(p, DD) else np.ascontiguousarray(p.T))
 
 
 def call_field(f, p, order=None):
@@ -526,7 +557,7 @@ def call_field(f, p, order=None):
                                           point=k) from err
             where = "on a batch of points"
         else:
-            where = f"at {np.asarray(p).tolist()}"
+            where = f"at {_plain(p).tolist()}"
         raise EvaluationError(f"{err} evaluating a field {where}") from err
 
 

@@ -135,8 +135,8 @@ def test_curvature_profile_csv(tmp_path):
         assert err < 1e-6
 
 
-def test_curvature_profile_one_call_per_block(monkeypatch, tmp_path):
-    # 800 40-digit radii go to gaussian_curvature in blocks, not one by one
+def test_curvature_profile_one_call_per_precision(monkeypatch, tmp_path):
+    # the radii of one precision go to gaussian_curvature in one call
     calls = []
     real = geometry.gaussian_curvature
 
@@ -147,8 +147,11 @@ def test_curvature_profile_one_call_per_block(monkeypatch, tmp_path):
     monkeypatch.setattr(geometry, "gaussian_curvature", counted)
     assert run(["curvature-profile", "--rmax", "0.04", "--steps", "800",
                 "--csv", str(tmp_path / "k.csv")]) == 0
-    block = geometry._CURVATURE_BLOCK
-    assert calls == [(block, 40)] * (800 // block)
+    assert calls == [(800, 31)]
+    calls.clear()
+    assert run(["curvature-profile", "--csv", str(tmp_path / "d.csv")]) == 0
+    assert [dps for _, dps in calls] == [31, None]  # the default grid: both precisions
+    assert sum(n for n, _ in calls) == 200
 
 
 def test_curvature_profile_stdout(capsys):

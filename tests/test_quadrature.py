@@ -137,25 +137,25 @@ def quad_euler(g, a):
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
-def test_euler_characteristic_one_riemann_call_per_round(monkeypatch, a):
-    counts = {"riemann": 0, "rounds": 0}
-    riemann, driver = geometry.riemann, geometry.integrate
+def test_euler_characteristic_one_jet_call_per_round(monkeypatch, a):
+    counts = {"jet": 0, "rounds": 0}
+    rule = geometry.integrate
+    red = models.build("toy-reduced", a)
+    jet = red.metric.jet
 
-    def counted_riemann(*args, **kwargs):
-        counts["riemann"] += 1
-        return riemann(*args, **kwargs)
+    def counted_jet(*args, **kwargs):
+        counts["jet"] += 1
+        return jet(*args, **kwargs)
 
-    def counted_driver(f, *args, **kwargs):
+    def counted_rule(f, *args, **kwargs):
         def round_(x):
             counts["rounds"] += 1
             return f(x)
-        return driver(round_, *args, **kwargs)
+        return rule(round_, *args, **kwargs)
 
-    monkeypatch.setattr(geometry, "riemann", counted_riemann)
-    monkeypatch.setattr(geometry, "integrate", counted_driver)
-    red = models.build("toy-reduced", a)
+    monkeypatch.setattr(red.metric, "jet", counted_jet)
+    monkeypatch.setattr(geometry, "integrate", counted_rule)
     val, err = geometry.euler_characteristic(red.metric, r_scale=a)
-    assert counts["riemann"] == counts["rounds"] >= 1
+    assert counts["jet"] == counts["rounds"] >= 1
     assert abs(val - quad_euler(red.metric, a)) < 1e-10
     assert abs(val - 2.0) < 1e-10 and err < 1e-10
-

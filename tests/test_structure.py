@@ -4,7 +4,8 @@ Every metric solve goes through the one guarded solve,
 ``geometry._solve``; the jet-capable elimination ``jets.solve``, which
 does not pivot, is called only behind a positive-definiteness check; no
 module forms a bare inverse; and the package neither imports scipy nor
-leaves ``numpy.random`` to load lazily inside a run.
+leaves ``numpy.random`` to load lazily inside a run, and its commands load
+no mpmath (the tests' 40-digit oracle).
 """
 
 import ast
@@ -85,3 +86,21 @@ def test_fresh_cli_import_loads_numpy_random_and_no_scipy():
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
                          check=True).stdout.split("\n")
     assert out[:2] == ["[]", "True"]
+
+
+def test_commands_load_no_mpmath():
+    code = ("import contextlib, io, sys\n"
+            "import hkgeo.cli\n"
+            "def mp():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath')\n"
+            "seen = [mp()]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    hkgeo.cli.main(['curvature-profile'])\n"
+            "    seen.append(mp())\n"
+            "    hkgeo.cli.main(['verify', 'toy', '--samples', '5'])\n"
+            "seen.append(mp())\n"
+            "print(seen)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                         check=True).stdout
+    assert out.strip() == "[[], [], []]"
