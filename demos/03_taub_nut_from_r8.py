@@ -27,8 +27,9 @@ rng = np.random.default_rng(11)
 # --- the monopole potential and its curl -------------------------------------
 
 x = np.array([0.9, -0.4, 0.7])
-jA1 = fd_oracle(lambda c: models.monopole_potential(c)[0], x)
-jA2 = fd_oracle(lambda c: models.monopole_potential(c)[1], x)
+# the oracle hands the field coordinate columns; the potential takes points
+jA1 = fd_oracle(lambda c: models.monopole_potential(np.stack(c, axis=-1))[:, 0], x)
+jA2 = fd_oracle(lambda c: models.monopole_potential(np.stack(c, axis=-1))[:, 1], x)
 curl = np.array([-jA2.gradient[2], jA1.gradient[2],
                  jA2.gradient[0] - jA1.gradient[1]])
 r = np.linalg.norm(x)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .ddouble import DD, DIGITS
 from .fields import _upper_mask, mirror_triangle
-from .jets import EvaluationError, fd_oracle, first_failure, solve
+from .jets import EvaluationError, fd_step, first_failure, solve
 from .quadrature import integrate
 
 __all__ = [
@@ -132,17 +132,20 @@ def christoffel(g, p):
 def christoffel_fd(g, p):
     """Same connection, but every metric derivative from central differences.
 
+    One point ``(d,)`` or a batch ``(B, d)``: one ``g.value`` call on each
+    point and its ``2 d`` shifts by the steps of :func:`~hkgeo.jets.fd_step`.
     Kept deliberately free of jet arithmetic so it can arbitrate against
     :func:`christoffel`.
     """
-    d = g.dim
-    gv = g.value(p)
-    dg = np.zeros((d, d, d))
-    for M in range(d):
-        for N in range(M, d):
-            comp = fd_oracle(lambda q, M=M, N=N: float(g.fn(q)[M][N]), p)
-            dg[:, M, N] = comp.gradient
-    return _christoffel_from(gv, mirror_triangle(dg, +1))
+    p = np.asarray(p, dtype=float)
+    d = p.shape[-1]
+    h = fd_step(p)[..., None]
+    shift = h * np.eye(d)  # (..., d, d): row K is h_K e_K
+    q = p[..., None, :]
+    G = g.value(np.concatenate([q, q + shift, q - shift], axis=-2).reshape(-1, d))
+    G = G.reshape(*p.shape[:-1], 2 * d + 1, d, d)
+    dg = (G[..., 1:d + 1, :, :] - G[..., d + 1:, :, :]) / (2 * h[..., None])
+    return _christoffel_from(G[..., 0, :, :], dg)
 
 
 def riemann(g, p):

@@ -59,14 +59,15 @@ a 40-digit batch (an object array) from mpmath, entry by entry, and a
 double-double batch (a :class:`~hkgeo.ddouble.DD` of shape ``(B, d)``,
 whose gradient is a DD ``(d, B)``) has the arithmetic only; fields run
 with numpy's division by zero and invalid operations raised, as Python
-floats raise them, and every error names the first offending point of the
+floats raise them (and ``math``'s domain errors as numpy's invalid
+operations), and every error names the first offending point of the
 batch.  Jets opt out of numpy's operator dispatch (``__array_ufunc__ =
 None``), so ``array * jet`` is the jet's product, not an object array of
 jets.  :func:`solve` is for positive-definite matrices (metrics and mass
 matrices, checked first by their callers) and does not pivot.
 
 :func:`fd_oracle` produces the same (value, gradient, Hessian) triple from
-central differences only.  It shares no derivative code with the jets and is
+central differences only, at one point or a batch.  It shares no derivative code with the jets and is
 used as the independent reference wherever jet output is trusted.
 """
 
@@ -138,15 +139,38 @@ def _is_mp(x):
     return mpmath is not None and isinstance(x, (mpmath.mpf, mpmath.mpc))
 
 
+_ELEMENTARY = ("exp", "log", "sqrt", "sin", "cos", "atan", "sinh", "cosh", "atan2")
+
+
 @functools.cache
 def _mp_array():
     """mpmath's elementary functions mapped over the entries of an object array."""
     import mpmath
 
-    return SimpleNamespace(
-        atan2=np.frompyfunc(mpmath.atan2, 2, 1),
-        **{name: np.frompyfunc(getattr(mpmath, name), 1, 1)
-           for name in ("exp", "log", "sqrt", "sin", "cos", "atan", "sinh", "cosh")})
+    return SimpleNamespace(**{
+        name: np.frompyfunc(getattr(mpmath, name), 1 + (name == "atan2"), 1)
+        for name in _ELEMENTARY})
+
+
+def _domain_checked(fn):
+    """``math`` function ``fn``, its domain error raised as numpy's invalid operation.
+
+    :func:`call_field` reports a ``FloatingPointError`` as
+    :class:`EvaluationError` naming the point, as it does numpy's.
+    """
+
+    def checked(*args):
+        try:
+            return fn(*args)
+        except ValueError as err:  # "math domain error": sqrt or log of a negative, ...
+            raise FloatingPointError(f"{err} in {fn.__name__}") from err
+
+    return checked
+
+
+#: The float branch of the helpers.
+_MATH = SimpleNamespace(**{name: _domain_checked(getattr(math, name))
+                           for name in _ELEMENTARY})
 
 
 def _mathmod(x):
@@ -157,7 +181,7 @@ def _mathmod(x):
     if isinstance(x, DD):
         raise TypeError("double-double arithmetic is rational only (+, -, *, /, "
                         "integer powers); evaluate this field in mpmath instead")
-    return math
+    return _MATH
 
 
 def _zeros(shape, like):
@@ -535,8 +559,9 @@ def call_field(f, p, order=None):
     :class:`Jet2` seeds.  This is where every field evaluation of the
     package calls the field, so a division by zero or an invalid operation
     inside it (a field evaluated on its singular locus) surfaces as
-    :class:`EvaluationError`, on Python floats (``ZeroDivisionError``) and
-    numpy scalars or arrays alike (numpy is made to raise).  A failing
+    :class:`EvaluationError`, on Python floats (``ZeroDivisionError``, or
+    the helpers' domain errors) and numpy scalars or arrays alike (numpy is
+    made to raise).  A failing
     batch is evaluated again one point at a time to name the first point
     that fails.
     """
@@ -653,56 +678,51 @@ def solve(A, B):
 
 
 def fd_step(x):
-    """Central-difference step for a coordinate value ``x``."""
-    return max(FD_STEP, FD_STEP * abs(x))
+    """Central-difference step ``max(FD_STEP, FD_STEP |x|)`` for coordinate value(s) ``x``."""
+    return np.maximum(FD_STEP, FD_STEP * np.abs(x))
 
 
 def fd_oracle(f, p, exclusions=()):
     """Finite-difference (value, gradient, Hessian) of ``f`` at ``p``.
 
+    ``p`` is one point ``(d,)`` or a batch ``(B, d)``, and the result a
+    :class:`Jet2` laid out as :func:`evaluate_jet` lays it out (point axis
+    last), so the two compare directly; but no jet arithmetic is involved.
     Central differences with per-coordinate step :func:`fd_step`; second
-    mixed derivatives use the four-point cross stencil.  The result is
-    packaged as a :class:`Jet2` so it compares directly against
-    :func:`evaluate_jet`, but no jet arithmetic is involved.
+    mixed derivatives use the four-point cross stencil.  Every point's
+    stencil goes to ``f`` in one :func:`call_field` call.
 
-    ``exclusions`` are guard predicates (objects with ``.name`` and
-    ``.predicate``, or bare callables); if any stencil point is rejected a
-    :class:`StencilExclusionError` is raised rather than silently sampling a
-    singular locus.
+    ``exclusions`` are guard predicates (objects with ``.name``, or bare
+    callables) over the coordinate columns of the whole stencil, returning a
+    mask, True where a point is rejected; a rejected stencil point raises
+    :class:`StencilExclusionError` naming the exclusion and the point of the
+    batch, rather than silently sampling a singular locus.
     """
-    p = [float(x) for x in p]
-    dim = len(p)
-    h = [fd_step(x) for x in p]
-
-    def guarded(q):
-        for excl in exclusions:
-            pred = getattr(excl, "predicate", excl)
-            if pred(q):
-                name = getattr(excl, "name", getattr(excl, "__name__", repr(excl)))
-                raise StencilExclusionError(
-                    f"stencil point {q} rejected by exclusion {name!r}", exclusion=name
-                )
-        return f(q)
-
-    def at(shifts):
-        q = list(p)
-        for i, s in shifts.items():
-            q[i] = q[i] + s
-        return guarded(q)
-
-    f0 = guarded(list(p))
-    grad = np.zeros(dim)
-    hess = np.zeros((dim, dim))
-    for i in range(dim):
-        fp = at({i: +h[i]})
-        fm = at({i: -h[i]})
-        grad[i] = (fp - fm) / (2 * h[i])
-        hess[i, i] = (fp - 2 * f0 + fm) / (h[i] * h[i])
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            fpp = at({i: +h[i], j: +h[j]})
-            fpm = at({i: +h[i], j: -h[j]})
-            fmp = at({i: -h[i], j: +h[j]})
-            fmm = at({i: -h[i], j: -h[j]})
-            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4 * h[i] * h[j])
+    p = np.asarray(p, dtype=float)
+    P = p.reshape(-1, p.shape[-1])
+    B, d = P.shape
+    # stencil offsets in steps: the centre; +e_i, -e_i for each i; then +e_i +e_j,
+    # +e_i -e_j, -e_i +e_j, -e_i -e_j for each pair i < j
+    E, (I, J) = np.eye(d), np.triu_indices(d, 1)
+    axial = np.stack([E, -E], 1).reshape(-1, d)
+    mixed = np.stack([E[I] + E[J], E[I] - E[J], -E[I] + E[J], -E[I] - E[J]], 1).reshape(-1, d)
+    h = fd_step(P.T)
+    offsets = np.concatenate([np.zeros((1, d)), axial, mixed])
+    q = (P + offsets[:, None, :] * h.T).reshape(-1, d)  # stencil row s of point b: s B + b
+    for excl in exclusions:
+        bad = np.broadcast_to(excl(_coords(q)), len(q)).reshape(-1, B).any(axis=0)
+        failure = first_failure(~bad if p.ndim == 2 else ~bad[0], p)
+        if failure is not None:
+            name = getattr(excl, "name", getattr(excl, "__name__", repr(excl)))
+            raise StencilExclusionError(
+                f"stencil{failure[1]} rejected by exclusion {name!r}", exclusion=name)
+    F = np.broadcast_to(call_field(f, q), len(q)).reshape(-1, B)
+    f0, fp, fm = F[0], F[1:2 * d + 1:2], F[2:2 * d + 1:2]
+    fpp, fpm, fmp, fmm = F[2 * d + 1:].reshape(-1, 4, B).transpose(1, 0, 2)
+    hess = np.zeros((d, d, B))
+    hess[np.arange(d), np.arange(d)] = (fp - 2 * f0 + fm) / (h * h)
+    hess[I, J] = hess[J, I] = (fpp - fpm - fmp + fmm) / (4 * h[I] * h[J])
+    grad = (fp - fm) / (2 * h)
+    if p.ndim == 1:
+        f0, grad, hess = f0[0], grad[:, 0], hess[..., 0]
     return Jet2(f0, grad, hess)

@@ -30,7 +30,6 @@ x_3 < 0``) excluded by predicate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -116,8 +115,8 @@ def _string_exclusion(margin=0.3):
     """Reject points whose first three coordinates approach the gauge string."""
 
     def near(p):
-        r = math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
-        return r < margin or (r + p[2]) < margin
+        r = np.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
+        return (r < margin) | ((r + p[2]) < margin)
 
     return Exclusion("monopole-string", near)
 
@@ -130,8 +129,8 @@ def _pole_exclusion(margin=0.15):
     """
 
     def near(p):
-        return (p[0] ** 2 + p[1] ** 2) < margin or \
-            (p[0] ** 2 + p[1] ** 2 + p[2] ** 2 + p[3] ** 2) < 2 * margin
+        return ((p[0] ** 2 + p[1] ** 2) < margin) | \
+            ((p[0] ** 2 + p[1] ** 2 + p[2] ** 2 + p[3] ** 2) < 2 * margin)
 
     return Exclusion("gauge-pole", near)
 

@@ -22,13 +22,18 @@ class SamplingExhaustedError(RuntimeError):
 
 @dataclass(frozen=True)
 class Exclusion:
-    """Named guard predicate; ``predicate(point) == True`` rejects the point."""
+    """Named guard predicate; where it is True, a point is rejected.
+
+    ``predicate`` takes coordinate columns as fields do (``d`` arrays
+    ``(B,)`` for a batch, ``d`` scalars for one point) and returns a mask
+    broadcasting to ``(B,)``: write it elementwise (``np.sqrt``, ``|``, ``&``).
+    """
 
     name: str
-    predicate: Callable[[Sequence[float]], bool]
+    predicate: Callable[[Sequence], object]
 
-    def __call__(self, point):
-        return self.predicate(point)
+    def __call__(self, columns):
+        return self.predicate(columns)
 
 
 @dataclass(frozen=True)
@@ -68,10 +73,10 @@ def sample_points(spec: SampleSpec) -> list[np.ndarray]:
     Candidates come coordinate by coordinate from one stream, so the
     accepted sequence is a pure function of the seed; a block of as many
     candidates as points are missing is that stream, used to its end, and
-    each candidate meets the exclusions on its own.  If the exclusion
-    predicates reject more than ``10 * count`` candidates a
-    :class:`SamplingExhaustedError` is raised; that usually means the box and
-    the guards disagree.
+    each exclusion judges the whole block with one mask; the candidates it
+    keeps are accepted in stream order.  If the exclusion predicates reject
+    more than ``10 * count`` candidates a :class:`SamplingExhaustedError` is
+    raised; that usually means the box and the guards disagree.
     """
     rng = np.random.default_rng(spec.seed)
     lo, hi = np.asarray(spec.box, dtype=float).T
@@ -79,15 +84,18 @@ def sample_points(spec: SampleSpec) -> list[np.ndarray]:
     rejected = 0
     budget = 10 * spec.count
     while len(out) < spec.count:
-        for candidate in rng.uniform(lo, hi, size=(spec.count - len(out), spec.dim)):
-            if any(excl(candidate) for excl in spec.exclusions):
-                rejected += 1
-                if rejected > budget:
-                    raise SamplingExhaustedError(
-                        f"rejected {rejected} candidates for {spec.count} requested "
-                        f"points; exclusions {[e.name for e in spec.exclusions]} are "
-                        "too tight for the box"
-                    )
-                continue
-            out.append(candidate)
+        block = rng.uniform(lo, hi, size=(spec.count - len(out), spec.dim))
+        bad = np.zeros(len(block), dtype=bool)
+        for excl in spec.exclusions:
+            bad |= np.broadcast_to(excl(list(block.T)), bad.shape)
+        # a block holds no more candidates than points are missing, so the stream
+        # crossed the budget inside it exactly when the block's total does
+        rejected += int(np.count_nonzero(bad))
+        if rejected > budget:
+            raise SamplingExhaustedError(
+                f"rejected {budget + 1} candidates for {spec.count} requested "
+                f"points; exclusions {[e.name for e in spec.exclusions]} are "
+                "too tight for the box"
+            )
+        out.extend(block[~bad])
     return out

@@ -241,6 +241,81 @@ def test_fd_oracle_exclusion_guard():
         fd_oracle(lambda c: c[0] ** 2, [0.0], exclusions=(bad,))
 
 
+@pytest.mark.parametrize("evaluate, point, message", [
+    (lambda: fd_oracle(lambda c: 1.0 / c[0], [0.0]), 0, r"divide by zero .* at \[0\.0\]"),
+    (lambda: fd_oracle(lambda c: jets.sqrt(c[0]), [0.0]), 2,
+     r"math domain error in sqrt .* at \[-1e-05\]"),
+    (lambda: evaluate_jet(lambda c: jets.log(c[0]), [0.0]), None,
+     r"math domain error in log .* at \[0\.0\]"),
+], ids=["oracle-division", "oracle-sqrt-domain", "jet-log-domain"])
+def test_failures_on_the_oracle_path_are_evaluation_errors(evaluate, point, message):
+    # the oracle calls its field through call_field (point: the stencil
+    # point), and a domain error of math is a typed error naming the point
+    with pytest.raises(EvaluationError, match=message) as exc:
+        evaluate()
+    assert exc.value.point == point
+
+
+def fd_reference(f, p):
+    """The oracle one stencil point at a time on Python floats: the per-point
+    reference the batched :func:`fd_oracle` must equal."""
+    p = [float(x) for x in p]
+    dim = len(p)
+    h = [max(1e-5, 1e-5 * abs(x)) for x in p]
+
+    def at(*shifts):
+        q = list(p)
+        for i, s in shifts:
+            q[i] = q[i] + s
+        return f(q)
+
+    f0 = at()
+    grad, hess = np.zeros(dim), np.zeros((dim, dim))
+    for i in range(dim):
+        fp, fm = at((i, h[i])), at((i, -h[i]))
+        grad[i] = (fp - fm) / (2 * h[i])
+        hess[i, i] = (fp - 2 * f0 + fm) / (h[i] * h[i])
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            fpp, fpm = at((i, h[i]), (j, h[j])), at((i, h[i]), (j, -h[j]))
+            fmp, fmm = at((i, -h[i]), (j, h[j])), at((i, -h[i]), (j, -h[j]))
+            hess[i, j] = hess[j, i] = (fpp - fpm - fmp + fmm) / (4 * h[i] * h[j])
+    return f0, grad, hess
+
+
+#: Fields whose batch path calls numpy's ``** 3`` or ``arctan2`` where a point
+#: calls ``math``'s; every other registered field is arithmetic and ``sqrt``,
+#: correctly rounded in both.
+TRANSCENDENTAL = ("toy-curvature-target", "gh-angle")
+
+
+@pytest.mark.parametrize("spec", models.scalar_fields(1.0), ids=lambda s: s.name)
+def test_batched_oracle_is_the_per_point_reference(spec):
+    for seed in (5, 6):
+        pts = np.asarray(models.sample_points(models.SampleSpec(
+            np.asarray(spec.box, dtype=float), 8, seed, tuple(spec.exclusions))))
+        got = fd_oracle(spec.fn, pts, exclusions=spec.exclusions)
+        want = [fd_reference(spec.fn, p) for p in pts]
+        parts = [got.value, got.gradient, got.hessian]
+        refs = [np.array([w[k] for w in want]) for k in range(3)]
+        refs[1:] = [np.moveaxis(r, 0, -1) for r in refs[1:]]  # point axis last
+        one = fd_oracle(spec.fn, pts[3], exclusions=spec.exclusions)
+        assert np.asarray(one.value).tobytes() == got.value[3].tobytes()
+        assert one.hessian.tobytes() == got.hessian[..., 3].tobytes()
+        if spec.name not in TRANSCENDENTAL:
+            for part, ref in zip(parts, refs):
+                assert part.shape == ref.shape and part.tobytes() == ref.tobytes()
+            continue
+        # numpy and math each round within an ulp of the exact value, so a
+        # stencil value moves by at most dv = 2 eps max|f|; the differences
+        # divide 2 such values by 2 h and 4 by h_i h_j (or 4 h_i h_j)
+        dv = 2 * np.finfo(float).eps * float(np.max(np.abs(refs[0])))
+        h = fd_step(pts).T
+        assert np.all(np.abs(parts[0] - refs[0]) <= dv)
+        assert np.all(np.abs(parts[1] - refs[1]) <= dv / h)
+        assert np.all(np.abs(parts[2] - refs[2]) <= 4 * dv / (h[:, None] * h[None, :]))
+
+
 def test_mp_dtype_passthrough():
     import mpmath
 

@@ -98,8 +98,9 @@ def test_monopole_curl_sign():
         r = np.linalg.norm(x)
         if r < 0.5 or r + x[2] < 0.5:
             continue
-        jA1 = fd_oracle(lambda c: monopole_potential(c)[0], x)
-        jA2 = fd_oracle(lambda c: monopole_potential(c)[1], x)
+        # the oracle hands the field coordinate columns; the potential takes points
+        jA1 = fd_oracle(lambda c: monopole_potential(np.stack(c, axis=-1))[:, 0], x)
+        jA2 = fd_oracle(lambda c: monopole_potential(np.stack(c, axis=-1))[:, 1], x)
         curl = np.array([-jA2.gradient[2], jA1.gradient[2],
                          jA2.gradient[0] - jA1.gradient[1]])
         assert np.allclose(curl, MONOPOLE_CURL_SIGN * x / r ** 3, atol=1e-6)

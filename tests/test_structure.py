@@ -5,7 +5,9 @@ Every metric solve goes through the one guarded solve,
 does not pivot, is called only behind a positive-definiteness check; no
 module forms a bare inverse; and the package neither imports scipy nor
 leaves ``numpy.random`` to load lazily inside a run, and its commands load
-no mpmath (the tests' 40-digit oracle).
+no mpmath (the tests' 40-digit oracle).  A batch is one call: the
+finite-difference oracle, the sampler's exclusions and the hygiene check
+keep no per-point loop.
 """
 
 import ast
@@ -14,7 +16,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import hkgeo
+from hkgeo import checks, jets, models
+from hkgeo.sampling import Exclusion, SampleSpec, sample_points
 
 SRC = Path(hkgeo.__file__).parent
 
@@ -104,3 +110,46 @@ def test_commands_load_no_mpmath():
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
                          check=True).stdout
     assert out.strip() == "[[], [], []]"
+
+
+def test_oracle_calls_its_field_once_per_batch():
+    sizes = []
+
+    def field(c):
+        sizes.append(len(c[0]))
+        return c[0] * c[1] - c[2]
+
+    pts = np.random.default_rng(0).uniform(1.0, 2.0, size=(8, 3))
+    jets.fd_oracle(field, pts, exclusions=(lambda c: c[0] > 5.0,))
+    assert sizes == [8 * (1 + 2 * 3 + 4 * 3)]  # S = 1 + 2 d + 4 d (d - 1) / 2 stencil points
+
+
+def test_sampler_calls_each_exclusion_once_per_block():
+    seen = {"ring": [], "band": []}
+
+    def guard(name, mask):
+        def predicate(c):
+            seen[name].append(len(c[0]))
+            return mask(c)
+        return Exclusion(name, predicate)
+
+    spec = SampleSpec(np.array([[0.0, 3.0], [-1.0, 1.0]]), 50, 4, (
+        guard("ring", lambda c: (1.0 < c[0]) & (c[0] < 2.0)),
+        guard("band", lambda c: np.abs(c[1]) < 0.2)))
+    assert len(sample_points(spec)) == 50
+    blocks = seen["ring"]
+    assert seen["band"] == blocks and blocks[0] == 50
+    assert len(blocks) < 15 < sum(blocks) - 50  # a few blocks, many rejections
+
+
+def test_hygiene_check_is_one_oracle_call_per_field(monkeypatch):
+    batches = []
+
+    def counted(f, p, exclusions=()):
+        batches.append(np.shape(p))
+        return jets.fd_oracle(f, p, exclusions)
+
+    monkeypatch.setattr(checks, "fd_oracle", counted)
+    ctx = checks.CheckContext(seed=2, samples=100, a=1.0)
+    checks.check_hygiene_jets_vs_fd(ctx, ctx.rng("hygiene.jets_vs_finite_differences"))
+    assert [b[0] for b in batches] == [8] * len(models.scalar_fields(1.0)) == [8] * 15
