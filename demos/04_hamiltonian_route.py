@@ -30,8 +30,9 @@ H = mechanics.hamiltonian_field(L)
 rng = np.random.default_rng(9)
 
 s = mechanics.PhasePoint((1.3, 0.8, 2.1), tuple(rng.normal(size=3)))
-for i, name in enumerate(L.labels):
-    br = mechanics.poisson_bracket(mechanics.momentum_field(i, 3), H, s)
+# every momentum against one jet of H: a sequence of f gives one bracket each
+momenta = [mechanics.momentum_field(i, 3) for i in range(3)]
+for name, br in zip(L.labels, mechanics.poisson_bracket(momenta, H, s)):
     tag = "conserved" if abs(br) < 1e-12 else "not conserved"
     print(f"  {{p_{name}, H}} = {br:+.3e}   ({tag})")
 

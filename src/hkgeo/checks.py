@@ -76,7 +76,8 @@ class RunManifest:
         return all(c.passed for c in self.checks)
 
     def to_dict(self):
-        return {**dataclasses.asdict(self), "a_sweep": list(self.a_sweep),
+        return {"seed": self.seed, "samples": self.samples, "a": self.a,
+                "a_sweep": list(self.a_sweep), "version": self.version,
                 "checks": [c.to_dict() for c in self.checks]}
 
 
@@ -351,13 +352,11 @@ def check_toy_brackets(ctx, rng):
     L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn,
                                    name="toy kinetic")
     H = mechanics.hamiltonian_field(L)
-    worst = 0.0
     pts = _box_points(m.extras["level_box"], (), max(10, ctx.samples // 5),
                       ctx.subseed(rng))
     s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
-    for c in m.extras["level_cyclic"]:
-        pf = mechanics.momentum_field(c, L.dim)
-        worst = worst_of(worst, float(np.max(np.abs(mechanics.poisson_bracket(pf, H, s)))))
+    pfs = [mechanics.momentum_field(c, L.dim) for c in m.extras["level_cyclic"]]
+    worst = float(np.max(np.abs(mechanics.poisson_bracket(pfs, H, s))))  # keeps NaN
     return worst, 1e-12, len(pts), (
         "momenta of the cyclic angles Poisson-commute with the Hamiltonian"
     )
@@ -577,15 +576,17 @@ def check_tn_mechanics(ctx, rng):
 
 def check_mech_roundtrip(ctx, rng):
     count = max(10, ctx.samples // 2)
-    by_dim = {}  # every matrix drawn in order, then one batch per dimension
+    draws = {}  # every draw in stream order, grouped by dimension
     for _ in range(count):
         d = int(rng.integers(2, 5))
-        Q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-        M = (Q * np.exp(rng.uniform(-0.7, 0.7, size=d))) @ Q.T
-        by_dim.setdefault(d, []).append(0.5 * (M + M.T))
+        A = rng.normal(size=(d, d))
+        draws.setdefault(d, []).append((A, rng.uniform(-0.7, 0.7, size=d)))
     errors = []
-    for d, Ms in by_dim.items():
-        Ms = np.array(Ms)
+    for d, pairs in draws.items():
+        A, u = map(np.array, zip(*pairs))
+        Q, _ = np.linalg.qr(A)  # one stacked factorisation per dimension
+        Ms = (Q * np.exp(u)[:, None, :]) @ np.swapaxes(Q, -1, -2)
+        Ms = 0.5 * (Ms + np.swapaxes(Ms, -1, -2))
         # configuration k of the batch carries the k-th matrix (entries (B,))
         L = mechanics.QuadraticKinetic([f"q{i}" for i in range(d)],
                                        lambda c, S=np.moveaxis(Ms, 0, -1): S)
@@ -628,10 +629,8 @@ def check_mech_conserved(ctx, rng):
                           max(5, ctx.samples // 10), ctx.subseed(rng))
         # one draw of (B, dim) is the stream of B draws of dim
         s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
-        for c in m.extras["level_cyclic"]:
-            pf = mechanics.momentum_field(c, L.dim)
-            worst = worst_of(worst,
-                             float(np.max(np.abs(mechanics.poisson_bracket(pf, H, s)))))
+        pfs = [mechanics.momentum_field(c, L.dim) for c in m.extras["level_cyclic"]]
+        worst = worst_of(worst, float(np.max(np.abs(mechanics.poisson_bracket(pfs, H, s)))))
         n_pts += len(pts)
     return worst, 1e-12, n_pts, (
         "declared cyclic momenta Poisson-commute with both model Hamiltonians"

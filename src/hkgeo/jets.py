@@ -696,7 +696,9 @@ def fd_oracle(f, p, exclusions=()):
     callables) over the coordinate columns of the whole stencil, returning a
     mask, True where a point is rejected; a rejected stencil point raises
     :class:`StencilExclusionError` naming the exclusion and the point of the
-    batch, rather than silently sampling a singular locus.
+    batch, rather than silently sampling a singular locus.  A stencil point
+    on which ``f`` fails raises :class:`EvaluationError` naming the point of
+    the batch whose stencil it belongs to (the first failing stencil row's).
     """
     p = np.asarray(p, dtype=float)
     P = p.reshape(-1, p.shape[-1])
@@ -716,7 +718,17 @@ def fd_oracle(f, p, exclusions=()):
             name = getattr(excl, "name", getattr(excl, "__name__", repr(excl)))
             raise StencilExclusionError(
                 f"stencil{failure[1]} rejected by exclusion {name!r}", exclusion=name)
-    F = np.broadcast_to(call_field(f, q), len(q)).reshape(-1, B)
+    try:
+        F = np.broadcast_to(call_field(f, q), len(q)).reshape(-1, B)
+    except EvaluationError as err:
+        if err.point is None:
+            raise
+        # call_field names stencil row s B + b, and its error context is that
+        # row's own error; name batch point b instead
+        s, b = divmod(err.point, B)
+        where = f"point {b} of the batch" if p.ndim == 2 else f"{p.tolist()}"
+        raise EvaluationError(f"{err.__context__} (stencil row {s} of {where})",
+                              point=b if p.ndim == 2 else None) from err.__cause__
     f0, fp, fm = F[0], F[1:2 * d + 1:2], F[2:2 * d + 1:2]
     fpp, fpm, fmp, fmm = F[2 * d + 1:].reshape(-1, 4, B).transpose(1, 0, 2)
     hess = np.zeros((d, d, B))

@@ -215,16 +215,24 @@ def momentum_field(i, n):
 def poisson_bracket(f, g, s):
     """``{f, g}`` at a :class:`PhasePoint`, by first-order jet differentiation.
 
-    A float at one phase-space point, a ``(B,)`` array over a batch.
+    A float at one phase-space point, a ``(B,)`` array over a batch.  ``f``
+    may also be a sequence of phase-space scalars: ``g``'s jet is then
+    evaluated once, and the brackets come stacked on a leading axis,
+    ``(k,)`` or ``(k, B)``, each as its own call would give it.
     """
     coords = s.coords
     n = np.shape(s.q)[-1]
-    jf = evaluate_jet(f, coords, order=1)
+    jfs = [evaluate_jet(fi, coords, order=1) for fi in ([f] if callable(f) else f)]
     jg = evaluate_jet(g, coords, order=1)
-    acc = 0.0
-    for i in range(n):
-        acc += jf.gradient[i] * jg.gradient[n + i] - jf.gradient[n + i] * jg.gradient[i]
-    return acc if np.ndim(acc) else float(acc)
+    out = []
+    for jf in jfs:
+        acc = 0.0
+        for i in range(n):
+            acc += jf.gradient[i] * jg.gradient[n + i] - jf.gradient[n + i] * jg.gradient[i]
+        out.append(acc)
+    if not callable(f):
+        return np.array(out, dtype=float)
+    return out[0] if np.ndim(out[0]) else float(out[0])
 
 
 def _probe_momenta(d):

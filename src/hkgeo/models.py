@@ -60,7 +60,7 @@ __all__ = [
 
 
 class SingularGaugeError(ValueError):
-    """Point too close to the monopole string or the origin."""
+    """Point too close to the monopole string or the origin, or not a 3-point."""
 
 
 # The curl of the monopole potential is s * x / r^3 with this global sign,
@@ -545,8 +545,15 @@ def r8_parent(a=1.0):
 
 def _gauge_checked(x):
     """``x`` as a float array ``(3,)`` or ``(B, 3)``, checked against the domain
-    rule of :func:`monopole_potential` (the error names the first bad point)."""
+    rule of :func:`monopole_potential` (the error names the first bad point).
+
+    Anything else, such as the three ``(B,)`` coordinate columns a field
+    receives, is a :class:`SingularGaugeError` rather than a misread batch.
+    """
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != 3:
+        raise SingularGaugeError(f"monopole gauge takes points (3,) or (B, 3), "
+                                 f"not shape {x.shape}")
     r = np.sqrt(np.sum(x * x, axis=-1))
     failure = jets.first_failure((r > 0.0) & (r + x[..., 2] > 1e-8 * r), x)
     if failure is not None:

@@ -75,6 +75,23 @@ def test_brackets_and_jets_batch_equal_single(name):
 
 
 @pytest.mark.parametrize("name", MODELS)
+def test_bracket_of_a_sequence_is_the_brackets_stacked(name):
+    # one jet of H for every f: bit for bit the brackets one f at a time, on
+    # a batch and at one point
+    m, L, pts = level(name)
+    H = hamiltonian_field(L)
+    moms = np.random.default_rng(6).normal(size=pts.shape)
+    fs = [momentum_field(c, L.dim) for c in m.extras["level_cyclic"]]
+    n = L.dim
+    fs += [lambda c: c[0] * c[n + 1], lambda c: sum(c[i] * c[n + i] for i in range(n))]
+    for s in (PhasePoint(pts, moms), PhasePoint(tuple(pts[0]), tuple(moms[0]))):
+        got = poisson_bracket(fs, H, s)
+        assert got.shape == (len(fs), *np.shape(s.q)[:-1])
+        same_bits(got, [poisson_bracket(f, H, s) for f in fs])
+        same_bits(poisson_bracket(tuple(fs[:1]), H, s), [poisson_bracket(fs[0], H, s)])
+
+
+@pytest.mark.parametrize("name", MODELS)
 def test_matrices_batch_equal_single(name):
     m, L, pts = level(name)
     same_bits(legendre_to_hamiltonian(L, pts),

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, report determinism, CSV output."""
 
+import dataclasses
 import json
 
 import jsonschema
@@ -63,6 +64,30 @@ def test_raising_check_is_a_failed_row(monkeypatch, tmp_path, capsys):
     assert boom_row["error"] == "DegenerateLagrangianError: injected at point 3"
     assert ok_row["passed"] is True
     assert "error" not in ok_row
+
+
+def test_json_report_is_the_deep_copied_manifest(monkeypatch, tmp_path):
+    # the report serialises each row once; the file is what the earlier
+    # construction (a deep copy of the manifest, rows then replaced) wrote
+    seen = []
+
+    def kept(*args, **kwargs):
+        seen.append(checks.run_suite(*args, **kwargs))
+        return seen[-1]
+
+    def boom(ctx, rng):
+        raise mechanics.DegenerateLagrangianError("injected")
+
+    suite = [("mechanics.boom", boom)] + checks.SUITES["mechanics"]
+    monkeypatch.setitem(checks.SUITES, "mechanics", suite)
+    monkeypatch.setattr(cli, "run_suite", kept)
+    path = tmp_path / "report.json"
+    run(["verify", "mechanics", "--samples", "3", "--json", str(path)])
+    (m,) = seen
+    old = {**dataclasses.asdict(m), "a_sweep": list(m.a_sweep),
+           "checks": [c.to_dict() for c in m.checks]}
+    assert path.read_text() == json.dumps(old, indent=2, sort_keys=True) + "\n"
+    assert list(m.to_dict()) == list(old)
 
 
 def test_nan_error_fails_its_check(monkeypatch):

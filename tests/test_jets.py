@@ -242,18 +242,30 @@ def test_fd_oracle_exclusion_guard():
 
 
 @pytest.mark.parametrize("evaluate, point, message", [
-    (lambda: fd_oracle(lambda c: 1.0 / c[0], [0.0]), 0, r"divide by zero .* at \[0\.0\]"),
-    (lambda: fd_oracle(lambda c: jets.sqrt(c[0]), [0.0]), 2,
-     r"math domain error in sqrt .* at \[-1e-05\]"),
+    (lambda: fd_oracle(lambda c: 1.0 / c[0], [0.0]), None,
+     r"divide by zero .* at \[0\.0\] \(stencil row 0 of \[0\.0\]\)"),
+    (lambda: fd_oracle(lambda c: jets.sqrt(c[0]), [0.0]), None,
+     r"math domain error in sqrt .* at \[-1e-05\] \(stencil row 2 of \[0\.0\]\)"),
     (lambda: evaluate_jet(lambda c: jets.log(c[0]), [0.0]), None,
      r"math domain error in log .* at \[0\.0\]"),
 ], ids=["oracle-division", "oracle-sqrt-domain", "jet-log-domain"])
 def test_failures_on_the_oracle_path_are_evaluation_errors(evaluate, point, message):
-    # the oracle calls its field through call_field (point: the stencil
-    # point), and a domain error of math is a typed error naming the point
+    # the oracle calls its field through call_field, and a domain error of
+    # math is a typed error naming the stencil point and the point it
+    # belongs to (one point: no batch index, as evaluate_jet)
     with pytest.raises(EvaluationError, match=message) as exc:
         evaluate()
     assert exc.value.point == point
+
+
+def test_oracle_failure_names_the_batch_point():
+    # the failing stencil row is s B + b = 2 * 2 + 1 (the -h row of point 1);
+    # the error names point 1 of the batch, not row 5
+    with pytest.raises(EvaluationError, match=r"at \[-1e-05\] \(stencil row 2 of point 1 "
+                                              r"of the batch\)") as exc:
+        fd_oracle(lambda c: jets.sqrt(c[0]), [[1.0], [0.0]])
+    assert exc.value.point == 1
+    assert isinstance(exc.value.__cause__, FloatingPointError)
 
 
 def fd_reference(f, p):

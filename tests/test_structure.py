@@ -6,8 +6,8 @@ does not pivot, is called only behind a positive-definiteness check; no
 module forms a bare inverse; and the package neither imports scipy nor
 leaves ``numpy.random`` to load lazily inside a run, and its commands load
 no mpmath (the tests' 40-digit oracle).  A batch is one call: the
-finite-difference oracle, the sampler's exclusions and the hygiene check
-keep no per-point loop.
+finite-difference oracle, the sampler's exclusions, the hygiene check and
+the mechanics checks keep no per-point loop.
 """
 
 import ast
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import hkgeo
-from hkgeo import checks, jets, models
+from hkgeo import checks, jets, mechanics, models
 from hkgeo.sampling import Exclusion, SampleSpec, sample_points
 
 SRC = Path(hkgeo.__file__).parent
@@ -153,3 +153,39 @@ def test_hygiene_check_is_one_oracle_call_per_field(monkeypatch):
     ctx = checks.CheckContext(seed=2, samples=100, a=1.0)
     checks.check_hygiene_jets_vs_fd(ctx, ctx.rng("hygiene.jets_vs_finite_differences"))
     assert [b[0] for b in batches] == [8] * len(models.scalar_fields(1.0)) == [8] * 15
+
+
+def test_roundtrip_check_is_one_qr_per_dimension(monkeypatch):
+    shapes = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    ctx = checks.CheckContext(seed=1, samples=1500, a=1.0)
+    checks.check_mech_roundtrip(ctx, ctx.rng("mechanics.legendre_roundtrip"))
+    assert sorted(s[-1] for s in shapes) == [2, 3, 4]  # one stack per dimension
+    assert sum(s[0] for s in shapes) == 750
+
+
+def test_conserved_check_evaluates_each_hamiltonian_jet_once(monkeypatch):
+    calls = []
+    hamiltonian_field = mechanics.hamiltonian_field
+
+    def counted(L):
+        H = hamiltonian_field(L)
+        k = len(calls)
+        calls.append(0)
+
+        def h(coords):
+            calls[k] += 1
+            return H(coords)
+
+        return h
+
+    monkeypatch.setattr(mechanics, "hamiltonian_field", counted)
+    ctx = checks.CheckContext(seed=1, samples=100, a=1.0)
+    checks.check_mech_conserved(ctx, ctx.rng("mechanics.conserved_momenta"))
+    assert calls == [1, 1]  # toy-parent and r8-parent, two cyclic momenta each
