@@ -11,15 +11,14 @@ exception, and the run goes on.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, kahler, mechanics, models, reduction
+from ._record import Frozen
 from ._version import __version__
 from .jets import evaluate_jet, fd_oracle, fd_step, worst_of
 from .sampling import SampleSpec, sample_points
@@ -36,40 +35,35 @@ __all__ = [
 A_SWEEP = (0.5, 1.0, 2.0)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Frozen):
     """Outcome of one named check.
 
     ``error`` is ``"<exception class>: <message>"`` when the check raised,
     and None (absent from the report) when it returned.
     """
 
-    check_id: str
-    description: str
-    samples: int
-    max_abs_error: float
-    tolerance: float
-    passed: bool
-    elapsed_ms: int
-    error: str | None = None
+    __slots__ = ("check_id", "description", "samples", "max_abs_error", "tolerance",
+                 "passed", "elapsed_ms", "error")
+
+    def __init__(self, check_id, description, samples, max_abs_error, tolerance, passed,
+                 elapsed_ms, error=None):
+        self._set(check_id, description, samples, max_abs_error, tolerance, passed,
+                  elapsed_ms, error)
 
     def to_dict(self):
-        out = dataclasses.asdict(self)
+        out = dict(zip(self.__slots__, self._values()))
         if self.error is None:
             del out["error"]
         return out
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Frozen):
     """One verification run: configuration plus ordered check reports."""
 
-    seed: int
-    samples: int
-    a: float
-    a_sweep: tuple
-    version: str
-    checks: tuple
+    __slots__ = ("seed", "samples", "a", "a_sweep", "version", "checks")
+
+    def __init__(self, seed, samples, a, a_sweep, version, checks):
+        self._set(seed, samples, a, a_sweep, version, checks)
 
     @property
     def all_passed(self):
@@ -116,11 +110,11 @@ REPORT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class CheckContext:
-    seed: int
-    samples: int
-    a: float
+class CheckContext(Frozen):
+    __slots__ = ("seed", "samples", "a")
+
+    def __init__(self, seed, samples, a):
+        self._set(seed, samples, a)
 
     def rng(self, check_id):
         return np.random.default_rng([self.seed, zlib.crc32(check_id.encode())])

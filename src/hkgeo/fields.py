@@ -11,10 +11,10 @@ all components in a single pass.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Frozen
 from .ddouble import DD
 from .jets import Jet, _batch_shape, call_field
 
@@ -29,11 +29,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Frozen):
     """Ordered coordinate names of a real chart."""
 
-    names: tuple
+    __slots__ = ("names",)
+
+    def __init__(self, names):
+        self._set(names)
 
     @property
     def dim(self):

@@ -697,8 +697,8 @@ def fd_oracle(f, p, exclusions=()):
     mask, True where a point is rejected; a rejected stencil point raises
     :class:`StencilExclusionError` naming the exclusion and the point of the
     batch, rather than silently sampling a singular locus.  A stencil point
-    on which ``f`` fails raises :class:`EvaluationError` naming the point of
-    the batch whose stencil it belongs to (the first failing stencil row's).
+    on which ``f`` fails raises :class:`EvaluationError` naming the first
+    point of the batch whose stencil fails, and the first failing row of it.
     """
     p = np.asarray(p, dtype=float)
     P = p.reshape(-1, p.shape[-1])
@@ -710,22 +710,23 @@ def fd_oracle(f, p, exclusions=()):
     mixed = np.stack([E[I] + E[J], E[I] - E[J], -E[I] + E[J], -E[I] - E[J]], 1).reshape(-1, d)
     h = fd_step(P.T)
     offsets = np.concatenate([np.zeros((1, d)), axial, mixed])
-    q = (P + offsets[:, None, :] * h.T).reshape(-1, d)  # stencil row s of point b: s B + b
+    # stencil row s of point b is row b S + s
+    q = (P[:, None, :] + offsets * h.T[:, None, :]).reshape(-1, d)
     for excl in exclusions:
-        bad = np.broadcast_to(excl(_coords(q)), len(q)).reshape(-1, B).any(axis=0)
+        bad = np.broadcast_to(excl(_coords(q)), len(q)).reshape(B, -1).any(axis=1)
         failure = first_failure(~bad if p.ndim == 2 else ~bad[0], p)
         if failure is not None:
             name = getattr(excl, "name", getattr(excl, "__name__", repr(excl)))
             raise StencilExclusionError(
                 f"stencil{failure[1]} rejected by exclusion {name!r}", exclusion=name)
     try:
-        F = np.broadcast_to(call_field(f, q), len(q)).reshape(-1, B)
+        F = np.broadcast_to(call_field(f, q), len(q)).reshape(B, -1).T
     except EvaluationError as err:
         if err.point is None:
             raise
-        # call_field names stencil row s B + b, and its error context is that
-        # row's own error; name batch point b instead
-        s, b = divmod(err.point, B)
+        # call_field names the first failing row, and its error context is that
+        # row's own error; name the point of the batch it belongs to
+        b, s = divmod(err.point, len(offsets))
         where = f"point {b} of the batch" if p.ndim == 2 else f"{p.tolist()}"
         raise EvaluationError(f"{err.__context__} (stencil row {s} of {where})",
                               point=b if p.ndim == 2 else None) from err.__cause__

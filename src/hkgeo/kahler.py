@@ -28,11 +28,11 @@ Mixed-index structures are raised by ``X = -g^{-1} W``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Frozen
 from .fields import Chart, FormField, MetricField
 from .jets import evaluate_jet, first_failure
 from .reduction import complex_structure, raise_first_index
@@ -75,11 +75,13 @@ class HeavenlyViolation(ValueError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class ComplexChart:
+class ComplexChart(Frozen):
     """``n`` complex coordinates over interleaved real ones."""
 
-    n: int
+    __slots__ = ("n",)
+
+    def __init__(self, n):
+        self._set(n)
 
     def real_chart(self):
         names = []
@@ -360,17 +362,13 @@ def _pair_forms(omega):
             _pair_form_to_real(-0.5j * np.asarray(omega, dtype=complex)))
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(Frozen):
     """Lowered forms, mixed-index structures and the real metric at a point."""
 
-    omega_I: np.ndarray
-    omega_J: np.ndarray
-    omega_K: np.ndarray
-    I: np.ndarray
-    J: np.ndarray
-    K: np.ndarray
-    g: np.ndarray
+    __slots__ = ("omega_I", "omega_J", "omega_K", "I", "J", "K", "g")
+
+    def __init__(self, omega_I, omega_J, omega_K, I, J, K, g):
+        self._set(omega_I, omega_J, omega_K, I, J, K, g)
 
 
 def triple_at(h, omega, p=None):

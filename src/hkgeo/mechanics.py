@@ -26,10 +26,9 @@ the first failing point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Frozen
 from .fields import Chart, MetricField, _triangle
 from .geometry import _solve
 from .jets import Jet, evaluate_jet, first_failure, solve
@@ -59,18 +58,17 @@ class InvalidConstraintError(ValueError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(Frozen):
     """Configuration ``q`` with conjugate momenta ``p``.
 
     Both are ``(n,)`` sequences for one phase-space point, or ``(B, n)``
     arrays for a batch of ``B`` points.
     """
 
-    q: tuple
-    p: tuple
+    __slots__ = ("q", "p")
 
-    def __post_init__(self):
+    def __init__(self, q, p):
+        self._set(q, p)
         if np.shape(self.q) != np.shape(self.p):
             raise ValueError("q and p must have the same length")
         if not np.all(np.isfinite(self.coords)):

@@ -30,11 +30,10 @@ x_3 < 0``) excluded by predicate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 import numpy as np
 
 from . import jets
+from ._record import Frozen, Record
 from .fields import (Chart, EmbeddingMap, FormField, MetricField, VectorFieldR,
                      constant_form, mirror_triangle)
 from .sampling import Exclusion, SampleSpec, sample_points
@@ -76,34 +75,37 @@ def _check_a(a):
     return a
 
 
-@dataclass(frozen=True)
-class ScalarFieldSpec:
+class ScalarFieldSpec(Frozen):
     """A named scalar field with its sampling domain, for derivative checks."""
 
-    name: str
-    fn: object
-    box: tuple
-    exclusions: tuple = ()
+    __slots__ = ("name", "fn", "box", "exclusions")
+
+    def __init__(self, name, fn, box, exclusions=()):
+        self._set(name, fn, box, exclusions)
 
 
-@dataclass
-class Model:
-    """One registry entry: a chart with everything the pipelines consume."""
+class Model(Record):
+    """One registry entry: a chart with everything the pipelines consume.
 
-    name: str
-    a: float
-    chart: Chart
-    metric: MetricField
-    forms: dict = dc_field(default_factory=dict)
-    killing: dict = dc_field(default_factory=dict)
-    embeddings: dict = dc_field(default_factory=dict)
-    targets: dict = dc_field(default_factory=dict)
-    box: tuple = ()
-    exclusions: tuple = ()
-    cyclic: tuple = ()
-    fiber_index: int | None = None
-    invariant: tuple | None = None
-    extras: dict = dc_field(default_factory=dict)
+    ``forms``, ``killing``, ``embeddings``, ``targets`` and ``extras``
+    default to a new empty dict for each model.
+    """
+
+    __slots__ = ("name", "a", "chart", "metric", "forms", "killing", "embeddings",
+                 "targets", "box", "exclusions", "cyclic", "fiber_index", "invariant",
+                 "extras")
+
+    def __init__(self, name, a, chart, metric, forms=None, killing=None, embeddings=None,
+                 targets=None, box=(), exclusions=(), cyclic=(), fiber_index=None,
+                 invariant=None, extras=None):
+        self.name, self.a, self.chart, self.metric = name, a, chart, metric
+        self.forms = {} if forms is None else forms
+        self.killing = {} if killing is None else killing
+        self.embeddings = {} if embeddings is None else embeddings
+        self.targets = {} if targets is None else targets
+        self.box, self.exclusions, self.cyclic = box, exclusions, cyclic
+        self.fiber_index, self.invariant = fiber_index, invariant
+        self.extras = {} if extras is None else extras
 
     def sample(self, count, seed=0):
         spec = SampleSpec(np.asarray(self.box, dtype=float), count, seed,

@@ -4,12 +4,10 @@ The rule is QUADPACK's pair (Piessens et al., *QUADPACK*, Springer 1983):
 the 21-point Kronrod extension K21 of the 10-point Gauss-Legendre rule
 G10.  The Gauss nodes are every other Kronrod node, so one evaluation of
 the 21 nodes of an interval gives both estimates; K21 is the estimate and
-``|K21 - G10|`` its error estimate.  No constant is typed in: the nodes
-are the eigenvalues of Jacobi matrices, the Legendre one for G10 and for
-K21 the Jacobi-Kronrod matrix that Laurie's algorithm builds from the
-Legendre recurrence (*Math. Comp.* 66 (1997) 1133-1145), polished by
-Newton steps on the recurrence; the weights are reciprocal Christoffel
-sums.
+``|K21 - G10|`` its error estimate.  The nodes and weights are a literal
+table, bit for bit the rule that Laurie's algorithm gives from the
+Legendre recurrence (*Math. Comp.* 66 (1997) 1133-1145); the tests
+regenerate it.
 
 :func:`integrate` is globally adaptive.  The integrand maps every node of
 one refinement round, ``(n,)``, to values ``(n, ...)``, so one call covers
@@ -39,85 +37,31 @@ class QuadratureResult(NamedTuple):
     neval: int
 
 
-def _jacobi_kronrod(n, alpha, beta):
-    """Recurrence coefficients ``(a_0..a_2n, b_0..b_2n)`` of the Jacobi-Kronrod
-    matrix of order ``2n + 1``, from those of the measure (``alpha``,
-    ``beta`` of length ``2n + 1``, ``beta[0]`` its total mass), of which only
-    the first ``3n/2 + 1`` are read.
-
-    Laurie's algorithm: a recurrence for the mixed moments (two rows of
-    them, ``s`` and ``t``) of the orthogonal polynomials of the leading and
-    of the trailing ``n x n`` block fixes the unknown trailing coefficients
-    so that both blocks have the same eigenvalues, the Gauss nodes.
-    """
-    a, b = np.array(alpha, dtype=float), np.array(beta, dtype=float)
-    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
-    t[1] = b[n + 1]
-    for m in range(n - 1):
-        u = 0.0
-        for k in range((m + 1) // 2, -1, -1):
-            l = m - k
-            u += (a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k] - b[l] * s[k + 1]
-            s[k + 1] = u
-        s, t = t, s
-    s[1:] = s[:-1].copy()
-    for m in range(n - 1, 2 * n - 2):
-        u = 0.0
-        for k in range(m + 1 - n, (m - 1) // 2 + 1):
-            l = m - k
-            j = n - 1 - l
-            u += -(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2]
-            s[j + 1] = u
-        k = (m + 1) // 2
-        if m % 2 == 0:
-            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
-        else:
-            b[k + n + 1] = s[j + 1] / s[j + 2]
-        s, t = t, s
-    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
-    return a, b
-
-
-def _recurrence(x, a, b):
-    """``q_N(x)`` and ``q_N'(x)`` of the monic orthogonal polynomials of the
-    recurrence ``(a, b)`` of length ``N``, and the Christoffel sum
-    ``sum_{k<N} q_k(x)^2 / (b_0 ... b_k)`` (of the orthonormal ones)."""
-    q0, q1, d0, d1, total = 0.0, 1.0, 0.0, 0.0, 0.0
-    for k, norm in enumerate(np.cumprod(b[:len(a)])):
-        total = total + q1 * q1 / norm
-        q0, q1, d0, d1 = q1, (x - a[k]) * q1 - b[k] * q0, d1, q1 + (x - a[k]) * d1 - b[k] * d0
-    return q1, d1, total
-
-
-def _gauss(a, b):
-    """Nodes and weights of the Gauss rule of the Jacobi matrix with diagonal
-    ``a`` and squared off-diagonal ``b[1:]`` (``b[0]`` the total mass): its
-    eigenvalues, polished by Newton steps on ``q_N``, and the reciprocal
-    Christoffel sums."""
-    x = np.linalg.eigvalsh(np.diag(a) + np.diag(np.sqrt(b[1:len(a)]), -1))
-    for _ in range(2):
-        q, dq, _ = _recurrence(x, a, b)
-        x = x - q / dq
-    return x, 1.0 / _recurrence(x, a, b)[2]
-
-
 def gauss_kronrod():
     """Nodes ``(21,)`` on ``[-1, 1]``, ascending, and the weights of K21 and
     of G10 on them (``(2, 21)``; the Gauss weights are zero off its nodes,
-    which are the odd-indexed Kronrod nodes)."""
-    n = 10
-    k = np.arange(2 * n + 1, dtype=float)
-    beta = np.divide(k * k, 4 * k * k - 1, out=np.full_like(k, 2.0), where=k > 0)
-    x, wk = _gauss(*_jacobi_kronrod(n, np.zeros_like(k), beta))
-    _, wg = _gauss(np.zeros(n), beta)
-    # the Legendre rules are symmetric about 0: make the computed ones exactly so
-    x, wk, wg = (x - x[::-1]) / 2, (wk + wk[::-1]) / 2, (wg + wg[::-1]) / 2
-    weights = np.zeros((2, 2 * n + 1))
-    weights[0], weights[1, 1::2] = wk, wg
-    return x, weights
+    which are the odd-indexed Kronrod nodes): copies of the module's table."""
+    return _NODES.copy(), _WEIGHTS.copy()
 
 
-_NODES, _WEIGHTS = gauss_kronrod()
+_NODES = np.array([
+    -0.9956571630258081, -0.9739065285171717, -0.9301574913557082, -0.8650633666889845,
+    -0.7808177265864169, -0.6794095682990244, -0.5627571346686047, -0.43339539412924716,
+    -0.2943928627014602, -0.1488743389816312, 0.0, 0.1488743389816312, 0.2943928627014602,
+    0.43339539412924716, 0.5627571346686047, 0.6794095682990244, 0.7808177265864169,
+    0.8650633666889845, 0.9301574913557082, 0.9739065285171717, 0.9956571630258081])
+_WEIGHTS = np.array([
+    [0.01169463886737187, 0.03255816230796463, 0.05475589657435201, 0.07503967481092,
+     0.0931254545836976, 0.10938715880229759, 0.12349197626206586, 0.1347092173114733,
+     0.14277593857706009, 0.1477391049013385, 0.14944555400291687, 0.1477391049013385,
+     0.14277593857706009, 0.1347092173114733, 0.12349197626206586, 0.10938715880229759,
+     0.0931254545836976, 0.07503967481092, 0.05475589657435201, 0.03255816230796463,
+     0.01169463886737187],
+    [0.0, 0.06667134430868799, 0.0, 0.14945134915058064, 0.0, 0.21908636251598193, 0.0,
+     0.26926671930999635, 0.0, 0.2955242247147529, 0.0, 0.2955242247147529, 0.0,
+     0.26926671930999635, 0.0, 0.21908636251598193, 0.0, 0.14945134915058064, 0.0,
+     0.06667134430868799, 0.0]])
+_NODES.flags.writeable = _WEIGHTS.flags.writeable = False
 _DIFF = _WEIGHTS[0] - _WEIGHTS[1]  # K21 - G10 in one weighted sum
 
 

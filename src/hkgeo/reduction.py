@@ -26,10 +26,9 @@ names the first failing point of a batch in its errors.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Frozen
 from .fields import FormField, MetricField, VectorFieldR, _triangle
 from .geometry import DivergenceError, _solve, killing_deviation
 from .jets import first_failure
@@ -279,8 +278,7 @@ def raise_first_index(gv, T):
     return np.moveaxis(_solve(gv, S.reshape(*S.shape[:-2], -1)).reshape(S.shape), -2, -3)
 
 
-@dataclass(frozen=True)
-class ReductionSpec:
+class ReductionSpec(Frozen):
     """A reduction pipeline bundled as data.
 
     Fields: the parent metric, the parent 2-forms, the Killing vector
@@ -288,12 +286,12 @@ class ReductionSpec:
     indices of the level chart and the fiber coordinate index.
     """
 
-    parent_metric: MetricField
-    parent_forms: tuple
-    killing: VectorFieldR
-    embedding: object
-    invariant: tuple
-    fiber_index: int
+    __slots__ = ("parent_metric", "parent_forms", "killing", "embedding", "invariant",
+                 "fiber_index")
+
+    def __init__(self, parent_metric, parent_forms, killing, embedding, invariant,
+                 fiber_index):
+        self._set(parent_metric, parent_forms, killing, embedding, invariant, fiber_index)
 
     def validate(self, points, closed_tol=1e-8, killing_tol=1e-10):
         """Check the declared symmetry at ``points`` (a batch ``(B, d)``).

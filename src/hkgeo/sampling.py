@@ -7,11 +7,12 @@ specs therefore reproduce identical point sets across runs and platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use: load it with the package
+
+from ._record import Frozen
 
 __all__ = ["Exclusion", "SampleSpec", "SamplingExhaustedError", "sample_points"]
 
@@ -20,8 +21,7 @@ class SamplingExhaustedError(RuntimeError):
     """Rejection sampling burned its candidate budget without filling the quota."""
 
 
-@dataclass(frozen=True)
-class Exclusion:
+class Exclusion(Frozen):
     """Named guard predicate; where it is True, a point is rejected.
 
     ``predicate`` takes coordinate columns as fields do (``d`` arrays
@@ -29,8 +29,10 @@ class Exclusion:
     broadcasting to ``(B,)``: write it elementwise (``np.sqrt``, ``|``, ``&``).
     """
 
-    name: str
-    predicate: Callable[[Sequence], object]
+    __slots__ = ("name", "predicate")
+
+    def __init__(self, name, predicate):
+        self._set(name, predicate)
 
     def __call__(self, columns):
         return self.predicate(columns)
@@ -48,12 +50,15 @@ class SampleSpec:
     seed : int
         Seed for ``numpy.random.default_rng``.
     exclusions : tuple of Exclusion
+
+    The one dataclass of the package: the benchmark's tracer rebuilds a spec
+    with ``dataclasses.replace``.
     """
 
     box: tuple
     count: int
     seed: int = 0
-    exclusions: tuple = field(default_factory=tuple)
+    exclusions: tuple = ()
 
     def __post_init__(self):
         if self.count < 1:

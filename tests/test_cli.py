@@ -1,6 +1,5 @@
 """Command-line behaviour: exit codes, report determinism, CSV output."""
 
-import dataclasses
 import json
 
 import jsonschema
@@ -67,8 +66,8 @@ def test_raising_check_is_a_failed_row(monkeypatch, tmp_path, capsys):
 
 
 def test_json_report_is_the_deep_copied_manifest(monkeypatch, tmp_path):
-    # the report serialises each row once; the file is what the earlier
-    # construction (a deep copy of the manifest, rows then replaced) wrote
+    # the report serialises each row once; the file is the manifest written
+    # field by field, a row's "error" only where its check raised
     seen = []
 
     def kept(*args, **kwargs):
@@ -84,8 +83,13 @@ def test_json_report_is_the_deep_copied_manifest(monkeypatch, tmp_path):
     path = tmp_path / "report.json"
     run(["verify", "mechanics", "--samples", "3", "--json", str(path)])
     (m,) = seen
-    old = {**dataclasses.asdict(m), "a_sweep": list(m.a_sweep),
-           "checks": [c.to_dict() for c in m.checks]}
+    fields = checks.REPORT_SCHEMA["definitions"]["check"]["properties"]
+    rows = [{k: getattr(c, k) for k in fields if k != "error" or c.error is not None}
+            for c in m.checks]
+    assert [r.get("error") for r in rows] == (
+        ["DegenerateLagrangianError: injected"] + [None] * (len(rows) - 1))
+    old = {"seed": m.seed, "samples": m.samples, "a": m.a, "a_sweep": list(m.a_sweep),
+           "version": m.version, "checks": rows}
     assert path.read_text() == json.dumps(old, indent=2, sort_keys=True) + "\n"
     assert list(m.to_dict()) == list(old)
 

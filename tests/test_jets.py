@@ -259,12 +259,22 @@ def test_failures_on_the_oracle_path_are_evaluation_errors(evaluate, point, mess
 
 
 def test_oracle_failure_names_the_batch_point():
-    # the failing stencil row is s B + b = 2 * 2 + 1 (the -h row of point 1);
+    # the failing stencil row is b S + s = 1 * 3 + 2 (the -h row of point 1);
     # the error names point 1 of the batch, not row 5
     with pytest.raises(EvaluationError, match=r"at \[-1e-05\] \(stencil row 2 of point 1 "
                                               r"of the batch\)") as exc:
         fd_oracle(lambda c: jets.sqrt(c[0]), [[1.0], [0.0]])
     assert exc.value.point == 1
+    assert isinstance(exc.value.__cause__, FloatingPointError)
+
+
+def test_oracle_failure_names_the_first_failing_batch_point():
+    # point 0 fails only at its -h row (row 2), point 1 at every row from its
+    # centre (row 3) on: the error names point 0, the first point that fails
+    with pytest.raises(EvaluationError, match=r"at \[-1e-05\] \(stencil row 2 of point 0 "
+                                              r"of the batch\)") as exc:
+        fd_oracle(lambda c: jets.sqrt(c[0]), [[0.0], [-1.0]])
+    assert exc.value.point == 0
     assert isinstance(exc.value.__cause__, FloatingPointError)
 
 

@@ -1,7 +1,8 @@
 """The in-repo Gauss-Kronrod rule and the two integrals built on it.
 
-The nodes are checked by polynomial exactness and against numpy's
-Gauss-Legendre rule; the adaptive driver by its call pattern (one
+The table of nodes and weights is regenerated here by Laurie's algorithm
+and checked by polynomial exactness and against numpy's Gauss-Legendre
+rule; the adaptive driver by its call pattern (one
 integrand call per refinement round, each node once) and by batch-equals-
 single; the Euler characteristic and the moment map against
 ``scipy.integrate.quad``, the independent oracle.
@@ -14,7 +15,96 @@ import pytest
 from scipy import integrate as scipy_integrate
 
 from hkgeo import geometry, models, reduction
-from hkgeo.quadrature import gauss_kronrod, integrate
+from hkgeo.quadrature import _NODES, _WEIGHTS, gauss_kronrod, integrate
+
+
+def jacobi_kronrod(n, alpha, beta):
+    """Recurrence coefficients ``(a_0..a_2n, b_0..b_2n)`` of the Jacobi-Kronrod
+    matrix of order ``2n + 1``, from those of the measure (``alpha``,
+    ``beta`` of length ``2n + 1``, ``beta[0]`` its total mass), of which only
+    the first ``3n/2 + 1`` are read.
+
+    Laurie's algorithm (*Math. Comp.* 66 (1997) 1133-1145): a recurrence for
+    the mixed moments (two rows of them, ``s`` and ``t``) of the orthogonal
+    polynomials of the leading and of the trailing ``n x n`` block fixes the
+    unknown trailing coefficients so that both blocks have the same
+    eigenvalues, the Gauss nodes.
+    """
+    a, b = np.array(alpha, dtype=float), np.array(beta, dtype=float)
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = b[n + 1]
+    for m in range(n - 1):
+        u = 0.0
+        for k in range((m + 1) // 2, -1, -1):
+            l = m - k
+            u += (a[k + n + 1] - a[l]) * t[k + 1] + b[k + n + 1] * s[k] - b[l] * s[k + 1]
+            s[k + 1] = u
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        u = 0.0
+        for k in range(m + 1 - n, (m - 1) // 2 + 1):
+            l = m - k
+            j = n - 1 - l
+            u += -(a[k + n + 1] - a[l]) * t[j + 1] - b[k + n + 1] * s[j + 1] + b[l] * s[j + 2]
+            s[j + 1] = u
+        k = (m + 1) // 2
+        if m % 2 == 0:
+            a[k + n + 1] = a[k] + (s[j + 1] - b[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            b[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    a[2 * n] = a[n - 1] - b[2 * n] * s[1] / t[1]
+    return a, b
+
+
+def recurrence(x, a, b):
+    """``q_N(x)`` and ``q_N'(x)`` of the monic orthogonal polynomials of the
+    recurrence ``(a, b)`` of length ``N``, and the Christoffel sum
+    ``sum_{k<N} q_k(x)^2 / (b_0 ... b_k)`` (of the orthonormal ones)."""
+    q0, q1, d0, d1, total = 0.0, 1.0, 0.0, 0.0, 0.0
+    for k, norm in enumerate(np.cumprod(b[:len(a)])):
+        total = total + q1 * q1 / norm
+        q0, q1, d0, d1 = q1, (x - a[k]) * q1 - b[k] * q0, d1, q1 + (x - a[k]) * d1 - b[k] * d0
+    return q1, d1, total
+
+
+def gauss(a, b):
+    """Nodes and weights of the Gauss rule of the Jacobi matrix with diagonal
+    ``a`` and squared off-diagonal ``b[1:]`` (``b[0]`` the total mass): its
+    eigenvalues, polished by Newton steps on ``q_N``, and the reciprocal
+    Christoffel sums."""
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(np.sqrt(b[1:len(a)]), -1))
+    for _ in range(2):
+        q, dq, _ = recurrence(x, a, b)
+        x = x - q / dq
+    return x, 1.0 / recurrence(x, a, b)[2]
+
+
+def laurie_gauss_kronrod():
+    """The G10/K21 table computed from the Legendre recurrence: K21 from the
+    Jacobi-Kronrod matrix, G10 from the Legendre one, both made exactly
+    symmetric about 0, laid out as :func:`gauss_kronrod` returns it."""
+    n = 10
+    k = np.arange(2 * n + 1, dtype=float)
+    beta = np.divide(k * k, 4 * k * k - 1, out=np.full_like(k, 2.0), where=k > 0)
+    x, wk = gauss(*jacobi_kronrod(n, np.zeros_like(k), beta))
+    _, wg = gauss(np.zeros(n), beta)
+    x, wk, wg = (x - x[::-1]) / 2, (wk + wk[::-1]) / 2, (wg + wg[::-1]) / 2
+    weights = np.zeros((2, 2 * n + 1))
+    weights[0], weights[1, 1::2] = wk, wg
+    return x, weights
+
+
+def test_table_is_laurie_rule_to_the_bit():
+    x, w = laurie_gauss_kronrod()
+    assert np.array_equal(x, _NODES) and np.array_equal(w, _WEIGHTS)
+    assert np.array_equal(np.signbit(x), np.signbit(_NODES))  # the centre node +0.0
+    # gauss_kronrod hands out copies: the module's table cannot be changed through them
+    got = gauss_kronrod()
+    assert all(np.array_equal(g, t) and not np.shares_memory(g, t)
+               for g, t in zip(got, (_NODES, _WEIGHTS)))
+    assert not (_NODES.flags.writeable or _WEIGHTS.flags.writeable)
 
 
 def monomial_errors(weights, nodes, degrees):

@@ -5,9 +5,11 @@ Every metric solve goes through the one guarded solve,
 does not pivot, is called only behind a positive-definiteness check; no
 module forms a bare inverse; and the package neither imports scipy nor
 leaves ``numpy.random`` to load lazily inside a run, and its commands load
-no mpmath (the tests' 40-digit oracle).  A batch is one call: the
-finite-difference oracle, the sampler's exclusions, the hygiene check and
-the mechanics checks keep no per-point loop.
+no mpmath (the tests' 40-digit oracle).  Importing runs no LAPACK, and
+the records are plain classes, apart from the one dataclass the benchmark
+needs.  A batch is one call: the finite-difference oracle, the sampler's
+exclusions, the hygiene check and the mechanics checks keep no per-point
+loop.
 """
 
 import ast
@@ -17,6 +19,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hkgeo
 from hkgeo import checks, jets, mechanics, models
@@ -84,14 +87,43 @@ def test_no_module_imports_scipy():
     assert found == []
 
 
+def _fresh(code):
+    """Standard output of ``code`` run in a fresh interpreter on this source tree."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          check=True).stdout
+
+
 def test_fresh_cli_import_loads_numpy_random_and_no_scipy():
     code = ("import sys, hkgeo.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
             "print('numpy.random' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
-                         check=True).stdout.split("\n")
-    assert out[:2] == ["[]", "True"]
+    assert _fresh(code).split("\n")[:2] == ["[]", "True"]
+
+
+def test_sample_spec_is_the_only_dataclass():
+    # the records are plain classes, not generated code; SampleSpec stays a
+    # dataclass because the benchmark's tracer rebuilds it with dataclasses.replace
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    if "dataclass" in ast.unparse(target):
+                        found.append(f"{path.stem}.{node.name}")
+    assert found == ["sampling.SampleSpec"]
+
+
+def test_quadrature_imports_without_lapack():
+    # the Gauss-Kronrod table is literal: no eigenvalue solve at import
+    code = ("import numpy as np\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError('eigvalsh called')\n"
+            "np.linalg.eigvalsh = refuse\n"
+            "import hkgeo.quadrature as quad\n"
+            "print(quad.integrate(lambda x: 3.0 * x * x, 0.0, 1.0).value)")
+    assert float(_fresh(code)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_commands_load_no_mpmath():
@@ -106,10 +138,7 @@ def test_commands_load_no_mpmath():
             "    hkgeo.cli.main(['verify', 'toy', '--samples', '5'])\n"
             "seen.append(mp())\n"
             "print(seen)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
-                         check=True).stdout
-    assert out.strip() == "[[], [], []]"
+    assert _fresh(code).strip() == "[[], [], []]"
 
 
 def test_oracle_calls_its_field_once_per_batch():
