@@ -2,9 +2,18 @@
 
 :class:`Record` adds what the fields alone decide: a ``repr`` in
 constructor order, equality over the fields between records of the same
-class, and copying and pickling through the constructor.  A
-:class:`Frozen` record also rejects assignment and hashes by its fields.
+class (an array field by its shape and entries), and copying and pickling
+through the constructor.  A :class:`Frozen` record also rejects assignment
+and hashes by its fields.
 """
+
+import numpy as np
+
+
+def _field_equal(a, b):
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a is b or np.array_equal(a, b)
+    return a is b or a == b
 
 
 class Record:
@@ -21,7 +30,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(map(_field_equal, self._values(), other._values()))
 
     __hash__ = None  # mutable: no hash
 

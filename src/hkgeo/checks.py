@@ -125,8 +125,7 @@ class CheckContext(Frozen):
 
 def _box_points(box, exclusions, count, seed):
     """Sampled points as one ``(B, d)`` batch."""
-    spec = SampleSpec(np.asarray(box, dtype=float), count, seed, tuple(exclusions))
-    return np.asarray(sample_points(spec))
+    return sample_points(SampleSpec(box, count, seed, tuple(exclusions)))
 
 
 def _worst(got, want=0.0):
@@ -243,7 +242,7 @@ def check_sp_algebra(ctx, rng):
 
 def check_toy_contraction(ctx, rng):
     m = models.build("toy-parent", ctx.a)
-    pts = np.asarray(m.sample(ctx.samples, ctx.subseed(rng)))
+    pts = m.sample(ctx.samples, ctx.subseed(rng))
     got = reduction.contract(m.forms["omega"], m.killing["shift"], pts)
     want = np.zeros_like(pts)
     want[:, 0], want[:, 2] = pts[:, 0], m.a
@@ -270,7 +269,7 @@ def check_toy_moment(ctx, rng):
     alpha = reduction.contraction_field(m.forms["omega"], m.killing["shift"])
     base = np.asarray(m.extras["moment_base"])
     mu = m.targets["moment_map"]
-    pts = np.asarray(m.sample(ctx.samples, ctx.subseed(rng)))
+    pts = m.sample(ctx.samples, ctx.subseed(rng))
     got = reduction.recover_moment_map(alpha, base, pts, base_value=mu(base))
     return _worst(got, mu(pts.T)), 1e-8, len(pts), (
         "line-integrated moment map matches r^2/2 + a x"
@@ -315,7 +314,7 @@ def check_toy_quotient_form(ctx, rng):
 
 def check_toy_complex_structure(ctx, rng):
     red = models.build("toy-reduced", ctx.a)
-    pts = np.asarray(red.sample(max(10, ctx.samples // 5), ctx.subseed(rng)))
+    pts = red.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     gv = red.metric.value(pts)
     I = reduction.complex_structure(gv, red.forms["omega"].value(pts))
     dW = geometry.covariant_derivative_02(red.metric, red.forms["omega"], pts)
@@ -411,7 +410,7 @@ def check_tn_gh_metric(ctx, rng):
 def check_tn_gh_triple(ctx, rng):
     gh = models.build("gh-flat", ctx.a)
     inv = gh.embeddings["to_cartesian"]
-    pts = np.asarray(gh.sample(ctx.samples, ctx.subseed(rng)))
+    pts = gh.sample(ctx.samples, ctx.subseed(rng))
     worst = worst_of(*(
         _worst(reduction.pullback_form(gh.extras["cart_forms"][k], inv, pts),
                form.value(pts))
@@ -468,7 +467,7 @@ def check_tn_level_moments(ctx, rng):
 
 def check_tn_killing(ctx, rng):
     m = models.build("r8-parent", ctx.a)
-    pts = np.asarray(m.sample(max(10, ctx.samples // 5), ctx.subseed(rng)))
+    pts = m.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     dev = geometry.killing_deviation(m.metric, m.killing["G"], pts)
     cpts = _box_points(m.extras["cart_box"], m.extras["cart_exclusions"],
                        max(10, ctx.samples // 5), ctx.subseed(rng))
@@ -524,7 +523,7 @@ def check_tn_quotient_triple(ctx, rng):
 
 def check_tn_triple_closed(ctx, rng):
     tn = models.build("taub-nut", ctx.a)
-    pts = np.asarray(tn.sample(max(10, ctx.samples // 5), ctx.subseed(rng)))
+    pts = tn.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     worst = worst_of(*(_worst(reduction.exterior_derivative(f, pts))
                        for f in tn.forms.values()))
     return worst, 1e-8, len(pts), "quotient triple is closed"
@@ -532,7 +531,7 @@ def check_tn_triple_closed(ctx, rng):
 
 def check_tn_hyperkahler(ctx, rng):
     tn = models.build("taub-nut", ctx.a)
-    pts = np.asarray(tn.sample(ctx.samples, ctx.subseed(rng)))
+    pts = tn.sample(ctx.samples, ctx.subseed(rng))
     eye = np.eye(4)
     keys = ("omega_I", "omega_J", "omega_K")
     gv = tn.metric.value(pts)

@@ -13,15 +13,18 @@ first-order jets (a bracket reads gradients only), so no finite
 differencing is involved.  A mass matrix must be positive definite, with
 eigenvalues ``lambda_min >= MIN_RCOND * lambda_max > 0``: an indefinite one
 is rejected even when invertible.  Every inversion or solve applies that
-rule, so the solves need no pivoting (:func:`hkgeo.jets.solve`).
+rule, so the solves need no pivoting (:func:`hkgeo.jets.solve`).  A
+stacked Cholesky factorisation decides it for well-conditioned stacks;
+the eigenvalues are computed only for a stack it cannot clear, and they
+word every rejection (:func:`_check_mass`).
 
 Every entry point takes one point or a batch of points, and the shape
 decides: a :class:`PhasePoint` of ``(n,)`` or ``(B, n)`` arrays, a
 configuration ``q`` of ``(n,)`` or ``(B, n)``.  A batch is evaluated in one
-pass (jets with a point axis, batched ``eigvalsh`` and ``inv``), with the same
-result as its points one at a time (bit for bit on the registered models;
-see :func:`hkgeo.jets.solve` for the sign of an exact zero); errors name
-the first failing point.
+pass (jets with a point axis, one stacked factorisation per mass-matrix
+check), with the same result as its points one at a time (bit for bit on
+the registered models; see :func:`hkgeo.jets.solve` for the sign of an
+exact zero); errors name the first failing point.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from ._record import Frozen
 from .fields import Chart, MetricField, _triangle
-from .geometry import _solve
+from .geometry import _cholesky_diagonal, _solve
 from .jets import Jet, evaluate_jet, first_failure, solve
 
 __all__ = [
@@ -146,10 +149,25 @@ def _check_mass(M, q=None):
     :class:`DegenerateLagrangianError`.  Jet entries are judged by their
     values.  Over a batch the rule holds per point, and the error names the
     first failing point (with its coordinates, when ``q`` is given).
+
+    One Cholesky factorisation of the stack clears it when every matrix has
+    ``prod(l_i^2 / tr M) >= 2 MIN_RCOND`` over its factor's diagonal ``l``:
+    then ``lambda_min >= det M / lambda_max^(n-1) >= 2 MIN_RCOND tr M``, the
+    factor 2 covering rounding (Golub & Van Loan, *Matrix Computations*,
+    4.2 and 8.1).  As a product of ratios, each at most 1, the test is free
+    of scale, where ``det M >= c (tr M)^n`` could pass with both sides
+    underflowed to 0.  A stack that is not cleared, or holds a non-finite
+    entry, is judged by its eigenvalues, which make every rejection.
     """
     Mv = _mass_values(M)
     finite = np.isfinite(Mv).all(axis=(-2, -1))
-    if not finite.all():
+    if finite.all():
+        diag = _cholesky_diagonal(Mv)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
+            tr = np.trace(Mv, axis1=-2, axis2=-1)[..., None]
+            if (np.prod(diag * diag / tr, axis=-1) >= 2 * MIN_RCOND).all():
+                return
+    else:
         Mv = np.where(finite[..., None, None], Mv, np.eye(Mv.shape[-1]))
     lo, hi = np.moveaxis(np.linalg.eigvalsh(Mv)[..., [0, -1]], -1, 0)  # ascending
     failure = first_failure(finite & (lo >= MIN_RCOND * hi) & (hi > 0), q)

@@ -108,9 +108,7 @@ class Model(Record):
         self.extras = {} if extras is None else extras
 
     def sample(self, count, seed=0):
-        spec = SampleSpec(np.asarray(self.box, dtype=float), count, seed,
-                          self.exclusions)
-        return sample_points(spec)
+        return sample_points(SampleSpec(self.box, count, seed, self.exclusions))
 
 
 def _string_exclusion(margin=0.3):

@@ -44,7 +44,7 @@ class SampleSpec:
 
     Attributes
     ----------
-    box : tuple of (lo, hi) pairs, one per coordinate
+    box : (lo, hi) pairs, one per coordinate, kept as a tuple of float pairs
     count : int
         Number of points to draw; must be >= 1.
     seed : int
@@ -66,31 +66,35 @@ class SampleSpec:
         for k, (lo, hi) in enumerate(self.box):
             if not lo < hi:
                 raise ValueError(f"empty interval {lo!r} >= {hi!r} in coordinate {k}")
+        # float pairs, not an array, so that specs compare and hash
+        object.__setattr__(self, "box", tuple((float(lo), float(hi)) for lo, hi in self.box))
 
     @property
     def dim(self):
         return len(self.box)
 
 
-def sample_points(spec: SampleSpec) -> list[np.ndarray]:
+def sample_points(spec: SampleSpec) -> np.ndarray:
     """Draw ``spec.count`` points uniformly from the box, honouring exclusions.
 
-    Candidates come coordinate by coordinate from one stream, so the
-    accepted sequence is a pure function of the seed; a block of as many
-    candidates as points are missing is that stream, used to its end, and
-    each exclusion judges the whole block with one mask; the candidates it
-    keeps are accepted in stream order.  If the exclusion predicates reject
-    more than ``10 * count`` candidates a :class:`SamplingExhaustedError` is
-    raised; that usually means the box and the guards disagree.
+    Returns one ``(count, d)`` array.  Candidates come coordinate by
+    coordinate from one stream, so the accepted sequence is a pure function
+    of the seed; a block of as many candidates as points are missing is that
+    stream, used to its end, and each exclusion judges the whole block with
+    one mask; the candidates it keeps are accepted in stream order.  If the
+    exclusion predicates reject more than ``10 * count`` candidates a
+    :class:`SamplingExhaustedError` is raised; that usually means the box
+    and the guards disagree.
     """
     rng = np.random.default_rng(spec.seed)
     lo, hi = np.asarray(spec.box, dtype=float).T
-    out: list[np.ndarray] = []
+    kept: list[np.ndarray] = []
+    missing = spec.count
     rejected = 0
     budget = 10 * spec.count
-    while len(out) < spec.count:
-        block = rng.uniform(lo, hi, size=(spec.count - len(out), spec.dim))
-        bad = np.zeros(len(block), dtype=bool)
+    while missing:
+        block = rng.uniform(lo, hi, size=(missing, spec.dim))
+        bad = np.zeros(missing, dtype=bool)
         for excl in spec.exclusions:
             bad |= np.broadcast_to(excl(list(block.T)), bad.shape)
         # a block holds no more candidates than points are missing, so the stream
@@ -102,5 +106,6 @@ def sample_points(spec: SampleSpec) -> list[np.ndarray]:
                 f"points; exclusions {[e.name for e in spec.exclusions]} are "
                 "too tight for the box"
             )
-        out.extend(block[~bad])
-    return out
+        kept.append(block[~bad])
+        missing -= len(kept[-1])
+    return np.concatenate(kept)

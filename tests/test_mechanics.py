@@ -1,7 +1,11 @@
 """Legendre transform, Poisson brackets and constrained reduction."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkgeo import mechanics, models
 from hkgeo.jets import evaluate_jet
@@ -12,6 +16,7 @@ from hkgeo.mechanics import (
     QuadraticKinetic,
     constrain_and_reduce,
     hamiltonian_field,
+    MIN_RCOND,
     legendre_to_hamiltonian,
     momentum_field,
     poisson_bracket,
@@ -183,3 +188,96 @@ def test_phase_point_validation():
         PhasePoint((1.0,), (1.0, 2.0))
     with pytest.raises(ValueError):
         PhasePoint((float("nan"),), (1.0,))
+
+
+# -- the mass-matrix rule: Cholesky certificate against eigenvalues alone
+
+
+def _mass_outcome(M):
+    """``_check_mass``'s message for ``M``, or None when it accepts."""
+    try:
+        mechanics._check_mass(M)
+    except DegenerateLagrangianError as err:
+        return str(err)
+    return None
+
+
+def _eigenvalue_outcome(M):
+    # the certificate never clears, so the eigenvalues decide alone
+    with mock.patch.object(mechanics, "_cholesky_diagonal",
+                           lambda a: np.full(a.shape[:-1], np.nan)):
+        return _mass_outcome(M)
+
+
+def _eigenvalues_accept(M):
+    """The rule written out per matrix: finite, ``lambda_min >= MIN_RCOND lambda_max > 0``."""
+    for m in np.reshape(M, (-1, *np.shape(M)[-2:])):
+        if not np.isfinite(m).all():
+            return False
+        lo, hi = np.linalg.eigvalsh(m)[[0, -1]]
+        if not (lo >= MIN_RCOND * hi and hi > 0):
+            return False
+    return True
+
+
+def _mass_matrix(rng, n, log_cond, scale, defect):
+    """A symmetric ``n x n`` matrix with eigenvalues from ``scale`` down to
+    ``scale * 10**-log_cond``, then spoilt by ``defect``."""
+    t = np.concatenate([[0.0, 1.0], rng.uniform(size=max(n - 2, 0))])[:n]
+    eig = scale * 10.0 ** (-log_cond * t)
+    if defect == "indefinite":
+        eig[rng.integers(n)] *= -1.0
+    elif defect == "singular":
+        eig[-1] = 0.0
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    M = (Q * eig) @ Q.T
+    M = (M + M.T) / 2
+    if defect in ("nan", "inf", "-inf"):
+        M[rng.integers(n), rng.integers(n)] = float(defect)  # either triangle
+    return M
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), batch=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1),
+       log_cond=st.one_of(st.floats(0.0, 4.0), st.floats(11.0, 15.0)),
+       log_scale=st.floats(-150.0, 150.0),
+       defect=st.sampled_from([None, None, "indefinite", "singular", "nan", "inf", "-inf"]))
+def test_certificate_decides_as_the_eigenvalues(n, batch, seed, log_cond, log_scale, defect):
+    # a stack of ``batch`` matrices (one matrix for 0), the defect and the
+    # drawn condition at its middle point, the rest well conditioned
+    rng = np.random.default_rng(seed)
+    if batch == 0:
+        M = _mass_matrix(rng, n, log_cond, 10.0 ** log_scale, defect)
+    else:
+        M = np.stack([_mass_matrix(rng, n, 2.0, 10.0 ** log_scale, None)
+                      for _ in range(batch)])
+        M[batch // 2] = _mass_matrix(rng, n, log_cond, 10.0 ** log_scale, defect)
+    got = _mass_outcome(M)
+    assert got == _eigenvalue_outcome(M)
+    assert (got is None) == _eigenvalues_accept(M)
+
+
+@pytest.mark.parametrize("M", [
+    # det M and (tr M)^5 both underflow to 0: a det >= c tr^n test would pass it
+    np.diag([1e-70, 1e-90, 1e-90, 1e-90, 1e-90]),
+    np.array([[1.0, np.inf], [0.0, 1.0]]),  # in the triangle no factorisation reads
+    np.stack([np.eye(3), np.diag([1.0, 1.0, np.nan]), np.eye(3)]),
+    np.stack([np.eye(2), np.diag([1.0, 1e-14]), np.eye(2)]),
+    np.array([[0.0, 1.0], [1.0, 0.0]]),
+    np.diag([1.7e308, 1.0]),
+], ids=["underflow", "upper-inf", "nan-in-batch", "ill-conditioned-in-batch",
+        "indefinite", "huge"])
+def test_certificate_rejections_are_the_eigenvalue_messages(M):
+    got = _mass_outcome(M)
+    assert got is not None and got == _eigenvalue_outcome(M)
+    assert not _eigenvalues_accept(M)
+
+
+def test_certificate_clears_a_well_conditioned_stack_without_eigenvalues(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    M = np.stack([np.diag([1.0, 1e-10, 2.0]), np.full((3, 3), 0.5) + np.eye(3)])
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    mechanics._check_mass(M)
+    mechanics._check_mass(np.diag([1e-300, 2e-300]))  # scale-free

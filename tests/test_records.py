@@ -141,6 +141,23 @@ def test_sample_spec_is_rebuilt_by_dataclasses_replace():
         dataclasses.replace(spec, count=0)
 
 
+def test_sample_spec_keeps_its_box_as_float_pairs():
+    one, two = (sampling.SampleSpec(np.array([[0.0, 1.0]]), 5) for _ in range(2))
+    assert one.box == ((0.0, 1.0),) and type(one.box[0][0]) is float
+    assert one == two and hash(one) == hash(two)
+    assert one != sampling.SampleSpec(np.array([[0.0, 2.0]]), 5)
+
+
+def test_array_fields_compare_by_shape_and_entries():
+    eye = np.eye(4)
+    triple = kahler.Triple(*[eye] * 7)
+    assert triple == kahler.Triple(*[eye.copy() for _ in range(7)])
+    assert triple != kahler.Triple(*[eye] * 6, 2.0 * eye)
+    assert triple != kahler.Triple(*[eye] * 6, np.eye(3))
+    assert mechanics.PhasePoint(np.zeros((2, 3)), np.ones((2, 3))) == (
+        mechanics.PhasePoint(np.zeros((2, 3)), np.ones((2, 3))))
+
+
 @pytest.mark.parametrize("args, message", [
     ((((0.0, 1.0),), 0), r"^count must be >= 1, got 0$"),
     ((((0.0, 1.0), (2.0, 2.0)), 3), r"^empty interval 2\.0 >= 2\.0 in coordinate 1$"),

@@ -22,6 +22,12 @@ def test_points_inside_box():
     assert np.all(np.abs(arr[:, 1]) <= 1.0)
 
 
+def test_points_come_as_one_array():
+    keep_out = Exclusion("left-half", lambda p: p[0] < 1.25)  # several blocks
+    pts = sample_points(SampleSpec(BOX, 30, 0, (keep_out,)))
+    assert isinstance(pts, np.ndarray) and pts.shape == (30, 2) and pts.dtype == float
+
+
 def test_same_seed_same_points():
     a = sample_points(SampleSpec(BOX, 10, 7, ()))
     b = sample_points(SampleSpec(BOX, 10, 7, ()))

@@ -9,20 +9,22 @@ no mpmath (the tests' 40-digit oracle).  Importing runs no LAPACK, and
 the records are plain classes, apart from the one dataclass the benchmark
 needs.  A batch is one call: the finite-difference oracle, the sampler's
 exclusions, the hygiene check and the mechanics checks keep no per-point
-loop.
+loop, and the mass-matrix rule computes eigenvalues only for the matrix
+its Cholesky certificate cannot clear.
 """
 
 import ast
 import os
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hkgeo
-from hkgeo import checks, jets, mechanics, models
+from hkgeo import checks, cli, jets, mechanics, models
 from hkgeo.sampling import Exclusion, SampleSpec, sample_points
 
 SRC = Path(hkgeo.__file__).parent
@@ -30,7 +32,7 @@ SRC = Path(hkgeo.__file__).parent
 #: (module, function) pairs allowed to call each solve.
 ALLOWED = {
     "np.linalg.solve": {("geometry", "_solve")},
-    "np.linalg.cholesky": {("geometry", "_solve"), ("geometry", "_finite_per_matrix")},
+    "np.linalg.cholesky": {("geometry", "_solve"), ("geometry", "_cholesky_diagonal")},
     "jets.solve": {("geometry", "_solve"), ("mechanics", "_solve_mass")},
     "np.linalg.inv": set(),
 }
@@ -218,3 +220,20 @@ def test_conserved_check_evaluates_each_hamiltonian_jet_once(monkeypatch):
     ctx = checks.CheckContext(seed=1, samples=100, a=1.0)
     checks.check_mech_conserved(ctx, ctx.rng("mechanics.conserved_momenta"))
     assert calls == [1, 1]  # toy-parent and r8-parent, two cyclic momenta each
+
+
+@pytest.mark.parametrize("argv", [["verify", "mechanics", "--samples", "1500", "--seed", "1"],
+                                  ["verify", "all", "--samples", "100", "--seed", "2"]],
+                         ids=["mechanics", "all"])
+def test_only_the_singular_control_computes_eigenvalues(monkeypatch, argv):
+    callers = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        callers.append((np.shape(a), [f.name for f in traceback.extract_stack()]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert cli.main(argv) == 0
+    assert [shape for shape, _ in callers] == [(2, 2)]
+    assert "check_mech_singular" in callers[0][1]
