@@ -4,16 +4,16 @@ The package builds flat parent spaces with explicit symplectic structure,
 carries out symplectic and hyperkahler quotients numerically (level sets,
 fiber projections, moment maps), cross-checks the same reductions through
 Hamiltonian mechanics, and verifies curvature and quaternionic identities
-against closed forms.  Everything differentiable runs on forward-mode
-jets (first order where only gradients are read, second order where
-curvature needs Hessians) with finite differences kept as an independent
-oracle.
+against closed forms.  Everything differentiable runs on one forward-mode
+jet type, whose order is whether it carries a Hessian (first order where
+only gradients are read, second order where curvature needs Hessians),
+with finite differences kept as an independent oracle.
 """
 
 from ._version import __version__
 from .checks import CheckReport, RunManifest, run_suite
 from .fields import Chart, EmbeddingMap, FormField, MetricField, VectorFieldR
-from .jets import Jet1, Jet2, evaluate_jet, fd_oracle
+from .jets import Jet, evaluate_jet, fd_oracle
 from .models import MODEL_NAMES, build
 from .sampling import Exclusion, SampleSpec, sample_points
 
@@ -24,8 +24,7 @@ __all__ = [
     "EmbeddingMap",
     "Exclusion",
     "FormField",
-    "Jet1",
-    "Jet2",
+    "Jet",
     "MODEL_NAMES",
     "MetricField",
     "RunManifest",

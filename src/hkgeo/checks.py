@@ -333,8 +333,7 @@ def check_toy_mechanics(ctx, rng):
     L2 = mechanics.constrain_and_reduce(L, m.fiber_index, probe_points=pts[:3])
     got = L2.matrix(pts[:, [0, 2]])
     want = reduction.quotient_metric(lm, m.extras["level_fiber"], m.invariant, pts)
-    worst = float(np.max(np.abs(got - want)))  # keeps NaN
-    return worst, 1e-12, len(pts), (
+    return _worst(got, want), 1e-12, len(pts), (
         "setting the fiber momentum to zero reproduces the geometric quotient"
     )
 
@@ -349,8 +348,7 @@ def check_toy_brackets(ctx, rng):
                       ctx.subseed(rng))
     s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
     pfs = [mechanics.momentum_field(c, L.dim) for c in m.extras["level_cyclic"]]
-    worst = float(np.max(np.abs(mechanics.poisson_bracket(pfs, H, s))))  # keeps NaN
-    return worst, 1e-12, len(pts), (
+    return _worst(mechanics.poisson_bracket(pfs, H, s)), 1e-12, len(pts), (
         "momenta of the cyclic angles Poisson-commute with the Hamiltonian"
     )
 
@@ -556,8 +554,7 @@ def check_tn_mechanics(ctx, rng):
     L2 = mechanics.constrain_and_reduce(L, m.fiber_index, probe_points=pts[:2])
     got = L2.matrix(pts[:, :4])
     want = reduction.quotient_metric(lm, m.extras["level_fiber"], m.invariant, pts)
-    worst = float(np.max(np.abs(got - want)))  # keeps NaN
-    return worst, 1e-12, len(pts), (
+    return _worst(got, want), 1e-12, len(pts), (
         "Hamiltonian reduction of the 5-chart kinetic term equals the "
         "geometric quotient"
     )
@@ -603,8 +600,7 @@ def check_mech_toy_matrix(ctx, rng):
     want[:, 1, 1] = 1.0 / a ** 2
     want[:, 1, 2] = want[:, 2, 1] = -1.0 / a ** 2
     want[:, 2, 2] = (1.0 + r2 / a ** 2) / r2
-    worst = float(np.max(np.abs(Minv - want)))  # keeps NaN
-    return worst, 1e-12, len(pts), (
+    return _worst(Minv, want), 1e-12, len(pts), (
         "toy Hamiltonian kinetic matrix matches the closed-form coefficients"
     )
 
@@ -623,7 +619,7 @@ def check_mech_conserved(ctx, rng):
         # one draw of (B, dim) is the stream of B draws of dim
         s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
         pfs = [mechanics.momentum_field(c, L.dim) for c in m.extras["level_cyclic"]]
-        worst = worst_of(worst, float(np.max(np.abs(mechanics.poisson_bracket(pfs, H, s)))))
+        worst = worst_of(worst, _worst(mechanics.poisson_bracket(pfs, H, s)))
         n_pts += len(pts)
     return worst, 1e-12, n_pts, (
         "declared cyclic momenta Poisson-commute with both model Hamiltonians"

@@ -89,30 +89,22 @@ def _triangle(raw, sign):
             for N in range(M if sign > 0 else M + 1, d))
 
 
-def _square_value(fn, p, sign):
-    raw = call_field(fn, p)
-    V = np.zeros((*_batch_shape(p), len(raw), len(raw)), dtype=_point_dtype(p))
-    for M, N, e in _triangle(raw, sign):
-        V[..., M, N] = e
-    return mirror_triangle(V, sign)
-
-
 def _square_jet(fn, p, sign, order):
-    """Jet-evaluate a matrix-valued field from one triangle.
+    """Evaluate a matrix-valued field from one triangle, with derivatives of ``order``.
 
     Returns ``(V, D1, D2)`` with ``D1[..., P, M, N] = d_P V[..., M, N]`` and
-    ``D2[..., P, Q, M, N]`` the second derivatives, or ``D2 = None`` at
-    ``order=1``; the leading axis ``...`` is the batch of points (none for
-    one point).  The triangle is lifted to jets of that order and packed
-    into one array; the array, not the jets, is mirrored.  Constant entries
-    keep zero derivatives.
+    ``D2[..., P, Q, M, N]`` the second derivatives; ``D2 = None`` at
+    ``order=1``, and ``D1 = D2 = None`` at ``order=None`` (values only).
+    The leading axis ``...`` is the batch of points (none for one point).
+    The triangle is lifted to jets of that order and packed into one array;
+    the array, not the jets, is mirrored.  Constant entries keep zero
+    derivatives.
     """
     batch = _batch_shape(p)
     dim = len(p[0]) if batch else len(p)
-    second = order == 2
     raw = call_field(fn, p, order)
     d = len(raw)
-    shape = (*batch, 1 + dim + (dim * dim if second else 0), d, d)
+    shape = (*batch, 1 + {None: 0, 1: dim, 2: dim + dim * dim}[order], d, d)
     packed = DD.zeros(shape) if isinstance(p, DD) else np.zeros(shape, _point_dtype(p))
     for M, N, e in _triangle(raw, sign):
         if not isinstance(e, Jet):
@@ -121,36 +113,31 @@ def _square_jet(fn, p, sign, order):
         # a jet carries its point axis last, the packed array first
         packed[..., 0, M, N] = e.value
         packed[..., 1:dim + 1, M, N] = e.gradient.T
-        if second:
+        if order == 2:
             packed[..., dim + 1:, M, N] = e.hessian.reshape(dim * dim, *batch).T
     mirror = functools.partial(mirror_triangle, sign=sign)
     full = packed.map(mirror) if isinstance(packed, DD) else mirror(packed)
+    D1 = full[..., 1:dim + 1, :, :] if order else None
     D2 = (full[..., dim + 1:, :, :].reshape(*full.shape[:-3], dim, dim, d, d)
-          if second else None)
-    return full[..., 0, :, :], full[..., 1:dim + 1, :, :], D2
+          if order == 2 else None)
+    return full[..., 0, :, :], D1, D2
 
 
-def _vector_jet(fn, p):
+def _vector_jet(fn, p, order):
     """Values ``V[..., M]`` and first derivatives ``D[..., P, M] = d_P V[..., M]``
-    of a vector-valued field; ``...`` is the batch of points, if any."""
-    raw = call_field(fn, p, 1)
+    of a vector-valued field (``D = None`` at ``order=None``); ``...`` is the
+    batch of points, if any."""
+    raw = call_field(fn, p, order)
     batch = _batch_shape(p)
+    dim = len(p[0]) if batch else len(p)
     V = np.zeros((*batch, len(raw)))
-    D = np.zeros((*batch, len(p[0]) if batch else len(p), len(raw)))
+    D = None if order is None else np.zeros((*batch, dim, len(raw)))
     for M, e in enumerate(raw):
         if isinstance(e, Jet):
             V[..., M], D[..., M] = e.value, e.gradient.T
         else:
             V[..., M] = e
     return V, D
-
-
-def _vector_value(fn, p):
-    raw = call_field(fn, p)
-    V = np.empty((*_batch_shape(p), len(raw)))
-    for M, e in enumerate(raw):
-        V[..., M] = e
-    return V
 
 
 class MetricField:
@@ -174,7 +161,7 @@ class MetricField:
         return self.chart.dim
 
     def value(self, p):
-        return _square_value(self.fn, p, +1)
+        return _square_jet(self.fn, p, +1, None)[0]
 
     def jet(self, p, order=2):
         """``(V, D1, D2)``: components and their first and second derivatives.
@@ -214,8 +201,8 @@ class FormField:
 
     def value(self, p):
         if self.degree == 1:
-            return _vector_value(self.fn, p)
-        return _square_value(self.fn, p, -1)
+            return _vector_jet(self.fn, p, None)[0]
+        return _square_jet(self.fn, p, -1, None)[0]
 
     def jet(self, p):
         """``(V, D1, None)``: components and their first derivatives at ``p``.
@@ -225,7 +212,7 @@ class FormField:
         form, so none are computed; the third slot is always ``None``.
         """
         if self.degree == 1:
-            return (*_vector_jet(self.fn, p), None)
+            return (*_vector_jet(self.fn, p, 1), None)
         return _square_jet(self.fn, p, -1, 1)
 
     def __repr__(self):
@@ -257,11 +244,11 @@ class VectorFieldR:
         return self.chart.dim
 
     def value(self, p):
-        return _vector_value(self.fn, p)
+        return _vector_jet(self.fn, p, None)[0]
 
     def jet(self, p):
         """Component values and first derivatives ``dV[..., P, M] = d_P V^M``."""
-        return _vector_jet(self.fn, p)
+        return _vector_jet(self.fn, p, 1)
 
     def __repr__(self):
         return f"VectorFieldR({self.name or self.chart})"
@@ -280,7 +267,7 @@ class EmbeddingMap:
         self.name = name
 
     def value(self, p):
-        out = _vector_value(self.fn, p)
+        out = _vector_jet(self.fn, p, None)[0]
         if out.shape[-1] != self.target.dim:
             raise ValueError(
                 f"map produced {out.shape[-1]} components for target {self.target}"
@@ -289,7 +276,7 @@ class EmbeddingMap:
 
     def jacobian(self, p):
         """``J[..., M, m] = d phi^M / d x^m`` (target index first)."""
-        return np.ascontiguousarray(np.swapaxes(_vector_jet(self.fn, p)[1], -1, -2))
+        return np.ascontiguousarray(np.swapaxes(_vector_jet(self.fn, p, 1)[1], -1, -2))
 
     def __repr__(self):
         return f"EmbeddingMap({self.name or (str(self.source) + ' -> ' + str(self.target))})"

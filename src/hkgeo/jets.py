@@ -1,37 +1,41 @@
 """Forward-mode jets with a finite-difference cross check.
 
-A :class:`Jet2` carries the value, gradient and Hessian of a scalar quantity
-at a point, propagated through arithmetic by the truncated second-order
-Taylor rules; a :class:`Jet1` carries the value and gradient only.  Field
-code throughout the package is written against the dispatching math helpers
-in this module (:func:`sqrt`, :func:`exp`, :func:`atan2`, ...) so the same
-expression evaluates on plain floats, on jets of either order, or with
-extra precision: on double-double numbers (:class:`hkgeo.ddouble.DD`,
-rational fields only), which the curvature of nearly degenerate polar
-charts uses, or on mpmath numbers, which only the tests use (mpmath is
-never imported here; its numbers are recognised once it is loaded).
+A :class:`Jet` carries the value and gradient of a scalar quantity at a
+point, and at second order its Hessian too, propagated through arithmetic
+by the truncated Taylor rules.  Field code throughout the package is
+written against the dispatching math helpers in this module (:func:`sqrt`,
+:func:`exp`, :func:`atan2`, ...) so the same expression evaluates on plain
+floats, on jets of either order, or with extra precision: on double-double
+numbers (:class:`hkgeo.ddouble.DD`, rational fields only), which the
+curvature of nearly degenerate polar charts uses, or on mpmath numbers,
+which only the tests use (mpmath is never imported here; its numbers are
+recognised once it is loaded).
 
 Which order is used where
 -------------------------
-Most derivative reads in the package are first order, and a first-order
-jet costs a fraction of a second-order one (no ``d x d`` Hessian update on
-every product), so every entry point that reads no second derivative seeds
-:class:`Jet1`: Poisson brackets (so also the cyclicity probes of
+A jet's order is data: it is second order when it carries a Hessian and
+first order when its ``hessian`` is ``None``.  Each ring and composition
+rule is written once and skips the Hessian term when an operand has none,
+so a result has the lower order of its operands, and both orders give the
+same values and gradients bit for bit.  Most derivative reads in the
+package are first order, and a first-order jet costs a fraction of a
+second-order one (no ``d x d`` Hessian update on every product), so every
+entry point that reads no second derivative seeds order 1: Poisson
+brackets (so also the cyclicity probes of
 :func:`hkgeo.mechanics.constrain_and_reduce`), Christoffel symbols,
 covariant derivatives of 2-tensors, Killing deviations, exterior
 derivatives, Wirtinger derivatives and spin-connection traces of Hermitian
 fields, vector-field derivatives, Jacobians of maps and moment-map
-gradients.  :class:`Jet2` stays where second derivatives are read: the
+gradients.  Order 2 stays where second derivatives are read: the
 derivative of the connection (so the Riemann tensor and every curvature,
 at every precision), metrics from Kaehler potentials and the jet-vs-
-finite-difference hygiene check.  Both orders share every elementary
-derivative rule (the ``f, f', f''`` triple in :class:`Jet`), so their
-values and gradients agree bit for bit.
+finite-difference hygiene check.  Plain values are order ``None``: the
+field sees floats (or arrays) and no jet is made.
 
 A first-order jet never computes ``f''``: the rules hand it over as a
-zero-argument callable that only :class:`Jet2` calls, so a first-order
-evaluation succeeds where only the second derivative divides by zero or
-underflows (``sqrt`` at ``1e-220``, ``x ** 1.5`` at 0).
+zero-argument callable that only a jet with a Hessian calls, so a
+first-order evaluation succeeds where only the second derivative divides
+by zero or underflows (``sqrt`` at ``1e-220``, ``x ** 1.5`` at 0).
 
 Products put the array first
 ----------------------------
@@ -84,8 +88,6 @@ from .ddouble import DD
 
 __all__ = [
     "Jet",
-    "Jet1",
-    "Jet2",
     "EvaluationError",
     "StencilExclusionError",
     "call_field",
@@ -198,26 +200,44 @@ def _zeros(shape, like):
 
 
 class Jet:
-    """Forward-mode jet of a scalar at a point: the rules both orders share.
+    """Value, gradient and, at second order, symmetric Hessian of a scalar.
 
-    A jet carries the value and the gradient (and, in :class:`Jet2`, the
-    Hessian) of a scalar quantity.  Every elementary derivative rule is
-    written here once, as the ``f, f', f''`` triple handed to
-    ``_compose`` (``f''`` as a zero-argument callable); :class:`Jet1` reads
-    the first two and :class:`Jet2` calls the third too.  The subclasses
-    supply only the ring operations and the two composition rules at their
-    order.
+    ``hessian is None`` makes a first-order jet.  Every elementary
+    derivative rule is written once, as the ``f, f', f''`` triple handed to
+    ``_compose`` (``f''`` as a zero-argument callable that only a jet with a
+    Hessian calls).  The Hessian stays exactly symmetric because every
+    update is built from symmetric terms (``outer(a, b) + outer(b, a)`` and
+    scalar multiples of symmetric arrays).  Outer products are written
+    ``a[:, None] * b[None, :]``, which equals ``np.outer`` bit for bit and
+    carries a trailing point axis.
     """
 
-    __slots__ = ("value", "gradient")
+    __slots__ = ("value", "gradient", "hessian")
 
     # numpy defers to the jet's operators: ``array * jet`` calls ``__rmul__``
     __array_ufunc__ = None
 
+    def __init__(self, value, gradient, hessian=None):
+        self.value = value
+        if isinstance(gradient, DD):  # double-double entries stay one array pair
+            self.gradient, self.hessian = gradient, hessian
+        else:
+            self.gradient = np.asarray(gradient)
+            self.hessian = None if hessian is None else np.asarray(hessian)
+
     @classmethod
-    def variable(cls, value, index, dim):
+    def constant(cls, value, dim, order=2, like=None):
+        """Constant jet of ``order`` (1 or 2) in ``like``'s arithmetic (else ``value``'s)."""
+        if order not in (1, 2):
+            raise ValueError(f"jet order must be 1 or 2, not {order!r}")
+        ref = value if like is None else like
+        return cls(value, _zeros((dim,), ref),
+                   _zeros((dim, dim), ref) if order == 2 else None)
+
+    @classmethod
+    def variable(cls, value, index, dim, order=2):
         """Seed jet for coordinate ``index`` of a ``dim``-dimensional chart."""
-        jet = cls.constant(value, dim)
+        jet = cls.constant(value, dim, order)
         jet.gradient[index] = value * 0 + 1  # one of the same scalar type as `value`
         return jet
 
@@ -225,10 +245,39 @@ class Jet:
     def dim(self):
         return self.gradient.shape[0]
 
-    def __repr__(self):
-        return f"{type(self).__name__}(value={self.value!r}, dim={self.dim})"
+    def _lift(self, c):
+        """Constant ``c`` as a jet of this jet's order and arithmetic."""
+        return Jet.constant(c, self.dim, 1 if self.hessian is None else 2, like=self.value)
 
-    # -- ring operations built on the order-specific ones -----------------
+    def __repr__(self):
+        return f"Jet(value={self.value!r}, dim={self.dim}, hessian={self.hessian is not None})"
+
+    # -- ring operations ---------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.value + other, self.gradient, self.hessian)
+        hess = (None if self.hessian is None or other.hessian is None
+                else self.hessian + other.hessian)
+        return Jet(self.value + other.value, self.gradient + other.gradient, hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.value, -self.gradient,
+                   None if self.hessian is None else -self.hessian)
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return Jet(self.value * other, self.gradient * other,
+                       None if self.hessian is None else self.hessian * other)
+        ga, gb = self.gradient, other.gradient
+        hess = (None if self.hessian is None or other.hessian is None
+                else other.hessian * self.value + self.hessian * other.value
+                + _outer(ga, gb) + _outer(gb, ga))
+        return Jet(self.value * other.value, gb * self.value + ga * other.value, hess)
+
+    __rmul__ = __mul__
 
     def __sub__(self, other):
         return self + (-other)
@@ -246,7 +295,7 @@ class Jet:
 
     def __pow__(self, k):
         if k == 0:
-            return self.constant(self.value * 0 + 1, self.dim, like=self.value)
+            return self._lift(self.value * 0 + 1)
         if k == 1:
             return self
         u = self.value
@@ -254,6 +303,29 @@ class Jet:
                              lambda: k * (k - 1) * u ** (k - 2))
 
     # -- composition with smooth scalar functions -------------------------
+
+    def _compose(self, f0, f1, f2):
+        """Jet of ``f(self)`` given ``f``, ``f'`` and ``f2() = f''`` at the value."""
+        g = self.gradient
+        return Jet(f0, g * f1, None if self.hessian is None
+                   else self.hessian * f1 + _outer(g, g) * f2())
+
+    def _compose2(self, b, f0, fa, fb, second):
+        """Jet of a smooth two-argument ``f(self, b)`` given its partials.
+
+        ``second()`` returns the second partials ``(faa, fab, fbb)``; it is
+        called only when both arguments carry a Hessian.
+        """
+        ga, gb = self.gradient, b.gradient
+        grad = ga * fa + gb * fb
+        if self.hessian is None or b.hessian is None:
+            return Jet(f0, grad)
+        faa, fab, fbb = second()
+        hess = (self.hessian * fa + b.hessian * fb
+                + _outer(ga, ga) * faa
+                + (_outer(ga, gb) + _outer(gb, ga)) * fab
+                + _outer(gb, gb) * fbb)
+        return Jet(f0, grad, hess)
 
     def _reciprocal(self):
         u = self.value
@@ -295,125 +367,6 @@ class Jet:
         m = _mathmod(self.value)
         c = m.cosh(self.value)
         return self._compose(c, m.sinh(self.value), lambda: c)
-
-
-class Jet2(Jet):
-    """Value, gradient and symmetric Hessian of a scalar at a point.
-
-    Arithmetic follows the second-order product/chain rules; the Hessian
-    stays exactly symmetric because every update is built from symmetric
-    terms (``outer(a, b) + outer(b, a)`` and scalar multiples of symmetric
-    arrays).  Outer products are written ``a[:, None] * b[None, :]``, which
-    equals ``np.outer`` bit for bit and carries a trailing point axis.
-    """
-
-    __slots__ = ("hessian",)
-
-    def __init__(self, value, gradient, hessian):
-        self.value = value
-        if isinstance(gradient, DD):  # double-double entries stay one array pair
-            self.gradient, self.hessian = gradient, hessian
-        else:
-            self.gradient, self.hessian = np.asarray(gradient), np.asarray(hessian)
-
-    @classmethod
-    def constant(cls, value, dim, like=None):
-        ref = value if like is None else like
-        return cls(value, _zeros((dim,), ref), _zeros((dim, dim), ref))
-
-    def __add__(self, other):
-        if isinstance(other, Jet2):
-            return Jet2(self.value + other.value,
-                        self.gradient + other.gradient,
-                        self.hessian + other.hessian)
-        return Jet2(self.value + other, self.gradient, self.hessian)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2(-self.value, -self.gradient, -self.hessian)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet2):
-            ga, gb = self.gradient, other.gradient
-            return Jet2(
-                self.value * other.value,
-                gb * self.value + ga * other.value,
-                other.hessian * self.value + self.hessian * other.value
-                + _outer(ga, gb) + _outer(gb, ga),
-            )
-        return Jet2(self.value * other, self.gradient * other, self.hessian * other)
-
-    __rmul__ = __mul__
-
-    def _compose(self, f0, f1, f2):
-        """Jet of ``f(self)`` given ``f``, ``f'`` and ``f2() = f''`` at the value."""
-        g = self.gradient
-        return Jet2(f0, g * f1, self.hessian * f1 + _outer(g, g) * f2())
-
-    def _compose2(self, b, f0, fa, fb, second):
-        """Jet of a smooth two-argument ``f(self, b)`` given its partials.
-
-        ``second()`` returns the second partials ``(faa, fab, fbb)``.
-        """
-        ga, gb = self.gradient, b.gradient
-        faa, fab, fbb = second()
-        grad = ga * fa + gb * fb
-        hess = (self.hessian * fa + b.hessian * fb
-                + _outer(ga, ga) * faa
-                + (_outer(ga, gb) + _outer(gb, ga)) * fab
-                + _outer(gb, gb) * fbb)
-        return Jet2(f0, grad, hess)
-
-
-class Jet1(Jet):
-    """Value and gradient of a scalar at a point, no Hessian.
-
-    The first-order truncation of :class:`Jet2`: its value and gradient
-    follow the same formulas in the same order, so they agree with
-    ``Jet2``'s bit for bit, at a fraction of the cost where only gradients
-    are read.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, value, gradient):
-        self.value = value
-        self.gradient = np.asarray(gradient)
-
-    @classmethod
-    def constant(cls, value, dim, like=None):
-        return cls(value, _zeros((dim,), value if like is None else like))
-
-    def __add__(self, other):
-        if isinstance(other, Jet1):
-            return Jet1(self.value + other.value, self.gradient + other.gradient)
-        return Jet1(self.value + other, self.gradient)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet1(-self.value, -self.gradient)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet1):
-            return Jet1(self.value * other.value,
-                        other.gradient * self.value + self.gradient * other.value)
-        return Jet1(self.value * other, self.gradient * other)
-
-    __rmul__ = __mul__
-
-    def _compose(self, f0, f1, f2):
-        """Jet of ``f(self)``: ``f`` and ``f'`` at the value (``f2`` not called)."""
-        return Jet1(f0, self.gradient * f1)
-
-    def _compose2(self, b, f0, fa, fb, second):
-        """Jet of ``f(self, b)`` given its partials (``second`` never called)."""
-        return Jet1(f0, self.gradient * fa + b.gradient * fb)
-
-
-#: Jet class of each derivative order.
-_JET_OF_ORDER = {1: Jet1, 2: Jet2}
 
 
 def _outer(a, b):
@@ -465,9 +418,9 @@ def atan2(y, x):
     if not isinstance(y, Jet) and not isinstance(x, Jet):
         return _mathmod(y).atan2(y, x)
     if not isinstance(y, Jet):
-        y = x.constant(y, x.dim, like=x.value)
+        y = x._lift(y)
     if not isinstance(x, Jet):
-        x = y.constant(x, y.dim, like=y.value)
+        x = y._lift(x)
     xv, yv = x.value, y.value
     r2 = xv * xv + yv * yv
     f0 = _mathmod(yv).atan2(yv, xv)
@@ -554,21 +507,22 @@ def call_field(f, p, order=None):
     """``f`` at ``p``: on plain coordinates, or on jet seeds of ``order``.
 
     ``p`` is one point ``(d,)`` or a batch of points ``(B, d)``, which ``f``
-    sees as ``d`` coordinate arrays of shape ``(B,)``.  ``order`` is
-    ``None`` for plain values, 1 for :class:`Jet1` seeds or 2 for
-    :class:`Jet2` seeds.  This is where every field evaluation of the
-    package calls the field, so a division by zero or an invalid operation
-    inside it (a field evaluated on its singular locus) surfaces as
-    :class:`EvaluationError`, on Python floats (``ZeroDivisionError``, or
-    the helpers' domain errors) and numpy scalars or arrays alike (numpy is
-    made to raise).  A failing
-    batch is evaluated again one point at a time to name the first point
-    that fails.
+    sees as ``d`` coordinate arrays of shape ``(B,)``.  ``order`` is the
+    order of the :class:`Jet` seeds, 1 (gradient) or 2 (gradient and
+    Hessian), or ``None`` for plain values, which are the order-0 case: the
+    field sees the coordinates themselves and no jet is made.  This is
+    where every field evaluation of the package calls the field, so a
+    division by zero or an invalid operation inside it (a field evaluated
+    on its singular locus) surfaces as :class:`EvaluationError`, on Python
+    floats (``ZeroDivisionError``, or the helpers' domain errors) and numpy
+    scalars or arrays alike (numpy is made to raise).  A failing batch is
+    evaluated again one point at a time to name the first point that
+    fails.
     """
     coords = _coords(p)
     if order is not None:
         dim = len(coords)
-        coords = [_JET_OF_ORDER[order].variable(x, i, dim) for i, x in enumerate(coords)]
+        coords = [Jet.variable(x, i, dim, order) for i, x in enumerate(coords)]
     try:
         with np.errstate(divide="raise", invalid="raise"):
             return f(coords)
@@ -598,13 +552,13 @@ def evaluate_jet(f, p, order=2):
         One point, or a batch of points evaluated in one pass (the jet then
         carries the point axis last).
     order : {1, 2}
-        2 (the default) returns a :class:`Jet2`; 1 returns a :class:`Jet1`,
-        with the same value and gradient, for callers that read no second
-        derivatives.
+        2 (the default) returns a :class:`Jet` with a Hessian; 1 returns
+        one without (``hessian is None``), with the same value and
+        gradient, for callers that read no second derivatives.
 
     Returns
     -------
-    Jet1 or Jet2
+    Jet
 
     Raises
     ------
@@ -618,10 +572,10 @@ def evaluate_jet(f, p, order=2):
     dim = len(coords)
     out = call_field(f, p, order)
     if not isinstance(out, Jet):
-        out = _JET_OF_ORDER[order].constant(out, dim, like=coords[0])
+        out = Jet.constant(out, dim, order, like=coords[0])
     ok_value = np.broadcast_to(_finite(out.value), _batch_shape(p))
     ok_coord = _finite(out.gradient)
-    if isinstance(out, Jet2):
+    if out.hessian is not None:
         ok_coord = ok_coord & _finite(out.hessian).all(axis=1)
     failure = first_failure(ok_value & ok_coord.all(axis=0), p)
     if failure is not None:
@@ -686,8 +640,9 @@ def fd_oracle(f, p, exclusions=()):
     """Finite-difference (value, gradient, Hessian) of ``f`` at ``p``.
 
     ``p`` is one point ``(d,)`` or a batch ``(B, d)``, and the result a
-    :class:`Jet2` laid out as :func:`evaluate_jet` lays it out (point axis
-    last), so the two compare directly; but no jet arithmetic is involved.
+    second-order :class:`Jet` laid out as :func:`evaluate_jet` lays it out
+    (point axis last), so the two compare directly; but no jet arithmetic
+    is involved.
     Central differences with per-coordinate step :func:`fd_step`; second
     mixed derivatives use the four-point cross stencil.  Every point's
     stencil goes to ``f`` in one :func:`call_field` call.
@@ -738,4 +693,4 @@ def fd_oracle(f, p, exclusions=()):
     grad = (fp - fm) / (2 * h)
     if p.ndim == 1:
         f0, grad, hess = f0[0], grad[:, 0], hess[..., 0]
-    return Jet2(f0, grad, hess)
+    return Jet(f0, grad, hess)

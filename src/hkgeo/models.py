@@ -265,20 +265,22 @@ def toy_reduced(a=1.0):
 # monopole-coordinate flat R^4 and the coordinate change
 
 
+def _gh_rows(b, coef, diag):
+    """Upper triangle of ``coef b_m b_n``, plus ``diag`` on the first three
+    diagonal entries: every Gibbons-Hawking form metric of the package."""
+    n = len(b)
+    rows = [[None] * n for _ in range(n)]
+    for m in range(n):
+        for k in range(m, n):
+            e = coef * b[m] * b[k]
+            rows[m][k] = e + diag if m == k and m < 3 else e
+    return rows
+
+
 def _gh4_entries(c):
     """Upper triangle of the monopole-coordinate flat metric on (x, Psi)."""
-    x1, x2, x3 = c[0], c[1], c[2]
-    r, A1, A2 = _monopole_terms(x1, x2, x3)
-    b = [A1, A2, 0.0, 1.0]
-    inv4r = 1.0 / (4.0 * r)
-    rows = [[None] * 4 for _ in range(4)]
-    for m in range(4):
-        for n in range(m, 4):
-            e = (r / 4.0) * b[m] * b[n]
-            if m == n and m < 3:
-                e = e + inv4r
-            rows[m][n] = e
-    return rows
+    r, A1, A2 = _monopole_terms(c[0], c[1], c[2])
+    return _gh_rows([A1, A2, 0.0, 1.0], r / 4.0, 1.0 / (4.0 * r))
 
 
 def _xpsi_triple_fns(shift_fn):
@@ -476,14 +478,7 @@ def r8_parent(a=1.0):
     def level_gfn(c):
         r, A1, A2 = _monopole_terms(c[0], c[1], c[2])
         s = 1.0 / r + 1.0 / (a * a)
-        b = [A1, A2, 0.0, 1.0, 2.0]
-        rows = [[None] * 5 for _ in range(5)]
-        for m in range(5):
-            for n in range(m, 5):
-                e = (r / 4.0) * b[m] * b[n]
-                if m == n and m < 3:
-                    e = e + s / 4.0
-                rows[m][n] = e
+        rows = _gh_rows([A1, A2, 0.0, 1.0, 2.0], r / 4.0, s / 4.0)
         rows[4][4] = rows[4][4] + a * a
         return rows
 
@@ -600,16 +595,7 @@ def taub_nut(a=1.0):
     def gfn(c):
         r, A1, A2 = _monopole_terms(c[0], c[1], c[2])
         s = 1.0 / r + 1.0 / (a * a)
-        b = [A1, A2, 0.0, 1.0]
-        inv4s = 0.25 / s
-        rows = [[None] * 4 for _ in range(4)]
-        for m in range(4):
-            for n in range(m, 4):
-                e = inv4s * b[m] * b[n]
-                if m == n and m < 3:
-                    e = e + s / 4.0
-                rows[m][n] = e
-        return rows
+        return _gh_rows([A1, A2, 0.0, 1.0], 0.25 / s, s / 4.0)
 
     om_I, om_J, om_K = _xpsi_triple_fns(lambda r: 1.0 / r + 1.0 / (a * a))
     return Model(
@@ -661,7 +647,8 @@ def scalar_fields(a=1.0):
 
     The derivative-consistency suite (jets against central differences)
     sweeps exactly this list, so any new closed-form function should be
-    registered here.
+    registered here.  The moment maps are the models' own callables, so the
+    sweep checks the functions the other checks use.
     """
     a = _check_a(a)
     string = (_string_exclusion(),)
@@ -696,9 +683,10 @@ def scalar_fields(a=1.0):
         r2 = c[0] * c[0] + c[1] * c[1]
         return r2 + r2 * r2 / 4.0
 
+    mu_cart = r8_parent(a).extras["cart_moments"]
+
     return (
-        ScalarFieldSpec("toy-moment-map",
-                        lambda c: c[0] * c[0] / 2.0 + a * c[2],
+        ScalarFieldSpec("toy-moment-map", toy_parent(a).targets["moment_map"],
                         ((*_RADIAL,), (*_ANGLE,), (*_CART,), (*_ANGLE,))),
         ScalarFieldSpec("toy-curvature-target",
                         lambda c: 8.0 * a ** 4 / (c[0] * c[0] + a * a) ** 3,
@@ -712,16 +700,8 @@ def scalar_fields(a=1.0):
         ScalarFieldSpec("gh-x3",
                         lambda c: c[0] * c[0] + c[1] * c[1] - c[2] * c[2] - c[3] * c[3],
                         box4y),
-        ScalarFieldSpec("mu-I-cartesian",
-                        lambda c: 0.5 * (c[0] * c[0] + c[1] * c[1]
-                                         - c[2] * c[2] - c[3] * c[3]) + a * c[6],
-                        box4y + box3 + ((*_ANGLE,),), pole),
-        ScalarFieldSpec("mu-J-cartesian",
-                        lambda c: c[0] * c[3] + c[1] * c[2] + a * c[4],
-                        box4y + box3 + ((*_ANGLE,),), pole),
-        ScalarFieldSpec("mu-K-cartesian",
-                        lambda c: c[1] * c[3] - c[0] * c[2] + a * c[5],
-                        box4y + box3 + ((*_ANGLE,),), pole),
+        *(ScalarFieldSpec(f"mu-{k}-cartesian", mu_cart[f"mu_{k}"],
+                          box4y + box3 + ((*_ANGLE,),), pole) for k in "IJK"),
         ScalarFieldSpec("taub-nut-fiber-norm", tn_fiber_norm,
                         box3 + ((*_ANGLE,),), string),
         ScalarFieldSpec("potential-shear", shear_potential, kbox),

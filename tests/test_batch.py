@@ -16,7 +16,7 @@ from scipy import integrate
 
 from hkgeo import checks, geometry, kahler, models, reduction
 from hkgeo.geometry import DivergenceError, MetricDomainError
-from hkgeo.jets import EvaluationError, Jet1, Jet2, call_field, evaluate_jet, solve
+from hkgeo.jets import EvaluationError, Jet, call_field, evaluate_jet, solve
 from hkgeo.mechanics import (
     DegenerateLagrangianError,
     PhasePoint,
@@ -113,10 +113,10 @@ def test_solve_pivots_per_point():
     x = np.array([0.5, 2.0])
     dx = np.array([[1.0, 1.0], [0.0, 0.0]])  # gradient (d, B)
     got = solve([[x, 1.0], [1.0, 3.0]], [1.0, -2.0])
-    got_jet = solve([[Jet1(x, dx), 1.0], [1.0, 3.0]], [1.0, -2.0])
+    got_jet = solve([[Jet(x, dx), 1.0], [1.0, 3.0]], [1.0, -2.0])
     for k in range(2):
         want = solve([[x[k], 1.0], [1.0, 3.0]], [1.0, -2.0])
-        want_jet = solve([[Jet1(x[k], dx[:, k]), 1.0], [1.0, 3.0]], [1.0, -2.0])
+        want_jet = solve([[Jet(x[k], dx[:, k]), 1.0], [1.0, 3.0]], [1.0, -2.0])
         same_bits([g[k] for g in got], want)
         same_bits([g.value[k] for g in got_jet], [w.value for w in want_jet])
         same_bits([g.gradient[:, k] for g in got_jet], [w.gradient for w in want_jet])
@@ -144,8 +144,8 @@ def _zeros_unsigned(x):
 
 def _parts(e, k=None):
     """Value and gradient (zero for a number) of a solve output, at point ``k``."""
-    if not isinstance(e, Jet1):
-        e = Jet1(e, np.zeros(2))
+    if not isinstance(e, Jet):
+        e = Jet(e, np.zeros(2))
     if k is None or e.gradient.ndim == 1:  # one point, or the same at every point
         return np.append(e.value, e.gradient)
     return np.append(e.value[k], e.gradient[:, k])
@@ -154,8 +154,8 @@ def _parts(e, k=None):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
 def test_solve_batch_equals_points(n, count, seed):
-    # a random SPD (diagonally dominant) batch of float, array and Jet1
-    # entries, with structural float zeros and exact zeros at single points.  A
+    # a random SPD (diagonally dominant) batch of float, array and first-order
+    # jet entries, with structural float zeros and exact zeros at single points.  A
     # multiplier that is an array (or jet) in the batch but an exact float
     # zero at one point is skipped at that point alone, and ``a - 0 * b``
     # may turn a -0.0 into +0.0: so zero signs are compared by value
@@ -169,12 +169,12 @@ def test_solve_batch_equals_points(n, count, seed):
         for j in range(i, n):
             v = vals[i, j]  # a structural zero, a float, an array or a jet
             kind = rng.integers(1 if i == j else 0, 4)
-            A[i][j] = A[j][i] = (0.0, float(v[0]), v, Jet1(v, grads[i, j]))[kind]
-    b = [Jet1(vals[0, k], grads[0, k]) if k % 2 else float(k) for k in range(n)]
+            A[i][j] = A[j][i] = (0.0, float(v[0]), v, Jet(v, grads[i, j]))[kind]
+    b = [Jet(vals[0, k], grads[0, k]) if k % 2 else float(k) for k in range(n)]
 
     def at(e, k):
-        if isinstance(e, Jet1):
-            return Jet1(e.value[k], e.gradient[:, k])
+        if isinstance(e, Jet):
+            return Jet(e.value[k], e.gradient[:, k])
         return e[k] if isinstance(e, np.ndarray) else e
 
     got = solve(A, b)
@@ -229,8 +229,8 @@ def test_mp40_jet2_product_matches_outer_products():
     # the outer products of the Hessian update, written without np.outer,
     # still give np.outer's entries at 40 digits
     with mpmath.workdps(40):
-        a = Jet2.variable(mpmath.mpf(2) / 3, 0, 2) * mpmath.mpf("1.7")
-        b = Jet2.variable(mpmath.mpf(5) / 7, 1, 2) + a
+        a = Jet.variable(mpmath.mpf(2) / 3, 0, 2) * mpmath.mpf("1.7")
+        b = Jet.variable(mpmath.mpf(5) / 7, 1, 2) + a
         got = a * b
         want = (b.hessian * a.value + a.hessian * b.value
                 + np.outer(a.gradient, b.gradient) + np.outer(b.gradient, a.gradient))

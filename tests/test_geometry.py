@@ -154,9 +154,26 @@ def test_mirror_triangle(sign):
     stacked = np.stack([np.triu(want), 2.0 * np.triu(want)])
     assert np.array_equal(mirror_triangle(stacked, sign), np.stack([want, 2.0 * want]))
     # jet entries come through as jets
-    t = jets.Jet2.variable(2.0, 0, 1)
+    t = jets.Jet.variable(2.0, 0, 1)
     full = mirror_triangle([[1.0, t], [None, 1.0]], sign)
     assert full[1, 0].value == sign * 2.0 and full[1, 0].gradient[0] == sign
+
+
+def test_values_are_the_order_none_jet():
+    # plain values come from the jet path with no derivative slots; they
+    # match a jet's value slot to rounding (a jet divides by a constant
+    # as a product with its reciprocal)
+    from hkgeo.fields import _square_jet, _vector_jet
+
+    m = models.build("r8-parent", 1.0)
+    pts = m.sample(6, seed=4)
+    assert _square_jet(m.metric.fn, pts, +1, None)[1:] == (None, None)
+    assert _vector_jet(m.killing["G"].fn, pts, None)[1] is None
+    level = m.embeddings["level"]
+    for got, jet in ((m.metric.value(pts), m.metric.jet(pts, order=1)[0]),
+                     (m.forms["omega_I"].value(pts), m.forms["omega_I"].jet(pts)[0]),
+                     (level.value(pts[:, :5]), _vector_jet(level.fn, pts[:, :5], 1)[0])):
+        assert got.shape == jet.shape and np.allclose(got, jet, rtol=1e-14, atol=1e-15)
 
 
 def test_volume_form_covariantly_constant():

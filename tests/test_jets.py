@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from hkgeo import geometry, jets, models
 from hkgeo.jets import (
     EvaluationError,
-    Jet1,
-    Jet2,
+    Jet,
     StencilExclusionError,
     evaluate_jet,
     fd_oracle,
@@ -23,7 +22,7 @@ from hkgeo.jets import (
 
 
 def test_variable_seeding():
-    x = Jet2.variable(3.0, 0, 2)
+    x = Jet.variable(3.0, 0, 2)
     assert x.value == 3.0
     assert np.array_equal(x.gradient, [1.0, 0.0])
     assert np.all(x.hessian == 0.0)
@@ -31,8 +30,8 @@ def test_variable_seeding():
 
 def test_product_rule():
     # (fg)'' = f''g + 2f'g' + fg'' entry by entry
-    f = Jet2(2.0, np.array([1.0, -3.0]), np.array([[0.5, 1.0], [1.0, 0.0]]))
-    g = Jet2(-1.5, np.array([2.0, 0.5]), np.array([[0.0, -1.0], [-1.0, 2.0]]))
+    f = Jet(2.0, np.array([1.0, -3.0]), np.array([[0.5, 1.0], [1.0, 0.0]]))
+    g = Jet(-1.5, np.array([2.0, 0.5]), np.array([[0.0, -1.0], [-1.0, 2.0]]))
     h = f * g
     assert h.value == 2.0 * -1.5
     assert np.allclose(h.gradient, f.gradient * g.value + f.value * g.gradient)
@@ -40,6 +39,34 @@ def test_product_rule():
             + np.outer(f.gradient, g.gradient)
             + np.outer(g.gradient, f.gradient))
     assert np.allclose(h.hessian, want)
+
+
+def test_mixed_orders_give_the_lower_order():
+    # a first-order operand drops the Hessian: the sum and product of a
+    # first- and a second-order jet are the first-order results, either way round
+    a, b = Jet.variable(2.0, 0, 2, order=1), Jet.variable(3.0, 1, 2)
+    for got in (a + b, b + a):
+        assert got.hessian is None and got.value == 5.0
+        assert list(got.gradient) == [1.0, 1.0]
+    for got in (a * b, b * a):
+        assert got.hessian is None and got.value == 6.0
+        assert list(got.gradient) == [3.0, 2.0]
+    assert jets.atan2(a, b).hessian is None and jets.atan2(b, a).hessian is None
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_lifted_constants_take_the_jet_order(order):
+    # x ** 0 and the non-jet slot of atan2 become constants of x's order
+    x = Jet.variable(0.5, 0, 1, order=order)
+    for got in (x ** 0, jets.atan2(x, 2.0), jets.atan2(2.0, x)):
+        assert (got.hessian is None) == (order == 1)
+    assert (x ** 0).value == 1.0 and list((x ** 0).gradient) == [0.0]
+
+
+def test_unknown_order_is_refused():
+    for order in (0, 3):
+        with pytest.raises(ValueError, match="order"):
+            evaluate_jet(lambda c: c[0], [1.0], order=order)
 
 
 def test_polynomial_hand_check():
@@ -117,8 +144,8 @@ def test_evaluation_error_on_nonfinite_derivative():
     # finite value, infinite gradient: the error names the coordinate, at
     # either jet order
     inf_grad = np.array([0.0, float("inf")])
-    for order, bad in ((2, Jet2(1.0, inf_grad, np.zeros((2, 2)))),
-                       (1, Jet1(1.0, inf_grad))):
+    for order, bad in ((2, Jet(1.0, inf_grad, np.zeros((2, 2)))),
+                       (1, Jet(1.0, inf_grad))):
         with pytest.raises(EvaluationError) as exc:
             evaluate_jet(lambda c: bad, [1.0, 2.0], order=order)
         assert exc.value.index == 1
@@ -179,7 +206,7 @@ def test_mp40_products_convert_no_arrays(monkeypatch):
 
 @pytest.mark.parametrize("dps", [None, 40])
 def test_first_order_gradient_is_jet2_gradient(dps):
-    # Jet1 shares Jet2's rules and formula order: values and gradients agree
+    # order 1 shares order 2's rules and formula order: values and gradients agree
     # bit for bit on every registered scalar field, at float64 and 40 digits
     import mpmath
 
@@ -192,7 +219,7 @@ def test_first_order_gradient_is_jet2_gradient(dps):
                 q = [mpmath.mpf(float(x)) for x in p] if dps else list(p)
                 j1 = evaluate_jet(spec.fn, q, order=1)
                 j2 = evaluate_jet(spec.fn, q)
-            assert isinstance(j1, Jet1) and isinstance(j2, Jet2)
+            assert j1.hessian is None and j2.hessian is not None
             assert j1.value == j2.value, spec.name
             assert list(j1.gradient) == list(j2.gradient), spec.name
             n += 1
@@ -365,7 +392,7 @@ def test_solve_matches_numpy(kind):
             solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 0.0])
     elif kind == "jet":
         # A(t) = A + t dA: x(0) = A^-1 b and x'(0) = -A^-1 dA x(0)
-        t = Jet2.variable(0.0, 0, 1)
+        t = Jet.variable(0.0, 0, 1)
         A = [[a + da * t for a, da in zip(ra, rda)] for ra, rda in zip(SOLVE_A, SOLVE_DA)]
         x = solve(A, list(SOLVE_B))
         assert np.allclose([xi.value for xi in x], want, rtol=0, atol=1e-14)

@@ -106,7 +106,7 @@ def test_cyclic_momentum_conserved():
 
 
 def _bracket_second_order(f, g, s):
-    # the bracket as computed before first-order jets: full Jet2 gradients
+    # the bracket as computed before first-order jets: full second-order gradients
     n = len(s.q)
     jf, jg = evaluate_jet(f, s.coords), evaluate_jet(g, s.coords)
     acc = 0.0
@@ -118,7 +118,7 @@ def _bracket_second_order(f, g, s):
 @pytest.mark.parametrize("name", ["toy-parent", "r8-parent"])
 def test_bracket_matches_second_order_reference(name):
     # toy 3-chart and 5-chart level Hamiltonians: the first-order bracket is
-    # the Jet2 bracket, bit for bit
+    # the second-order bracket, bit for bit
     m = models.build(name, 1.0)
     L = QuadraticKinetic(m.extras["level_chart"].names, m.extras["level_metric"].fn)
     H = hamiltonian_field(L)

@@ -117,6 +117,15 @@ def test_sample_spec_is_the_only_dataclass():
     assert found == ["sampling.SampleSpec"]
 
 
+def test_jets_define_one_arithmetic_class():
+    # derivative order is data (a Hessian or None), not a choice of class
+    arithmetic = {"__add__", "__mul__", "__neg__", "__truediv__", "__pow__"}
+    found = [node.name for node in ast.walk(ast.parse((SRC / "jets.py").read_text()))
+             if isinstance(node, ast.ClassDef)
+             and arithmetic & {f.name for f in node.body if isinstance(f, ast.FunctionDef)}]
+    assert found == ["Jet"]
+
+
 def test_quadrature_imports_without_lapack():
     # the Gauss-Kronrod table is literal: no eigenvalue solve at import
     code = ("import numpy as np\n"
