@@ -237,6 +237,89 @@ def check_sp_algebra(ctx, rng):
 
 
 # ---------------------------------------------------------------------------
+# reduction stages
+#
+# The toy model and R^8 -> Taub-NUT are two runs of one procedure: restrict
+# to a level set, then quotient by the circle fiber.  Each stage below is one
+# check, run on ``toy-parent`` and on ``r8-parent``; its arguments are what
+# differs between the two reductions.
+
+
+def _level_points(m, ctx, rng, count):
+    """``count`` sampled points of model ``m``'s level chart, as one batch."""
+    return _box_points(m.extras["level_box"], m.extras.get("level_exclusions", ()),
+                       count, ctx.subseed(rng))
+
+
+def _level_kinetic(m):
+    """The kinetic Lagrangian of ``m``'s level-set metric."""
+    return mechanics.QuadraticKinetic(m.extras["level_chart"].names,
+                                      m.extras["level_metric"].fn,
+                                      name=f"{m.name} level kinetic")
+
+
+def _level_quotient(m, pts):
+    """The orthogonal-projection quotient of ``m``'s level-set metric at ``pts``."""
+    return reduction.quotient_metric(m.extras["level_metric"], m.extras["level_fiber"],
+                                     m.invariant, pts)
+
+
+def check_level_pullback(ctx, rng, name, description):
+    m = models.build(name, ctx.a)
+    pts = _level_points(m, ctx, rng, ctx.samples)
+    got = reduction.pullback_metric(m.metric, m.embeddings["level"], pts)
+    return _worst(got, m.extras["level_metric"].value(pts)), 1e-10, len(pts), description
+
+
+def check_quotient_metric(ctx, rng, name, target, description):
+    """The quotient metric against ``target(m, pts)``."""
+    m = models.build(name, ctx.a)
+    pts = _level_points(m, ctx, rng, ctx.samples)
+    return _worst(_level_quotient(m, pts), target(m, pts)), 1e-10, len(pts), description
+
+
+def check_quotient_forms(ctx, rng, name, target, tol, description):
+    """Each form of the model, pulled back and quotiented, against the matching
+    entry of ``target(m, pts)``."""
+    m = models.build(name, ctx.a)
+    pts = _level_points(m, ctx, rng, ctx.samples)
+    lev = m.embeddings["level"]
+    worst = worst_of(*(
+        _worst(reduction.quotient_form(reduction.pullback_form(w, lev, pts),
+                                       m.fiber_index, m.invariant, pts), want)
+        for w, want in zip(m.forms.values(), target(m, pts))))
+    return worst, tol, len(pts), description
+
+
+def check_hamiltonian_equivalence(ctx, rng, name, count, probes, description=None):
+    """Constraining the fiber momentum of the level-set kinetic term, checked
+    cyclic at ``probes`` of the ``count`` points, gives the quotient metric."""
+    m = models.build(name, ctx.a)
+    pts = _level_points(m, ctx, rng, count)
+    L2 = mechanics.constrain_and_reduce(_level_kinetic(m), m.fiber_index,
+                                        probe_points=pts[:probes])
+    got = L2.matrix(pts[:, m.invariant])
+    return _worst(got, _level_quotient(m, pts)), 1e-12, len(pts), description
+
+
+def check_cyclic_brackets(ctx, rng, names, count, description):
+    """The declared cyclic momenta Poisson-commute with the level-set
+    Hamiltonian of each model in ``names``, at ``count`` points each."""
+    errors, n_pts = [], 0
+    for name in names:
+        m = models.build(name, ctx.a)
+        L = _level_kinetic(m)
+        H = mechanics.hamiltonian_field(L)
+        pts = _level_points(m, ctx, rng, count)
+        # one draw of (B, dim) is the stream of B draws of dim
+        s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
+        pfs = [mechanics.momentum_field(c, L.dim) for c in m.extras["level_cyclic"]]
+        errors.append(_worst(mechanics.poisson_bracket(pfs, H, s)))
+        n_pts += len(pts)
+    return worst_of(*errors), 1e-12, n_pts, description
+
+
+# ---------------------------------------------------------------------------
 # toy suite
 
 
@@ -276,42 +359,6 @@ def check_toy_moment(ctx, rng):
     )
 
 
-def check_toy_level_pullback(ctx, rng):
-    m = models.build("toy-parent", ctx.a)
-    lev = m.embeddings["level"]
-    lm = m.extras["level_metric"]
-    pts = _box_points(m.extras["level_box"], (), ctx.samples, ctx.subseed(rng))
-    got = reduction.pullback_metric(m.metric, lev, pts)
-    return _worst(got, lm.value(pts)), 1e-10, len(pts), (
-        "pullback onto the zero level set matches the closed-form 3-metric"
-    )
-
-
-def check_toy_quotient(ctx, rng):
-    m = models.build("toy-parent", ctx.a)
-    red = models.build("toy-reduced", ctx.a)
-    lm = m.extras["level_metric"]
-    fiber = m.extras["level_fiber"]
-    pts = _box_points(m.extras["level_box"], (), ctx.samples, ctx.subseed(rng))
-    got = reduction.quotient_metric(lm, fiber, m.invariant, pts)
-    return _worst(got, red.metric.value(pts[:, [0, 2]])), 1e-10, len(pts), (
-        "orthogonal-projection quotient matches the reduced surface metric"
-    )
-
-
-def check_toy_quotient_form(ctx, rng):
-    m = models.build("toy-parent", ctx.a)
-    red = models.build("toy-reduced", ctx.a)
-    lev = m.embeddings["level"]
-    pts = _box_points(m.extras["level_box"], (), ctx.samples, ctx.subseed(rng))
-    W = reduction.pullback_form(m.forms["omega"], lev, pts)
-    Wq = reduction.quotient_form(W, m.fiber_index, m.invariant, pts)
-    return _worst(Wq, red.forms["omega"].value(pts[:, [0, 2]])), 1e-10, len(pts), (
-        "fiber components of the pulled-back form cancel and the rest is "
-        "the area form r dr d chi"
-    )
-
-
 def check_toy_complex_structure(ctx, rng):
     red = models.build("toy-reduced", ctx.a)
     pts = red.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
@@ -321,35 +368,6 @@ def check_toy_complex_structure(ctx, rng):
     dI = reduction.raise_first_index(gv, dW)
     return worst_of(_worst(I @ I, -np.eye(2)), _worst(dI)), 1e-8, len(pts), (
         "quotient complex structure squares to -1 and is covariantly constant"
-    )
-
-
-def check_toy_mechanics(ctx, rng):
-    m = models.build("toy-parent", ctx.a)
-    lm = m.extras["level_metric"]
-    L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn,
-                                   name="toy kinetic")
-    pts = _box_points(m.extras["level_box"], (), ctx.samples, ctx.subseed(rng))
-    L2 = mechanics.constrain_and_reduce(L, m.fiber_index, probe_points=pts[:3])
-    got = L2.matrix(pts[:, [0, 2]])
-    want = reduction.quotient_metric(lm, m.extras["level_fiber"], m.invariant, pts)
-    return _worst(got, want), 1e-12, len(pts), (
-        "setting the fiber momentum to zero reproduces the geometric quotient"
-    )
-
-
-def check_toy_brackets(ctx, rng):
-    m = models.build("toy-parent", ctx.a)
-    lm = m.extras["level_metric"]
-    L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn,
-                                   name="toy kinetic")
-    H = mechanics.hamiltonian_field(L)
-    pts = _box_points(m.extras["level_box"], (), max(10, ctx.samples // 5),
-                      ctx.subseed(rng))
-    s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
-    pfs = [mechanics.momentum_field(c, L.dim) for c in m.extras["level_cyclic"]]
-    return _worst(mechanics.poisson_bracket(pfs, H, s)), 1e-12, len(pts), (
-        "momenta of the cyclic angles Poisson-commute with the Hamiltonian"
     )
 
 
@@ -454,8 +472,7 @@ def check_tn_moment_gradients(ctx, rng):
 def check_tn_level_moments(ctx, rng):
     m = models.build("r8-parent", ctx.a)
     lev = m.embeddings["level"]
-    pts = _box_points(m.extras["level_box"], m.extras["level_exclusions"],
-                      ctx.samples, ctx.subseed(rng))
+    pts = _level_points(m, ctx, rng, ctx.samples)
     P = lev.value(pts).T  # one coordinate array per component
     worst = worst_of(*(_worst(m.targets[mk](P)) for mk in ("mu_I", "mu_J", "mu_K")))
     return worst, 1e-12, len(pts), (
@@ -473,49 +490,6 @@ def check_tn_killing(ctx, rng):
                                       cpts)
     return worst_of(_worst(dev), _worst(cdev)), 1e-10, len(pts) + len(cpts), (
         "the rotation + shift isometry is Killing in both charts"
-    )
-
-
-def check_tn_level_pullback(ctx, rng):
-    m = models.build("r8-parent", ctx.a)
-    lev = m.embeddings["level"]
-    lm = m.extras["level_metric"]
-    pts = _box_points(m.extras["level_box"], m.extras["level_exclusions"],
-                      ctx.samples, ctx.subseed(rng))
-    got = reduction.pullback_metric(m.metric, lev, pts)
-    return _worst(got, lm.value(pts)), 1e-10, len(pts), (
-        "metric restricted to the triple zero level set matches the "
-        "closed-form 5-metric"
-    )
-
-
-def check_tn_quotient_metric(ctx, rng):
-    m = models.build("r8-parent", ctx.a)
-    lm = m.extras["level_metric"]
-    fiber = m.extras["level_fiber"]
-    pts = _box_points(m.extras["level_box"], m.extras["level_exclusions"],
-                      ctx.samples, ctx.subseed(rng))
-    got = reduction.quotient_metric(lm, fiber, m.invariant, pts)
-    return _worst(got, models.taub_nut_metric(pts[:, :3], m.a)), 1e-10, len(pts), (
-        "projecting out the circle fiber of the 5-metric gives the "
-        "Taub-NUT closed form"
-    )
-
-
-def check_tn_quotient_triple(ctx, rng):
-    m = models.build("r8-parent", ctx.a)
-    lev = m.embeddings["level"]
-    pts = _box_points(m.extras["level_box"], m.extras["level_exclusions"],
-                      ctx.samples, ctx.subseed(rng))
-    keys = ("omega_I", "omega_J", "omega_K")
-    want = models.taub_nut_triple(pts[:, :3], m.a)
-    worst = worst_of(*(
-        _worst(reduction.quotient_form(reduction.pullback_form(m.forms[k], lev, pts),
-                                       m.fiber_index, m.invariant, pts), want[i])
-        for i, k in enumerate(keys)))
-    return worst, 1e-8, len(pts), (
-        "pulled-back triple drops its fiber components and equals the flat "
-        "forms with 1/r -> 1/r + 1/a^2"
     )
 
 
@@ -541,22 +515,6 @@ def check_tn_hyperkahler(ctx, rng):
           for f in tn.forms.values()))
     return worst, 1e-7, len(pts), (
         "Taub-NUT triple is quaternionic and covariantly constant"
-    )
-
-
-def check_tn_mechanics(ctx, rng):
-    m = models.build("r8-parent", ctx.a)
-    lm = m.extras["level_metric"]
-    L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn,
-                                   name="5-chart kinetic")
-    pts = _box_points(m.extras["level_box"], m.extras["level_exclusions"],
-                      max(10, ctx.samples // 2), ctx.subseed(rng))
-    L2 = mechanics.constrain_and_reduce(L, m.fiber_index, probe_points=pts[:2])
-    got = L2.matrix(pts[:, :4])
-    want = reduction.quotient_metric(lm, m.extras["level_fiber"], m.invariant, pts)
-    return _worst(got, want), 1e-12, len(pts), (
-        "Hamiltonian reduction of the 5-chart kinetic term equals the "
-        "geometric quotient"
     )
 
 
@@ -590,10 +548,8 @@ def check_mech_roundtrip(ctx, rng):
 def check_mech_toy_matrix(ctx, rng):
     m = models.build("toy-parent", ctx.a)
     a = m.a
-    L = mechanics.QuadraticKinetic(m.extras["level_chart"].names,
-                                   m.extras["level_metric"].fn)
-    pts = _box_points(m.extras["level_box"], (), ctx.samples, ctx.subseed(rng))
-    Minv = mechanics.legendre_to_hamiltonian(L, pts)
+    pts = _level_points(m, ctx, rng, ctx.samples)
+    Minv = mechanics.legendre_to_hamiltonian(_level_kinetic(m), pts)
     r2 = pts[:, 0] * pts[:, 0]
     want = np.zeros_like(Minv)
     want[:, 0, 0] = 1.0 / (1.0 + r2 / a ** 2)
@@ -606,30 +562,17 @@ def check_mech_toy_matrix(ctx, rng):
 
 
 def check_mech_conserved(ctx, rng):
-    worst = 0.0
-    n_pts = 0
-    for name in ("toy-parent", "r8-parent"):
-        m = models.build(name, ctx.a)
-        lm = m.extras["level_metric"]
-        L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn)
-        H = mechanics.hamiltonian_field(L)
-        pts = _box_points(m.extras["level_box"],
-                          m.extras.get("level_exclusions", ()),
-                          max(5, ctx.samples // 10), ctx.subseed(rng))
-        # one draw of (B, dim) is the stream of B draws of dim
-        s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
-        pfs = [mechanics.momentum_field(c, L.dim) for c in m.extras["level_cyclic"]]
-        worst = worst_of(worst, _worst(mechanics.poisson_bracket(pfs, H, s)))
-        n_pts += len(pts)
-    return worst, 1e-12, n_pts, (
-        "declared cyclic momenta Poisson-commute with both model Hamiltonians"
-    )
+    return check_cyclic_brackets(
+        ctx, rng, ("toy-parent", "r8-parent"), max(5, ctx.samples // 10),
+        "declared cyclic momenta Poisson-commute with both model Hamiltonians")
 
 
 def check_mech_equivalence(ctx, rng):
-    err_toy = check_toy_mechanics(ctx, rng)[0]
-    err_tn = check_tn_mechanics(ctx, rng)[0]
-    return worst_of(err_toy, err_tn), 1e-12, 2, (
+    worst = worst_of(
+        check_hamiltonian_equivalence(ctx, rng, "toy-parent", ctx.samples, 3)[0],
+        check_hamiltonian_equivalence(ctx, rng, "r8-parent",
+                                      max(10, ctx.samples // 2), 2)[0])
+    return worst, 1e-12, 2, (
         "constraining the fiber momentum equals the metric quotient on every "
         "registered reduction model"
     )
@@ -686,12 +629,26 @@ SUITES = {
         ("toy.contraction", check_toy_contraction),
         ("toy.killing_and_closure", check_toy_killing),
         ("toy.moment_recovery", check_toy_moment),
-        ("toy.level_pullback", check_toy_level_pullback),
-        ("toy.quotient_metric", check_toy_quotient),
-        ("toy.quotient_form", check_toy_quotient_form),
+        ("toy.level_pullback", lambda c, r: check_level_pullback(
+            c, r, "toy-parent",
+            "pullback onto the zero level set matches the closed-form 3-metric")),
+        ("toy.quotient_metric", lambda c, r: check_quotient_metric(
+            c, r, "toy-parent",
+            lambda m, p: models.build("toy-reduced", m.a).metric.value(p[:, [0, 2]]),
+            "orthogonal-projection quotient matches the reduced surface metric")),
+        ("toy.quotient_form", lambda c, r: check_quotient_forms(
+            c, r, "toy-parent",
+            lambda m, p: [models.build("toy-reduced", m.a).forms["omega"]
+                          .value(p[:, [0, 2]])],
+            1e-10, "fiber components of the pulled-back form cancel and the rest is "
+                   "the area form r dr d chi")),
         ("toy.quotient_complex_structure", check_toy_complex_structure),
-        ("toy.hamiltonian_equivalence", check_toy_mechanics),
-        ("toy.cyclic_brackets", check_toy_brackets),
+        ("toy.hamiltonian_equivalence", lambda c, r: check_hamiltonian_equivalence(
+            c, r, "toy-parent", c.samples, 3,
+            "setting the fiber momentum to zero reproduces the geometric quotient")),
+        ("toy.cyclic_brackets", lambda c, r: check_cyclic_brackets(
+            c, r, ("toy-parent",), max(10, c.samples // 5),
+            "momenta of the cyclic angles Poisson-commute with the Hamiltonian")),
         ("toy.curvature_profile", check_toy_curvature),
         ("toy.euler_characteristic", check_toy_euler),
     ],
@@ -703,12 +660,24 @@ SUITES = {
         ("taubnut.moment_gradients", check_tn_moment_gradients),
         ("taubnut.level_moments_vanish", check_tn_level_moments),
         ("taubnut.killing", check_tn_killing),
-        ("taubnut.level_pullback", check_tn_level_pullback),
-        ("taubnut.quotient_metric", check_tn_quotient_metric),
-        ("taubnut.quotient_triple", check_tn_quotient_triple),
+        ("taubnut.level_pullback", lambda c, r: check_level_pullback(
+            c, r, "r8-parent",
+            "metric restricted to the triple zero level set matches the "
+            "closed-form 5-metric")),
+        ("taubnut.quotient_metric", lambda c, r: check_quotient_metric(
+            c, r, "r8-parent", lambda m, p: models.taub_nut_metric(p[:, :3], m.a),
+            "projecting out the circle fiber of the 5-metric gives the "
+            "Taub-NUT closed form")),
+        ("taubnut.quotient_triple", lambda c, r: check_quotient_forms(
+            c, r, "r8-parent", lambda m, p: models.taub_nut_triple(p[:, :3], m.a),
+            1e-8, "pulled-back triple drops its fiber components and equals the flat "
+                  "forms with 1/r -> 1/r + 1/a^2")),
         ("taubnut.triple_closed", check_tn_triple_closed),
         ("taubnut.hyperkahler", check_tn_hyperkahler),
-        ("taubnut.hamiltonian_equivalence", check_tn_mechanics),
+        ("taubnut.hamiltonian_equivalence", lambda c, r: check_hamiltonian_equivalence(
+            c, r, "r8-parent", max(10, c.samples // 2), 2,
+            "Hamiltonian reduction of the 5-chart kinetic term equals the "
+            "geometric quotient")),
     ],
     "mechanics": [
         ("mechanics.legendre_roundtrip", check_mech_roundtrip),
@@ -731,13 +700,17 @@ def run_suite(suite, seed=0, samples=50, a=1.0):
 
     A check that raises becomes a failed row: ``max_abs_error`` and
     ``tolerance`` NaN, ``samples`` 0 and ``error`` naming the exception.
-    The remaining checks still run.
+    The remaining checks still run.  A bad configuration (``seed < 0``,
+    ``samples < 1``, ``a`` not finite and positive) raises ValueError
+    before any check runs.
     """
     if suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
     if samples < 1:
-        raise ValueError("samples must be >= 1")
-    ctx = CheckContext(seed=int(seed), samples=int(samples), a=float(a))
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    ctx = CheckContext(seed=int(seed), samples=int(samples), a=models._check_a(a))
     reports = []
     for check_id, fn in SUITES[suite]:
         rng = ctx.rng(check_id)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import geometry, models
@@ -56,14 +57,12 @@ def build_parser():
 
 
 def _cmd_verify(args):
-    if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
+    try:
+        manifest = run_suite(args.suite, seed=args.seed, samples=args.samples,
+                             a=args.a)
+    except ValueError as exc:  # a bad --seed, --samples or --a
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.a <= 0.0:
-        print("error: --a must be positive", file=sys.stderr)
-        return 2
-    manifest = run_suite(args.suite, seed=args.seed, samples=args.samples,
-                         a=args.a)
     for c in manifest.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.check_id:<38} max_abs_error={c.max_abs_error:.3e} "
@@ -86,16 +85,17 @@ def _cmd_verify(args):
 
 
 def _cmd_curvature_profile(args):
-    if args.a <= 0.0:
-        print("error: --a must be positive", file=sys.stderr)
-        return 2
     if args.steps < 2:
         print("error: --steps must be >= 2", file=sys.stderr)
         return 2
-    if args.rmax <= 1e-6:
-        print("error: --rmax must exceed 1e-6", file=sys.stderr)
+    if not 1e-6 < args.rmax < math.inf:
+        print("error: --rmax must be finite and exceed 1e-6", file=sys.stderr)
         return 2
-    red = models.build("toy-reduced", args.a)
+    try:
+        red = models.build("toy-reduced", args.a)
+    except ValueError as exc:  # a bad --a
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     target = red.targets["curvature"]
     rs = [1e-6 + (args.rmax - 1e-6) * i / (args.steps - 1) for i in range(args.steps)]
     lines = ["r,K_numeric,K_closed_form,abs_err"]

@@ -70,8 +70,8 @@ MONOPOLE_CURL_SIGN = -1
 
 def _check_a(a):
     a = float(a)
-    if not a > 0:
-        raise ValueError(f"circle radius a must be positive, got {a}")
+    if not 0.0 < a < np.inf:
+        raise ValueError(f"circle radius a must be finite and positive, got {a}")
     return a
 
 

@@ -151,7 +151,7 @@ def _parts(e, k=None):
     return np.append(e.value[k], e.gradient[:, k])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
 def test_solve_batch_equals_points(n, count, seed):
     # a random SPD (diagonally dominant) batch of float, array and first-order
@@ -404,8 +404,8 @@ def test_one_nan_point_in_a_batch_fails_its_row(monkeypatch):
         return out
 
     monkeypatch.setattr(reduction, "quotient_metric", nan_at_point_3)
-    monkeypatch.setitem(checks.SUITES, "taubnut",
-                        [("taubnut.quotient_metric", checks.check_tn_quotient_metric)])
+    check = dict(checks.SUITES["taubnut"])["taubnut.quotient_metric"]
+    monkeypatch.setitem(checks.SUITES, "taubnut", [("taubnut.quotient_metric", check)])
     (row,) = checks.run_suite("taubnut", seed=1, samples=6).checks
     assert np.isnan(row.max_abs_error)
     assert row.passed is False

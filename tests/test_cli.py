@@ -19,11 +19,18 @@ def test_unknown_suite_exits_2():
     assert exc.value.code == 2
 
 
-def test_bad_config_exits_2(tmp_path):
-    assert run(["verify", "mechanics", "--samples", "0"]) == 2
-    assert run(["verify", "mechanics", "--a", "0"]) == 2
-    assert run(["verify", "mechanics", "--samples", "2",
-                "--json", str(tmp_path / "no" / "such" / "dir" / "x.json")]) == 2
+def _exits_2_with_an_error_line(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_config_exits_2(tmp_path, capsys):
+    for bad in (["--samples", "0"], ["--a", "0"], ["--a", "nan"], ["--a", "inf"],
+                ["--seed", "-1"]):
+        _exits_2_with_an_error_line(["verify", "mechanics", *bad], capsys)
+    _exits_2_with_an_error_line(["verify", "mechanics", "--samples", "2", "--json",
+                                 str(tmp_path / "no" / "such" / "dir" / "x.json")], capsys)
 
 
 def test_passing_suite_exits_0(capsys):
@@ -98,8 +105,8 @@ def test_nan_error_fails_its_check(monkeypatch):
     # a NaN error must not vanish into the worst-error accumulation
     monkeypatch.setattr(reduction, "quotient_metric",
                         lambda *args: np.full((2, 2), np.nan))
-    monkeypatch.setitem(checks.SUITES, "toy",
-                        [("toy.quotient_metric", checks.check_toy_quotient)])
+    check = dict(checks.SUITES["toy"])["toy.quotient_metric"]
+    monkeypatch.setitem(checks.SUITES, "toy", [("toy.quotient_metric", check)])
     (row,) = checks.run_suite("toy", seed=1, samples=5).checks
     assert row.check_id == "toy.quotient_metric"
     assert np.isnan(row.max_abs_error)
@@ -189,9 +196,9 @@ def test_curvature_profile_stdout(capsys):
     assert out.startswith("r,K_numeric,K_closed_form,abs_err\n")
 
 
-def test_curvature_profile_bad_args(tmp_path):
-    assert run(["curvature-profile", "--steps", "1"]) == 2
-    assert run(["curvature-profile", "--a", "-1"]) == 2
-    assert run(["curvature-profile", "--rmax", "0"]) == 2
-    assert run(["curvature-profile", "--steps", "3",
-                "--csv", str(tmp_path / "no" / "dir" / "x.csv")]) == 2
+def test_curvature_profile_bad_args(tmp_path, capsys):
+    for bad in (["--steps", "1"], ["--a", "-1"], ["--a", "nan"], ["--rmax", "0"],
+                ["--rmax", "nan"], ["--rmax", "inf"]):
+        _exits_2_with_an_error_line(["curvature-profile", *bad], capsys)
+    _exits_2_with_an_error_line(["curvature-profile", "--steps", "3", "--csv",
+                                 str(tmp_path / "no" / "dir" / "x.csv")], capsys)

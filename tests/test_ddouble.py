@@ -16,7 +16,7 @@ from hkgeo.fields import Chart, MetricField
 from hkgeo.geometry import MetricDomainError
 from hkgeo.jets import EvaluationError
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=40)
 
 
 def exact(x):

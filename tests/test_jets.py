@@ -240,7 +240,7 @@ def test_fd_step_scales_with_coordinate():
     assert fd_step(-1e3) == pytest.approx(1e-2)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.lists(st.floats(min_value=-1.4, max_value=1.4), min_size=2, max_size=3),
     st.integers(min_value=0, max_value=3),

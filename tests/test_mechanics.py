@@ -237,7 +237,7 @@ def _mass_matrix(rng, n, log_cond, scale, defect):
     return M
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(n=st.integers(1, 6), batch=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1),
        log_cond=st.one_of(st.floats(0.0, 4.0), st.floats(11.0, 15.0)),
        log_scale=st.floats(-150.0, 150.0),

@@ -10,7 +10,8 @@ the records are plain classes, apart from the one dataclass the benchmark
 needs.  A batch is one call: the finite-difference oracle, the sampler's
 exclusions, the hygiene check and the mechanics checks keep no per-point
 loop, and the mass-matrix rule computes eigenvalues only for the matrix
-its Cholesky certificate cannot clear.
+its Cholesky certificate cannot clear.  Each reduction stage is one check
+of ``checks.py``, run on both reduction models.
 """
 
 import ast
@@ -78,6 +79,18 @@ def test_solves_live_where_positive_definiteness_is_checked():
     assert stray == []
     assert seen == {name for name, where in ALLOWED.items() if where}  # the right names
 
+
+
+def test_each_reduction_stage_is_one_check():
+    # the toy and Taub-NUT reductions run the same stages; each stage is
+    # written once in checks.py and run on both models
+    stages = ("reduction.quotient_form", "mechanics.constrain_and_reduce",
+              "mechanics.hamiltonian_field", "mechanics.poisson_bracket")
+    owners = {stage: set() for stage in stages}
+    for name, owner in _calls(SRC / "checks.py"):
+        if name in owners:
+            owners[name].add(owner)
+    assert {stage: len(found) for stage, found in owners.items()} == dict.fromkeys(stages, 1)
 
 def test_no_module_imports_scipy():
     found = []
