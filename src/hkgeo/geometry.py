@@ -23,8 +23,12 @@ numbers (:mod:`hkgeo.ddouble`, see :func:`curvature_dps`).
 
 Inverse-metric contractions and curvatures are guarded by a Cholesky
 factorisation, so a non-positive-definite metric surfaces as a
-:class:`MetricDomainError` instead of a silent wrong answer; every metric
-solve of the package goes through that one guarded solve.
+:class:`MetricDomainError` instead of a silent wrong answer.  Every
+positive-definite solve of the package factors its matrices once: the
+guard returns the factor ``L`` (``L L^H`` for a Hermitian metric) and the
+solve substitutes with it (:func:`_solve`); a mass-matrix solve does the
+same with the factor of its own rule, jet entries differentiated
+implicitly (:func:`_solve_entries`).
 
 :func:`christoffel`, :func:`covariant_derivative_02`, :func:`killing_deviation`,
 :func:`riemann` and :func:`gaussian_curvature` (at every precision) take one
@@ -40,7 +44,7 @@ import numpy as np
 
 from .ddouble import DD, DIGITS
 from .fields import _upper_mask, mirror_triangle
-from .jets import EvaluationError, fd_step, first_failure, solve
+from .jets import EvaluationError, Jet, fd_step, first_failure, solve
 from .quadrature import integrate
 
 __all__ = [
@@ -67,9 +71,9 @@ class DivergenceError(RuntimeError):
     """Improper curvature integral did not converge to tolerance."""
 
 
-def _cholesky_diagonal(a):
-    """Diagonal ``(..., d)`` of the Cholesky factor of every matrix of ``a``
-    ``(..., d, d)``, all NaN for a matrix numpy cannot factor.
+def _cholesky(a):
+    """Lower Cholesky factor ``(..., d, d)`` of every matrix of ``a``
+    ``(..., d, d)`` (``a = L L^H``), all NaN for a matrix numpy cannot factor.
 
     The factor is finite exactly when its diagonal is (a non-finite entry
     of a row reaches that row's pivot).  numpy refuses a whole stack for
@@ -77,19 +81,20 @@ def _cholesky_diagonal(a):
     ``k`` failing matrices of ``B`` cost about ``2 k log2(B)`` stacked calls.
     """
     try:
-        return np.diagonal(np.linalg.cholesky(a), axis1=-2, axis2=-1)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         flat = a.reshape(-1, *a.shape[-2:])
         if len(flat) == 1:
-            return np.full(a.shape[:-1], np.nan)
+            return np.full(a.shape, np.nan, dtype=np.result_type(a, 0.0))
         half = len(flat) // 2
-        return np.concatenate([_cholesky_diagonal(flat[:half]),
-                               _cholesky_diagonal(flat[half:])]).reshape(a.shape[:-1])
+        return np.concatenate([_cholesky(flat[:half]),
+                               _cholesky(flat[half:])]).reshape(a.shape)
 
 
 def _check_positive_definite(gv):
-    """Raise :class:`MetricDomainError` unless every metric of ``gv`` ``(..., d, d)``
-    is positive definite (NaN included), naming the first failing point.
+    """Cholesky factor of every metric of ``gv`` ``(..., d, d)``, or
+    :class:`MetricDomainError` unless all are positive definite (NaN
+    included), naming the first failing point.
 
     The guard of every metric solve and every curvature: a Cholesky
     factorisation in float64 for mpmath and double-double entries, else in
@@ -99,24 +104,137 @@ def _check_positive_definite(gv):
         gv = gv.hi
     elif gv.dtype == object:
         gv = np.asarray(gv, dtype=float)
-    failure = first_failure(np.isfinite(_cholesky_diagonal(gv)).all(axis=-1))
+    L = _cholesky(gv)
+    failure = first_failure(np.isfinite(np.diagonal(L, axis1=-2, axis2=-1)).all(axis=-1))
     if failure is not None:
         raise MetricDomainError(f"metric not positive definite{failure[1]}")
+    return L
+
+
+def _substitute(L, B):
+    """``X`` with ``L L^H X = B``, by forward and back substitution.
+
+    ``L`` ``(..., d, d)`` is a lower Cholesky factor and ``B`` ``(..., d, m)``
+    holds the right-hand sides as columns; leading axes broadcast.  With
+    ``L = U D`` (``U`` unit lower triangular, ``D`` its positive diagonal),
+    ``X = U^{-H} D^{-2} U^{-1} B``: each of the ``2 d - 1`` steps is one
+    elementwise numpy update over the batch and every column, in a fixed
+    order, so a batch gives its points bit for bit.
+    """
+    d = L.shape[-1]
+    diag = L.diagonal(0, -2, -1)
+    U = L / diag[..., None, :]
+    X = B * np.ones(L.shape[:-2] + (1, 1), dtype=np.result_type(L, B))  # a broadcast copy
+    for j in range(d - 1):
+        X[..., j + 1:, :] -= U[..., j + 1:, j, None] * X[..., j, None, :]
+    if np.iscomplexobj(L):
+        U, diag = U.conj(), diag.real
+    X /= (diag * diag)[..., None]
+    for j in range(d - 1, 0, -1):
+        X[..., :j, :] -= U[..., j, :j, None] * X[..., j, None, :]
+    return X
 
 
 def _solve(gv, B):
     """Solve ``gv @ X = B`` for positive-definite ``gv`` ``(..., d, d)``,
     real symmetric or complex Hermitian; dtype-generic.
 
-    Guarded by :func:`_check_positive_definite`; float and complex metrics
-    are then solved by LU, broadcasting, and mpmath ones eliminated at full
-    precision by :func:`hkgeo.jets.solve`, the point axis moved last.
+    The factor of :func:`_check_positive_definite` solves float and complex
+    metrics by :func:`_substitute`, broadcasting; mpmath ones are
+    eliminated at full precision by :func:`hkgeo.jets.solve`, the point axis
+    moved last.
     """
-    _check_positive_definite(gv)
+    L = _check_positive_definite(gv)
     if gv.dtype != object:
-        return np.linalg.solve(gv, B)
+        return _substitute(L, B)
     X = solve(np.moveaxis(gv, (-2, -1), (0, 1)), np.moveaxis(B, (-2, -1), (0, 1)))
     return np.moveaxis(np.array(X, dtype=object), (0, 1), (-2, -1))
+
+
+def _product(A, X):
+    """``A @ X`` over the last two axes, summed term by term in index order.
+
+    Elementwise like :func:`_substitute`: ``np.matmul`` may take another
+    BLAS path for one matrix than for a stack, and change the last bit.
+    """
+    acc = A[..., :, :1] * X[..., :1, :]
+    for j in range(1, A.shape[-1]):
+        acc = acc + A[..., :, j, None] * X[..., j, None, :]
+    return acc
+
+
+def _stack_entries(table, part="value", tail=(), batch=None):
+    """One part (``"value"``, ``"gradient"`` or ``"hessian"``) of every entry
+    of a table (rows of floats, arrays over a batch of points and jets) as
+    one float array ``(*batch, *tail, rows, cols)``.
+
+    A number has no derivative parts (zero there); a jet's derivative axes
+    come first and its point axis (if any) last.  ``batch`` defaults to the
+    broadcast shape of the entries' values.
+    """
+    if batch is None:
+        batch = np.broadcast_shapes(*(np.shape(e.value if isinstance(e, Jet) else e)
+                                      for row in table for e in row))
+    t = np.zeros((len(table), len(table[0]), *tail, *batch))
+    for i, row in enumerate(table):
+        for j, e in enumerate(row):
+            if isinstance(e, Jet) or part == "value":
+                x = np.asarray(getattr(e, part) if isinstance(e, Jet) else e)
+                t[i, j] = x.reshape(x.shape + (1,) * (t.ndim - 2 - x.ndim))
+    return t.transpose(*range(2 + len(tail), t.ndim), *range(2, 2 + len(tail)), 0, 1)
+
+
+def _solve_entries(L, A, B):
+    """Solve ``A X = B`` on tables of entries, given the Cholesky factor ``L``
+    ``(..., n, n)`` of ``A``'s float values (point axis first).
+
+    ``A`` is ``n x n`` and ``B`` a vector of ``n`` entries or ``n`` rows of
+    them, as :func:`hkgeo.jets.solve` takes them: floats, arrays over a
+    batch of points and jets, mixed freely, in float64; the result is laid
+    out as that function lays it out.  The values are solved once,
+    ``X = A^{-1} B``, and the derivatives by implicit differentiation with
+    the same factor (Giles 2008, "Collected matrix derivative results for
+    forward and reverse mode algorithmic differentiation"):
+    ``d_k X = A^{-1} (d_k B - d_k A X)`` and, when every jet carries a
+    Hessian, ``d_kl X = A^{-1} (d_kl B - d_kl A X - d_k A d_l X - d_l A d_k X)``.
+    """
+    vector = not (isinstance(B[0], (list, tuple))
+                  or isinstance(B, np.ndarray) and B.ndim >= 2)
+    rhs = [[b] for b in B] if vector else B
+    jets = [e for table in (A, rhs) for row in table for e in row if isinstance(e, Jet)]
+    batch = np.broadcast_shapes(*(np.shape(e.value if isinstance(e, Jet) else e)
+                                  for table in (A, rhs) for row in table for e in row))
+
+    def substitute(R):
+        # the slices R[..., k, :, :] of every derivative index k become
+        # blocks of columns of one substitution
+        Rm = np.moveaxis(R, -2, len(batch))
+        X = _substitute(L, Rm.reshape(*Rm.shape[:len(batch) + 1], -1))
+        return np.moveaxis(X.reshape(Rm.shape), len(batch), -2)
+
+    X = substitute(_stack_entries(rhs, batch=batch))
+    grad = hess = None
+    if jets:
+        tail = (jets[0].dim,)
+        dA = _stack_entries(A, "gradient", tail, batch)
+        dX = substitute(_stack_entries(rhs, "gradient", tail, batch)
+                        - _product(dA, X[..., None, :, :]))
+        grad = np.moveaxis(dX, -3, 0)
+        if all(e.hessian is not None for e in jets):
+            T = _product(dA[..., :, None, :, :], dX[..., None, :, :, :])  # d_k A d_l X
+            d2A = _stack_entries(A, "hessian", tail * 2, batch)
+            d2X = substitute(_stack_entries(rhs, "hessian", tail * 2, batch)
+                             - _product(d2A, X[..., None, None, :, :])
+                             - T - np.swapaxes(T, -4, -3))
+            hess = np.moveaxis(d2X, (-4, -3), (0, 1))
+
+    def entry(i, j):
+        if grad is None:
+            return X[..., i, j][()]
+        return Jet(X[..., i, j][()], grad[..., i, j], None if hess is None else hess[..., i, j])
+
+    out = [[entry(i, j) for j in range(len(rhs[0]))] for i in range(len(A))]
+    return [row[0] for row in out] if vector else out
 
 
 def _lowered_christoffel(dg):

@@ -67,8 +67,10 @@ floats raise them (and ``math``'s domain errors as numpy's invalid
 operations), and every error names the first offending point of the
 batch.  Jets opt out of numpy's operator dispatch (``__array_ufunc__ =
 None``), so ``array * jet`` is the jet's product, not an object array of
-jets.  :func:`solve` is for positive-definite matrices (metrics and mass
-matrices, checked first by their callers) and does not pivot.
+jets.  :func:`solve`, an elimination for positive-definite matrices that
+does not pivot, solves mpmath metrics; float and jet solves factor their
+matrices instead (:func:`hkgeo.geometry._solve`), and the tests use it as
+their oracle.
 
 :func:`fd_oracle` produces the same (value, gradient, Hessian) triple from
 central differences only, at one point or a batch.  It shares no derivative code with the jets and is
@@ -592,18 +594,22 @@ def evaluate_jet(f, p, order=2):
 def solve(A, B):
     """Solve ``A X = B`` for positive-definite ``A`` on any entry type.
 
-    Entries may be floats, jets or mpmath numbers, mixed freely, so
-    the solution carries exact derivatives when ``A`` or ``B`` does; they
-    may also be arrays (or jets) over a batch of points, solved at once.
-    Gauss-Jordan elimination runs in the given row order, without pivoting,
-    which is stable on positive-definite matrices (growth factor 1); every
-    caller guarantees positive definiteness.  Exact-zero float multipliers
-    are skipped, so a batch gives what its points give one at a time, except
-    that an exact zero may carry the other sign: a zero multiplier is
-    skipped only when it is a plain float.  ``B`` is a matrix (rows indexed
-    like ``A``) when its rows are lists or tuples or it is an array of two
-    or more axes, and a vector (of scalars, arrays over the points or jets)
-    otherwise; the result is a list of rows, or a list, of the same shape.
+    The object-entry solve: :func:`hkgeo.geometry._solve` eliminates
+    mpmath metrics with it, after its Cholesky guard; float and jet solves
+    go through a Cholesky factor instead, and this elimination is their
+    test oracle.  Entries may be floats, jets or mpmath numbers, mixed
+    freely, so the solution carries exact derivatives when ``A`` or ``B``
+    does; they may also be arrays (or jets) over a batch of points, solved
+    at once.  Gauss-Jordan elimination runs in the given row order, without
+    pivoting, which is stable on positive-definite matrices (growth factor
+    1); every caller guarantees positive definiteness.  Exact-zero float
+    multipliers are skipped, so a batch gives what its points give one at
+    a time, except that an exact zero may carry the other sign: a zero
+    multiplier is skipped only when it is a plain float.  ``B`` is a
+    matrix (rows indexed like ``A``) when its rows are lists or tuples or
+    it is an array of two or more axes, and a vector (of scalars, arrays
+    over the points or jets) otherwise; the result is a list of rows, or a
+    list, of the same shape.
 
     Raises
     ------

@@ -13,18 +13,20 @@ first-order jets (a bracket reads gradients only), so no finite
 differencing is involved.  A mass matrix must be positive definite, with
 eigenvalues ``lambda_min >= MIN_RCOND * lambda_max > 0``: an indefinite one
 is rejected even when invertible.  Every inversion or solve applies that
-rule, so the solves need no pivoting (:func:`hkgeo.jets.solve`).  A
-stacked Cholesky factorisation decides it for well-conditioned stacks;
-the eigenvalues are computed only for a stack it cannot clear, and they
-word every rejection (:func:`_check_mass`).
+rule.  A stacked Cholesky factorisation decides it for well-conditioned
+stacks; the eigenvalues are computed only for a stack it cannot clear,
+and they word every rejection (:func:`_check_mass`).  The solve then
+substitutes with the factor the rule has just certified, so each solve
+factors its mass matrices once; on jet entries the values are solved once
+and the derivatives follow by implicit differentiation with the same
+factor (:func:`hkgeo.geometry._solve_entries`).
 
 Every entry point takes one point or a batch of points, and the shape
 decides: a :class:`PhasePoint` of ``(n,)`` or ``(B, n)`` arrays, a
 configuration ``q`` of ``(n,)`` or ``(B, n)``.  A batch is evaluated in one
 pass (jets with a point axis, one stacked factorisation per mass-matrix
-check), with the same result as its points one at a time (bit for bit on
-the registered models; see :func:`hkgeo.jets.solve` for the sign of an
-exact zero); errors name the first failing point.
+solve), with the same result as its points one at a time (bit for bit on
+the registered models); errors name the first failing point.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import numpy as np
 
 from ._record import Frozen
 from .fields import Chart, MetricField, _triangle
-from .geometry import _cholesky_diagonal, _solve
-from .jets import Jet, evaluate_jet, first_failure, solve
+from .geometry import _cholesky, _solve_entries, _stack_entries, _substitute
+from .jets import evaluate_jet, first_failure
 
 __all__ = [
     "DegenerateLagrangianError",
@@ -134,15 +136,13 @@ def _mass_values(M):
     """Float values of a mass matrix: ``(n, n)``, or ``(B, n, n)`` over a batch."""
     if isinstance(M, np.ndarray) and M.dtype != object:
         return M
-    n = len(M)
-    flat = np.broadcast_arrays(*(np.asarray(x.value if isinstance(x, Jet) else x,
-                                            dtype=float)
-                                 for row in M for x in row))
-    return np.moveaxis(np.reshape(flat, (n, n, *flat[0].shape)), (0, 1), (-2, -1))
+    return _stack_entries(M)
 
 
 def _check_mass(M, q=None):
-    """Reject a mass matrix whose value part is non-finite or not positive definite.
+    """Cholesky factor ``(..., n, n)`` of a mass matrix's values, or
+    :class:`DegenerateLagrangianError` for one that is non-finite or not
+    positive definite.
 
     The one rule of this module, applied wherever a mass matrix is inverted
     or solved: eigenvalues ``lambda_min >= MIN_RCOND * lambda_max > 0``, or
@@ -162,17 +162,18 @@ def _check_mass(M, q=None):
     Mv = _mass_values(M)
     finite = np.isfinite(Mv).all(axis=(-2, -1))
     if finite.all():
-        diag = _cholesky_diagonal(Mv)
+        factor = _cholesky(Mv)
+        diag = np.diagonal(factor, axis1=-2, axis2=-1)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
             tr = np.trace(Mv, axis1=-2, axis2=-1)[..., None]
             if (np.prod(diag * diag / tr, axis=-1) >= 2 * MIN_RCOND).all():
-                return
+                return factor
     else:
         Mv = np.where(finite[..., None, None], Mv, np.eye(Mv.shape[-1]))
     lo, hi = np.moveaxis(np.linalg.eigvalsh(Mv)[..., [0, -1]], -1, 0)  # ascending
     failure = first_failure(finite & (lo >= MIN_RCOND * hi) & (hi > 0), q)
     if failure is None:
-        return
+        return factor
     k, where = failure
     at = () if k is None else k
     if not finite[at]:
@@ -183,9 +184,9 @@ def _check_mass(M, q=None):
 
 
 def _solve_mass(M, B):
-    """``M X = B`` in jet-capable arithmetic, for a mass matrix ``M``."""
-    _check_mass(M)
-    return solve(M, B)
+    """``M X = B`` in jet-capable arithmetic, for a mass matrix ``M``, with
+    the factor :func:`_check_mass` has just certified."""
+    return _solve_entries(_check_mass(M), M, B)
 
 
 def legendre_to_hamiltonian(L, q):
@@ -194,8 +195,7 @@ def legendre_to_hamiltonian(L, q):
     ``(n, n)`` at one configuration, ``(B, n, n)`` over a batch ``(B, n)``.
     """
     M = L.matrix(q)
-    _check_mass(M, q)
-    Minv = _solve(M, np.eye(M.shape[-1]))
+    Minv = _substitute(_check_mass(M, q), np.eye(M.shape[-1]))
     return 0.5 * (Minv + np.swapaxes(Minv, -1, -2))
 
 

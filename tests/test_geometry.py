@@ -59,12 +59,12 @@ def test_non_positive_metric_rejected():
 
 def test_refused_stack_is_factored_in_halves(monkeypatch):
     # two indefinite metrics among 64 (one complex Hermitian stack): NaN at
-    # exactly those, every other diagonal as its own factorisation gives it,
+    # exactly those, every other factor as its own factorisation gives it,
     # in a few stacked calls instead of one per matrix
     rng = np.random.default_rng(4)
     A = rng.normal(size=(64, 3, 3)) + 1j * rng.normal(size=(64, 3, 3))
     g = A @ np.conj(np.swapaxes(A, -1, -2)) + np.eye(3)
-    want = np.array([np.diagonal(np.linalg.cholesky(m)) for m in g])
+    want = np.array([np.linalg.cholesky(m) for m in g])
     g[[9, 40]] = np.diag([1.0, -1.0, 1.0])
     want[[9, 40]] = np.nan
     calls = []
@@ -75,9 +75,9 @@ def test_refused_stack_is_factored_in_halves(monkeypatch):
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
-    got = geometry._cholesky_diagonal(g.reshape(8, 8, 3, 3))
-    assert got.shape == (8, 8, 3)
-    assert np.array_equal(got.reshape(64, 3), want, equal_nan=True)
+    got = geometry._cholesky(g.reshape(8, 8, 3, 3))
+    assert got.shape == (8, 8, 3, 3)
+    assert np.array_equal(got.reshape(64, 3, 3), want, equal_nan=True)
     assert len(calls) <= 2 * 2 * 6 + 1
     with pytest.raises(MetricDomainError, match="at point 9$"):
         geometry._check_positive_definite(g)

@@ -204,8 +204,8 @@ def _mass_outcome(M):
 
 def _eigenvalue_outcome(M):
     # the certificate never clears, so the eigenvalues decide alone
-    with mock.patch.object(mechanics, "_cholesky_diagonal",
-                           lambda a: np.full(a.shape[:-1], np.nan)):
+    with mock.patch.object(mechanics, "_cholesky",
+                           lambda a: np.full(a.shape, np.nan)):
         return _mass_outcome(M)
 
 

@@ -1,0 +1,155 @@
+"""The one-factor solves against the elimination oracle.
+
+Every positive-definite solve factors its float values once: a metric
+solve (``geometry._solve``) and a mass-matrix solve
+(``mechanics._solve_mass``, jet entries differentiated implicitly) use the
+Cholesky factor their guard has just computed.  ``jets.solve``, the
+Gauss-Jordan elimination over entries, is the oracle here: on random
+positive-definite stacks (batches of float, array and jet entries, complex
+Hermitian metrics) the two agree to rounding, and a batch with one bad
+point is rejected with the typed error that names it.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hkgeo import geometry, mechanics
+from hkgeo.geometry import MetricDomainError
+from hkgeo.jets import Jet, solve
+from hkgeo.mechanics import DegenerateLagrangianError
+
+DIM = 3  # coordinates the jets differentiate along
+
+
+def _spd(rng, n, count, complex_=False):
+    """``count`` well-conditioned positive-definite ``n x n`` matrices
+    ``(count, n, n)``, Hermitian when ``complex_``."""
+    R = rng.uniform(-1.0, 1.0, size=(count, n, n))
+    if complex_:
+        R = R + 1j * rng.uniform(-1.0, 1.0, size=(count, n, n))
+    return R @ np.conj(np.swapaxes(R, -1, -2)) / n + np.eye(n)
+
+
+def _entry(rng, v, kind, order, count):
+    """Value ``v`` ``(count,)`` as a float (at one point), an array or a jet."""
+    if kind == "float" or count == 0:
+        v = float(v[0])
+        if kind == "float":
+            return v
+    if kind == "array":
+        return v
+    shape = () if count == 0 else (count,)
+    g = rng.uniform(-1.0, 1.0, size=(DIM, *shape))
+    if order == "mixed":
+        order = int(rng.integers(1, 3))
+    if order == 1:
+        return Jet(v, g)
+    h = rng.uniform(-1.0, 1.0, size=(DIM, DIM, *shape))
+    return Jet(v, g, h + np.swapaxes(h, 0, 1))
+
+
+def _parts(e, count):
+    """Value, gradient and Hessian (zero for a number) of an entry, ``(count,)`` per slot."""
+    shape = () if count == 0 else (count,)
+    if not isinstance(e, Jet):
+        return [np.broadcast_to(e, shape), np.zeros((DIM, *shape)), np.zeros((DIM, DIM, *shape))]
+    h = np.zeros((DIM, DIM, *shape)) if e.hessian is None else e.hessian
+    return [np.broadcast_to(e.value, shape), np.broadcast_to(e.gradient, (DIM, *shape)), h]
+
+
+def _order(e):
+    return 0 if not isinstance(e, Jet) else 1 if e.hessian is None else 2
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 8), count=st.integers(0, 4), columns=st.integers(0, 2),
+       order=st.sampled_from([1, 2, "mixed"]), seed=st.integers(0, 2 ** 32 - 1))
+def test_mass_solve_matches_elimination(n, count, columns, order, seed):
+    # a symmetric stack of float, array and jet entries (one point when
+    # count is 0) and a vector (columns 0) or matrix right-hand side
+    rng = np.random.default_rng(seed)
+    vals = _spd(rng, n, max(count, 1))
+    kinds = ["float", "array", "jet", "jet"]
+    A = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(i, n):
+            kind = kinds[rng.integers(1 if count == 0 else 0, 4)]
+            if kind == "float":  # the same at every point
+                vals[:, i, j] = vals[:, j, i] = vals[0, i, j]
+            A[i, j] = A[j, i] = _entry(rng, vals[:, i, j], kind, order, count)
+    rhs = rng.uniform(-1.0, 1.0, size=(n, max(columns, 1), max(count, 1)))
+    B = [[_entry(rng, rhs[i, c], kinds[rng.integers(0, 4)], order, count)
+          for c in range(max(columns, 1))] for i in range(n)]
+    if columns == 0:
+        B = [row[0] for row in B]
+    got, want = mechanics._solve_mass(A, B), solve(A, B)
+    if columns == 0:
+        got, want = [[x] for x in got], [[x] for x in want]
+    for grow, wrow in zip(got, want):
+        for g, w in zip(grow, wrow):
+            assert _order(w) in (0, _order(g))  # a number only where nothing varies
+            for a, b in zip(_parts(g, count), _parts(w, count)):
+                assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 8), count=st.integers(0, 5), columns=st.integers(1, 4),
+       hermitian=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_metric_solve_matches_elimination(n, count, columns, hermitian, seed):
+    # a complex Hermitian solve is the real one of twice the size:
+    # [[Re g, -Im g], [Im g, Re g]] [Re X; Im X] = [Re B; Im B]
+    rng = np.random.default_rng(seed)
+    g = _spd(rng, n, max(count, 1), hermitian)
+    B = rng.uniform(-1.0, 1.0, size=(max(count, 1), n, columns)) * (1.0 + 0.5j if hermitian else 1.0)
+    if count == 0:
+        g, B = g[0], B[0]
+    got = geometry._solve(g, B)
+    real = np.block([[g.real, -g.imag], [g.imag, g.real]])
+    rhs = np.concatenate([B.real, B.imag], axis=-2)
+    X = np.moveaxis(np.array(solve(np.moveaxis(real, (-2, -1), (0, 1)),
+                                   np.moveaxis(rhs, (-2, -1), (0, 1)))), (0, 1), (-2, -1))
+    assert got.shape == B.shape
+    assert np.allclose(got, X[..., :n, :] + 1j * X[..., n:, :], rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=30)
+@given(n=st.integers(1, 8), count=st.integers(2, 6), defect=st.sampled_from(["indefinite", "nan"]),
+       jets=st.booleans(), data=st.data())
+def test_one_bad_point_is_named_by_every_solve(n, count, defect, jets, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    bad = data.draw(st.integers(0, count - 1))
+    g = _spd(rng, n, count)
+    if defect == "nan":
+        i, j = rng.integers(n, size=2)
+        g[bad, i, j] = g[bad, j, i] = np.nan
+    else:
+        eig = rng.uniform(1.0, 2.0, size=n)
+        eig[rng.integers(n)] *= -1.0
+        Q = np.linalg.qr(rng.uniform(-1.0, 1.0, size=(n, n)))[0]
+        g[bad] = (Q * eig) @ Q.T
+        g[bad] = (g[bad] + g[bad].T) / 2
+    where = f" at point {bad}"
+    with pytest.raises(MetricDomainError, match=f"^metric not positive definite{where}$"):
+        geometry._solve(g, np.ones((count, n, 1)))
+    entries = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            v = g[:, i, j]
+            entries[i, j] = Jet(v, np.ones((DIM, count))) if jets else v
+    b = [1.0] * n
+    with pytest.raises(DegenerateLagrangianError) as err:
+        mechanics._solve_mass(entries, b)
+    assert str(err.value).endswith(where)
+    assert str(err.value) == _mass_message(g)  # the rule's own wording
+    with pytest.raises(np.linalg.LinAlgError, match=f"not positive{where}$"):
+        solve(entries, b)
+
+
+def _mass_message(M):
+    try:
+        mechanics._check_mass(M)
+    except DegenerateLagrangianError as err:
+        return str(err)
+    return None

@@ -1,17 +1,19 @@
 """The structure of the package, checked on its source and on a fresh import.
 
-Every metric solve goes through the one guarded solve,
-``geometry._solve``; the jet-capable elimination ``jets.solve``, which
-does not pivot, is called only behind a positive-definiteness check; no
-module forms a bare inverse; and the package neither imports scipy nor
-leaves ``numpy.random`` to load lazily inside a run, and its commands load
-no mpmath (the tests' 40-digit oracle).  Importing runs no LAPACK, and
-the records are plain classes, apart from the one dataclass the benchmark
-needs.  A batch is one call: the finite-difference oracle, the sampler's
-exclusions, the hygiene check and the mechanics checks keep no per-point
-loop, and the mass-matrix rule computes eigenvalues only for the matrix
-its Cholesky certificate cannot clear.  Each reduction stage is one check
-of ``checks.py``, run on both reduction models.
+Every positive-definite solve factors its matrices once: only
+``geometry._cholesky`` calls ``np.linalg.cholesky``, the guards read that
+factor and the solves substitute with it, so no module calls an LU solve
+or forms a bare inverse, and the elimination ``jets.solve``, which does
+not pivot, is left to ``geometry._solve``'s mpmath entries.  The package
+neither imports scipy nor leaves ``numpy.random`` to load lazily inside a
+run, and its commands load no mpmath (the tests' 40-digit oracle).
+Importing runs no LAPACK, and the records are plain classes, apart from
+the one dataclass the benchmark needs.  A batch is one call: the
+finite-difference oracle, the sampler's exclusions, the hygiene check and
+the mechanics checks keep no per-point loop, and the mass-matrix rule
+computes eigenvalues only for the matrix its Cholesky certificate cannot
+clear.  Each reduction stage is one check of ``checks.py``, run on both
+reduction models.
 """
 
 import ast
@@ -26,15 +28,16 @@ import pytest
 
 import hkgeo
 from hkgeo import checks, cli, jets, mechanics, models
+from hkgeo.jets import call_field
 from hkgeo.sampling import Exclusion, SampleSpec, sample_points
 
 SRC = Path(hkgeo.__file__).parent
 
 #: (module, function) pairs allowed to call each solve.
 ALLOWED = {
-    "np.linalg.solve": {("geometry", "_solve")},
-    "np.linalg.cholesky": {("geometry", "_solve"), ("geometry", "_cholesky_diagonal")},
-    "jets.solve": {("geometry", "_solve"), ("mechanics", "_solve_mass")},
+    "np.linalg.solve": set(),
+    "np.linalg.cholesky": {("geometry", "_cholesky")},
+    "jets.solve": {("geometry", "_solve")},
     "np.linalg.inv": set(),
 }
 
@@ -259,3 +262,42 @@ def test_only_the_singular_control_computes_eigenvalues(monkeypatch, argv):
     assert cli.main(argv) == 0
     assert [shape for shape, _ in callers] == [(2, 2)]
     assert "check_mech_singular" in callers[0][1]
+
+
+def _counting(monkeypatch, names):
+    """Count the calls of ``np.linalg.<name>`` for each name, from now on."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, f=getattr(np.linalg, name), **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_one_factorisation_per_positive_definite_solve(monkeypatch):
+    # the mass-matrix certificate's Cholesky factor is the solve's factor:
+    # no second guard, no LU, no eigenvalues, on a batch as on one point
+    m = models.build("r8-parent", 1.0)
+    L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, m.extras["level_metric"].fn)
+    q = np.array(models.sample_points(models.SampleSpec(
+        np.asarray(m.extras["level_box"], dtype=float), 100, 3,
+        tuple(m.extras["level_exclusions"]))))
+    coords = np.concatenate([q, np.random.default_rng(3).normal(size=q.shape)], axis=1)
+    names = ("cholesky", "solve", "eigvalsh")
+    counts = _counting(monkeypatch, names)
+    mechanics.legendre_to_hamiltonian(L, q)
+    assert counts == {"cholesky": 1, "solve": 0, "eigvalsh": 0}
+    counts.update(dict.fromkeys(names, 0))
+    call_field(mechanics.hamiltonian_field(L), coords)
+    assert counts == {"cholesky": 1, "solve": 0, "eigvalsh": 0}
+
+
+@pytest.mark.parametrize("argv", [["verify", "mechanics", "--samples", "1500", "--seed", "1"],
+                                  ["verify", "all", "--samples", "100", "--seed", "2"]],
+                         ids=["mechanics", "all"])
+def test_no_command_calls_an_lu_solve(monkeypatch, argv):
+    counts = _counting(monkeypatch, ("solve",))
+    assert cli.main(argv) == 0
+    assert counts == {"solve": 0}
