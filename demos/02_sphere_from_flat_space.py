@@ -24,7 +24,7 @@ rng = np.random.default_rng(3)
 # --- the moment map is a line integral ---------------------------------------
 
 alpha = reduction.contraction_field(m.forms["omega"], m.killing["shift"])
-base = np.asarray(m.extras["moment_base"])
+base = np.asarray(m.targets["moment_base"])
 mu = m.targets["moment_map"]
 p = [1.3, 0.4, -0.6, 2.0]
 print(f"contraction at {p}: {np.round(reduction.contract(m.forms['omega'], m.killing['shift'], p), 12)}")
@@ -34,8 +34,8 @@ print(f"line-integrated moment map {val:.12f} vs closed form {mu(p):.12f}")
 # --- level set, then quotient ------------------------------------------------
 
 lev = m.embeddings["level"]
-lm = m.extras["level_metric"]
-fiber = m.extras["level_fiber"]
+lm = m.level.metric
+fiber = m.level.killing["fiber"]
 
 worst_pull = worst_quot = 0.0
 for _ in range(30):
@@ -49,7 +49,7 @@ print(f"\nlevel-set pullback vs 3-chart closed form: {worst_pull:.3e}")
 print(f"fiber quotient vs reduced 2-metric:        {worst_quot:.3e}")
 
 # the same numbers drop out of mechanics: set the fiber momentum to zero
-L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn)
+L = mechanics.QuadraticKinetic(m.level.chart.names, lm.fn)
 L2 = mechanics.constrain_and_reduce(L, m.fiber_index)
 q = [1.7, 0.0, 0.0]
 print(f"reduced mass matrix at r = {q[0]}:")

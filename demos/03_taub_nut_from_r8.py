@@ -62,10 +62,10 @@ for p in pts:
                            for k in ("mu_I", "mu_J", "mu_K")))
 print(f"\nall three moment maps on the declared level set: {worst:.3e}")
 
-lm = m.extras["level_metric"]
+lm = m.level.metric
 worst_q = worst_f = 0.0
 for p in pts:
-    gq = reduction.quotient_metric(lm, m.extras["level_fiber"], m.invariant, p)
+    gq = reduction.quotient_metric(lm, m.level.killing["fiber"], m.invariant, p)
     worst_q = max(worst_q, float(np.max(np.abs(
         gq - models.taub_nut_metric(p[:3], a)))))
     want = models.taub_nut_triple(p[:3], a)

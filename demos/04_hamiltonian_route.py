@@ -24,8 +24,8 @@ print("mass matrix round trip error:",
 # --- conservation is literal: {p, H} via jets --------------------------------
 
 m = models.build("toy-parent", 1.0)
-lm = m.extras["level_metric"]
-L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn)
+lm = m.level.metric
+L = mechanics.QuadraticKinetic(m.level.chart.names, lm.fn)
 H = mechanics.hamiltonian_field(L)
 rng = np.random.default_rng(9)
 
@@ -43,7 +43,7 @@ worst = 0.0
 for _ in range(30):
     q = [rng.uniform(0.3, 3.0), rng.uniform(0.1, 5.9), rng.uniform(0.1, 5.9)]
     got = L2.matrix([q[0], q[2]])
-    want = reduction.quotient_metric(lm, m.extras["level_fiber"],
+    want = reduction.quotient_metric(lm, m.level.killing["fiber"],
                                      m.invariant, q)
     worst = max(worst, float(np.max(np.abs(got - want))))
 print(f"\ntoy model: |mechanical - geometric| over 30 points: {worst:.3e}")
@@ -51,15 +51,15 @@ print(f"\ntoy model: |mechanical - geometric| over 30 points: {worst:.3e}")
 # --- same story on the road to Taub-NUT --------------------------------------
 
 m8 = models.build("r8-parent", 1.0)
-lm8 = m8.extras["level_metric"]
-L5 = mechanics.QuadraticKinetic(m8.extras["level_chart"].names, lm8.fn)
+lm8 = m8.level.metric
+L5 = mechanics.QuadraticKinetic(m8.level.chart.names, lm8.fn)
 L4 = mechanics.constrain_and_reduce(L5, m8.fiber_index)
 worst = 0.0
 for _ in range(20):
     q = [*rng.uniform(0.4, 1.8, size=3), rng.uniform(0.1, 5.9),
          rng.uniform(0.1, 5.9)]
     got = L4.matrix(q[:4])
-    want = reduction.quotient_metric(lm8, m8.extras["level_fiber"],
+    want = reduction.quotient_metric(lm8, m8.level.killing["fiber"],
                                      m8.invariant, q)
     worst = max(worst, float(np.max(np.abs(got - want))))
 print(f"5-chart:   |mechanical - geometric| over 20 points: {worst:.3e}")

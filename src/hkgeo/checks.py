@@ -1,12 +1,15 @@
 """Verification suites over the model registry, with reproducible reports.
 
-Every check draws its own random stream from ``(run seed, crc32(check id))``,
-so the report for a fixed seed is bit-stable no matter which subset of
-checks runs or in what order.  A check returns its worst absolute error and
-the tolerance it is judged against; "expected failure" checks (negative
-controls) report error 0 when the failure is correctly detected and 1 when
-it is not.  A check that raises is reported as a failed row carrying the
-exception, and the run goes on.
+:data:`CLAIMS` states every acceptance claim once, as a row
+``(check_id, tolerance, description, measure)``; a suite is the rows whose
+id starts with its name, and ``all`` is every row.  Every check draws its
+own random stream from ``(run seed, crc32(check id))``, so the report for a
+fixed seed is bit-stable no matter which subset of checks runs or in what
+order.  A measure returns only its worst absolute error and its sample
+count; "expected failure" checks (negative controls) report error 0 when
+the failure is correctly detected and 1 when it is not.  A check that
+raises is reported as a failed row carrying the exception, and the run
+goes on.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ class CheckReport(Frozen):
     """Outcome of one named check.
 
     ``error`` is ``"<exception class>: <message>"`` when the check raised,
-    and None (absent from the report) when it returned.
+    and None (absent from the report) when it returned.  In the report a
+    non-finite ``max_abs_error`` or ``tolerance`` is None (JSON ``null``).
     """
 
     __slots__ = ("check_id", "description", "samples", "max_abs_error", "tolerance",
@@ -52,6 +56,8 @@ class CheckReport(Frozen):
 
     def to_dict(self):
         out = dict(zip(self.__slots__, self._values()))
+        for key in ("max_abs_error", "tolerance"):
+            out[key] = out[key] if math.isfinite(out[key]) else None
         if self.error is None:
             del out["error"]
         return out
@@ -99,8 +105,8 @@ REPORT_SCHEMA = {
                 "check_id": {"type": "string"},
                 "description": {"type": "string"},
                 "samples": {"type": "integer", "minimum": 0},
-                "max_abs_error": {"type": "number"},
-                "tolerance": {"type": "number"},
+                "max_abs_error": {"type": ["number", "null"]},
+                "tolerance": {"type": ["number", "null"]},
                 "passed": {"type": "boolean"},
                 "elapsed_ms": {"type": "integer", "minimum": 0},
                 "error": {"type": "string"},
@@ -123,11 +129,6 @@ class CheckContext(Frozen):
         return int(rng.integers(2 ** 31))
 
 
-def _box_points(box, exclusions, count, seed):
-    """Sampled points as one ``(B, d)`` batch."""
-    return sample_points(SampleSpec(box, count, seed, tuple(exclusions)))
-
-
 def _worst(got, want=0.0):
     """Largest ``|got - want|`` over a batch, as a float; NaN if any entry is NaN.
 
@@ -136,8 +137,20 @@ def _worst(got, want=0.0):
     return float(np.max(np.abs(got - want)))
 
 
+def _rejected(exc_type, call):
+    """A negative control's ``(error, samples)``: error 0 when ``call()``
+    raises ``exc_type`` (the defect is detected), 1 when it returns."""
+    try:
+        call()
+    except exc_type:
+        return 0.0, 1
+    return 1.0, 1
+
+
 # ---------------------------------------------------------------------------
 # heavenly suite
+
+_KBOX = ((-1.5, 1.5),) * 4  # the box of the Kaehler fixtures
 
 
 def _coset_matrices(rng, n, count):
@@ -150,90 +163,58 @@ def _coset_matrices(rng, n, count):
 def check_coset_constant(ctx, rng, n):
     count = max(ctx.samples, 100)
     C = kahler.heavenly_check(_coset_matrices(rng, n, count), kahler.symplectic_matrix(n))
-    return _worst(C, 1.0), 1e-10, count, (
-        f"unit-determinant condition h Om h^T = C Om with C = 1 on {count} "
-        f"random exp(v.t) metrics, n = {n}"
-    )
+    return _worst(C, 1.0), count
 
 
 def check_det_equality(ctx, rng):
     om = kahler.symplectic_matrix(2)
     count = max(ctx.samples, 100)
     coset = _coset_matrices(rng, 2, count)
-    pts = _box_points(((-1.5, 1.5),) * 4, (), 20, ctx.subseed(rng))
+    pts = sample_points(SampleSpec(_KBOX, 20, ctx.subseed(rng)))
     shear = kahler.unit_determinant_shear_field().matrix(pts)
     worst = worst_of(*(_worst(kahler.heavenly_check(h, om), np.real(np.linalg.det(h)))
                        for h in (coset, shear)))
-    return worst, 1e-12, count + 20, (
-        "for n = 2 the proportionality constant C equals det h"
-    )
+    return worst, count + 20
 
 
 def check_negative_control(ctx, rng):
-    om = kahler.symplectic_matrix(4)
-    try:
-        kahler.heavenly_check(np.diag([1.0, 1.0, 2.0, 1.0]).astype(complex), om)
-        err = 1.0
-    except kahler.HeavenlyViolation:
-        err = 0.0
-    return err, 0.0, 1, (
-        "diag(1, 1, 2, 1) must be rejected by the unit-determinant check "
-        "(expected failure is detected)"
-    )
+    h = np.diag([1.0, 1.0, 2.0, 1.0]).astype(complex)
+    return _rejected(kahler.HeavenlyViolation,
+                     lambda: kahler.heavenly_check(h, kahler.symplectic_matrix(4)))
 
 
 def check_quaternion_triple(ctx, rng):
     triples = [kahler.triple_at(_coset_matrices(rng, n, 10), kahler.symplectic_matrix(n))
                for n in (2, 4)]
-    pts = _box_points(((-1.5, 1.5),) * 4, (), 20, ctx.subseed(rng))
+    pts = sample_points(SampleSpec(_KBOX, 20, ctx.subseed(rng)))
     triples.append(kahler.triple_at(kahler.unit_determinant_shear_field(),
                                     kahler.symplectic_matrix(2), pts))
     worst = worst_of(*(_worst(kahler.quaternion_residual(t)) for t in triples))
-    return worst, 1e-10, sum(len(t.g) for t in triples), (
-        "I, J, K from passing metrics obey the quaternion algebra "
-        "(squares -1, IJ = K, JK = I, KI = J)"
-    )
+    return worst, sum(len(t.g) for t in triples)
 
 
 def check_covariant_constancy(ctx, rng):
-    om = kahler.symplectic_matrix(2)
     shear = kahler.unit_determinant_shear_field()
     greal = shear.real_metric()
-    fJ, fK = kahler.quaternion_form_fields(shear, om)
-    pts = _box_points(((-1.5, 1.5),) * 4, (), max(10, ctx.samples // 5),
-                      ctx.subseed(rng))
+    fJ, fK = kahler.quaternion_form_fields(shear, kahler.symplectic_matrix(2))
+    pts = sample_points(SampleSpec(_KBOX, max(10, ctx.samples // 5), ctx.subseed(rng)))
     dJ = geometry.covariant_derivative_02(greal, fJ, pts)
     dK = geometry.covariant_derivative_02(greal, fK, pts)
-    worst = worst_of(_worst(dJ + 1j * dK), _worst(dJ - 1j * dK))
-    return worst, 1e-8, len(pts), (
-        "the J/K pair is covariantly constant for the varying "
-        "unit-determinant metric (both J + iK and J - iK)"
-    )
+    return worst_of(_worst(dJ + 1j * dK), _worst(dJ - 1j * dK)), len(pts)
 
 
 def check_covariant_negative_control(ctx, rng):
-    om = kahler.symplectic_matrix(2)
     ctrl = kahler.non_unimodular_field()
-    greal = ctrl.real_metric()
-    fJ, _ = kahler.quaternion_form_fields(ctrl, om)
-    pts = _box_points(((-1.5, 1.5),) * 4, (), 10, ctx.subseed(rng))
-    dev = _worst(geometry.covariant_derivative_02(greal, fJ, pts))
-    err = 0.0 if dev > 1e-3 else 1.0
-    return err, 0.0, 10, (
-        "varying-determinant control metric must break covariant constancy "
-        f"by more than 1e-3 (observed {dev:.2e}; expected failure is detected)"
-    )
+    fJ, _ = kahler.quaternion_form_fields(ctrl, kahler.symplectic_matrix(2))
+    pts = sample_points(SampleSpec(_KBOX, 10, ctx.subseed(rng)))
+    dev = _worst(geometry.covariant_derivative_02(ctrl.real_metric(), fJ, pts))
+    return (0.0 if dev > 1e-3 else 1.0), 10
 
 
 def check_sp_algebra(ctx, rng):
-    om = kahler.symplectic_matrix(2)
-    pts = _box_points(((-1.5, 1.5),) * 4, (), max(10, ctx.samples // 5),
-                      ctx.subseed(rng))
+    pts = sample_points(SampleSpec(_KBOX, max(10, ctx.samples // 5), ctx.subseed(rng)))
     X = kahler.x_matrices(kahler.unit_determinant_shear_field(), pts)
-    return _worst(kahler.sp_residual(X, om)), 1e-8, len(pts), (
-        "derivative matrices 2 (d_p h) h^-1 of a passing metric lie in the "
-        "symplectic algebra (X Om + Om X^T = 0)"
-    )
+    return _worst(kahler.sp_residual(X, kahler.symplectic_matrix(2))), len(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -245,64 +226,57 @@ def check_sp_algebra(ctx, rng):
 # differs between the two reductions.
 
 
-def _level_points(m, ctx, rng, count):
-    """``count`` sampled points of model ``m``'s level chart, as one batch."""
-    return _box_points(m.extras["level_box"], m.extras.get("level_exclusions", ()),
-                       count, ctx.subseed(rng))
-
-
 def _level_kinetic(m):
     """The kinetic Lagrangian of ``m``'s level-set metric."""
-    return mechanics.QuadraticKinetic(m.extras["level_chart"].names,
-                                      m.extras["level_metric"].fn,
-                                      name=f"{m.name} level kinetic")
+    return mechanics.QuadraticKinetic(m.level.chart.names, m.level.metric.fn,
+                                      name=f"{m.level.name} kinetic")
 
 
 def _level_quotient(m, pts):
     """The orthogonal-projection quotient of ``m``'s level-set metric at ``pts``."""
-    return reduction.quotient_metric(m.extras["level_metric"], m.extras["level_fiber"],
+    return reduction.quotient_metric(m.level.metric, m.level.killing["fiber"],
                                      m.invariant, pts)
 
 
-def check_level_pullback(ctx, rng, name, description):
+def check_level_pullback(ctx, rng, name):
     m = models.build(name, ctx.a)
-    pts = _level_points(m, ctx, rng, ctx.samples)
+    pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     got = reduction.pullback_metric(m.metric, m.embeddings["level"], pts)
-    return _worst(got, m.extras["level_metric"].value(pts)), 1e-10, len(pts), description
+    return _worst(got, m.level.metric.value(pts)), len(pts)
 
 
-def check_quotient_metric(ctx, rng, name, target, description):
+def check_quotient_metric(ctx, rng, name, target):
     """The quotient metric against ``target(m, pts)``."""
     m = models.build(name, ctx.a)
-    pts = _level_points(m, ctx, rng, ctx.samples)
-    return _worst(_level_quotient(m, pts), target(m, pts)), 1e-10, len(pts), description
+    pts = m.level.sample(ctx.samples, ctx.subseed(rng))
+    return _worst(_level_quotient(m, pts), target(m, pts)), len(pts)
 
 
-def check_quotient_forms(ctx, rng, name, target, tol, description):
+def check_quotient_forms(ctx, rng, name, target):
     """Each form of the model, pulled back and quotiented, against the matching
     entry of ``target(m, pts)``."""
     m = models.build(name, ctx.a)
-    pts = _level_points(m, ctx, rng, ctx.samples)
+    pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     lev = m.embeddings["level"]
     worst = worst_of(*(
         _worst(reduction.quotient_form(reduction.pullback_form(w, lev, pts),
                                        m.fiber_index, m.invariant, pts), want)
         for w, want in zip(m.forms.values(), target(m, pts))))
-    return worst, tol, len(pts), description
+    return worst, len(pts)
 
 
-def check_hamiltonian_equivalence(ctx, rng, name, count, probes, description=None):
+def check_hamiltonian_equivalence(ctx, rng, name, count, probes):
     """Constraining the fiber momentum of the level-set kinetic term, checked
     cyclic at ``probes`` of the ``count`` points, gives the quotient metric."""
     m = models.build(name, ctx.a)
-    pts = _level_points(m, ctx, rng, count)
+    pts = m.level.sample(count, ctx.subseed(rng))
     L2 = mechanics.constrain_and_reduce(_level_kinetic(m), m.fiber_index,
                                         probe_points=pts[:probes])
     got = L2.matrix(pts[:, m.invariant])
-    return _worst(got, _level_quotient(m, pts)), 1e-12, len(pts), description
+    return _worst(got, _level_quotient(m, pts)), len(pts)
 
 
-def check_cyclic_brackets(ctx, rng, names, count, description):
+def check_cyclic_brackets(ctx, rng, names, count):
     """The declared cyclic momenta Poisson-commute with the level-set
     Hamiltonian of each model in ``names``, at ``count`` points each."""
     errors, n_pts = [], 0
@@ -310,13 +284,13 @@ def check_cyclic_brackets(ctx, rng, names, count, description):
         m = models.build(name, ctx.a)
         L = _level_kinetic(m)
         H = mechanics.hamiltonian_field(L)
-        pts = _level_points(m, ctx, rng, count)
+        pts = m.level.sample(count, ctx.subseed(rng))
         # one draw of (B, dim) is the stream of B draws of dim
         s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
-        pfs = [mechanics.momentum_field(c, L.dim) for c in m.extras["level_cyclic"]]
+        pfs = [mechanics.momentum_field(c, L.dim) for c in m.level.cyclic]
         errors.append(_worst(mechanics.poisson_bracket(pfs, H, s)))
         n_pts += len(pts)
-    return worst_of(*errors), 1e-12, n_pts, description
+    return worst_of(*errors), n_pts
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +303,7 @@ def check_toy_contraction(ctx, rng):
     got = reduction.contract(m.forms["omega"], m.killing["shift"], pts)
     want = np.zeros_like(pts)
     want[:, 0], want[:, 2] = pts[:, 0], m.a
-    return _worst(got, want), 1e-12, len(pts), (
-        "contraction of the symplectic form with the shift vector gives "
-        "r dr + a dx"
-    )
+    return _worst(got, want), len(pts)
 
 
 def check_toy_killing(ctx, rng):
@@ -342,21 +313,17 @@ def check_toy_killing(ctx, rng):
                                    m.invariant, m.fiber_index)
     pts = m.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     kd, closed = spec.validate(pts)
-    return worst_of(kd, *closed), 1e-10, len(pts), (
-        "shift vector is Killing and its contraction with the form is closed"
-    )
+    return worst_of(kd, *closed), len(pts)
 
 
 def check_toy_moment(ctx, rng):
     m = models.build("toy-parent", ctx.a)
     alpha = reduction.contraction_field(m.forms["omega"], m.killing["shift"])
-    base = np.asarray(m.extras["moment_base"])
+    base = np.asarray(m.targets["moment_base"])
     mu = m.targets["moment_map"]
     pts = m.sample(ctx.samples, ctx.subseed(rng))
     got = reduction.recover_moment_map(alpha, base, pts, base_value=mu(base))
-    return _worst(got, mu(pts.T)), 1e-8, len(pts), (
-        "line-integrated moment map matches r^2/2 + a x"
-    )
+    return _worst(got, mu(pts.T)), len(pts)
 
 
 def check_toy_complex_structure(ctx, rng):
@@ -366,9 +333,7 @@ def check_toy_complex_structure(ctx, rng):
     I = reduction.complex_structure(gv, red.forms["omega"].value(pts))
     dW = geometry.covariant_derivative_02(red.metric, red.forms["omega"], pts)
     dI = reduction.raise_first_index(gv, dW)
-    return worst_of(_worst(I @ I, -np.eye(2)), _worst(dI)), 1e-8, len(pts), (
-        "quotient complex structure squares to -1 and is covariantly constant"
-    )
+    return worst_of(_worst(I @ I, -np.eye(2)), _worst(dI)), len(pts)
 
 
 def check_toy_curvature(ctx, rng):
@@ -379,10 +344,7 @@ def check_toy_curvature(ctx, rng):
                              rng.uniform(0.05, 10.0, size=10), [10.0]])
         got = geometry.curvature_at_radii(red.metric, rs)
         worst = worst_of(worst, _worst(got, [red.targets["curvature"](r) for r in rs]))
-    return worst, 1e-6, len(A_SWEEP) * len(rs), (
-        "numeric curvature of the reduced surface matches "
-        "8 a^4 / (r^2 + a^2)^3 over r in [1e-6, 10], a in {0.5, 1, 2}"
-    )
+    return worst, len(A_SWEEP) * len(rs)
 
 
 def check_toy_euler(ctx, rng):
@@ -391,9 +353,7 @@ def check_toy_euler(ctx, rng):
         red = models.build("toy-reduced", a)
         val, quad_err = geometry.euler_characteristic(red.metric, r_scale=a)
         worst = worst_of(worst, abs(val - 2.0) + quad_err)
-    return worst, 1e-6, len(A_SWEEP), (
-        "total-curvature integral gives Euler characteristic 2 (sphere)"
-    )
+    return worst, len(A_SWEEP)
 
 
 # ---------------------------------------------------------------------------
@@ -402,25 +362,17 @@ def check_toy_euler(ctx, rng):
 
 def check_tn_radius(ctx, rng):
     gh = models.build("gh-flat", ctx.a)
-    vc = gh.embeddings["to_monopole"]
-    pts = _box_points(gh.extras["cart_box"], gh.extras["cart_exclusions"],
-                      ctx.samples, ctx.subseed(rng))
-    x = vc.value(pts)
+    pts = gh.cartesian.sample(ctx.samples, ctx.subseed(rng))
+    x = gh.embeddings["to_monopole"].value(pts)
     r = np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2)
-    return _worst(r, gh.targets["radius"](pts)), 1e-10, len(pts), (
-        "|x(y)| equals the squared Cartesian radius of y"
-    )
+    return _worst(r, gh.targets["radius"](pts)), len(pts)
 
 
 def check_tn_gh_metric(ctx, rng):
     gh = models.build("gh-flat", ctx.a)
-    vc = gh.embeddings["to_monopole"]
-    pts = _box_points(gh.extras["cart_box"], gh.extras["cart_exclusions"],
-                      ctx.samples, ctx.subseed(rng))
-    got = reduction.pullback_metric(gh.metric, vc, pts)
-    return _worst(got, np.eye(4)), 1e-8, len(pts), (
-        "monopole-coordinate metric pulls back to the flat Cartesian metric"
-    )
+    pts = gh.cartesian.sample(ctx.samples, ctx.subseed(rng))
+    got = reduction.pullback_metric(gh.metric, gh.embeddings["to_monopole"], pts)
+    return _worst(got, np.eye(4)), len(pts)
 
 
 def check_tn_gh_triple(ctx, rng):
@@ -428,18 +380,14 @@ def check_tn_gh_triple(ctx, rng):
     inv = gh.embeddings["to_cartesian"]
     pts = gh.sample(ctx.samples, ctx.subseed(rng))
     worst = worst_of(*(
-        _worst(reduction.pullback_form(gh.extras["cart_forms"][k], inv, pts),
-               form.value(pts))
+        _worst(reduction.pullback_form(gh.cartesian.forms[k], inv, pts), form.value(pts))
         for k, form in gh.forms.items()))
-    return worst, 1e-8, len(pts), (
-        "Cartesian symplectic triple re-expressed in (x, Psi) matches the "
-        "monopole-potential closed forms"
-    )
+    return worst, len(pts)
 
 
 def check_tn_curl(ctx, rng):
-    pts = _box_points(((-2.0, 2.0),) * 3, (models._string_exclusion(0.4),),
-                      ctx.samples, ctx.subseed(rng))
+    pts = sample_points(SampleSpec(((-2.0, 2.0),) * 3, ctx.samples, ctx.subseed(rng),
+                                   (models._string_exclusion(0.4),)))
     # fd_oracle's central differences, a batch per shift: dA[i][:, m] = d A_m / d x_i
     dA = []
     for i in range(3):
@@ -449,73 +397,57 @@ def check_tn_curl(ctx, rng):
                   / (2 * h[:, i, None]))
     curl = np.stack([-dA[2][:, 1], dA[2][:, 0], dA[0][:, 1] - dA[1][:, 0]], axis=-1)
     want = [models.MONOPOLE_CURL_SIGN * x / float(np.linalg.norm(x)) ** 3 for x in pts]
-    return _worst(curl, np.array(want)), 1e-6, len(pts), (
-        "finite-difference curl of the monopole potential is -x/r^3"
-    )
+    return _worst(curl, np.array(want)), len(pts)
 
 
 def check_tn_moment_gradients(ctx, rng):
-    m = models.build("r8-parent", ctx.a)
-    pts = _box_points(m.extras["cart_box"], m.extras["cart_exclusions"],
-                      ctx.samples, ctx.subseed(rng))
+    cart = models.build("r8-parent", ctx.a).cartesian
+    pts = cart.sample(ctx.samples, ctx.subseed(rng))
     pairs = (("omega_I", "mu_I"), ("omega_J", "mu_J"), ("omega_K", "mu_K"))
     worst = worst_of(*(
-        _worst(reduction.contract(m.extras["cart_forms"][wk], m.extras["cart_killing"],
-                                  pts),
-               evaluate_jet(m.extras["cart_moments"][mk], pts, order=1).gradient.T)
+        _worst(reduction.contract(cart.forms[wk], cart.killing["G"], pts),
+               evaluate_jet(cart.targets[mk], pts, order=1).gradient.T)
         for wk, mk in pairs))
-    return worst, 1e-8, len(pts), (
-        "each contraction i_V omega is the gradient of its moment map"
-    )
+    return worst, len(pts)
 
 
 def check_tn_level_moments(ctx, rng):
     m = models.build("r8-parent", ctx.a)
-    lev = m.embeddings["level"]
-    pts = _level_points(m, ctx, rng, ctx.samples)
-    P = lev.value(pts).T  # one coordinate array per component
+    pts = m.level.sample(ctx.samples, ctx.subseed(rng))
+    P = m.embeddings["level"].value(pts).T  # one coordinate array per component
     worst = worst_of(*(_worst(m.targets[mk](P)) for mk in ("mu_I", "mu_J", "mu_K")))
-    return worst, 1e-12, len(pts), (
-        "all three moment maps vanish along the declared level-set embedding"
-    )
+    return worst, len(pts)
 
 
 def check_tn_killing(ctx, rng):
     m = models.build("r8-parent", ctx.a)
     pts = m.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     dev = geometry.killing_deviation(m.metric, m.killing["G"], pts)
-    cpts = _box_points(m.extras["cart_box"], m.extras["cart_exclusions"],
-                       max(10, ctx.samples // 5), ctx.subseed(rng))
-    cdev = geometry.killing_deviation(m.extras["cart_metric"], m.extras["cart_killing"],
-                                      cpts)
-    return worst_of(_worst(dev), _worst(cdev)), 1e-10, len(pts) + len(cpts), (
-        "the rotation + shift isometry is Killing in both charts"
-    )
+    cart = m.cartesian
+    cpts = cart.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
+    cdev = geometry.killing_deviation(cart.metric, cart.killing["G"], cpts)
+    return worst_of(_worst(dev), _worst(cdev)), len(pts) + len(cpts)
 
 
 def check_tn_triple_closed(ctx, rng):
     tn = models.build("taub-nut", ctx.a)
     pts = tn.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
-    worst = worst_of(*(_worst(reduction.exterior_derivative(f, pts))
-                       for f in tn.forms.values()))
-    return worst, 1e-8, len(pts), "quotient triple is closed"
+    return worst_of(*(_worst(reduction.exterior_derivative(f, pts))
+                      for f in tn.forms.values())), len(pts)
 
 
 def check_tn_hyperkahler(ctx, rng):
     tn = models.build("taub-nut", ctx.a)
     pts = tn.sample(ctx.samples, ctx.subseed(rng))
     eye = np.eye(4)
-    keys = ("omega_I", "omega_J", "omega_K")
     gv = tn.metric.value(pts)
-    I, J, K = (reduction.complex_structure(gv, tn.forms[k].value(pts)) for k in keys)
+    I, J, K = (reduction.complex_structure(gv, f.value(pts)) for f in tn.forms.values())
     worst = worst_of(
         _worst(I @ I, -eye), _worst(J @ J, -eye), _worst(K @ K, -eye),
         _worst(I @ J, K), _worst(J @ K, I), _worst(K @ I, J),
         *(_worst(geometry.covariant_derivative_02(tn.metric, f, pts))
           for f in tn.forms.values()))
-    return worst, 1e-7, len(pts), (
-        "Taub-NUT triple is quaternionic and covariantly constant"
-    )
+    return worst, len(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -540,15 +472,13 @@ def check_mech_roundtrip(ctx, rng):
                                        lambda c, S=np.moveaxis(Ms, 0, -1): S)
         Minv = mechanics.legendre_to_hamiltonian(L, np.zeros((len(Ms), d)))
         errors.append(_worst(geometry._solve(Minv, np.eye(d)), Ms))
-    return worst_of(*errors), 1e-12, count, (
-        "Legendre transform is an involution on random SPD mass matrices"
-    )
+    return worst_of(*errors), count
 
 
 def check_mech_toy_matrix(ctx, rng):
     m = models.build("toy-parent", ctx.a)
     a = m.a
-    pts = _level_points(m, ctx, rng, ctx.samples)
+    pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     Minv = mechanics.legendre_to_hamiltonian(_level_kinetic(m), pts)
     r2 = pts[:, 0] * pts[:, 0]
     want = np.zeros_like(Minv)
@@ -556,39 +486,20 @@ def check_mech_toy_matrix(ctx, rng):
     want[:, 1, 1] = 1.0 / a ** 2
     want[:, 1, 2] = want[:, 2, 1] = -1.0 / a ** 2
     want[:, 2, 2] = (1.0 + r2 / a ** 2) / r2
-    return _worst(Minv, want), 1e-12, len(pts), (
-        "toy Hamiltonian kinetic matrix matches the closed-form coefficients"
-    )
-
-
-def check_mech_conserved(ctx, rng):
-    return check_cyclic_brackets(
-        ctx, rng, ("toy-parent", "r8-parent"), max(5, ctx.samples // 10),
-        "declared cyclic momenta Poisson-commute with both model Hamiltonians")
+    return _worst(Minv, want), len(pts)
 
 
 def check_mech_equivalence(ctx, rng):
-    worst = worst_of(
+    return worst_of(
         check_hamiltonian_equivalence(ctx, rng, "toy-parent", ctx.samples, 3)[0],
         check_hamiltonian_equivalence(ctx, rng, "r8-parent",
-                                      max(10, ctx.samples // 2), 2)[0])
-    return worst, 1e-12, 2, (
-        "constraining the fiber momentum equals the metric quotient on every "
-        "registered reduction model"
-    )
+                                      max(10, ctx.samples // 2), 2)[0]), 2
 
 
 def check_mech_singular(ctx, rng):
-    L = mechanics.QuadraticKinetic(("u", "v"),
-                                   lambda c: [[1.0, 1.0], [None, 1.0]])
-    try:
-        mechanics.legendre_to_hamiltonian(L, [0.0, 0.0])
-        err = 1.0
-    except mechanics.DegenerateLagrangianError:
-        err = 0.0
-    return err, 0.0, 1, (
-        "singular mass matrix is rejected (expected failure is detected)"
-    )
+    L = mechanics.QuadraticKinetic(("u", "v"), lambda c: [[1.0, 1.0], [None, 1.0]])
+    return _rejected(mechanics.DegenerateLagrangianError,
+                     lambda: mechanics.legendre_to_hamiltonian(L, [0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +510,7 @@ def check_hygiene_jets_vs_fd(ctx, rng):
     worst_g = worst_h = 0.0
     n = 0
     for spec in models.scalar_fields(ctx.a):
-        pts = _box_points(spec.box, spec.exclusions, 8, ctx.subseed(rng))
+        pts = sample_points(SampleSpec(spec.box, 8, ctx.subseed(rng), spec.exclusions))
         jet = evaluate_jet(spec.fn, pts)
         ora = fd_oracle(spec.fn, pts, exclusions=spec.exclusions)
         worst_g = worst_of(worst_g, _worst(jet.gradient, ora.gradient))
@@ -607,92 +518,139 @@ def check_hygiene_jets_vs_fd(ctx, rng):
         n += len(pts)
     # gradients judged at 1e-6, second derivatives at 1e-4; scale the latter
     # so a single worst-error number respects both
-    err = worst_of(worst_g, worst_h * (1e-6 / 1e-4))
-    return err, 1e-6, n, (
-        "jet derivatives match central differences on every registered "
-        "scalar field (gradient 1e-6, second derivatives 1e-4)"
-    )
+    return worst_of(worst_g, worst_h * (1e-6 / 1e-4)), n
 
 
-SUITES = {
-    "heavenly": [
-        ("heavenly.coset_constant_n2", lambda c, r: check_coset_constant(c, r, 2)),
-        ("heavenly.coset_constant_n4", lambda c, r: check_coset_constant(c, r, 4)),
-        ("heavenly.det_equality_n2", check_det_equality),
-        ("heavenly.negative_control", check_negative_control),
-        ("heavenly.quaternion_triple", check_quaternion_triple),
-        ("heavenly.covariant_constancy", check_covariant_constancy),
-        ("heavenly.covariant_negative_control", check_covariant_negative_control),
-        ("heavenly.sp_algebra", check_sp_algebra),
-    ],
-    "toy": [
-        ("toy.contraction", check_toy_contraction),
-        ("toy.killing_and_closure", check_toy_killing),
-        ("toy.moment_recovery", check_toy_moment),
-        ("toy.level_pullback", lambda c, r: check_level_pullback(
-            c, r, "toy-parent",
-            "pullback onto the zero level set matches the closed-form 3-metric")),
-        ("toy.quotient_metric", lambda c, r: check_quotient_metric(
-            c, r, "toy-parent",
-            lambda m, p: models.build("toy-reduced", m.a).metric.value(p[:, [0, 2]]),
-            "orthogonal-projection quotient matches the reduced surface metric")),
-        ("toy.quotient_form", lambda c, r: check_quotient_forms(
-            c, r, "toy-parent",
-            lambda m, p: [models.build("toy-reduced", m.a).forms["omega"]
-                          .value(p[:, [0, 2]])],
-            1e-10, "fiber components of the pulled-back form cancel and the rest is "
-                   "the area form r dr d chi")),
-        ("toy.quotient_complex_structure", check_toy_complex_structure),
-        ("toy.hamiltonian_equivalence", lambda c, r: check_hamiltonian_equivalence(
-            c, r, "toy-parent", c.samples, 3,
-            "setting the fiber momentum to zero reproduces the geometric quotient")),
-        ("toy.cyclic_brackets", lambda c, r: check_cyclic_brackets(
-            c, r, ("toy-parent",), max(10, c.samples // 5),
-            "momenta of the cyclic angles Poisson-commute with the Hamiltonian")),
-        ("toy.curvature_profile", check_toy_curvature),
-        ("toy.euler_characteristic", check_toy_euler),
-    ],
-    "taubnut": [
-        ("taubnut.radius_identity", check_tn_radius),
-        ("taubnut.cartesian_metric", check_tn_gh_metric),
-        ("taubnut.coordinate_triple", check_tn_gh_triple),
-        ("taubnut.monopole_curl", check_tn_curl),
-        ("taubnut.moment_gradients", check_tn_moment_gradients),
-        ("taubnut.level_moments_vanish", check_tn_level_moments),
-        ("taubnut.killing", check_tn_killing),
-        ("taubnut.level_pullback", lambda c, r: check_level_pullback(
-            c, r, "r8-parent",
-            "metric restricted to the triple zero level set matches the "
-            "closed-form 5-metric")),
-        ("taubnut.quotient_metric", lambda c, r: check_quotient_metric(
-            c, r, "r8-parent", lambda m, p: models.taub_nut_metric(p[:, :3], m.a),
-            "projecting out the circle fiber of the 5-metric gives the "
-            "Taub-NUT closed form")),
-        ("taubnut.quotient_triple", lambda c, r: check_quotient_forms(
-            c, r, "r8-parent", lambda m, p: models.taub_nut_triple(p[:, :3], m.a),
-            1e-8, "pulled-back triple drops its fiber components and equals the flat "
-                  "forms with 1/r -> 1/r + 1/a^2")),
-        ("taubnut.triple_closed", check_tn_triple_closed),
-        ("taubnut.hyperkahler", check_tn_hyperkahler),
-        ("taubnut.hamiltonian_equivalence", lambda c, r: check_hamiltonian_equivalence(
-            c, r, "r8-parent", max(10, c.samples // 2), 2,
-            "Hamiltonian reduction of the 5-chart kinetic term equals the "
-            "geometric quotient")),
-    ],
-    "mechanics": [
-        ("mechanics.legendre_roundtrip", check_mech_roundtrip),
-        ("mechanics.toy_kinetic_matrix", check_mech_toy_matrix),
-        ("mechanics.conserved_momenta", check_mech_conserved),
-        ("mechanics.reduction_equivalence", check_mech_equivalence),
-        ("mechanics.singular_mass_rejected", check_mech_singular),
-    ],
-}
+# ---------------------------------------------------------------------------
+# the claims
 
-SUITES["all"] = (SUITES["heavenly"] + SUITES["toy"] + SUITES["taubnut"]
-                 + SUITES["mechanics"]
-                 + [("hygiene.jets_vs_finite_differences", check_hygiene_jets_vs_fd)])
+#: ``(check_id, tolerance, description, measure)`` of every check, in the
+#: order ``all`` runs them.  ``measure(ctx, rng)`` returns the worst error and
+#: the sample count; ``{samples}`` in a description is that count.
+CLAIMS = [
+    ("heavenly.coset_constant_n2", 1e-10,
+     "unit-determinant condition h Om h^T = C Om with C = 1 on {samples} "
+     "random exp(v.t) metrics, n = 2",
+     lambda c, r: check_coset_constant(c, r, 2)),
+    ("heavenly.coset_constant_n4", 1e-10,
+     "unit-determinant condition h Om h^T = C Om with C = 1 on {samples} "
+     "random exp(v.t) metrics, n = 4",
+     lambda c, r: check_coset_constant(c, r, 4)),
+    ("heavenly.det_equality_n2", 1e-12,
+     "for n = 2 the proportionality constant C equals det h", check_det_equality),
+    ("heavenly.negative_control", 0.0,
+     "diag(1, 1, 2, 1) must be rejected by the unit-determinant check "
+     "(expected failure is detected)", check_negative_control),
+    ("heavenly.quaternion_triple", 1e-10,
+     "I, J, K from passing metrics obey the quaternion algebra "
+     "(squares -1, IJ = K, JK = I, KI = J)", check_quaternion_triple),
+    ("heavenly.covariant_constancy", 1e-8,
+     "the J/K pair is covariantly constant for the varying "
+     "unit-determinant metric (both J + iK and J - iK)", check_covariant_constancy),
+    ("heavenly.covariant_negative_control", 0.0,
+     "varying-determinant control metric must break covariant constancy "
+     "by more than 1e-3 (expected failure is detected)",
+     check_covariant_negative_control),
+    ("heavenly.sp_algebra", 1e-8,
+     "derivative matrices 2 (d_p h) h^-1 of a passing metric lie in the "
+     "symplectic algebra (X Om + Om X^T = 0)", check_sp_algebra),
+    ("toy.contraction", 1e-12,
+     "contraction of the symplectic form with the shift vector gives r dr + a dx",
+     check_toy_contraction),
+    ("toy.killing_and_closure", 1e-10,
+     "shift vector is Killing and its contraction with the form is closed",
+     check_toy_killing),
+    ("toy.moment_recovery", 1e-8,
+     "line-integrated moment map matches r^2/2 + a x", check_toy_moment),
+    ("toy.level_pullback", 1e-10,
+     "pullback onto the zero level set matches the closed-form 3-metric",
+     lambda c, r: check_level_pullback(c, r, "toy-parent")),
+    ("toy.quotient_metric", 1e-10,
+     "orthogonal-projection quotient matches the reduced surface metric",
+     lambda c, r: check_quotient_metric(c, r, "toy-parent", lambda m, p: models.build(
+         "toy-reduced", m.a).metric.value(p[:, [0, 2]]))),
+    ("toy.quotient_form", 1e-10,
+     "fiber components of the pulled-back form cancel and the rest is "
+     "the area form r dr d chi",
+     lambda c, r: check_quotient_forms(c, r, "toy-parent", lambda m, p: [models.build(
+         "toy-reduced", m.a).forms["omega"].value(p[:, [0, 2]])])),
+    ("toy.quotient_complex_structure", 1e-8,
+     "quotient complex structure squares to -1 and is covariantly constant",
+     check_toy_complex_structure),
+    ("toy.hamiltonian_equivalence", 1e-12,
+     "setting the fiber momentum to zero reproduces the geometric quotient",
+     lambda c, r: check_hamiltonian_equivalence(c, r, "toy-parent", c.samples, 3)),
+    ("toy.cyclic_brackets", 1e-12,
+     "momenta of the cyclic angles Poisson-commute with the Hamiltonian",
+     lambda c, r: check_cyclic_brackets(c, r, ("toy-parent",), max(10, c.samples // 5))),
+    ("toy.curvature_profile", 1e-6,
+     "numeric curvature of the reduced surface matches "
+     "8 a^4 / (r^2 + a^2)^3 over r in [1e-6, 10], a in {0.5, 1, 2}", check_toy_curvature),
+    ("toy.euler_characteristic", 1e-6,
+     "total-curvature integral gives Euler characteristic 2 (sphere)", check_toy_euler),
+    ("taubnut.radius_identity", 1e-10,
+     "|x(y)| equals the squared Cartesian radius of y", check_tn_radius),
+    ("taubnut.cartesian_metric", 1e-8,
+     "monopole-coordinate metric pulls back to the flat Cartesian metric",
+     check_tn_gh_metric),
+    ("taubnut.coordinate_triple", 1e-8,
+     "Cartesian symplectic triple re-expressed in (x, Psi) matches the "
+     "monopole-potential closed forms", check_tn_gh_triple),
+    ("taubnut.monopole_curl", 1e-6,
+     "finite-difference curl of the monopole potential is -x/r^3", check_tn_curl),
+    ("taubnut.moment_gradients", 1e-8,
+     "each contraction i_V omega is the gradient of its moment map",
+     check_tn_moment_gradients),
+    ("taubnut.level_moments_vanish", 1e-12,
+     "all three moment maps vanish along the declared level-set embedding",
+     check_tn_level_moments),
+    ("taubnut.killing", 1e-10,
+     "the rotation + shift isometry is Killing in both charts", check_tn_killing),
+    ("taubnut.level_pullback", 1e-10,
+     "metric restricted to the triple zero level set matches the closed-form 5-metric",
+     lambda c, r: check_level_pullback(c, r, "r8-parent")),
+    ("taubnut.quotient_metric", 1e-10,
+     "projecting out the circle fiber of the 5-metric gives the Taub-NUT closed form",
+     lambda c, r: check_quotient_metric(
+         c, r, "r8-parent", lambda m, p: models.taub_nut_metric(p[:, :3], m.a))),
+    ("taubnut.quotient_triple", 1e-8,
+     "pulled-back triple drops its fiber components and equals the flat "
+     "forms with 1/r -> 1/r + 1/a^2",
+     lambda c, r: check_quotient_forms(
+         c, r, "r8-parent", lambda m, p: models.taub_nut_triple(p[:, :3], m.a))),
+    ("taubnut.triple_closed", 1e-8, "quotient triple is closed", check_tn_triple_closed),
+    ("taubnut.hyperkahler", 1e-7,
+     "Taub-NUT triple is quaternionic and covariantly constant", check_tn_hyperkahler),
+    ("taubnut.hamiltonian_equivalence", 1e-12,
+     "Hamiltonian reduction of the 5-chart kinetic term equals the geometric quotient",
+     lambda c, r: check_hamiltonian_equivalence(
+         c, r, "r8-parent", max(10, c.samples // 2), 2)),
+    ("mechanics.legendre_roundtrip", 1e-12,
+     "Legendre transform is an involution on random SPD mass matrices",
+     check_mech_roundtrip),
+    ("mechanics.toy_kinetic_matrix", 1e-12,
+     "toy Hamiltonian kinetic matrix matches the closed-form coefficients",
+     check_mech_toy_matrix),
+    ("mechanics.conserved_momenta", 1e-12,
+     "declared cyclic momenta Poisson-commute with both model Hamiltonians",
+     lambda c, r: check_cyclic_brackets(c, r, ("toy-parent", "r8-parent"),
+                                        max(5, c.samples // 10))),
+    ("mechanics.reduction_equivalence", 1e-12,
+     "constraining the fiber momentum equals the metric quotient on every "
+     "registered reduction model", check_mech_equivalence),
+    ("mechanics.singular_mass_rejected", 0.0,
+     "singular mass matrix is rejected (expected failure is detected)",
+     check_mech_singular),
+    ("hygiene.jets_vs_finite_differences", 1e-6,
+     "jet derivatives match central differences on every registered "
+     "scalar field (gradient 1e-6, second derivatives 1e-4)", check_hygiene_jets_vs_fd),
+]
 
 SUITE_NAMES = ("all", "heavenly", "toy", "taubnut", "mechanics")
+
+#: Each suite's rows of :data:`CLAIMS`, chosen by the prefix of the check id.
+SUITES = {suite: [row for row in CLAIMS if suite == "all" or row[0].startswith(suite + ".")]
+          for suite in SUITE_NAMES}
 
 
 def run_suite(suite, seed=0, samples=50, a=1.0):
@@ -712,12 +670,13 @@ def run_suite(suite, seed=0, samples=50, a=1.0):
         raise ValueError(f"seed must be >= 0, got {seed}")
     ctx = CheckContext(seed=int(seed), samples=int(samples), a=models._check_a(a))
     reports = []
-    for check_id, fn in SUITES[suite]:
+    for check_id, tol, description, measure in SUITES[suite]:
         rng = ctx.rng(check_id)
         t0 = time.perf_counter()
         error = None
         try:
-            err, tol, n, description = fn(ctx, rng)
+            err, n = measure(ctx, rng)
+            description = description.replace("{samples}", str(n))
         except Exception as exc:  # one crashing check must not end the run
             err, tol, n = math.nan, math.nan, 0
             description = "the check raised before reporting a result"

@@ -74,7 +74,8 @@ def _cmd_verify(args):
           f"(suite={args.suite}, seed={manifest.seed}, "
           f"samples={manifest.samples}, a={manifest.a:g})")
     if args.json is not None:
-        payload = json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
+        payload = json.dumps(manifest.to_dict(), indent=2, sort_keys=True,
+                             allow_nan=False) + "\n"
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(payload)

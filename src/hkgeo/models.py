@@ -22,6 +22,12 @@ uses:
     The quotient 4-manifold on ``(x, chi)``: deformed monopole metric and
     its triple, related to the flat forms by ``1/r -> 1/r + 1/a^2``.
 
+The first reduction stage's level set is a :class:`Model` of its own,
+``m.level`` (its chart, metric, ``killing["fiber"]``, box, exclusions and
+cyclic coordinates), and so is a Cartesian picture, ``m.cartesian`` (its
+metric, forms, ``killing["G"]``, moment maps as ``targets``, box and
+exclusions); each samples its own domain with ``sample``.
+
 Sampling boxes keep clear of coordinate degeneracies: radial coordinates
 in ``[0.3, 3]``, angles in ``[0.1, 5.9]``, Cartesian components in
 ``[-2, 2]`` with the monopole string (the half-axis ``x_1 = x_2 = 0,
@@ -87,17 +93,20 @@ class ScalarFieldSpec(Frozen):
 class Model(Record):
     """One registry entry: a chart with everything the pipelines consume.
 
-    ``forms``, ``killing``, ``embeddings``, ``targets`` and ``extras``
-    default to a new empty dict for each model.
+    ``forms``, ``killing``, ``embeddings`` and ``targets`` default to a new
+    empty dict for each model.  A reduction parent carries its level set as
+    the model ``level`` (chart, metric, ``killing["fiber"]``, box,
+    exclusions, cyclic coordinates), and a model with a Cartesian picture
+    carries it as the model ``cartesian``; both are None otherwise.
     """
 
     __slots__ = ("name", "a", "chart", "metric", "forms", "killing", "embeddings",
                  "targets", "box", "exclusions", "cyclic", "fiber_index", "invariant",
-                 "extras")
+                 "level", "cartesian")
 
     def __init__(self, name, a, chart, metric, forms=None, killing=None, embeddings=None,
                  targets=None, box=(), exclusions=(), cyclic=(), fiber_index=None,
-                 invariant=None, extras=None):
+                 invariant=None, level=None, cartesian=None):
         self.name, self.a, self.chart, self.metric = name, a, chart, metric
         self.forms = {} if forms is None else forms
         self.killing = {} if killing is None else killing
@@ -105,7 +114,7 @@ class Model(Record):
         self.targets = {} if targets is None else targets
         self.box, self.exclusions, self.cyclic = box, exclusions, cyclic
         self.fiber_index, self.invariant = fiber_index, invariant
-        self.extras = {} if extras is None else extras
+        self.level, self.cartesian = level, cartesian
 
     def sample(self, count, seed=0):
         return sample_points(SampleSpec(self.box, count, seed, self.exclusions))
@@ -202,8 +211,6 @@ def toy_parent(a=1.0):
                 [None, r2 + a * a, r2],
                 [None, None, r2]]
 
-    level_metric = MetricField(level_chart, level_gfn, name="level 3-metric")
-
     def moment(c):
         return c[0] * c[0] / 2.0 + a * c[2]
 
@@ -215,20 +222,17 @@ def toy_parent(a=1.0):
         forms={"omega": omega},
         killing={"shift": V},
         embeddings={"level": level},
-        targets={"moment_map": moment,
-                 "level_metric": lambda p: level_metric.value(p)},
+        targets={"moment_map": moment, "moment_base": (1.0, 0.5, -0.5 / a, 0.3)},
         box=((*_RADIAL,), (*_ANGLE,), (*_CART,), (*_ANGLE,)),
         fiber_index=1,
         invariant=(0, 2),
-        extras={
-            "level_chart": level_chart,
-            "level_metric": level_metric,
-            "level_box": ((*_RADIAL,), (*_ANGLE,), (*_ANGLE,)),
-            "level_cyclic": (1, 2),
-            "level_fiber": VectorFieldR(level_chart, lambda c: [0.0, 1.0, 0.0],
-                                        name="level fiber"),
-            "moment_base": (1.0, 0.5, -0.5 / a, 0.3),
-        },
+        level=Model(
+            "toy-parent level", a, level_chart,
+            MetricField(level_chart, level_gfn, name="level 3-metric"),
+            killing={"fiber": VectorFieldR(level_chart, lambda c: [0.0, 1.0, 0.0],
+                                           name="level fiber")},
+            box=((*_RADIAL,), (*_ANGLE,), (*_ANGLE,)),
+            cyclic=(1, 2)),
     )
 
 
@@ -362,8 +366,6 @@ def gh_flat(a=1.0):
     cart = Chart(("y1", "y2", "y3", "y4"))
     metric = MetricField(chart, _gh4_entries, name="monopole-coordinate flat")
     om_I, om_J, om_K = _xpsi_triple_fns(lambda r: 1.0 / r)
-
-    cart_metric = MetricField(cart, lambda c: np.eye(4), name="cartesian flat")
     eye_w = {
         "omega_I": [(0, 1, 1.0), (2, 3, 1.0)],
         "omega_J": [(0, 2, 1.0), (1, 3, -1.0)],
@@ -390,13 +392,12 @@ def gh_flat(a=1.0):
         box=((*_CART,), (*_CART,), (*_CART,), (*_ANGLE,)),
         exclusions=(_string_exclusion(),),
         cyclic=(3,),
-        extras={
-            "cart_chart": cart,
-            "cart_metric": cart_metric,
-            "cart_forms": {k: _constant_form(cart, v, k) for k, v in eye_w.items()},
-            "cart_box": ((*_CART,), (*_CART,), (*_CART,), (*_CART,)),
-            "cart_exclusions": (_pole_exclusion(),),
-        },
+        cartesian=Model(
+            "gh-flat cartesian", float(a), cart,
+            MetricField(cart, lambda c: np.eye(4), name="cartesian flat"),
+            forms={k: _constant_form(cart, v, k) for k, v in eye_w.items()},
+            box=((*_CART,), (*_CART,), (*_CART,), (*_CART,)),
+            exclusions=(_pole_exclusion(),)),
     )
 
 
@@ -482,9 +483,7 @@ def r8_parent(a=1.0):
         rows[4][4] = rows[4][4] + a * a
         return rows
 
-    level_metric = MetricField(level_chart, level_gfn, name="5-metric")
-
-    # moment maps as functions of each chart
+    # the moment maps in the Cartesian chart
     def mu_I_cart(c):
         return 0.5 * (c[0] * c[0] + c[1] * c[1] - c[2] * c[2] - c[3] * c[3]) + a * c[6]
 
@@ -494,12 +493,6 @@ def r8_parent(a=1.0):
     def mu_K_cart(c):
         return c[1] * c[3] - c[0] * c[2] + a * c[5]
 
-    moments_gh = {
-        "mu_I": lambda c: 0.5 * c[2] + a * c[6],
-        "mu_J": lambda c: 0.5 * c[0] + a * c[4],
-        "mu_K": lambda c: 0.5 * c[1] + a * c[5],
-    }
-
     return Model(
         name="r8-parent",
         a=a,
@@ -508,33 +501,32 @@ def r8_parent(a=1.0):
         forms=forms,
         killing={"G": gh_V},
         embeddings={"level": level},
-        targets={"mu_I": moments_gh["mu_I"], "mu_J": moments_gh["mu_J"],
-                 "mu_K": moments_gh["mu_K"],
-                 "level_metric": lambda p: level_metric.value(p)},
+        targets={"mu_I": lambda c: 0.5 * c[2] + a * c[6],
+                 "mu_J": lambda c: 0.5 * c[0] + a * c[4],
+                 "mu_K": lambda c: 0.5 * c[1] + a * c[5]},
         box=((*_CART,), (*_CART,), (*_CART,), (*_ANGLE,),
              (*_CART,), (*_CART,), (*_CART,), (*_ANGLE,)),
         exclusions=(_string_exclusion(),),
         fiber_index=4,
         invariant=(0, 1, 2, 3),
-        extras={
-            "cart_chart": cart,
-            "cart_metric": MetricField(cart, cart_gfn, name="8-metric, cartesian"),
-            "cart_forms": {k: _constant_form(cart, v, k) for k, v in cart_w.items()},
-            "cart_killing": cart_V,
-            "cart_moments": {"mu_I": mu_I_cart, "mu_J": mu_J_cart,
-                             "mu_K": mu_K_cart},
-            "cart_box": ((*_CART,), (*_CART,), (*_CART,), (*_CART,),
-                         (*_CART,), (*_CART,), (*_CART,), (*_ANGLE,)),
-            "cart_exclusions": (_pole_exclusion(),),
-            "level_chart": level_chart,
-            "level_metric": level_metric,
-            "level_box": ((*_CART,), (*_CART,), (*_CART,), (*_ANGLE,), (*_ANGLE,)),
-            "level_exclusions": (_string_exclusion(),),
-            "level_cyclic": (3, 4),
-            "level_fiber": VectorFieldR(level_chart,
-                                        lambda c: [0.0, 0.0, 0.0, 0.0, 1.0],
-                                        name="G fiber"),
-        },
+        level=Model(
+            "r8-parent level", a, level_chart,
+            MetricField(level_chart, level_gfn, name="5-metric"),
+            killing={"fiber": VectorFieldR(level_chart,
+                                           lambda c: [0.0, 0.0, 0.0, 0.0, 1.0],
+                                           name="G fiber")},
+            box=((*_CART,), (*_CART,), (*_CART,), (*_ANGLE,), (*_ANGLE,)),
+            exclusions=(_string_exclusion(),),
+            cyclic=(3, 4)),
+        cartesian=Model(
+            "r8-parent cartesian", a, cart,
+            MetricField(cart, cart_gfn, name="8-metric, cartesian"),
+            forms={k: _constant_form(cart, v, k) for k, v in cart_w.items()},
+            killing={"G": cart_V},
+            targets={"mu_I": mu_I_cart, "mu_J": mu_J_cart, "mu_K": mu_K_cart},
+            box=((*_CART,), (*_CART,), (*_CART,), (*_CART,),
+                 (*_CART,), (*_CART,), (*_CART,), (*_ANGLE,)),
+            exclusions=(_pole_exclusion(),)),
     )
 
 
@@ -647,9 +639,12 @@ def scalar_fields(a=1.0):
 
     The derivative-consistency suite (jets against central differences)
     sweeps exactly this list, so any new closed-form function should be
-    registered here.  The moment maps are the models' own callables, so the
-    sweep checks the functions the other checks use.
+    registered here.  The moment maps and Kaehler potentials are the models'
+    and ``kahler``'s own callables, so the sweep checks the functions the
+    other checks use.
     """
+    from . import kahler  # here, not at the top: importing models loads no kahler
+
     a = _check_a(a)
     string = (_string_exclusion(),)
     pole = (_pole_exclusion(),)
@@ -673,17 +668,7 @@ def scalar_fields(a=1.0):
         r = r_of_x(c)
         return 0.25 / (1.0 / r + 1.0 / (a * a))
 
-    def shear_potential(c):
-        u1, v1, u2, v2 = c
-        r2 = u1 * u1 + v1 * v1
-        return (r2 + r2 * r2 / 4.0 + u2 * u2 + v2 * v2
-                + (u1 * u1 - v1 * v1) * u2 + 2.0 * u1 * v1 * v2)
-
-    def single_potential(c):
-        r2 = c[0] * c[0] + c[1] * c[1]
-        return r2 + r2 * r2 / 4.0
-
-    mu_cart = r8_parent(a).extras["cart_moments"]
+    mu_cart = r8_parent(a).cartesian.targets
 
     return (
         ScalarFieldSpec("toy-moment-map", toy_parent(a).targets["moment_map"],
@@ -704,7 +689,8 @@ def scalar_fields(a=1.0):
                           box4y + box3 + ((*_ANGLE,),), pole) for k in "IJK"),
         ScalarFieldSpec("taub-nut-fiber-norm", tn_fiber_norm,
                         box3 + ((*_ANGLE,),), string),
-        ScalarFieldSpec("potential-shear", shear_potential, kbox),
-        ScalarFieldSpec("potential-single-mode", single_potential,
+        ScalarFieldSpec("potential-shear", kahler.unit_determinant_shear_field().potential,
+                        kbox),
+        ScalarFieldSpec("potential-single-mode", kahler.single_mode_field().potential,
                         ((-1.5, 1.5), (-1.5, 1.5))),
     )

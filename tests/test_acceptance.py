@@ -139,10 +139,10 @@ def test_criterion_05_toy_reduction():
     m = models.build("toy-parent", 1.0)
     red = models.build("toy-reduced", 1.0)
     lev = m.embeddings["level"]
-    lm = m.extras["level_metric"]
-    fiber = m.extras["level_fiber"]
+    lm = m.level.metric
+    fiber = m.level.killing["fiber"]
     worst_pull = worst_quot = 0.0
-    for p in _pts(m.extras["level_box"], count=N_POINTS):
+    for p in _pts(m.level.box, count=N_POINTS):
         got = reduction.pullback_metric(m.metric, lev, p)
         worst_pull = max(worst_pull, float(np.max(np.abs(got - lm.value(p)))))
         q = reduction.quotient_metric(lm, fiber, m.invariant, p)
@@ -155,12 +155,12 @@ def test_criterion_05_toy_reduction():
 
 def test_criterion_06_hamiltonian_route():
     m = models.build("toy-parent", 1.0)
-    lm = m.extras["level_metric"]
-    L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, lm.fn)
-    pts = _pts(m.extras["level_box"], count=N_POINTS)
+    lm = m.level.metric
+    L = mechanics.QuadraticKinetic(m.level.chart.names, lm.fn)
+    pts = _pts(m.level.box, count=N_POINTS)
     L2 = mechanics.constrain_and_reduce(L, m.fiber_index,
                                         probe_points=[list(p) for p in pts[:3]])
-    fiber = m.extras["level_fiber"]
+    fiber = m.level.killing["fiber"]
     worst_eq = 0.0
     for p in pts:
         got = L2.matrix([p[0], p[2]])
@@ -202,7 +202,7 @@ def test_criterion_08_coordinate_change():
     gh = models.build("gh-flat", 1.0)
     to_x = gh.embeddings["to_monopole"]
     worst_flat = 0.0
-    for y in _pts(gh.extras["cart_box"], gh.extras["cart_exclusions"]):
+    for y in _pts(gh.cartesian.box, gh.cartesian.exclusions):
         got = reduction.pullback_metric(gh.metric, to_x, y)
         worst_flat = max(worst_flat, float(np.max(np.abs(got - np.eye(4)))))
 
@@ -210,7 +210,7 @@ def test_criterion_08_coordinate_change():
     worst_forms = 0.0
     for p in gh.sample(N_POINTS, seed=SEED):
         for k, form in gh.forms.items():
-            got = reduction.pullback_form(gh.extras["cart_forms"][k], to_y, p)
+            got = reduction.pullback_form(gh.cartesian.forms[k], to_y, p)
             worst_forms = max(worst_forms,
                               float(np.max(np.abs(got - form.value(p)))))
     # the coefficient tables in the write-up drop wedge-annihilated terms;
@@ -225,24 +225,24 @@ def test_criterion_08_coordinate_change():
 
 def test_criterion_09_taub_nut_pipeline():
     m = models.build("r8-parent", 1.0)
-    cart_pts = _pts(m.extras["cart_box"], m.extras["cart_exclusions"])
+    cart_pts = _pts(m.cartesian.box, m.cartesian.exclusions)
     worst_mu = 0.0
     for q in cart_pts:
         for wk, mk in (("omega_I", "mu_I"), ("omega_J", "mu_J"),
                        ("omega_K", "mu_K")):
-            alpha = reduction.contract(m.extras["cart_forms"][wk],
-                                       m.extras["cart_killing"], q)
-            grad = evaluate_jet(m.extras["cart_moments"][mk], q).gradient
+            alpha = reduction.contract(m.cartesian.forms[wk],
+                                       m.cartesian.killing["G"], q)
+            grad = evaluate_jet(m.cartesian.targets[mk], q).gradient
             worst_mu = max(worst_mu, float(np.max(np.abs(alpha - grad))))
 
     lev = m.embeddings["level"]
-    lm = m.extras["level_metric"]
-    lev_pts = _pts(m.extras["level_box"], m.extras["level_exclusions"])
+    lm = m.level.metric
+    lev_pts = _pts(m.level.box, m.level.exclusions)
     worst_pull = worst_quot = worst_forms = 0.0
     for p in lev_pts:
         got = reduction.pullback_metric(m.metric, lev, p)
         worst_pull = max(worst_pull, float(np.max(np.abs(got - lm.value(p)))))
-        q = reduction.quotient_metric(lm, m.extras["level_fiber"],
+        q = reduction.quotient_metric(lm, m.level.killing["fiber"],
                                       m.invariant, p)
         worst_quot = max(worst_quot, float(np.max(np.abs(
             q - models.taub_nut_metric(p[:3], 1.0)))))

@@ -47,10 +47,8 @@ def same_bits(batch, singles):
 
 def level(name, count=24):
     m = models.build(name, 1.0)
-    L = QuadraticKinetic(m.extras["level_chart"].names, m.extras["level_metric"].fn)
-    pts = np.array(models.sample_points(models.SampleSpec(
-        np.asarray(m.extras["level_box"], dtype=float), count, 5,
-        tuple(m.extras.get("level_exclusions", ())))))
+    L = QuadraticKinetic(m.level.chart.names, m.level.metric.fn)
+    pts = m.level.sample(count, 5)
     return m, L, pts
 
 
@@ -81,7 +79,7 @@ def test_bracket_of_a_sequence_is_the_brackets_stacked(name):
     m, L, pts = level(name)
     H = hamiltonian_field(L)
     moms = np.random.default_rng(6).normal(size=pts.shape)
-    fs = [momentum_field(c, L.dim) for c in m.extras["level_cyclic"]]
+    fs = [momentum_field(c, L.dim) for c in m.level.cyclic]
     n = L.dim
     fs += [lambda c: c[0] * c[n + 1], lambda c: sum(c[i] * c[n + i] for i in range(n))]
     for s in (PhasePoint(pts, moms), PhasePoint(tuple(pts[0]), tuple(moms[0]))):
@@ -96,9 +94,9 @@ def test_matrices_batch_equal_single(name):
     m, L, pts = level(name)
     same_bits(legendre_to_hamiltonian(L, pts),
               [legendre_to_hamiltonian(L, list(p)) for p in pts])
-    fiber = m.extras["level_fiber"]
-    same_bits(quotient_metric(m.extras["level_metric"], fiber, m.invariant, pts),
-              [quotient_metric(m.extras["level_metric"], fiber, m.invariant, p)
+    fiber = m.level.killing["fiber"]
+    same_bits(quotient_metric(m.level.metric, fiber, m.invariant, pts),
+              [quotient_metric(m.level.metric, fiber, m.invariant, p)
                for p in pts])
     L2 = constrain_and_reduce(L, m.fiber_index, probe_points=pts[:2])
     keep = [i for i in range(L.dim) if i != m.fiber_index]
@@ -198,7 +196,7 @@ def test_nan_fiber_in_batch_names_the_point():
     m, _, pts = level("toy-parent", 5)
     pts[3, 0] = np.nan  # g(V, V) = r^2 + a^2 turns NaN at point 3
     with pytest.raises(DegenerateFiberError, match="point 3"):
-        quotient_metric(m.extras["level_metric"], m.extras["level_fiber"],
+        quotient_metric(m.level.metric, m.level.killing["fiber"],
                         m.invariant, pts)
 
 
@@ -273,12 +271,12 @@ def embeddings_with_points():
     """
     toy, gh, r8 = (models.build(n, 1.0) for n in ("toy-parent", "gh-flat", "r8-parent"))
     return [
-        (toy, toy.embeddings["level"], batch_of(toy.extras["level_box"]), same_bits),
+        (toy, toy.embeddings["level"], batch_of(toy.level.box), same_bits),
         (gh, gh.embeddings["to_monopole"],
-         batch_of(gh.extras["cart_box"], gh.extras["cart_exclusions"]), few_ulp),
+         batch_of(gh.cartesian.box, gh.cartesian.exclusions), few_ulp),
         (gh, gh.embeddings["to_cartesian"], batch_of(gh.box, gh.exclusions), few_ulp),
         (r8, r8.embeddings["level"],
-         batch_of(r8.extras["level_box"], r8.extras["level_exclusions"]), same_bits),
+         batch_of(r8.level.box, r8.level.exclusions), same_bits),
     ]
 
 
@@ -311,8 +309,8 @@ def test_jacobians_and_pullbacks_batch_equal_single(case):
     m, phi, pts, equal = embeddings_with_points()[case]
     equal(phi.jacobian(pts), stacked(phi.jacobian, pts))
     equal(phi.value(pts), stacked(phi.value, pts))
-    target = m.metric if phi.target == m.chart else m.extras["cart_metric"]
-    forms = m.forms if phi.target == m.chart else m.extras["cart_forms"]
+    target = m.metric if phi.target == m.chart else m.cartesian.metric
+    forms = m.forms if phi.target == m.chart else m.cartesian.forms
     equal(reduction.pullback_metric(target, phi, pts),
           stacked(lambda p: reduction.pullback_metric(target, phi, p), pts))
     for f in forms.values():
@@ -404,8 +402,8 @@ def test_one_nan_point_in_a_batch_fails_its_row(monkeypatch):
         return out
 
     monkeypatch.setattr(reduction, "quotient_metric", nan_at_point_3)
-    check = dict(checks.SUITES["taubnut"])["taubnut.quotient_metric"]
-    monkeypatch.setitem(checks.SUITES, "taubnut", [("taubnut.quotient_metric", check)])
+    row = next(r for r in checks.CLAIMS if r[0] == "taubnut.quotient_metric")
+    monkeypatch.setitem(checks.SUITES, "taubnut", [row])
     (row,) = checks.run_suite("taubnut", seed=1, samples=6).checks
     assert np.isnan(row.max_abs_error)
     assert row.passed is False
@@ -643,7 +641,7 @@ PLANE = models.Chart(("x", "y"))
 def test_moment_recovery_batch_equals_quad_per_point():
     m = models.build("toy-parent", 1.0)
     alpha = reduction.contraction_field(m.forms["omega"], m.killing["shift"])
-    base = np.asarray(m.extras["moment_base"])
+    base = np.asarray(m.targets["moment_base"])
     pts = batch_of(m.box, m.exclusions)
     got = reduction.recover_moment_map(alpha, base, pts, base_value=0.25)
     assert got.shape == (len(pts),)

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, report determinism, CSV output."""
 
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -11,6 +12,19 @@ from hkgeo import checks, cli, geometry, mechanics, reduction
 
 def run(argv):
     return cli.main(argv)
+
+
+def claim(check_id):
+    """The row of ``checks.CLAIMS`` with this id."""
+    return next(row for row in checks.CLAIMS if row[0] == check_id)
+
+
+def strict_json(text):
+    """``json.loads`` that refuses the non-standard NaN and Infinity literals."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def test_unknown_suite_exits_2():
@@ -42,8 +56,8 @@ def test_passing_suite_exits_0(capsys):
 
 
 def test_failing_check_exits_1(monkeypatch, capsys):
-    forced = [("mechanics.forced_failure",
-               lambda ctx, rng: (1.0, 0.0, 1, "forced failure"))]
+    forced = [("mechanics.forced_failure", 0.0, "forced failure",
+               lambda ctx, rng: (1.0, 1))]
     monkeypatch.setitem(checks.SUITES, "mechanics", forced)
     assert run(["verify", "mechanics"]) == 1
     assert "[FAIL] mechanics.forced_failure" in capsys.readouterr().out
@@ -55,18 +69,18 @@ def test_raising_check_is_a_failed_row(monkeypatch, tmp_path, capsys):
     def boom(ctx, rng):
         raise mechanics.DegenerateLagrangianError("injected at point 3")
 
-    suite = [("mechanics.boom", boom),
-             ("mechanics.singular_mass_rejected", checks.check_mech_singular)]
+    suite = [("mechanics.boom", 0.0, "raises", boom),
+             claim("mechanics.singular_mass_rejected")]
     monkeypatch.setitem(checks.SUITES, "mechanics", suite)
     path = tmp_path / "report.json"
     assert run(["verify", "mechanics", "--json", str(path)]) == 1
     assert "raised DegenerateLagrangianError: injected at point 3" in capsys.readouterr().out
-    doc = json.loads(path.read_text())
+    doc = strict_json(path.read_text())  # valid JSON: null, not NaN
     jsonschema.validate(doc, checks.REPORT_SCHEMA)
     boom_row, ok_row = doc["checks"]
     assert boom_row["check_id"] == "mechanics.boom"
     assert boom_row["passed"] is False
-    assert not np.isfinite(boom_row["max_abs_error"])
+    assert boom_row["max_abs_error"] is None and boom_row["tolerance"] is None
     assert boom_row["error"] == "DegenerateLagrangianError: injected at point 3"
     assert ok_row["passed"] is True
     assert "error" not in ok_row
@@ -74,7 +88,8 @@ def test_raising_check_is_a_failed_row(monkeypatch, tmp_path, capsys):
 
 def test_json_report_is_the_deep_copied_manifest(monkeypatch, tmp_path):
     # the report serialises each row once; the file is the manifest written
-    # field by field, a row's "error" only where its check raised
+    # field by field, a row's "error" only where its check raised, and a
+    # non-finite number as null
     seen = []
 
     def kept(*args, **kwargs):
@@ -84,15 +99,20 @@ def test_json_report_is_the_deep_copied_manifest(monkeypatch, tmp_path):
     def boom(ctx, rng):
         raise mechanics.DegenerateLagrangianError("injected")
 
-    suite = [("mechanics.boom", boom)] + checks.SUITES["mechanics"]
+    suite = [("mechanics.boom", 0.0, "raises", boom)] + checks.SUITES["mechanics"]
     monkeypatch.setitem(checks.SUITES, "mechanics", suite)
     monkeypatch.setattr(cli, "run_suite", kept)
     path = tmp_path / "report.json"
     run(["verify", "mechanics", "--samples", "3", "--json", str(path)])
     (m,) = seen
     fields = checks.REPORT_SCHEMA["definitions"]["check"]["properties"]
-    rows = [{k: getattr(c, k) for k in fields if k != "error" or c.error is not None}
+    def json_value(v):
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+
+    rows = [{k: json_value(getattr(c, k)) for k in fields
+             if k != "error" or c.error is not None}
             for c in m.checks]
+    assert np.isnan(m.checks[0].max_abs_error)  # the manifest keeps its NaN
     assert [r.get("error") for r in rows] == (
         ["DegenerateLagrangianError: injected"] + [None] * (len(rows) - 1))
     old = {"seed": m.seed, "samples": m.samples, "a": m.a, "a_sweep": list(m.a_sweep),
@@ -105,8 +125,7 @@ def test_nan_error_fails_its_check(monkeypatch):
     # a NaN error must not vanish into the worst-error accumulation
     monkeypatch.setattr(reduction, "quotient_metric",
                         lambda *args: np.full((2, 2), np.nan))
-    check = dict(checks.SUITES["toy"])["toy.quotient_metric"]
-    monkeypatch.setitem(checks.SUITES, "toy", [("toy.quotient_metric", check)])
+    monkeypatch.setitem(checks.SUITES, "toy", [claim("toy.quotient_metric")])
     (row,) = checks.run_suite("toy", seed=1, samples=5).checks
     assert row.check_id == "toy.quotient_metric"
     assert np.isnan(row.max_abs_error)

@@ -120,12 +120,10 @@ def test_bracket_matches_second_order_reference(name):
     # toy 3-chart and 5-chart level Hamiltonians: the first-order bracket is
     # the second-order bracket, bit for bit
     m = models.build(name, 1.0)
-    L = QuadraticKinetic(m.extras["level_chart"].names, m.extras["level_metric"].fn)
+    L = QuadraticKinetic(m.level.chart.names, m.level.metric.fn)
     H = hamiltonian_field(L)
     rng = np.random.default_rng(12)
-    pts = models.sample_points(models.SampleSpec(
-        np.asarray(m.extras["level_box"], dtype=float), 6, 3,
-        tuple(m.extras.get("level_exclusions", ()))))
+    pts = m.level.sample(6, 3)
     for p in pts:
         s = PhasePoint(tuple(p), tuple(rng.normal(size=L.dim)))
         for i in range(L.dim):

@@ -216,9 +216,7 @@ def test_scalar_field_registry():
 def test_r8_level_embedding_kills_moments():
     m = build("r8-parent", 0.5)
     lev = m.embeddings["level"]
-    pts = models.sample_points(
-        models.SampleSpec(np.asarray(m.extras["level_box"], dtype=float), 6, 9,
-                          tuple(m.extras["level_exclusions"])))
+    pts = m.level.sample(6, 9)
     for p in pts:
         P = lev.value(p)
         for key in ("mu_I", "mu_J", "mu_K"):

@@ -188,7 +188,7 @@ def test_one_integrand_call_per_round_and_each_node_once():
 def test_moment_map_evaluates_each_node_once(monkeypatch):
     m = models.build("toy-parent", 1.0)
     alpha = reduction.contraction_field(m.forms["omega"], m.killing["shift"])
-    base, mu = np.asarray(m.extras["moment_base"]), m.targets["moment_map"]
+    base, mu = np.asarray(m.targets["moment_base"]), m.targets["moment_map"]
     pts = np.asarray(m.sample(100, 5))
     calls = []
     orig = type(alpha).value

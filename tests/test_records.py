@@ -34,8 +34,9 @@ RECORDS = [
      ("f", abs, ((0.0, 1.0),)), ((),)),
     (models.Model, ("name", "a", "chart", "metric", "forms", "killing", "embeddings",
                     "targets", "box", "exclusions", "cyclic", "fiber_index", "invariant",
-                    "extras"),
-     ("m", 1.0, fields.Chart(("x",)), "g"), ({}, {}, {}, {}, (), (), (), None, None, {})),
+                    "level", "cartesian"),
+     ("m", 1.0, fields.Chart(("x",)), "g"),
+     ({}, {}, {}, {}, (), (), (), None, None, None, None)),
     (reduction.ReductionSpec, ("parent_metric", "parent_forms", "killing", "embedding",
                                "invariant", "fiber_index"),
      ("g", ("w",), "V", "e", (0, 1), 2), ()),
@@ -112,7 +113,7 @@ def test_records_copy_and_pickle_to_equal_records(cls, names, args, defaults):
 def test_model_is_mutable_with_a_new_dict_per_instance():
     chart = fields.Chart(("x",))
     one, two = models.Model("m", 1.0, chart, "g"), models.Model("m", 1.0, chart, "g")
-    for name in ("forms", "killing", "embeddings", "targets", "extras"):
+    for name in ("forms", "killing", "embeddings", "targets"):
         assert getattr(one, name) == {} and getattr(one, name) is not getattr(two, name)
     one.targets["t"] = 1.0
     one.fiber_index = 3
@@ -130,6 +131,9 @@ def test_check_report_dict_drops_only_a_missing_error():
                              "elapsed_ms": 7}
     raised = checks.CheckReport("id", "what", 0, np.nan, np.nan, False, 1, "E: m")
     assert list(raised.to_dict()) == list(RECORDS[0][1]) and raised.to_dict()["error"] == "E: m"
+    # a non-finite number is null in the report and NaN on the record
+    assert raised.to_dict()["max_abs_error"] is None and raised.to_dict()["tolerance"] is None
+    assert np.isnan(raised.max_abs_error) and np.isnan(raised.tolerance)
 
 
 def test_sample_spec_is_rebuilt_by_dataclasses_replace():

@@ -82,10 +82,9 @@ def sampled_domains():
     for name in models.MODEL_NAMES:
         m = models.build(name, 1.0)
         out.append((name, m.box, m.exclusions))
-        for key in ("cart", "level"):
-            if f"{key}_box" in m.extras:
-                out.append((f"{name}/{key}", m.extras[f"{key}_box"],
-                            m.extras.get(f"{key}_exclusions", ())))
+        for key, sub in (("cart", m.cartesian), ("level", m.level)):
+            if sub is not None:
+                out.append((f"{name}/{key}", sub.box, sub.exclusions))
     out += [(spec.name, spec.box, spec.exclusions) for spec in models.scalar_fields(1.0)]
     out.append(("monopole-curl", ((-2.0, 2.0),) * 3, (models._string_exclusion(0.4),)))
     return out

@@ -13,7 +13,10 @@ finite-difference oracle, the sampler's exclusions, the hygiene check and
 the mechanics checks keep no per-point loop, and the mass-matrix rule
 computes eigenvalues only for the matrix its Cholesky certificate cannot
 clear.  Each reduction stage is one check of ``checks.py``, run on both
-reduction models.
+reduction models.  Each acceptance claim is one row of ``checks.CLAIMS``,
+whose measures return only an error and a sample count; a level set or a
+Cartesian picture is a ``Model`` of its own.  ``src/`` stays under a
+code-line ceiling, so growth shows in the diff.
 """
 
 import ast
@@ -243,7 +246,8 @@ def test_conserved_check_evaluates_each_hamiltonian_jet_once(monkeypatch):
 
     monkeypatch.setattr(mechanics, "hamiltonian_field", counted)
     ctx = checks.CheckContext(seed=1, samples=100, a=1.0)
-    checks.check_mech_conserved(ctx, ctx.rng("mechanics.conserved_momenta"))
+    (measure,) = [row[3] for row in checks.CLAIMS if row[0] == "mechanics.conserved_momenta"]
+    measure(ctx, ctx.rng("mechanics.conserved_momenta"))
     assert calls == [1, 1]  # toy-parent and r8-parent, two cyclic momenta each
 
 
@@ -280,10 +284,8 @@ def test_one_factorisation_per_positive_definite_solve(monkeypatch):
     # the mass-matrix certificate's Cholesky factor is the solve's factor:
     # no second guard, no LU, no eigenvalues, on a batch as on one point
     m = models.build("r8-parent", 1.0)
-    L = mechanics.QuadraticKinetic(m.extras["level_chart"].names, m.extras["level_metric"].fn)
-    q = np.array(models.sample_points(models.SampleSpec(
-        np.asarray(m.extras["level_box"], dtype=float), 100, 3,
-        tuple(m.extras["level_exclusions"]))))
+    L = mechanics.QuadraticKinetic(m.level.chart.names, m.level.metric.fn)
+    q = m.level.sample(100, 3)
     coords = np.concatenate([q, np.random.default_rng(3).normal(size=q.shape)], axis=1)
     names = ("cholesky", "solve", "eigvalsh")
     counts = _counting(monkeypatch, names)
@@ -301,3 +303,79 @@ def test_no_command_calls_an_lu_solve(monkeypatch, argv):
     counts = _counting(monkeypatch, ("solve",))
     assert cli.main(argv) == 0
     assert counts == {"solve": 0}
+
+
+def test_claim_ids_are_unique():
+    ids = [row[0] for row in checks.CLAIMS]
+    assert len(set(ids)) == len(ids) == 38
+
+
+def test_every_suite_row_is_a_claims_row():
+    assert list(checks.SUITES) == list(checks.SUITE_NAMES)
+    assert checks.SUITES["all"] == checks.CLAIMS
+    for rows in checks.SUITES.values():
+        assert rows == [claim for claim in checks.CLAIMS if any(claim is r for r in rows)]
+
+
+def test_no_check_states_a_tolerance_or_a_description():
+    # a measure returns (worst error, samples) and takes no claim text: each
+    # tolerance and description is stated once, in its row of CLAIMS.  Walks
+    # the top-level functions and assignments (the lambdas of CLAIMS), not the
+    # records' methods.
+    tree = ast.parse((SRC / "checks.py").read_text())
+    found = []
+    for top in tree.body:
+        if not isinstance(top, (ast.FunctionDef, ast.Assign)):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                params = {arg.arg for arg in node.args.args}
+                found += [f"line {node.lineno}: parameter {name}"
+                          for name in params & {"tol", "tolerance", "description"}]
+            value = (node.value if isinstance(node, ast.Return)
+                     else node.body if isinstance(node, ast.Lambda) else None)
+            if isinstance(value, ast.Tuple) and (
+                    len(value.elts) != 2
+                    or any(isinstance(e, ast.JoinedStr)
+                           or isinstance(e, ast.Constant) and isinstance(e.value, str)
+                           for e in value.elts)):
+                found.append(f"line {node.lineno}: returns {ast.unparse(value)}")
+    assert found == []
+
+
+def test_level_sets_and_cartesian_pictures_are_models():
+    # a level set or a Cartesian picture is a Model of its own, not string
+    # keys of a side dict: the only dict fields are the four named ones
+    built = {name: models.build(name, 1.0) for name in models.MODEL_NAMES}
+    for m in built.values():
+        for sub in (m, m.level, m.cartesian):
+            assert sub is None or isinstance(sub, models.Model)
+            if sub is not None:
+                dicts = {f for f in sub.__slots__ if isinstance(getattr(sub, f), dict)}
+                assert dicts == {"forms", "killing", "embeddings", "targets"}
+    assert {n for n, m in built.items() if m.level} == {"toy-parent", "r8-parent"}
+    assert {n for n, m in built.items() if m.cartesian} == {"gh-flat", "r8-parent"}
+
+
+def _code_lines(path):
+    """Lines of ``path`` that are not blank, not a ``#`` comment and not inside
+    a module, class or function docstring."""
+    text = path.read_text()
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    return sum(1 for i, line in enumerate(text.splitlines(), 1)
+               if line.strip() and not line.strip().startswith("#") and i not in docstrings)
+
+
+#: The most code lines ``src/`` may have.  Lower it when the package shrinks;
+#: raising it is a change that shows in the diff.
+CODE_LINE_CEILING = 2640
+
+
+def test_src_code_lines():
+    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= CODE_LINE_CEILING
