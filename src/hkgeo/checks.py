@@ -656,9 +656,10 @@ SUITES = {suite: [row for row in CLAIMS if suite == "all" or row[0].startswith(s
 def run_suite(suite, seed=0, samples=50, a=1.0):
     """Run a named suite and return its :class:`RunManifest`.
 
-    A check that raises becomes a failed row: ``max_abs_error`` and
-    ``tolerance`` NaN, ``samples`` 0 and ``error`` naming the exception.
-    The remaining checks still run.  A bad configuration (``seed < 0``,
+    A check that raises becomes a failed row that keeps its declared
+    tolerance and description (``{samples}`` filled by 0): ``max_abs_error``
+    NaN, ``samples`` 0 and ``error`` naming the exception.  The remaining
+    checks still run.  A bad configuration (``seed < 0``,
     ``samples < 1``, ``a`` not finite and positive) raises ValueError
     before any check runs.
     """
@@ -676,15 +677,13 @@ def run_suite(suite, seed=0, samples=50, a=1.0):
         error = None
         try:
             err, n = measure(ctx, rng)
-            description = description.replace("{samples}", str(n))
         except Exception as exc:  # one crashing check must not end the run
-            err, tol, n = math.nan, math.nan, 0
-            description = "the check raised before reporting a result"
+            err, n = math.nan, 0
             error = f"{type(exc).__name__}: {exc}"
         elapsed = int(round((time.perf_counter() - t0) * 1000.0))
         reports.append(CheckReport(
             check_id=check_id,
-            description=description,
+            description=description.replace("{samples}", str(n)),
             samples=int(n),
             max_abs_error=float(err),
             tolerance=float(tol),

@@ -48,12 +48,6 @@ class Chart(Frozen):
         return "(" + ", ".join(self.names) + ")"
 
 
-def _point_dtype(p):
-    if isinstance(p, np.ndarray):
-        return object if p.dtype == object else float
-    return object if any(not isinstance(x, (int, float, np.floating)) for x in p) else float
-
-
 def mirror_triangle(a, sign=1):
     """Full square matrix from the upper triangle of ``a``.
 
@@ -64,7 +58,8 @@ def mirror_triangle(a, sign=1):
     diagonal (antisymmetric).  Entries below the diagonal, and on it when
     ``sign=-1``, are never read, so they may be ``None``.  Entries are
     moved, not recomputed, except for the negations of the antisymmetric
-    mirror, so floats, mpmath numbers and jets all come through unchanged.
+    mirror, so floats and jets come through unchanged (and the two parts of
+    a double-double array, mirrored one at a time by ``DD.map``).
     """
     a = np.asarray(a)
     d = a.shape[-1]
@@ -105,7 +100,7 @@ def _square_jet(fn, p, sign, order):
     raw = call_field(fn, p, order)
     d = len(raw)
     shape = (*batch, 1 + {None: 0, 1: dim, 2: dim + dim * dim}[order], d, d)
-    packed = DD.zeros(shape) if isinstance(p, DD) else np.zeros(shape, _point_dtype(p))
+    packed = DD.zeros(shape) if isinstance(p, DD) else np.zeros(shape)
     for M, N, e in _triangle(raw, sign):
         if not isinstance(e, Jet):
             packed[..., 0, M, N] = e

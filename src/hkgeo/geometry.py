@@ -19,7 +19,8 @@ normalisation the rotationally symmetric reductions built in
 :func:`euler_characteristic`.  :func:`ricci_scalar`, the full contraction
 of :func:`riemann`, is the independent route it is tested against.
 Below ``r = 0.05`` on a polar chart the curvature runs on double-double
-numbers (:mod:`hkgeo.ddouble`, see :func:`curvature_dps`).
+numbers (:mod:`hkgeo.ddouble`, see :func:`curvature_dps`); everything else
+runs on float64.
 
 Inverse-metric contractions and curvatures are guarded by a Cholesky
 factorisation, so a non-positive-definite metric surfaces as a
@@ -44,7 +45,7 @@ import numpy as np
 
 from .ddouble import DD, DIGITS
 from .fields import _upper_mask, mirror_triangle
-from .jets import EvaluationError, Jet, fd_step, first_failure, solve
+from .jets import EvaluationError, Jet, fd_step, first_failure
 from .quadrature import integrate
 
 __all__ = [
@@ -97,14 +98,10 @@ def _check_positive_definite(gv):
     included), naming the first failing point.
 
     The guard of every metric solve and every curvature: a Cholesky
-    factorisation in float64 for mpmath and double-double entries, else in
+    factorisation of the float64 rounding of double-double entries, else in
     the metric's own dtype, so a Hermitian one keeps its imaginary part.
     """
-    if isinstance(gv, DD):
-        gv = gv.hi
-    elif gv.dtype == object:
-        gv = np.asarray(gv, dtype=float)
-    L = _cholesky(gv)
+    L = _cholesky(gv.hi if isinstance(gv, DD) else gv)
     failure = first_failure(np.isfinite(np.diagonal(L, axis1=-2, axis2=-1)).all(axis=-1))
     if failure is not None:
         raise MetricDomainError(f"metric not positive definite{failure[1]}")
@@ -137,18 +134,10 @@ def _substitute(L, B):
 
 def _solve(gv, B):
     """Solve ``gv @ X = B`` for positive-definite ``gv`` ``(..., d, d)``,
-    real symmetric or complex Hermitian; dtype-generic.
-
-    The factor of :func:`_check_positive_definite` solves float and complex
-    metrics by :func:`_substitute`, broadcasting; mpmath ones are
-    eliminated at full precision by :func:`hkgeo.jets.solve`, the point axis
-    moved last.
+    real symmetric or complex Hermitian, broadcasting: the factor of
+    :func:`_check_positive_definite`, substituted by :func:`_substitute`.
     """
-    L = _check_positive_definite(gv)
-    if gv.dtype != object:
-        return _substitute(L, B)
-    X = solve(np.moveaxis(gv, (-2, -1), (0, 1)), np.moveaxis(B, (-2, -1), (0, 1)))
-    return np.moveaxis(np.array(X, dtype=object), (0, 1), (-2, -1))
+    return _substitute(_check_positive_definite(gv), B)
 
 
 def _product(A, X):
@@ -340,29 +329,26 @@ def gaussian_curvature(g, p, dps=None):
     Normalised so a flat chart gives 0 and the round sphere a positive
     value.  ``p`` is one point ``(2,)`` (a float comes back) or a batch
     ``(B, 2)`` (a float array).  Polar-type charts degenerate towards their
-    origin and amplify float64 roundoff like ``1/r**2``; passing ``dps``
-    re-evaluates the whole computation (metric components included) with
-    that many digits, which keeps the result honest down to ``r ~ 1e-6``:
-    in double-double arithmetic up to 31 digits (rational metrics only),
-    in mpmath above (imported here; the tests' oracle, no command uses it).
+    origin and amplify float64 roundoff like ``1/r**2``; ``dps=DIGITS``
+    (31, :data:`hkgeo.ddouble.DIGITS`) re-evaluates the whole computation
+    (metric components included) in double-double arithmetic (rational
+    metrics only), which keeps the result honest down to ``r ~ 1e-6``;
+    ``dps=None`` is float64, and any other ``dps`` raises ValueError.
     :func:`curvature_dps` says where extra digits are needed.
     """
     if g.dim != 2:
         raise ValueError("gaussian_curvature expects a 2-dimensional metric")
     if dps is None:
         return _curvature(g, p)
+    if dps != DIGITS:
+        raise ValueError(f"dps must be None (float64) or {DIGITS} (double-double), "
+                         f"not {dps!r}")
     p = np.asarray(p, dtype=float)
-    if dps <= DIGITS:
-        return _curvature(g, DD(p, np.zeros_like(p)))
-    import mpmath
-
-    with mpmath.workdps(dps):
-        return _curvature(g, np.frompyfunc(mpmath.mpf, 1, 1)(p))
+    return _curvature(g, DD(p, np.zeros_like(p)))
 
 
 def _at(a, *index):
-    """``a[..., *index]``: an entry for one point (never numpy's 0-d array,
-    which an mpmath number on its left would convert), an array for a batch."""
+    """``a[..., *index]``: a scalar entry for one point, an array for a batch."""
     return a[(..., *index)][()]
 
 
@@ -373,8 +359,8 @@ def _curvature(g, p):
     ``W = EG - F^2``, ``K W^2`` is the difference of two 3x3 determinants
     of the components and their first and second derivatives (do Carmo,
     *Differential Geometry of Curves and Surfaces*, section 4-3), so no
-    linear solve is needed and the arithmetic of the entries (float64,
-    double-double or mpmath) is all there is.  A metric that is not
+    linear solve is needed and the arithmetic of the entries (float64 or
+    double-double) is all there is.  A metric that is not
     positive definite raises :class:`MetricDomainError` and a non-finite
     curvature :class:`~hkgeo.jets.EvaluationError`, naming the point.
     """
@@ -391,7 +377,7 @@ def _curvature(g, p):
                 + c * (b * F - E * Gv * 0.5))
         det2 = (Gu * (Ev * F - E * Gu) - Ev * (Ev * G - F * Gu)) * 0.25
         K = 2 * (det1 - det2) / (W * W)
-    K = K.hi if isinstance(K, DD) else np.asarray(K, dtype=float)
+    K = K.hi if isinstance(K, DD) else np.asarray(K)
     failure = first_failure(np.isfinite(K))
     if failure is not None:
         raise EvaluationError(f"non-finite curvature{failure[1]}", point=failure[0])

@@ -5,11 +5,9 @@ point, and at second order its Hessian too, propagated through arithmetic
 by the truncated Taylor rules.  Field code throughout the package is
 written against the dispatching math helpers in this module (:func:`sqrt`,
 :func:`exp`, :func:`atan2`, ...) so the same expression evaluates on plain
-floats, on jets of either order, or with extra precision: on double-double
+floats, on jets of either order, or with extra precision on double-double
 numbers (:class:`hkgeo.ddouble.DD`, rational fields only), which the
-curvature of nearly degenerate polar charts uses, or on mpmath numbers,
-which only the tests use (mpmath is never imported here; its numbers are
-recognised once it is loaded).
+curvature of nearly degenerate polar charts uses.
 
 Which order is used where
 -------------------------
@@ -37,17 +35,6 @@ zero-argument callable that only a jet with a Hessian calls, so a
 first-order evaluation succeeds where only the second derivative divides
 by zero or underflows (``sqrt`` at ``1e-220``, ``x ** 1.5`` at 0).
 
-Products put the array first
-----------------------------
-Every scalar-times-array product in the jets is written with the array on
-the left (``ga * other.value``, ``self.hessian * f1``).  With an mpmath
-scalar on the left, ``mpf.__mul__`` tries to convert the array to a number
-and fails, and its error message renders the whole array as 40-digit
-strings before Python falls back to ``ndarray.__rmul__`` for the actual
-product; that rendering took about a third of the 40-digit curvature time.
-Float and mpmath products are correctly rounded and commute, so the
-results are the same bit for bit.
-
 Batch axis
 ----------
 A jet may carry a batch of points: its value is then an array ``(B,)``,
@@ -58,8 +45,7 @@ is ``(d, B) * (B,)``, outer products are ``a[:, None] * b[None, :]``) and
 at every point.  :func:`call_field` and :func:`evaluate_jet` take one point
 ``(d,)`` or a batch ``(B, d)``, and the shape of the input decides: a
 single point is the same code fed scalars.  On a float batch the
-elementary functions come from numpy (``np.sqrt``, ``np.atan2``, ...), on
-a 40-digit batch (an object array) from mpmath, entry by entry, and a
+elementary functions come from numpy (``np.sqrt``, ``np.atan2``, ...), and a
 double-double batch (a :class:`~hkgeo.ddouble.DD` of shape ``(B, d)``,
 whose gradient is a DD ``(d, B)``) has the arithmetic only; fields run
 with numpy's division by zero and invalid operations raised, as Python
@@ -68,9 +54,8 @@ operations), and every error names the first offending point of the
 batch.  Jets opt out of numpy's operator dispatch (``__array_ufunc__ =
 None``), so ``array * jet`` is the jet's product, not an object array of
 jets.  :func:`solve`, an elimination for positive-definite matrices that
-does not pivot, solves mpmath metrics; float and jet solves factor their
-matrices instead (:func:`hkgeo.geometry._solve`), and the tests use it as
-their oracle.
+does not pivot, is the tests' oracle for the solves of the package, which
+factor their matrices instead (:func:`hkgeo.geometry._solve`).
 
 :func:`fd_oracle` produces the same (value, gradient, Hessian) triple from
 central differences only, at one point or a batch.  It shares no derivative code with the jets and is
@@ -79,9 +64,7 @@ used as the independent reference wherever jet output is trusted.
 
 from __future__ import annotations
 
-import functools
 import math
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -137,23 +120,7 @@ class StencilExclusionError(ValueError):
         self.exclusion = exclusion
 
 
-def _is_mp(x):
-    """Whether ``x`` is an mpmath number (none exists before mpmath is imported)."""
-    mpmath = sys.modules.get("mpmath")
-    return mpmath is not None and isinstance(x, (mpmath.mpf, mpmath.mpc))
-
-
 _ELEMENTARY = ("exp", "log", "sqrt", "sin", "cos", "atan", "sinh", "cosh", "atan2")
-
-
-@functools.cache
-def _mp_array():
-    """mpmath's elementary functions mapped over the entries of an object array."""
-    import mpmath
-
-    return SimpleNamespace(**{
-        name: np.frompyfunc(getattr(mpmath, name), 1 + (name == "atan2"), 1)
-        for name in _ELEMENTARY})
 
 
 def _domain_checked(fn):
@@ -179,12 +146,11 @@ _MATH = SimpleNamespace(**{name: _domain_checked(getattr(math, name))
 
 def _mathmod(x):
     if isinstance(x, np.ndarray):
-        return _mp_array() if x.dtype == object else np
-    if _is_mp(x):
-        return sys.modules["mpmath"]
+        return np
     if isinstance(x, DD):
         raise TypeError("double-double arithmetic is rational only (+, -, *, /, "
-                        "integer powers); evaluate this field in mpmath instead")
+                        "integer powers); evaluate this field in float64 "
+                        "(dps=None) instead")
     return _MATH
 
 
@@ -192,13 +158,7 @@ def _zeros(shape, like):
     """Zeros of ``shape`` in ``like``'s arithmetic, then its point axis if a batch."""
     if isinstance(like, (np.ndarray, DD)):
         shape = (*shape, *like.shape)
-    if isinstance(like, DD):
-        return DD.zeros(shape)
-    if _is_mp(like) or getattr(like, "dtype", None) == object:
-        import mpmath
-
-        return np.full(shape, mpmath.mpf(0), dtype=object)
-    return np.zeros(shape)
+    return DD.zeros(shape) if isinstance(like, DD) else np.zeros(shape)
 
 
 class Jet:
@@ -290,7 +250,9 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * other._reciprocal()
-        return self * (1.0 / other)
+        # the reciprocal in the value's precision: a float one would cost a
+        # double-double jet its extra digits
+        return self * ((DD(1.0, 0.0) if isinstance(self.value, DD) else 1.0) / other)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -438,20 +400,6 @@ def atan2(y, x):
 # -- evaluation entry points ---------------------------------------------
 
 
-def _isfinite(x):
-    if _is_mp(x):
-        return sys.modules["mpmath"].isfinite(x)
-    return math.isfinite(x)
-
-
-def _finite(x):
-    """Entrywise finiteness of a float or mpmath scalar or array."""
-    x = np.asarray(x)
-    if x.dtype == object:
-        return np.asarray(np.frompyfunc(_isfinite, 1, 1)(x), dtype=bool)
-    return np.isfinite(x)
-
-
 def worst_of(*errors):
     """Largest of ``errors``; NaN if any of them is NaN.
 
@@ -550,7 +498,7 @@ def evaluate_jet(f, p, order=2):
     f : callable
         Accepts a list of coordinate values (floats or jets) and returns a
         scalar.  Must be written with the dispatching helpers of this module.
-    p : sequence of float (or mpmath.mpf), or float array ``(B, d)``
+    p : sequence of float, or float array ``(B, d)``
         One point, or a batch of points evaluated in one pass (the jet then
         carries the point axis last).
     order : {1, 2}
@@ -575,10 +523,10 @@ def evaluate_jet(f, p, order=2):
     out = call_field(f, p, order)
     if not isinstance(out, Jet):
         out = Jet.constant(out, dim, order, like=coords[0])
-    ok_value = np.broadcast_to(_finite(out.value), _batch_shape(p))
-    ok_coord = _finite(out.gradient)
+    ok_value = np.broadcast_to(np.isfinite(out.value), _batch_shape(p))
+    ok_coord = np.isfinite(out.gradient)
     if out.hessian is not None:
-        ok_coord = ok_coord & _finite(out.hessian).all(axis=1)
+        ok_coord = ok_coord & np.isfinite(out.hessian).all(axis=1)
     failure = first_failure(ok_value & ok_coord.all(axis=0), p)
     if failure is not None:
         k, where = failure
@@ -594,22 +542,21 @@ def evaluate_jet(f, p, order=2):
 def solve(A, B):
     """Solve ``A X = B`` for positive-definite ``A`` on any entry type.
 
-    The object-entry solve: :func:`hkgeo.geometry._solve` eliminates
-    mpmath metrics with it, after its Cholesky guard; float and jet solves
-    go through a Cholesky factor instead, and this elimination is their
-    test oracle.  Entries may be floats, jets or mpmath numbers, mixed
-    freely, so the solution carries exact derivatives when ``A`` or ``B``
-    does; they may also be arrays (or jets) over a batch of points, solved
-    at once.  Gauss-Jordan elimination runs in the given row order, without
-    pivoting, which is stable on positive-definite matrices (growth factor
-    1); every caller guarantees positive definiteness.  Exact-zero float
-    multipliers are skipped, so a batch gives what its points give one at
-    a time, except that an exact zero may carry the other sign: a zero
-    multiplier is skipped only when it is a plain float.  ``B`` is a
-    matrix (rows indexed like ``A``) when its rows are lists or tuples or
-    it is an array of two or more axes, and a vector (of scalars, arrays
-    over the points or jets) otherwise; the result is a list of rows, or a
-    list, of the same shape.
+    The tests' oracle for the solves of the package, which go through a
+    Cholesky factor instead (:func:`hkgeo.geometry._solve`); no module
+    calls it.  Entries may be floats, jets or other numbers (the tests use
+    mpmath's), mixed freely, so the solution carries exact derivatives when
+    ``A`` or ``B`` does; they may also be arrays (or jets) over a batch of
+    points, solved at once.  Gauss-Jordan elimination runs in the given row
+    order, without pivoting, which is stable on positive-definite matrices
+    (growth factor 1); every caller guarantees positive definiteness.
+    Exact-zero float multipliers are skipped, so a batch gives what its
+    points give one at a time, except that an exact zero may carry the
+    other sign: a zero multiplier is skipped only when it is a plain float.
+    ``B`` is a matrix (rows indexed like ``A``) when its rows are lists or
+    tuples or it is an array of two or more axes, and a vector (of scalars,
+    arrays over the points or jets) otherwise; the result is a list of
+    rows, or a list, of the same shape.
 
     Raises
     ------

@@ -132,23 +132,17 @@ def _mass_entries(L, q):
     return M
 
 
-def _mass_values(M):
-    """Float values of a mass matrix: ``(n, n)``, or ``(B, n, n)`` over a batch."""
-    if isinstance(M, np.ndarray) and M.dtype != object:
-        return M
-    return _stack_entries(M)
-
-
-def _check_mass(M, q=None):
-    """Cholesky factor ``(..., n, n)`` of a mass matrix's values, or
-    :class:`DegenerateLagrangianError` for one that is non-finite or not
-    positive definite.
+def _check_mass(Mv, q=None):
+    """Cholesky factor ``(..., n, n)`` of the float values ``Mv`` ``(..., n, n)``
+    of a mass matrix, or :class:`DegenerateLagrangianError` for one that is
+    non-finite or not positive definite.
 
     The one rule of this module, applied wherever a mass matrix is inverted
     or solved: eigenvalues ``lambda_min >= MIN_RCOND * lambda_max > 0``, or
     :class:`DegenerateLagrangianError`.  Jet entries are judged by their
-    values.  Over a batch the rule holds per point, and the error names the
-    first failing point (with its coordinates, when ``q`` is given).
+    values (:func:`_solve_mass`).  Over a batch the rule holds per point,
+    and the error names the first failing point (with its coordinates, when
+    ``q`` is given).
 
     One Cholesky factorisation of the stack clears it when every matrix has
     ``prod(l_i^2 / tr M) >= 2 MIN_RCOND`` over its factor's diagonal ``l``:
@@ -159,7 +153,6 @@ def _check_mass(M, q=None):
     underflowed to 0.  A stack that is not cleared, or holds a non-finite
     entry, is judged by its eigenvalues, which make every rejection.
     """
-    Mv = _mass_values(M)
     finite = np.isfinite(Mv).all(axis=(-2, -1))
     if finite.all():
         factor = _cholesky(Mv)
@@ -184,9 +177,10 @@ def _check_mass(M, q=None):
 
 
 def _solve_mass(M, B):
-    """``M X = B`` in jet-capable arithmetic, for a mass matrix ``M``, with
-    the factor :func:`_check_mass` has just certified."""
-    return _solve_entries(_check_mass(M), M, B)
+    """``M X = B`` in jet-capable arithmetic, for a mass matrix ``M`` of
+    entries, with the factor :func:`_check_mass` has just certified on
+    their values."""
+    return _solve_entries(_check_mass(_stack_entries(M)), M, B)
 
 
 def legendre_to_hamiltonian(L, q):

@@ -457,7 +457,7 @@ def test_rank_deficient_jacobian_names_the_point():
         reduction.pullback_metric(flat, polar, pts)
 
 
-# -- the curvature chain, float64 and 40-digit --------------------------------
+# -- the curvature chain, float64 and double-double -------------------------
 
 
 @pytest.mark.parametrize("name", models.MODEL_NAMES)
@@ -473,10 +473,10 @@ def test_riemann_batch_equal_single(name):
     few_ulp(lowered(pts), stacked(lowered, pts))
 
 
-def toy_radii(count=24):
-    """Points ``(r, 1)`` of toy-reduced on both sides of the 40-digit switch."""
-    rs = np.geomspace(1e-6, 9.0, count)
-    return np.stack([rs, np.ones(count)], axis=1)
+def toy_radii():
+    """Points ``(r, 1)`` of toy-reduced on both sides of the double-double switch."""
+    rs = np.geomspace(1e-6, 9.0, 24)
+    return np.stack([rs, np.ones(24)], axis=1)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.7])
@@ -485,63 +485,9 @@ def test_gaussian_curvature_batch_equal_single(a):
     pts = toy_radii()
     few_ulp(geometry.gaussian_curvature(g, pts),
             [geometry.gaussian_curvature(g, p) for p in pts])
-    # 40 digits: the same rounded floats, point by point
-    same_bits(geometry.gaussian_curvature(g, pts, dps=40),
-              [geometry.gaussian_curvature(g, list(p), dps=40) for p in pts])
-    with mpmath.workdps(40):
-        mp_pts = np.frompyfunc(mpmath.mpf, 1, 1)(pts)
-        same_bits(geometry.riemann(g, mp_pts).astype(float),
-                  stacked(lambda p: geometry.riemann(g, list(p)).astype(float), mp_pts))
     same_bits(geometry.curvature_at_radii(g, pts[:, 0]),
               [geometry.gaussian_curvature(g, list(p), dps=geometry.curvature_dps(p[0]))
                for p in pts])
-
-
-def test_non_spd_metric_in_mp40_batch_names_the_point():
-    g = models.MetricField(models.Chart(("x", "y")),
-                           lambda c: [[c[0], 0.0], [None, 1.0 + c[0] * c[0]]],
-                           name="sign change")
-    pts = np.array([[1.0, 0.0], [2.0, 1.0], [-0.5, 0.0], [-1.0, 0.0]])
-    with pytest.raises(MetricDomainError, match="point 2"):
-        geometry.gaussian_curvature(g, pts, dps=40)
-
-
-@pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("name", ["exp", "log", "sqrt", "sin", "cos", "atan",
-                                  "sinh", "cosh", "atan2"])
-def test_mp40_elementary_functions_batch_equal_single(name, order):
-    f = getattr(models.jets, name)
-    fn = (lambda c: f(c[1], c[0]) * c[1]) if name == "atan2" else (lambda c: f(c[0]) * c[1])
-    with mpmath.workdps(40):
-        pts = np.frompyfunc(mpmath.mpf, 1, 1)(np.array([[0.3, 0.7], [1.2, -0.4],
-                                                        [2.0, 0.5]]))
-        got = evaluate_jet(fn, pts, order=order)
-        for k, p in enumerate(pts):
-            want = evaluate_jet(fn, list(p), order=order)
-            assert got.value[k] == want.value
-            assert list(got.gradient[:, k]) == list(want.gradient)
-            if order == 2:
-                assert got.hessian[:, :, k].tolist() == want.hessian.tolist()
-
-
-def test_mp40_batch_converts_no_arrays(monkeypatch):
-    # with an mpf on the left of an array product, mpmath would render the
-    # whole block as 40-digit strings before numpy did the product
-    seen = []
-    npconvert = mpmath.mp.npconvert
-
-    def counting(x):
-        seen.append(np.shape(x))
-        return npconvert(x)
-
-    monkeypatch.setattr(mpmath.mp, "npconvert", counting)
-    red = models.build("toy-reduced", 1.0)
-    pts = toy_radii(50)
-    pts[:, 0] *= 0.049 / pts[-1, 0]  # every radius below the 40-digit switch
-    K = geometry.gaussian_curvature(red.metric, pts, dps=40)
-    assert np.allclose(K, [red.targets["curvature"](r) for r in pts[:, 0]],
-                       rtol=1e-12, atol=0)
-    assert seen == []
 
 
 def test_hermitian_real_metric_values_batch_equal_single():

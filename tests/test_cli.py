@@ -64,12 +64,12 @@ def test_failing_check_exits_1(monkeypatch, capsys):
 
 
 def test_raising_check_is_a_failed_row(monkeypatch, tmp_path, capsys):
-    # a check that raises fails its own row; the other checks still run and
-    # the report is still written
+    # a check that raises fails its own row, which keeps its declared claim;
+    # the other checks still run and the report is still written
     def boom(ctx, rng):
         raise mechanics.DegenerateLagrangianError("injected at point 3")
 
-    suite = [("mechanics.boom", 0.0, "raises", boom),
+    suite = [("mechanics.boom", 1e-9, "raises on {samples} points", boom),
              claim("mechanics.singular_mass_rejected")]
     monkeypatch.setitem(checks.SUITES, "mechanics", suite)
     path = tmp_path / "report.json"
@@ -80,7 +80,9 @@ def test_raising_check_is_a_failed_row(monkeypatch, tmp_path, capsys):
     boom_row, ok_row = doc["checks"]
     assert boom_row["check_id"] == "mechanics.boom"
     assert boom_row["passed"] is False
-    assert boom_row["max_abs_error"] is None and boom_row["tolerance"] is None
+    assert boom_row["max_abs_error"] is None
+    assert boom_row["tolerance"] == 1e-9 and boom_row["samples"] == 0
+    assert boom_row["description"] == "raises on 0 points"
     assert boom_row["error"] == "DegenerateLagrangianError: injected at point 3"
     assert ok_row["passed"] is True
     assert "error" not in ok_row

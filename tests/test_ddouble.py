@@ -1,7 +1,8 @@
 """Double-double arithmetic and the curvature it serves below the 0.05 switch.
 
 mpmath is the oracle: every operation against 50-digit arithmetic, and the
-double-double curvature against the 40-digit one, bit for bit.
+double-double curvature against the 60-digit Brioschi curvature of
+``oracles.brioschi_curvature``, bit for bit.
 """
 
 import mpmath
@@ -15,6 +16,8 @@ from hkgeo.ddouble import DD, DIGITS
 from hkgeo.fields import Chart, MetricField
 from hkgeo.geometry import MetricDomainError
 from hkgeo.jets import EvaluationError
+
+from oracles import brioschi_curvature
 
 PROPERTY = settings(max_examples=40)
 
@@ -65,7 +68,7 @@ def test_double_double_curvature_is_the_40_digit_curvature(a, r):
     g = models.build("toy-reduced", a).metric
     assert geometry.curvature_dps(r) == DIGITS
     K = geometry.gaussian_curvature(g, [r, 1.0], dps=geometry.curvature_dps(r))
-    assert K == geometry.gaussian_curvature(g, [r, 1.0], dps=40)
+    assert K == brioschi_curvature(g, [r, 1.0])
 
 
 @PROPERTY
@@ -88,29 +91,43 @@ def test_double_double_batch_equals_points(a, rs):
 
 def test_integer_powers_in_a_field():
     # the jets' x ** k rule on double-double values: the cigar of
-    # test_geometry, written with powers, against its 40-digit curvature
+    # test_geometry, written with powers, against the oracle's curvature
     g = MetricField(Chart(("r", "chi")),
                     lambda c: [[1.0 + c[0] ** 2, 0.0],
                                [None, c[0] ** 2 * (1.0 + c[0] ** 2) ** -1]])
     for r in (1e-6, 1e-3, 0.04):
         K = geometry.gaussian_curvature(g, [r, 0.0], dps=DIGITS)
-        assert K == geometry.gaussian_curvature(cigar(), [r, 0.0], dps=40)
+        assert K == brioschi_curvature(cigar(), [r, 0.0])
     with pytest.raises(TypeError, match="integers"):
         DD(np.ones(2), np.zeros(2)) ** 0.5
+
+
+def test_dividing_by_a_float_keeps_the_digits():
+    # a double-double jet divided by a float constant multiplies by the
+    # constant's double-double reciprocal; a float64 one (1 / 2.25 rounded)
+    # left toy-reduced's curvature at a = 1.5, r = 1/32 one ulp off
+    x = jets.Jet.variable(DD(np.ones(2), np.zeros(2)), 0, 1)
+    q = x / 3.0
+    with mpmath.workdps(50):
+        for part in (q.value[0], q.gradient[0, 0]):
+            assert abs(exact(part) - mpmath.mpf(1) / 3) <= 2.0 ** -104
+    g = models.build("toy-reduced", 1.5).metric
+    K = geometry.gaussian_curvature(g, [0.03125, 1.0], dps=DIGITS)
+    assert K == brioschi_curvature(g, [0.03125, 1.0]) == 3.5509299417964373
 
 
 def test_elementary_functions_are_refused():
     sphere = MetricField(Chart(("theta", "phi")),
                          lambda c: [[1.0, 0.0], [None, jets.sin(c[0]) ** 2]])
-    with pytest.raises(TypeError, match="rational only"):
+    with pytest.raises(TypeError, match=r"rational only .* in float64 \(dps=None\)"):
         geometry.gaussian_curvature(sphere, [1.1, 0.4], dps=DIGITS)
-    assert geometry.gaussian_curvature(sphere, [1.1, 0.4], dps=40) == pytest.approx(2.0)
+    assert geometry.gaussian_curvature(sphere, [1.1, 0.4]) == pytest.approx(2.0)  # the advice
 
 
 def test_scaled_metric_keeps_its_digits():
     # 2K scales as 1 / scale; W**2 ~ 1e176 is inside the float64 range
     K = geometry.gaussian_curvature(cigar(1e50), [1e-6, 0.0], dps=DIGITS)
-    assert K == geometry.gaussian_curvature(cigar(1e50), [1e-6, 0.0], dps=40)
+    assert K == brioschi_curvature(cigar(1e50), [1e-6, 0.0])
     assert K * 1e50 == pytest.approx(8.0, abs=1e-9)
 
 

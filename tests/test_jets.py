@@ -172,53 +172,16 @@ def test_first_order_never_computes_second_derivative(f, x):
         evaluate_jet(f, [x], order=2)
 
 
-def test_mp40_products_convert_no_arrays(monkeypatch):
-    # An mpf on the left of an ndarray makes mpmath render the whole array
-    # into an error message before numpy does the product; jets keep the
-    # array on the left, so 40-digit jet work converts no array at all.
-    import mpmath
-
-    seen = []
-    npconvert = mpmath.mp.npconvert
-
-    def counting(x):
-        if isinstance(x, np.ndarray):
-            seen.append(x.shape)
-        return npconvert(x)
-
-    monkeypatch.setattr(mpmath.mp, "npconvert", counting)
-    red = models.build("toy-reduced", 1.0)
-    K = geometry.gaussian_curvature(red.metric, [0.01, 1.0], dps=40)
-    assert K == pytest.approx(red.targets["curvature"](0.01), rel=1e-12)
-
-    def every_rule(c):
-        x, y = c
-        return (jets.exp(x) * jets.log(y) + jets.sqrt(x * y) / jets.sin(x)
-                + jets.cos(y) * jets.atan(x) + jets.atan2(y, x) * jets.sinh(x)
-                - jets.cosh(y) ** 3 + 2 / y)
-
-    with mpmath.workdps(40):
-        p = [mpmath.mpf("0.7"), mpmath.mpf("1.3")]
-        for order in (1, 2):
-            assert evaluate_jet(every_rule, p, order=order).gradient.dtype == object
-    assert seen == []
-
-
-@pytest.mark.parametrize("dps", [None, 40])
-def test_first_order_gradient_is_jet2_gradient(dps):
+def test_first_order_gradient_is_jet2_gradient():
     # order 1 shares order 2's rules and formula order: values and gradients agree
-    # bit for bit on every registered scalar field, at float64 and 40 digits
-    import mpmath
-
+    # bit for bit on every registered scalar field
     n = 0
     for spec in models.scalar_fields(1.0):
         pts = models.sample_points(models.SampleSpec(
             np.asarray(spec.box, dtype=float), 8, 5, tuple(spec.exclusions)))
         for p in pts:
-            with mpmath.workdps(dps or 15):
-                q = [mpmath.mpf(float(x)) for x in p] if dps else list(p)
-                j1 = evaluate_jet(spec.fn, q, order=1)
-                j2 = evaluate_jet(spec.fn, q)
+            j1 = evaluate_jet(spec.fn, list(p), order=1)
+            j2 = evaluate_jet(spec.fn, list(p))
             assert j1.hessian is None and j2.hessian is not None
             assert j1.value == j2.value, spec.name
             assert list(j1.gradient) == list(j2.gradient), spec.name
@@ -363,17 +326,6 @@ def test_batched_oracle_is_the_per_point_reference(spec):
         assert np.all(np.abs(parts[0] - refs[0]) <= dv)
         assert np.all(np.abs(parts[1] - refs[1]) <= dv / h)
         assert np.all(np.abs(parts[2] - refs[2]) <= 4 * dv / (h[:, None] * h[None, :]))
-
-
-def test_mp_dtype_passthrough():
-    import mpmath
-
-    with mpmath.workdps(30):
-        p = [mpmath.mpf("0.5"), mpmath.mpf("2")]
-        j = evaluate_jet(lambda c: c[0] * c[0] * c[1], p)
-        assert j.gradient.dtype == object
-        assert mpmath.almosteq(j.gradient[0], mpmath.mpf("2"))
-        assert mpmath.almosteq(j.hessian[0, 0], mpmath.mpf("4"))
 
 
 SOLVE_A = np.array([[4.0, 1.0, 0.0], [2.0, 5.0, 1.0], [0.0, 1.0, 3.0]])
