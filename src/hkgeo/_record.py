@@ -9,6 +9,8 @@ and hashes by its fields.
 
 import numpy as np
 
+__all__ = ["Record", "Frozen"]
+
 
 def _field_equal(a, b):
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):

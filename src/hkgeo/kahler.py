@@ -54,6 +54,7 @@ __all__ = [
     "heavenly_constant",
     "realify",
     "triple_at",
+    "quaternion_form_fields",
     "quaternion_residual",
     "spin_connection_trace",
     "x_matrices",

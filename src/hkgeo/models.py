@@ -10,17 +10,23 @@ uses:
     level-set embedding into the 3-chart ``(r, theta, chi)``.
 ``toy-reduced``
     The resulting surface of revolution on ``(r, chi)`` with its area
-    form, curvature profile and Euler characteristic target.
+    form and curvature profile.
 ``gh-flat``
     Flat ``R^4`` in monopole coordinates ``(x, Psi)`` alongside the
     Cartesian picture and the quadratic coordinate change between them.
 ``r8-parent``
-    ``R^4 x (R^3 x S^1)`` carrying the triple of symplectic forms, in both
-    the Cartesian and monopole-coordinate pictures, with the triple moment
-    map and the 5-dimensional zero level set ``(x, chi, theta)``.
+    ``gh-flat x (R^3 x S^1)``, carrying the triple of symplectic forms, in
+    both the Cartesian and monopole-coordinate pictures, with the triple
+    moment map and the 5-dimensional zero level set ``(x, chi, theta)``.
 ``taub-nut``
-    The quotient 4-manifold on ``(x, chi)``: deformed monopole metric and
-    its triple, related to the flat forms by ``1/r -> 1/r + 1/a^2``.
+    The quotient 4-manifold on ``(x, chi)`` with its triple.
+
+gh-flat and taub-nut come from one Gibbons-Hawking builder, with harmonic
+functions ``V = 1/r`` and ``V = 1/r + 1/a^2``: the quotient only shifts
+``V``.  r8-parent's metric and forms, in both pictures, are gh-flat's beside
+the constant ``(X, theta)`` block.  The references the checks compare
+against are written out on their own: the level-set metrics, the numpy
+closed form :func:`taub_nut_metric` and the moment maps.
 
 The first reduction stage's level set is a :class:`Model` of its own,
 ``m.level`` (its chart, metric, ``killing["fiber"]``, box, exclusions and
@@ -259,14 +265,14 @@ def toy_reduced(a=1.0):
         metric=MetricField(chart, gfn, name="reduced 2-metric"),
         forms={"omega": FormField(chart, 2, wfn, name="omega tilde")},
         killing={"shift": VectorFieldR(chart, lambda c: [0.0, 1.0], name="shift")},
-        targets={"curvature": curvature, "euler": 2.0},
+        targets={"curvature": curvature},
         box=((*_RADIAL,), (*_ANGLE,)),
         cyclic=(1,),
     )
 
 
 # ---------------------------------------------------------------------------
-# monopole-coordinate flat R^4 and the coordinate change
+# Gibbons-Hawking metrics: flat R^4 (V = 1/r) and Taub-NUT (V = 1/r + 1/a^2)
 
 
 def _gh_rows(b, coef, diag):
@@ -281,49 +287,60 @@ def _gh_rows(b, coef, diag):
     return rows
 
 
-def _gh4_entries(c):
-    """Upper triangle of the monopole-coordinate flat metric on (x, Psi)."""
-    r, A1, A2 = _monopole_terms(c[0], c[1], c[2])
-    return _gh_rows([A1, A2, 0.0, 1.0], r / 4.0, 1.0 / (4.0 * r))
+#: The index i of ``omega = ... ^ dx^i`` for each form of a hyperkaehler triple.
+_TRIPLE = {"omega_I": 2, "omega_J": 0, "omega_K": 1}
 
 
-def _xpsi_triple_fns(shift_fn):
-    """The three 2-forms on ``(x, Psi)`` with ``1/r`` replaced by ``shift_fn(r)``.
+def _triple_rows(i, v, f):
+    """Upper triangle of ``v eps_ijk dx^j dx^k / 2 + f dx^i ^ dy`` on ``(x, y)``."""
+    j, k = (i + 1) % 3, (i + 2) % 3
+    rows = [[0.0] * 4 for _ in range(4)]
+    rows[min(j, k)][max(j, k)] = v if j < k else -v
+    rows[i][3] = f
+    return rows
 
-    ``shift_fn = lambda r: 1/r`` gives the flat forms; the quotient triple
-    uses ``1/r + 1/a^2``.  Writing both through one constructor keeps the
-    advertised relation between them literal.
+
+def _gh_form(i, harmonic):
+    """``V eps_ijk dx^j dx^k / 8 - (dPsi + A.dx) ^ dx^i / 4`` on ``(x, Psi)``,
+    where ``harmonic(r)`` returns ``(V, 1/V)``."""
+
+    def fn(c):
+        r, A1, A2 = _monopole_terms(c[0], c[1], c[2])
+        rows = _triple_rows(i, harmonic(r)[0] / 4.0, 0.25)
+        for m, Am in ((0, A1), (1, A2)):
+            if m < i:
+                rows[m][i] = -0.25 * Am
+            elif m > i:
+                rows[i][m] = 0.25 * Am
+        return rows
+
+    return fn
+
+
+def _gibbons_hawking(name, a, chart, harmonic, **extra):
+    """The Gibbons-Hawking model ``(V dx.dx + (dPsi + A.dx)^2 / V) / 4`` on
+    ``chart = (x, Psi)``, with its triple and the shift of ``Psi``.
+
+    ``harmonic(r)`` returns the pair ``(V, 1/V)``; ``extra`` are further
+    :class:`Model` fields.
     """
 
-    def om_I(c):
+    def gfn(c):
         r, A1, A2 = _monopole_terms(c[0], c[1], c[2])
-        s4 = shift_fn(r) / 4.0
-        rows = [[0.0] * 4 for _ in range(4)]
-        rows[0][1] = s4
-        rows[2][3] = 0.25
-        rows[0][2] = -0.25 * A1
-        rows[1][2] = -0.25 * A2
-        return rows
+        V, inv = harmonic(r)
+        return _gh_rows([A1, A2, 0.0, 1.0], inv / 4.0, V / 4.0)
 
-    def om_J(c):
-        r, A1, A2 = _monopole_terms(c[0], c[1], c[2])
-        s4 = shift_fn(r) / 4.0
-        rows = [[0.0] * 4 for _ in range(4)]
-        rows[1][2] = s4
-        rows[0][3] = 0.25
-        rows[0][1] = 0.25 * A2
-        return rows
-
-    def om_K(c):
-        r, A1, A2 = _monopole_terms(c[0], c[1], c[2])
-        s4 = shift_fn(r) / 4.0
-        rows = [[0.0] * 4 for _ in range(4)]
-        rows[0][2] = -s4
-        rows[1][3] = 0.25
-        rows[0][1] = -0.25 * A1
-        return rows
-
-    return om_I, om_J, om_K
+    shift = f"{chart.names[3].lower()}-shift"
+    return Model(
+        name, a, chart, MetricField(chart, gfn, name=name),
+        forms={k: FormField(chart, 2, _gh_form(i, harmonic), name=k)
+               for k, i in _TRIPLE.items()},
+        killing={shift: VectorFieldR(chart, lambda c: [0.0, 0.0, 0.0, 1.0], name=shift)},
+        box=((*_CART,), (*_CART,), (*_CART,), (*_ANGLE,)),
+        exclusions=(_string_exclusion(),),
+        cyclic=(3,),
+        **extra,
+    )
 
 
 def _var_change_fn(c):
@@ -348,40 +365,29 @@ def _inverse_var_change_fn(c):
     return [y1, y2, y3, y4]
 
 
-def _constant_form(chart, entries, name):
-    """Constant 2-form from its upper-triangle entries ``(m, n, value)``."""
-    W = np.zeros((chart.dim, chart.dim))
-    for m, n, v in entries:
-        W[m, n] = v
-    return constant_form(chart, mirror_triangle(W, -1), name=name)
-
-
 def gh_flat(a=1.0):
-    """Flat ``R^4`` in monopole coordinates, with the Cartesian companion.
+    """Flat ``R^4`` as the Gibbons-Hawking metric with ``V = 1/r``, in monopole
+    coordinates ``(x, Psi)``, with the Cartesian companion.
 
     The parameter ``a`` is ignored (this geometry has no circle) but kept
     so every registry builder has the same signature.
     """
     chart = Chart(("x1", "x2", "x3", "Psi"))
     cart = Chart(("y1", "y2", "y3", "y4"))
-    metric = MetricField(chart, _gh4_entries, name="monopole-coordinate flat")
-    om_I, om_J, om_K = _xpsi_triple_fns(lambda r: 1.0 / r)
     eye_w = {
         "omega_I": [(0, 1, 1.0), (2, 3, 1.0)],
         "omega_J": [(0, 2, 1.0), (1, 3, -1.0)],
         "omega_K": [(0, 3, 1.0), (1, 2, 1.0)],
     }
 
-    return Model(
-        name="gh-flat",
-        a=float(a),
-        chart=chart,
-        metric=metric,
-        forms={"omega_I": FormField(chart, 2, om_I, name="omega_I"),
-               "omega_J": FormField(chart, 2, om_J, name="omega_J"),
-               "omega_K": FormField(chart, 2, om_K, name="omega_K")},
-        killing={"psi-shift": VectorFieldR(chart, lambda c: [0.0, 0.0, 0.0, 1.0],
-                                           name="psi-shift")},
+    def constant(entries):
+        W = np.zeros((4, 4))
+        for m, n, v in entries:
+            W[m, n] = v
+        return mirror_triangle(W, -1)
+
+    return _gibbons_hawking(
+        "gh-flat", float(a), chart, lambda r: (1.0 / r, r),
         embeddings={
             "to_monopole": EmbeddingMap(cart, chart, _var_change_fn,
                                         name="y -> (x, Psi)"),
@@ -389,13 +395,10 @@ def gh_flat(a=1.0):
                                          name="(x, Psi) -> y"),
         },
         targets={"radius": lambda y: np.sum(np.square(y), axis=-1)},
-        box=((*_CART,), (*_CART,), (*_CART,), (*_ANGLE,)),
-        exclusions=(_string_exclusion(),),
-        cyclic=(3,),
         cartesian=Model(
             "gh-flat cartesian", float(a), cart,
             MetricField(cart, lambda c: np.eye(4), name="cartesian flat"),
-            forms={k: _constant_form(cart, v, k) for k, v in eye_w.items()},
+            forms={k: constant_form(cart, constant(v), k) for k, v in eye_w.items()},
             box=((*_CART,), (*_CART,), (*_CART,), (*_CART,)),
             exclusions=(_pole_exclusion(),)),
     )
@@ -405,60 +408,44 @@ def gh_flat(a=1.0):
 # eight-dimensional parent and its reduction to Taub-NUT
 
 
-def r8_parent(a=1.0):
-    """``R^4 x (R^3 x S^1)`` with the symplectic triple and its moment maps.
+def _direct_sum(fn, block):
+    """Rows of ``fn`` on the first four coordinates beside the constant 4 x 4
+    ``block`` on the last four: the matrix of a product's metric or 2-form."""
 
-    Two pictures are bundled.  The primary chart is the monopole one,
-    ``(x, Psi, X, theta)``, which the metric pipeline uses; the Cartesian
-    picture ``(y, X, theta)`` carries constant-coefficient forms and is
-    where contractions and moment maps are cheapest to verify.
+    def rows(c):
+        top = fn(c[:4])
+        return ([[*top[m], 0.0, 0.0, 0.0, 0.0] for m in range(4)]
+                + [[0.0] * 4 + list(row) for row in block])
+
+    return rows
+
+
+def r8_parent(a=1.0):
+    """``R^4 x (R^3 x S^1)``: gh-flat times the flat ``(X, theta)`` factor, with
+    the symplectic triple and its moment maps.
+
+    The factor carries the metric ``dX.dX + a^2 dtheta^2`` and the triple
+    ``dX^j dX^k + a dX^i dtheta``.  Two pictures are bundled.  The primary
+    chart is the monopole one, ``(x, Psi, X, theta)``, which the metric
+    pipeline uses; the Cartesian picture ``(y, X, theta)`` carries
+    constant-coefficient forms and is where contractions and moment maps are
+    cheapest to verify.
     """
     a = _check_a(a)
-    chart = Chart(("x1", "x2", "x3", "Psi", "X1", "X2", "X3", "theta"))
-    cart = Chart(("y1", "y2", "y3", "y4", "X1", "X2", "X3", "theta"))
+    gh = gh_flat(a)
+    x_box = ((*_CART,), (*_CART,), (*_CART,), (*_ANGLE,))
 
-    def gfn(c):
-        rows = [[0.0] * 8 for _ in range(8)]
-        top = _gh4_entries(c[:4])
-        for m in range(4):
-            for n in range(m, 4):
-                rows[m][n] = top[m][n]
-        rows[4][4] = rows[5][5] = rows[6][6] = 1.0
-        rows[7][7] = a * a
-        return rows
+    def times_x(m):
+        """Chart, metric and triple of ``m`` times the ``(X, theta)`` factor."""
+        chart = Chart(m.chart.names + ("X1", "X2", "X3", "theta"))
+        metric = MetricField(chart, _direct_sum(m.metric.fn, np.diag([1.0, 1.0, 1.0, a * a])),
+                             name=f"{m.name} x (R^3 x S^1)")
+        forms = {k: FormField(chart, 2, _direct_sum(w.fn, _triple_rows(_TRIPLE[k], 1.0, a)),
+                              name=k) for k, w in m.forms.items()}
+        return chart, metric, forms
 
-    def cart_gfn(c):
-        return np.diag([1.0] * 7 + [a * a])
-
-    def lift(fn4, xpart):
-        # embed a 4x4 (x, Psi) form and add the constant X/theta block
-        def out(c):
-            rows = [[0.0] * 8 for _ in range(8)]
-            top = fn4(c[:4])
-            for m in range(4):
-                for n in range(m + 1, 4):
-                    rows[m][n] = top[m][n]
-            for m, n, v in xpart:
-                rows[m][n] = v
-            return rows
-
-        return out
-
-    om_I4, om_J4, om_K4 = _xpsi_triple_fns(lambda r: 1.0 / r)
-    forms = {
-        "omega_I": FormField(chart, 2, lift(om_I4, [(4, 5, 1.0), (6, 7, a)]),
-                             name="omega_I"),
-        "omega_J": FormField(chart, 2, lift(om_J4, [(5, 6, 1.0), (4, 7, a)]),
-                             name="omega_J"),
-        "omega_K": FormField(chart, 2, lift(om_K4, [(4, 6, -1.0), (5, 7, a)]),
-                             name="omega_K"),
-    }
-
-    cart_w = {
-        "omega_I": [(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0), (6, 7, a)],
-        "omega_J": [(0, 2, 1.0), (1, 3, -1.0), (5, 6, 1.0), (4, 7, a)],
-        "omega_K": [(0, 3, 1.0), (1, 2, 1.0), (4, 6, -1.0), (5, 7, a)],
-    }
+    chart, metric, forms = times_x(gh)
+    cart, cart_metric, cart_forms = times_x(gh.cartesian)
 
     cart_V = VectorFieldR(
         cart, lambda c: [-c[1], c[0], c[3], -c[2], 0.0, 0.0, 0.0, 1.0],
@@ -497,16 +484,15 @@ def r8_parent(a=1.0):
         name="r8-parent",
         a=a,
         chart=chart,
-        metric=MetricField(chart, gfn, name="8-metric, monopole chart"),
+        metric=metric,
         forms=forms,
         killing={"G": gh_V},
         embeddings={"level": level},
         targets={"mu_I": lambda c: 0.5 * c[2] + a * c[6],
                  "mu_J": lambda c: 0.5 * c[0] + a * c[4],
                  "mu_K": lambda c: 0.5 * c[1] + a * c[5]},
-        box=((*_CART,), (*_CART,), (*_CART,), (*_ANGLE,),
-             (*_CART,), (*_CART,), (*_CART,), (*_ANGLE,)),
-        exclusions=(_string_exclusion(),),
+        box=gh.box + x_box,
+        exclusions=gh.exclusions,
         fiber_index=4,
         invariant=(0, 1, 2, 3),
         level=Model(
@@ -519,14 +505,12 @@ def r8_parent(a=1.0):
             exclusions=(_string_exclusion(),),
             cyclic=(3, 4)),
         cartesian=Model(
-            "r8-parent cartesian", a, cart,
-            MetricField(cart, cart_gfn, name="8-metric, cartesian"),
-            forms={k: _constant_form(cart, v, k) for k, v in cart_w.items()},
+            "r8-parent cartesian", a, cart, cart_metric,
+            forms=cart_forms,
             killing={"G": cart_V},
             targets={"mu_I": mu_I_cart, "mu_J": mu_J_cart, "mu_K": mu_K_cart},
-            box=((*_CART,), (*_CART,), (*_CART,), (*_CART,),
-                 (*_CART,), (*_CART,), (*_CART,), (*_ANGLE,)),
-            exclusions=(_pole_exclusion(),)),
+            box=gh.cartesian.box + x_box,
+            exclusions=gh.cartesian.exclusions),
     )
 
 
@@ -569,43 +553,24 @@ def taub_nut_metric(x, a=1.0):
 def taub_nut_triple(x, a=1.0):
     """The three quotient 2-forms at ``x``: flat forms with ``1/r -> 1/r + 1/a^2``.
 
-    ``x`` may be a batch ``(B, 3)``, giving three ``(B, 4, 4)`` arrays.
+    These are the values of ``taub_nut(a).forms``.  ``x`` may be a batch
+    ``(B, 3)``, giving three ``(B, 4, 4)`` arrays.
     """
-    a = _check_a(a)
+    forms = taub_nut(a).forms
     x = _gauge_checked(x)
     p = np.concatenate([x, np.zeros((*x.shape[:-1], 1))], axis=-1)
-    chart = Chart(("x1", "x2", "x3", "chi"))
-    return tuple(FormField(chart, 2, fn).value(p)
-                 for fn in _xpsi_triple_fns(lambda r: 1.0 / r + 1.0 / (a * a)))
+    return tuple(w.value(p) for w in forms.values())
 
 
 def taub_nut(a=1.0):
-    """The quotient 4-manifold on ``(x, chi)``."""
+    """Taub-NUT on ``(x, chi)``: the Gibbons-Hawking metric with ``V = 1/r + 1/a^2``."""
     a = _check_a(a)
-    chart = Chart(("x1", "x2", "x3", "chi"))
 
-    def gfn(c):
-        r, A1, A2 = _monopole_terms(c[0], c[1], c[2])
+    def harmonic(r):
         s = 1.0 / r + 1.0 / (a * a)
-        return _gh_rows([A1, A2, 0.0, 1.0], 0.25 / s, s / 4.0)
+        return s, 1.0 / s
 
-    om_I, om_J, om_K = _xpsi_triple_fns(lambda r: 1.0 / r + 1.0 / (a * a))
-    return Model(
-        name="taub-nut",
-        a=a,
-        chart=chart,
-        metric=MetricField(chart, gfn, name="taub-nut"),
-        forms={"omega_I": FormField(chart, 2, om_I, name="omega_I^TN"),
-               "omega_J": FormField(chart, 2, om_J, name="omega_J^TN"),
-               "omega_K": FormField(chart, 2, om_K, name="omega_K^TN")},
-        killing={"chi-shift": VectorFieldR(chart, lambda c: [0.0, 0.0, 0.0, 1.0],
-                                           name="chi-shift")},
-        targets={"metric": lambda x: taub_nut_metric(x, a),
-                 "triple": lambda x: taub_nut_triple(x, a)},
-        box=((*_CART,), (*_CART,), (*_CART,), (*_ANGLE,)),
-        exclusions=(_string_exclusion(),),
-        cyclic=(3,),
-    )
+    return _gibbons_hawking("taub-nut", a, Chart(("x1", "x2", "x3", "chi")), harmonic)
 
 
 REGISTRY = {
@@ -639,9 +604,10 @@ def scalar_fields(a=1.0):
 
     The derivative-consistency suite (jets against central differences)
     sweeps exactly this list, so any new closed-form function should be
-    registered here.  The moment maps and Kaehler potentials are the models'
-    and ``kahler``'s own callables, so the sweep checks the functions the
-    other checks use.
+    registered here.  The moment maps, monopole terms, coordinate change,
+    Taub-NUT fiber norm (its metric's ``[3][3]`` entry) and Kaehler
+    potentials are the models' and ``kahler``'s own callables, so the sweep
+    checks the functions the other checks use.
     """
     from . import kahler  # here, not at the top: importing models loads no kahler
 
@@ -651,24 +617,11 @@ def scalar_fields(a=1.0):
     box3 = ((*_CART,), (*_CART,), (*_CART,))
     box4y = ((*_CART,),) * 4
     kbox = ((-1.5, 1.5),) * 4
-
-    def r_of_x(c):
-        return jets.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])
-
-    def A1(c):
-        return _monopole_terms(c[0], c[1], c[2])[1]
-
-    def A2(c):
-        return _monopole_terms(c[0], c[1], c[2])[2]
-
-    def psi_of_y(c):
-        return -2.0 * jets.atan2(c[0], c[1])
-
-    def tn_fiber_norm(c):
-        r = r_of_x(c)
-        return 0.25 / (1.0 / r + 1.0 / (a * a))
-
+    tn_metric = taub_nut(a).metric.fn
     mu_cart = r8_parent(a).cartesian.targets
+
+    def part(fn, k):
+        return lambda c: fn(c)[k]
 
     return (
         ScalarFieldSpec("toy-moment-map", toy_parent(a).targets["moment_map"],
@@ -676,18 +629,13 @@ def scalar_fields(a=1.0):
         ScalarFieldSpec("toy-curvature-target",
                         lambda c: 8.0 * a ** 4 / (c[0] * c[0] + a * a) ** 3,
                         ((*_RADIAL,), (*_ANGLE,))),
-        ScalarFieldSpec("radial-distance", r_of_x, box3, string),
-        ScalarFieldSpec("monopole-A1", A1, box3, string),
-        ScalarFieldSpec("monopole-A2", A2, box3, string),
-        ScalarFieldSpec("gh-angle", psi_of_y, box4y, pole),
-        ScalarFieldSpec("gh-x1", lambda c: 2.0 * (c[0] * c[3] + c[1] * c[2]), box4y),
-        ScalarFieldSpec("gh-x2", lambda c: 2.0 * (c[1] * c[3] - c[0] * c[2]), box4y),
-        ScalarFieldSpec("gh-x3",
-                        lambda c: c[0] * c[0] + c[1] * c[1] - c[2] * c[2] - c[3] * c[3],
-                        box4y),
+        *(ScalarFieldSpec(name, part(lambda c: _monopole_terms(*c), k), box3, string)
+          for k, name in enumerate(("radial-distance", "monopole-A1", "monopole-A2"))),
+        ScalarFieldSpec("gh-angle", part(_var_change_fn, 3), box4y, pole),
+        *(ScalarFieldSpec(f"gh-x{k + 1}", part(_var_change_fn, k), box4y) for k in range(3)),
         *(ScalarFieldSpec(f"mu-{k}-cartesian", mu_cart[f"mu_{k}"],
                           box4y + box3 + ((*_ANGLE,),), pole) for k in "IJK"),
-        ScalarFieldSpec("taub-nut-fiber-norm", tn_fiber_norm,
+        ScalarFieldSpec("taub-nut-fiber-norm", lambda c: tn_metric(c)[3][3],
                         box3 + ((*_ANGLE,),), string),
         ScalarFieldSpec("potential-shear", kahler.unit_determinant_shear_field().potential,
                         kbox),

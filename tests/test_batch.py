@@ -6,7 +6,6 @@ solve (connections, covariant derivatives, raised indices) agree to a few
 ulp.  Every fault in a batch names the first point that has it.
 """
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from hkgeo import checks, geometry, kahler, models, reduction
+from hkgeo.ddouble import DD
 from hkgeo.geometry import DivergenceError, MetricDomainError
 from hkgeo.jets import EvaluationError, Jet, call_field, evaluate_jet, solve
 from hkgeo.mechanics import (
@@ -223,19 +223,30 @@ def test_nonfinite_derivative_in_batch_names_point_and_coordinate():
     assert "point 1" in str(exc.value)
 
 
-def test_mp40_jet2_product_matches_outer_products():
+def test_double_double_jet2_product_matches_outer_products():
     # the outer products of the Hessian update, written without np.outer,
-    # still give np.outer's entries at 40 digits
-    with mpmath.workdps(40):
-        a = Jet.variable(mpmath.mpf(2) / 3, 0, 2) * mpmath.mpf("1.7")
-        b = Jet.variable(mpmath.mpf(5) / 7, 1, 2) + a
-        got = a * b
-        want = (b.hessian * a.value + a.hessian * b.value
-                + np.outer(a.gradient, b.gradient) + np.outer(b.gradient, a.gradient))
-        assert got.value == a.value * b.value
-        assert list(got.gradient) == list(b.gradient * a.value + a.gradient * b.value)
-        assert got.hessian.dtype == object
-        assert got.hessian.tolist() == want.tolist()
+    # give the entries of scalar products term for term, in both parts of a
+    # double-double jet
+    a = Jet.variable(DD(2.0, 0.0) / 3.0, 0, 2) * 1.7
+    b = Jet.variable(DD(5.0, 0.0) / 7.0, 1, 2) + a
+    got = a * b
+
+    def outer(u, v):
+        out = DD.zeros((2, 2))
+        for i in range(2):
+            for j in range(2):
+                out[i, j] = u[i] * v[j]
+        return out
+
+    want = (b.hessian * a.value + a.hessian * b.value
+            + outer(a.gradient, b.gradient) + outer(b.gradient, a.gradient))
+    value = a.value * b.value
+    gradient = b.gradient * a.value + a.gradient * b.value
+    assert isinstance(got.hessian, DD) and np.any(got.hessian.lo != 0.0)
+    for part in ("hi", "lo"):
+        assert getattr(got.value, part) == getattr(value, part)
+        assert np.array_equal(getattr(got.gradient, part), getattr(gradient, part))
+        assert np.array_equal(getattr(got.hessian, part), getattr(want, part))
 
 
 # -- fields, geometry and reduction over every registry model ---------------

@@ -221,3 +221,41 @@ def test_r8_level_embedding_kills_moments():
         P = lev.value(p)
         for key in ("mu_I", "mu_J", "mu_K"):
             assert abs(m.targets[key](P)) < 1e-13
+
+
+def _x_factor(a):
+    """Metric and triple of the flat ``(X, theta)`` factor ``R^3 x S^1``:
+    ``dX.dX + a^2 dtheta^2`` and ``dX^j dX^k + a dX^i dtheta``, (i, j, k) cyclic."""
+    triple = {"omega_I": ((0, 1, 1.0), (2, 3, a)),
+              "omega_J": ((1, 2, 1.0), (0, 3, a)),
+              "omega_K": ((2, 0, 1.0), (1, 3, a))}
+    blocks = {"metric": np.diag([1.0, 1.0, 1.0, a * a])}
+    for k, entries in triple.items():
+        W = np.zeros((4, 4))
+        for m, n, v in entries:
+            W[m, n], W[n, m] = v, -v
+        blocks[k] = W
+    return blocks
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_r8_parent_is_gh_flat_times_the_x_factor(a):
+    # r8-parent = gh-flat x (R^3 x S^1): in both pictures its metric and
+    # triple are gh-flat's, bit for bit, on the first four coordinates
+    # (values and derivatives), the mixed blocks are zero and the (X, theta)
+    # block is the constant factor
+    r8, gh = build("r8-parent", a), build("gh-flat", a)
+    blocks = _x_factor(a)
+    for big, small in ((r8, gh), (r8.cartesian, gh.cartesian)):
+        pts = big.sample(6, seed=4)
+        assert set(big.forms) == set(small.forms) == {"omega_I", "omega_J", "omega_K"}
+        fields = {"metric": (big.metric, small.metric),
+                  **{k: (w, small.forms[k]) for k, w in big.forms.items()}}
+        for key, (f8, f4) in fields.items():
+            V8, D8 = f8.jet(pts)[:2]
+            V4, D4 = f4.jet(pts[:, :4])[:2]
+            assert V8[:, :4, :4].tobytes() == V4.tobytes(), (big.name, key)
+            assert D8[:, :4, :4, :4].tobytes() == D4.tobytes(), (big.name, key)
+            assert not D8[:, 4:].any() and not D8[:, :, 4:].any() and not D8[:, :, :, 4:].any()
+            assert not V8[:, :4, 4:].any() and not V8[:, 4:, :4].any()
+            assert np.array_equal(V8[:, 4:, 4:], np.broadcast_to(blocks[key], (6, 4, 4)))

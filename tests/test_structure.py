@@ -17,8 +17,9 @@ computes eigenvalues only for the matrix its Cholesky certificate cannot
 clear.  Each reduction stage is one check of ``checks.py``, run on both
 reduction models.  Each acceptance claim is one row of ``checks.CLAIMS``,
 whose measures return only an error and a sample count; a level set or a
-Cartesian picture is a ``Model`` of its own.  ``src/`` stays under a
-code-line ceiling, so growth shows in the diff.
+Cartesian picture is a ``Model`` of its own.  Every module but ``checks``
+lists its public functions and classes in ``__all__``.  ``src/`` stays
+under a code-line ceiling, so growth shows in the diff.
 """
 
 import ast
@@ -133,6 +134,25 @@ def test_one_number_system_besides_float64():
                         and any("dtype" in ast.unparse(x) for x in sides)):
                     found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+
+
+def test_every_public_definition_is_exported():
+    # each module but checks (whose measures are reached through CLAIMS)
+    # lists every public top-level function and class in its __all__
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "checks":
+            continue
+        tree = ast.parse(path.read_text())
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        missing += [f"{path.stem}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in exported]
+    assert missing == []
 
 
 def _fresh(code):
@@ -401,7 +421,7 @@ def _code_lines(path):
 
 #: The most code lines ``src/`` may have.  Lower it when the package shrinks;
 #: raising it is a change that shows in the diff.
-CODE_LINE_CEILING = 2594
+CODE_LINE_CEILING = 2530
 
 
 def test_src_code_lines():
