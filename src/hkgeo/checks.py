@@ -9,11 +9,14 @@ order.  A measure returns only its worst absolute error and its sample
 count; "expected failure" checks (negative controls) report error 0 when
 the failure is correctly detected and 1 when it is not.  A check that
 raises is reported as a failed row carrying the exception, and the run
-goes on.
+goes on.  A run builds each model once per ``(name, a)`` and hands the
+same :class:`~hkgeo.models.Model` to every check that asks for it; the
+reuse ends with the run, so a check called on its own builds afresh.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
 import time
 import zlib
@@ -129,6 +132,22 @@ class CheckContext(Frozen):
         return int(rng.integers(2 ** 31))
 
 
+#: The models built so far in the running :func:`run_suite`, by ``(name, a)``;
+#: unset outside a run.  Context-local, so concurrent runs keep their own.
+_built = contextvars.ContextVar("built")
+
+
+def _model(name, a):
+    """``models.build(name, a)``, once per ``(name, a)`` within a run.
+
+    ``models.build`` is looked up at each call, so a wrapper installed on
+    the module attribute sees every build."""
+    built = _built.get({})  # outside a run a fresh dict: a fresh build
+    if (name, a) not in built:
+        built[name, a] = models.build(name, a)
+    return built[name, a]
+
+
 def _worst(got, want=0.0):
     """Largest ``|got - want|`` over a batch, as a float; NaN if any entry is NaN.
 
@@ -195,11 +214,9 @@ def check_quaternion_triple(ctx, rng):
 
 def check_covariant_constancy(ctx, rng):
     shear = kahler.unit_determinant_shear_field()
-    greal = shear.real_metric()
     fJ, fK = kahler.quaternion_form_fields(shear, kahler.symplectic_matrix(2))
     pts = sample_points(SampleSpec(_KBOX, max(10, ctx.samples // 5), ctx.subseed(rng)))
-    dJ = geometry.covariant_derivative_02(greal, fJ, pts)
-    dK = geometry.covariant_derivative_02(greal, fK, pts)
+    dJ, dK = geometry.covariant_derivative_02(shear.real_metric(), [fJ, fK], pts)
     return worst_of(_worst(dJ + 1j * dK), _worst(dJ - 1j * dK)), len(pts)
 
 
@@ -239,7 +256,7 @@ def _level_quotient(m, pts):
 
 
 def check_level_pullback(ctx, rng, name):
-    m = models.build(name, ctx.a)
+    m = _model(name, ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     got = reduction.pullback_metric(m.metric, m.embeddings["level"], pts)
     return _worst(got, m.level.metric.value(pts)), len(pts)
@@ -247,7 +264,7 @@ def check_level_pullback(ctx, rng, name):
 
 def check_quotient_metric(ctx, rng, name, target):
     """The quotient metric against ``target(m, pts)``."""
-    m = models.build(name, ctx.a)
+    m = _model(name, ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     return _worst(_level_quotient(m, pts), target(m, pts)), len(pts)
 
@@ -255,20 +272,18 @@ def check_quotient_metric(ctx, rng, name, target):
 def check_quotient_forms(ctx, rng, name, target):
     """Each form of the model, pulled back and quotiented, against the matching
     entry of ``target(m, pts)``."""
-    m = models.build(name, ctx.a)
+    m = _model(name, ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
-    lev = m.embeddings["level"]
-    worst = worst_of(*(
-        _worst(reduction.quotient_form(reduction.pullback_form(w, lev, pts),
-                                       m.fiber_index, m.invariant, pts), want)
-        for w, want in zip(m.forms.values(), target(m, pts))))
-    return worst, len(pts)
+    pulled = reduction.pullback_form(list(m.forms.values()), m.embeddings["level"], pts)
+    return worst_of(*(
+        _worst(reduction.quotient_form(w, m.fiber_index, m.invariant, pts), want)
+        for w, want in zip(pulled, target(m, pts)))), len(pts)
 
 
 def check_hamiltonian_equivalence(ctx, rng, name, count, probes):
     """Constraining the fiber momentum of the level-set kinetic term, checked
     cyclic at ``probes`` of the ``count`` points, gives the quotient metric."""
-    m = models.build(name, ctx.a)
+    m = _model(name, ctx.a)
     pts = m.level.sample(count, ctx.subseed(rng))
     L2 = mechanics.constrain_and_reduce(_level_kinetic(m), m.fiber_index,
                                         probe_points=pts[:probes])
@@ -281,7 +296,7 @@ def check_cyclic_brackets(ctx, rng, names, count):
     Hamiltonian of each model in ``names``, at ``count`` points each."""
     errors, n_pts = [], 0
     for name in names:
-        m = models.build(name, ctx.a)
+        m = _model(name, ctx.a)
         L = _level_kinetic(m)
         H = mechanics.hamiltonian_field(L)
         pts = m.level.sample(count, ctx.subseed(rng))
@@ -298,7 +313,7 @@ def check_cyclic_brackets(ctx, rng, names, count):
 
 
 def check_toy_contraction(ctx, rng):
-    m = models.build("toy-parent", ctx.a)
+    m = _model("toy-parent", ctx.a)
     pts = m.sample(ctx.samples, ctx.subseed(rng))
     got = reduction.contract(m.forms["omega"], m.killing["shift"], pts)
     want = np.zeros_like(pts)
@@ -307,7 +322,7 @@ def check_toy_contraction(ctx, rng):
 
 
 def check_toy_killing(ctx, rng):
-    m = models.build("toy-parent", ctx.a)
+    m = _model("toy-parent", ctx.a)
     spec = reduction.ReductionSpec(m.metric, (m.forms["omega"],),
                                    m.killing["shift"], m.embeddings["level"],
                                    m.invariant, m.fiber_index)
@@ -317,7 +332,7 @@ def check_toy_killing(ctx, rng):
 
 
 def check_toy_moment(ctx, rng):
-    m = models.build("toy-parent", ctx.a)
+    m = _model("toy-parent", ctx.a)
     alpha = reduction.contraction_field(m.forms["omega"], m.killing["shift"])
     base = np.asarray(m.targets["moment_base"])
     mu = m.targets["moment_map"]
@@ -327,7 +342,7 @@ def check_toy_moment(ctx, rng):
 
 
 def check_toy_complex_structure(ctx, rng):
-    red = models.build("toy-reduced", ctx.a)
+    red = _model("toy-reduced", ctx.a)
     pts = red.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     gv = red.metric.value(pts)
     I = reduction.complex_structure(gv, red.forms["omega"].value(pts))
@@ -339,7 +354,7 @@ def check_toy_complex_structure(ctx, rng):
 def check_toy_curvature(ctx, rng):
     worst = 0.0
     for a in A_SWEEP:
-        red = models.build("toy-reduced", a)
+        red = _model("toy-reduced", a)
         rs = np.concatenate([[1e-6, 1e-4, 1e-2],
                              rng.uniform(0.05, 10.0, size=10), [10.0]])
         got = geometry.curvature_at_radii(red.metric, rs)
@@ -350,7 +365,7 @@ def check_toy_curvature(ctx, rng):
 def check_toy_euler(ctx, rng):
     worst = 0.0
     for a in A_SWEEP:
-        red = models.build("toy-reduced", a)
+        red = _model("toy-reduced", a)
         val, quad_err = geometry.euler_characteristic(red.metric, r_scale=a)
         worst = worst_of(worst, abs(val - 2.0) + quad_err)
     return worst, len(A_SWEEP)
@@ -361,7 +376,7 @@ def check_toy_euler(ctx, rng):
 
 
 def check_tn_radius(ctx, rng):
-    gh = models.build("gh-flat", ctx.a)
+    gh = _model("gh-flat", ctx.a)
     pts = gh.cartesian.sample(ctx.samples, ctx.subseed(rng))
     x = gh.embeddings["to_monopole"].value(pts)
     r = np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2)
@@ -369,19 +384,18 @@ def check_tn_radius(ctx, rng):
 
 
 def check_tn_gh_metric(ctx, rng):
-    gh = models.build("gh-flat", ctx.a)
+    gh = _model("gh-flat", ctx.a)
     pts = gh.cartesian.sample(ctx.samples, ctx.subseed(rng))
     got = reduction.pullback_metric(gh.metric, gh.embeddings["to_monopole"], pts)
     return _worst(got, np.eye(4)), len(pts)
 
 
 def check_tn_gh_triple(ctx, rng):
-    gh = models.build("gh-flat", ctx.a)
-    inv = gh.embeddings["to_cartesian"]
+    gh = _model("gh-flat", ctx.a)
     pts = gh.sample(ctx.samples, ctx.subseed(rng))
-    worst = worst_of(*(
-        _worst(reduction.pullback_form(gh.cartesian.forms[k], inv, pts), form.value(pts))
-        for k, form in gh.forms.items()))
+    pulled = reduction.pullback_form([gh.cartesian.forms[k] for k in gh.forms],
+                                     gh.embeddings["to_cartesian"], pts)
+    worst = worst_of(*map(_worst, pulled, [f.value(pts) for f in gh.forms.values()]))
     return worst, len(pts)
 
 
@@ -401,18 +415,18 @@ def check_tn_curl(ctx, rng):
 
 
 def check_tn_moment_gradients(ctx, rng):
-    cart = models.build("r8-parent", ctx.a).cartesian
+    cart = _model("r8-parent", ctx.a).cartesian
     pts = cart.sample(ctx.samples, ctx.subseed(rng))
-    pairs = (("omega_I", "mu_I"), ("omega_J", "mu_J"), ("omega_K", "mu_K"))
+    G = cart.killing["G"].value(pts)  # one evaluation serves the three forms
     worst = worst_of(*(
-        _worst(reduction.contract(cart.forms[wk], cart.killing["G"], pts),
-               evaluate_jet(cart.targets[mk], pts, order=1).gradient.T)
-        for wk, mk in pairs))
+        _worst(reduction.contract(cart.forms[f"omega_{k}"], G, pts),
+               evaluate_jet(cart.targets[f"mu_{k}"], pts, order=1).gradient.T)
+        for k in "IJK"))
     return worst, len(pts)
 
 
 def check_tn_level_moments(ctx, rng):
-    m = models.build("r8-parent", ctx.a)
+    m = _model("r8-parent", ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     P = m.embeddings["level"].value(pts).T  # one coordinate array per component
     worst = worst_of(*(_worst(m.targets[mk](P)) for mk in ("mu_I", "mu_J", "mu_K")))
@@ -420,7 +434,7 @@ def check_tn_level_moments(ctx, rng):
 
 
 def check_tn_killing(ctx, rng):
-    m = models.build("r8-parent", ctx.a)
+    m = _model("r8-parent", ctx.a)
     pts = m.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     dev = geometry.killing_deviation(m.metric, m.killing["G"], pts)
     cart = m.cartesian
@@ -430,23 +444,24 @@ def check_tn_killing(ctx, rng):
 
 
 def check_tn_triple_closed(ctx, rng):
-    tn = models.build("taub-nut", ctx.a)
+    tn = _model("taub-nut", ctx.a)
     pts = tn.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     return worst_of(*(_worst(reduction.exterior_derivative(f, pts))
                       for f in tn.forms.values())), len(pts)
 
 
 def check_tn_hyperkahler(ctx, rng):
-    tn = models.build("taub-nut", ctx.a)
+    tn = _model("taub-nut", ctx.a)
     pts = tn.sample(ctx.samples, ctx.subseed(rng))
-    eye = np.eye(4)
-    gv = tn.metric.value(pts)
-    I, J, K = (reduction.complex_structure(gv, f.value(pts)) for f in tn.forms.values())
+    forms = list(tn.forms.values())
+    # the derivatives first, each reduced to its worst error before the
+    # structures are formed, so their arrays are not alive at once
+    nabla = [_worst(d) for d in geometry.covariant_derivative_02(tn.metric, forms, pts)]
+    eye, gv = np.eye(4), tn.metric.value(pts)
+    I, J, K = (reduction.complex_structure(gv, f.value(pts)) for f in forms)
     worst = worst_of(
         _worst(I @ I, -eye), _worst(J @ J, -eye), _worst(K @ K, -eye),
-        _worst(I @ J, K), _worst(J @ K, I), _worst(K @ I, J),
-        *(_worst(geometry.covariant_derivative_02(tn.metric, f, pts))
-          for f in tn.forms.values()))
+        _worst(I @ J, K), _worst(J @ K, I), _worst(K @ I, J), *nabla)
     return worst, len(pts)
 
 
@@ -476,7 +491,7 @@ def check_mech_roundtrip(ctx, rng):
 
 
 def check_mech_toy_matrix(ctx, rng):
-    m = models.build("toy-parent", ctx.a)
+    m = _model("toy-parent", ctx.a)
     a = m.a
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     Minv = mechanics.legendre_to_hamiltonian(_level_kinetic(m), pts)
@@ -567,12 +582,12 @@ CLAIMS = [
      lambda c, r: check_level_pullback(c, r, "toy-parent")),
     ("toy.quotient_metric", 1e-10,
      "orthogonal-projection quotient matches the reduced surface metric",
-     lambda c, r: check_quotient_metric(c, r, "toy-parent", lambda m, p: models.build(
+     lambda c, r: check_quotient_metric(c, r, "toy-parent", lambda m, p: _model(
          "toy-reduced", m.a).metric.value(p[:, [0, 2]]))),
     ("toy.quotient_form", 1e-10,
      "fiber components of the pulled-back form cancel and the rest is "
      "the area form r dr d chi",
-     lambda c, r: check_quotient_forms(c, r, "toy-parent", lambda m, p: [models.build(
+     lambda c, r: check_quotient_forms(c, r, "toy-parent", lambda m, p: [_model(
          "toy-reduced", m.a).forms["omega"].value(p[:, [0, 2]])])),
     ("toy.quotient_complex_structure", 1e-8,
      "quotient complex structure squares to -1 and is covariantly constant",
@@ -671,32 +686,23 @@ def run_suite(suite, seed=0, samples=50, a=1.0):
         raise ValueError(f"seed must be >= 0, got {seed}")
     ctx = CheckContext(seed=int(seed), samples=int(samples), a=models._check_a(a))
     reports = []
-    for check_id, tol, description, measure in SUITES[suite]:
-        rng = ctx.rng(check_id)
-        t0 = time.perf_counter()
-        error = None
-        try:
-            err, n = measure(ctx, rng)
-        except Exception as exc:  # one crashing check must not end the run
-            err, n = math.nan, 0
-            error = f"{type(exc).__name__}: {exc}"
-        elapsed = int(round((time.perf_counter() - t0) * 1000.0))
-        reports.append(CheckReport(
-            check_id=check_id,
-            description=description.replace("{samples}", str(n)),
-            samples=int(n),
-            max_abs_error=float(err),
-            tolerance=float(tol),
-            passed=bool(err <= tol),
-            elapsed_ms=elapsed,
-            error=error,
-        ))
+    token = _built.set({})
+    try:
+        for check_id, tol, description, measure in SUITES[suite]:
+            rng = ctx.rng(check_id)
+            t0 = time.perf_counter()
+            error = None
+            try:
+                err, n = measure(ctx, rng)
+            except Exception as exc:  # one crashing check must not end the run
+                err, n = math.nan, 0
+                error = f"{type(exc).__name__}: {exc}"
+            elapsed = int(round((time.perf_counter() - t0) * 1000.0))
+            reports.append(CheckReport(check_id, description.replace("{samples}", str(n)),
+                                       int(n), float(err), float(tol), bool(err <= tol),
+                                       elapsed, error))
+    finally:
+        _built.reset(token)
     reports.sort(key=lambda c: c.check_id)
-    return RunManifest(
-        seed=int(seed),
-        samples=int(samples),
-        a=float(a),
-        a_sweep=A_SWEEP,
-        version=__version__,
-        checks=tuple(reports),
-    )
+    return RunManifest(int(seed), int(samples), float(a), A_SWEEP, __version__,
+                       tuple(reports))

@@ -97,11 +97,10 @@ def _cmd_curvature_profile(args):
     except ValueError as exc:  # a bad --a
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    target = red.targets["curvature"]
     rs = [1e-6 + (args.rmax - 1e-6) * i / (args.steps - 1) for i in range(args.steps)]
     lines = ["r,K_numeric,K_closed_form,abs_err"]
-    for r, K in zip(rs, geometry.curvature_at_radii(red.metric, rs)):
-        Kref = target(r)
+    for r, K, Kref in zip(rs, geometry.curvature_at_radii(red.metric, rs).tolist(),
+                          map(red.targets["curvature"], rs)):
         lines.append(f"{r:.12g},{K:.12g},{Kref:.12g},{abs(K - Kref):.6g}")
     text = "\n".join(lines) + "\n"
     if args.csv is None:

@@ -18,9 +18,9 @@ normalisation the rotationally symmetric reductions built in
 :mod:`hkgeo.models` integrate to their expected topological count via
 :func:`euler_characteristic`.  :func:`ricci_scalar`, the full contraction
 of :func:`riemann`, is the independent route it is tested against.
-Below ``r = 0.05`` on a polar chart the curvature runs on double-double
-numbers (:mod:`hkgeo.ddouble`, see :func:`curvature_dps`); everything else
-runs on float64.
+Below ``r =`` :data:`DD_RADIUS` (0.05) on a polar chart the curvature
+runs on double-double numbers (:mod:`hkgeo.ddouble`, see
+:func:`curvature_dps`); everything else runs on float64.
 
 Inverse-metric contractions and curvatures are guarded by a Cholesky
 factorisation, so a non-positive-definite metric surfaces as a
@@ -29,12 +29,17 @@ positive-definite solve of the package factors its matrices once: the
 guard returns the factor ``L`` (``L L^H`` for a Hermitian metric) and the
 solve substitutes with it (:func:`_solve`); a mass-matrix solve does the
 same with the factor of its own rule, jet entries differentiated
-implicitly (:func:`_solve_entries`).
+implicitly (:func:`_solve_entries`).  A stack's conditioning is bounded
+without eigenvalues or singular values by one scale-free Cholesky
+certificate (:func:`_certified_cholesky`), which the mass-matrix rule of
+:mod:`hkgeo.mechanics` and the Jacobian rank guard of
+:mod:`hkgeo.reduction` share.
 
 :func:`christoffel`, :func:`covariant_derivative_02`, :func:`killing_deviation`,
 :func:`riemann` and :func:`gaussian_curvature` (at every precision) take one
 point ``(d,)`` or a batch ``(B, d)`` (point axis first on the output; errors
-name the first point).
+name the first point).  :func:`covariant_derivative_02` also takes a list
+of fields, which share one connection.
 """
 
 from __future__ import annotations
@@ -90,6 +95,24 @@ def _cholesky(a):
         half = len(flat) // 2
         return np.concatenate([_cholesky(flat[:half]),
                                _cholesky(flat[half:])]).reshape(a.shape)
+
+
+def _certified_cholesky(a, c):
+    """``(L, cleared)``: the Cholesky factor of every matrix of ``a``
+    ``(..., n, n)`` (:func:`_cholesky`) and whether each has
+    ``prod(l_i^2 / tr a) >= c`` over its factor's diagonal ``l``.
+
+    Cleared, every matrix is positive definite with ``lambda_min / lambda_max
+    >= c``: ``lambda_min >= det a / lambda_max^(n-1) >= c tr a`` (Golub & Van
+    Loan, *Matrix Computations*, 4.2 and 8.1).  As a product of ratios, each
+    at most 1, the test is free of scale, where ``det a >= c (tr a)^n`` could
+    pass with both sides underflowed to 0; a non-finite entry fails it.
+    """
+    L = _cholesky(a)
+    diag = np.diagonal(L, axis1=-2, axis2=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
+        tr = np.trace(a, axis1=-2, axis2=-1)[..., None]
+        return L, bool((np.prod(diag * diag / tr, axis=-1) >= c).all())
 
 
 def _check_positive_definite(gv):
@@ -301,25 +324,30 @@ def ricci_scalar(g, p):
     return np.trace(_solve(g.value(p), ric))  # g^{BP} ric[P, B]
 
 
+#: Radius of a polar chart below which curvature runs on double-double numbers.
+DD_RADIUS = 0.05
+
+
 def curvature_dps(r):
     """Digits for :func:`gaussian_curvature` at radius ``r`` of a polar chart.
 
-    31 (double-double, :data:`hkgeo.ddouble.DIGITS`) below ``r = 0.05``,
-    where float64 cancellation near the origin would dominate the error;
-    ``None`` (float64) from there on.
+    31 (double-double, :data:`hkgeo.ddouble.DIGITS`) below ``r =``
+    :data:`DD_RADIUS`, where float64 cancellation near the origin would
+    dominate the error; ``None`` (float64) from there on.
     """
-    return DIGITS if r < 0.05 else None
+    return DIGITS if r < DD_RADIUS else None
 
 
 def curvature_at_radii(g, rs):
     """:func:`gaussian_curvature` at the points ``(r, 1)`` of a polar chart, in
-    the order of ``rs``: one call per :func:`curvature_dps` precision."""
-    pts = np.stack([rs, np.ones(len(rs))], axis=1)
-    K = np.empty(len(rs))
-    dps = [curvature_dps(r) for r in rs]
-    for prec in dict.fromkeys(dps):
-        idx = np.flatnonzero([x == prec for x in dps])
-        K[idx] = gaussian_curvature(g, pts[idx], dps=prec)
+    the order of ``rs``: one call per precision, the radii split at
+    :data:`DD_RADIUS` as :func:`curvature_dps` splits them."""
+    rs = np.asarray(rs, dtype=float)
+    pts, K = np.stack([rs, np.ones(len(rs))], axis=1), np.empty(len(rs))
+    low = rs < DD_RADIUS
+    for idx, dps in ((low, DIGITS), (~low, None)):
+        if idx.any():
+            K[idx] = gaussian_curvature(g, pts[idx], dps=dps)
     return K
 
 
@@ -385,11 +413,19 @@ def _curvature(g, p):
 
 
 def covariant_derivative_02(g, T, p):
-    """``nabla_P T_{MN}`` of a rank-(0,2) field along ``g``'s connection."""
+    """``nabla_P T_{MN}`` of a rank-(0,2) field along ``g``'s connection.
+
+    ``T`` may be a list of fields: they share one :func:`christoffel`, and
+    their derivatives come back as a list, in order.
+    """
     G = christoffel(g, p)
-    Tv, dT, _ = T.jet(p)
-    return (dT - np.einsum("...spm,...sn->...pmn", G, Tv)
-            - np.einsum("...spn,...ms->...pmn", G, Tv))
+
+    def nabla(Tv, dT, _):  # each jet is released before the next is evaluated
+        return (dT - np.einsum("...spm,...sn->...pmn", G, Tv)
+                - np.einsum("...spn,...ms->...pmn", G, Tv))
+
+    out = [nabla(*f.jet(p)) for f in (T if isinstance(T, list) else [T])]
+    return out if isinstance(T, list) else out[0]
 
 
 def killing_deviation(g, V, p):

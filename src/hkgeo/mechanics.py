@@ -35,7 +35,7 @@ import numpy as np
 
 from ._record import Frozen
 from .fields import Chart, MetricField, _triangle
-from .geometry import _cholesky, _solve_entries, _stack_entries, _substitute
+from .geometry import _certified_cholesky, _solve_entries, _stack_entries, _substitute
 from .jets import evaluate_jet, first_failure
 
 __all__ = [
@@ -145,22 +145,16 @@ def _check_mass(Mv, q=None):
     ``q`` is given).
 
     One Cholesky factorisation of the stack clears it when every matrix has
-    ``prod(l_i^2 / tr M) >= 2 MIN_RCOND`` over its factor's diagonal ``l``:
-    then ``lambda_min >= det M / lambda_max^(n-1) >= 2 MIN_RCOND tr M``, the
-    factor 2 covering rounding (Golub & Van Loan, *Matrix Computations*,
-    4.2 and 8.1).  As a product of ratios, each at most 1, the test is free
-    of scale, where ``det M >= c (tr M)^n`` could pass with both sides
-    underflowed to 0.  A stack that is not cleared, or holds a non-finite
-    entry, is judged by its eigenvalues, which make every rejection.
+    ``prod(l_i^2 / tr M) >= 2 MIN_RCOND`` over its factor's diagonal ``l``
+    (:func:`hkgeo.geometry._certified_cholesky`), the factor 2 covering
+    rounding.  A stack that is not cleared, or holds a non-finite entry, is
+    judged by its eigenvalues, which make every rejection.
     """
     finite = np.isfinite(Mv).all(axis=(-2, -1))
     if finite.all():
-        factor = _cholesky(Mv)
-        diag = np.diagonal(factor, axis1=-2, axis2=-1)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail the test
-            tr = np.trace(Mv, axis1=-2, axis2=-1)[..., None]
-            if (np.prod(diag * diag / tr, axis=-1) >= 2 * MIN_RCOND).all():
-                return factor
+        factor, cleared = _certified_cholesky(Mv, 2 * MIN_RCOND)
+        if cleared:
+            return factor
     else:
         Mv = np.where(finite[..., None, None], Mv, np.eye(Mv.shape[-1]))
     lo, hi = np.moveaxis(np.linalg.eigvalsh(Mv)[..., [0, -1]], -1, 0)  # ascending

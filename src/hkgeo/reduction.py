@@ -21,6 +21,12 @@ Every pointwise operation here takes one point ``(d,)`` or a batch
 ``(B, d)`` (matrices and tensors with a leading point axis where values
 are passed in), puts the point axis of a batch first on its output and
 names the first failing point of a batch in its errors.
+
+The pullbacks guard their map's Jacobian: a non-finite one is an error,
+and full column rank is certified by one Cholesky factorisation of
+``J^T J`` per stack, singular values being computed only for a stack the
+certificate cannot clear.  :func:`pullback_form` also takes a list of
+forms, which share one guarded Jacobian.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ import numpy as np
 
 from ._record import Frozen
 from .fields import FormField, MetricField, VectorFieldR, _triangle
-from .geometry import DivergenceError, _solve, killing_deviation
-from .jets import first_failure
+from .geometry import DivergenceError, _certified_cholesky, _solve, killing_deviation
+from .jets import EvaluationError, first_failure
 from .quadrature import integrate
 
 __all__ = [
@@ -183,32 +189,46 @@ def recover_moment_map(alpha, base, p, base_value=0.0, closure_tol=1e-6,
 
 
 def _jacobian_checked(phi, p):
-    """Jacobian of ``phi`` at ``p``; warns at the first rank-deficient point."""
+    """Jacobian of ``phi`` at ``p``; warns at the first rank-deficient point.
+
+    A non-finite Jacobian raises :class:`~hkgeo.jets.EvaluationError` naming
+    the first such point.  One stacked Cholesky factorisation of ``J^T J``
+    certifies full column rank (:func:`hkgeo.geometry._certified_cholesky`
+    with ``c = 1e-12``: ``sigma_min / sigma_max >= 1e-6``, far above the
+    ``max(M, N) eps`` of ``np.linalg.matrix_rank``); only a stack it cannot
+    clear is judged by ``matrix_rank``, which words every warning.
+    """
     J = phi.jacobian(p)
+    failure = first_failure(np.isfinite(J).all(axis=(-2, -1)), p)
+    if failure is not None:
+        raise EvaluationError(f"non-finite jacobian of {phi.name or 'map'}{failure[1]}",
+                              point=failure[0])
+    if _certified_cholesky(np.swapaxes(J, -1, -2) @ J, 1e-12)[1]:  # sigma ratio 1e-6
+        return J
     failure = first_failure(np.linalg.matrix_rank(J) >= phi.source.dim, p)
     if failure is not None:
-        warnings.warn(
-            f"jacobian of {phi.name or 'map'} is rank deficient{failure[1]}",
-            DegeneratePullbackWarning,
-            stacklevel=3,
-        )
+        warnings.warn(f"jacobian of {phi.name or 'map'} is rank deficient{failure[1]}",
+                      DegeneratePullbackWarning, stacklevel=3)
     return J
 
 
 def pullback_metric(g, phi, p):
     """``(phi* g)_mn = d_m phi^M d_n phi^N g_MN`` at the source point ``p``."""
     J = _jacobian_checked(phi, p)
-    gv = g.value(phi.value(p))
-    return np.swapaxes(J, -1, -2) @ gv @ J
+    return np.swapaxes(J, -1, -2) @ g.value(phi.value(p)) @ J
 
 
 def pullback_form(form, phi, p):
-    """Pull a 1- or 2-form on the target back through ``phi``."""
+    """Pull a 1- or 2-form on the target back through ``phi``.
+
+    ``form`` may be a list of forms: they share one guarded Jacobian and one
+    ``phi.value``, and their pullbacks come back as a list, in order.
+    """
     J = _jacobian_checked(phi, p)
-    W = form.value(phi.value(p))
-    if form.degree == 1:
-        return (np.swapaxes(J, -1, -2) @ W[..., None])[..., 0]
-    return np.swapaxes(J, -1, -2) @ W @ J
+    q, Jt = phi.value(p), np.swapaxes(J, -1, -2)
+    out = [(Jt @ w.value(q)[..., None])[..., 0] if w.degree == 1 else Jt @ w.value(q) @ J
+           for w in (form if isinstance(form, list) else [form])]
+    return out if isinstance(form, list) else out[0]
 
 
 def quotient_metric(g, V, invariant, p):

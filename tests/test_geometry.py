@@ -204,6 +204,21 @@ def test_volume_form_covariantly_constant():
         assert np.max(np.abs(dw)) < 1e-12
 
 
+def test_a_list_of_fields_shares_one_connection(monkeypatch):
+    # each derivative of the list is the one of its field alone, bit for bit
+    tn = models.build("taub-nut", 1.0)
+    forms = list(tn.forms.values())
+    pts = tn.sample(6, 3)
+    alone = [covariant_derivative_02(tn.metric, f, p) for f in forms for p in (pts, pts[2])]
+    calls = []
+    monkeypatch.setattr(geometry, "christoffel",
+                        lambda g, p, f=geometry.christoffel: calls.append(1) or f(g, p))
+    together = [covariant_derivative_02(tn.metric, forms, p) for p in (pts, pts[2])]
+    assert len(calls) == 2
+    for got, want in zip([t[i] for i in range(3) for t in together], alone):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_euler_characteristic_cigar():
     g = MetricField(Chart(("r", "chi")),
                     lambda c: [[1.0 + c[0] ** 2, 0.0],

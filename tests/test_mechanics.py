@@ -202,8 +202,8 @@ def _mass_outcome(M):
 
 def _eigenvalue_outcome(M):
     # the certificate never clears, so the eigenvalues decide alone
-    with mock.patch.object(mechanics, "_cholesky",
-                           lambda a: np.full(a.shape, np.nan)):
+    with mock.patch.object(mechanics, "_certified_cholesky",
+                           lambda a, c: (np.full(a.shape, np.nan), False)):
         return _mass_outcome(M)
 
 

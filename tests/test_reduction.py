@@ -114,6 +114,40 @@ def test_rank_deficient_jacobian_warns():
         pullback_metric(flat, squash, [1.0, 0.0])
 
 
+def test_non_finite_jacobian_raises_a_typed_error():
+    # the rank guard never sees a NaN Jacobian (an SVD of one does not converge)
+    spoilt = EmbeddingMap(PLANE, Chart(("x", "y", "z")),
+                          lambda c: [c[0], c[1], c[0] * float("nan")], name="spoilt")
+    flat = MetricField(spoilt.target, lambda c: np.eye(3))
+    w = FormField(spoilt.target, 2, lambda c: [[0.0, 1.0, 0.0], [None, 0.0, c[2]],
+                                               [None, None, 0.0]])
+    for pullback in (lambda p: pullback_metric(flat, spoilt, p),
+                     lambda p: pullback_form(w, spoilt, p),
+                     lambda p: pullback_form([w, w], spoilt, p)):
+        with pytest.raises(jets.EvaluationError,
+                           match=r"non-finite jacobian of spoilt at \[0.5, 0.2\]"):
+            pullback([0.5, 0.2])
+        with pytest.raises(jets.EvaluationError, match="at point 0 ") as err:
+            pullback(np.array([[0.5, 0.2], [1.0, 2.0]]))
+        assert err.value.point == 0
+
+
+def test_a_list_of_forms_shares_one_jacobian(monkeypatch):
+    # each pullback of the list is the one of its form alone, bit for bit
+    forms = [FormField(PLANE, 1, lambda c: [-c[1], c[0]]),
+             FormField(PLANE, 2, lambda c: [[0.0, c[0] * c[1]], [None, 0.0]])]
+    pts = np.array([[0.5, 0.3], [1.5, -2.0], [2.0, 1.0]])
+    alone = [pullback_form(w, TO_CART, p) for w in forms for p in (pts, pts[1])]
+    calls = []
+    jacobian = EmbeddingMap.jacobian
+    monkeypatch.setattr(EmbeddingMap, "jacobian",
+                        lambda phi, p: calls.append(1) or jacobian(phi, p))
+    together = [pullback_form(forms, TO_CART, p) for p in (pts, pts[1])]
+    assert len(calls) == 2
+    for got, want in zip([t[i] for i in range(2) for t in together], alone):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_quotient_metric_schur_block():
     g = np.array([[2.0, 1.0], [1.0, 1.0]])
     got = quotient_metric(g, np.array([0.0, 1.0]), (0,), [0.0, 0.0])
