@@ -48,12 +48,12 @@ for _ in range(30):
 print(f"\nlevel-set pullback vs 3-chart closed form: {worst_pull:.3e}")
 print(f"fiber quotient vs reduced 2-metric:        {worst_quot:.3e}")
 
-# the same numbers drop out of mechanics: set the fiber momentum to zero
-L = mechanics.QuadraticKinetic(m.level.chart.names, lm.fn)
-L2 = mechanics.constrain_and_reduce(L, m.fiber_index)
+# the same numbers drop out of mechanics: the level-set metric is the mass
+# matrix of a kinetic term; set its fiber momentum to zero
+g2 = mechanics.constrain_and_reduce(lm, m.fiber_index)
 q = [1.7, 0.0, 0.0]
 print(f"reduced mass matrix at r = {q[0]}:")
-print(np.round(L2.matrix([q[0], q[2]]), 12))
+print(np.round(g2.value([q[0], q[2]]), 12))
 
 # --- curvature of the quotient ----------------------------------------------
 

@@ -23,7 +23,7 @@ import zlib
 
 import numpy as np
 
-from . import geometry, kahler, mechanics, models, reduction
+from . import fields, geometry, kahler, mechanics, models, reduction
 from ._record import Frozen
 from ._version import __version__
 from .jets import evaluate_jet, fd_oracle, fd_step, worst_of
@@ -243,12 +243,6 @@ def check_sp_algebra(ctx, rng):
 # differs between the two reductions.
 
 
-def _level_kinetic(m):
-    """The kinetic Lagrangian of ``m``'s level-set metric."""
-    return mechanics.QuadraticKinetic(m.level.chart.names, m.level.metric.fn,
-                                      name=f"{m.level.name} kinetic")
-
-
 def _level_quotient(m, pts):
     """The orthogonal-projection quotient of ``m``'s level-set metric at ``pts``."""
     return reduction.quotient_metric(m.level.metric, m.level.killing["fiber"],
@@ -285,9 +279,9 @@ def check_hamiltonian_equivalence(ctx, rng, name, count, probes):
     cyclic at ``probes`` of the ``count`` points, gives the quotient metric."""
     m = _model(name, ctx.a)
     pts = m.level.sample(count, ctx.subseed(rng))
-    L2 = mechanics.constrain_and_reduce(_level_kinetic(m), m.fiber_index,
+    g2 = mechanics.constrain_and_reduce(m.level.metric, m.fiber_index,
                                         probe_points=pts[:probes])
-    got = L2.matrix(pts[:, m.invariant])
+    got = g2.value(pts[:, m.invariant])
     return _worst(got, _level_quotient(m, pts)), len(pts)
 
 
@@ -297,12 +291,11 @@ def check_cyclic_brackets(ctx, rng, names, count):
     errors, n_pts = [], 0
     for name in names:
         m = _model(name, ctx.a)
-        L = _level_kinetic(m)
-        H = mechanics.hamiltonian_field(L)
+        H = mechanics.hamiltonian_field(m.level.metric)
         pts = m.level.sample(count, ctx.subseed(rng))
         # one draw of (B, dim) is the stream of B draws of dim
         s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
-        pfs = [mechanics.momentum_field(c, L.dim) for c in m.level.cyclic]
+        pfs = [mechanics.momentum_field(c, m.level.chart.dim) for c in m.level.cyclic]
         errors.append(_worst(mechanics.poisson_bracket(pfs, H, s)))
         n_pts += len(pts)
     return worst_of(*errors), n_pts
@@ -323,12 +316,11 @@ def check_toy_contraction(ctx, rng):
 
 def check_toy_killing(ctx, rng):
     m = _model("toy-parent", ctx.a)
-    spec = reduction.ReductionSpec(m.metric, (m.forms["omega"],),
-                                   m.killing["shift"], m.embeddings["level"],
-                                   m.invariant, m.fiber_index)
+    V = m.killing["shift"]
     pts = m.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
-    kd, closed = spec.validate(pts)
-    return worst_of(kd, *closed), len(pts)
+    alpha = reduction.contraction_field(m.forms["omega"], V)
+    return worst_of(_worst(geometry.killing_deviation(m.metric, V, pts)),
+                    _worst(reduction.exterior_derivative(alpha, pts))), len(pts)
 
 
 def check_toy_moment(ctx, rng):
@@ -483,9 +475,9 @@ def check_mech_roundtrip(ctx, rng):
         Ms = (Q * np.exp(u)[:, None, :]) @ np.swapaxes(Q, -1, -2)
         Ms = 0.5 * (Ms + np.swapaxes(Ms, -1, -2))
         # configuration k of the batch carries the k-th matrix (entries (B,))
-        L = mechanics.QuadraticKinetic([f"q{i}" for i in range(d)],
-                                       lambda c, S=np.moveaxis(Ms, 0, -1): S)
-        Minv = mechanics.legendre_to_hamiltonian(L, np.zeros((len(Ms), d)))
+        g = fields.MetricField(fields.Chart(tuple(f"q{i}" for i in range(d))),
+                               lambda c, S=np.moveaxis(Ms, 0, -1): S)
+        Minv = mechanics.legendre_to_hamiltonian(g, np.zeros((len(Ms), d)))
         errors.append(_worst(geometry._solve(Minv, np.eye(d)), Ms))
     return worst_of(*errors), count
 
@@ -494,7 +486,7 @@ def check_mech_toy_matrix(ctx, rng):
     m = _model("toy-parent", ctx.a)
     a = m.a
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
-    Minv = mechanics.legendre_to_hamiltonian(_level_kinetic(m), pts)
+    Minv = mechanics.legendre_to_hamiltonian(m.level.metric, pts)
     r2 = pts[:, 0] * pts[:, 0]
     want = np.zeros_like(Minv)
     want[:, 0, 0] = 1.0 / (1.0 + r2 / a ** 2)
@@ -512,9 +504,9 @@ def check_mech_equivalence(ctx, rng):
 
 
 def check_mech_singular(ctx, rng):
-    L = mechanics.QuadraticKinetic(("u", "v"), lambda c: [[1.0, 1.0], [None, 1.0]])
+    g = fields.MetricField(fields.Chart(("u", "v")), lambda c: [[1.0, 1.0], [None, 1.0]])
     return _rejected(mechanics.DegenerateLagrangianError,
-                     lambda: mechanics.legendre_to_hamiltonian(L, [0.0, 0.0]))
+                     lambda: mechanics.legendre_to_hamiltonian(g, [0.0, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +623,8 @@ CLAIMS = [
     ("taubnut.quotient_triple", 1e-8,
      "pulled-back triple drops its fiber components and equals the flat "
      "forms with 1/r -> 1/r + 1/a^2",
-     lambda c, r: check_quotient_forms(
-         c, r, "r8-parent", lambda m, p: models.taub_nut_triple(p[:, :3], m.a))),
+     lambda c, r: check_quotient_forms(c, r, "r8-parent", lambda m, p: [
+         w.value(p[:, :4]) for w in _model("taub-nut", m.a).forms.values()])),
     ("taubnut.triple_closed", 1e-8, "quotient triple is closed", check_tn_triple_closed),
     ("taubnut.hyperkahler", 1e-7,
      "Taub-NUT triple is quaternionic and covariantly constant", check_tn_hyperkahler),

@@ -44,8 +44,6 @@ of fields, which share one connection.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .ddouble import DD, DIGITS
@@ -437,14 +435,16 @@ def killing_deviation(g, V, p):
             + np.einsum("...mp,...np->...mn", gv, dV))
 
 
-def euler_characteristic(g, period=2 * math.pi, r_scale=1.0, quad_tol=1e-8,
-                         weight=None, r_floor=1e-6):
-    """Improper curvature integral ``(period / 2 pi) * int_0^inf K sqrt(g) dr``.
+def euler_characteristic(g, r_scale=1.0, quad_tol=1e-8, weight=None):
+    """Improper curvature integral ``int_0^inf K sqrt(g) dr``: the total
+    curvature over ``2 pi`` of a surface of revolution whose angle has
+    period ``2 pi``.
 
     The radial half line is compactified with ``r = r_scale * u / (1 - u)``,
-    ``u in [0, 1)``, and integrated by :func:`hkgeo.quadrature.integrate`
-    (adaptive Gauss-Kronrod), whose every refinement round is one batched
-    metric value and one curvature call on all of the round's nodes.
+    ``u in [0, 1)``, floored at ``r = 1e-6``, and integrated by
+    :func:`hkgeo.quadrature.integrate` (adaptive Gauss-Kronrod), whose every
+    refinement round is one batched metric value and one curvature call on
+    all of the round's nodes.
     The metric must be 2-dimensional with chart order (radial, angular) and
     angle-independent components.  ``weight(r)``, if given, is a scalar
     callable that multiplies the integrand, called once per node (useful for
@@ -463,13 +463,13 @@ def euler_characteristic(g, period=2 * math.pi, r_scale=1.0, quad_tol=1e-8,
         raise ValueError("euler_characteristic expects a 2-dimensional metric")
 
     def integrand(u):  # nodes (n,) -> (n,)
-        r = np.maximum(r_scale * u / (1.0 - u), r_floor)
+        r = np.maximum(r_scale * u / (1.0 - u), 1e-6)
         jac = r_scale / (1.0 - u) ** 2
         points = np.stack([r, np.zeros_like(r)], axis=-1)
         # one metric value per point: the jet's value part can differ from
         # g.value in the last bit (jet division multiplies by a reciprocal)
         gv = g.value(points)
-        val = (period / (2 * math.pi)) * _curvature(g, points) * np.sqrt(np.linalg.det(gv)) * jac
+        val = _curvature(g, points) * np.sqrt(np.linalg.det(gv)) * jac
         if weight is not None:
             val = val * np.array([weight(float(x)) for x in r])
         return val

@@ -3,8 +3,9 @@ condition, and the associated triple of symplectic structures.
 
 Real realisation
 ----------------
-A complex chart of dimension ``n`` is carried on ``2n`` real coordinates
-interleaved as ``(u1, v1, ..., un, vn)`` with ``z^j = u^j + i v^j``.  A
+A complex chart of dimension ``n`` is the real
+:class:`~hkgeo.fields.Chart` of its ``2n`` coordinates, interleaved as
+``(u1, v1, ..., un, vn)`` with ``z^j = u^j + i v^j``.  A
 Hermitian component matrix ``h`` with ``h = A + iB`` realifies to the block
 pattern ``[[A, B], [-B, A]]`` per index pair, normalised so the flat
 potential ``sum |z|^2`` gives the identity metric.
@@ -38,7 +39,6 @@ from .jets import evaluate_jet, first_failure
 from .reduction import complex_structure, raise_first_index
 
 __all__ = [
-    "ComplexChart",
     "HermitianMetricField",
     "HermiticityError",
     "HeavenlyViolation",
@@ -76,32 +76,6 @@ class HeavenlyViolation(ValueError):
         self.residual = residual
 
 
-class ComplexChart(Frozen):
-    """``n`` complex coordinates over interleaved real ones."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n):
-        self._set(n)
-
-    def real_chart(self):
-        names = []
-        for j in range(1, self.n + 1):
-            names += [f"u{j}", f"v{j}"]
-        return Chart(tuple(names))
-
-    def to_complex(self, p):
-        p = np.asarray(p, dtype=float)
-        return p[0::2] + 1j * p[1::2]
-
-    def from_complex(self, z):
-        z = np.asarray(z, dtype=complex)
-        out = np.empty(2 * self.n)
-        out[0::2] = z.real
-        out[1::2] = z.imag
-        return out
-
-
 # ---------------------------------------------------------------------------
 # potentials and Hermitian fields
 
@@ -135,7 +109,7 @@ class HermitianMetricField:
     Parameters
     ----------
     n : int
-        Complex dimension.
+        Complex dimension; ``chart`` is the real chart ``(u1, v1, ..., un, vn)``.
     re_fn, im_fn : callable
         Map interleaved real coordinates to the n x n real and imaginary
         parts.  Only the upper triangles are read; the mirrors (symmetric
@@ -148,7 +122,7 @@ class HermitianMetricField:
 
     def __init__(self, n, re_fn, im_fn=None, potential=None, name=""):
         self.n = n
-        self.chart = ComplexChart(n)
+        self.chart = Chart(tuple(f"{c}{j}" for j in range(1, n + 1) for c in "uv"))
         self.re_fn = re_fn
         self.im_fn = im_fn or (lambda coords: [[0.0] * n for _ in range(n)])
         self.potential = potential
@@ -175,7 +149,7 @@ class HermitianMetricField:
                     rows[2 * M, 2 * N + 1], rows[2 * M + 1, 2 * N] = b, -b
             return rows
 
-        return MetricField(self.chart.real_chart(), fn, name=f"realify({self.name})")
+        return MetricField(self.chart, fn, name=f"realify({self.name})")
 
     def holomorphic_derivative(self, p):
         """``dH[..., p, m, q] = d h_mq / d z^p`` (Wirtinger) at ``p`` ``(2n,)``
@@ -416,10 +390,9 @@ def quaternion_form_fields(hfield, omega):
     realified Levi-Civita connection is what singles out unit-determinant
     (heavenly) Hermitian fields.
     """
-    chart = hfield.chart.real_chart()
     W_J, W_K = _pair_forms(omega)
-    return (FormField(chart, 2, lambda coords: W_J, name="omega_J"),
-            FormField(chart, 2, lambda coords: W_K, name="omega_K"))
+    return (FormField(hfield.chart, 2, lambda coords: W_J, name="omega_J"),
+            FormField(hfield.chart, 2, lambda coords: W_K, name="omega_K"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Quadratic kinetic Lagrangians and Hamiltonian reduction.
 
-Only kinetic terms ``L = q'^T M(q) q' / 2`` appear here, so the Legendre
-transform is exact matrix inversion (``H = p^T M^{-1} p / 2``) and imposing
-a conserved momentum ``p_fiber = 0`` is pure linear algebra: delete the
-fiber row and column of ``M^{-1}`` and invert the rest.  By the Schur
-complement identity this equals the orthogonal-projection quotient of the
-metric ``M``, which is the point the cross-module tests drive home.
+Only kinetic terms ``L = q'^T M(q) q' / 2`` appear here, and such a term is
+given by its mass matrix ``M``: a :class:`~hkgeo.fields.MetricField` on the
+configuration chart, the same object the geometric reduction of
+:mod:`hkgeo.reduction` acts on.  The Legendre transform is exact matrix
+inversion (``H = p^T M^{-1} p / 2``) and imposing a conserved momentum
+``p_fiber = 0`` is pure linear algebra: delete the fiber row and column of
+``M^{-1}`` and invert the rest.  By the Schur complement identity this
+equals the orthogonal-projection quotient of the metric ``M``, which is the
+point the cross-module tests drive home.
 
 Phase-space scalars are plain callables over the ``2n`` coordinates
 ``(q_1 .. q_n, p_1 .. p_n)``; Poisson brackets differentiate them with
@@ -42,7 +45,6 @@ __all__ = [
     "DegenerateLagrangianError",
     "InvalidConstraintError",
     "PhasePoint",
-    "QuadraticKinetic",
     "legendre_to_hamiltonian",
     "hamiltonian_field",
     "momentum_field",
@@ -87,47 +89,18 @@ class PhasePoint(Frozen):
         return c if c.ndim == 2 else c.tolist()
 
 
-class QuadraticKinetic:
-    """Kinetic Lagrangian ``L = q'^T M(q) q' / 2``.
-
-    ``fn(coords)`` supplies the mass matrix components (upper triangle
-    read, symmetry by storage, jets welcome) over the labelled
-    configuration coordinates.
-    """
-
-    def __init__(self, labels, fn, name=""):
-        self.labels = tuple(labels)
-        self.field = MetricField(Chart(self.labels), fn, name=name)
-        self.name = name
-
-    @property
-    def dim(self):
-        return len(self.labels)
-
-    @property
-    def fn(self):
-        return self.field.fn
-
-    def matrix(self, q):
-        """Mass matrix at ``q``: ``(n, n)``, or ``(B, n, n)`` for a batch ``(B, n)``."""
-        return self.field.value(q)
-
-    def __repr__(self):
-        return f"QuadraticKinetic({self.name or self.labels})"
-
-
 #: Smallest ``lambda_min / lambda_max`` of an admissible mass matrix.
 MIN_RCOND = 1e-13
 
 
-def _mass_entries(L, q):
-    """Mass matrix of ``L`` at ``q`` as an ``n x n`` object array of entries.
+def _mass_entries(g, q):
+    """Mass matrix ``g`` at ``q`` as an ``n x n`` object array of entries.
 
-    The entries are what ``L.fn`` returns (floats, arrays over a batch of
+    The entries are what ``g.fn`` returns (floats, arrays over a batch of
     points, or jets), mirrored from the upper triangle, not converted.
     """
-    M = np.empty((L.dim, L.dim), dtype=object)
-    for i, j, e in _triangle(L.fn(q), +1):
+    M = np.empty((g.dim, g.dim), dtype=object)
+    for i, j, e in _triangle(g.fn(q), +1):
         M[i, j] = M[j, i] = e
     return M
 
@@ -177,28 +150,30 @@ def _solve_mass(M, B):
     return _solve_entries(_check_mass(_stack_entries(M)), M, B)
 
 
-def legendre_to_hamiltonian(L, q):
-    """Kinetic matrix ``M(q)^{-1}`` of the Hamiltonian ``p^T M^{-1} p / 2``.
+def legendre_to_hamiltonian(g, q):
+    """Kinetic matrix ``M(q)^{-1}`` of the Hamiltonian ``p^T M^{-1} p / 2``
+    of the mass matrix ``g`` (a :class:`~hkgeo.fields.MetricField`).
 
     ``(n, n)`` at one configuration, ``(B, n, n)`` over a batch ``(B, n)``.
     """
-    M = L.matrix(q)
+    M = g.value(q)
     Minv = _substitute(_check_mass(M, q), np.eye(M.shape[-1]))
     return 0.5 * (Minv + np.swapaxes(Minv, -1, -2))
 
 
-def hamiltonian_field(L):
-    """The Hamiltonian as a jet-capable phase-space scalar.
+def hamiltonian_field(g):
+    """The Hamiltonian of the mass matrix ``g`` as a jet-capable phase-space
+    scalar.
 
     Evaluates ``p^T M(q)^{-1} p / 2`` without forming the inverse: the
     linear system ``M x = p`` is solved in jet arithmetic, so Poisson
     brackets of the result are exact derivatives.
     """
-    n = L.dim
+    n = g.dim
 
     def H(coords):
         q, mom = coords[:n], coords[n:]
-        x = _solve_mass(_mass_entries(L, q), mom)
+        x = _solve_mass(_mass_entries(g, q), mom)
         acc = 0.0
         for pi, xi in zip(mom, x):
             acc = acc + pi * xi
@@ -245,8 +220,10 @@ def _probe_momenta(d):
     return [eye[j] + (eye[k] if k > j else 0.0) for j in range(d) for k in range(j, d)]
 
 
-def constrain_and_reduce(L, fiber_index, probe_points=None, tol=1e-10):
-    """Impose ``p_fiber = 0`` and return the reduced kinetic Lagrangian.
+def constrain_and_reduce(g, fiber_index, probe_points=None, tol=1e-10):
+    """Impose ``p_fiber = 0`` on the kinetic term of the mass matrix ``g`` and
+    return the reduced mass matrix, a :class:`~hkgeo.fields.MetricField` on
+    the kept coordinates.
 
     The fiber coordinate must be cyclic; this is checked literally, as
     Poisson brackets ``{p_fiber, H}`` over a basis of probe momenta at the
@@ -256,13 +233,13 @@ def constrain_and_reduce(L, fiber_index, probe_points=None, tol=1e-10):
 
     The reduced mass matrix is computed per evaluation by deleting the
     fiber row/column of ``M^{-1}`` and inverting the remaining block, in
-    jet-capable arithmetic; its ``matrix`` takes a batch of configurations
-    like any :class:`QuadraticKinetic`.
+    jet-capable arithmetic; its ``value`` takes a batch of configurations
+    like that of any metric field.
     """
-    n = L.dim
+    n = g.dim
     if not 0 <= fiber_index < n:
         raise ValueError(f"fiber index {fiber_index} outside 0..{n - 1}")
-    H = hamiltonian_field(L)
+    H = hamiltonian_field(g)
     pf = momentum_field(fiber_index, n)
     points = np.asarray(probe_points if probe_points is not None else [[1.0] * n],
                         dtype=float)
@@ -272,20 +249,19 @@ def constrain_and_reduce(L, fiber_index, probe_points=None, tol=1e-10):
     worst = float(np.max(np.abs(poisson_bracket(pf, H, pairs))))  # keeps NaN
     if not worst <= tol:
         raise InvalidConstraintError(
-            f"coordinate {L.labels[fiber_index]!r} is not cyclic "
+            f"coordinate {g.chart.names[fiber_index]!r} is not cyclic "
             f"(bracket residual {worst:.3e})",
             residual=worst,
         )
 
     keep = [i for i in range(n) if i != fiber_index]
-    labels = tuple(L.labels[i] for i in keep)
 
     def reduced_fn(coords):
         full = list(coords)
         full.insert(fiber_index, 0.0)
-        Minv = _solve_mass(_mass_entries(L, full), np.eye(n).tolist())
+        Minv = _solve_mass(_mass_entries(g, full), np.eye(n).tolist())
         block = [[Minv[i][j] for j in keep] for i in keep]
         return _solve_mass(block, np.eye(n - 1).tolist())
 
-    return QuadraticKinetic(labels, reduced_fn,
-                            name=f"{L.name or 'kinetic'} / {L.labels[fiber_index]}")
+    return MetricField(Chart(tuple(g.chart.names[i] for i in keep)), reduced_fn,
+                       name=f"{g.name or 'kinetic'} / {g.chart.names[fiber_index]}")

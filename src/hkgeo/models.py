@@ -19,14 +19,17 @@ uses:
     both the Cartesian and monopole-coordinate pictures, with the triple
     moment map and the 5-dimensional zero level set ``(x, chi, theta)``.
 ``taub-nut``
-    The quotient 4-manifold on ``(x, chi)`` with its triple.
+    The quotient 4-manifold on ``(x, chi)`` with its triple; its metric and
+    forms are the targets of the second reduction stage.
 
 gh-flat and taub-nut come from one Gibbons-Hawking builder, with harmonic
 functions ``V = 1/r`` and ``V = 1/r + 1/a^2``: the quotient only shifts
 ``V``.  r8-parent's metric and forms, in both pictures, are gh-flat's beside
 the constant ``(X, theta)`` block.  The references the checks compare
 against are written out on their own: the level-set metrics, the numpy
-closed form :func:`taub_nut_metric` and the moment maps.
+closed form :func:`taub_nut_metric` and the moment maps.  A quotient's
+forms have no separate closed form: they are the reduced model's ``forms``
+(``toy-reduced``'s, ``taub-nut``'s), compared at the invariant coordinates.
 
 The first reduction stage's level set is a :class:`Model` of its own,
 ``m.level`` (its chart, metric, ``killing["fiber"]``, box, exclusions and
@@ -60,7 +63,6 @@ __all__ = [
     "monopole_potential",
     "MONOPOLE_CURL_SIGN",
     "taub_nut_metric",
-    "taub_nut_triple",
     "toy_parent",
     "toy_reduced",
     "gh_flat",
@@ -100,10 +102,14 @@ class Model(Record):
     """One registry entry: a chart with everything the pipelines consume.
 
     ``forms``, ``killing``, ``embeddings`` and ``targets`` default to a new
-    empty dict for each model.  A reduction parent carries its level set as
-    the model ``level`` (chart, metric, ``killing["fiber"]``, box,
-    exclusions, cyclic coordinates), and a model with a Cartesian picture
-    carries it as the model ``cartesian``; both are None otherwise.
+    empty dict for each model.  A reduction parent is the whole reduction:
+    its metric, forms, Killing vector, ``embeddings["level"]``,
+    ``fiber_index`` and ``invariant``, and its level set as the model
+    ``level`` (chart, metric, ``killing["fiber"]``, box, exclusions, cyclic
+    coordinates), whose metric is also the mass matrix that
+    :func:`hkgeo.mechanics.constrain_and_reduce` reduces.  A model with a
+    Cartesian picture carries it as the model ``cartesian``; both are None
+    otherwise.
     """
 
     __slots__ = ("name", "a", "chart", "metric", "forms", "killing", "embeddings",
@@ -548,18 +554,6 @@ def taub_nut_metric(x, a=1.0):
     for m in range(3):
         g[..., m, m] += s / 4.0
     return g
-
-
-def taub_nut_triple(x, a=1.0):
-    """The three quotient 2-forms at ``x``: flat forms with ``1/r -> 1/r + 1/a^2``.
-
-    These are the values of ``taub_nut(a).forms``.  ``x`` may be a batch
-    ``(B, 3)``, giving three ``(B, 4, 4)`` arrays.
-    """
-    forms = taub_nut(a).forms
-    x = _gauge_checked(x)
-    p = np.concatenate([x, np.zeros((*x.shape[:-1], 1))], axis=-1)
-    return tuple(w.value(p) for w in forms.values())
 
 
 def taub_nut(a=1.0):

@@ -17,6 +17,14 @@ Coefficient conventions follow :class:`~hkgeo.fields.FormField`: a 2-form
 is the antisymmetric matrix of displayed wedge coefficients, and the
 contraction is ``(i_V w)_M = w_MN V^N``.
 
+A reduction is not bundled here: its data is a
+:class:`~hkgeo.models.Model` (parent metric and forms, ``killing``, the
+``embeddings["level"]`` map, ``fiber_index``, ``invariant`` and the level
+set ``level``), whose pieces the functions below take.  The level-set
+metric that :func:`quotient_metric` projects is the same
+:class:`~hkgeo.fields.MetricField` that :func:`hkgeo.mechanics.constrain_and_reduce`
+reduces as a kinetic term.
+
 Every pointwise operation here takes one point ``(d,)`` or a batch
 ``(B, d)`` (matrices and tensors with a leading point axis where values
 are passed in), puts the point axis of a batch first on its output and
@@ -34,9 +42,8 @@ from __future__ import annotations
 import warnings
 import numpy as np
 
-from ._record import Frozen
 from .fields import FormField, MetricField, VectorFieldR, _triangle
-from .geometry import DivergenceError, _certified_cholesky, _solve, killing_deviation
+from .geometry import DivergenceError, _certified_cholesky, _solve
 from .jets import EvaluationError, first_failure
 from .quadrature import integrate
 
@@ -55,7 +62,6 @@ __all__ = [
     "quotient_form",
     "complex_structure",
     "raise_first_index",
-    "ReductionSpec",
 ]
 
 
@@ -136,15 +142,14 @@ def exterior_derivative(form, p):
     return D1 + np.einsum("...npm->...mnp", D1) + np.einsum("...pmn->...mnp", D1)
 
 
-def recover_moment_map(alpha, base, p, base_value=0.0, closure_tol=1e-6,
-                       quad_tol=1e-9):
+def recover_moment_map(alpha, base, p, base_value=0.0, quad_tol=1e-9):
     """Integrate an exact 1-form along the straight segments ``base -> p``.
 
     ``p`` is one point ``(d,)``, giving a float, or a batch ``(B, d)``,
     giving one value per segment: ``base_value + integral``, the potential
     normalised to the declared value at ``base``.  Closedness of ``alpha``
     is verified first at five points of each segment, in one batch (a
-    residual above ``closure_tol``, or NaN, raises :class:`NotExactError`).
+    residual above ``1e-6``, or NaN, raises :class:`NotExactError`).
     All segments share the parameter ``t in [0, 1]``, so each refinement
     round of :func:`hkgeo.quadrature.integrate` evaluates ``alpha`` on every
     segment's nodes in one call; each segment keeps its own subdivision and
@@ -165,7 +170,7 @@ def recover_moment_map(alpha, base, p, base_value=0.0, closure_tol=1e-6,
     probes = base + ts[:, None] * delta[:, None, :]  # (B, 5, d)
     res = np.max(np.abs(exterior_derivative(alpha, probes.reshape(-1, base.size))),
                  axis=(-2, -1)).reshape(len(delta), len(ts))
-    failure = first_failure(res <= closure_tol)  # written so that NaN fails
+    failure = first_failure(res <= 1e-6)  # written so that NaN fails
     if failure is not None:
         k, i = divmod(failure[0], len(ts))
         raise NotExactError(f"form is not closed along the path{segment(k)} (residual "
@@ -296,33 +301,3 @@ def raise_first_index(gv, T):
     ``gv``; ``gv`` and the errors are as in :func:`complex_structure`."""
     S = np.moveaxis(T, -3, -2)  # [..., E, P, N], solved as d x (P N) columns
     return np.moveaxis(_solve(gv, S.reshape(*S.shape[:-2], -1)).reshape(S.shape), -2, -3)
-
-
-class ReductionSpec(Frozen):
-    """A reduction pipeline bundled as data.
-
-    Fields: the parent metric, the parent 2-forms, the Killing vector
-    generating the fiber, the level-set embedding, the invariant coordinate
-    indices of the level chart and the fiber coordinate index.
-    """
-
-    __slots__ = ("parent_metric", "parent_forms", "killing", "embedding", "invariant",
-                 "fiber_index")
-
-    def __init__(self, parent_metric, parent_forms, killing, embedding, invariant,
-                 fiber_index):
-        self._set(parent_metric, parent_forms, killing, embedding, invariant, fiber_index)
-
-    def validate(self, points, closed_tol=1e-8, killing_tol=1e-10):
-        """Check the declared symmetry at ``points`` (a batch ``(B, d)``).
-
-        Returns the worst Killing deviation of the parent metric and the
-        worst closedness residual of each contracted form; raises nothing,
-        callers assert on the numbers.
-        """
-        points = np.asarray(points, dtype=float)
-        dev = killing_deviation(self.parent_metric, self.killing, points)
-        worst_closed = [float(np.max(np.abs(exterior_derivative(
-            contraction_field(form, self.killing), points))))  # np.max keeps NaN
-            for form in self.parent_forms]
-        return float(np.max(np.abs(dev))), worst_closed

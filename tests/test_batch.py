@@ -15,12 +15,12 @@ from scipy import integrate
 
 from hkgeo import checks, geometry, kahler, models, reduction
 from hkgeo.ddouble import DD
+from hkgeo.fields import Chart, MetricField
 from hkgeo.geometry import DivergenceError, MetricDomainError
 from hkgeo.jets import EvaluationError, Jet, call_field, evaluate_jet, solve
 from hkgeo.mechanics import (
     DegenerateLagrangianError,
     PhasePoint,
-    QuadraticKinetic,
     constrain_and_reduce,
     hamiltonian_field,
     legendre_to_hamiltonian,
@@ -47,9 +47,8 @@ def same_bits(batch, singles):
 
 def level(name, count=24):
     m = models.build(name, 1.0)
-    L = QuadraticKinetic(m.level.chart.names, m.level.metric.fn)
     pts = m.level.sample(count, 5)
-    return m, L, pts
+    return m, m.level.metric, pts
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -100,7 +99,7 @@ def test_matrices_batch_equal_single(name):
                for p in pts])
     L2 = constrain_and_reduce(L, m.fiber_index, probe_points=pts[:2])
     keep = [i for i in range(L.dim) if i != m.fiber_index]
-    same_bits(L2.matrix(pts[:, keep]), [L2.matrix(list(p[keep])) for p in pts])
+    same_bits(L2.value(pts[:, keep]), [L2.value(list(p[keep])) for p in pts])
 
 
 def test_solve_pivots_per_point():
@@ -122,7 +121,7 @@ def test_solve_pivots_per_point():
 
 def test_solve_reads_a_vector_of_batch_arrays():
     # the momenta of a batch are a vector of (B,) arrays, not a matrix
-    L = QuadraticKinetic(("u", "v"), lambda c: [[2.0 + c[0] * c[0], 0.5], [None, 1.0]])
+    L = MetricField(Chart(("u", "v")), lambda c: [[2.0 + c[0] * c[0], 0.5], [None, 1.0]])
     H = hamiltonian_field(L)
     pts = np.array([[0.3, 1.0, 1.2, -0.4], [1.5, -2.0, 0.7, 0.2], [-0.8, 0.1, -1.0, 0.9]])
     same_bits(call_field(H, pts), [call_field(H, list(p)) for p in pts])
@@ -183,7 +182,7 @@ def test_solve_batch_equals_points(n, count, seed):
 
 
 def test_singular_mass_in_batch_names_the_point():
-    L = QuadraticKinetic(("u", "v"), lambda c: [[1.0, 1.0], [None, c[0]]])
+    L = MetricField(Chart(("u", "v")), lambda c: [[1.0, 1.0], [None, c[0]]])
     q = np.array([[2.0, 0.0], [3.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(DegenerateLagrangianError, match="point 2"):
         legendre_to_hamiltonian(L, q)
@@ -426,9 +425,6 @@ def test_closed_form_targets_batch_equal_single():
     x = pts[:, :3]
     same_bits(models.taub_nut_metric(x, 1.3),
               stacked(lambda y: models.taub_nut_metric(y, 1.3), x))
-    for k in range(3):
-        same_bits(models.taub_nut_triple(x, 1.3)[k],
-                  stacked(lambda y: models.taub_nut_triple(list(y), 1.3)[k], x))
     x[4] = [0.0, 0.0, -1.0]  # on the monopole string
     with pytest.raises(models.SingularGaugeError, match="point 4"):
         models.taub_nut_metric(x)

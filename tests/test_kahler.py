@@ -7,7 +7,6 @@ import pytest
 from hkgeo import kahler
 from hkgeo.geometry import MetricDomainError, covariant_derivative_02
 from hkgeo.kahler import (
-    ComplexChart,
     HeavenlyViolation,
     coset_metric,
     heavenly_check,
@@ -222,14 +221,6 @@ def test_spin_trace_requires_positive_definite():
     bad = kahler.HermitianMetricField(1, lambda c: [[-1.0]])
     with pytest.raises(MetricDomainError):
         spin_connection_trace(bad, [0.0, 0.0])
-
-
-def test_complex_chart_round_trip():
-    chart = ComplexChart(3)
-    p = RNG.uniform(-1.0, 1.0, size=6)
-    z = chart.to_complex(p)
-    assert np.allclose(chart.from_complex(z), p)
-    assert chart.real_chart().names == ("u1", "v1", "u2", "v2", "u3", "v3")
 
 
 def test_real_metric_block_structure():

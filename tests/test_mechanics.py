@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkgeo import mechanics, models
+from hkgeo.fields import Chart, MetricField
 from hkgeo.jets import evaluate_jet
 from hkgeo.mechanics import (
     DegenerateLagrangianError,
     InvalidConstraintError,
     PhasePoint,
-    QuadraticKinetic,
     constrain_and_reduce,
     hamiltonian_field,
     MIN_RCOND,
@@ -25,7 +25,8 @@ from hkgeo.reduction import quotient_metric
 
 
 def kinetic(M_fn, labels=("q0", "q1")):
-    return QuadraticKinetic(labels, M_fn)
+    """The kinetic term of the mass matrix ``M_fn``, given by its metric field."""
+    return MetricField(Chart(labels), M_fn)
 
 
 def test_legendre_hand_inverse():
@@ -120,7 +121,7 @@ def test_bracket_matches_second_order_reference(name):
     # toy 3-chart and 5-chart level Hamiltonians: the first-order bracket is
     # the second-order bracket, bit for bit
     m = models.build(name, 1.0)
-    L = QuadraticKinetic(m.level.chart.names, m.level.metric.fn)
+    L = m.level.metric
     H = hamiltonian_field(L)
     rng = np.random.default_rng(12)
     pts = m.level.sample(6, 3)
@@ -140,10 +141,10 @@ def test_constrain_decoupled_fiber():
                 [None, 2.0, 0.0],
                 [None, None, 3.0]]
 
-    L = QuadraticKinetic(("a", "b", "c"), M_fn)
+    L = kinetic(M_fn, ("a", "b", "c"))
     L2 = constrain_and_reduce(L, 1)
-    assert L2.labels == ("a", "c")
-    got = L2.matrix([0.7, 0.0])
+    assert L2.chart.names == ("a", "c")
+    got = L2.value([0.7, 0.0])
     assert np.allclose(got, [[1.49, 0.5], [0.5, 3.0]], atol=1e-12)
 
 
@@ -154,7 +155,7 @@ def test_constrain_matches_quotient_metric():
     L = kinetic(M_fn)
     L2 = constrain_and_reduce(L, 1)
     for q0 in (0.0, 0.8, -1.3):
-        got = L2.matrix([q0])
+        got = L2.value([q0])
         want = quotient_metric(np.array([[2.0 + q0 ** 2, 1.0], [1.0, 1.0]]),
                                np.array([0.0, 1.0]), (0,), [q0, 0.0])
         assert np.allclose(got, want, atol=1e-13)

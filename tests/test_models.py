@@ -15,7 +15,6 @@ from hkgeo.models import (
     monopole_potential,
     scalar_fields,
     taub_nut_metric,
-    taub_nut_triple,
 )
 
 
@@ -120,8 +119,7 @@ def test_monopole_gauge_rejects_coordinate_columns():
     # three (S,) columns, as a field receives them, are not S points: read as
     # a (3, S) batch they would give a (3, 3) potential of first entries
     cols = list(np.random.default_rng(5).uniform(0.5, 2.0, size=(3, 7)))
-    for evaluate in (monopole_potential, lambda x: taub_nut_metric(x, 1.0),
-                     lambda x: taub_nut_triple(x, 1.0)):
+    for evaluate in (monopole_potential, lambda x: taub_nut_metric(x, 1.0)):
         with pytest.raises(SingularGaugeError, match=r"not shape \(3, 7\)"):
             evaluate(cols)
     with pytest.raises(SingularGaugeError, match=r"not shape \(2,\)"):

@@ -15,7 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
-from hkgeo import checks, fields, kahler, mechanics, models, reduction, sampling
+from hkgeo import checks, fields, kahler, mechanics, models, sampling
 
 #: (class, field names in constructor order, required arguments, defaults of the rest)
 RECORDS = [
@@ -26,7 +26,6 @@ RECORDS = [
      (1, 2, 1.0, (0.5, 2.0), "v", ()), ()),
     (checks.CheckContext, ("seed", "samples", "a"), (1, 2, 1.0), ()),
     (fields.Chart, ("names",), (("x", "y"),), ()),
-    (kahler.ComplexChart, ("n",), (2,), ()),
     (kahler.Triple, ("omega_I", "omega_J", "omega_K", "I", "J", "K", "g"),
      ("wI", "wJ", "wK", "I", "J", "K", "g"), ()),
     (mechanics.PhasePoint, ("q", "p"), ((1.0, 2.0), (3.0, 4.0)), ()),
@@ -37,9 +36,6 @@ RECORDS = [
                     "level", "cartesian"),
      ("m", 1.0, fields.Chart(("x",)), "g"),
      ({}, {}, {}, {}, (), (), (), None, None, None, None)),
-    (reduction.ReductionSpec, ("parent_metric", "parent_forms", "killing", "embedding",
-                               "invariant", "fiber_index"),
-     ("g", ("w",), "V", "e", (0, 1), 2), ()),
     (sampling.Exclusion, ("name", "predicate"), ("n", abs), ()),
     (sampling.SampleSpec, ("box", "count", "seed", "exclusions"), (((0.0, 1.0),), 5),
      (0, ())),

@@ -6,13 +6,12 @@ import pytest
 
 from hkgeo import jets, models, reduction
 from hkgeo.fields import Chart, EmbeddingMap, FormField, MetricField, VectorFieldR
-from hkgeo.geometry import MetricDomainError
+from hkgeo.geometry import MetricDomainError, killing_deviation
 from hkgeo.reduction import (
     DegenerateFiberError,
     DegeneratePullbackWarning,
     NotExactError,
     ObstructionError,
-    ReductionSpec,
     complex_structure,
     contract,
     contraction_field,
@@ -204,10 +203,11 @@ def test_raise_first_index_layout():
 
 
 def test_reduction_spec_validates_toy():
+    # a reduction's data is its Model: the declared shift is Killing for the
+    # parent metric and its contraction with the form is closed
     m = models.build("toy-parent", 1.0)
-    spec = ReductionSpec(m.metric, (m.forms["omega"],), m.killing["shift"],
-                         m.embeddings["level"], m.invariant, m.fiber_index)
+    V = m.killing["shift"]
     pts = m.sample(8, seed=5)
-    worst_killing, worst_closed = spec.validate(pts)
-    assert worst_killing < 1e-12
-    assert max(worst_closed) < 1e-12
+    assert np.max(np.abs(killing_deviation(m.metric, V, pts))) < 1e-12
+    alpha = contraction_field(m.forms["omega"], V)
+    assert np.max(np.abs(exterior_derivative(alpha, pts))) < 1e-12
