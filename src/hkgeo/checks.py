@@ -9,14 +9,14 @@ order.  A measure returns only its worst absolute error and its sample
 count; "expected failure" checks (negative controls) report error 0 when
 the failure is correctly detected and 1 when it is not.  A check that
 raises is reported as a failed row carrying the exception, and the run
-goes on.  A run builds each model once per ``(name, a)`` and hands the
-same :class:`~hkgeo.models.Model` to every check that asks for it; the
-reuse ends with the run, so a check called on its own builds afresh.
+goes on.  Within a run :func:`~hkgeo.models.build` builds each model
+once per ``(name, a)`` and hands the same :class:`~hkgeo.models.Model` to
+every check that asks for it; the reuse ends with the run, so a check
+called on its own builds afresh.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import time
 import zlib
@@ -132,22 +132,6 @@ class CheckContext(Frozen):
         return int(rng.integers(2 ** 31))
 
 
-#: The models built so far in the running :func:`run_suite`, by ``(name, a)``;
-#: unset outside a run.  Context-local, so concurrent runs keep their own.
-_built = contextvars.ContextVar("built")
-
-
-def _model(name, a):
-    """``models.build(name, a)``, once per ``(name, a)`` within a run.
-
-    ``models.build`` is looked up at each call, so a wrapper installed on
-    the module attribute sees every build."""
-    built = _built.get({})  # outside a run a fresh dict: a fresh build
-    if (name, a) not in built:
-        built[name, a] = models.build(name, a)
-    return built[name, a]
-
-
 def _worst(got, want=0.0):
     """Largest ``|got - want|`` over a batch, as a float; NaN if any entry is NaN.
 
@@ -250,7 +234,7 @@ def _level_quotient(m, pts):
 
 
 def check_level_pullback(ctx, rng, name):
-    m = _model(name, ctx.a)
+    m = models.build(name, ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     got = reduction.pullback_metric(m.metric, m.embeddings["level"], pts)
     return _worst(got, m.level.metric.value(pts)), len(pts)
@@ -258,7 +242,7 @@ def check_level_pullback(ctx, rng, name):
 
 def check_quotient_metric(ctx, rng, name, target):
     """The quotient metric against ``target(m, pts)``."""
-    m = _model(name, ctx.a)
+    m = models.build(name, ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     return _worst(_level_quotient(m, pts), target(m, pts)), len(pts)
 
@@ -266,7 +250,7 @@ def check_quotient_metric(ctx, rng, name, target):
 def check_quotient_forms(ctx, rng, name, target):
     """Each form of the model, pulled back and quotiented, against the matching
     entry of ``target(m, pts)``."""
-    m = _model(name, ctx.a)
+    m = models.build(name, ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     pulled = reduction.pullback_form(list(m.forms.values()), m.embeddings["level"], pts)
     return worst_of(*(
@@ -277,7 +261,7 @@ def check_quotient_forms(ctx, rng, name, target):
 def check_hamiltonian_equivalence(ctx, rng, name, count, probes):
     """Constraining the fiber momentum of the level-set kinetic term, checked
     cyclic at ``probes`` of the ``count`` points, gives the quotient metric."""
-    m = _model(name, ctx.a)
+    m = models.build(name, ctx.a)
     pts = m.level.sample(count, ctx.subseed(rng))
     g2 = mechanics.constrain_and_reduce(m.level.metric, m.fiber_index,
                                         probe_points=pts[:probes])
@@ -290,7 +274,7 @@ def check_cyclic_brackets(ctx, rng, names, count):
     Hamiltonian of each model in ``names``, at ``count`` points each."""
     errors, n_pts = [], 0
     for name in names:
-        m = _model(name, ctx.a)
+        m = models.build(name, ctx.a)
         H = mechanics.hamiltonian_field(m.level.metric)
         pts = m.level.sample(count, ctx.subseed(rng))
         # one draw of (B, dim) is the stream of B draws of dim
@@ -306,7 +290,7 @@ def check_cyclic_brackets(ctx, rng, names, count):
 
 
 def check_toy_contraction(ctx, rng):
-    m = _model("toy-parent", ctx.a)
+    m = models.build("toy-parent", ctx.a)
     pts = m.sample(ctx.samples, ctx.subseed(rng))
     got = reduction.contract(m.forms["omega"], m.killing["shift"], pts)
     want = np.zeros_like(pts)
@@ -315,7 +299,7 @@ def check_toy_contraction(ctx, rng):
 
 
 def check_toy_killing(ctx, rng):
-    m = _model("toy-parent", ctx.a)
+    m = models.build("toy-parent", ctx.a)
     V = m.killing["shift"]
     pts = m.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     alpha = reduction.contraction_field(m.forms["omega"], V)
@@ -324,7 +308,7 @@ def check_toy_killing(ctx, rng):
 
 
 def check_toy_moment(ctx, rng):
-    m = _model("toy-parent", ctx.a)
+    m = models.build("toy-parent", ctx.a)
     alpha = reduction.contraction_field(m.forms["omega"], m.killing["shift"])
     base = np.asarray(m.targets["moment_base"])
     mu = m.targets["moment_map"]
@@ -334,7 +318,7 @@ def check_toy_moment(ctx, rng):
 
 
 def check_toy_complex_structure(ctx, rng):
-    red = _model("toy-reduced", ctx.a)
+    red = models.build("toy-reduced", ctx.a)
     pts = red.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     gv = red.metric.value(pts)
     I = reduction.complex_structure(gv, red.forms["omega"].value(pts))
@@ -346,7 +330,7 @@ def check_toy_complex_structure(ctx, rng):
 def check_toy_curvature(ctx, rng):
     worst = 0.0
     for a in A_SWEEP:
-        red = _model("toy-reduced", a)
+        red = models.build("toy-reduced", a)
         rs = np.concatenate([[1e-6, 1e-4, 1e-2],
                              rng.uniform(0.05, 10.0, size=10), [10.0]])
         got = geometry.curvature_at_radii(red.metric, rs)
@@ -357,7 +341,7 @@ def check_toy_curvature(ctx, rng):
 def check_toy_euler(ctx, rng):
     worst = 0.0
     for a in A_SWEEP:
-        red = _model("toy-reduced", a)
+        red = models.build("toy-reduced", a)
         val, quad_err = geometry.euler_characteristic(red.metric, r_scale=a)
         worst = worst_of(worst, abs(val - 2.0) + quad_err)
     return worst, len(A_SWEEP)
@@ -368,7 +352,7 @@ def check_toy_euler(ctx, rng):
 
 
 def check_tn_radius(ctx, rng):
-    gh = _model("gh-flat", ctx.a)
+    gh = models.build("gh-flat", ctx.a)
     pts = gh.cartesian.sample(ctx.samples, ctx.subseed(rng))
     x = gh.embeddings["to_monopole"].value(pts)
     r = np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2)
@@ -376,14 +360,14 @@ def check_tn_radius(ctx, rng):
 
 
 def check_tn_gh_metric(ctx, rng):
-    gh = _model("gh-flat", ctx.a)
+    gh = models.build("gh-flat", ctx.a)
     pts = gh.cartesian.sample(ctx.samples, ctx.subseed(rng))
     got = reduction.pullback_metric(gh.metric, gh.embeddings["to_monopole"], pts)
     return _worst(got, np.eye(4)), len(pts)
 
 
 def check_tn_gh_triple(ctx, rng):
-    gh = _model("gh-flat", ctx.a)
+    gh = models.build("gh-flat", ctx.a)
     pts = gh.sample(ctx.samples, ctx.subseed(rng))
     pulled = reduction.pullback_form([gh.cartesian.forms[k] for k in gh.forms],
                                      gh.embeddings["to_cartesian"], pts)
@@ -407,7 +391,7 @@ def check_tn_curl(ctx, rng):
 
 
 def check_tn_moment_gradients(ctx, rng):
-    cart = _model("r8-parent", ctx.a).cartesian
+    cart = models.build("r8-parent", ctx.a).cartesian
     pts = cart.sample(ctx.samples, ctx.subseed(rng))
     G = cart.killing["G"].value(pts)  # one evaluation serves the three forms
     worst = worst_of(*(
@@ -418,7 +402,7 @@ def check_tn_moment_gradients(ctx, rng):
 
 
 def check_tn_level_moments(ctx, rng):
-    m = _model("r8-parent", ctx.a)
+    m = models.build("r8-parent", ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     P = m.embeddings["level"].value(pts).T  # one coordinate array per component
     worst = worst_of(*(_worst(m.targets[mk](P)) for mk in ("mu_I", "mu_J", "mu_K")))
@@ -426,7 +410,7 @@ def check_tn_level_moments(ctx, rng):
 
 
 def check_tn_killing(ctx, rng):
-    m = _model("r8-parent", ctx.a)
+    m = models.build("r8-parent", ctx.a)
     pts = m.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     dev = geometry.killing_deviation(m.metric, m.killing["G"], pts)
     cart = m.cartesian
@@ -436,14 +420,14 @@ def check_tn_killing(ctx, rng):
 
 
 def check_tn_triple_closed(ctx, rng):
-    tn = _model("taub-nut", ctx.a)
+    tn = models.build("taub-nut", ctx.a)
     pts = tn.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     return worst_of(*(_worst(reduction.exterior_derivative(f, pts))
                       for f in tn.forms.values())), len(pts)
 
 
 def check_tn_hyperkahler(ctx, rng):
-    tn = _model("taub-nut", ctx.a)
+    tn = models.build("taub-nut", ctx.a)
     pts = tn.sample(ctx.samples, ctx.subseed(rng))
     forms = list(tn.forms.values())
     # the derivatives first, each reduced to its worst error before the
@@ -483,7 +467,7 @@ def check_mech_roundtrip(ctx, rng):
 
 
 def check_mech_toy_matrix(ctx, rng):
-    m = _model("toy-parent", ctx.a)
+    m = models.build("toy-parent", ctx.a)
     a = m.a
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     Minv = mechanics.legendre_to_hamiltonian(m.level.metric, pts)
@@ -574,12 +558,12 @@ CLAIMS = [
      lambda c, r: check_level_pullback(c, r, "toy-parent")),
     ("toy.quotient_metric", 1e-10,
      "orthogonal-projection quotient matches the reduced surface metric",
-     lambda c, r: check_quotient_metric(c, r, "toy-parent", lambda m, p: _model(
+     lambda c, r: check_quotient_metric(c, r, "toy-parent", lambda m, p: models.build(
          "toy-reduced", m.a).metric.value(p[:, [0, 2]]))),
     ("toy.quotient_form", 1e-10,
      "fiber components of the pulled-back form cancel and the rest is "
      "the area form r dr d chi",
-     lambda c, r: check_quotient_forms(c, r, "toy-parent", lambda m, p: [_model(
+     lambda c, r: check_quotient_forms(c, r, "toy-parent", lambda m, p: [models.build(
          "toy-reduced", m.a).forms["omega"].value(p[:, [0, 2]])])),
     ("toy.quotient_complex_structure", 1e-8,
      "quotient complex structure squares to -1 and is covariantly constant",
@@ -624,7 +608,7 @@ CLAIMS = [
      "pulled-back triple drops its fiber components and equals the flat "
      "forms with 1/r -> 1/r + 1/a^2",
      lambda c, r: check_quotient_forms(c, r, "r8-parent", lambda m, p: [
-         w.value(p[:, :4]) for w in _model("taub-nut", m.a).forms.values()])),
+         w.value(p[:, :4]) for w in models.build("taub-nut", m.a).forms.values()])),
     ("taubnut.triple_closed", 1e-8, "quotient triple is closed", check_tn_triple_closed),
     ("taubnut.hyperkahler", 1e-7,
      "Taub-NUT triple is quaternionic and covariantly constant", check_tn_hyperkahler),
@@ -678,7 +662,7 @@ def run_suite(suite, seed=0, samples=50, a=1.0):
         raise ValueError(f"seed must be >= 0, got {seed}")
     ctx = CheckContext(seed=int(seed), samples=int(samples), a=models._check_a(a))
     reports = []
-    token = _built.set({})
+    token = models._built.set({})
     try:
         for check_id, tol, description, measure in SUITES[suite]:
             rng = ctx.rng(check_id)
@@ -694,7 +678,7 @@ def run_suite(suite, seed=0, samples=50, a=1.0):
                                        int(n), float(err), float(tol), bool(err <= tol),
                                        elapsed, error))
     finally:
-        _built.reset(token)
+        models._built.reset(token)
     reports.sort(key=lambda c: c.check_id)
     return RunManifest(int(seed), int(samples), float(a), A_SWEEP, __version__,
                        tuple(reports))

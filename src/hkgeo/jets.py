@@ -44,18 +44,19 @@ is ``(d, B) * (B,)``, outer products are ``a[:, None] * b[None, :]``) and
 ``jet.gradient[i]`` still means the derivative along coordinate ``i``, now
 at every point.  :func:`call_field` and :func:`evaluate_jet` take one point
 ``(d,)`` or a batch ``(B, d)``, and the shape of the input decides: a
-single point is the same code fed scalars.  On a float batch the
-elementary functions come from numpy (``np.sqrt``, ``np.atan2``, ...), and a
-double-double batch (a :class:`~hkgeo.ddouble.DD` of shape ``(B, d)``,
-whose gradient is a DD ``(d, B)``) has the arithmetic only; fields run
-with numpy's division by zero and invalid operations raised, as Python
-floats raise them (and ``math``'s domain errors as numpy's invalid
-operations), and every error names the first offending point of the
-batch.  Jets opt out of numpy's operator dispatch (``__array_ufunc__ =
-None``), so ``array * jet`` is the jet's product, not an object array of
-jets.  :func:`solve`, an elimination for positive-definite matrices that
-does not pivot, is the tests' oracle for the solves of the package, which
-factor their matrices instead (:func:`hkgeo.geometry._solve`).
+single float point is the same code fed numpy float64 scalars.  The
+elementary functions come from numpy (``np.sqrt``, ``np.atan2``, ...) at
+a point as on a batch, and so does :func:`power`, so a batch gives what
+its points give one at a time.  A double-double point or batch (a
+:class:`~hkgeo.ddouble.DD` of shape ``(d,)`` or ``(B, d)``, whose gradient
+is a DD ``(d, B)``) has the arithmetic only.  Fields run with numpy's
+division by zero and invalid operations raised, and every error names the
+first offending point of the batch.  Jets opt out of numpy's operator
+dispatch (``__array_ufunc__ = None``), so ``array * jet`` is the jet's
+product, not an object array of jets.  :func:`solve`, an elimination for
+positive-definite matrices that does not pivot, is the tests' oracle for
+the solves of the package, which factor their matrices instead
+(:func:`hkgeo.geometry._solve`).
 
 :func:`fd_oracle` produces the same (value, gradient, Hessian) triple from
 central differences only, at one point or a batch.  It shares no derivative code with the jets and is
@@ -63,9 +64,6 @@ used as the independent reference wherever jet output is trusted.
 """
 
 from __future__ import annotations
-
-import math
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -91,6 +89,7 @@ __all__ = [
     "atan2",
     "sinh",
     "cosh",
+    "power",
 ]
 
 #: Relative finite-difference step.  ``h = max(1e-5, 1e-5 |x|)`` balances the
@@ -120,38 +119,14 @@ class StencilExclusionError(ValueError):
         self.exclusion = exclusion
 
 
-_ELEMENTARY = ("exp", "log", "sqrt", "sin", "cos", "atan", "sinh", "cosh", "atan2")
-
-
-def _domain_checked(fn):
-    """``math`` function ``fn``, its domain error raised as numpy's invalid operation.
-
-    :func:`call_field` reports a ``FloatingPointError`` as
-    :class:`EvaluationError` naming the point, as it does numpy's.
-    """
-
-    def checked(*args):
-        try:
-            return fn(*args)
-        except ValueError as err:  # "math domain error": sqrt or log of a negative, ...
-            raise FloatingPointError(f"{err} in {fn.__name__}") from err
-
-    return checked
-
-
-#: The float branch of the helpers.
-_MATH = SimpleNamespace(**{name: _domain_checked(getattr(math, name))
-                           for name in _ELEMENTARY})
-
-
 def _mathmod(x):
-    if isinstance(x, np.ndarray):
-        return np
+    """numpy, the float arithmetic of every helper and :class:`Jet` rule,
+    at a point (numpy scalars) as on a batch; a double-double has none."""
     if isinstance(x, DD):
         raise TypeError("double-double arithmetic is rational only (+, -, *, /, "
                         "integer powers); evaluate this field in float64 "
                         "(dps=None) instead")
-    return _MATH
+    return np
 
 
 def _zeros(shape, like):
@@ -263,8 +238,8 @@ class Jet:
         if k == 1:
             return self
         u = self.value
-        return self._compose(u ** k, k * u ** (k - 1),
-                             lambda: k * (k - 1) * u ** (k - 2))
+        return self._compose(power(u, k), k * power(u, k - 1),
+                             lambda: k * (k - 1) * power(u, k - 2))
 
     # -- composition with smooth scalar functions -------------------------
 
@@ -373,6 +348,13 @@ def cosh(x):
     return x.cosh() if isinstance(x, Jet) else _mathmod(x).cosh(x)
 
 
+def power(x, k):
+    """``x ** k``; on a float ``np.power``, as a batch computes it (a numpy
+    scalar's own ``**`` is the C library's ``pow``, which can differ in the
+    last bit)."""
+    return x ** k if isinstance(x, (Jet, DD)) else np.power(x, k)
+
+
 def atan2(y, x):
     """Two-argument arctangent, jet-aware in either slot.
 
@@ -411,8 +393,8 @@ def worst_of(*errors):
     with ``np.max`` (which keeps NaN) before handing it over.
     """
     for e in errors:
-        if math.isnan(e):
-            return math.nan
+        if np.isnan(e):
+            return np.nan
     return max(errors)
 
 
@@ -447,10 +429,11 @@ def _batch_shape(p):
 
 
 def _coords(p):
-    """Coordinate list of one point ``(d,)``, or the columns of a batch ``(B, d)``."""
-    if not _batch_shape(p):
-        return list(p)
-    return list(p.T if isinstance(p, DD) else np.ascontiguousarray(p.T))
+    """Coordinate list of one point ``(d,)``, as numpy float64 scalars if it is
+    not double-double, or the columns of a batch ``(B, d)``."""
+    if _batch_shape(p):
+        return list(p.T if isinstance(p, DD) else np.ascontiguousarray(p.T))
+    return list(p if isinstance(p, DD) else np.asarray(p, dtype=float))
 
 
 def call_field(f, p, order=None):
@@ -463,9 +446,9 @@ def call_field(f, p, order=None):
     field sees the coordinates themselves and no jet is made.  This is
     where every field evaluation of the package calls the field, so a
     division by zero or an invalid operation inside it (a field evaluated
-    on its singular locus) surfaces as :class:`EvaluationError`, on Python
-    floats (``ZeroDivisionError``, or the helpers' domain errors) and numpy
-    scalars or arrays alike (numpy is made to raise).  A failing batch is
+    on its singular locus) surfaces as :class:`EvaluationError`: numpy is
+    made to raise, and a ``ZeroDivisionError`` of Python constants the
+    field divides is caught too.  A failing batch is
     evaluated again one point at a time to name the first point that
     fails.
     """

@@ -252,14 +252,18 @@ class HeavenlyResult(NamedTuple):
     spread: float
 
 
-def heavenly_check(h, omega, tol=1e-10):
+#: Relative tolerance of :func:`heavenly_check` and :func:`heavenly_constant`.
+HEAVENLY_TOL = 1e-10
+
+
+def heavenly_check(h, omega):
     """Best constant ``C`` with ``h Omega h^T = C Omega``, or raise.
 
     ``h`` is one matrix ``(n, n)``, giving a float, or a stack
     ``(..., n, n)``, giving one ``C`` per matrix.  ``C`` is the Frobenius
     projection ``<Omega, M> / <Omega, Omega>`` of ``M = h Omega h^T``; the
     violation is measured as ``max |M - C Omega|`` against
-    ``tol * max(1, max |M|)``.
+    ``HEAVENLY_TOL * max(1, max |M|)``.
 
     Raises
     ------
@@ -272,7 +276,7 @@ def heavenly_check(h, omega, tol=1e-10):
     M = h @ omega @ np.swapaxes(h, -1, -2)
     C = np.real(np.sum(omega * M, axis=(-2, -1))) / np.sum(omega * omega)
     residual = np.max(np.abs(M - C[..., None, None] * omega), axis=(-2, -1))
-    fits = residual <= tol * np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))
+    fits = residual <= HEAVENLY_TOL * np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1)))
     failure = first_failure(fits & (C > 0))  # written so that NaN fails
     if failure is not None:
         k, where = failure
@@ -284,13 +288,13 @@ def heavenly_check(h, omega, tol=1e-10):
     return float(C) if C.ndim == 0 else C
 
 
-def heavenly_constant(hfield, omega, points, tol=1e-10):
+def heavenly_constant(hfield, omega, points):
     """Heavenly check at a batch of ``points`` ``(B, 2n)`` (one stacked call)
     plus constancy of ``C`` across them; one point ``(2n,)`` is a batch of one."""
-    Cs = np.atleast_1d(heavenly_check(hfield.matrix(points), omega, tol=tol))
+    Cs = np.atleast_1d(heavenly_check(hfield.matrix(points), omega))
     spread = float(Cs.max() - Cs.min())
     C = float(Cs.mean())
-    if spread > tol * max(1.0, abs(C)):
+    if spread > HEAVENLY_TOL * max(1.0, abs(C)):
         raise HeavenlyViolation(
             f"C varies by {spread:.3e} across {Cs.size} points", residual=spread
         )

@@ -92,6 +92,10 @@ class PhasePoint(Frozen):
 #: Smallest ``lambda_min / lambda_max`` of an admissible mass matrix.
 MIN_RCOND = 1e-13
 
+#: Largest probe bracket ``|{p_fiber, H}|`` of a cyclic coordinate in
+#: :func:`constrain_and_reduce`.
+CYCLIC_TOL = 1e-10
+
 
 def _mass_entries(g, q):
     """Mass matrix ``g`` at ``q`` as an ``n x n`` object array of entries.
@@ -220,7 +224,7 @@ def _probe_momenta(d):
     return [eye[j] + (eye[k] if k > j else 0.0) for j in range(d) for k in range(j, d)]
 
 
-def constrain_and_reduce(g, fiber_index, probe_points=None, tol=1e-10):
+def constrain_and_reduce(g, fiber_index, probe_points=None):
     """Impose ``p_fiber = 0`` on the kinetic term of the mass matrix ``g`` and
     return the reduced mass matrix, a :class:`~hkgeo.fields.MetricField` on
     the kept coordinates.
@@ -228,8 +232,8 @@ def constrain_and_reduce(g, fiber_index, probe_points=None, tol=1e-10):
     The fiber coordinate must be cyclic; this is checked literally, as
     Poisson brackets ``{p_fiber, H}`` over a basis of probe momenta at the
     given configuration points (default: the all-ones configuration), all
-    (point, probe) pairs in one batched bracket.  A residual above ``tol``
-    raises :class:`InvalidConstraintError`.
+    (point, probe) pairs in one batched bracket.  A residual above
+    :data:`CYCLIC_TOL` raises :class:`InvalidConstraintError`.
 
     The reduced mass matrix is computed per evaluation by deleting the
     fiber row/column of ``M^{-1}`` and inverting the remaining block, in
@@ -247,7 +251,7 @@ def constrain_and_reduce(g, fiber_index, probe_points=None, tol=1e-10):
     pairs = PhasePoint(np.repeat(points, len(probes), axis=0),
                        np.tile(probes, (len(points), 1)))
     worst = float(np.max(np.abs(poisson_bracket(pf, H, pairs))))  # keeps NaN
-    if not worst <= tol:
+    if not worst <= CYCLIC_TOL:
         raise InvalidConstraintError(
             f"coordinate {g.chart.names[fiber_index]!r} is not cyclic "
             f"(bracket residual {worst:.3e})",

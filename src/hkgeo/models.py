@@ -45,6 +45,8 @@ x_3 < 0``) excluded by predicate.
 
 from __future__ import annotations
 
+import contextvars
+
 import numpy as np
 
 from . import jets
@@ -438,7 +440,7 @@ def r8_parent(a=1.0):
     cheapest to verify.
     """
     a = _check_a(a)
-    gh = gh_flat(a)
+    gh = build("gh-flat", a)
     x_box = ((*_CART,), (*_CART,), (*_CART,), (*_ANGLE,))
 
     def times_x(m):
@@ -578,15 +580,24 @@ REGISTRY = {
 MODEL_NAMES = tuple(sorted(REGISTRY))
 
 
+#: The models built so far in the running :func:`hkgeo.checks.run_suite`, by
+#: ``(name, a)``; unset outside a run.  Context-local, for concurrent runs.
+_built = contextvars.ContextVar("built")
+
+
 def build(name, a=1.0):
-    """Instantiate a registered model by CLI name."""
+    """Instantiate a registered model by CLI name: within a run once per
+    ``(name, a)``, handed to every caller, and outside a run afresh."""
     try:
         builder = REGISTRY[name]
     except KeyError:
         raise KeyError(
             f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}"
         ) from None
-    return builder(a)
+    built = _built.get({})  # outside a run a fresh dict: a fresh build
+    if (name, a) not in built:
+        built[name, a] = builder(a)
+    return built[name, a]
 
 
 # ---------------------------------------------------------------------------
@@ -611,17 +622,17 @@ def scalar_fields(a=1.0):
     box3 = ((*_CART,), (*_CART,), (*_CART,))
     box4y = ((*_CART,),) * 4
     kbox = ((-1.5, 1.5),) * 4
-    tn_metric = taub_nut(a).metric.fn
-    mu_cart = r8_parent(a).cartesian.targets
+    tn_metric = build("taub-nut", a).metric.fn
+    mu_cart = build("r8-parent", a).cartesian.targets
 
     def part(fn, k):
         return lambda c: fn(c)[k]
 
     return (
-        ScalarFieldSpec("toy-moment-map", toy_parent(a).targets["moment_map"],
+        ScalarFieldSpec("toy-moment-map", build("toy-parent", a).targets["moment_map"],
                         ((*_RADIAL,), (*_ANGLE,), (*_CART,), (*_ANGLE,))),
         ScalarFieldSpec("toy-curvature-target",
-                        lambda c: 8.0 * a ** 4 / (c[0] * c[0] + a * a) ** 3,
+                        lambda c: 8.0 * a ** 4 / jets.power(c[0] * c[0] + a * a, 3),
                         ((*_RADIAL,), (*_ANGLE,))),
         *(ScalarFieldSpec(name, part(lambda c: _monopole_terms(*c), k), box3, string)
           for k, name in enumerate(("radial-distance", "monopole-A1", "monopole-A2"))),

@@ -259,11 +259,15 @@ def quotient_metric(g, V, invariant, p):
     return proj[..., idx[:, None], idx]
 
 
-def quotient_form(form, fiber_index, invariant, p, tol=1e-10):
+#: Largest fiber component that :func:`quotient_form` counts as cancelled.
+FIBER_TOL = 1e-10
+
+
+def quotient_form(form, fiber_index, invariant, p):
     """Invariant block of a form whose fiber components cancel.
 
     The cancellation is a theorem for the pipelines assembled here, so a
-    fiber component above ``tol`` (or NaN) means the input is wrong and
+    fiber component above :data:`FIBER_TOL` (or NaN) means the input is wrong and
     raises :class:`ObstructionError` (with the offending residual, at the
     first such point of a batch) instead of being projected away silently.
     ``form`` is a :class:`~hkgeo.fields.FormField` or its values
@@ -271,13 +275,13 @@ def quotient_form(form, fiber_index, invariant, p, tol=1e-10):
     """
     W = form.value(p) if isinstance(form, FormField) else np.asarray(form, dtype=float)
     residual = np.max(np.abs(W[..., fiber_index, :]), axis=-1)
-    failure = first_failure(residual <= tol, p)  # written so that NaN fails
+    failure = first_failure(residual <= FIBER_TOL, p)  # written so that NaN fails
     if failure is not None:
         k, where = failure
         worst = float(residual[() if k is None else k])
         raise ObstructionError(
             f"fiber components of {getattr(form, 'name', 'form') or 'form'} do not "
-            f"cancel (max {worst:.3e} > {tol:.1e}){where}",
+            f"cancel (max {worst:.3e} > {FIBER_TOL:.1e}){where}",
             residual=worst,
         )
     idx = np.asarray(invariant, dtype=int)

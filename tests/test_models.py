@@ -76,19 +76,25 @@ def test_first_order_metric_jet(name):
 
 def test_field_division_by_zero_is_evaluation_error():
     # the Taub-NUT metric divides by r: at the origin that is an
-    # EvaluationError from every entry point, not a bare ZeroDivisionError
+    # EvaluationError from every entry point, not a bare FloatingPointError
     g = build("taub-nut", 1.0).metric
     origin = [0.0, 0.0, 0.0, 0.0]
     for evaluate in (g.value, lambda p: g.jet(p, order=1), g.jet):
         with pytest.raises(EvaluationError) as exc:
             evaluate(origin)
-        assert isinstance(exc.value.__cause__, ZeroDivisionError)
+        assert isinstance(exc.value.__cause__, FloatingPointError)
     # numpy floats divide by zero without raising unless told to: a field
     # fed a numpy point raises too, not returns inf
     h = MetricField(Chart(("x",)), lambda c: [[1.0 / c[0]]])
     with pytest.raises(EvaluationError) as exc:
         h.value(np.zeros(1))
     assert isinstance(exc.value.__cause__, FloatingPointError)
+    # a field may still divide Python constants, which raise ZeroDivisionError
+    zero = 0.0
+    k = MetricField(Chart(("x",)), lambda c: [[c[0] + 1.0 / zero]])
+    with pytest.raises(EvaluationError) as exc:
+        k.value([1.0])
+    assert isinstance(exc.value.__cause__, ZeroDivisionError)
 
 
 def test_monopole_curl_sign():
