@@ -58,8 +58,8 @@ print(np.round(g2.value([q[0], q[2]]), 12))
 # --- curvature of the quotient ----------------------------------------------
 
 print("\n r      curvature     closed form")
-for r in (0.0 + 1e-6, 0.5, 1.0, 2.0, 5.0):
-    K = geometry.gaussian_curvature(red.metric, [r, 0.0], dps=geometry.curvature_dps(r))
+rs = (0.0 + 1e-6, 0.5, 1.0, 2.0, 5.0)  # double-double below geometry.DD_RADIUS
+for r, K in zip(rs, geometry.curvature_at_radii(red.metric, rs)):
     print(f"{r:5.2f}   {K:.8f}   {red.targets['curvature'](r):.8f}")
 
 chi, err = geometry.euler_characteristic(red.metric, r_scale=a)

@@ -26,7 +26,7 @@ import numpy as np
 from . import fields, geometry, kahler, mechanics, models, reduction
 from ._record import Frozen
 from ._version import __version__
-from .jets import evaluate_jet, fd_oracle, fd_step, worst_of
+from .jets import evaluate_jet, fd_oracle, worst_of
 from .sampling import SampleSpec, sample_points
 
 __all__ = [
@@ -378,14 +378,11 @@ def check_tn_gh_triple(ctx, rng):
 def check_tn_curl(ctx, rng):
     pts = sample_points(SampleSpec(((-2.0, 2.0),) * 3, ctx.samples, ctx.subseed(rng),
                                    (models._string_exclusion(0.4),)))
-    # fd_oracle's central differences, a batch per shift: dA[i][:, m] = d A_m / d x_i
-    dA = []
-    for i in range(3):
-        h = np.zeros_like(pts)
-        h[:, i] = fd_step(pts[:, i])
-        dA.append((models.monopole_potential(pts + h) - models.monopole_potential(pts - h))
-                  / (2 * h[:, i, None]))
-    curl = np.stack([-dA[2][:, 1], dA[2][:, 0], dA[0][:, 1] - dA[1][:, 0]], axis=-1)
+    # fd_oracle's central differences of the nonzero components m = 0, 1:
+    # dA[m][i] = d A_m / d x_i
+    dA = [fd_oracle(lambda c, m=m: models.monopole_potential(np.stack(c, axis=-1))[:, m],
+                    pts).gradient for m in range(2)]
+    curl = np.stack([-dA[1][2], dA[0][2], dA[1][0] - dA[0][1]], axis=-1)
     want = [models.MONOPOLE_CURL_SIGN * x / float(np.linalg.norm(x)) ** 3 for x in pts]
     return _worst(curl, np.array(want)), len(pts)
 

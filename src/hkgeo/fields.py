@@ -41,9 +41,6 @@ class Chart(Frozen):
     def dim(self):
         return len(self.names)
 
-    def index(self, name):
-        return self.names.index(name)
-
     def __str__(self):
         return "(" + ", ".join(self.names) + ")"
 
@@ -233,10 +230,6 @@ class VectorFieldR:
         self.chart = chart
         self.fn = fn
         self.name = name
-
-    @property
-    def dim(self):
-        return self.chart.dim
 
     def value(self, p):
         return _vector_jet(self.fn, p, None)[0]

@@ -8,7 +8,9 @@ curvature as
     R^A_{BCD} = d_C Gamma^A_{DB} - d_D Gamma^A_{CB}
                 + Gamma^A_{CS} Gamma^S_{DB} - Gamma^A_{DS} Gamma^S_{CB},
 
-the sign fixed so that the round sphere has positive curvature.
+the sign fixed so that the round sphere has positive curvature.  The
+package reads the tensor only through Brioschi's formula below; the full
+tensor is the tests' reference (``tests/oracles.py``).
 
 ``gaussian_curvature`` returns the curvature scalar of a 2-dimensional
 metric normalised as ``2 R_{0101} / det g`` (the 2D Ricci scalar, i.e.
@@ -16,11 +18,10 @@ twice the sectional value), by Brioschi's formula from the metric
 components and their first and second derivatives; with this
 normalisation the rotationally symmetric reductions built in
 :mod:`hkgeo.models` integrate to their expected topological count via
-:func:`euler_characteristic`.  :func:`ricci_scalar`, the full contraction
-of :func:`riemann`, is the independent route it is tested against.
-Below ``r =`` :data:`DD_RADIUS` (0.05) on a polar chart the curvature
-runs on double-double numbers (:mod:`hkgeo.ddouble`, see
-:func:`curvature_dps`); everything else runs on float64.
+:func:`euler_characteristic`.  Below ``r =`` :data:`DD_RADIUS` (0.05) on a
+polar chart the curvature runs on double-double numbers
+(:mod:`hkgeo.ddouble`, see :func:`curvature_at_radii`); everything else
+runs on float64.
 
 Inverse-metric contractions and curvatures are guarded by a Cholesky
 factorisation, so a non-positive-definite metric surfaces as a
@@ -35,11 +36,11 @@ certificate (:func:`_certified_cholesky`), which the mass-matrix rule of
 :mod:`hkgeo.mechanics` and the Jacobian rank guard of
 :mod:`hkgeo.reduction` share.
 
-:func:`christoffel`, :func:`covariant_derivative_02`, :func:`killing_deviation`,
-:func:`riemann` and :func:`gaussian_curvature` (at every precision) take one
-point ``(d,)`` or a batch ``(B, d)`` (point axis first on the output; errors
-name the first point).  :func:`covariant_derivative_02` also takes a list
-of fields, which share one connection.
+:func:`christoffel`, :func:`covariant_derivative_02`, :func:`killing_deviation`
+and :func:`gaussian_curvature` (at every precision) take one point ``(d,)``
+or a batch ``(B, d)`` (point axis first on the output; errors name the
+first point).  :func:`covariant_derivative_02` also takes a list of
+fields, which share one connection.
 """
 
 from __future__ import annotations
@@ -47,23 +48,18 @@ from __future__ import annotations
 import numpy as np
 
 from .ddouble import DD, DIGITS
-from .fields import _upper_mask, mirror_triangle
-from .jets import EvaluationError, Jet, fd_step, first_failure
+from .jets import EvaluationError, Jet, first_failure
 from .quadrature import integrate
 
 __all__ = [
     "MetricDomainError",
     "DivergenceError",
     "christoffel",
-    "christoffel_fd",
-    "riemann",
-    "ricci_scalar",
     "gaussian_curvature",
     "curvature_at_radii",
     "covariant_derivative_02",
     "killing_deviation",
     "euler_characteristic",
-    "curvature_dps",
 ]
 
 
@@ -199,9 +195,9 @@ def _solve_entries(L, A, B):
     ``(..., n, n)`` of ``A``'s float values (point axis first).
 
     ``A`` is ``n x n`` and ``B`` a vector of ``n`` entries or ``n`` rows of
-    them, as :func:`hkgeo.jets.solve` takes them: floats, arrays over a
-    batch of points and jets, mixed freely, in float64; the result is laid
-    out as that function lays it out.  The values are solved once,
+    them: floats, arrays over a batch of points and jets, mixed freely, in
+    float64; the result is a list of entries or of rows, shaped as ``B``.
+    The values are solved once,
     ``X = A^{-1} B``, and the derivatives by implicit differentiation with
     the same factor (Giles 2008, "Collected matrix derivative results for
     forward and reverse mode algorithmic differentiation"):
@@ -265,81 +261,16 @@ def christoffel(g, p):
     return _christoffel_from(gv, dg)
 
 
-def christoffel_fd(g, p):
-    """Same connection, but every metric derivative from central differences.
-
-    One point ``(d,)`` or a batch ``(B, d)``: one ``g.value`` call on each
-    point and its ``2 d`` shifts by the steps of :func:`~hkgeo.jets.fd_step`.
-    Kept deliberately free of jet arithmetic so it can arbitrate against
-    :func:`christoffel`.
-    """
-    p = np.asarray(p, dtype=float)
-    d = p.shape[-1]
-    h = fd_step(p)[..., None]
-    shift = h * np.eye(d)  # (..., d, d): row K is h_K e_K
-    q = p[..., None, :]
-    G = g.value(np.concatenate([q, q + shift, q - shift], axis=-2).reshape(-1, d))
-    G = G.reshape(*p.shape[:-1], 2 * d + 1, d, d)
-    dg = (G[..., 1:d + 1, :, :] - G[..., d + 1:, :, :]) / (2 * h[..., None])
-    return _christoffel_from(G[..., 0, :, :], dg)
-
-
-def riemann(g, p):
-    """``R[..., A, B, C, D] = R^A_{BCD}`` at one point ``(d,)`` or a batch ``(B, d)``.
-
-    Computed on the ``C < D`` triangle and mirrored, as ``g^{AE}(d_C T_{E,DB}
-    - d_D T_{E,CB} - d_C g_{EF} Gamma^F_{DB} + d_D g_{EF} Gamma^F_{CB})
-    + Gamma^A_{CS} Gamma^S_{DB} - Gamma^A_{DS} Gamma^S_{CB}`` (``T`` the
-    lowered Christoffel symbols), so no inverse metric is formed.
-    """
-    gv, dg, d2g = g.jet(p)
-    d, batch = gv.shape[-1], gv.shape[:-2]
-    C, D = np.nonzero(_upper_mask(d, 1))  # the pairs C < D, then swapped: P, Q
-    P, Q, K = np.concatenate([C, D]), np.concatenate([D, C]), len(C)
-    Gm = np.einsum("...smn->...msn", _christoffel_from(gv, dg))  # Gamma^S_{MN}
-    dT = np.einsum("...qemn->...eqmn", _lowered_christoffel(d2g))  # d_Q T_{E,MN}
-
-    def pair(x, y):  # [..., E, k, B] = x[P_k]_{ES} y[Q_k]_{SB}
-        return np.einsum("...kes,...ksb->...ekb", x[..., P, :, :], y[..., Q, :, :])
-
-    Y = dT[..., P, Q, :] - pair(dg, Gm)
-    X = Y[..., :K, :] - Y[..., K:, :]  # [..., E, k, B]: at (C, D) minus at (D, C)
-    raised = _solve(gv, X.reshape(*batch, d, K * d)).reshape(X.shape)  # [..., A, k, B]
-    GG = pair(Gm, Gm)
-    tri = raised + GG[..., :K, :] - GG[..., K:, :]
-    R = np.zeros((*batch, d, d, d, d), dtype=tri.dtype)
-    R[..., C, D] = np.swapaxes(tri, -1, -2)
-    return mirror_triangle(R, -1)
-
-
-def ricci_scalar(g, p):
-    """Scalar curvature by full contraction ``g^{BD} R^A_{BAD}``.
-
-    Independent of :func:`gaussian_curvature`'s Brioschi formula; the
-    two must agree on 2-dimensional metrics.
-    """
-    ric = np.einsum("abad->bd", riemann(g, p))
-    return np.trace(_solve(g.value(p), ric))  # g^{BP} ric[P, B]
-
-
 #: Radius of a polar chart below which curvature runs on double-double numbers.
 DD_RADIUS = 0.05
 
 
-def curvature_dps(r):
-    """Digits for :func:`gaussian_curvature` at radius ``r`` of a polar chart.
-
-    31 (double-double, :data:`hkgeo.ddouble.DIGITS`) below ``r =``
-    :data:`DD_RADIUS`, where float64 cancellation near the origin would
-    dominate the error; ``None`` (float64) from there on.
-    """
-    return DIGITS if r < DD_RADIUS else None
-
-
 def curvature_at_radii(g, rs):
     """:func:`gaussian_curvature` at the points ``(r, 1)`` of a polar chart, in
-    the order of ``rs``: one call per precision, the radii split at
-    :data:`DD_RADIUS` as :func:`curvature_dps` splits them."""
+    the order of ``rs``: one call per precision, double-double (31 digits,
+    :data:`hkgeo.ddouble.DIGITS`) below :data:`DD_RADIUS`, where float64
+    cancellation near the origin would dominate the error, float64 from
+    there on."""
     rs = np.asarray(rs, dtype=float)
     pts, K = np.stack([rs, np.ones(len(rs))], axis=1), np.empty(len(rs))
     low = rs < DD_RADIUS
@@ -360,7 +291,7 @@ def gaussian_curvature(g, p, dps=None):
     (metric components included) in double-double arithmetic (rational
     metrics only), which keeps the result honest down to ``r ~ 1e-6``;
     ``dps=None`` is float64, and any other ``dps`` raises ValueError.
-    :func:`curvature_dps` says where extra digits are needed.
+    :func:`curvature_at_radii` says where extra digits are needed.
     """
     if g.dim != 2:
         raise ValueError("gaussian_curvature expects a 2-dimensional metric")
@@ -435,7 +366,11 @@ def killing_deviation(g, V, p):
             + np.einsum("...mp,...np->...mn", gv, dV))
 
 
-def euler_characteristic(g, r_scale=1.0, quad_tol=1e-8, weight=None):
+#: Largest quadrature error estimate :func:`euler_characteristic` accepts.
+EULER_QUAD_TOL = 1e-8
+
+
+def euler_characteristic(g, r_scale=1.0):
     """Improper curvature integral ``int_0^inf K sqrt(g) dr``: the total
     curvature over ``2 pi`` of a surface of revolution whose angle has
     period ``2 pi``.
@@ -446,9 +381,7 @@ def euler_characteristic(g, r_scale=1.0, quad_tol=1e-8, weight=None):
     refinement round is one batched metric value and one curvature call on
     all of the round's nodes.
     The metric must be 2-dimensional with chart order (radial, angular) and
-    angle-independent components.  ``weight(r)``, if given, is a scalar
-    callable that multiplies the integrand, called once per node (useful for
-    linearity checks).
+    angle-independent components.
 
     Returns
     -------
@@ -457,7 +390,8 @@ def euler_characteristic(g, r_scale=1.0, quad_tol=1e-8, weight=None):
     Raises
     ------
     DivergenceError
-        If the quadrature error estimate exceeds ``quad_tol`` (or is NaN).
+        If the quadrature error estimate exceeds :data:`EULER_QUAD_TOL` (or
+        is NaN).
     """
     if g.dim != 2:
         raise ValueError("euler_characteristic expects a 2-dimensional metric")
@@ -469,14 +403,11 @@ def euler_characteristic(g, r_scale=1.0, quad_tol=1e-8, weight=None):
         # one metric value per point: the jet's value part can differ from
         # g.value in the last bit (jet division multiplies by a reciprocal)
         gv = g.value(points)
-        val = _curvature(g, points) * np.sqrt(np.linalg.det(gv)) * jac
-        if weight is not None:
-            val = val * np.array([weight(float(x)) for x in r])
-        return val
+        return _curvature(g, points) * np.sqrt(np.linalg.det(gv)) * jac
 
     value, err = integrate(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)[:2]
-    if not err <= quad_tol:
+    if not err <= EULER_QUAD_TOL:
         raise DivergenceError(
-            f"quadrature error {err:.3e} above tolerance {quad_tol:.1e}"
+            f"quadrature error {err:.3e} above tolerance {EULER_QUAD_TOL:.1e}"
         )
     return value, err

@@ -4,10 +4,11 @@ A :class:`Jet` carries the value and gradient of a scalar quantity at a
 point, and at second order its Hessian too, propagated through arithmetic
 by the truncated Taylor rules.  Field code throughout the package is
 written against the dispatching math helpers in this module (:func:`sqrt`,
-:func:`exp`, :func:`atan2`, ...) so the same expression evaluates on plain
-floats, on jets of either order, or with extra precision on double-double
-numbers (:class:`hkgeo.ddouble.DD`, rational fields only), which the
-curvature of nearly degenerate polar charts uses.
+:func:`sin`, :func:`cos`, :func:`atan2` and :func:`power`, the functions
+the models use) so the same expression evaluates on plain floats, on jets
+of either order, or with extra precision on double-double numbers
+(:class:`hkgeo.ddouble.DD`, rational fields only), which the curvature of
+nearly degenerate polar charts uses.
 
 Which order is used where
 -------------------------
@@ -22,13 +23,11 @@ entry point that reads no second derivative seeds order 1: Poisson
 brackets (so also the cyclicity probes of
 :func:`hkgeo.mechanics.constrain_and_reduce`), Christoffel symbols,
 covariant derivatives of 2-tensors, Killing deviations, exterior
-derivatives, Wirtinger derivatives and spin-connection traces of Hermitian
-fields, vector-field derivatives, Jacobians of maps and moment-map
-gradients.  Order 2 stays where second derivatives are read: the
-derivative of the connection (so the Riemann tensor and every curvature,
-at every precision), metrics from Kaehler potentials and the jet-vs-
-finite-difference hygiene check.  Plain values are order ``None``: the
-field sees floats (or arrays) and no jet is made.
+derivatives, Wirtinger derivatives of Hermitian fields, vector-field
+derivatives, Jacobians of maps and moment-map gradients.  Order 2 stays
+where second derivatives are read: every curvature, at every precision,
+and the jet-vs-finite-difference hygiene check.  Plain values are order
+``None``: the field sees floats (or arrays) and no jet is made.
 
 A first-order jet never computes ``f''``: the rules hand it over as a
 zero-argument callable that only a jet with a Hessian calls, so a
@@ -53,10 +52,7 @@ is a DD ``(d, B)``) has the arithmetic only.  Fields run with numpy's
 division by zero and invalid operations raised, and every error names the
 first offending point of the batch.  Jets opt out of numpy's operator
 dispatch (``__array_ufunc__ = None``), so ``array * jet`` is the jet's
-product, not an object array of jets.  :func:`solve`, an elimination for
-positive-definite matrices that does not pivot, is the tests' oracle for
-the solves of the package, which factor their matrices instead
-(:func:`hkgeo.geometry._solve`).
+product, not an object array of jets.
 
 :func:`fd_oracle` produces the same (value, gradient, Hessian) triple from
 central differences only, at one point or a batch.  It shares no derivative code with the jets and is
@@ -78,17 +74,11 @@ __all__ = [
     "fd_oracle",
     "fd_step",
     "first_failure",
-    "solve",
     "worst_of",
-    "exp",
-    "log",
     "sqrt",
     "sin",
     "cos",
-    "atan",
     "atan2",
-    "sinh",
-    "cosh",
     "power",
 ]
 
@@ -270,14 +260,6 @@ class Jet:
         u = self.value
         return self._compose(1 / u, -1 / (u * u), lambda: 2 / (u * u * u))
 
-    def exp(self):
-        e = _mathmod(self.value).exp(self.value)
-        return self._compose(e, e, lambda: e)
-
-    def log(self):
-        u = self.value
-        return self._compose(_mathmod(u).log(u), 1 / u, lambda: -1 / (u * u))
-
     def sqrt(self):
         r = _mathmod(self.value).sqrt(self.value)
         return self._compose(r, 1 / (2 * r), lambda: -1 / (4 * r * r * r))
@@ -292,21 +274,6 @@ class Jet:
         s, c = m.sin(self.value), m.cos(self.value)
         return self._compose(c, -s, lambda: -c)
 
-    def atan(self):
-        u = self.value
-        d = 1 + u * u
-        return self._compose(_mathmod(u).atan(u), 1 / d, lambda: -2 * u / (d * d))
-
-    def sinh(self):
-        m = _mathmod(self.value)
-        s = m.sinh(self.value)
-        return self._compose(s, m.cosh(self.value), lambda: s)
-
-    def cosh(self):
-        m = _mathmod(self.value)
-        c = m.cosh(self.value)
-        return self._compose(c, m.sinh(self.value), lambda: c)
-
 
 def _outer(a, b):
     """``np.outer`` over the first axis of ``a`` and ``b``, carrying a point axis."""
@@ -314,14 +281,6 @@ def _outer(a, b):
 
 
 # -- dispatching scalar helpers ------------------------------------------
-
-
-def exp(x):
-    return x.exp() if isinstance(x, Jet) else _mathmod(x).exp(x)
-
-
-def log(x):
-    return x.log() if isinstance(x, Jet) else _mathmod(x).log(x)
 
 
 def sqrt(x):
@@ -334,18 +293,6 @@ def sin(x):
 
 def cos(x):
     return x.cos() if isinstance(x, Jet) else _mathmod(x).cos(x)
-
-
-def atan(x):
-    return x.atan() if isinstance(x, Jet) else _mathmod(x).atan(x)
-
-
-def sinh(x):
-    return x.sinh() if isinstance(x, Jet) else _mathmod(x).sinh(x)
-
-
-def cosh(x):
-    return x.cosh() if isinstance(x, Jet) else _mathmod(x).cosh(x)
 
 
 def power(x, k):
@@ -520,51 +467,6 @@ def evaluate_jet(f, p, order=2):
         raise EvaluationError(f"non-finite derivative in coordinate {i}{where}",
                               index=i, point=k)
     return out
-
-
-def solve(A, B):
-    """Solve ``A X = B`` for positive-definite ``A`` on any entry type.
-
-    The tests' oracle for the solves of the package, which go through a
-    Cholesky factor instead (:func:`hkgeo.geometry._solve`); no module
-    calls it.  Entries may be floats, jets or other numbers (the tests use
-    mpmath's), mixed freely, so the solution carries exact derivatives when
-    ``A`` or ``B`` does; they may also be arrays (or jets) over a batch of
-    points, solved at once.  Gauss-Jordan elimination runs in the given row
-    order, without pivoting, which is stable on positive-definite matrices
-    (growth factor 1); every caller guarantees positive definiteness.
-    Exact-zero float multipliers are skipped, so a batch gives what its
-    points give one at a time, except that an exact zero may carry the
-    other sign: a zero multiplier is skipped only when it is a plain float.
-    ``B`` is a matrix (rows indexed like ``A``) when its rows are lists or
-    tuples or it is an array of two or more axes, and a vector (of scalars,
-    arrays over the points or jets) otherwise; the result is a list of
-    rows, or a list, of the same shape.
-
-    Raises
-    ------
-    numpy.linalg.LinAlgError
-        If a pivot is not positive (NaN included), naming the first failing
-        point of a batch.
-    """
-    n = len(A)
-    vector = not (isinstance(B[0], (list, tuple))
-                  or isinstance(B, np.ndarray) and B.ndim >= 2)
-    rows = [list(A[i]) + ([B[i]] if vector else list(B[i])) for i in range(n)]
-    for col in range(n):
-        pivot = rows[col][col]
-        pivot = pivot.value if isinstance(pivot, Jet) else pivot
-        failure = first_failure(np.asarray(pivot > 0, dtype=bool))
-        if failure is not None:
-            raise np.linalg.LinAlgError(f"pivot {col} not positive{failure[1]}")
-        inv_p = 1.0 / rows[col][col]
-        rows[col] = [x * inv_p for x in rows[col]]
-        for r in range(n):
-            f = rows[r][col]
-            if r == col or (isinstance(f, float) and f == 0.0):
-                continue
-            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return [row[n] for row in rows] if vector else [row[n:] for row in rows]
 
 
 def fd_step(x):

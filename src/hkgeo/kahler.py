@@ -29,43 +29,31 @@ Mixed-index structures are raised by ``X = -g^{-1} W``
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from ._record import Frozen
 from .fields import Chart, FormField, MetricField
-from .jets import evaluate_jet, first_failure
+from .jets import first_failure
 from .reduction import complex_structure, raise_first_index
 
 __all__ = [
     "HermitianMetricField",
-    "HermiticityError",
     "HeavenlyViolation",
-    "HeavenlyResult",
     "Triple",
-    "metric_from_potential",
     "symplectic_matrix",
     "sp_generators",
     "sp_residual",
     "coset_exponential",
-    "coset_metric",
     "heavenly_check",
-    "heavenly_constant",
     "realify",
     "triple_at",
     "quaternion_form_fields",
     "quaternion_residual",
-    "spin_connection_trace",
     "x_matrices",
     "unit_determinant_shear_field",
     "non_unimodular_field",
     "single_mode_field",
 ]
-
-
-class HermiticityError(ArithmeticError):
-    """A matrix that must be Hermitian came out measurably non-Hermitian."""
 
 
 class HeavenlyViolation(ValueError):
@@ -77,30 +65,7 @@ class HeavenlyViolation(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# potentials and Hermitian fields
-
-
-def metric_from_potential(potential, n, p):
-    """Hermitian component matrix ``d^2 K / dz^i dzbar^k`` at real point ``p``.
-
-    ``potential`` is a real scalar field over the ``2n`` interleaved real
-    coordinates.  The Wirtinger combination of its real Hessian is
-
-        h_ik = (K_uu + K_vv) / 4 + i (K_uv - K_vu) / 4,
-
-    per index pair.  The result is checked to be Hermitian to 1e-12
-    (relative); a failure indicates an inconsistent potential evaluation and
-    raises :class:`HermiticityError`.
-    """
-    jet = evaluate_jet(potential, p)
-    H = jet.hessian
-    re = 0.25 * (H[0::2, 0::2] + H[1::2, 1::2])
-    im = 0.25 * (H[0::2, 1::2] - H[1::2, 0::2])
-    h = re + 1j * im
-    dev = float(np.max(np.abs(h - h.conj().T)))
-    if dev > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
-        raise HermiticityError(f"Hessian combination non-Hermitian by {dev:.3e}")
-    return h
+# Hermitian fields
 
 
 class HermitianMetricField:
@@ -116,8 +81,9 @@ class HermitianMetricField:
         for ``re_fn``, antisymmetric with zero diagonal for ``im_fn``) are
         filled in, so Hermiticity is exact by storage.
     potential : callable, optional
-        Real Kaehler potential generating the same components; kept for
-        cross-checks, not used in evaluation.
+        Real Kaehler potential generating the same components; the
+        derivative-oracle hygiene check differentiates it, and evaluation
+        never reads it.
     """
 
     def __init__(self, n, re_fn, im_fn=None, potential=None, name=""):
@@ -239,20 +205,7 @@ def coset_exponential(v, generators):
     return 0.5 * (h + np.swapaxes(h.conj(), -1, -2))
 
 
-def coset_metric(v, generators, name=""):
-    """Constant Hermitian field ``exp(sum_a v_a t_a)`` (:func:`coset_exponential`)."""
-    h0 = coset_exponential(v, generators)
-    A, B = h0.real.copy(), h0.imag.copy()
-    return HermitianMetricField(len(h0), lambda coords: A, lambda coords: B,
-                                name=name or f"coset(|v|={np.linalg.norm(v):.3g})")
-
-
-class HeavenlyResult(NamedTuple):
-    C: float
-    spread: float
-
-
-#: Relative tolerance of :func:`heavenly_check` and :func:`heavenly_constant`.
+#: Relative tolerance of :func:`heavenly_check`.
 HEAVENLY_TOL = 1e-10
 
 
@@ -286,19 +239,6 @@ def heavenly_check(h, omega):
                 if not fits[at] else f"proportionality constant C = {c:.6g} is not positive")
         raise HeavenlyViolation(what + where, residual=r)
     return float(C) if C.ndim == 0 else C
-
-
-def heavenly_constant(hfield, omega, points):
-    """Heavenly check at a batch of ``points`` ``(B, 2n)`` (one stacked call)
-    plus constancy of ``C`` across them; one point ``(2n,)`` is a batch of one."""
-    Cs = np.atleast_1d(heavenly_check(hfield.matrix(points), omega))
-    spread = float(Cs.max() - Cs.min())
-    C = float(Cs.mean())
-    if spread > HEAVENLY_TOL * max(1.0, abs(C)):
-        raise HeavenlyViolation(
-            f"C varies by {spread:.3e} across {Cs.size} points", residual=spread
-        )
-    return HeavenlyResult(C, spread)
 
 
 # ---------------------------------------------------------------------------
@@ -401,21 +341,6 @@ def quaternion_form_fields(hfield, omega):
 
 # ---------------------------------------------------------------------------
 # derived quantities on Hermitian fields
-
-
-def spin_connection_trace(hfield, p):
-    """Traced spin connection ``(1/2) d log det h`` in Wirtinger components.
-
-    The vielbein is the Cholesky factor of ``h`` (whose determinant is
-    ``sqrt(det h)``), so the trace part of the connection reduces to half
-    the log-determinant gradient; the holomorphic and antiholomorphic
-    component vectors are returned as a pair (point axis first for a batch).
-    Non-positive-definite ``h`` raises :class:`~hkgeo.geometry.MetricDomainError`.
-    """
-    gv, dg, _ = hfield.real_metric().jet(p, order=1)
-    t = np.trace(raise_first_index(gv, dg), axis1=-2, axis2=-1)
-    return ((t[..., 0::2] - 1j * t[..., 1::2]) / 8.0,
-            (t[..., 0::2] + 1j * t[..., 1::2]) / 8.0)
 
 
 def x_matrices(hfield, p):

@@ -377,25 +377,19 @@ def gh_flat(a=1.0):
     """Flat ``R^4`` as the Gibbons-Hawking metric with ``V = 1/r``, in monopole
     coordinates ``(x, Psi)``, with the Cartesian companion.
 
-    The parameter ``a`` is ignored (this geometry has no circle) but kept
-    so every registry builder has the same signature.
+    The parameter ``a`` plays no part in this geometry (it has no circle),
+    but it is validated as every builder validates it, so that every
+    registry builder has the same signature and refuses the same values.
     """
+    a = _check_a(a)
     chart = Chart(("x1", "x2", "x3", "Psi"))
     cart = Chart(("y1", "y2", "y3", "y4"))
-    eye_w = {
-        "omega_I": [(0, 1, 1.0), (2, 3, 1.0)],
-        "omega_J": [(0, 2, 1.0), (1, 3, -1.0)],
-        "omega_K": [(0, 3, 1.0), (1, 2, 1.0)],
-    }
-
-    def constant(entries):
-        W = np.zeros((4, 4))
-        for m, n, v in entries:
-            W[m, n] = v
-        return mirror_triangle(W, -1)
+    # the Cartesian triple s eps_ijk dy^j dy^k / 2 + s dy^i ^ dy^4, by (i, s)
+    cart_triple = {k: mirror_triangle(np.array(_triple_rows(i, s, s)), -1) for k, (i, s) in
+                   {"omega_I": (2, 1.0), "omega_J": (1, -1.0), "omega_K": (0, 1.0)}.items()}
 
     return _gibbons_hawking(
-        "gh-flat", float(a), chart, lambda r: (1.0 / r, r),
+        "gh-flat", a, chart, lambda r: (1.0 / r, r),
         embeddings={
             "to_monopole": EmbeddingMap(cart, chart, _var_change_fn,
                                         name="y -> (x, Psi)"),
@@ -404,9 +398,9 @@ def gh_flat(a=1.0):
         },
         targets={"radius": lambda y: np.sum(np.square(y), axis=-1)},
         cartesian=Model(
-            "gh-flat cartesian", float(a), cart,
+            "gh-flat cartesian", a, cart,
             MetricField(cart, lambda c: np.eye(4), name="cartesian flat"),
-            forms={k: constant_form(cart, constant(v), k) for k, v in eye_w.items()},
+            forms={k: constant_form(cart, W, k) for k, W in cart_triple.items()},
             box=((*_CART,), (*_CART,), (*_CART,), (*_CART,)),
             exclusions=(_pole_exclusion(),)),
     )

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["QuadratureResult", "gauss_kronrod", "integrate"]
+__all__ = ["QuadratureResult", "integrate"]
 
 
 class QuadratureResult(NamedTuple):
@@ -37,13 +37,9 @@ class QuadratureResult(NamedTuple):
     neval: int
 
 
-def gauss_kronrod():
-    """Nodes ``(21,)`` on ``[-1, 1]``, ascending, and the weights of K21 and
-    of G10 on them (``(2, 21)``; the Gauss weights are zero off its nodes,
-    which are the odd-indexed Kronrod nodes): copies of the module's table."""
-    return _NODES.copy(), _WEIGHTS.copy()
-
-
+#: Nodes ``(21,)`` on ``[-1, 1]``, ascending, and the weights ``(2, 21)`` of K21
+#: and of G10 on them (the Gauss weights are zero off its nodes, which are the
+#: odd-indexed Kronrod nodes); read-only.
 _NODES = np.array([
     -0.9956571630258081, -0.9739065285171717, -0.9301574913557082, -0.8650633666889845,
     -0.7808177265864169, -0.6794095682990244, -0.5627571346686047, -0.43339539412924716,

@@ -142,7 +142,12 @@ def exterior_derivative(form, p):
     return D1 + np.einsum("...npm->...mnp", D1) + np.einsum("...pmn->...mnp", D1)
 
 
-def recover_moment_map(alpha, base, p, base_value=0.0, quad_tol=1e-9):
+#: Largest error estimate of a segment's line integral that
+#: :func:`recover_moment_map` accepts.
+MOMENT_QUAD_TOL = 1e-9
+
+
+def recover_moment_map(alpha, base, p, base_value=0.0):
     """Integrate an exact 1-form along the straight segments ``base -> p``.
 
     ``p`` is one point ``(d,)``, giving a float, or a batch ``(B, d)``,
@@ -153,8 +158,8 @@ def recover_moment_map(alpha, base, p, base_value=0.0, quad_tol=1e-9):
     All segments share the parameter ``t in [0, 1]``, so each refinement
     round of :func:`hkgeo.quadrature.integrate` evaluates ``alpha`` on every
     segment's nodes in one call; each segment keeps its own subdivision and
-    error estimate, and one whose estimate exceeds ``quad_tol``, or that
-    did not converge, raises :class:`~hkgeo.geometry.DivergenceError`.
+    error estimate, and one whose estimate exceeds :data:`MOMENT_QUAD_TOL`,
+    or that did not converge, raises :class:`~hkgeo.geometry.DivergenceError`.
     Errors name the first bad segment of a batch.
     """
     base = np.asarray(base, dtype=float)
@@ -182,12 +187,12 @@ def recover_moment_map(alpha, base, p, base_value=0.0, quad_tol=1e-9):
         return np.sum(a * delta, axis=-1)
 
     out = integrate(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200)
-    failure = first_failure((out.error <= quad_tol) & out.converged)  # NaN fails
+    failure = first_failure((out.error <= MOMENT_QUAD_TOL) & out.converged)  # NaN fails
     if failure is not None:
         k = failure[0]
         raise DivergenceError(
             f"line integral{segment(k)} has error estimate {out.error[k]:.3e} "
-            f"(tolerance {quad_tol:.1e}"
+            f"(tolerance {MOMENT_QUAD_TOL:.1e}"
             f"{'' if out.converged[k] else ', not converged'})")
     value = base_value + out.value
     return float(value[0]) if p.ndim == 1 else value

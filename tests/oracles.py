@@ -1,4 +1,4 @@
-"""A curvature oracle for the tests that shares no code with the jets.
+"""References for the tests that the package itself does not run.
 
 :func:`brioschi_curvature` evaluates a rational 2-dimensional metric's
 ``fn`` on ``mpmath.mpf`` coordinates at :data:`DPS` digits, takes the
@@ -6,9 +6,27 @@ components ``E, F, G`` and their derivatives with ``mpmath.diff`` and
 applies Brioschi's formula.  It is the reference for the double-double
 curvature of :func:`hkgeo.geometry.gaussian_curvature` (``dps=DIGITS``),
 which it must match bit for bit once rounded to float64.
+
+The others are second routes to what the package computes another way:
+
+* :func:`solve`, Gauss-Jordan elimination over float, jet or mpmath
+  entries, for the package's factored solves;
+* :func:`christoffel_fd`, the connection from central differences of the
+  metric, for the jet-derived :func:`hkgeo.geometry.christoffel`;
+* :func:`riemann` and :func:`ricci_scalar`, the full curvature tensor and
+  its contraction, for Brioschi's formula in
+  :func:`hkgeo.geometry.gaussian_curvature`;
+* :func:`metric_from_potential`, the Hermitian metric of a Kaehler
+  potential, for the stock fields of :mod:`hkgeo.kahler` and the
+  potentials the hygiene check differentiates.
 """
 
 import mpmath
+import numpy as np
+
+from hkgeo.fields import mirror_triangle
+from hkgeo.geometry import _christoffel_from, _lowered_christoffel, _solve
+from hkgeo.jets import Jet, evaluate_jet, fd_step, first_failure
 
 #: Working digits of the oracle: well above the 31 of a double-double.
 DPS = 60
@@ -42,3 +60,126 @@ def brioschi_curvature(g, p):
             [Ev / 2, E, F],
             [Gu / 2, F, G]]))
         return float(2 * (first - second) / (E * G - F * F) ** 2)
+
+
+def solve(A, B):
+    """Solve ``A X = B`` for positive-definite ``A`` on any entry type.
+
+    Entries may be floats, jets or other numbers (mpmath's), mixed freely,
+    so the solution carries exact derivatives when ``A`` or ``B`` does;
+    they may also be arrays (or jets) over a batch of points, solved at
+    once.  Gauss-Jordan elimination runs in the given row order, without
+    pivoting, which is stable on positive-definite matrices (growth factor
+    1).  Exact-zero float multipliers are skipped, so a batch gives what
+    its points give one at a time, except that an exact zero may carry the
+    other sign: a zero multiplier is skipped only when it is a plain float.
+    ``B`` is a matrix (rows indexed like ``A``) when its rows are lists or
+    tuples or it is an array of two or more axes, and a vector (of scalars,
+    arrays over the points or jets) otherwise; the result is a list of
+    rows, or a list, of the same shape.
+
+    Raises
+    ------
+    numpy.linalg.LinAlgError
+        If a pivot is not positive (NaN included), naming the first failing
+        point of a batch.
+    """
+    n = len(A)
+    vector = not (isinstance(B[0], (list, tuple))
+                  or isinstance(B, np.ndarray) and B.ndim >= 2)
+    rows = [list(A[i]) + ([B[i]] if vector else list(B[i])) for i in range(n)]
+    for col in range(n):
+        pivot = rows[col][col]
+        pivot = pivot.value if isinstance(pivot, Jet) else pivot
+        failure = first_failure(np.asarray(pivot > 0, dtype=bool))
+        if failure is not None:
+            raise np.linalg.LinAlgError(f"pivot {col} not positive{failure[1]}")
+        inv_p = 1.0 / rows[col][col]
+        rows[col] = [x * inv_p for x in rows[col]]
+        for r in range(n):
+            f = rows[r][col]
+            if r == col or (isinstance(f, float) and f == 0.0):
+                continue
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+    return [row[n] for row in rows] if vector else [row[n:] for row in rows]
+
+
+def christoffel_fd(g, p):
+    """The connection of :func:`hkgeo.geometry.christoffel`, but every metric
+    derivative from central differences.
+
+    One point ``(d,)`` or a batch ``(B, d)``: one ``g.value`` call on each
+    point and its ``2 d`` shifts by the steps of :func:`hkgeo.jets.fd_step`.
+    """
+    p = np.asarray(p, dtype=float)
+    d = p.shape[-1]
+    h = fd_step(p)[..., None]
+    shift = h * np.eye(d)  # (..., d, d): row K is h_K e_K
+    q = p[..., None, :]
+    G = g.value(np.concatenate([q, q + shift, q - shift], axis=-2).reshape(-1, d))
+    G = G.reshape(*p.shape[:-1], 2 * d + 1, d, d)
+    dg = (G[..., 1:d + 1, :, :] - G[..., d + 1:, :, :]) / (2 * h[..., None])
+    return _christoffel_from(G[..., 0, :, :], dg)
+
+
+def riemann(g, p):
+    """``R[..., A, B, C, D] = R^A_{BCD}`` at one point ``(d,)`` or a batch ``(B, d)``,
+    in the convention of :mod:`hkgeo.geometry`.
+
+    Computed on the ``C < D`` triangle and mirrored, as ``g^{AE}(d_C T_{E,DB}
+    - d_D T_{E,CB} - d_C g_{EF} Gamma^F_{DB} + d_D g_{EF} Gamma^F_{CB})
+    + Gamma^A_{CS} Gamma^S_{DB} - Gamma^A_{DS} Gamma^S_{CB}`` (``T`` the
+    lowered Christoffel symbols), so no inverse metric is formed.
+    """
+    gv, dg, d2g = g.jet(p)
+    d, batch = gv.shape[-1], gv.shape[:-2]
+    C, D = np.triu_indices(d, 1)  # the pairs C < D, then swapped: P, Q
+    P, Q, K = np.concatenate([C, D]), np.concatenate([D, C]), len(C)
+    Gm = np.einsum("...smn->...msn", _christoffel_from(gv, dg))  # Gamma^S_{MN}
+    dT = np.einsum("...qemn->...eqmn", _lowered_christoffel(d2g))  # d_Q T_{E,MN}
+
+    def pair(x, y):  # [..., E, k, B] = x[P_k]_{ES} y[Q_k]_{SB}
+        return np.einsum("...kes,...ksb->...ekb", x[..., P, :, :], y[..., Q, :, :])
+
+    Y = dT[..., P, Q, :] - pair(dg, Gm)
+    X = Y[..., :K, :] - Y[..., K:, :]  # [..., E, k, B]: at (C, D) minus at (D, C)
+    raised = _solve(gv, X.reshape(*batch, d, K * d)).reshape(X.shape)  # [..., A, k, B]
+    GG = pair(Gm, Gm)
+    tri = raised + GG[..., :K, :] - GG[..., K:, :]
+    R = np.zeros((*batch, d, d, d, d), dtype=tri.dtype)
+    R[..., C, D] = np.swapaxes(tri, -1, -2)
+    return mirror_triangle(R, -1)
+
+
+def ricci_scalar(g, p):
+    """Scalar curvature by full contraction ``g^{BD} R^A_{BAD}``; it equals
+    :func:`hkgeo.geometry.gaussian_curvature` on 2-dimensional metrics."""
+    ric = np.einsum("abad->bd", riemann(g, p))
+    return np.trace(_solve(g.value(p), ric))  # g^{BP} ric[P, B]
+
+
+class HermiticityError(ArithmeticError):
+    """A matrix that must be Hermitian came out measurably non-Hermitian."""
+
+
+def metric_from_potential(potential, p):
+    """Hermitian component matrix ``d^2 K / dz^i dzbar^k`` at real point ``p``.
+
+    ``potential`` is a real scalar field over the interleaved real
+    coordinates ``(u1, v1, ..., un, vn)``.  The Wirtinger combination of its
+    real Hessian is
+
+        h_ik = (K_uu + K_vv) / 4 + i (K_uv - K_vu) / 4,
+
+    per index pair.  The result is checked to be Hermitian to 1e-12
+    (relative); a failure indicates an inconsistent potential evaluation and
+    raises :class:`HermiticityError`.
+    """
+    H = evaluate_jet(potential, p).hessian
+    re = 0.25 * (H[0::2, 0::2] + H[1::2, 1::2])
+    im = 0.25 * (H[0::2, 1::2] - H[1::2, 0::2])
+    h = re + 1j * im
+    dev = float(np.max(np.abs(h - h.conj().T)))
+    if dev > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
+        raise HermiticityError(f"Hessian combination non-Hermitian by {dev:.3e}")
+    return h

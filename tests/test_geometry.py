@@ -12,17 +12,13 @@ from hkgeo.fields import Chart, FormField, MetricField, VectorFieldR, mirror_tri
 from hkgeo.geometry import (
     MetricDomainError,
     christoffel,
-    christoffel_fd,
     covariant_derivative_02,
-    curvature_dps,
     euler_characteristic,
     gaussian_curvature,
     killing_deviation,
-    ricci_scalar,
-    riemann,
 )
 
-from oracles import brioschi_curvature
+from oracles import brioschi_curvature, christoffel_fd, ricci_scalar, riemann
 
 POLAR = MetricField(Chart(("r", "phi")),
                     lambda c: [[1.0, 0.0], [None, c[0] * c[0]]],
@@ -128,10 +124,19 @@ def test_small_radius_needs_extended_precision():
     assert K == pytest.approx(8.0, abs=1e-9)
 
 
-def test_curvature_precision_switch():
-    assert curvature_dps(0.05 - 1e-12) == 31
-    assert curvature_dps(0.05) is None
-    assert curvature_dps(9.5) is None
+def test_curvature_precision_switch(monkeypatch):
+    # double-double strictly below DD_RADIUS (0.05), float64 from there on
+    calls = []
+
+    def counted(g, p, dps=None):
+        calls.append((p[:, 0].tolist(), dps))
+        return gaussian_curvature(g, p, dps=dps)
+
+    monkeypatch.setattr(geometry, "gaussian_curvature", counted)
+    geometry.curvature_at_radii(models.build("toy-reduced", 1.0).metric,
+                                [9.5, 0.05 - 1e-12, 0.05])
+    assert geometry.DD_RADIUS == 0.05
+    assert calls == [([0.05 - 1e-12], DIGITS), ([9.5, 0.05], None)]
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
@@ -228,14 +233,6 @@ def test_euler_characteristic_cigar():
     assert err < 1e-8
 
 
-def test_euler_characteristic_weight_is_linear():
-    g = MetricField(Chart(("r", "chi")),
-                    lambda c: [[1.0 + c[0] ** 2, 0.0],
-                               [None, c[0] ** 2 / (1.0 + c[0] ** 2)]])
-    val, _ = euler_characteristic(g, weight=lambda r: 0.5)
-    assert val == pytest.approx(1.0, abs=1e-9)
-
-
 def test_euler_characteristic_one_metric_value_per_point(monkeypatch):
     # every integrand point takes one metric value and one metric jet
     red = models.build("toy-reduced", 1.0)
@@ -254,17 +251,14 @@ def test_euler_characteristic_one_metric_value_per_point(monkeypatch):
     assert calls["value"] == calls["jet"]
 
 
-def test_euler_characteristic_divergence_guard():
+def test_euler_characteristic_divergence_guard(monkeypatch):
     g = MetricField(Chart(("r", "chi")),
                     lambda c: [[1.0 + c[0] ** 2, 0.0],
                                [None, c[0] ** 2 / (1.0 + c[0] ** 2)]])
-    # an oscillatory weight the quadrature cannot resolve to 1e-12
-    import warnings
-
-    with pytest.raises(geometry.DivergenceError), warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        euler_characteristic(g, quad_tol=1e-30,
-                             weight=lambda r: math.sin(200.0 * r))
+    # a tolerance no error estimate of the quadrature can meet
+    monkeypatch.setattr(geometry, "EULER_QUAD_TOL", 1e-30)
+    with pytest.raises(geometry.DivergenceError, match="above tolerance 1.0e-30"):
+        euler_characteristic(g)
 
 
 # -- the Riemann tensor against the full-tensor formula it replaced ----------

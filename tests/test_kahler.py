@@ -8,15 +8,12 @@ from hkgeo import kahler
 from hkgeo.geometry import MetricDomainError, covariant_derivative_02
 from hkgeo.kahler import (
     HeavenlyViolation,
-    coset_metric,
+    coset_exponential,
     heavenly_check,
-    heavenly_constant,
-    metric_from_potential,
     quaternion_form_fields,
     quaternion_residual,
     sp_generators,
     sp_residual,
-    spin_connection_trace,
     symplectic_matrix,
     triple_at,
     unit_determinant_shear_field,
@@ -24,6 +21,8 @@ from hkgeo.kahler import (
     single_mode_field,
     x_matrices,
 )
+
+from oracles import metric_from_potential
 
 RNG = np.random.default_rng(42)
 
@@ -57,8 +56,7 @@ def test_coset_metric_passes(n):
     om = symplectic_matrix(n)
     gens = sp_generators(n)
     for _ in range(25):
-        h = coset_metric(RNG.normal(scale=0.7, size=len(gens)), gens)
-        hm = h.matrix([0.0] * (2 * n))
+        hm = coset_exponential(RNG.normal(scale=0.7, size=len(gens)), gens)
         assert np.max(np.abs(hm - hm.conj().T)) < 1e-14
         assert np.min(np.linalg.eigvalsh(hm)) > 0.0
         assert heavenly_check(hm, om) == pytest.approx(1.0, abs=1e-12)
@@ -98,41 +96,34 @@ def test_potential_reproduces_entries():
     shear = unit_determinant_shear_field()
     for p in RNG.uniform(-1.0, 1.0, size=(10, 4)):
         direct = shear.matrix(p)
-        from_pot = metric_from_potential(shear.potential, 2, p)
+        from_pot = metric_from_potential(shear.potential, p)
         assert np.max(np.abs(direct - from_pot)) < 1e-12
     single = single_mode_field()
     for p in RNG.uniform(-1.0, 1.0, size=(5, 2)):
         assert np.max(np.abs(single.matrix(p)
-                             - metric_from_potential(single.potential, 1, p))) < 1e-12
+                             - metric_from_potential(single.potential, p))) < 1e-12
 
 
-def test_constancy_across_points(monkeypatch):
+def test_constancy_across_points():
+    # one stacked check of the field's matrices: C = 1 at every point of the
+    # unit-determinant field, C = det h varying across the control's
     om = symplectic_matrix(2)
     pts = RNG.uniform(-1.2, 1.2, size=(30, 4))
-    calls = []
-
-    def counted(h, *args, **kwargs):
-        calls.append(np.shape(h))
-        return heavenly_check(h, *args, **kwargs)
-
-    monkeypatch.setattr(kahler, "heavenly_check", counted)
-    res = heavenly_constant(unit_determinant_shear_field(), om, pts)
-    assert calls == [(30, 2, 2)]  # one stacked check
-    assert res.C == pytest.approx(1.0, abs=1e-12)
-    assert res.spread < 1e-12
-    with pytest.raises(HeavenlyViolation, match="C varies"):
-        heavenly_constant(non_unimodular_field(), om, pts)
+    C = heavenly_check(unit_determinant_shear_field().matrix(pts), om)
+    assert C.shape == (30,) and np.max(np.abs(C - 1.0)) < 1e-12
+    C = heavenly_check(non_unimodular_field().matrix(pts), om)
+    assert np.ptp(C) > 0.1
+    assert np.max(np.abs(C - 1.0 - np.sum(pts[:, :2] ** 2, axis=1))) < 1e-12
 
 
 def test_heavenly_constant_of_one_point():
+    # one point's matrix gives a float, its batch of one a stack of one
     om = symplectic_matrix(2)
     p = [0.1, 0.2, 0.3, 0.4]
-    res = heavenly_constant(unit_determinant_shear_field(), om, p)
-    assert res.C == pytest.approx(1.0, abs=1e-12) and res.spread == 0.0
-    assert res == heavenly_constant(unit_determinant_shear_field(), om, [p])
-    heavenly_constant(non_unimodular_field(), om, p)  # one point: nothing to vary
-    with pytest.raises(HeavenlyViolation, match="across 2 points"):
-        heavenly_constant(non_unimodular_field(), om, [p, [0.5, -0.3, 0.9, 0.2]])
+    C = heavenly_check(unit_determinant_shear_field().matrix(p), om)
+    assert isinstance(C, float) and C == pytest.approx(1.0, abs=1e-12)
+    assert heavenly_check(unit_determinant_shear_field().matrix([p]), om).tolist() == [C]
+    assert heavenly_check(non_unimodular_field().matrix(p), om) == pytest.approx(1.05)
 
 
 def test_triple_quaternion_algebra():
@@ -200,27 +191,6 @@ def test_x_matrices_require_positive_definite():
                                          lambda c: [[0.0, 2.0], [None, 0.0]])
     with pytest.raises(MetricDomainError):
         x_matrices(tilted, [0.0, 0.0, 0.0, 0.0])
-
-
-def test_spin_trace_vanishes_when_determinant_constant():
-    holo, anti = spin_connection_trace(unit_determinant_shear_field(),
-                                       [0.6, -0.3, 0.2, 0.9])
-    assert np.max(np.abs(holo)) < 1e-12
-    assert np.max(np.abs(anti)) < 1e-12
-
-
-def test_spin_trace_single_mode():
-    # h = 1 + |z|^2 at z = 1: d log det h = du log(1 + u^2 + v^2) = 1,
-    # Wirtinger holomorphic component (t_u - i t_v)/8 with t = 2 d log h
-    holo, anti = spin_connection_trace(single_mode_field(), [1.0, 0.0])
-    assert holo[0] == pytest.approx(0.25, abs=1e-12)
-    assert anti[0] == pytest.approx(np.conj(holo[0]), abs=1e-12)
-
-
-def test_spin_trace_requires_positive_definite():
-    bad = kahler.HermitianMetricField(1, lambda c: [[-1.0]])
-    with pytest.raises(MetricDomainError):
-        spin_connection_trace(bad, [0.0, 0.0])
 
 
 def test_real_metric_block_structure():

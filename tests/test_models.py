@@ -30,9 +30,12 @@ def test_build_unknown_model():
 
 
 def test_scale_parameter_validated():
-    for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError):
-            build("taub-nut", bad)
+    # every builder refuses what run_suite refuses, gh-flat (which has no
+    # circle) included
+    for name in MODEL_NAMES:
+        for bad in (-1.0, 0.0, float("nan")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                build(name, bad)
 
 
 def test_sample_determinism():

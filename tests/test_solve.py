@@ -3,8 +3,8 @@
 Every positive-definite solve factors its float values once: a metric
 solve (``geometry._solve``) and a mass-matrix solve
 (``mechanics._solve_mass``, jet entries differentiated implicitly) use the
-Cholesky factor their guard has just computed.  ``jets.solve``, the
-Gauss-Jordan elimination over entries, is the oracle here: on random
+Cholesky factor their guard has just computed.  ``oracles.solve``, the
+Gauss-Jordan elimination over entries, is the reference here: on random
 positive-definite stacks (batches of float, array and jet entries, complex
 Hermitian metrics) the two agree to rounding, and a batch with one bad
 point is rejected with the typed error that names it.
@@ -17,8 +17,10 @@ from hypothesis import strategies as st
 
 from hkgeo import geometry, mechanics
 from hkgeo.geometry import MetricDomainError
-from hkgeo.jets import Jet, solve
+from hkgeo.jets import Jet
 from hkgeo.mechanics import DegenerateLagrangianError
+
+from oracles import solve
 
 DIM = 3  # coordinates the jets differentiate along
 
