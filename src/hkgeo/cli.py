@@ -98,11 +98,11 @@ def _cmd_curvature_profile(args):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rs = [1e-6 + (args.rmax - 1e-6) * i / (args.steps - 1) for i in range(args.steps)]
-    lines = ["r,K_numeric,K_closed_form,abs_err"]
-    for r, K, Kref in zip(rs, geometry.curvature_at_radii(red.metric, rs).tolist(),
-                          map(red.targets["curvature"], rs)):
-        lines.append(f"{r:.12g},{K:.12g},{Kref:.12g},{abs(K - Kref):.6g}")
-    text = "\n".join(lines) + "\n"
+    Ks = geometry.curvature_at_radii(red.metric, rs).tolist()
+    cells = tuple([x for r, K, Kref in zip(rs, Ks, map(red.targets["curvature"], rs))
+                   for x in (r, K, Kref, abs(K - Kref))])
+    text = ("r,K_numeric,K_closed_form,abs_err\n"
+            + "%.12g,%.12g,%.12g,%.6g\n" * len(rs) % cells)
     if args.csv is None:
         sys.stdout.write(text)
     else:

@@ -94,9 +94,9 @@ class DD:
     def __setitem__(self, index, value):
         self.hi[index], self.lo[index] = _parts(value)
 
-    def map(self, f):
-        """``f`` applied to both parts: for moves and negations only."""
-        return DD(f(self.hi), f(self.lo))
+    def map(self, f, *args):
+        """``f(part, *args)`` for both parts: for moves and negations only."""
+        return DD(f(self.hi, *args), f(self.lo, *args))
 
     @property
     def T(self):

@@ -10,8 +10,6 @@ all components in a single pass.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from ._record import Frozen
@@ -55,23 +53,14 @@ def mirror_triangle(a, sign=1):
     diagonal (antisymmetric).  Entries below the diagonal, and on it when
     ``sign=-1``, are never read, so they may be ``None``.  Entries are
     moved, not recomputed, except for the negations of the antisymmetric
-    mirror, so floats and jets come through unchanged (and the two parts of
-    a double-double array, mirrored one at a time by ``DD.map``).
+    mirror, so floats and jets come through unchanged.
     """
     a = np.asarray(a)
-    d = a.shape[-1]
+    upper = np.triu(np.ones(a.shape[-2:], dtype=bool), 0 if sign > 0 else 1)
     if sign > 0:
-        return np.where(_upper_mask(d, 0), a, np.swapaxes(a, -1, -2))
-    strict = np.where(_upper_mask(d, 1), a, 0.0)
-    return np.where(_upper_mask(d, 1).T, -np.swapaxes(strict, -1, -2), strict)
-
-
-@functools.lru_cache(maxsize=None)
-def _upper_mask(d, k):
-    """Read-only mask of the entries ``[M, N]``, ``N - M >= k``, of a d x d matrix."""
-    mask = np.triu(np.ones((d, d), dtype=bool), k)
-    mask.flags.writeable = False
-    return mask
+        return np.where(upper, a, np.swapaxes(a, -1, -2))
+    strict = np.where(upper, a, 0.0)
+    return np.where(upper.T, -np.swapaxes(strict, -1, -2), strict)
 
 
 def _triangle(raw, sign):
@@ -88,27 +77,32 @@ def _square_jet(fn, p, sign, order):
     ``D2[..., P, Q, M, N]`` the second derivatives; ``D2 = None`` at
     ``order=1``, and ``D1 = D2 = None`` at ``order=None`` (values only).
     The leading axis ``...`` is the batch of points (none for one point).
-    The triangle is lifted to jets of that order and packed into one array;
-    the array, not the jets, is mirrored.  Constant entries keep zero
-    derivatives.
+    The triangle is lifted to jets of that order and packed into one array
+    ``(1 + derivative slots, d, d, *batch)``, point axis last as a jet
+    carries it: each entry is written to ``[M, N]`` and ``[N, M]`` (negated
+    for ``sign=-1``; that diagonal stays zero), as :func:`mirror_triangle`
+    would fill it.  ``V, D1, D2`` are point-first views of that array, so
+    for a batch they are not C-contiguous; a caller that needs contiguity
+    copies.
+    Constant entries keep zero derivatives.
     """
     batch = _batch_shape(p)
     dim = len(p[0]) if batch else len(p)
     raw = call_field(fn, p, order)
     d = len(raw)
-    shape = (*batch, 1 + {None: 0, 1: dim, 2: dim + dim * dim}[order], d, d)
+    shape = (1 + {None: 0, 1: dim, 2: dim + dim * dim}[order], d, d, *batch)
     packed = DD.zeros(shape) if isinstance(p, DD) else np.zeros(shape)
     for M, N, e in _triangle(raw, sign):
-        if not isinstance(e, Jet):
-            packed[..., 0, M, N] = e
-            continue
-        # a jet carries its point axis last, the packed array first
-        packed[..., 0, M, N] = e.value
-        packed[..., 1:dim + 1, M, N] = e.gradient.T
-        if order == 2:
-            packed[..., dim + 1:, M, N] = e.hessian.reshape(dim * dim, *batch).T
-    mirror = functools.partial(mirror_triangle, sign=sign)
-    full = packed.map(mirror) if isinstance(packed, DD) else mirror(packed)
+        slots = packed[:, M, N]
+        if isinstance(e, Jet):
+            slots[1:dim + 1] = e.gradient
+            if order == 2:
+                slots[dim + 1:] = e.hessian.reshape(dim * dim, *batch)
+            e = e.value
+        slots[0] = e
+        packed[:, N, M] = slots if sign > 0 else -slots
+    move = (range(3, len(shape)), range(len(batch)))  # the point axis to the front
+    full = packed.map(np.moveaxis, *move) if isinstance(packed, DD) else np.moveaxis(packed, *move)
     D1 = full[..., 1:dim + 1, :, :] if order else None
     D2 = (full[..., dim + 1:, :, :].reshape(*full.shape[:-3], dim, dim, d, d)
           if order == 2 else None)

@@ -18,15 +18,19 @@ The others are second routes to what the package computes another way:
   :func:`hkgeo.geometry.gaussian_curvature`;
 * :func:`metric_from_potential`, the Hermitian metric of a Kaehler
   potential, for the stock fields of :mod:`hkgeo.kahler` and the
-  potentials the hygiene check differentiates.
+  potentials the hygiene check differentiates;
+* :func:`square_jet`, a field's matrix and its derivatives packed point
+  axis first and mirrored as a whole, for the point-last fill of
+  :func:`hkgeo.fields._square_jet`.
 """
 
 import mpmath
 import numpy as np
 
+from hkgeo.ddouble import DD
 from hkgeo.fields import mirror_triangle
 from hkgeo.geometry import _christoffel_from, _lowered_christoffel, _solve
-from hkgeo.jets import Jet, evaluate_jet, fd_step, first_failure
+from hkgeo.jets import Jet, _batch_shape, call_field, evaluate_jet, fd_step, first_failure
 
 #: Working digits of the oracle: well above the 31 of a double-double.
 DPS = 60
@@ -183,3 +187,35 @@ def metric_from_potential(potential, p):
     if dev > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
         raise HermiticityError(f"Hessian combination non-Hermitian by {dev:.3e}")
     return h
+
+
+def square_jet(fn, p, sign, order):
+    """``(V, D1, D2)`` of :func:`hkgeo.fields._square_jet`, built another way.
+
+    The triangle of ``fn``'s matrix (with the diagonal for ``sign=+1``, without
+    it for ``sign=-1``) is lifted to jets of ``order`` and packed into an array
+    ``(*batch, slots, d, d)``, point axis first, which :func:`mirror_triangle`
+    then mirrors as a whole (one part of a double-double array at a time).
+    """
+    batch = _batch_shape(p)
+    dim = len(p[0]) if batch else len(p)
+    raw = call_field(fn, p, order)
+    d = len(raw)
+    shape = (*batch, 1 + {None: 0, 1: dim, 2: dim + dim * dim}[order], d, d)
+    packed = DD.zeros(shape) if isinstance(p, DD) else np.zeros(shape)
+    for M in range(d):
+        for N in range(M if sign > 0 else M + 1, d):
+            e = raw[M][N]
+            if not isinstance(e, Jet):
+                packed[..., 0, M, N] = e
+                continue
+            packed[..., 0, M, N] = e.value
+            packed[..., 1:dim + 1, M, N] = e.gradient.T
+            if order == 2:
+                packed[..., dim + 1:, M, N] = e.hessian.reshape(dim * dim, *batch).T
+    full = (packed.map(mirror_triangle, sign) if isinstance(packed, DD)
+            else mirror_triangle(packed, sign))
+    D1 = full[..., 1:dim + 1, :, :] if order else None
+    D2 = (full[..., dim + 1:, :, :].reshape(*batch, dim, dim, d, d)
+          if order == 2 else None)
+    return full[..., 0, :, :], D1, D2

@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from hkgeo import checks, cli, geometry, mechanics, reduction
+from hkgeo import checks, cli, geometry, mechanics, models, reduction
 
 
 def run(argv):
@@ -190,6 +190,25 @@ def test_curvature_profile_csv(tmp_path):
         r, k_num, k_ref, err = (float(v) for v in ln.split(","))
         assert abs(k_num - k_ref) == pytest.approx(err, abs=1e-12)
         assert err < 1e-6
+
+
+@pytest.mark.parametrize("args", [
+    ["--a", "1.234", "--rmax", "0.045", "--steps", "800"],  # double-double only
+    ["--rmax", "9.5", "--steps", "400"],  # both precisions
+    ["--steps", "2"],
+])
+def test_curvature_profile_csv_bytes(args, capsys):
+    # the table is the row-by-row rendering of curvature_at_radii and the
+    # model's closed form, byte for byte
+    opts = {"--a": "1.0", "--rmax": "10.0", **dict(zip(args[::2], args[1::2]))}
+    a, rmax, steps = float(opts["--a"]), float(opts["--rmax"]), int(opts["--steps"])
+    red = models.build("toy-reduced", a)
+    rs = [1e-6 + (rmax - 1e-6) * i / (steps - 1) for i in range(steps)]
+    rows = [f"{r:.12g},{K:.12g},{Kref:.12g},{abs(K - Kref):.6g}"
+            for r, K, Kref in zip(rs, geometry.curvature_at_radii(red.metric, rs).tolist(),
+                                  map(red.targets["curvature"], rs))]
+    assert run(["curvature-profile", *args]) == 0
+    assert capsys.readouterr().out == "\n".join(["r,K_numeric,K_closed_form,abs_err", *rows]) + "\n"
 
 
 def test_curvature_profile_one_call_per_precision(monkeypatch, tmp_path):

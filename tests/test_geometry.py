@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from hkgeo import geometry, jets, models
-from hkgeo.ddouble import DIGITS
-from hkgeo.fields import Chart, FormField, MetricField, VectorFieldR, mirror_triangle
+from hkgeo.ddouble import DD, DIGITS
+from hkgeo.fields import Chart, FormField, MetricField, VectorFieldR, _square_jet, mirror_triangle
 from hkgeo.geometry import (
     MetricDomainError,
     christoffel,
@@ -18,7 +18,7 @@ from hkgeo.geometry import (
     killing_deviation,
 )
 
-from oracles import brioschi_curvature, christoffel_fd, ricci_scalar, riemann
+from oracles import brioschi_curvature, christoffel_fd, ricci_scalar, riemann, square_jet
 
 POLAR = MetricField(Chart(("r", "phi")),
                     lambda c: [[1.0, 0.0], [None, c[0] * c[0]]],
@@ -179,6 +179,42 @@ def test_mirror_triangle(sign):
     t = jets.Jet.variable(2.0, 0, 1)
     full = mirror_triangle([[1.0, t], [None, 1.0]], sign)
     assert full[1, 0].value == sign * 2.0 and full[1, 0].gradient[0] == sign
+
+
+CHART3 = Chart(("x", "y", "z"))
+
+#: A metric whose entries below the diagonal, and a 2-form whose entries on
+#: and below it, are junk that a fill reading them would pass on or choke on.
+JUNK_TRIANGLE_FIELDS = (
+    MetricField(CHART3, lambda c: [[1.0 + c[0] * c[0], c[0] * c[1], 2.0],
+                                   ["junk", 3.0 + c[1] * c[2] / (1.0 + c[0] * c[0]), c[2]],
+                                   [c[0] * 9.0, None, 4.0 + c[2] / (2.0 + c[1] * c[1])]]),
+    FormField(CHART3, 2, lambda c: [[c[0] * 5.0, c[0] * c[1], 1.5],
+                                    [None, "junk", c[1] / (1.0 + c[2] * c[2])],
+                                    [c[2], 7.0, c[0]]]),
+)
+
+
+@pytest.mark.parametrize("order", [None, 1, 2])
+@pytest.mark.parametrize("points", ["float point", "float batch", "double-double batch"])
+@pytest.mark.parametrize("field", JUNK_TRIANGLE_FIELDS, ids=["metric", "2-form"])
+def test_square_jet_reads_one_triangle(field, points, order):
+    # the point-last fill writes each triangle entry to both of its places;
+    # it must give the point-first, mirror_triangle-built arrays bit for bit
+    P = np.random.default_rng(11).uniform(-1.5, 1.5, size=(5, 3))
+    p = {"float point": P[0], "float batch": P,
+         "double-double batch": DD(P, P * 1e-19)}[points]
+    sign = +1 if isinstance(field, MetricField) else -1
+    got, want = _square_jet(field.fn, p, sign, order), square_jet(field.fn, p, sign, order)
+    assert [x is None for x in got] == [x is None for x in want] == [False, not order,
+                                                                      order != 2]
+    for g, w in zip(got, want):
+        if w is None:
+            continue
+        for gp, wp in ((g.hi, w.hi), (g.lo, w.lo)) if isinstance(p, DD) else ((g, w),):
+            assert gp.shape == wp.shape and gp.tobytes() == wp.tobytes()
+            assert np.array_equal(gp, sign * np.swapaxes(gp, -1, -2))
+            assert sign > 0 or not np.diagonal(gp, axis1=-2, axis2=-1).any()
 
 
 def test_values_are_the_order_none_jet():

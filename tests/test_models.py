@@ -1,12 +1,14 @@
 """Model registry invariants: every declared isometry really is one, every
 declared form is closed, coordinate changes invert, gauges fail loudly."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from hkgeo import geometry, models, reduction
 from hkgeo.fields import Chart, MetricField
-from hkgeo.jets import EvaluationError, fd_oracle
+from hkgeo.jets import EvaluationError, Jet, call_field, evaluate_jet, fd_oracle
 from hkgeo.models import (
     MODEL_NAMES,
     MONOPOLE_CURL_SIGN,
@@ -266,3 +268,54 @@ def test_r8_parent_is_gh_flat_times_the_x_factor(a):
             assert not D8[:, 4:].any() and not D8[:, :, 4:].any() and not D8[:, :, :, 4:].any()
             assert not V8[:, :4, 4:].any() and not V8[:, 4:, :4].any()
             assert np.array_equal(V8[:, 4:, 4:], np.broadcast_to(blocks[key], (6, 4, 4)))
+
+
+def _locus_points(dim):
+    """Points exactly on the declared exclusions of a ``dim``-chart: the origin,
+    ``r = 0`` of a polar chart, the monopole string ``x1 = x2 = 0, x3 < 0`` and
+    the gauge pole ``y1 = y2 = 0``.  Every chart of the package puts the
+    coordinates of its exclusions first."""
+    rest = [0.7, 1.3, 0.4, 2.1, 0.9, -1.2, 0.6, 1.7][:dim]
+    points = [[0.0] * dim, [0.0, *rest[1:]]]
+    if dim >= 3:
+        points += [[0.0, 0.0, -0.8, *rest[3:]], [0.0, 0.0, *rest[2:]]]
+    return np.array(points)
+
+
+def _finite(out):
+    if isinstance(out, Jet):
+        out = (out.value, out.gradient, out.hessian)
+    if isinstance(out, tuple):
+        return all(_finite(x) for x in out)
+    return out is None or bool(np.isfinite(out).all())
+
+
+def _finite_or_typed(evaluate, p):
+    """Whether ``evaluate(p)`` gives finite output or raises an hkgeo error."""
+    try:
+        out = evaluate(p)
+    except Exception as exc:  # its type is what is tested
+        return type(exc).__module__.startswith("hkgeo.")
+    return _finite(out)
+
+
+def test_exclusions_give_finite_values_or_typed_errors():
+    # on an exclusion a field either has a finite value there (a coordinate
+    # singularity the field does not see) or says why not with an hkgeo
+    # error: never a bare ZeroDivisionError, FloatingPointError, LinAlgError
+    # or OverflowError, and never a NaN or an infinity
+    cases = [(f"scalar {spec.name}", evaluate, len(spec.box))
+             for spec in scalar_fields(1.0)
+             for evaluate in (functools.partial(call_field, spec.fn),
+                              functools.partial(evaluate_jet, spec.fn, order=1),
+                              functools.partial(evaluate_jet, spec.fn))]
+    for name in MODEL_NAMES:
+        m = build(name, 1.0)
+        for model in filter(None, (m, m.level, m.cartesian)):
+            for key, field in (("metric", model.metric), *model.forms.items()):
+                cases += [(f"{model.name} {key}", evaluate, model.chart.dim)
+                          for evaluate in (field.value, field.jet)]
+    leaks = [(what, p.tolist()) for what, evaluate, dim in cases
+             for p in (*_locus_points(dim), _locus_points(dim))
+             if not _finite_or_typed(evaluate, p)]
+    assert leaks == []

@@ -658,7 +658,7 @@ def _code_lines(path):
 
 #: The most code lines ``src/`` may have.  Lower it when the package shrinks;
 #: raising it is a change that shows in the diff.
-CODE_LINE_CEILING = 2304
+CODE_LINE_CEILING = 2299
 
 
 def test_src_code_lines():
