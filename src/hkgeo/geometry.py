@@ -30,7 +30,11 @@ positive-definite solve of the package factors its matrices once: the
 guard returns the factor ``L`` (``L L^H`` for a Hermitian metric) and the
 solve substitutes with it (:func:`_solve`); a mass-matrix solve does the
 same with the factor of its own rule, jet entries differentiated
-implicitly (:func:`_solve_entries`).  A stack's conditioning is bounded
+implicitly (:func:`_solve_entries`).  The substitution runs point axes
+last, as jets and packed fields carry them: its arrays are ``(rows, cols,
+*derivative axes, *batch)`` (:func:`_stack_entries`), so each elementwise
+step runs over the batch innermost, and the point-first :func:`_solve`
+converts once going in and once coming out.  A stack's conditioning is bounded
 without eigenvalues or singular values by one scale-free Cholesky
 certificate (:func:`_certified_cholesky`), which the mass-matrix rule of
 :mod:`hkgeo.mechanics` and the Jacobian rank guard of
@@ -125,58 +129,67 @@ def _check_positive_definite(gv):
     return L
 
 
-def _substitute(L, B):
-    """``X`` with ``L L^H X = B``, by forward and back substitution.
+def _factor_last(L, nb):
+    """``(U, d2)`` for :func:`_substitute` from a lower Cholesky factor ``L``
+    ``(..., d, d)`` with at most ``nb`` leading axes: ``U = L / diag``
+    ``(d, d, *batch)``, point axes last and C-contiguous, and the squared
+    diagonal ``d2`` ``(d, *batch)`` (real for a Hermitian factor)."""
+    U = np.moveaxis(L.reshape((1,) * (nb + 2 - L.ndim) + L.shape), (-2, -1), (0, 1)).copy()
+    diag = np.moveaxis(U.diagonal(0, 0, 1), -1, 0).copy()
+    U /= diag
+    return U, diag.real * diag.real
 
-    ``L`` ``(..., d, d)`` is a lower Cholesky factor and ``B`` ``(..., d, m)``
-    holds the right-hand sides as columns; leading axes broadcast.  With
-    ``L = U D`` (``U`` unit lower triangular, ``D`` its positive diagonal),
-    ``X = U^{-H} D^{-2} U^{-1} B``: each of the ``2 d - 1`` steps is one
-    elementwise numpy update over the batch and every column, in a fixed
-    order, so a batch gives its points bit for bit.
+
+def _substitute(U, d2, X):
+    """Overwrite ``X`` with the ``Y`` of ``L L^H Y = X``, by forward and back
+    substitution, and return it.
+
+    ``L = U D`` (``U`` unit lower triangular, ``D`` its positive diagonal)
+    comes prepared once per solve by :func:`_factor_last`, and ``X``
+    ``(d, m, *batch)`` holds the right-hand sides as columns, point axes last
+    like ``U``: ``Y = U^{-H} D^{-2} U^{-1} X``.  Each of the ``2 d - 1`` steps
+    is one elementwise numpy update over the batch and every column, the
+    batch innermost, in a fixed order, so a batch gives its points bit for bit.
     """
-    d = L.shape[-1]
-    diag = L.diagonal(0, -2, -1)
-    U = L / diag[..., None, :]
-    X = B * np.ones(L.shape[:-2] + (1, 1), dtype=np.result_type(L, B))  # a broadcast copy
-    for j in range(d - 1):
-        X[..., j + 1:, :] -= U[..., j + 1:, j, None] * X[..., j, None, :]
-    if np.iscomplexobj(L):
-        U, diag = U.conj(), diag.real
-    X /= (diag * diag)[..., None]
-    for j in range(d - 1, 0, -1):
-        X[..., :j, :] -= U[..., j, :j, None] * X[..., j, None, :]
+    for j in range(len(U) - 1):
+        X[j + 1:] -= U[j + 1:, j, None] * X[j, None]
+    if np.iscomplexobj(U):
+        U = U.conj()
+    X /= d2[:, None]
+    for j in range(len(U) - 1, 0, -1):
+        X[:j] -= U[j, :j, None] * X[j, None]
     return X
+
+
+def _solve_factored(L, B):
+    """``X`` with ``L L^H X = B``, point axis first: ``L`` ``(..., d, d)`` is a
+    lower Cholesky factor and ``B`` ``(..., d, m)`` holds the right-hand
+    sides as columns; leading axes broadcast.  It converts once each way:
+    ``B`` is copied point axes last, substituted in place
+    (:func:`_substitute`) and handed back as a point-first view.
+    """
+    batch = np.broadcast_shapes(L.shape[:-2], B.shape[:-2])
+    X = np.moveaxis(np.broadcast_to(B, (*batch, *B.shape[-2:])), (-2, -1), (0, 1))
+    X = _substitute(*_factor_last(L, len(batch)), X.astype(np.result_type(L, B), order="C"))
+    return np.moveaxis(X, (0, 1), (-2, -1))
 
 
 def _solve(gv, B):
     """Solve ``gv @ X = B`` for positive-definite ``gv`` ``(..., d, d)``,
     real symmetric or complex Hermitian, broadcasting: the factor of
-    :func:`_check_positive_definite`, substituted by :func:`_substitute`.
+    :func:`_check_positive_definite`, substituted by :func:`_solve_factored`.
     """
-    return _substitute(_check_positive_definite(gv), B)
-
-
-def _product(A, X):
-    """``A @ X`` over the last two axes, summed term by term in index order.
-
-    Elementwise like :func:`_substitute`: ``np.matmul`` may take another
-    BLAS path for one matrix than for a stack, and change the last bit.
-    """
-    acc = A[..., :, :1] * X[..., :1, :]
-    for j in range(1, A.shape[-1]):
-        acc = acc + A[..., :, j, None] * X[..., j, None, :]
-    return acc
+    return _solve_factored(_check_positive_definite(gv), B)
 
 
 def _stack_entries(table, part="value", tail=(), batch=None):
     """One part (``"value"``, ``"gradient"`` or ``"hessian"``) of every entry
     of a table (rows of floats, arrays over a batch of points and jets) as
-    one float array ``(*batch, *tail, rows, cols)``.
+    one float array ``(rows, cols, *tail, *batch)``: the layout of a jet,
+    whose derivative axes come first and point axis last.
 
-    A number has no derivative parts (zero there); a jet's derivative axes
-    come first and its point axis (if any) last.  ``batch`` defaults to the
-    broadcast shape of the entries' values.
+    A number has no derivative parts (zero there).  ``batch`` defaults to
+    the broadcast shape of the entries' values.
     """
     if batch is None:
         batch = np.broadcast_shapes(*(np.shape(e.value if isinstance(e, Jet) else e)
@@ -187,7 +200,7 @@ def _stack_entries(table, part="value", tail=(), batch=None):
             if isinstance(e, Jet) or part == "value":
                 x = np.asarray(getattr(e, part) if isinstance(e, Jet) else e)
                 t[i, j] = x.reshape(x.shape + (1,) * (t.ndim - 2 - x.ndim))
-    return t.transpose(*range(2 + len(tail), t.ndim), *range(2, 2 + len(tail)), 0, 1)
+    return t
 
 
 def _solve_entries(L, A, B):
@@ -203,6 +216,9 @@ def _solve_entries(L, A, B):
     forward and reverse mode algorithmic differentiation"):
     ``d_k X = A^{-1} (d_k B - d_k A X)`` and, when every jet carries a
     Hessian, ``d_kl X = A^{-1} (d_kl B - d_kl A X - d_k A d_l X - d_l A d_k X)``.
+    Every part is an array ``(n, cols, *derivative axes, *batch)``
+    (:func:`_stack_entries`), so an entry's value, gradient and Hessian
+    come out as the contiguous slices ``[i, j]`` a jet holds.
     """
     vector = not (isinstance(B[0], (list, tuple))
                   or isinstance(B, np.ndarray) and B.ndim >= 2)
@@ -210,34 +226,32 @@ def _solve_entries(L, A, B):
     jets = [e for table in (A, rhs) for row in table for e in row if isinstance(e, Jet)]
     batch = np.broadcast_shapes(*(np.shape(e.value if isinstance(e, Jet) else e)
                                   for table in (A, rhs) for row in table for e in row))
+    factor = _factor_last(L, len(batch))
 
-    def substitute(R):
-        # the slices R[..., k, :, :] of every derivative index k become
-        # blocks of columns of one substitution
-        Rm = np.moveaxis(R, -2, len(batch))
-        X = _substitute(L, Rm.reshape(*Rm.shape[:len(batch) + 1], -1))
-        return np.moveaxis(X.reshape(Rm.shape), len(batch), -2)
+    def substitute(R):  # each derivative slice of R becomes columns of one substitution
+        return _substitute(*factor, R.reshape(len(A), -1, *batch)).reshape(R.shape)
+
+    def product(M, Y):  # sum_j M[:, j] Y[j], term by term in index order
+        acc = M[:, 0, None] * Y[0, None]
+        for j in range(1, len(A)):
+            acc += M[:, j, None] * Y[j, None]
+        return acc
 
     X = substitute(_stack_entries(rhs, batch=batch))
-    grad = hess = None
+    dX = d2X = None
     if jets:
         tail = (jets[0].dim,)
         dA = _stack_entries(A, "gradient", tail, batch)
-        dX = substitute(_stack_entries(rhs, "gradient", tail, batch)
-                        - _product(dA, X[..., None, :, :]))
-        grad = np.moveaxis(dX, -3, 0)
+        dX = substitute(_stack_entries(rhs, "gradient", tail, batch) - product(dA, X[:, :, None]))
         if all(e.hessian is not None for e in jets):
-            T = _product(dA[..., :, None, :, :], dX[..., None, :, :, :])  # d_k A d_l X
+            T = product(dA[:, :, :, None], dX[:, :, None])  # [i, c, k, l]: d_k A d_l X
             d2A = _stack_entries(A, "hessian", tail * 2, batch)
             d2X = substitute(_stack_entries(rhs, "hessian", tail * 2, batch)
-                             - _product(d2A, X[..., None, None, :, :])
-                             - T - np.swapaxes(T, -4, -3))
-            hess = np.moveaxis(d2X, (-4, -3), (0, 1))
+                             - product(d2A, X[:, :, None, None]) - T - np.swapaxes(T, 2, 3))
 
     def entry(i, j):
-        if grad is None:
-            return X[..., i, j][()]
-        return Jet(X[..., i, j][()], grad[..., i, j], None if hess is None else hess[..., i, j])
+        hess = None if d2X is None else d2X[i, j]
+        return X[i, j] if dX is None else Jet(X[i, j], dX[i, j], hess)
 
     out = [[entry(i, j) for j in range(len(rhs[0]))] for i in range(len(A))]
     return [row[0] for row in out] if vector else out

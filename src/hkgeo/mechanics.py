@@ -38,7 +38,7 @@ import numpy as np
 
 from ._record import Frozen
 from .fields import Chart, MetricField, _triangle
-from .geometry import _certified_cholesky, _solve_entries, _stack_entries, _substitute
+from .geometry import _certified_cholesky, _solve_entries, _solve_factored, _stack_entries
 from .jets import evaluate_jet, first_failure
 
 __all__ = [
@@ -151,7 +151,7 @@ def _solve_mass(M, B):
     """``M X = B`` in jet-capable arithmetic, for a mass matrix ``M`` of
     entries, with the factor :func:`_check_mass` has just certified on
     their values."""
-    return _solve_entries(_check_mass(_stack_entries(M)), M, B)
+    return _solve_entries(_check_mass(np.moveaxis(_stack_entries(M), (0, 1), (-2, -1))), M, B)
 
 
 def legendre_to_hamiltonian(g, q):
@@ -161,7 +161,7 @@ def legendre_to_hamiltonian(g, q):
     ``(n, n)`` at one configuration, ``(B, n, n)`` over a batch ``(B, n)``.
     """
     M = g.value(q)
-    Minv = _substitute(_check_mass(M, q), np.eye(M.shape[-1]))
+    Minv = _solve_factored(_check_mass(M, q), np.eye(M.shape[-1]))
     return 0.5 * (Minv + np.swapaxes(Minv, -1, -2))
 
 

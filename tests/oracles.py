@@ -21,7 +21,11 @@ The others are second routes to what the package computes another way:
   potentials the hygiene check differentiates;
 * :func:`square_jet`, a field's matrix and its derivatives packed point
   axis first and mirrored as a whole, for the point-last fill of
-  :func:`hkgeo.fields._square_jet`.
+  :func:`hkgeo.fields._square_jet`;
+* :func:`substitute` and :func:`solve_entries`, the factored solves run
+  point axis first (every array ``(*batch, ..., rows, cols)``), for the
+  point-last :func:`hkgeo.geometry._solve` and
+  :func:`hkgeo.geometry._solve_entries`, which must match them bit for bit.
 """
 
 import mpmath
@@ -106,6 +110,96 @@ def solve(A, B):
                 continue
             rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
     return [row[n] for row in rows] if vector else [row[n:] for row in rows]
+
+
+def substitute(L, B):
+    """``X`` with ``L L^H X = B``, by forward and back substitution, point axis first.
+
+    ``L`` ``(..., d, d)`` is a lower Cholesky factor and ``B`` ``(..., d, m)``
+    holds the right-hand sides as columns; leading axes broadcast.  With
+    ``L = U D`` (``U`` unit lower triangular, ``D`` its positive diagonal),
+    ``X = U^{-H} D^{-2} U^{-1} B``, in the ``2 d - 1`` elementwise steps of
+    :func:`hkgeo.geometry._substitute`, each over the columns innermost.
+    """
+    d = L.shape[-1]
+    diag = L.diagonal(0, -2, -1)
+    U = L / diag[..., None, :]
+    X = B * np.ones(L.shape[:-2] + (1, 1), dtype=np.result_type(L, B))  # a broadcast copy
+    for j in range(d - 1):
+        X[..., j + 1:, :] -= U[..., j + 1:, j, None] * X[..., j, None, :]
+    if np.iscomplexobj(L):
+        U, diag = U.conj(), diag.real
+    X /= (diag * diag)[..., None]
+    for j in range(d - 1, 0, -1):
+        X[..., :j, :] -= U[..., j, :j, None] * X[..., j, None, :]
+    return X
+
+
+def product(A, X):
+    """``A @ X`` over the last two axes, summed term by term in index order."""
+    acc = A[..., :, :1] * X[..., :1, :]
+    for j in range(1, A.shape[-1]):
+        acc = acc + A[..., :, j, None] * X[..., j, None, :]
+    return acc
+
+
+def stack_entries(table, part="value", tail=(), batch=None):
+    """One part (``"value"``, ``"gradient"`` or ``"hessian"``) of every entry
+    of a table as one float array ``(*batch, *tail, rows, cols)``, point axis
+    first (a number has no derivative parts: zero there)."""
+    if batch is None:
+        batch = np.broadcast_shapes(*(np.shape(e.value if isinstance(e, Jet) else e)
+                                      for row in table for e in row))
+    t = np.zeros((len(table), len(table[0]), *tail, *batch))
+    for i, row in enumerate(table):
+        for j, e in enumerate(row):
+            if isinstance(e, Jet) or part == "value":
+                x = np.asarray(getattr(e, part) if isinstance(e, Jet) else e)
+                t[i, j] = x.reshape(x.shape + (1,) * (t.ndim - 2 - x.ndim))
+    return t.transpose(*range(2 + len(tail), t.ndim), *range(2, 2 + len(tail)), 0, 1)
+
+
+def solve_entries(L, A, B):
+    """:func:`hkgeo.geometry._solve_entries` point axis first: the values
+    ``X = A^{-1} B`` and, by implicit differentiation with the factor ``L``
+    ``(..., n, n)``, ``d_k X = A^{-1} (d_k B - d_k A X)`` and (when every jet
+    carries a Hessian) ``d_kl X = A^{-1} (d_kl B - d_kl A X - d_k A d_l X -
+    d_l A d_k X)``, each derivative slice a block of columns of one
+    :func:`substitute`."""
+    vector = not (isinstance(B[0], (list, tuple))
+                  or isinstance(B, np.ndarray) and B.ndim >= 2)
+    rhs = [[b] for b in B] if vector else B
+    jets = [e for table in (A, rhs) for row in table for e in row if isinstance(e, Jet)]
+    batch = np.broadcast_shapes(*(np.shape(e.value if isinstance(e, Jet) else e)
+                                  for table in (A, rhs) for row in table for e in row))
+
+    def solved(R):  # the slices R[..., k, :, :] become blocks of columns
+        Rm = np.moveaxis(R, -2, len(batch))
+        X = substitute(L, Rm.reshape(*Rm.shape[:len(batch) + 1], -1))
+        return np.moveaxis(X.reshape(Rm.shape), len(batch), -2)
+
+    X = solved(stack_entries(rhs, batch=batch))
+    grad = hess = None
+    if jets:
+        tail = (jets[0].dim,)
+        dA = stack_entries(A, "gradient", tail, batch)
+        dX = solved(stack_entries(rhs, "gradient", tail, batch) - product(dA, X[..., None, :, :]))
+        grad = np.moveaxis(dX, -3, 0)
+        if all(e.hessian is not None for e in jets):
+            T = product(dA[..., :, None, :, :], dX[..., None, :, :, :])  # d_k A d_l X
+            d2A = stack_entries(A, "hessian", tail * 2, batch)
+            d2X = solved(stack_entries(rhs, "hessian", tail * 2, batch)
+                         - product(d2A, X[..., None, None, :, :])
+                         - T - np.swapaxes(T, -4, -3))
+            hess = np.moveaxis(d2X, (-4, -3), (0, 1))
+
+    def entry(i, j):
+        if grad is None:
+            return X[..., i, j][()]
+        return Jet(X[..., i, j][()], grad[..., i, j], None if hess is None else hess[..., i, j])
+
+    out = [[entry(i, j) for j in range(len(rhs[0]))] for i in range(len(A))]
+    return [row[0] for row in out] if vector else out
 
 
 def christoffel_fd(g, p):

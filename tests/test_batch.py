@@ -3,7 +3,9 @@
 Field values, jets and everything built from them without a linear solve
 are compared bit for bit (``tobytes`` equality); results that go through a
 solve (connections, covariant derivatives, raised indices) agree to a few
-ulp.  Every fault in a batch names the first point that has it.
+ulp, while the factored solves themselves (the mass-matrix solve on jet
+entries, a complex Hermitian metric solve) give their points bit for bit.
+Every fault in a batch names the first point that has it.
 """
 
 import numpy as np
@@ -26,6 +28,7 @@ from hkgeo.mechanics import (
     legendre_to_hamiltonian,
     momentum_field,
     poisson_bracket,
+    _solve_mass,
 )
 from hkgeo.reduction import (
     DegenerateFiberError,
@@ -35,14 +38,15 @@ from hkgeo.reduction import (
 )
 from hkgeo.sampling import SampleSpec, sample_points
 
-from oracles import christoffel_fd, riemann, solve
+from oracles import christoffel_fd, riemann
 
 MODELS = ["toy-parent", "r8-parent"]
 
 
 def same_bits(batch, singles):
-    a = np.asarray(batch, dtype=float)
-    b = np.asarray(singles, dtype=float)
+    dtype = complex if np.iscomplexobj(batch) or np.iscomplexobj(singles) else float
+    a = np.asarray(batch, dtype=dtype)
+    b = np.asarray(singles, dtype=dtype)
     assert a.shape == b.shape
     assert a.tobytes() == b.tobytes()
 
@@ -105,17 +109,17 @@ def test_matrices_batch_equal_single(name):
 
 
 def test_solve_pivots_per_point():
-    # the name is historical: solve no longer pivots.  Point 0's first
-    # column (0.5, 1) once pivoted on row 1 and point 1's on row 0; now
-    # both eliminate in the given order, so the batch gives its points bit
-    # for bit, float and jet entries alike, derivatives and zero signs included
+    # the name is historical: no solve pivots.  Point 0's first column
+    # (0.5, 1) once pivoted on row 1 and point 1's on row 0; the mass solve
+    # factors every point's values in the given order, so the batch gives
+    # its points bit for bit, float and jet entries alike, zero signs included
     x = np.array([0.5, 2.0])
     dx = np.array([[1.0, 1.0], [0.0, 0.0]])  # gradient (d, B)
-    got = solve([[x, 1.0], [1.0, 3.0]], [1.0, -2.0])
-    got_jet = solve([[Jet(x, dx), 1.0], [1.0, 3.0]], [1.0, -2.0])
+    got = _solve_mass([[x, 1.0], [1.0, 3.0]], [1.0, -2.0])
+    got_jet = _solve_mass([[Jet(x, dx), 1.0], [1.0, 3.0]], [1.0, -2.0])
     for k in range(2):
-        want = solve([[x[k], 1.0], [1.0, 3.0]], [1.0, -2.0])
-        want_jet = solve([[Jet(x[k], dx[:, k]), 1.0], [1.0, 3.0]], [1.0, -2.0])
+        want = _solve_mass([[x[k], 1.0], [1.0, 3.0]], [1.0, -2.0])
+        want_jet = _solve_mass([[Jet(x[k], dx[:, k]), 1.0], [1.0, 3.0]], [1.0, -2.0])
         same_bits([g[k] for g in got], want)
         same_bits([g.value[k] for g in got_jet], [w.value for w in want_jet])
         same_bits([g.gradient[:, k] for g in got_jet], [w.gradient for w in want_jet])
@@ -129,58 +133,72 @@ def test_solve_reads_a_vector_of_batch_arrays():
     same_bits(call_field(H, pts), [call_field(H, list(p)) for p in pts])
 
 
-def test_non_pd_batch_in_solve_names_the_point():
-    x = np.array([1.0, 2.0, -0.5, 3.0])
-    with pytest.raises(np.linalg.LinAlgError, match="point 2"):
-        solve([[x, 0.0], [0.0, 1.0]], [1.0, 1.0])
-    with pytest.raises(np.linalg.LinAlgError, match="point 1"):  # second pivot 1 - x
-        solve([[1.0, 1.0], [1.0, np.array([2.0, 1.0, np.nan])]], [1.0, 1.0])
+def _at_point(e, k):
+    """Entry ``e`` of a batch at point ``k``: a float stays, an array and a jet are sliced."""
+    if isinstance(e, Jet):
+        return Jet(e.value[k], e.gradient[..., k], None if e.hessian is None else e.hessian[..., k])
+    return e[k] if isinstance(e, np.ndarray) else e
 
 
-def _zeros_unsigned(x):
-    return np.asarray(x, dtype=float) + 0.0  # -0.0 + 0.0 is +0.0
-
-
-def _parts(e, k=None):
-    """Value and gradient (zero for a number) of a solve output, at point ``k``."""
-    if not isinstance(e, Jet):
-        e = Jet(e, np.zeros(2))
-    if k is None or e.gradient.ndim == 1:  # one point, or the same at every point
-        return np.append(e.value, e.gradient)
-    return np.append(e.value[k], e.gradient[:, k])
+def _point_parts(e, k):
+    """Value, gradient and Hessian of a solve output at point ``k`` (an output
+    without a batch axis is the same at every point)."""
+    parts = [e.value, e.gradient, e.hessian] if isinstance(e, Jet) else [e]
+    return [x[..., k] if np.ndim(parts[0]) else x for x in parts if x is not None]
 
 
 @settings(max_examples=40)
-@given(st.integers(2, 5), st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
-def test_solve_batch_equals_points(n, count, seed):
-    # a random SPD (diagonally dominant) batch of float, array and first-order
-    # jet entries, with structural float zeros and exact zeros at single points.  A
-    # multiplier that is an array (or jet) in the batch but an exact float
-    # zero at one point is skipped at that point alone, and ``a - 0 * b``
-    # may turn a -0.0 into +0.0: so zero signs are compared by value
+@given(st.integers(1, 6), st.integers(1, 4), st.sampled_from([1, 2]), st.integers(0, 2),
+       st.integers(0, 2 ** 32 - 1))
+def test_solve_batch_equals_points(n, count, order, columns, seed):
+    # a random SPD (diagonally dominant) mass matrix of structural float
+    # zeros, floats, arrays and jets of one order, with exact zeros at single
+    # points, against a vector (columns 0) or a matrix right-hand side: each
+    # point of the batch gets the bits it gets alone, zero signs included
     rng = np.random.default_rng(seed)
-    vals = rng.uniform(-1.0, 1.0, size=(n, n, count))
+    m = max(columns, 1)
+    vals = rng.uniform(-1.0, 1.0, size=(n, n + m, count))  # A, then the right-hand side
     vals[rng.random(size=vals.shape) < 0.2] = 0.0  # exact zeros at single points
-    grads = rng.uniform(-1.0, 1.0, size=(n, n, 2, count))
+    grads = rng.uniform(-1.0, 1.0, size=(n, n + m, 2, count))
+    hess = rng.uniform(-1.0, 1.0, size=(n, n + m, 2, 2, count))
+    hess = hess + np.swapaxes(hess, 2, 3)
+
+    def jet(i, j):
+        return Jet(vals[i, j], grads[i, j], hess[i, j] if order == 2 else None)
+
     A = [[None] * n for _ in range(n)]
     for i in range(n):
         vals[i, i] = n - 0.5 + rng.uniform(0.0, 1.0, size=count)  # > sum of |off-diagonal|
         for j in range(i, n):
-            v = vals[i, j]  # a structural zero, a float, an array or a jet
             kind = rng.integers(1 if i == j else 0, 4)
-            A[i][j] = A[j][i] = (0.0, float(v[0]), v, Jet(v, grads[i, j]))[kind]
-    b = [Jet(vals[0, k], grads[0, k]) if k % 2 else float(k) for k in range(n)]
+            A[i][j] = A[j][i] = (0.0, float(vals[i, j, 0]), vals[i, j], jet(i, j))[kind]
+    b = [[jet(k, n + c) if (k + c) % 2 else float(k - c) for c in range(m)] for k in range(n)]
+    if columns == 0:
+        b = [row[0] for row in b]
 
-    def at(e, k):
-        if isinstance(e, Jet):
-            return Jet(e.value[k], e.gradient[:, k])
-        return e[k] if isinstance(e, np.ndarray) else e
+    def flat(out):
+        return out if columns == 0 else [e for row in out for e in row]
 
-    got = solve(A, b)
+    got = flat(_solve_mass(A, b))
     for k in range(count):
-        want = solve([[at(e, k) for e in row] for row in A], [at(e, k) for e in b])
-        same_bits([_zeros_unsigned(_parts(g, k)) for g in got],
-                  [_zeros_unsigned(_parts(w)) for w in want])
+        at_k = [_at_point(e, k) if columns == 0 else [_at_point(x, k) for x in e] for e in b]
+        want = flat(_solve_mass([[_at_point(e, k) for e in row] for row in A], at_k))
+        for g, w in zip(got, want):
+            for part, single in zip(_point_parts(g, k), _point_parts(w, k)):
+                same_bits(part, single)
+
+
+@settings(max_examples=20)
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_hermitian_solve_batch_equals_points(n, count, columns, seed):
+    # a complex Hermitian metric solve gives each point of a batch its own
+    # bits, against its own right-hand sides and against a broadcast identity
+    rng = np.random.default_rng(seed)
+    R = rng.uniform(-1.0, 1.0, size=(count, n, n)) + 1j * rng.uniform(-1.0, 1.0, size=(count, n, n))
+    g = R @ np.conj(np.swapaxes(R, -1, -2)) / n + np.eye(n)
+    B = rng.uniform(-1.0, 1.0, size=(count, n, columns)) * (1.0 - 0.5j)
+    same_bits(geometry._solve(g, B), [geometry._solve(g[k], B[k]) for k in range(count)])
+    same_bits(geometry._solve(g, np.eye(n)), [geometry._solve(g[k], np.eye(n)) for k in range(count)])
 
 
 def test_singular_mass_in_batch_names_the_point():

@@ -8,6 +8,10 @@ Gauss-Jordan elimination over entries, is the reference here: on random
 positive-definite stacks (batches of float, array and jet entries, complex
 Hermitian metrics) the two agree to rounding, and a batch with one bad
 point is rejected with the typed error that names it.
+
+The solves substitute point axes last; ``oracles.substitute`` and
+``oracles.solve_entries`` run the same elementwise steps point axis first,
+and the two layouts agree bit for bit.
 """
 
 import numpy as np
@@ -20,6 +24,7 @@ from hkgeo.geometry import MetricDomainError
 from hkgeo.jets import Jet
 from hkgeo.mechanics import DegenerateLagrangianError
 
+import oracles
 from oracles import solve
 
 DIM = 3  # coordinates the jets differentiate along
@@ -154,9 +159,76 @@ def test_one_bad_point_is_named_by_every_solve(n, count, defect, jets, data):
         solve(entries, b)
 
 
+def test_elimination_oracle_names_the_non_pd_point():
+    x = np.array([1.0, 2.0, -0.5, 3.0])
+    with pytest.raises(np.linalg.LinAlgError, match="point 2"):
+        solve([[x, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    with pytest.raises(np.linalg.LinAlgError, match="point 1"):  # second pivot 1 - x
+        solve([[1.0, 1.0], [1.0, np.array([2.0, 1.0, np.nan])]], [1.0, 1.0])
+
+
 def _mass_message(M):
     try:
         mechanics._check_mass(M)
     except DegenerateLagrangianError as err:
         return str(err)
     return None
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.shape, x.dtype, x.tobytes()
+
+
+def _entry_bits(e):
+    """Type, then shape, dtype and bytes of each part of a solve output."""
+    parts = [e.value, e.gradient, e.hessian] if isinstance(e, Jet) else [e]
+    return type(e), [None if x is None else _bits(x) for x in parts]
+
+
+@pytest.mark.parametrize("hermitian", [False, True], ids=["real", "hermitian"])
+@pytest.mark.parametrize("case", ["point", "batch", "identity"])
+def test_metric_solve_is_the_point_first_reference(case, hermitian):
+    # one point, a batch with its own right-hand sides, and a batch against
+    # one broadcast identity, as the Legendre transform and x_matrices solve
+    rng = np.random.default_rng(11)
+    for n in range(1, 9):
+        g = _spd(rng, n, 6, hermitian)[0 if case == "point" else slice(None)]
+        B = np.eye(n) if case == "identity" else rng.uniform(-1.0, 1.0, size=(*g.shape[:-1], 3))
+        if hermitian and case != "identity":
+            B = B + 1j * rng.uniform(-1.0, 1.0, size=B.shape)
+        L = np.linalg.cholesky(g)
+        want = oracles.substitute(L, B)
+        assert _bits(geometry._solve(g, B)) == _bits(want)
+        assert _bits(geometry._solve_factored(L, B)) == _bits(want)
+
+
+@pytest.mark.parametrize("columns", [0, 3], ids=["vector", "matrix"])
+@pytest.mark.parametrize("count", [0, 5], ids=["point", "batch"])
+@pytest.mark.parametrize("order", [None, 1, 2], ids=["values", "order1", "order2"])
+def test_entry_solve_is_the_point_first_reference(order, count, columns):
+    # float, array and jet entries (jets of one order, or none), one point or
+    # a batch, a vector or a matrix right-hand side: values, gradients and
+    # Hessians equal the point-first reference's bit for bit
+    rng = np.random.default_rng(12)
+    kinds = ["float", "array"] + (["jet", "jet"] if order else [])
+    for n in range(1, 9):
+        vals = _spd(rng, n, max(count, 1))
+        A = np.empty((n, n), dtype=object)
+        for i in range(n):
+            for j in range(i, n):
+                kind = kinds[rng.integers(len(kinds))]
+                if kind == "float":
+                    vals[:, i, j] = vals[:, j, i] = vals[0, i, j]
+                A[i, j] = A[j, i] = _entry(rng, vals[:, i, j], kind, order, count)
+        rhs = rng.uniform(-1.0, 1.0, size=(n, max(columns, 1), max(count, 1)))
+        B = [[_entry(rng, rhs[i, c], kinds[rng.integers(len(kinds))], order, count)
+              for c in range(max(columns, 1))] for i in range(n)]
+        if columns == 0:
+            B = [row[0] for row in B]
+        L = np.linalg.cholesky(oracles.stack_entries(A))
+        got, want = geometry._solve_entries(L, A, B), oracles.solve_entries(L, A, B)
+        if columns == 0:
+            got, want = [[x] for x in got], [[x] for x in want]
+        assert [[_entry_bits(e) for e in row] for row in got] \
+            == [[_entry_bits(e) for e in row] for row in want]

@@ -7,7 +7,8 @@ and the references that only the tests need live in ``tests/oracles.py``.
 Every positive-definite solve factors its matrices once: only
 ``geometry._cholesky`` calls ``np.linalg.cholesky``, the guards read that
 factor and the solves substitute with it, so no module calls an LU solve
-or forms a bare inverse.  The package neither imports scipy
+or forms a bare inverse; every substitution runs on C-contiguous arrays
+with the point axes last.  The package neither imports scipy
 nor leaves ``numpy.random`` to load lazily inside a run.  It has one
 number system besides float64, double-double: no module imports mpmath
 (the tests' 60-digit curvature oracle), at any level, or keeps an
@@ -493,6 +494,27 @@ def test_no_command_calls_an_lu_solve(monkeypatch, argv):
     counts = _counting(monkeypatch, ("solve",))
     assert cli.main(argv) == 0
     assert counts == {"solve": 0}
+
+
+@pytest.mark.parametrize("argv", [["verify", "mechanics", "--samples", "1500", "--seed", "1"],
+                                  ["verify", "all", "--samples", "100", "--seed", "2"]],
+                         ids=["mechanics", "all"])
+def test_substitution_runs_point_axes_last(monkeypatch, argv):
+    # every right-hand side reaches the substitution as one C-contiguous
+    # array (d, m, *batch), the batch axes last, like the factor (d, d, *batch)
+    seen = []
+    substitute = geometry._substitute
+
+    def checked(U, d2, X):
+        seen.append(X.shape[2:])
+        assert X.flags.c_contiguous and U.flags.c_contiguous
+        assert X.ndim == U.ndim and X.shape[0] == U.shape[0] == U.shape[1]
+        assert np.broadcast_shapes(U.shape[2:], d2.shape[1:], X.shape[2:]) == X.shape[2:]
+        return substitute(U, d2, X)
+
+    monkeypatch.setattr(geometry, "_substitute", checked)
+    assert cli.main(argv) == 0
+    assert any(len(batch) and batch[-1] > 1 for batch in seen)
 
 
 def test_a_run_computes_each_quantity_once(monkeypatch):
