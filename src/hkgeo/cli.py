@@ -1,59 +1,81 @@
-"""Command-line front end: ``hkgeo verify | curvature-profile | report-schema``.
+"""Command-line front end of hkgeo.
 
-Exit codes: 0 when every check passes, 1 when at least one fails (a check
-that raises counts as failed; the report is still written), 2 for
-configuration errors (bad arguments, unwritable output paths).
+usage: hkgeo verify SUITE [--seed N] [--samples N] [--a A] [--json PATH]
+       hkgeo curvature-profile [--a A] [--rmax R] [--steps N] [--csv PATH]
+       hkgeo report-schema
+       hkgeo -h | --help
+
+verify             run a verification suite; SUITE is one of
+                   all, heavenly, toy, taubnut, mechanics
+  --seed N         random seed for sample points (default 0)
+  --samples N      sample points per check (default 50)
+  --a A            scale parameter of the circle fiber (default 1)
+  --json PATH      also write the full report as JSON
+curvature-profile  tabulate reduced-surface curvature against its closed form
+  --a A            scale parameter (default 1)
+  --rmax R         largest radius in the table (default 10)
+  --steps N        number of radii, uniformly spaced (default 200)
+  --csv PATH       write CSV here instead of stdout
+report-schema      print the JSON schema of verify reports
+
+Options take their full names, as --name VALUE or --name=VALUE, before or
+after the suite; abbreviations are not accepted.  Exit codes: 0 when every
+check passes, 1 when at least one fails (a check that raises counts as
+failed; the report is still written), 2 for configuration errors (an
+unknown command, suite or option, a missing or malformed value, a value out
+of range, an unwritable output path), each reported as one "error:" line on
+standard error.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from . import geometry, models
 from .checks import REPORT_SCHEMA, SUITE_NAMES, run_suite
 
-__all__ = ["main", "build_parser"]
+__all__ = ["OPTIONS", "main"]
+
+#: Each command's options, ``name: (type, default)``; a value is converted
+#: as ``type(text)``.  ``verify`` also takes one suite of ``SUITE_NAMES``.
+OPTIONS = {"verify": {"--seed": (int, 0), "--samples": (int, 50), "--a": (float, 1.0),
+                      "--json": (str, None)},
+           "curvature-profile": {"--a": (float, 1.0), "--rmax": (float, 10.0),
+                                 "--steps": (int, 200), "--csv": (str, None)},
+           "report-schema": {}}
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="hkgeo",
-        description="numeric verification of quotient constructions of "
-                    "hyperkahler metrics",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _choose(what, value, names):
+    """``value`` if it is one of ``names``, else ``ValueError`` saying so."""
+    if value not in names:
+        said = f"missing {what}" if value is None else f"unknown {what} {value!r}"
+        raise ValueError(f"{said} (valid: {', '.join(names) or 'none'})")
+    return value
 
-    v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=SUITE_NAMES,
-                   help="which suite to run")
-    v.add_argument("--seed", type=int, default=0,
-                   help="random seed for sample points (default 0)")
-    v.add_argument("--samples", type=int, default=50,
-                   help="sample points per check (default 50)")
-    v.add_argument("--a", type=float, default=1.0,
-                   help="scale parameter of the circle fiber (default 1)")
-    v.add_argument("--json", metavar="PATH", default=None,
-                   help="also write the full report as JSON")
 
-    c = sub.add_parser("curvature-profile",
-                       help="tabulate reduced-surface curvature against its "
-                            "closed form")
-    c.add_argument("--a", type=float, default=1.0,
-                   help="scale parameter (default 1)")
-    c.add_argument("--rmax", type=float, default=10.0,
-                   help="largest radius in the table (default 10)")
-    c.add_argument("--steps", type=int, default=200,
-                   help="number of radii, uniformly spaced (default 200)")
-    c.add_argument("--csv", metavar="PATH", default=None,
-                   help="write CSV here instead of stdout")
-
-    sub.add_parser("report-schema",
-                   help="print the JSON schema of verify reports")
-
-    return parser
+def _parse(argv):
+    """``(command, arguments)`` of ``argv``, the arguments by name with the
+    table's defaults filled in; ``ValueError`` names the first bad argument."""
+    command = _choose("command", argv[0] if argv else None, OPTIONS)
+    args = {name[2:]: default for name, (_, default) in OPTIONS[command].items()}
+    rest = iter(argv[1:])
+    for arg in rest:
+        if command == "verify" and "suite" not in args and not arg.startswith("-"):
+            args["suite"] = _choose("suite", arg, SUITE_NAMES)
+            continue
+        name, eq, text = arg.partition("=")
+        kind, _ = OPTIONS[command][_choose(f"{command} option", name, OPTIONS[command])]
+        # without "=", the value is the next argument, which is not an option
+        if not eq and (text := next(rest, "--")).startswith("--"):
+            raise ValueError(f"{name} needs a value")
+        try:
+            args[name[2:]] = kind(text)
+        except ValueError:
+            raise ValueError(f"{name}: invalid {kind.__name__} value {text!r}") from None
+    if command == "verify":
+        _choose("suite", args.get("suite"), SUITE_NAMES)
+    return command, SimpleNamespace(**args)
 
 
 def _cmd_verify(args):
@@ -116,15 +138,19 @@ def _cmd_curvature_profile(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    if args.command == "curvature-profile":
-        return _cmd_curvature_profile(args)
-    if args.command == "report-schema":
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(__doc__, end="")
+        return 0
+    try:
+        command, args = _parse(argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if command == "report-schema":
         print(json.dumps(REPORT_SCHEMA, indent=2, sort_keys=True))
         return 0
-    return 2
+    return (_cmd_verify if command == "verify" else _cmd_curvature_profile)(args)
 
 
 if __name__ == "__main__":

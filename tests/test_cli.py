@@ -1,7 +1,14 @@
-"""Command-line behaviour: exit codes, report determinism, CSV output."""
+"""Command-line behaviour: argument syntax, exit codes, report determinism,
+CSV output."""
 
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -27,24 +34,80 @@ def strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-def test_unknown_suite_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        run(["verify", "bogus"])
-    assert exc.value.code == 2
-
-
 def _exits_2_with_an_error_line(argv, capsys):
+    """``(stdout, stderr)`` of ``main(argv)``, which must return 2, raising no
+    ``SystemExit``, with one ``error:`` line on stderr."""
     assert run(argv) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and err.count("\n") == 1
+    return out, err
+
+
+def test_unknown_suite_exits_2(capsys):
+    out, err = _exits_2_with_an_error_line(["verify", "bogus"], capsys)
+    assert out == ""
+    assert err == "error: unknown suite 'bogus' (valid: all, heavenly, toy, taubnut, mechanics)\n"
+
+
+#: Arguments the parser refuses, each with a part of the error it must give.
+BAD_ARGV = [
+    ([], "missing command"),
+    (["bogus"], "unknown command 'bogus'"),
+    (["--samples", "3"], "unknown command '--samples'"),
+    (["verify"], "missing suite"),
+    (["verify", "--samples", "3"], "missing suite"),
+    (["verify", "bogus", "--samples", "x"], "unknown suite 'bogus'"),
+    (["verify", "mechanics", "toy"], "unknown verify option 'toy'"),
+    (["verify", "mechanics", "--samp", "3"], "unknown verify option '--samp'"),
+    (["verify", "mechanics", "--steps", "3"], "unknown verify option '--steps'"),
+    (["verify", "mechanics", "-s", "3"], "unknown verify option '-s'"),
+    (["verify", "mechanics", "--samples"], "--samples needs a value"),
+    (["verify", "mechanics", "--json", "--seed", "1"], "--json needs a value"),
+    (["verify", "mechanics", "--samples", "x"], "--samples: invalid int value 'x'"),
+    (["verify", "mechanics", "--samples=2.5"], "--samples: invalid int value '2.5'"),
+    (["verify", "mechanics", "--seed", ""], "--seed: invalid int value ''"),
+    (["verify", "mechanics", "--a", "one"], "--a: invalid float value 'one'"),
+    (["curvature-profile", "--steps", "1e3"], "--steps: invalid int value '1e3'"),
+    (["curvature-profile", "--rmax"], "--rmax needs a value"),
+    (["curvature-profile", "mechanics"], "unknown curvature-profile option 'mechanics'"),
+    (["report-schema", "--json", "x.json"], "unknown report-schema option '--json'"),
+]
 
 
 def test_bad_config_exits_2(tmp_path, capsys):
+    # every configuration error is one error line and nothing on stdout
+    for argv, said in BAD_ARGV:
+        out, err = _exits_2_with_an_error_line(argv, capsys)
+        assert out == "" and said in err, (argv, err)
     for bad in (["--samples", "0"], ["--a", "0"], ["--a", "nan"], ["--a", "inf"],
-                ["--seed", "-1"]):
-        _exits_2_with_an_error_line(["verify", "mechanics", *bad], capsys)
+                ["--seed", "-1"], ["--a=-1"]):
+        assert _exits_2_with_an_error_line(["verify", "mechanics", *bad], capsys)[0] == ""
     _exits_2_with_an_error_line(["verify", "mechanics", "--samples", "2", "--json",
                                  str(tmp_path / "no" / "such" / "dir" / "x.json")], capsys)
+
+
+def test_parse_accepts_full_names_in_any_order():
+    # --name value or --name=value, before or after the suite, the last of a
+    # repeated option winning; each value is type(text) of the table's type
+    expect = SimpleNamespace(suite="toy", seed=2, samples=7, a=0.5, json="r=1.json")
+    for argv in (["verify", "toy", "--seed", "2", "--samples", "7", "--a", "0.5",
+                  "--json", "r=1.json"],
+                 ["verify", "--samples=7", "--a=.5", "toy", "--json=r=1.json", "--seed", "2"],
+                 ["verify", "--seed", "9", "--samples", "7", "--json", "r=1.json", "--a",
+                  "5e-1", "--seed=2", "toy"]):
+        assert cli._parse(argv) == ("verify", expect)
+    assert cli._parse(["verify", "all", "--seed", "-1", "--a", "-inf"]) == (
+        "verify", SimpleNamespace(suite="all", seed=-1, samples=50, a=-math.inf, json=None))
+    assert cli._parse(["curvature-profile"]) == (
+        "curvature-profile", SimpleNamespace(a=1.0, rmax=10.0, steps=200, csv=None))
+    assert cli._parse(["report-schema"]) == ("report-schema", SimpleNamespace())
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["verify", "--help"],
+                                  ["curvature-profile", "--steps", "3", "-h"]])
+def test_help_prints_the_usage(argv, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr() == (cli.__doc__, "")
 
 
 def test_passing_suite_exits_0(capsys):
@@ -242,3 +305,38 @@ def test_curvature_profile_bad_args(tmp_path, capsys):
         _exits_2_with_an_error_line(["curvature-profile", *bad], capsys)
     _exits_2_with_an_error_line(["curvature-profile", "--steps", "3", "--csv",
                                  str(tmp_path / "no" / "dir" / "x.csv")], capsys)
+
+
+SRC = Path(cli.__file__).parent.parent
+
+
+def _hkgeo(*argv):
+    """``python -m hkgeo.cli argv`` in a fresh interpreter on this source tree."""
+    return subprocess.run([sys.executable, "-m", "hkgeo.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+
+
+def _named():
+    """Every command, suite and option of the option table."""
+    return [*cli.OPTIONS, *checks.SUITE_NAMES, *(o for t in cli.OPTIONS.values() for o in t)]
+
+
+def test_module_entry_point():
+    # sys.exit(main()) reads sys.argv: help exits 0 and names everything the
+    # table accepts, a bad suite exits 2 with one error line, a run exits 0
+    shown = _hkgeo("--help")
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert [n for n in _named() if not re.search(rf"(?<![\w-]){n}(?![\w-])", shown.stdout)] == []
+    bad = _hkgeo("verify", "bogus")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.startswith("error: unknown suite 'bogus'") and bad.stderr.count("\n") == 1
+    ran = _hkgeo("verify", "mechanics", "--samples", "3")
+    assert (ran.returncode, ran.stderr) == (0, "")
+    assert ran.stdout.endswith("checks passed (suite=mechanics, seed=0, samples=3, a=1)\n")
+
+
+def test_readme_names_every_option():
+    # the README's command-line section, the help and the table cannot drift apart
+    readme = (SRC.parent / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    assert [n for n in _named() if f"`{n}`" not in section and f" {n} " not in section] == []

@@ -12,7 +12,8 @@ with the point axes last.  The package neither imports scipy
 nor leaves ``numpy.random`` to load lazily inside a run.  It has one
 number system besides float64, double-double: no module imports mpmath
 (the tests' 60-digit curvature oracle), at any level, or keeps an
-object-dtype branch, and its commands load no mpmath.
+object-dtype branch, and its commands load no mpmath, nor argparse,
+gettext or locale.
 Importing runs no LAPACK, and the records are plain classes, apart from
 the one dataclass the benchmark needs.  A batch is one call: the
 finite-difference oracle, the sampler's exclusions, the hygiene check and
@@ -302,6 +303,19 @@ def test_commands_load_no_mpmath():
             "seen.append(mp())\n"
             "print(seen)")
     assert _fresh(code).strip() == "[[], [], []]"
+
+
+def test_commands_load_no_argparse():
+    # the commands parse their arguments from cli.OPTIONS: no argparse, nor
+    # the gettext and locale modules that argparse loads
+    code = ("import contextlib, io, sys\n"
+            "import hkgeo.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    hkgeo.cli.main(['curvature-profile'])\n"
+            "    hkgeo.cli.main(['verify', 'toy', '--samples', '5'])\n"
+            "    hkgeo.cli.main(['report-schema'])\n"
+            "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))")
+    assert _fresh(code).strip() == "[]"
 
 
 #: Public functions and methods that no command enters, each with the reason
