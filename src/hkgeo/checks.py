@@ -379,9 +379,9 @@ def check_tn_curl(ctx, rng):
     pts = sample_points(SampleSpec(((-2.0, 2.0),) * 3, ctx.samples, ctx.subseed(rng),
                                    (models._string_exclusion(0.4),)))
     # fd_oracle's central differences of the nonzero components m = 0, 1:
-    # dA[m][i] = d A_m / d x_i
+    # dA[m][i] = d A_m / d x_i, first order (the axial rows of its stencil)
     dA = [fd_oracle(lambda c, m=m: models.monopole_potential(np.stack(c, axis=-1))[:, m],
-                    pts).gradient for m in range(2)]
+                    pts, order=1).gradient for m in range(2)]
     curl = np.stack([-dA[1][2], dA[0][2], dA[1][0] - dA[0][1]], axis=-1)
     want = [models.MONOPOLE_CURL_SIGN * x / float(np.linalg.norm(x)) ** 3 for x in pts]
     return _worst(curl, np.array(want)), len(pts)

@@ -81,10 +81,12 @@ def _square_jet(fn, p, sign, order):
     ``(1 + derivative slots, d, d, *batch)``, point axis last as a jet
     carries it: each entry is written to ``[M, N]`` and ``[N, M]`` (negated
     for ``sign=-1``; that diagonal stays zero), as :func:`mirror_triangle`
-    would fill it.  ``V, D1, D2`` are point-first views of that array, so
+    would fill it.  A jet entry writes only the derivative rows of its
+    support (:attr:`hkgeo.jets.Jet.rows`), straight from the rows it
+    carries; the others stay zero, as do all of a constant entry's.
+    ``V, D1, D2`` are point-first views of that array, so
     for a batch they are not C-contiguous; a caller that needs contiguity
     copies.
-    Constant entries keep zero derivatives.
     """
     batch = _batch_shape(p)
     dim = len(p[0]) if batch else len(p)
@@ -95,9 +97,10 @@ def _square_jet(fn, p, sign, order):
     for M, N, e in _triangle(raw, sign):
         slots = packed[:, M, N]
         if isinstance(e, Jet):
-            slots[1:dim + 1] = e.gradient
+            rows, block = e.rows
+            slots[1:dim + 1][rows] = e.grad
             if order == 2:
-                slots[dim + 1:] = e.hessian.reshape(dim * dim, *batch)
+                slots[dim + 1:].reshape(dim, dim, *batch)[block] = e.hess
             e = e.value
         slots[0] = e
         packed[:, N, M] = slots if sign > 0 else -slots
@@ -120,7 +123,7 @@ def _vector_jet(fn, p, order):
     D = None if order is None else np.zeros((*batch, dim, len(raw)))
     for M, e in enumerate(raw):
         if isinstance(e, Jet):
-            V[..., M], D[..., M] = e.value, e.gradient.T
+            V[..., M], D[(..., *e.rows[0], M)] = e.value, e.grad.T
         else:
             V[..., M] = e
     return V, D

@@ -183,13 +183,14 @@ def _solve(gv, B):
 
 
 def _stack_entries(table, part="value", tail=(), batch=None):
-    """One part (``"value"``, ``"gradient"`` or ``"hessian"``) of every entry
+    """One part (``"value"``, ``"grad"`` or ``"hess"``) of every entry
     of a table (rows of floats, arrays over a batch of points and jets) as
     one float array ``(rows, cols, *tail, *batch)``: the layout of a jet,
     whose derivative axes come first and point axis last.
 
-    A number has no derivative parts (zero there).  ``batch`` defaults to
-    the broadcast shape of the entries' values.
+    A number has no derivative parts (zero there), and a jet fills only the
+    derivative rows of its support (:attr:`hkgeo.jets.Jet.rows`).
+    ``batch`` defaults to the broadcast shape of the entries' values.
     """
     if batch is None:
         batch = np.broadcast_shapes(*(np.shape(e.value if isinstance(e, Jet) else e)
@@ -199,7 +200,8 @@ def _stack_entries(table, part="value", tail=(), batch=None):
         for j, e in enumerate(row):
             if isinstance(e, Jet) or part == "value":
                 x = np.asarray(getattr(e, part) if isinstance(e, Jet) else e)
-                t[i, j] = x.reshape(x.shape + (1,) * (t.ndim - 2 - x.ndim))
+                at = () if part == "value" else e.rows[part == "hess"]
+                t[(i, j, *at)] = x.reshape(x.shape + (1,) * (t.ndim - 2 - x.ndim))
     return t
 
 
@@ -241,12 +243,12 @@ def _solve_entries(L, A, B):
     dX = d2X = None
     if jets:
         tail = (jets[0].dim,)
-        dA = _stack_entries(A, "gradient", tail, batch)
-        dX = substitute(_stack_entries(rhs, "gradient", tail, batch) - product(dA, X[:, :, None]))
-        if all(e.hessian is not None for e in jets):
+        dA = _stack_entries(A, "grad", tail, batch)
+        dX = substitute(_stack_entries(rhs, "grad", tail, batch) - product(dA, X[:, :, None]))
+        if all(e.hess is not None for e in jets):
             T = product(dA[:, :, :, None], dX[:, :, None])  # [i, c, k, l]: d_k A d_l X
-            d2A = _stack_entries(A, "hessian", tail * 2, batch)
-            d2X = substitute(_stack_entries(rhs, "hessian", tail * 2, batch)
+            d2A = _stack_entries(A, "hess", tail * 2, batch)
+            d2X = substitute(_stack_entries(rhs, "hess", tail * 2, batch)
                              - product(d2A, X[:, :, None, None]) - T - np.swapaxes(T, 2, 3))
 
     def entry(i, j):

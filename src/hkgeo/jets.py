@@ -34,6 +34,36 @@ zero-argument callable that only a jet with a Hessian calls, so a
 first-order evaluation succeeds where only the second derivative divides
 by zero or underflows (``sqrt`` at ``1e-220``, ``x ** 1.5`` at 0).
 
+Support
+-------
+A jet carries derivatives only along its *support*, the sorted tuple of
+the coordinates its value was computed from.  Its stored ``grad`` and
+``hess`` are ``(k, *batch)`` and ``(k, k, *batch)`` over the ``k``
+coordinates of the support; a unary rule keeps its operand's support, and
+a binary rule works on the union of its operands' supports.  An operand is
+embedded into the union (zeros in the rows it lacks) only when the two
+supports differ, through index plans cached per pair of supports
+(:func:`_plan`).  Nothing is declared: a derivative outside the support is
+exactly zero by construction, and every derivative inside it comes from
+the same elementwise operations, in the same order, as if every jet
+carried all ``d`` rows, so values and derivatives are bit for bit those of
+dense jets (``tests/oracles.py`` keeps the dense rules as the reference).
+Readers see dense arrays: ``Jet(value, gradient, hessian)`` takes them,
+:attr:`Jet.gradient` and :attr:`Jet.hessian` return them, and the packers
+of :mod:`hkgeo.fields` and :mod:`hkgeo.geometry` write a jet's rows
+straight to where :attr:`Jet.rows` says they go.
+
+Where the seeds start narrow is decided by the arithmetic.  A
+double-double seed has support ``(i,)`` and a double-double constant
+``()``: a double-double product is some twenty numpy operations, so a
+skipped row saves far more than an embedding costs, and the toy quotient's
+sphere metric, which depends on ``r`` alone, carries one gradient row and
+one Hessian entry per component instead of 2 and 4.  A float64 seed or
+constant spans every coordinate, so float64 jets never embed: a float64
+rule on the few points of a check costs about what one embedding does (on
+a 2-core x86_64 host, second-order jets of the scalar fields on 8-point
+batches took 15% longer with narrow float64 seeds).
+
 Batch axis
 ----------
 A jet may carry a batch of points: its value is then an array ``(B,)``,
@@ -60,6 +90,8 @@ used as the independent reference wherever jet output is trusted.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -126,10 +158,73 @@ def _zeros(shape, like):
     return DD.zeros(shape) if isinstance(like, DD) else np.zeros(shape)
 
 
+@functools.cache
+def _every(dim):
+    """The support of every coordinate of a ``dim``-chart, one tuple per ``dim``
+    so that jets of every coordinate pair up by identity (:func:`_pair`)."""
+    return tuple(range(dim))
+
+
+#: Where a support's rows sit within itself: every row of a gradient and a Hessian.
+_EVERY = (slice(None),), (slice(None), slice(None))
+
+
+@functools.cache
+def _plan(sa, sb):
+    """``(union, index_a, index_b)`` for operands of supports ``sa`` and ``sb``,
+    cached per pair.
+
+    ``union`` is the sorted union of the two, and ``index_a`` says where
+    ``sa``'s rows sit in it: an index of a gradient ``(k, ...)`` and one of a
+    Hessian ``(k, k, ...)`` over the union, :data:`_EVERY` when ``sa`` is the
+    union itself.
+    """
+    union = tuple(sorted({*sa, *sb}))
+
+    def index(s):
+        rows = np.array([union.index(i) for i in s], dtype=np.intp)
+        return _EVERY if s == union else ((rows,), np.ix_(rows, rows))
+
+    return union, index(sa), index(sb)
+
+
+def _embed(x, at, k):
+    """``x`` ``(*support axes, *batch)`` written at ``at`` of zeros
+    ``(k, ..., *batch)`` in ``x``'s arithmetic."""
+    out = (DD.zeros if isinstance(x, DD) else np.zeros)((k,) * len(at) + x.shape[len(at):])
+    out[at] = x
+    return out
+
+
+def _widen(jet, index, k):
+    """``jet``'s gradient and Hessian over a support of ``k`` coordinates that
+    holds its own at ``index`` (from :func:`_plan`), zero elsewhere."""
+    if index is _EVERY:
+        return jet.grad, jet.hess
+    return (_embed(jet.grad, index[0], k),
+            None if jet.hess is None else _embed(jet.hess, index[1], k))
+
+
+def _pair(a, b):
+    """``(support, ga, ha, gb, hb)``: the derivatives of jets ``a`` and ``b``
+    over the union of their supports, an operand widened only when the two
+    differ."""
+    if a.support is b.support:
+        return a.support, a.grad, a.hess, b.grad, b.hess
+    union, ia, ib = _plan(a.support, b.support)
+    return (union, *_widen(a, ia, len(union)), *_widen(b, ib, len(union)))
+
+
 class Jet:
     """Value, gradient and, at second order, symmetric Hessian of a scalar.
 
-    ``hessian is None`` makes a first-order jet.  Every elementary
+    ``hessian is None`` makes a first-order jet.  ``Jet(value, gradient,
+    hessian)`` takes dense derivatives, ``(d, ...)`` and ``(d, d, ...)``.
+    The rules also pass ``support`` and ``dim``, and then ``gradient`` and
+    ``hessian`` hold the rows of the support's coordinates only (module
+    docstring).  Those stored rows are ``grad`` and ``hess``; the
+    properties :attr:`gradient` and :attr:`hessian` are always dense.
+    Every elementary
     derivative rule is written once, as the ``f, f', f''`` triple handed to
     ``_compose`` (``f''`` as a zero-argument callable that only a jet with a
     Hessian calls).  The Hessian stays exactly symmetric because every
@@ -139,70 +234,93 @@ class Jet:
     carries a trailing point axis.
     """
 
-    __slots__ = ("value", "gradient", "hessian")
+    __slots__ = ("value", "grad", "hess", "support", "dim")
 
     # numpy defers to the jet's operators: ``array * jet`` calls ``__rmul__``
     __array_ufunc__ = None
 
-    def __init__(self, value, gradient, hessian=None):
-        self.value = value
-        if isinstance(gradient, DD):  # double-double entries stay one array pair
-            self.gradient, self.hessian = gradient, hessian
-        else:
-            self.gradient = np.asarray(gradient)
-            self.hessian = None if hessian is None else np.asarray(hessian)
+    def __init__(self, value, gradient, hessian=None, support=None, dim=None):
+        if support is None:  # dense: the rows of every coordinate
+            if not isinstance(gradient, DD):  # double-double entries stay one array pair
+                gradient = np.asarray(gradient)
+                hessian = None if hessian is None else np.asarray(hessian)
+            dim = len(gradient)
+            support = _every(dim)
+        self.value, self.grad, self.hess, self.support, self.dim = (
+            value, gradient, hessian, support, dim)
 
     @classmethod
     def constant(cls, value, dim, order=2, like=None):
-        """Constant jet of ``order`` (1 or 2) in ``like``'s arithmetic (else ``value``'s)."""
+        """Constant jet of ``order`` (1 or 2) in ``like``'s arithmetic (else
+        ``value``'s): support ``()`` in double-double, every coordinate in
+        float64 (module docstring)."""
         if order not in (1, 2):
             raise ValueError(f"jet order must be 1 or 2, not {order!r}")
         ref = value if like is None else like
-        return cls(value, _zeros((dim,), ref),
-                   _zeros((dim, dim), ref) if order == 2 else None)
+        support = () if isinstance(ref, DD) else _every(dim)
+        k = len(support)
+        return cls(value, _zeros((k,), ref), _zeros((k, k), ref) if order == 2 else None,
+                   support, dim)
 
     @classmethod
     def variable(cls, value, index, dim, order=2):
-        """Seed jet for coordinate ``index`` of a ``dim``-dimensional chart."""
+        """Seed jet for coordinate ``index`` of a ``dim``-dimensional chart:
+        support ``(index,)`` in double-double, every coordinate in float64."""
         jet = cls.constant(value, dim, order)
-        jet.gradient[index] = value * 0 + 1  # one of the same scalar type as `value`
+        if isinstance(value, DD):
+            jet.support, jet.grad = (index,), _zeros((1,), value)
+            jet.hess, index = None if order == 1 else _zeros((1, 1), value), 0
+        jet.grad[index] = value * 0 + 1  # one of the same scalar type as `value`
         return jet
 
     @property
-    def dim(self):
-        return self.gradient.shape[0]
+    def gradient(self):
+        """Dense gradient ``(d, ...)``: zero along coordinates outside the support."""
+        return _widen(self, self.rows, self.dim)[0]
+
+    @property
+    def hessian(self):
+        """Dense Hessian ``(d, d, ...)``, or None at first order."""
+        return _widen(self, self.rows, self.dim)[1]
+
+    @property
+    def rows(self):
+        """Where this jet's gradient and Hessian rows sit in dense ones: an index
+        of a ``(d, ...)`` and one of a ``(d, d, ...)`` array."""
+        return _plan(self.support, _every(self.dim))[1]
 
     def _lift(self, c):
         """Constant ``c`` as a jet of this jet's order and arithmetic."""
-        return Jet.constant(c, self.dim, 1 if self.hessian is None else 2, like=self.value)
+        return Jet.constant(c, self.dim, 1 if self.hess is None else 2, like=self.value)
 
     def __repr__(self):
-        return f"Jet(value={self.value!r}, dim={self.dim}, hessian={self.hessian is not None})"
+        return (f"Jet(value={self.value!r}, dim={self.dim}, support={self.support}, "
+                f"hessian={self.hess is not None})")
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.value + other, self.gradient, self.hessian)
-        hess = (None if self.hessian is None or other.hessian is None
-                else self.hessian + other.hessian)
-        return Jet(self.value + other.value, self.gradient + other.gradient, hess)
+            return Jet(self.value + other, self.grad, self.hess, self.support, self.dim)
+        s, ga, ha, gb, hb = _pair(self, other)
+        return Jet(self.value + other.value, ga + gb,
+                   None if ha is None or hb is None else ha + hb, s, self.dim)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(-self.value, -self.gradient,
-                   None if self.hessian is None else -self.hessian)
+        return Jet(-self.value, -self.grad, None if self.hess is None else -self.hess,
+                   self.support, self.dim)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
-            return Jet(self.value * other, self.gradient * other,
-                       None if self.hessian is None else self.hessian * other)
-        ga, gb = self.gradient, other.gradient
-        hess = (None if self.hessian is None or other.hessian is None
-                else other.hessian * self.value + self.hessian * other.value
-                + _outer(ga, gb) + _outer(gb, ga))
-        return Jet(self.value * other.value, gb * self.value + ga * other.value, hess)
+            return Jet(self.value * other, self.grad * other,
+                       None if self.hess is None else self.hess * other, self.support, self.dim)
+        s, ga, ha, gb, hb = _pair(self, other)
+        hess = (None if ha is None or hb is None
+                else hb * self.value + ha * other.value + _outer(ga, gb) + _outer(gb, ga))
+        return Jet(self.value * other.value, gb * self.value + ga * other.value, hess,
+                   s, self.dim)
 
     __rmul__ = __mul__
 
@@ -235,9 +353,9 @@ class Jet:
 
     def _compose(self, f0, f1, f2):
         """Jet of ``f(self)`` given ``f``, ``f'`` and ``f2() = f''`` at the value."""
-        g = self.gradient
-        return Jet(f0, g * f1, None if self.hessian is None
-                   else self.hessian * f1 + _outer(g, g) * f2())
+        g = self.grad
+        return Jet(f0, g * f1, None if self.hess is None
+                   else self.hess * f1 + _outer(g, g) * f2(), self.support, self.dim)
 
     def _compose2(self, b, f0, fa, fb, second):
         """Jet of a smooth two-argument ``f(self, b)`` given its partials.
@@ -245,16 +363,16 @@ class Jet:
         ``second()`` returns the second partials ``(faa, fab, fbb)``; it is
         called only when both arguments carry a Hessian.
         """
-        ga, gb = self.gradient, b.gradient
+        s, ga, ha, gb, hb = _pair(self, b)
         grad = ga * fa + gb * fb
-        if self.hessian is None or b.hessian is None:
-            return Jet(f0, grad)
+        if ha is None or hb is None:
+            return Jet(f0, grad, None, s, self.dim)
         faa, fab, fbb = second()
-        hess = (self.hessian * fa + b.hessian * fb
+        hess = (ha * fa + hb * fb
                 + _outer(ga, ga) * faa
                 + (_outer(ga, gb) + _outer(gb, ga)) * fab
                 + _outer(gb, gb) * fbb)
-        return Jet(f0, grad, hess)
+        return Jet(f0, grad, hess, s, self.dim)
 
     def _reciprocal(self):
         u = self.value
@@ -453,17 +571,18 @@ def evaluate_jet(f, p, order=2):
     out = call_field(f, p, order)
     if not isinstance(out, Jet):
         out = Jet.constant(out, dim, order, like=coords[0])
+    # derivatives outside the support are exact zeros: only its rows can fail
     ok_value = np.broadcast_to(np.isfinite(out.value), _batch_shape(p))
-    ok_coord = np.isfinite(out.gradient)
-    if out.hessian is not None:
-        ok_coord = ok_coord & np.isfinite(out.hessian).all(axis=1)
+    ok_coord = np.isfinite(out.grad)
+    if out.hess is not None:
+        ok_coord = ok_coord & np.isfinite(out.hess).all(axis=1)
     failure = first_failure(ok_value & ok_coord.all(axis=0), p)
     if failure is not None:
         k, where = failure
         at = 0 if k is None else k
         if not ok_value.reshape(-1)[at]:
             raise EvaluationError(f"non-finite value{where}", point=k)
-        i = int(np.argmin(ok_coord.reshape(dim, -1)[:, at]))
+        i = out.support[int(np.argmin(ok_coord.reshape(len(out.support), -1)[:, at]))]
         raise EvaluationError(f"non-finite derivative in coordinate {i}{where}",
                               index=i, point=k)
     return out
@@ -474,16 +593,17 @@ def fd_step(x):
     return np.maximum(FD_STEP, FD_STEP * np.abs(x))
 
 
-def fd_oracle(f, p, exclusions=()):
+def fd_oracle(f, p, exclusions=(), order=2):
     """Finite-difference (value, gradient, Hessian) of ``f`` at ``p``.
 
     ``p`` is one point ``(d,)`` or a batch ``(B, d)``, and the result a
-    second-order :class:`Jet` laid out as :func:`evaluate_jet` lays it out
-    (point axis last), so the two compare directly; but no jet arithmetic
-    is involved.
+    :class:`Jet` of ``order`` (1 or 2) laid out as :func:`evaluate_jet` lays
+    it out (point axis last), so the two compare directly; but no jet
+    arithmetic is involved.
     Central differences with per-coordinate step :func:`fd_step`; second
     mixed derivatives use the four-point cross stencil.  Every point's
-    stencil goes to ``f`` in one :func:`call_field` call.
+    stencil goes to ``f`` in one :func:`call_field` call: the centre and the
+    ``2 d`` axial rows, and at ``order=2`` the ``2 d (d - 1)`` mixed rows too.
 
     ``exclusions`` are guard predicates (objects with ``.name``, or bare
     callables) over the coordinate columns of the whole stencil, returning a
@@ -493,16 +613,20 @@ def fd_oracle(f, p, exclusions=()):
     on which ``f`` fails raises :class:`EvaluationError` naming the first
     point of the batch whose stencil fails, and the first failing row of it.
     """
+    if order not in (1, 2):
+        raise ValueError(f"jet order must be 1 or 2, not {order!r}")
     p = np.asarray(p, dtype=float)
     P = p.reshape(-1, p.shape[-1])
     B, d = P.shape
     # stencil offsets in steps: the centre; +e_i, -e_i for each i; then +e_i +e_j,
     # +e_i -e_j, -e_i +e_j, -e_i -e_j for each pair i < j
     E, (I, J) = np.eye(d), np.triu_indices(d, 1)
-    axial = np.stack([E, -E], 1).reshape(-1, d)
-    mixed = np.stack([E[I] + E[J], E[I] - E[J], -E[I] + E[J], -E[I] - E[J]], 1).reshape(-1, d)
+    offsets = [np.zeros((1, d)), np.stack([E, -E], 1).reshape(-1, d)]
+    if order == 2:
+        offsets.append(np.stack([E[I] + E[J], E[I] - E[J], -E[I] + E[J], -E[I] - E[J]],
+                                1).reshape(-1, d))
     h = fd_step(P.T)
-    offsets = np.concatenate([np.zeros((1, d)), axial, mixed])
+    offsets = np.concatenate(offsets)
     # stencil row s of point b is row b S + s
     q = (P[:, None, :] + offsets * h.T[:, None, :]).reshape(-1, d)
     for excl in exclusions:
@@ -524,11 +648,12 @@ def fd_oracle(f, p, exclusions=()):
         raise EvaluationError(f"{err.__context__} (stencil row {s} of {where})",
                               point=b if p.ndim == 2 else None) from err.__cause__
     f0, fp, fm = F[0], F[1:2 * d + 1:2], F[2:2 * d + 1:2]
-    fpp, fpm, fmp, fmm = F[2 * d + 1:].reshape(-1, 4, B).transpose(1, 0, 2)
-    hess = np.zeros((d, d, B))
-    hess[np.arange(d), np.arange(d)] = (fp - 2 * f0 + fm) / (h * h)
-    hess[I, J] = hess[J, I] = (fpp - fpm - fmp + fmm) / (4 * h[I] * h[J])
-    grad = (fp - fm) / (2 * h)
+    grad, hess = (fp - fm) / (2 * h), None
+    if order == 2:
+        fpp, fpm, fmp, fmm = F[2 * d + 1:].reshape(-1, 4, B).transpose(1, 0, 2)
+        hess = np.zeros((d, d, B))
+        hess[np.arange(d), np.arange(d)] = (fp - 2 * f0 + fm) / (h * h)
+        hess[I, J] = hess[J, I] = (fpp - fpm - fmp + fmm) / (4 * h[I] * h[J])
     if p.ndim == 1:
-        f0, grad, hess = f0[0], grad[:, 0], hess[..., 0]
+        f0, grad, hess = f0[0], grad[:, 0], None if hess is None else hess[..., 0]
     return Jet(f0, grad, hess)

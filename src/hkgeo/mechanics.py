@@ -207,11 +207,11 @@ def poisson_bracket(f, g, s):
     n = np.shape(s.q)[-1]
     jfs = [evaluate_jet(fi, coords, order=1) for fi in ([f] if callable(f) else f)]
     jg = evaluate_jet(g, coords, order=1)
-    out = []
+    dg, out = jg.gradient, []
     for jf in jfs:
-        acc = 0.0
+        df, acc = jf.gradient, 0.0
         for i in range(n):
-            acc += jf.gradient[i] * jg.gradient[n + i] - jf.gradient[n + i] * jg.gradient[i]
+            acc += df[i] * dg[n + i] - df[n + i] * dg[i]
         out.append(acc)
     if not callable(f):
         return np.array(out, dtype=float)

@@ -19,6 +19,9 @@ The others are second routes to what the package computes another way:
 * :func:`metric_from_potential`, the Hermitian metric of a Kaehler
   potential, for the stock fields of :mod:`hkgeo.kahler` and the
   potentials the hygiene check differentiates;
+* :class:`DenseJet` and :func:`dense_call`, jets that carry every
+  coordinate's derivatives through every rule, for the support-tracking
+  :class:`hkgeo.jets.Jet`, which must match them bit for bit;
 * :func:`square_jet`, a field's matrix and its derivatives packed point
   axis first and mirrored as a whole, for the point-last fill of
   :func:`hkgeo.fields._square_jet`;
@@ -34,7 +37,8 @@ import numpy as np
 from hkgeo.ddouble import DD
 from hkgeo.fields import mirror_triangle
 from hkgeo.geometry import _christoffel_from, _lowered_christoffel, _solve
-from hkgeo.jets import Jet, _batch_shape, call_field, evaluate_jet, fd_step, first_failure
+from hkgeo.jets import (Jet, _batch_shape, _coords, _outer, _zeros, call_field, evaluate_jet,
+                        fd_step, first_failure)
 
 #: Working digits of the oracle: well above the 31 of a double-double.
 DPS = 60
@@ -313,3 +317,79 @@ def square_jet(fn, p, sign, order):
     D2 = (full[..., dim + 1:, :, :].reshape(*batch, dim, dim, d, d)
           if order == 2 else None)
     return full[..., 0, :, :], D1, D2
+
+
+class DenseJet(Jet):
+    """A :class:`hkgeo.jets.Jet` whose gradient and Hessian always span every
+    coordinate, ``(d, ...)`` and ``(d, d, ...)``: the jet rules as they were
+    before jets tracked their support, so that every rule runs on all ``d``
+    rows, zero or not.
+
+    Only the rules that build a jet are written again here; the elementary
+    derivatives (the ``f, f', f''`` of ``sqrt``, ``sin``, ``cos``, powers,
+    reciprocals and ``atan2``) are the package's, which reach these through
+    ``_compose``, ``_compose2`` and ``_lift``.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def constant(cls, value, dim, order=2, like=None):
+        ref = value if like is None else like
+        return cls(value, _zeros((dim,), ref), _zeros((dim, dim), ref) if order == 2 else None)
+
+    @classmethod
+    def variable(cls, value, index, dim, order=2):
+        jet = cls.constant(value, dim, order)
+        jet.grad[index] = value * 0 + 1
+        return jet
+
+    def _lift(self, c):
+        return DenseJet.constant(c, self.dim, 1 if self.hess is None else 2, like=self.value)
+
+    def __add__(self, other):
+        if not isinstance(other, Jet):
+            return DenseJet(self.value + other, self.grad, self.hess)
+        hess = None if self.hess is None or other.hess is None else self.hess + other.hess
+        return DenseJet(self.value + other.value, self.grad + other.grad, hess)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DenseJet(-self.value, -self.grad, None if self.hess is None else -self.hess)
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            return DenseJet(self.value * other, self.grad * other,
+                            None if self.hess is None else self.hess * other)
+        ga, gb = self.grad, other.grad
+        hess = (None if self.hess is None or other.hess is None
+                else other.hess * self.value + self.hess * other.value
+                + _outer(ga, gb) + _outer(gb, ga))
+        return DenseJet(self.value * other.value, gb * self.value + ga * other.value, hess)
+
+    __rmul__ = __mul__
+
+    def _compose(self, f0, f1, f2):
+        g = self.grad
+        return DenseJet(f0, g * f1, None if self.hess is None
+                        else self.hess * f1 + _outer(g, g) * f2())
+
+    def _compose2(self, b, f0, fa, fb, second):
+        ga, gb = self.grad, b.grad
+        grad = ga * fa + gb * fb
+        if self.hess is None or b.hess is None:
+            return DenseJet(f0, grad)
+        faa, fab, fbb = second()
+        hess = (self.hess * fa + b.hess * fb
+                + _outer(ga, ga) * faa
+                + (_outer(ga, gb) + _outer(gb, ga)) * fab
+                + _outer(gb, gb) * fbb)
+        return DenseJet(f0, grad, hess)
+
+
+def dense_call(f, p, order):
+    """:func:`hkgeo.jets.call_field` of ``f`` at ``p`` on :class:`DenseJet` seeds of ``order``."""
+    coords = _coords(p)
+    with np.errstate(divide="raise", invalid="raise"):
+        return f([DenseJet.variable(x, i, len(coords), order) for i, x in enumerate(coords)])

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkgeo import geometry, jets, models
+from hkgeo.ddouble import DD
 from hkgeo.jets import (
     EvaluationError,
     Jet,
     StencilExclusionError,
+    call_field,
     evaluate_jet,
     fd_oracle,
     first_failure,
@@ -19,7 +21,7 @@ from hkgeo.jets import (
     worst_of,
 )
 
-from oracles import solve
+from oracles import DenseJet, dense_call, solve
 
 
 def test_variable_seeding():
@@ -202,6 +204,102 @@ def test_first_order_gradient_is_jet2_gradient():
             assert list(j1.gradient) == list(j2.gradient), spec.name
             n += 1
     assert n == 8 * len(models.scalar_fields(1.0))
+
+
+def _same_as_dense(got, want):
+    """``got``, a field's output on support-tracking jets, equals ``want``, the
+    same on :class:`oracles.DenseJet` seeds, entry by entry and bit for bit
+    (``np.array_equal`` on each part, both parts of a double-double)."""
+    if isinstance(want, (list, tuple)) or getattr(want, "dtype", None) == object:
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_as_dense(g, w)
+        return
+    assert isinstance(want, DenseJet) == (isinstance(got, Jet) and not isinstance(got, DenseJet))
+    parts = ([(got.value, want.value), (got.gradient, want.gradient),
+              (got.hessian, want.hessian)] if isinstance(want, Jet) else [(got, want)])
+    for g, w in parts:
+        if w is None or isinstance(w, DD):
+            assert (g is None) == (w is None) and isinstance(g, DD) == isinstance(w, DD)
+            pairs = [] if w is None else [(g.hi, w.hi), (g.lo, w.lo)]
+        else:
+            pairs = [(g, w)]
+        for a, b in pairs:
+            assert np.shape(a) == np.shape(b) and np.array_equal(a, b)
+
+
+def _support_cases():
+    """``(name, fn, box, exclusions)`` of every scalar field of the models, and
+    of every model's metric and forms (level sets and Cartesian pictures too)."""
+    cases = [(f"scalar {s.name}", s.fn, s.box, s.exclusions) for s in models.scalar_fields(1.0)]
+    for name in models.MODEL_NAMES:
+        m = models.build(name, 1.0)
+        for model in filter(None, (m, m.level, m.cartesian)):
+            for key, field in (("metric", model.metric), *model.forms.items()):
+                cases.append((f"{model.name} {key}", field.fn, model.box, model.exclusions))
+    return cases
+
+
+@pytest.mark.parametrize("name, fn, box, exclusions",
+                         [pytest.param(*case, id=case[0]) for case in _support_cases()])
+def test_support_jets_equal_dense_jets(name, fn, box, exclusions):
+    # the package's jets give every value, gradient and Hessian of the dense
+    # rules bit for bit: at one float point and on a float batch, at both
+    # orders, and on a double-double batch, where jets carry derivatives only
+    # along their support, for the rational fields (a double-double refuses
+    # the others with TypeError)
+    pts = models.sample_points(models.SampleSpec(
+        np.asarray(box, dtype=float), 4, 3, tuple(exclusions)))
+    points = [pts[0], pts]
+    try:
+        call_field(fn, DD(pts, 0.0 * pts))
+        points.append(DD(pts, pts * 1e-17))
+    except TypeError:
+        assert name != "toy-reduced metric"
+    for p in points:
+        for order in (1, 2):
+            _same_as_dense(call_field(fn, p, order), dense_call(fn, p, order))
+
+
+@pytest.mark.parametrize("kind", ["float point", "float batch", "double-double batch"])
+def test_support_jets_equal_dense_jets_on_mixed_operands(kind):
+    # seeds of support (i,) at mixed orders, and a constant of support (),
+    # through every rule (sqrt and atan2 only in float64, which has them):
+    # operands of differing supports are widened to their union
+    p = np.array([[0.7, -1.3, 0.4], [1.1, 0.5, -0.6], [0.9, 1.7, 0.3]])
+    coords = list(p.T) if kind != "float point" else list(p[0])
+    if kind == "double-double batch":
+        coords = [DD(x, x * 1e-17) for x in coords]
+
+    def seed(J, i, order):
+        x = coords[i]
+        if J is DenseJet:
+            return DenseJet.variable(x, i, 3, order)
+        jet = Jet(x, jets._zeros((1,), x), jets._zeros((1, 1), x) if order == 2 else None,
+                  (i,), 3)
+        jet.grad[0] = x * 0 + 1
+        return jet
+
+    def constant(J, v):
+        if J is DenseJet:
+            return DenseJet.constant(v, 3, like=coords[0])
+        return Jet(v, jets._zeros((0,), coords[0]), jets._zeros((0, 0), coords[0]), (), 3)
+
+    def expressions(J):
+        x, y, z = seed(J, 0, 1), seed(J, 1, 2), seed(J, 2, 2)
+        c = constant(J, coords[1] * 0 + 1.5)
+        w = z * z - c
+        out = [x * z, z + x, z / x, w * y, c * c, c + z, -c + x, y - w, 2.0 / w,
+               (z * c) ** 3, z ** 0 + y, x * z + y * y]
+        if kind != "double-double batch":
+            out += [jets.sqrt(w * w + 1.0), jets.atan2(x, z), jets.atan2(c, z),
+                    jets.atan2(z, 2.0), jets.atan2(w, y * y)]
+        return out
+
+    got = expressions(Jet)
+    _same_as_dense(got, expressions(DenseJet))
+    assert {j.support for j in got} >= {(), (0,), (2,), (0, 2), (1, 2), (0, 1, 2)}
+    assert {j.hess is None for j in got} == {False, True}
 
 
 def test_worst_of_keeps_nan():

@@ -531,6 +531,30 @@ def test_substitution_runs_point_axes_last(monkeypatch, argv):
     assert any(len(batch) and batch[-1] > 1 for batch in seen)
 
 
+def test_double_double_jets_carry_only_the_radius(monkeypatch):
+    # the toy quotient's sphere metric depends on r alone, so every jet its
+    # double-double curvature makes carries r's derivatives or none; the
+    # angle's seed, which the metric never reads, is the one exception
+    made, seeds = [], []
+    init, variable = jets.Jet.__init__, jets.Jet.variable
+
+    def recorded(jet, *args):
+        init(jet, *args)
+        made.append(jet)
+
+    def seed(cls, *args):
+        jet = variable(*args)
+        seeds.append(jet)
+        return jet
+
+    monkeypatch.setattr(jets.Jet, "__init__", recorded)
+    monkeypatch.setattr(jets.Jet, "variable", classmethod(seed))
+    assert cli.main(["curvature-profile", "--a", "1.3", "--rmax", "0.04", "--steps", "50"]) == 0
+    rules = [j for j in made if isinstance(j.value, DD) and not any(j is s for s in seeds)]
+    assert len(rules) > 3 and {j.support for j in rules} <= {(0,), ()}
+    assert sorted(s.support for s in seeds if isinstance(s.value, DD)) == [(0,), (1,)]
+
+
 def test_a_run_computes_each_quantity_once(monkeypatch):
     # one construction per (name, a), one connection per metric and point
     # set, one Jacobian per map and point set, and no singular values (the
@@ -694,7 +718,7 @@ def _code_lines(path):
 
 #: The most code lines ``src/`` may have.  Lower it when the package shrinks;
 #: raising it is a change that shows in the diff.
-CODE_LINE_CEILING = 2299
+CODE_LINE_CEILING = 2346
 
 
 def test_src_code_lines():
