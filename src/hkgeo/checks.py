@@ -5,9 +5,13 @@
 id starts with its name, and ``all`` is every row.  Every check draws its
 own random stream from ``(run seed, crc32(check id))``, so the report for a
 fixed seed is bit-stable no matter which subset of checks runs or in what
-order.  A measure returns only its worst absolute error and its sample
-count; "expected failure" checks (negative controls) report error 0 when
-the failure is correctly detected and 1 when it is not.  A check that
+order.  A measure returns one array of errors whose first axis has one
+entry per sampled item (a point, a matrix, a radius, a value of ``a``, a
+model) and whose other axes are components; :func:`run_suite` alone reduces
+it, to ``max |errors|`` (NaN if any entry is NaN, so a NaN fails its row)
+over ``len(errors)`` samples.  "Expected failure" checks (negative
+controls) report error 0 when the failure is correctly detected and 1 when
+it is not.  A check that
 raises is reported as a failed row carrying the exception, and the run
 goes on.  Within a run :func:`~hkgeo.models.build` builds each model
 once per ``(name, a)`` and hands the same :class:`~hkgeo.models.Model` to
@@ -26,7 +30,7 @@ import numpy as np
 from . import fields, geometry, kahler, mechanics, models, reduction
 from ._record import Frozen
 from ._version import __version__
-from .jets import evaluate_jet, fd_oracle, worst_of
+from .jets import evaluate_jet, fd_oracle
 from .sampling import SampleSpec, sample_points
 
 __all__ = [
@@ -132,22 +136,26 @@ class CheckContext(Frozen):
         return int(rng.integers(2 ** 31))
 
 
-def _worst(got, want=0.0):
-    """Largest ``|got - want|`` over a batch, as a float; NaN if any entry is NaN.
+def _side_by_side(*parts):
+    """Quantities at the same items, as one ``(items, components)`` array."""
+    return np.concatenate([np.reshape(p, (len(p), -1)) for p in parts], axis=1)
 
-    ``np.max`` keeps NaN, so a NaN anywhere in the batch fails its check.
-    """
-    return float(np.max(np.abs(got - want)))
+
+def _one_after_another(*blocks):
+    """Blocks of different items, one after another, each item reduced to its
+    largest absolute component (NaN if any is NaN)."""
+    return np.concatenate([np.max(np.abs(np.reshape(b, (len(b), -1))), axis=1)
+                           for b in blocks])
 
 
 def _rejected(exc_type, call):
-    """A negative control's ``(error, samples)``: error 0 when ``call()``
-    raises ``exc_type`` (the defect is detected), 1 when it returns."""
+    """A negative control's one item: 0 when ``call()`` raises ``exc_type``
+    (the defect is detected), 1 when it returns."""
     try:
         call()
     except exc_type:
-        return 0.0, 1
-    return 1.0, 1
+        return np.zeros(1)
+    return np.ones(1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +172,17 @@ def _coset_matrices(rng, n, count):
 
 
 def check_coset_constant(ctx, rng, n):
-    count = max(ctx.samples, 100)
-    C = kahler.heavenly_check(_coset_matrices(rng, n, count), kahler.symplectic_matrix(n))
-    return _worst(C, 1.0), count
+    return kahler.heavenly_check(_coset_matrices(rng, n, max(ctx.samples, 100)),
+                                 kahler.symplectic_matrix(n)) - 1.0
 
 
 def check_det_equality(ctx, rng):
     om = kahler.symplectic_matrix(2)
-    count = max(ctx.samples, 100)
-    coset = _coset_matrices(rng, 2, count)
+    coset = _coset_matrices(rng, 2, max(ctx.samples, 100))
     pts = sample_points(SampleSpec(_KBOX, 20, ctx.subseed(rng)))
     shear = kahler.unit_determinant_shear_field().matrix(pts)
-    worst = worst_of(*(_worst(kahler.heavenly_check(h, om), np.real(np.linalg.det(h)))
-                       for h in (coset, shear)))
-    return worst, count + 20
+    return _one_after_another(*(kahler.heavenly_check(h, om) - np.real(np.linalg.det(h))
+                                for h in (coset, shear)))
 
 
 def check_negative_control(ctx, rng):
@@ -192,8 +197,7 @@ def check_quaternion_triple(ctx, rng):
     pts = sample_points(SampleSpec(_KBOX, 20, ctx.subseed(rng)))
     triples.append(kahler.triple_at(kahler.unit_determinant_shear_field(),
                                     kahler.symplectic_matrix(2), pts))
-    worst = worst_of(*(_worst(kahler.quaternion_residual(t)) for t in triples))
-    return worst, sum(len(t.g) for t in triples)
+    return _one_after_another(*map(kahler.quaternion_residual, triples))
 
 
 def check_covariant_constancy(ctx, rng):
@@ -201,21 +205,21 @@ def check_covariant_constancy(ctx, rng):
     fJ, fK = kahler.quaternion_form_fields(shear, kahler.symplectic_matrix(2))
     pts = sample_points(SampleSpec(_KBOX, max(10, ctx.samples // 5), ctx.subseed(rng)))
     dJ, dK = geometry.covariant_derivative_02(shear.real_metric(), [fJ, fK], pts)
-    return worst_of(_worst(dJ + 1j * dK), _worst(dJ - 1j * dK)), len(pts)
+    return _side_by_side(dJ + 1j * dK, dJ - 1j * dK)
 
 
 def check_covariant_negative_control(ctx, rng):
     ctrl = kahler.non_unimodular_field()
     fJ, _ = kahler.quaternion_form_fields(ctrl, kahler.symplectic_matrix(2))
     pts = sample_points(SampleSpec(_KBOX, 10, ctx.subseed(rng)))
-    dev = _worst(geometry.covariant_derivative_02(ctrl.real_metric(), fJ, pts))
-    return (0.0 if dev > 1e-3 else 1.0), 10
+    dev = np.max(np.abs(geometry.covariant_derivative_02(ctrl.real_metric(), fJ, pts)))
+    return np.full(len(pts), 0.0 if dev > 1e-3 else 1.0)
 
 
 def check_sp_algebra(ctx, rng):
     pts = sample_points(SampleSpec(_KBOX, max(10, ctx.samples // 5), ctx.subseed(rng)))
     X = kahler.x_matrices(kahler.unit_determinant_shear_field(), pts)
-    return _worst(kahler.sp_residual(X, kahler.symplectic_matrix(2))), len(pts)
+    return kahler.sp_residual(X, kahler.symplectic_matrix(2))
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +241,14 @@ def check_level_pullback(ctx, rng, name):
     m = models.build(name, ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     got = reduction.pullback_metric(m.metric, m.embeddings["level"], pts)
-    return _worst(got, m.level.metric.value(pts)), len(pts)
+    return got - m.level.metric.value(pts)
 
 
 def check_quotient_metric(ctx, rng, name, target):
     """The quotient metric against ``target(m, pts)``."""
     m = models.build(name, ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
-    return _worst(_level_quotient(m, pts), target(m, pts)), len(pts)
+    return _level_quotient(m, pts) - target(m, pts)
 
 
 def check_quotient_forms(ctx, rng, name, target):
@@ -253,9 +257,9 @@ def check_quotient_forms(ctx, rng, name, target):
     m = models.build(name, ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     pulled = reduction.pullback_form(list(m.forms.values()), m.embeddings["level"], pts)
-    return worst_of(*(
-        _worst(reduction.quotient_form(w, m.fiber_index, m.invariant, pts), want)
-        for w, want in zip(pulled, target(m, pts)))), len(pts)
+    return _side_by_side(*(
+        reduction.quotient_form(w, m.fiber_index, m.invariant, pts) - want
+        for w, want in zip(pulled, target(m, pts))))
 
 
 def check_hamiltonian_equivalence(ctx, rng, name, count, probes):
@@ -265,14 +269,13 @@ def check_hamiltonian_equivalence(ctx, rng, name, count, probes):
     pts = m.level.sample(count, ctx.subseed(rng))
     g2 = mechanics.constrain_and_reduce(m.level.metric, m.fiber_index,
                                         probe_points=pts[:probes])
-    got = g2.value(pts[:, m.invariant])
-    return _worst(got, _level_quotient(m, pts)), len(pts)
+    return g2.value(pts[:, m.invariant]) - _level_quotient(m, pts)
 
 
 def check_cyclic_brackets(ctx, rng, names, count):
     """The declared cyclic momenta Poisson-commute with the level-set
     Hamiltonian of each model in ``names``, at ``count`` points each."""
-    errors, n_pts = [], 0
+    brackets = []
     for name in names:
         m = models.build(name, ctx.a)
         H = mechanics.hamiltonian_field(m.level.metric)
@@ -280,9 +283,8 @@ def check_cyclic_brackets(ctx, rng, names, count):
         # one draw of (B, dim) is the stream of B draws of dim
         s = mechanics.PhasePoint(pts, rng.normal(size=pts.shape))
         pfs = [mechanics.momentum_field(c, m.level.chart.dim) for c in m.level.cyclic]
-        errors.append(_worst(mechanics.poisson_bracket(pfs, H, s)))
-        n_pts += len(pts)
-    return worst_of(*errors), n_pts
+        brackets.append(mechanics.poisson_bracket(pfs, H, s).T)  # (k, B) -> (B, k)
+    return _one_after_another(*brackets)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +297,7 @@ def check_toy_contraction(ctx, rng):
     got = reduction.contract(m.forms["omega"], m.killing["shift"], pts)
     want = np.zeros_like(pts)
     want[:, 0], want[:, 2] = pts[:, 0], m.a
-    return _worst(got, want), len(pts)
+    return got - want
 
 
 def check_toy_killing(ctx, rng):
@@ -303,8 +305,8 @@ def check_toy_killing(ctx, rng):
     V = m.killing["shift"]
     pts = m.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
     alpha = reduction.contraction_field(m.forms["omega"], V)
-    return worst_of(_worst(geometry.killing_deviation(m.metric, V, pts)),
-                    _worst(reduction.exterior_derivative(alpha, pts))), len(pts)
+    return _side_by_side(geometry.killing_deviation(m.metric, V, pts),
+                         reduction.exterior_derivative(alpha, pts))
 
 
 def check_toy_moment(ctx, rng):
@@ -314,7 +316,7 @@ def check_toy_moment(ctx, rng):
     mu = m.targets["moment_map"]
     pts = m.sample(ctx.samples, ctx.subseed(rng))
     got = reduction.recover_moment_map(alpha, base, pts, base_value=mu(base))
-    return _worst(got, mu(pts.T)), len(pts)
+    return got - mu(pts.T)
 
 
 def check_toy_complex_structure(ctx, rng):
@@ -324,27 +326,24 @@ def check_toy_complex_structure(ctx, rng):
     I = reduction.complex_structure(gv, red.forms["omega"].value(pts))
     dW = geometry.covariant_derivative_02(red.metric, red.forms["omega"], pts)
     dI = reduction.raise_first_index(gv, dW)
-    return worst_of(_worst(I @ I, -np.eye(2)), _worst(dI)), len(pts)
+    return _side_by_side(I @ I + np.eye(2), dI)
 
 
 def check_toy_curvature(ctx, rng):
-    worst = 0.0
+    sweep = []
     for a in A_SWEEP:
         red = models.build("toy-reduced", a)
         rs = np.concatenate([[1e-6, 1e-4, 1e-2],
                              rng.uniform(0.05, 10.0, size=10), [10.0]])
         got = geometry.curvature_at_radii(red.metric, rs)
-        worst = worst_of(worst, _worst(got, [red.targets["curvature"](r) for r in rs]))
-    return worst, len(A_SWEEP) * len(rs)
+        sweep.append(got - np.array([red.targets["curvature"](r) for r in rs]))
+    return _one_after_another(*sweep)
 
 
 def check_toy_euler(ctx, rng):
-    worst = 0.0
-    for a in A_SWEEP:
-        red = models.build("toy-reduced", a)
-        val, quad_err = geometry.euler_characteristic(red.metric, r_scale=a)
-        worst = worst_of(worst, abs(val - 2.0) + quad_err)
-    return worst, len(A_SWEEP)
+    euler = [geometry.euler_characteristic(models.build("toy-reduced", a).metric, r_scale=a)
+             for a in A_SWEEP]
+    return np.array([abs(val - 2.0) + quad_err for val, quad_err in euler])
 
 
 # ---------------------------------------------------------------------------
@@ -355,15 +354,14 @@ def check_tn_radius(ctx, rng):
     gh = models.build("gh-flat", ctx.a)
     pts = gh.cartesian.sample(ctx.samples, ctx.subseed(rng))
     x = gh.embeddings["to_monopole"].value(pts)
-    r = np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2)
-    return _worst(r, gh.targets["radius"](pts)), len(pts)
+    return np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2) - gh.targets["radius"](pts)
 
 
 def check_tn_gh_metric(ctx, rng):
     gh = models.build("gh-flat", ctx.a)
     pts = gh.cartesian.sample(ctx.samples, ctx.subseed(rng))
     got = reduction.pullback_metric(gh.metric, gh.embeddings["to_monopole"], pts)
-    return _worst(got, np.eye(4)), len(pts)
+    return got - np.eye(4)
 
 
 def check_tn_gh_triple(ctx, rng):
@@ -371,8 +369,7 @@ def check_tn_gh_triple(ctx, rng):
     pts = gh.sample(ctx.samples, ctx.subseed(rng))
     pulled = reduction.pullback_form([gh.cartesian.forms[k] for k in gh.forms],
                                      gh.embeddings["to_cartesian"], pts)
-    worst = worst_of(*map(_worst, pulled, [f.value(pts) for f in gh.forms.values()]))
-    return worst, len(pts)
+    return _side_by_side(*(w - f.value(pts) for w, f in zip(pulled, gh.forms.values())))
 
 
 def check_tn_curl(ctx, rng):
@@ -384,58 +381,49 @@ def check_tn_curl(ctx, rng):
                     pts, order=1).gradient for m in range(2)]
     curl = np.stack([-dA[1][2], dA[0][2], dA[1][0] - dA[0][1]], axis=-1)
     want = [models.MONOPOLE_CURL_SIGN * x / float(np.linalg.norm(x)) ** 3 for x in pts]
-    return _worst(curl, np.array(want)), len(pts)
+    return curl - np.array(want)
 
 
 def check_tn_moment_gradients(ctx, rng):
     cart = models.build("r8-parent", ctx.a).cartesian
     pts = cart.sample(ctx.samples, ctx.subseed(rng))
     G = cart.killing["G"].value(pts)  # one evaluation serves the three forms
-    worst = worst_of(*(
-        _worst(reduction.contract(cart.forms[f"omega_{k}"], G, pts),
-               evaluate_jet(cart.targets[f"mu_{k}"], pts, order=1).gradient.T)
+    return _side_by_side(*(
+        reduction.contract(cart.forms[f"omega_{k}"], G, pts)
+        - evaluate_jet(cart.targets[f"mu_{k}"], pts, order=1).gradient.T  # (d, B) -> (B, d)
         for k in "IJK"))
-    return worst, len(pts)
 
 
 def check_tn_level_moments(ctx, rng):
     m = models.build("r8-parent", ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     P = m.embeddings["level"].value(pts).T  # one coordinate array per component
-    worst = worst_of(*(_worst(m.targets[mk](P)) for mk in ("mu_I", "mu_J", "mu_K")))
-    return worst, len(pts)
+    return _side_by_side(*(m.targets[mk](P) for mk in ("mu_I", "mu_J", "mu_K")))
 
 
 def check_tn_killing(ctx, rng):
     m = models.build("r8-parent", ctx.a)
-    pts = m.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
-    dev = geometry.killing_deviation(m.metric, m.killing["G"], pts)
-    cart = m.cartesian
-    cpts = cart.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
-    cdev = geometry.killing_deviation(cart.metric, cart.killing["G"], cpts)
-    return worst_of(_worst(dev), _worst(cdev)), len(pts) + len(cpts)
+    return _one_after_another(*(  # the 8-chart, then its Cartesian picture
+        geometry.killing_deviation(c.metric, c.killing["G"],
+                                   c.sample(max(10, ctx.samples // 5), ctx.subseed(rng)))
+        for c in (m, m.cartesian)))
 
 
 def check_tn_triple_closed(ctx, rng):
     tn = models.build("taub-nut", ctx.a)
     pts = tn.sample(max(10, ctx.samples // 5), ctx.subseed(rng))
-    return worst_of(*(_worst(reduction.exterior_derivative(f, pts))
-                      for f in tn.forms.values())), len(pts)
+    return _side_by_side(*(reduction.exterior_derivative(f, pts) for f in tn.forms.values()))
 
 
 def check_tn_hyperkahler(ctx, rng):
     tn = models.build("taub-nut", ctx.a)
     pts = tn.sample(ctx.samples, ctx.subseed(rng))
     forms = list(tn.forms.values())
-    # the derivatives first, each reduced to its worst error before the
-    # structures are formed, so their arrays are not alive at once
-    nabla = [_worst(d) for d in geometry.covariant_derivative_02(tn.metric, forms, pts)]
+    nabla = geometry.covariant_derivative_02(tn.metric, forms, pts)
     eye, gv = np.eye(4), tn.metric.value(pts)
     I, J, K = (reduction.complex_structure(gv, f.value(pts)) for f in forms)
-    worst = worst_of(
-        _worst(I @ I, -eye), _worst(J @ J, -eye), _worst(K @ K, -eye),
-        _worst(I @ J, K), _worst(J @ K, I), _worst(K @ I, J), *nabla)
-    return worst, len(pts)
+    return _side_by_side(I @ I + eye, J @ J + eye, K @ K + eye,
+                         I @ J - K, J @ K - I, K @ I - J, *nabla)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +437,7 @@ def check_mech_roundtrip(ctx, rng):
         d = int(rng.integers(2, 5))
         A = rng.normal(size=(d, d))
         draws.setdefault(d, []).append((A, rng.uniform(-0.7, 0.7, size=d)))
-    errors = []
+    blocks = []
     for d, pairs in draws.items():
         A, u = map(np.array, zip(*pairs))
         Q, _ = np.linalg.qr(A)  # one stacked factorisation per dimension
@@ -459,8 +447,8 @@ def check_mech_roundtrip(ctx, rng):
         g = fields.MetricField(fields.Chart(tuple(f"q{i}" for i in range(d))),
                                lambda c, S=np.moveaxis(Ms, 0, -1): S)
         Minv = mechanics.legendre_to_hamiltonian(g, np.zeros((len(Ms), d)))
-        errors.append(_worst(geometry._solve(Minv, np.eye(d)), Ms))
-    return worst_of(*errors), count
+        blocks.append(geometry._solve(Minv, np.eye(d)) - Ms)
+    return _one_after_another(*blocks)
 
 
 def check_mech_toy_matrix(ctx, rng):
@@ -474,14 +462,15 @@ def check_mech_toy_matrix(ctx, rng):
     want[:, 1, 1] = 1.0 / a ** 2
     want[:, 1, 2] = want[:, 2, 1] = -1.0 / a ** 2
     want[:, 2, 2] = (1.0 + r2 / a ** 2) / r2
-    return _worst(Minv, want), len(pts)
+    return Minv - want
 
 
 def check_mech_equivalence(ctx, rng):
-    return worst_of(
-        check_hamiltonian_equivalence(ctx, rng, "toy-parent", ctx.samples, 3)[0],
+    # one item per model, its largest error over all its points
+    return _one_after_another(
+        check_hamiltonian_equivalence(ctx, rng, "toy-parent", ctx.samples, 3)[None],
         check_hamiltonian_equivalence(ctx, rng, "r8-parent",
-                                      max(10, ctx.samples // 2), 2)[0]), 2
+                                      max(10, ctx.samples // 2), 2)[None])
 
 
 def check_mech_singular(ctx, rng):
@@ -495,26 +484,27 @@ def check_mech_singular(ctx, rng):
 
 
 def check_hygiene_jets_vs_fd(ctx, rng):
-    worst_g = worst_h = 0.0
-    n = 0
+    blocks = []
     for spec in models.scalar_fields(ctx.a):
         pts = sample_points(SampleSpec(spec.box, 8, ctx.subseed(rng), spec.exclusions))
         jet = evaluate_jet(spec.fn, pts)
         ora = fd_oracle(spec.fn, pts, exclusions=spec.exclusions)
-        worst_g = worst_of(worst_g, _worst(jet.gradient, ora.gradient))
-        worst_h = worst_of(worst_h, _worst(jet.hessian, ora.hessian))
-        n += len(pts)
-    # gradients judged at 1e-6, second derivatives at 1e-4; scale the latter
-    # so a single worst-error number respects both
-    return worst_of(worst_g, worst_h * (1e-6 / 1e-4)), n
+        # gradients judged at 1e-6, second derivatives at 1e-4; scale the
+        # latter so a single worst-error number respects both.  Both come
+        # point axis last: (d, B) and (d, d, B).
+        blocks.append(_side_by_side(
+            (jet.gradient - ora.gradient).T,
+            np.moveaxis(jet.hessian - ora.hessian, -1, 0) * (1e-6 / 1e-4)))
+    return _one_after_another(*blocks)
 
 
 # ---------------------------------------------------------------------------
 # the claims
 
 #: ``(check_id, tolerance, description, measure)`` of every check, in the
-#: order ``all`` runs them.  ``measure(ctx, rng)`` returns the worst error and
-#: the sample count; ``{samples}`` in a description is that count.
+#: order ``all`` runs them.  ``measure(ctx, rng)`` returns its errors, one
+#: entry of the first axis per sampled item; ``{samples}`` in a description
+#: is the number of items.
 CLAIMS = [
     ("heavenly.coset_constant_n2", 1e-10,
      "unit-determinant condition h Om h^T = C Om with C = 1 on {samples} "
@@ -666,7 +656,8 @@ def run_suite(suite, seed=0, samples=50, a=1.0):
             t0 = time.perf_counter()
             error = None
             try:
-                err, n = measure(ctx, rng)
+                errors = measure(ctx, rng)
+                err, n = float(np.max(np.abs(errors))), len(errors)
             except Exception as exc:  # one crashing check must not end the run
                 err, n = math.nan, 0
                 error = f"{type(exc).__name__}: {exc}"

@@ -106,7 +106,6 @@ __all__ = [
     "fd_oracle",
     "fd_step",
     "first_failure",
-    "worst_of",
     "sqrt",
     "sin",
     "cos",
@@ -445,22 +444,6 @@ def atan2(y, x):
 
 
 # -- evaluation entry points ---------------------------------------------
-
-
-def worst_of(*errors):
-    """Largest of ``errors``; NaN if any of them is NaN.
-
-    The built-in ``max`` keeps its running value when compared with NaN
-    (every comparison with NaN is false), so a NaN error would vanish from
-    an accumulation ``worst = max(worst, err)`` and its check could pass.
-    Every error accumulation of the package goes through this instead, and
-    a NaN that reaches ``err <= tol`` fails it.  Reduce a batch of errors
-    with ``np.max`` (which keeps NaN) before handing it over.
-    """
-    for e in errors:
-        if np.isnan(e):
-            return np.nan
-    return max(errors)
 
 
 def first_failure(ok, p=None):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from scipy import integrate
 
-from hkgeo import checks, geometry, kahler, models, reduction
+from hkgeo import checks, geometry, kahler, mechanics, models, reduction
 from hkgeo.ddouble import DD, DIGITS
 from hkgeo.fields import Chart, MetricField
 from hkgeo.geometry import DivergenceError, MetricDomainError
@@ -430,6 +430,15 @@ def test_non_cancelling_fiber_names_the_point():
         reduction.quotient_form(W, 1, (0, 2), pts)
 
 
+def _only_row(monkeypatch, check_id, **kwargs):
+    """The report row of ``check_id`` run as a suite of its own."""
+    suite = check_id.split(".")[0]
+    row = next(r for r in checks.CLAIMS if r[0] == check_id)
+    monkeypatch.setitem(checks.SUITES, suite, [row])
+    (report,) = checks.run_suite(suite, **kwargs).checks
+    return report
+
+
 def test_one_nan_point_in_a_batch_fails_its_row(monkeypatch):
     real = reduction.quotient_metric
 
@@ -439,12 +448,70 @@ def test_one_nan_point_in_a_batch_fails_its_row(monkeypatch):
         return out
 
     monkeypatch.setattr(reduction, "quotient_metric", nan_at_point_3)
-    row = next(r for r in checks.CLAIMS if r[0] == "taubnut.quotient_metric")
-    monkeypatch.setitem(checks.SUITES, "taubnut", [row])
-    (row,) = checks.run_suite("taubnut", seed=1, samples=6).checks
+    row = _only_row(monkeypatch, "taubnut.quotient_metric", seed=1, samples=6)
     assert np.isnan(row.max_abs_error)
     assert row.passed is False
-    assert np.isnan(checks._worst(np.array([0.0, np.nan, 2.0]), 1.0))
+
+
+def test_one_nan_component_of_a_joined_row_fails_it(monkeypatch):
+    # the hygiene row puts gradient and Hessian errors of each field side by
+    # side; a NaN in one Hessian entry at one point of one field fails it
+    real, calls = checks.fd_oracle, []
+
+    def nan_in_one_entry(*args, **kwargs):
+        jet = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            jet = Jet(jet.value, jet.gradient, jet.hessian.copy())
+            jet.hessian[1, 0, 5] = np.nan
+        return jet
+
+    monkeypatch.setattr(checks, "fd_oracle", nan_in_one_entry)
+    row = _only_row(monkeypatch, "hygiene.jets_vs_finite_differences", seed=1, samples=4)
+    assert len(calls) > 2
+    assert np.isnan(row.max_abs_error)
+    assert row.passed is False
+    assert row.samples == 8 * len(calls)
+
+
+def test_one_nan_block_of_a_joined_row_fails_it(monkeypatch):
+    # taubnut.killing puts its two charts one after another; a NaN in the
+    # second chart's deviations fails the row and keeps both charts' samples
+    real, calls = geometry.killing_deviation, []
+
+    def nan_in_second_chart(*args):
+        out = real(*args)
+        calls.append(len(out))
+        if len(calls) == 2:
+            out = out.copy()
+            out[2, 1, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(geometry, "killing_deviation", nan_in_second_chart)
+    row = _only_row(monkeypatch, "taubnut.killing", seed=1, samples=50)
+    assert calls == [10, 10]
+    assert np.isnan(row.max_abs_error)
+    assert row.passed is False
+    assert row.samples == 20
+
+
+@pytest.mark.parametrize("check_id, module, name, defect", [
+    ("heavenly.negative_control", kahler, "heavenly_check",
+     lambda real: lambda h, om: np.ones(np.shape(h)[:-2])),
+    ("heavenly.covariant_negative_control", geometry, "covariant_derivative_02",
+     lambda real: lambda *args: np.zeros_like(real(*args))),
+    ("mechanics.singular_mass_rejected", mechanics, "legendre_to_hamiltonian",
+     lambda real: lambda *args: None),
+])
+def test_negative_control_fails_when_its_detection_is_patched_out(
+        monkeypatch, check_id, module, name, defect):
+    before = _only_row(monkeypatch, check_id, seed=0, samples=50)
+    monkeypatch.setattr(module, name, defect(getattr(module, name)))
+    after = _only_row(monkeypatch, check_id, seed=0, samples=50)
+    assert (before.passed, before.max_abs_error) == (True, 0.0)
+    assert (after.passed, after.max_abs_error) == (False, 1.0)
+    assert after.samples == before.samples == (
+        10 if check_id == "heavenly.covariant_negative_control" else 1)
 
 
 def test_closed_form_targets_batch_equal_single():

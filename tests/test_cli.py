@@ -120,7 +120,7 @@ def test_passing_suite_exits_0(capsys):
 
 def test_failing_check_exits_1(monkeypatch, capsys):
     forced = [("mechanics.forced_failure", 0.0, "forced failure",
-               lambda ctx, rng: (1.0, 1))]
+               lambda ctx, rng: np.ones(1))]
     monkeypatch.setitem(checks.SUITES, "mechanics", forced)
     assert run(["verify", "mechanics"]) == 1
     assert "[FAIL] mechanics.forced_failure" in capsys.readouterr().out

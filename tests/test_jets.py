@@ -18,7 +18,6 @@ from hkgeo.jets import (
     fd_oracle,
     first_failure,
     fd_step,
-    worst_of,
 )
 
 from oracles import DenseJet, dense_call, solve
@@ -300,13 +299,6 @@ def test_support_jets_equal_dense_jets_on_mixed_operands(kind):
     _same_as_dense(got, expressions(DenseJet))
     assert {j.support for j in got} >= {(), (0,), (2,), (0, 2), (1, 2), (0, 1, 2)}
     assert {j.hess is None for j in got} == {False, True}
-
-
-def test_worst_of_keeps_nan():
-    assert max(0.0, math.nan) == 0.0  # what the built-in does
-    assert worst_of(0.0, 2.0, 1.0) == 2.0
-    for errors in ((0.0, math.nan), (math.nan, 1.0), (0.0, 1.0, math.nan)):
-        assert math.isnan(worst_of(*errors))
 
 
 def test_fd_step_scales_with_coordinate():

@@ -27,7 +27,8 @@ Jacobian asked twice at the same points, and no model built outside
 ``models.build``.
 Each reduction stage is one check of ``checks.py``, run on both reduction
 models.  Each acceptance claim is one row of ``checks.CLAIMS``, whose
-measures return only an error and a sample count; a level set or a
+measures return only an array of per-item errors, which ``run_suite``
+alone reduces to a worst error and a sample count; a level set or a
 Cartesian picture is a ``Model`` of its own.  Every module but ``checks``
 lists its public functions and classes in ``__all__``.  ``src/`` stays
 under a code-line ceiling, so growth shows in the diff, and every
@@ -662,10 +663,11 @@ def test_every_suite_row_is_a_claims_row():
 
 
 def test_no_check_states_a_tolerance_or_a_description():
-    # a measure returns (worst error, samples) and takes no claim text: each
-    # tolerance and description is stated once, in its row of CLAIMS.  Walks
-    # the top-level functions and assignments (the lambdas of CLAIMS), not the
-    # records' methods.
+    # a measure returns one array of per-item errors, never a tuple (no worst
+    # error, sample count or claim text of its own), and takes no claim text:
+    # each tolerance and description is stated once, in its row of CLAIMS.
+    # Walks the top-level functions and assignments (the lambdas of CLAIMS),
+    # not the records' methods.
     tree = ast.parse((SRC / "checks.py").read_text())
     found = []
     for top in tree.body:
@@ -678,11 +680,7 @@ def test_no_check_states_a_tolerance_or_a_description():
                           for name in params & {"tol", "tolerance", "description"}]
             value = (node.value if isinstance(node, ast.Return)
                      else node.body if isinstance(node, ast.Lambda) else None)
-            if isinstance(value, ast.Tuple) and (
-                    len(value.elts) != 2
-                    or any(isinstance(e, ast.JoinedStr)
-                           or isinstance(e, ast.Constant) and isinstance(e.value, str)
-                           for e in value.elts)):
+            if isinstance(value, ast.Tuple):
                 found.append(f"line {node.lineno}: returns {ast.unparse(value)}")
     assert found == []
 
@@ -718,7 +716,7 @@ def _code_lines(path):
 
 #: The most code lines ``src/`` may have.  Lower it when the package shrinks;
 #: raising it is a change that shows in the diff.
-CODE_LINE_CEILING = 2346
+CODE_LINE_CEILING = 2325
 
 
 def test_src_code_lines():
