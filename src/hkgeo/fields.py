@@ -22,8 +22,6 @@ __all__ = [
     "FormField",
     "VectorFieldR",
     "EmbeddingMap",
-    "constant_form",
-    "mirror_triangle",
 ]
 
 
@@ -43,26 +41,6 @@ class Chart(Frozen):
         return "(" + ", ".join(self.names) + ")"
 
 
-def mirror_triangle(a, sign=1):
-    """Full square matrix from the upper triangle of ``a``.
-
-    The last two axes of ``a`` (an array or a nested sequence) index the
-    matrix; leading axes, such as derivative slots, are carried along.
-    ``sign=+1`` mirrors the upper triangle onto the lower one (symmetric);
-    ``sign=-1`` mirrors it with the opposite sign and puts zeros on the
-    diagonal (antisymmetric).  Entries below the diagonal, and on it when
-    ``sign=-1``, are never read, so they may be ``None``.  Entries are
-    moved, not recomputed, except for the negations of the antisymmetric
-    mirror, so floats and jets come through unchanged.
-    """
-    a = np.asarray(a)
-    upper = np.triu(np.ones(a.shape[-2:], dtype=bool), 0 if sign > 0 else 1)
-    if sign > 0:
-        return np.where(upper, a, np.swapaxes(a, -1, -2))
-    strict = np.where(upper, a, 0.0)
-    return np.where(upper.T, -np.swapaxes(strict, -1, -2), strict)
-
-
 def _triangle(raw, sign):
     """``(M, N, entry)`` over the triangle of ``raw`` that a mirror reads."""
     d = len(raw)
@@ -80,13 +58,11 @@ def _square_jet(fn, p, sign, order):
     The triangle is lifted to jets of that order and packed into one array
     ``(1 + derivative slots, d, d, *batch)``, point axis last as a jet
     carries it: each entry is written to ``[M, N]`` and ``[N, M]`` (negated
-    for ``sign=-1``; that diagonal stays zero), as :func:`mirror_triangle`
-    would fill it.  A jet entry writes only the derivative rows of its
-    support (:attr:`hkgeo.jets.Jet.rows`), straight from the rows it
-    carries; the others stay zero, as do all of a constant entry's.
-    ``V, D1, D2`` are point-first views of that array, so
-    for a batch they are not C-contiguous; a caller that needs contiguity
-    copies.
+    for ``sign=-1``; that diagonal stays zero).  A jet entry writes only the
+    derivative rows of its support (:attr:`hkgeo.jets.Jet.rows`), straight
+    from the rows it carries; the others stay zero, as do all of a constant
+    entry's.  ``V, D1, D2`` are point-first views of that array, so for a
+    batch they are not C-contiguous; a caller that needs contiguity copies.
     """
     batch = _batch_shape(p)
     dim = len(p[0]) if batch else len(p)
@@ -206,14 +182,6 @@ class FormField:
 
     def __repr__(self):
         return f"FormField(degree={self.degree}, {self.name or self.chart})"
-
-
-def constant_form(chart, matrix, name=""):
-    """Degree-2 form with constant coefficient matrix."""
-    W = np.asarray(matrix, dtype=float)
-    if not np.allclose(W, -W.T):
-        raise ValueError("constant 2-form coefficients must be antisymmetric")
-    return FormField(chart, 2, lambda coords: W, name=name)
 
 
 class VectorFieldR:

@@ -26,8 +26,8 @@ runs on float64.
 Inverse-metric contractions and curvatures are guarded by a Cholesky
 factorisation, so a non-positive-definite metric surfaces as a
 :class:`MetricDomainError` instead of a silent wrong answer.  Every
-positive-definite solve of the package factors its matrices once: the
-guard returns the factor ``L`` (``L L^H`` for a Hermitian metric) and the
+positive-definite solve of the package factors its real symmetric
+matrices once: the guard returns the factor ``L`` of ``g = L L^T`` and the
 solve substitutes with it (:func:`_solve`); a mass-matrix solve does the
 same with the factor of its own rule, jet entries differentiated
 implicitly (:func:`_solve_entries`).  The substitution runs point axes
@@ -77,7 +77,7 @@ class DivergenceError(RuntimeError):
 
 def _cholesky(a):
     """Lower Cholesky factor ``(..., d, d)`` of every matrix of ``a``
-    ``(..., d, d)`` (``a = L L^H``), all NaN for a matrix numpy cannot factor.
+    ``(..., d, d)`` (``a = L L^T``), all NaN for a matrix numpy cannot factor.
 
     The factor is finite exactly when its diagonal is (a non-finite entry
     of a row reaches that row's pivot).  numpy refuses a whole stack for
@@ -119,10 +119,15 @@ def _check_positive_definite(gv):
     included), naming the first failing point.
 
     The guard of every metric solve and every curvature: a Cholesky
-    factorisation of the float64 rounding of double-double entries, else in
-    the metric's own dtype, so a Hermitian one keeps its imaginary part.
+    factorisation of the float64 rounding of double-double entries, else of
+    the float64 entries.  A complex metric is refused as it stands: the
+    solves are real, and a Hermitian metric enters them realified
+    (:func:`hkgeo.kahler.realify`).
     """
-    L = _cholesky(gv.hi if isinstance(gv, DD) else gv)
+    gv = gv.hi if isinstance(gv, DD) else gv
+    if np.iscomplexobj(gv):
+        raise MetricDomainError("metric has complex entries; realify it first")
+    L = _cholesky(gv)
     failure = first_failure(np.isfinite(np.diagonal(L, axis1=-2, axis2=-1)).all(axis=-1))
     if failure is not None:
         raise MetricDomainError(f"metric not positive definite{failure[1]}")
@@ -133,28 +138,26 @@ def _factor_last(L, nb):
     """``(U, d2)`` for :func:`_substitute` from a lower Cholesky factor ``L``
     ``(..., d, d)`` with at most ``nb`` leading axes: ``U = L / diag``
     ``(d, d, *batch)``, point axes last and C-contiguous, and the squared
-    diagonal ``d2`` ``(d, *batch)`` (real for a Hermitian factor)."""
+    diagonal ``d2`` ``(d, *batch)``."""
     U = np.moveaxis(L.reshape((1,) * (nb + 2 - L.ndim) + L.shape), (-2, -1), (0, 1)).copy()
     diag = np.moveaxis(U.diagonal(0, 0, 1), -1, 0).copy()
     U /= diag
-    return U, diag.real * diag.real
+    return U, diag * diag
 
 
 def _substitute(U, d2, X):
-    """Overwrite ``X`` with the ``Y`` of ``L L^H Y = X``, by forward and back
+    """Overwrite ``X`` with the ``Y`` of ``L L^T Y = X``, by forward and back
     substitution, and return it.
 
     ``L = U D`` (``U`` unit lower triangular, ``D`` its positive diagonal)
     comes prepared once per solve by :func:`_factor_last`, and ``X``
     ``(d, m, *batch)`` holds the right-hand sides as columns, point axes last
-    like ``U``: ``Y = U^{-H} D^{-2} U^{-1} X``.  Each of the ``2 d - 1`` steps
+    like ``U``: ``Y = U^{-T} D^{-2} U^{-1} X``.  Each of the ``2 d - 1`` steps
     is one elementwise numpy update over the batch and every column, the
     batch innermost, in a fixed order, so a batch gives its points bit for bit.
     """
     for j in range(len(U) - 1):
         X[j + 1:] -= U[j + 1:, j, None] * X[j, None]
-    if np.iscomplexobj(U):
-        U = U.conj()
     X /= d2[:, None]
     for j in range(len(U) - 1, 0, -1):
         X[:j] -= U[j, :j, None] * X[j, None]
@@ -162,7 +165,7 @@ def _substitute(U, d2, X):
 
 
 def _solve_factored(L, B):
-    """``X`` with ``L L^H X = B``, point axis first: ``L`` ``(..., d, d)`` is a
+    """``X`` with ``L L^T X = B``, point axis first: ``L`` ``(..., d, d)`` is a
     lower Cholesky factor and ``B`` ``(..., d, m)`` holds the right-hand
     sides as columns; leading axes broadcast.  It converts once each way:
     ``B`` is copied point axes last, substituted in place
@@ -175,8 +178,8 @@ def _solve_factored(L, B):
 
 
 def _solve(gv, B):
-    """Solve ``gv @ X = B`` for positive-definite ``gv`` ``(..., d, d)``,
-    real symmetric or complex Hermitian, broadcasting: the factor of
+    """Solve ``gv @ X = B`` for real symmetric positive-definite ``gv``
+    ``(..., d, d)``, broadcasting: the factor of
     :func:`_check_positive_definite`, substituted by :func:`_solve_factored`.
     """
     return _solve_factored(_check_positive_definite(gv), B)

@@ -23,11 +23,12 @@ entry point that reads no second derivative seeds order 1: Poisson
 brackets (so also the cyclicity probes of
 :func:`hkgeo.mechanics.constrain_and_reduce`), Christoffel symbols,
 covariant derivatives of 2-tensors, Killing deviations, exterior
-derivatives, Wirtinger derivatives of Hermitian fields, vector-field
-derivatives, Jacobians of maps and moment-map gradients.  Order 2 stays
-where second derivatives are read: every curvature, at every precision,
-and the jet-vs-finite-difference hygiene check.  Plain values are order
-``None``: the field sees floats (or arrays) and no jet is made.
+derivatives, the realified metric's derivatives in
+:func:`hkgeo.kahler.x_matrices`, vector-field derivatives, Jacobians of
+maps and moment-map gradients.  Order 2 stays where second derivatives are
+read: every curvature, at every precision, and the jet-vs-finite-difference
+hygiene check.  Plain values are order ``None``: the field sees floats (or
+arrays) and no jet is made.
 
 A first-order jet never computes ``f''``: the rules hand it over as a
 zero-argument callable that only a jet with a Hessian calls, so a

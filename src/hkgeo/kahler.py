@@ -117,13 +117,6 @@ class HermitianMetricField:
 
         return MetricField(self.chart, fn, name=f"realify({self.name})")
 
-    def holomorphic_derivative(self, p):
-        """``dH[..., p, m, q] = d h_mq / d z^p`` (Wirtinger) at ``p`` ``(2n,)``
-        or over a batch ``(B, 2n)``."""
-        _, dg, _ = self.real_metric().jet(np.asarray(p, dtype=float), order=1)
-        grad = dg[..., 0::2, 0::2] + 1j * dg[..., 0::2, 1::2]  # real derivatives of h
-        return 0.5 * (grad[..., 0::2, :, :] - 1j * grad[..., 1::2, :, :])
-
     def __repr__(self):
         return f"HermitianMetricField(n={self.n}, {self.name!r})"
 
@@ -349,14 +342,20 @@ def x_matrices(hfield, p):
     ``X[..., p, :, :]``, over a batch ``(B, 2n)`` too.  For fields valued in
     the exponential of the Hermitian symplectic slice these land in the
     symplectic algebra (see :func:`sp_residual`), which is the linear-algebra
-    step behind covariant constancy of the J/K pair.  ``h^T X_p^T = 2 d_p
-    h^T`` goes through the guarded solve, so an ``h`` that is not positive
-    definite raises :class:`~hkgeo.geometry.MetricDomainError`.
+    step behind covariant constancy of the J/K pair.
+
+    It is solved on the realified metric ``g``: with ``E`` the real image of
+    ``i`` (:func:`symplectic_matrix`), ``2 d_p = d_{u_p} - i d_{v_p}`` makes
+    ``Y_p = g^{-1} (d_{u_p} g + d_{v_p} g E)`` the real image of ``X_p^H``,
+    so ``X_p`` is read off the blocks of ``Y_p^T``.  The solve is the
+    guarded one of :func:`~hkgeo.reduction.raise_first_index`, so an ``h``
+    that is not positive definite raises
+    :class:`~hkgeo.geometry.MetricDomainError`.
     """
-    H = hfield.matrix(p)
-    dH = hfield.holomorphic_derivative(p)
-    Xt = raise_first_index(np.swapaxes(H, -1, -2), 2.0 * np.swapaxes(dH, -1, -2))
-    return np.swapaxes(Xt, -1, -2)
+    gv, dg, _ = hfield.real_metric().jet(np.asarray(p, dtype=float), order=1)
+    S = dg[..., 0::2, :, :] + dg[..., 1::2, :, :] @ symplectic_matrix(2 * hfield.n)
+    Yt = np.swapaxes(raise_first_index(gv, S), -1, -2)
+    return Yt[..., 0::2, 0::2] + 1j * Yt[..., 0::2, 1::2]
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,7 @@ import numpy as np
 
 from . import jets
 from ._record import Frozen, Record
-from .fields import (Chart, EmbeddingMap, FormField, MetricField, VectorFieldR,
-                     constant_form, mirror_triangle)
+from .fields import Chart, EmbeddingMap, FormField, MetricField, VectorFieldR
 from .sampling import Exclusion, SampleSpec, sample_points
 
 __all__ = [
@@ -351,14 +350,18 @@ def _gibbons_hawking(name, a, chart, harmonic, **extra):
     )
 
 
+#: The coordinate change ``y -> (x, Psi)``, one callable per component, so
+#: that each can be evaluated (and checked) alone.
+_VAR_CHANGE = (
+    lambda y: 2.0 * (y[0] * y[3] + y[1] * y[2]),
+    lambda y: 2.0 * (y[1] * y[3] - y[0] * y[2]),
+    lambda y: y[0] * y[0] + y[1] * y[1] - y[2] * y[2] - y[3] * y[3],
+    lambda y: -2.0 * jets.atan2(y[0], y[1]),
+)
+
+
 def _var_change_fn(c):
-    y1, y2, y3, y4 = c
-    return [
-        2.0 * (y1 * y4 + y2 * y3),
-        2.0 * (y2 * y4 - y1 * y3),
-        y1 * y1 + y2 * y2 - y3 * y3 - y4 * y4,
-        -2.0 * jets.atan2(y1, y2),
-    ]
+    return [f(c) for f in _VAR_CHANGE]
 
 
 def _inverse_var_change_fn(c):
@@ -385,8 +388,7 @@ def gh_flat(a=1.0):
     chart = Chart(("x1", "x2", "x3", "Psi"))
     cart = Chart(("y1", "y2", "y3", "y4"))
     # the Cartesian triple s eps_ijk dy^j dy^k / 2 + s dy^i ^ dy^4, by (i, s)
-    cart_triple = {k: mirror_triangle(np.array(_triple_rows(i, s, s)), -1) for k, (i, s) in
-                   {"omega_I": (2, 1.0), "omega_J": (1, -1.0), "omega_K": (0, 1.0)}.items()}
+    cart_triple = {"omega_I": (2, 1.0), "omega_J": (1, -1.0), "omega_K": (0, 1.0)}
 
     return _gibbons_hawking(
         "gh-flat", a, chart, lambda r: (1.0 / r, r),
@@ -400,7 +402,8 @@ def gh_flat(a=1.0):
         cartesian=Model(
             "gh-flat cartesian", a, cart,
             MetricField(cart, lambda c: np.eye(4), name="cartesian flat"),
-            forms={k: constant_form(cart, W, k) for k, W in cart_triple.items()},
+            forms={k: FormField(cart, 2, lambda c, i=i, s=s: _triple_rows(i, s, s), name=k)
+                   for k, (i, s) in cart_triple.items()},
             box=((*_CART,), (*_CART,), (*_CART,), (*_CART,)),
             exclusions=(_pole_exclusion(),)),
     )
@@ -630,8 +633,8 @@ def scalar_fields(a=1.0):
                         ((*_RADIAL,), (*_ANGLE,))),
         *(ScalarFieldSpec(name, part(lambda c: _monopole_terms(*c), k), box3, string)
           for k, name in enumerate(("radial-distance", "monopole-A1", "monopole-A2"))),
-        ScalarFieldSpec("gh-angle", part(_var_change_fn, 3), box4y, pole),
-        *(ScalarFieldSpec(f"gh-x{k + 1}", part(_var_change_fn, k), box4y) for k in range(3)),
+        ScalarFieldSpec("gh-angle", _VAR_CHANGE[3], box4y, pole),
+        *(ScalarFieldSpec(f"gh-x{k + 1}", _VAR_CHANGE[k], box4y) for k in range(3)),
         *(ScalarFieldSpec(f"mu-{k}-cartesian", mu_cart[f"mu_{k}"],
                           box4y + box3 + ((*_ANGLE,),), pole) for k in "IJK"),
         ScalarFieldSpec("taub-nut-fiber-norm", lambda c: tn_metric(c)[3][3],

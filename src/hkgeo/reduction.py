@@ -300,7 +300,8 @@ def complex_structure(gv, W):
     triple satisfies ``I J = K``.  ``gv`` and ``W`` are ``(d, d)`` or
     stacks ``(..., d, d)``.  A ``gv`` that is not positive definite raises
     :class:`~hkgeo.geometry.MetricDomainError` naming the first failing
-    point of a stack.
+    point of a stack; so does a complex ``gv`` (realify a Hermitian metric
+    first, :func:`hkgeo.kahler.realify`).
     """
     return -_solve(gv, W)
 

@@ -19,12 +19,15 @@ The others are second routes to what the package computes another way:
 * :func:`metric_from_potential`, the Hermitian metric of a Kaehler
   potential, for the stock fields of :mod:`hkgeo.kahler` and the
   potentials the hygiene check differentiates;
+* :func:`x_matrices`, ``2 (d_z h) h^{-1}`` in complex arithmetic from the
+  Wirtinger derivative, for the realified solve of
+  :func:`hkgeo.kahler.x_matrices`;
 * :class:`DenseJet` and :func:`dense_call`, jets that carry every
   coordinate's derivatives through every rule, for the support-tracking
   :class:`hkgeo.jets.Jet`, which must match them bit for bit;
 * :func:`square_jet`, a field's matrix and its derivatives packed point
-  axis first and mirrored as a whole, for the point-last fill of
-  :func:`hkgeo.fields._square_jet`;
+  axis first and mirrored as a whole by :func:`mirror_triangle`, for the
+  point-last fill of :func:`hkgeo.fields._square_jet`;
 * :func:`substitute` and :func:`solve_entries`, the factored solves run
   point axis first (every array ``(*batch, ..., rows, cols)``), for the
   point-last :func:`hkgeo.geometry._solve` and
@@ -35,7 +38,6 @@ import mpmath
 import numpy as np
 
 from hkgeo.ddouble import DD
-from hkgeo.fields import mirror_triangle
 from hkgeo.geometry import _christoffel_from, _lowered_christoffel, _solve
 from hkgeo.jets import (Jet, _batch_shape, _coords, _outer, _zeros, call_field, evaluate_jet,
                         fd_step, first_failure)
@@ -117,12 +119,12 @@ def solve(A, B):
 
 
 def substitute(L, B):
-    """``X`` with ``L L^H X = B``, by forward and back substitution, point axis first.
+    """``X`` with ``L L^T X = B``, by forward and back substitution, point axis first.
 
     ``L`` ``(..., d, d)`` is a lower Cholesky factor and ``B`` ``(..., d, m)``
     holds the right-hand sides as columns; leading axes broadcast.  With
     ``L = U D`` (``U`` unit lower triangular, ``D`` its positive diagonal),
-    ``X = U^{-H} D^{-2} U^{-1} B``, in the ``2 d - 1`` elementwise steps of
+    ``X = U^{-T} D^{-2} U^{-1} B``, in the ``2 d - 1`` elementwise steps of
     :func:`hkgeo.geometry._substitute`, each over the columns innermost.
     """
     d = L.shape[-1]
@@ -131,8 +133,6 @@ def substitute(L, B):
     X = B * np.ones(L.shape[:-2] + (1, 1), dtype=np.result_type(L, B))  # a broadcast copy
     for j in range(d - 1):
         X[..., j + 1:, :] -= U[..., j + 1:, j, None] * X[..., j, None, :]
-    if np.iscomplexobj(L):
-        U, diag = U.conj(), diag.real
     X /= (diag * diag)[..., None]
     for j in range(d - 1, 0, -1):
         X[..., :j, :] -= U[..., j, :j, None] * X[..., j, None, :]
@@ -224,6 +224,26 @@ def christoffel_fd(g, p):
     return _christoffel_from(G[..., 0, :, :], dg)
 
 
+def mirror_triangle(a, sign=1):
+    """Full square matrix from the upper triangle of ``a``.
+
+    The last two axes of ``a`` (an array or a nested sequence) index the
+    matrix; leading axes, such as derivative slots, are carried along.
+    ``sign=+1`` mirrors the upper triangle onto the lower one (symmetric);
+    ``sign=-1`` mirrors it with the opposite sign and puts zeros on the
+    diagonal (antisymmetric).  Entries below the diagonal, and on it when
+    ``sign=-1``, are never read, so they may be ``None``.  Entries are
+    moved, not recomputed, except for the negations of the antisymmetric
+    mirror, so floats and jets come through unchanged.
+    """
+    a = np.asarray(a)
+    upper = np.triu(np.ones(a.shape[-2:], dtype=bool), 0 if sign > 0 else 1)
+    if sign > 0:
+        return np.where(upper, a, np.swapaxes(a, -1, -2))
+    strict = np.where(upper, a, 0.0)
+    return np.where(upper.T, -np.swapaxes(strict, -1, -2), strict)
+
+
 def riemann(g, p):
     """``R[..., A, B, C, D] = R^A_{BCD}`` at one point ``(d,)`` or a batch ``(B, d)``,
     in the convention of :mod:`hkgeo.geometry`.
@@ -258,6 +278,19 @@ def ricci_scalar(g, p):
     :func:`hkgeo.geometry.gaussian_curvature` on 2-dimensional metrics."""
     ric = np.einsum("abad->bd", riemann(g, p))
     return np.trace(_solve(g.value(p), ric))  # g^{BP} ric[P, B]
+
+
+def x_matrices(hfield, p):
+    """``X[..., p, :, :] = 2 (d_p h) h^{-1}`` of :func:`hkgeo.kahler.x_matrices`,
+    in complex arithmetic: the Wirtinger derivative ``d_p = (d_{u_p} - i
+    d_{v_p}) / 2`` of the complex matrix ``h`` read off the realified
+    metric's jet, and ``h^{-1}`` by numpy's LU solve."""
+    gv, dg, _ = hfield.real_metric().jet(np.asarray(p, dtype=float), order=1)
+    h = gv[..., 0::2, 0::2] + 1j * gv[..., 0::2, 1::2]
+    grad = dg[..., 0::2, 0::2] + 1j * dg[..., 0::2, 1::2]  # real derivatives of h
+    dh = 0.5 * (grad[..., 0::2, :, :] - 1j * grad[..., 1::2, :, :])
+    ht = np.swapaxes(h, -1, -2)[..., None, :, :]  # X^T = h^{-T} (2 d_p h)^T
+    return np.swapaxes(np.linalg.solve(ht, 2.0 * np.swapaxes(dh, -1, -2)), -1, -2)
 
 
 class HermiticityError(ArithmeticError):

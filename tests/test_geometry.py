@@ -8,7 +8,7 @@ import pytest
 
 from hkgeo import geometry, jets, models
 from hkgeo.ddouble import DD, DIGITS
-from hkgeo.fields import Chart, FormField, MetricField, VectorFieldR, _square_jet, mirror_triangle
+from hkgeo.fields import Chart, FormField, MetricField, VectorFieldR, _square_jet
 from hkgeo.geometry import (
     MetricDomainError,
     christoffel,
@@ -18,7 +18,8 @@ from hkgeo.geometry import (
     killing_deviation,
 )
 
-from oracles import brioschi_curvature, christoffel_fd, ricci_scalar, riemann, square_jet
+from oracles import (brioschi_curvature, christoffel_fd, mirror_triangle, ricci_scalar, riemann,
+                     square_jet)
 
 POLAR = MetricField(Chart(("r", "phi")),
                     lambda c: [[1.0, 0.0], [None, c[0] * c[0]]],
@@ -56,12 +57,12 @@ def test_non_positive_metric_rejected():
 
 
 def test_refused_stack_is_factored_in_halves(monkeypatch):
-    # two indefinite metrics among 64 (one complex Hermitian stack): NaN at
+    # two indefinite metrics among 64 (one real symmetric stack): NaN at
     # exactly those, every other factor as its own factorisation gives it,
     # in a few stacked calls instead of one per matrix
     rng = np.random.default_rng(4)
-    A = rng.normal(size=(64, 3, 3)) + 1j * rng.normal(size=(64, 3, 3))
-    g = A @ np.conj(np.swapaxes(A, -1, -2)) + np.eye(3)
+    A = rng.normal(size=(64, 3, 3))
+    g = A @ np.swapaxes(A, -1, -2) + np.eye(3)
     want = np.array([np.linalg.cholesky(m) for m in g])
     g[[9, 40]] = np.diag([1.0, -1.0, 1.0])
     want[[9, 40]] = np.nan

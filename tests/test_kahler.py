@@ -1,8 +1,14 @@
 """Hermitian fields, the unit-determinant (C-proportionality) test, and the
 quaternionic triple built from passing metrics."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from numpy._core import _multiarray_umath
 
 from hkgeo import kahler
 from hkgeo.geometry import MetricDomainError, covariant_derivative_02
@@ -22,6 +28,7 @@ from hkgeo.kahler import (
     x_matrices,
 )
 
+import oracles
 from oracles import metric_from_potential
 
 RNG = np.random.default_rng(42)
@@ -175,6 +182,42 @@ def test_x_matrices_in_algebra():
     worst = max(sp_residual(X, om)
                 for X in x_matrices(non_unimodular_field(), [0.5, 0.1, 0.0, 0.0]))
     assert worst > 1e-2
+
+
+@pytest.mark.parametrize("points", ["point", "batch"])
+@pytest.mark.parametrize("field", [unit_determinant_shear_field, non_unimodular_field,
+                                   single_mode_field])
+def test_x_matrices_match_the_complex_reference(field, points):
+    # the realified solve gives 2 (d_z h) h^{-1} as complex arithmetic does
+    hf = field()
+    pts = np.random.default_rng(7).uniform(-1.5, 1.5, size=(12, 2 * hf.n))
+    p = pts[0] if points == "point" else pts
+    got, want = x_matrices(hf, p), oracles.x_matrices(hf, p)
+    assert got.shape == want.shape == (*p.shape[:-1], hf.n, hf.n, hf.n)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+_SP_ALGEBRA_ROWS = """
+import json
+from hkgeo.checks import run_suite
+print(json.dumps([[c.max_abs_error.hex() for c in run_suite("heavenly", seed=s, samples=100).checks
+                   if c.check_id == "heavenly.sp_algebra"] for s in range(4)]))
+"""
+
+
+def test_sp_algebra_row_is_the_same_at_every_simd_level():
+    # the realified solve runs on real elementwise steps, so numpy's SIMD
+    # level (all of it, or only its baseline) does not move the row's error
+    present = [f for f in _multiarray_umath.__cpu_dispatch__
+               if _multiarray_umath.__cpu_features__.get(f)]
+    src = os.path.join(os.path.dirname(kahler.__file__), os.pardir)
+    children = [subprocess.Popen([sys.executable, "-c", _SP_ALGEBRA_ROWS], text=True,
+                                 stdout=subprocess.PIPE,
+                                 env=dict(os.environ, PYTHONPATH=src, **extra))
+                for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(present)})]
+    full, baseline = (json.loads(child.communicate(timeout=60)[0]) for child in children)
+    assert all(child.returncode == 0 for child in children)
+    assert len(full) == 4 and full == baseline
 
 
 def test_x_matrices_require_positive_definite():

@@ -5,9 +5,9 @@ solve (``geometry._solve``) and a mass-matrix solve
 (``mechanics._solve_mass``, jet entries differentiated implicitly) use the
 Cholesky factor their guard has just computed.  ``oracles.solve``, the
 Gauss-Jordan elimination over entries, is the reference here: on random
-positive-definite stacks (batches of float, array and jet entries, complex
-Hermitian metrics) the two agree to rounding, and a batch with one bad
-point is rejected with the typed error that names it.
+positive-definite stacks (batches of float, array and jet entries,
+realified Hermitian metrics) the two agree to rounding, and a batch with
+one bad point is rejected with the typed error that names it.
 
 The solves substitute point axes last; ``oracles.substitute`` and
 ``oracles.solve_entries`` run the same elementwise steps point axis first,
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hkgeo import geometry, mechanics
+from hkgeo import geometry, kahler, mechanics, reduction
 from hkgeo.geometry import MetricDomainError
 from hkgeo.jets import Jet
 from hkgeo.mechanics import DegenerateLagrangianError
@@ -30,13 +30,15 @@ from oracles import solve
 DIM = 3  # coordinates the jets differentiate along
 
 
-def _spd(rng, n, count, complex_=False):
+def _spd(rng, n, count, hermitian=False):
     """``count`` well-conditioned positive-definite ``n x n`` matrices
-    ``(count, n, n)``, Hermitian when ``complex_``."""
+    ``(count, n, n)``; when ``hermitian``, complex Hermitian ones realified
+    as the package solves them, ``(count, 2n, 2n)``."""
     R = rng.uniform(-1.0, 1.0, size=(count, n, n))
-    if complex_:
-        R = R + 1j * rng.uniform(-1.0, 1.0, size=(count, n, n))
-    return R @ np.conj(np.swapaxes(R, -1, -2)) / n + np.eye(n)
+    if not hermitian:
+        return R @ np.swapaxes(R, -1, -2) / n + np.eye(n)
+    R = R + 1j * rng.uniform(-1.0, 1.0, size=(count, n, n))
+    return kahler.realify(R @ np.conj(np.swapaxes(R, -1, -2)) / n + np.eye(n))
 
 
 def _entry(rng, v, kind, order, count):
@@ -110,20 +112,16 @@ def test_mass_solve_matches_elimination(n, count, columns, order, seed):
 @given(n=st.integers(1, 8), count=st.integers(0, 5), columns=st.integers(1, 4),
        hermitian=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_metric_solve_matches_elimination(n, count, columns, hermitian, seed):
-    # a complex Hermitian solve is the real one of twice the size:
-    # [[Re g, -Im g], [Im g, Re g]] [Re X; Im X] = [Re B; Im B]
     rng = np.random.default_rng(seed)
     g = _spd(rng, n, max(count, 1), hermitian)
-    B = rng.uniform(-1.0, 1.0, size=(max(count, 1), n, columns)) * (1.0 + 0.5j if hermitian else 1.0)
+    B = rng.uniform(-1.0, 1.0, size=(*g.shape[:-1], columns))
     if count == 0:
         g, B = g[0], B[0]
     got = geometry._solve(g, B)
-    real = np.block([[g.real, -g.imag], [g.imag, g.real]])
-    rhs = np.concatenate([B.real, B.imag], axis=-2)
-    X = np.moveaxis(np.array(solve(np.moveaxis(real, (-2, -1), (0, 1)),
-                                   np.moveaxis(rhs, (-2, -1), (0, 1)))), (0, 1), (-2, -1))
+    X = np.moveaxis(np.array(solve(np.moveaxis(g, (-2, -1), (0, 1)),
+                                   np.moveaxis(B, (-2, -1), (0, 1)))), (0, 1), (-2, -1))
     assert got.shape == B.shape
-    assert np.allclose(got, X[..., :n, :] + 1j * X[..., n:, :], rtol=1e-12, atol=1e-12)
+    assert np.allclose(got, X, rtol=1e-12, atol=1e-12)
 
 
 @settings(max_examples=30)
@@ -157,6 +155,17 @@ def test_one_bad_point_is_named_by_every_solve(n, count, defect, jets, data):
     assert str(err.value) == _mass_message(g)  # the rule's own wording
     with pytest.raises(np.linalg.LinAlgError, match=f"not positive{where}$"):
         solve(entries, b)
+
+
+@pytest.mark.parametrize("raise_", [reduction.complex_structure, reduction.raise_first_index])
+def test_complex_metric_is_refused_by_the_guard(raise_):
+    # a Hermitian metric is solved realified; a complex one is not factored
+    g = np.array([[2.0, 1j], [-1j, 2.0]])
+    W = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    for gv, T in ((g, W), (np.stack([g, g]), np.stack([W, W]))):
+        T = T if raise_ is reduction.complex_structure else np.stack([T, T], axis=-3)
+        with pytest.raises(MetricDomainError, match="complex"):
+            raise_(gv, T)
 
 
 def test_elimination_oracle_names_the_non_pd_point():
@@ -194,9 +203,8 @@ def test_metric_solve_is_the_point_first_reference(case, hermitian):
     rng = np.random.default_rng(11)
     for n in range(1, 9):
         g = _spd(rng, n, 6, hermitian)[0 if case == "point" else slice(None)]
-        B = np.eye(n) if case == "identity" else rng.uniform(-1.0, 1.0, size=(*g.shape[:-1], 3))
-        if hermitian and case != "identity":
-            B = B + 1j * rng.uniform(-1.0, 1.0, size=B.shape)
+        B = (np.eye(g.shape[-1]) if case == "identity"
+             else rng.uniform(-1.0, 1.0, size=(*g.shape[:-1], 3)))
         L = np.linalg.cholesky(g)
         want = oracles.substitute(L, B)
         assert _bits(geometry._solve(g, B)) == _bits(want)
