@@ -44,16 +44,15 @@ C = kahler.heavenly_check(shear.matrix(pts), om)  # one C per point
 print(f"\nvarying field: C = {C.mean():.12f}, spread across {len(pts)} points "
       f"{C.max() - C.min():.3e}")
 
-worst = max(kahler.quaternion_residual(kahler.triple_at(shear, om, p))
-            for p in pts)
+t = kahler.triple_at(shear.matrix(pts), om)  # one triple per point
+worst = np.max(np.abs(kahler.quaternion_defects(t.I, t.J, t.K)))
 print(f"quaternion algebra residual (squares and products): {worst:.3e}")
 
-g = shear.real_metric()
 fJ, fK = kahler.quaternion_form_fields(shear, om)
 worst = 0.0
 for p in pts[:10]:
-    dJ = geometry.covariant_derivative_02(g, fJ, p)
-    dK = geometry.covariant_derivative_02(g, fK, p)
+    dJ = geometry.covariant_derivative_02(shear, fJ, p)
+    dK = geometry.covariant_derivative_02(shear, fK, p)
     worst = max(worst, float(np.max(np.abs(dJ + 1j * dK))),
                 float(np.max(np.abs(dJ - 1j * dK))))
 print(f"covariant derivative of J +- iK: {worst:.3e}")
@@ -76,6 +75,6 @@ except kahler.HeavenlyViolation as err:
 ctrl = kahler.non_unimodular_field()
 fJc, _ = kahler.quaternion_form_fields(ctrl, om)
 dev = float(np.max(np.abs(
-    geometry.covariant_derivative_02(ctrl.real_metric(), fJc, pts[0]))))
+    geometry.covariant_derivative_02(ctrl, fJc, pts[0]))))
 print(f"  varying determinant diag(1 + |z1|^2, 1): nabla J component {dev:.3e}"
       " (Kahler, not hyperkahler)")

@@ -195,16 +195,16 @@ def check_quaternion_triple(ctx, rng):
     triples = [kahler.triple_at(_coset_matrices(rng, n, 10), kahler.symplectic_matrix(n))
                for n in (2, 4)]
     pts = sample_points(SampleSpec(_KBOX, 20, ctx.subseed(rng)))
-    triples.append(kahler.triple_at(kahler.unit_determinant_shear_field(),
-                                    kahler.symplectic_matrix(2), pts))
-    return _one_after_another(*map(kahler.quaternion_residual, triples))
+    triples.append(kahler.triple_at(kahler.unit_determinant_shear_field().matrix(pts),
+                                    kahler.symplectic_matrix(2)))
+    return _one_after_another(*(kahler.quaternion_defects(t.I, t.J, t.K) for t in triples))
 
 
 def check_covariant_constancy(ctx, rng):
     shear = kahler.unit_determinant_shear_field()
     fJ, fK = kahler.quaternion_form_fields(shear, kahler.symplectic_matrix(2))
     pts = sample_points(SampleSpec(_KBOX, max(10, ctx.samples // 5), ctx.subseed(rng)))
-    dJ, dK = geometry.covariant_derivative_02(shear.real_metric(), [fJ, fK], pts)
+    dJ, dK = geometry.covariant_derivative_02(shear, [fJ, fK], pts)
     return _side_by_side(dJ + 1j * dK, dJ - 1j * dK)
 
 
@@ -212,7 +212,7 @@ def check_covariant_negative_control(ctx, rng):
     ctrl = kahler.non_unimodular_field()
     fJ, _ = kahler.quaternion_form_fields(ctrl, kahler.symplectic_matrix(2))
     pts = sample_points(SampleSpec(_KBOX, 10, ctx.subseed(rng)))
-    dev = np.max(np.abs(geometry.covariant_derivative_02(ctrl.real_metric(), fJ, pts)))
+    dev = np.max(np.abs(geometry.covariant_derivative_02(ctrl, fJ, pts)))
     return np.full(len(pts), 0.0 if dev > 1e-3 else 1.0)
 
 
@@ -420,10 +420,9 @@ def check_tn_hyperkahler(ctx, rng):
     pts = tn.sample(ctx.samples, ctx.subseed(rng))
     forms = list(tn.forms.values())
     nabla = geometry.covariant_derivative_02(tn.metric, forms, pts)
-    eye, gv = np.eye(4), tn.metric.value(pts)
+    gv = tn.metric.value(pts)
     I, J, K = (reduction.complex_structure(gv, f.value(pts)) for f in forms)
-    return _side_by_side(I @ I + eye, J @ J + eye, K @ K + eye,
-                         I @ J - K, J @ K - I, K @ I - J, *nabla)
+    return _side_by_side(kahler.quaternion_defects(I, J, K), *nabla)
 
 
 # ---------------------------------------------------------------------------

@@ -78,13 +78,17 @@ def _parse(argv):
     return command, SimpleNamespace(**args)
 
 
-def _cmd_verify(args):
+def _write(path, text):
+    """Write ``text`` to ``path``; ``ValueError`` if it cannot be written."""
     try:
-        manifest = run_suite(args.suite, seed=args.seed, samples=args.samples,
-                             a=args.a)
-    except ValueError as exc:  # a bad --seed, --samples or --a
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
+
+
+def _cmd_verify(args):
+    manifest = run_suite(args.suite, seed=args.seed, samples=args.samples, a=args.a)
     for c in manifest.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.check_id:<38} max_abs_error={c.max_abs_error:.3e} "
@@ -95,30 +99,18 @@ def _cmd_verify(args):
     print(f"{n_pass}/{len(manifest.checks)} checks passed "
           f"(suite={args.suite}, seed={manifest.seed}, "
           f"samples={manifest.samples}, a={manifest.a:g})")
-    if args.json is not None:
-        payload = json.dumps(manifest.to_dict(), indent=2, sort_keys=True,
-                             allow_nan=False) + "\n"
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"error: cannot write {args.json}: {exc}", file=sys.stderr)
-            return 2
+    if args.json is not None:  # after the rows, so an unwritable path still shows them
+        _write(args.json, json.dumps(manifest.to_dict(), indent=2, sort_keys=True,
+                                     allow_nan=False) + "\n")
     return 0 if manifest.all_passed else 1
 
 
 def _cmd_curvature_profile(args):
     if args.steps < 2:
-        print("error: --steps must be >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("--steps must be >= 2")
     if not 1e-6 < args.rmax < math.inf:
-        print("error: --rmax must be finite and exceed 1e-6", file=sys.stderr)
-        return 2
-    try:
-        red = models.build("toy-reduced", args.a)
-    except ValueError as exc:  # a bad --a
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--rmax must be finite and exceed 1e-6")
+    red = models.build("toy-reduced", args.a)
     rs = [1e-6 + (args.rmax - 1e-6) * i / (args.steps - 1) for i in range(args.steps)]
     Ks = geometry.curvature_at_radii(red.metric, rs).tolist()
     cells = tuple([x for r, K, Kref in zip(rs, Ks, map(red.targets["curvature"], rs))
@@ -128,12 +120,7 @@ def _cmd_curvature_profile(args):
     if args.csv is None:
         sys.stdout.write(text)
     else:
-        try:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
-            return 2
+        _write(args.csv, text)
     return 0
 
 
@@ -142,15 +129,15 @@ def main(argv=None):
     if "-h" in argv or "--help" in argv:
         print(__doc__, end="")
         return 0
-    try:
+    try:  # every configuration error, from parsing or from a command, ends here
         command, args = _parse(argv)
+        if command == "report-schema":
+            print(json.dumps(REPORT_SCHEMA, indent=2, sort_keys=True))
+            return 0
+        return (_cmd_verify if command == "verify" else _cmd_curvature_profile)(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if command == "report-schema":
-        print(json.dumps(REPORT_SCHEMA, indent=2, sort_keys=True))
-        return 0
-    return (_cmd_verify if command == "verify" else _cmd_curvature_profile)(args)
 
 
 if __name__ == "__main__":

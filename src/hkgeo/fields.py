@@ -2,10 +2,12 @@
 
 A field here is a plain callable over chart coordinates, written with the
 dispatching math helpers of :mod:`hkgeo.jets` so it can be evaluated on
-floats or on jet seeds.  The wrapper classes add the bookkeeping the
-geometry operations need: exact symmetry / antisymmetry by storage (only
-one triangle of the component matrix is ever read), and jet extraction of
-all components in a single pass.
+floats or on jet seeds.  Every carrier holds its ``chart``, its ``fn`` and
+its ``name`` the same way (the private base ``_Field``, which also gives
+``dim`` and the ``repr``); each class adds only how its components are
+read: exact symmetry / antisymmetry by storage (only one triangle of the
+component matrix is ever read), and jet extraction of all components in a
+single pass.
 """
 
 from __future__ import annotations
@@ -105,7 +107,21 @@ def _vector_jet(fn, p, order):
     return V, D
 
 
-class MetricField:
+class _Field:
+    """A field on ``chart``: ``fn(coords)`` gives its components."""
+
+    def __init__(self, chart, fn, name=""):
+        self.chart, self.fn, self.name = chart, fn, name
+
+    @property
+    def dim(self):
+        return self.chart.dim
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.name or self.chart})"
+
+
+class MetricField(_Field):
     """Symmetric rank-(0,2) field; components must admit jets.
 
     ``fn(coords)`` returns a nested sequence (or array) of components; only
@@ -115,15 +131,6 @@ class MetricField:
     returned array (``(B, d, d)``, ``(B, d, d, d)``, ...), and constant
     components broadcast over it.
     """
-
-    def __init__(self, chart, fn, name=""):
-        self.chart = chart
-        self.fn = fn
-        self.name = name
-
-    @property
-    def dim(self):
-        return self.chart.dim
 
     def value(self, p):
         return _square_jet(self.fn, p, +1, None)[0]
@@ -137,11 +144,8 @@ class MetricField:
         """
         return _square_jet(self.fn, p, +1, order)
 
-    def __repr__(self):
-        return f"MetricField({self.name or self.chart})"
 
-
-class FormField:
+class FormField(_Field):
     """Differential form of degree 1 or 2 with jet-capable components.
 
     Degree 1: ``fn`` returns a coefficient vector ``a_M`` for ``a_M dx^M``.
@@ -155,14 +159,8 @@ class FormField:
     def __init__(self, chart, degree, fn, name=""):
         if degree not in (1, 2):
             raise ValueError("only degree-1 and degree-2 forms are supported")
-        self.chart = chart
+        super().__init__(chart, fn, name)
         self.degree = degree
-        self.fn = fn
-        self.name = name
-
-    @property
-    def dim(self):
-        return self.chart.dim
 
     def value(self, p):
         if self.degree == 1:
@@ -180,21 +178,13 @@ class FormField:
             return (*_vector_jet(self.fn, p, 1), None)
         return _square_jet(self.fn, p, -1, 1)
 
-    def __repr__(self):
-        return f"FormField(degree={self.degree}, {self.name or self.chart})"
 
-
-class VectorFieldR:
+class VectorFieldR(_Field):
     """Real vector field ``V^M`` on a chart.
 
     :meth:`value` and :meth:`jet` take one point ``(d,)`` or a batch
     ``(B, d)`` and put the point axis of a batch first.
     """
-
-    def __init__(self, chart, fn, name=""):
-        self.chart = chart
-        self.fn = fn
-        self.name = name
 
     def value(self, p):
         return _vector_jet(self.fn, p, None)[0]
@@ -203,21 +193,17 @@ class VectorFieldR:
         """Component values and first derivatives ``dV[..., P, M] = d_P V^M``."""
         return _vector_jet(self.fn, p, 1)
 
-    def __repr__(self):
-        return f"VectorFieldR({self.name or self.chart})"
 
-
-class EmbeddingMap:
-    """Smooth map between charts, with jet-derived Jacobian.
+class EmbeddingMap(_Field):
+    """Smooth map from chart ``source`` (its ``chart``) to chart ``target``,
+    with jet-derived Jacobian.
 
     :meth:`value` and :meth:`jacobian` take one point or a batch ``(B, d)``.
     """
 
     def __init__(self, source, target, fn, name=""):
-        self.source = source
-        self.target = target
-        self.fn = fn
-        self.name = name
+        super().__init__(source, fn, name)
+        self.source, self.target = source, target
 
     def value(self, p):
         out = _vector_jet(self.fn, p, None)[0]
@@ -230,6 +216,3 @@ class EmbeddingMap:
     def jacobian(self, p):
         """``J[..., M, m] = d phi^M / d x^m`` (target index first)."""
         return np.ascontiguousarray(np.swapaxes(_vector_jet(self.fn, p, 1)[1], -1, -2))
-
-    def __repr__(self):
-        return f"EmbeddingMap({self.name or (str(self.source) + ' -> ' + str(self.target))})"

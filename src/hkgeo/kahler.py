@@ -8,7 +8,10 @@ A complex chart of dimension ``n`` is the real
 ``(u1, v1, ..., un, vn)`` with ``z^j = u^j + i v^j``.  A
 Hermitian component matrix ``h`` with ``h = A + iB`` realifies to the block
 pattern ``[[A, B], [-B, A]]`` per index pair, normalised so the flat
-potential ``sum |z|^2`` gives the identity metric.
+potential ``sum |z|^2`` gives the identity metric.  A
+:class:`HermitianMetricField` is the :class:`~hkgeo.fields.MetricField` of
+that real metric, so the geometry and its real solves take it as it is;
+its ``matrix`` reads the complex components back.
 
 Forms
 -----
@@ -24,7 +27,8 @@ Hermitian ``h`` on a symplectic pairing ``Omega`` (block-diagonal
 Mixed-index structures are raised by ``X = -g^{-1} W``
 (:func:`hkgeo.reduction.complex_structure`), the convention in which
 ``w(U, V) = g(XU, V)`` and the flat case satisfies the quaternion algebra
-``I J = K``, ``J K = I``, ``K I = J``.
+``I J = K``, ``J K = I``, ``K I = J``; :func:`quaternion_defects` gives the
+deviation from each of its six relations.
 """
 
 from __future__ import annotations
@@ -47,8 +51,8 @@ __all__ = [
     "heavenly_check",
     "realify",
     "triple_at",
+    "quaternion_defects",
     "quaternion_form_fields",
-    "quaternion_residual",
     "x_matrices",
     "unit_determinant_shear_field",
     "non_unimodular_field",
@@ -68,8 +72,9 @@ class HeavenlyViolation(ValueError):
 # Hermitian fields
 
 
-class HermitianMetricField:
-    """Hermitian metric components as explicit real/imaginary part fields.
+class HermitianMetricField(MetricField):
+    """A Hermitian metric, held as the :class:`MetricField` of its realified
+    real metric.
 
     Parameters
     ----------
@@ -87,26 +92,11 @@ class HermitianMetricField:
     """
 
     def __init__(self, n, re_fn, im_fn=None, potential=None, name=""):
-        self.n = n
-        self.chart = Chart(tuple(f"{c}{j}" for j in range(1, n + 1) for c in "uv"))
-        self.re_fn = re_fn
-        self.im_fn = im_fn or (lambda coords: [[0.0] * n for _ in range(n)])
-        self.potential = potential
-        self.name = name
-
-    def matrix(self, p):
-        """Complex component matrix ``(n, n)`` at interleaved real point ``p``,
-        or a stack ``(B, n, n)`` over a batch ``(B, 2n)``."""
-        g = self.real_metric().value(np.asarray(p, dtype=float))
-        return g[..., 0::2, 0::2] + 1j * g[..., 0::2, 1::2]
-
-    def real_metric(self):
-        """The realified metric as a jet-capable :class:`MetricField`."""
-        n = self.n
+        im_fn = im_fn or (lambda coords: [[0.0] * n for _ in range(n)])
 
         def fn(coords):
             # the upper triangle, entry by entry: a batch has (B,) arrays next to constants
-            re, im = self.re_fn(coords), self.im_fn(coords)
+            re, im = re_fn(coords), im_fn(coords)
             rows = np.zeros((2 * n, 2 * n), dtype=object)
             for M in range(n):
                 for N in range(M, n):
@@ -115,10 +105,17 @@ class HermitianMetricField:
                     rows[2 * M, 2 * N + 1], rows[2 * M + 1, 2 * N] = b, -b
             return rows
 
-        return MetricField(self.chart, fn, name=f"realify({self.name})")
+        super().__init__(Chart(tuple(f"{c}{j}" for j in range(1, n + 1) for c in "uv")),
+                         fn, name)
+        self.n, self.potential = n, potential
 
-    def __repr__(self):
-        return f"HermitianMetricField(n={self.n}, {self.name!r})"
+    def matrix(self, p):
+        """Complex component matrix ``(n, n)`` at interleaved real point ``p``,
+        or a stack ``(B, n, n)`` over a batch ``(B, 2n)``: :meth:`value`
+        read back as complex."""
+        g = self.value(np.asarray(p, dtype=float))
+        # row 2M of g holds Re h_MN, Im h_MN for each N in turn: complex128's layout
+        return np.ascontiguousarray(g[..., 0::2, :]).view(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +280,14 @@ class Triple(Frozen):
         self._set(omega_I, omega_J, omega_K, I, J, K, g)
 
 
-def triple_at(h, omega, p=None):
+def triple_at(h, omega):
     """The (I, J, K) structures of Hermitian ``h`` over pairing ``omega``.
 
-    ``h`` may be a matrix, a stack ``(..., n, n)`` (every entry of the
-    triple keeps the leading axes) or a :class:`HermitianMetricField` with
-    point or batch ``p``.  The quaternion relations among the mixed
-    structures hold precisely when ``h`` passes :func:`heavenly_check` with
-    ``C = 1``.
+    ``h`` is a matrix or a stack ``(..., n, n)`` (every entry of the triple
+    keeps the leading axes), such as :meth:`HermitianMetricField.matrix` of
+    a batch.  The quaternion relations among the mixed structures hold
+    precisely when ``h`` passes :func:`heavenly_check` with ``C = 1``.
     """
-    if isinstance(h, HermitianMetricField):
-        h = h.matrix(p)
     h = np.asarray(h, dtype=complex)
     g = realify(h)
     W_I = _mixed_form_to_real(0.5j * h)
@@ -302,22 +296,13 @@ def triple_at(h, omega, p=None):
                   complex_structure(g, W_J), complex_structure(g, W_K), g)
 
 
-def quaternion_residual(t):
-    """Largest deviation from ``I^2 = J^2 = K^2 = -1``, ``IJ=K, JK=I, KI=J``.
-
-    A float for one triple, one value per point for a triple over a stack.
-    """
-    eye = np.eye(t.I.shape[-1])
-    devs = np.stack([
-        t.I @ t.I + eye,
-        t.J @ t.J + eye,
-        t.K @ t.K + eye,
-        t.I @ t.J - t.K,
-        t.J @ t.K - t.I,
-        t.K @ t.I - t.J,
-    ])
-    r = np.max(np.abs(devs), axis=(0, -2, -1))
-    return float(r) if r.ndim == 0 else r
+def quaternion_defects(I, J, K):
+    """Deviations from ``I^2 = J^2 = K^2 = -1``, ``IJ = K``, ``JK = I`` and
+    ``KI = J``, in that order, stacked as ``(..., 6, d, d)`` for structures
+    ``(..., d, d)``; all zero precisely for a quaternionic triple."""
+    eye = np.eye(I.shape[-1])
+    return np.stack([I @ I + eye, J @ J + eye, K @ K + eye,
+                     I @ J - K, J @ K - I, K @ I - J], axis=-3)
 
 
 def quaternion_form_fields(hfield, omega):
@@ -352,7 +337,7 @@ def x_matrices(hfield, p):
     that is not positive definite raises
     :class:`~hkgeo.geometry.MetricDomainError`.
     """
-    gv, dg, _ = hfield.real_metric().jet(np.asarray(p, dtype=float), order=1)
+    gv, dg, _ = hfield.jet(np.asarray(p, dtype=float), order=1)
     S = dg[..., 0::2, :, :] + dg[..., 1::2, :, :] @ symplectic_matrix(2 * hfield.n)
     Yt = np.swapaxes(raise_first_index(gv, S), -1, -2)
     return Yt[..., 0::2, 0::2] + 1j * Yt[..., 0::2, 1::2]

@@ -166,8 +166,12 @@ _CART = (-2.0, 2.0)
 # monopole potential and radial helpers
 
 
+def _radius(x1, x2, x3):
+    return jets.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+
+
 def _monopole_terms(x1, x2, x3):
-    r = jets.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    r = _radius(x1, x2, x3)
     denom = r * (r + x3)
     return r, x2 / denom, -x1 / denom
 
@@ -631,8 +635,9 @@ def scalar_fields(a=1.0):
         ScalarFieldSpec("toy-curvature-target",
                         lambda c: 8.0 * a ** 4 / jets.power(c[0] * c[0] + a * a, 3),
                         ((*_RADIAL,), (*_ANGLE,))),
-        *(ScalarFieldSpec(name, part(lambda c: _monopole_terms(*c), k), box3, string)
-          for k, name in enumerate(("radial-distance", "monopole-A1", "monopole-A2"))),
+        ScalarFieldSpec("radial-distance", lambda c: _radius(*c), box3, string),
+        *(ScalarFieldSpec(f"monopole-A{k}", part(lambda c: _monopole_terms(*c), k), box3,
+                          string) for k in (1, 2)),
         ScalarFieldSpec("gh-angle", _VAR_CHANGE[3], box4y, pole),
         *(ScalarFieldSpec(f"gh-x{k + 1}", _VAR_CHANGE[k], box4y) for k in range(3)),
         *(ScalarFieldSpec(f"mu-{k}-cartesian", mu_cart[f"mu_{k}"],

@@ -285,7 +285,7 @@ def x_matrices(hfield, p):
     in complex arithmetic: the Wirtinger derivative ``d_p = (d_{u_p} - i
     d_{v_p}) / 2`` of the complex matrix ``h`` read off the realified
     metric's jet, and ``h^{-1}`` by numpy's LU solve."""
-    gv, dg, _ = hfield.real_metric().jet(np.asarray(p, dtype=float), order=1)
+    gv, dg, _ = hfield.jet(np.asarray(p, dtype=float), order=1)
     h = gv[..., 0::2, 0::2] + 1j * gv[..., 0::2, 1::2]
     grad = dg[..., 0::2, 0::2] + 1j * dg[..., 0::2, 1::2]  # real derivatives of h
     dh = 0.5 * (grad[..., 0::2, :, :] - 1j * grad[..., 1::2, :, :])

@@ -80,12 +80,12 @@ def test_criterion_02_quaternion_algebra():
         for _ in range(25):
             h = kahler.coset_exponential(rng.normal(scale=0.6, size=len(gens)), gens)
             t = kahler.triple_at(h, om)
-            worst = max(worst, kahler.quaternion_residual(t))
+            worst = max(worst, np.max(np.abs(kahler.quaternion_defects(t.I, t.J, t.K))))
     om2 = kahler.symplectic_matrix(2)
     shear = kahler.unit_determinant_shear_field()
     for p in _pts(((-1.5, 1.5),) * 4, count=25):
-        worst = max(worst, kahler.quaternion_residual(
-            kahler.triple_at(shear, om2, p)))
+        t = kahler.triple_at(shear.matrix(p), om2)
+        worst = max(worst, np.max(np.abs(kahler.quaternion_defects(t.I, t.J, t.K))))
     _report(2, "I, J, K of passing metrics close the quaternion algebra",
             [("residual", worst, 1e-10)])
 
@@ -93,20 +93,18 @@ def test_criterion_02_quaternion_algebra():
 def test_criterion_03_covariant_constancy():
     om = kahler.symplectic_matrix(2)
     shear = kahler.unit_determinant_shear_field()
-    g = shear.real_metric()
     fJ, fK = kahler.quaternion_form_fields(shear, om)
     worst = 0.0
     for p in _pts(((-1.5, 1.5),) * 4, count=15):
-        dJ = geometry.covariant_derivative_02(g, fJ, p)
-        dK = geometry.covariant_derivative_02(g, fK, p)
+        dJ = geometry.covariant_derivative_02(shear, fJ, p)
+        dK = geometry.covariant_derivative_02(shear, fK, p)
         worst = max(worst, float(np.max(np.abs(dJ + 1j * dK))),
                     float(np.max(np.abs(dJ - 1j * dK))))
     # a constant coset metric has vanishing connection; include one for form
     h = kahler.coset_exponential([0.4, -0.2, 0.7], kahler.sp_generators(2))
     const = kahler.HermitianMetricField(2, lambda c: h.real, lambda c: h.imag)
     fJc, _ = kahler.quaternion_form_fields(const, om)
-    dJc = geometry.covariant_derivative_02(const.real_metric(), fJc,
-                                           [0.3, 0.1, -0.2, 0.5])
+    dJc = geometry.covariant_derivative_02(const, fJc, [0.3, 0.1, -0.2, 0.5])
     worst = max(worst, float(np.max(np.abs(dJc))))
 
     ctrl = kahler.non_unimodular_field()
@@ -114,7 +112,7 @@ def test_criterion_03_covariant_constancy():
     dev = 0.0
     for p in _pts(((-1.5, 1.5),) * 4, count=10):
         dev = max(dev, float(np.max(np.abs(
-            geometry.covariant_derivative_02(ctrl.real_metric(), fJx, p)))))
+            geometry.covariant_derivative_02(ctrl, fJx, p)))))
     control = 0.0 if dev > 1e-3 else 1.0
 
     _report(3, "nabla(J +- iK) = 0 for passing fields, broken by the"

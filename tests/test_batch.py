@@ -592,12 +592,17 @@ def test_gaussian_curvature_batch_equal_single(a):
 
 
 def test_hermitian_real_metric_values_batch_equal_single():
+    # a Hermitian field is the MetricField of its real metric, and its
+    # complex matrix is that metric's value de-interleaved, bit for bit
     pts = batch_of(((-1.5, 1.5),) * 4)
-    for hf in hermitian_fields():
-        g = hf.real_metric()
-        same_bits(g.value(pts), stacked(g.value, pts))
-    g = kahler.single_mode_field().real_metric()
-    same_bits(g.value(pts[:, :2]), stacked(g.value, pts[:, :2]))
+    for hf in (*hermitian_fields(), kahler.single_mode_field()):
+        assert isinstance(hf, MetricField)
+        p = pts[:, :hf.dim]
+        same_bits(hf.value(p), stacked(hf.value, p))
+        for q in (p[0], p):
+            g, h = hf.value(q), hf.matrix(q)
+            same_bits(h.real, g[..., 0::2, 0::2])
+            same_bits(h.imag, g[..., 0::2, 1::2])
 
 
 def same_complex_bits(batch, singles):
@@ -630,14 +635,16 @@ def test_triples_batch_equal_single():
     pts = batch_of(((-1.5, 1.5),) * 4)
     om = kahler.symplectic_matrix(2)
     shear = kahler.unit_determinant_shear_field()
-    t = kahler.triple_at(shear, om, pts)
-    singles = [kahler.triple_at(shear, om, p) for p in pts]
+    t = kahler.triple_at(shear.matrix(pts), om)
+    singles = [kahler.triple_at(shear.matrix(p), om) for p in pts]
     for name in ("omega_I", "omega_J", "omega_K", "g"):
         same_bits(getattr(t, name), [getattr(u, name) for u in singles])
     for name in ("I", "J", "K"):
         few_ulp(getattr(t, name), [getattr(u, name) for u in singles])
-    few_ulp(kahler.quaternion_residual(t), [kahler.quaternion_residual(u) for u in singles])
-    assert np.max(kahler.quaternion_residual(t)) < 1e-12
+    residual = [np.max(np.abs(kahler.quaternion_defects(u.I, u.J, u.K)), axis=(-3, -2, -1))
+                for u in (t, *singles)]
+    few_ulp(residual[0], residual[1:])
+    assert np.max(residual[0]) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 4])

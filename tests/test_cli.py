@@ -74,16 +74,29 @@ BAD_ARGV = [
 ]
 
 
+def _unwritable(path):
+    """The error line of an output ``path`` whose directory does not exist."""
+    return f"error: cannot write {path}: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     # every configuration error is one error line and nothing on stdout
     for argv, said in BAD_ARGV:
         out, err = _exits_2_with_an_error_line(argv, capsys)
         assert out == "" and said in err, (argv, err)
-    for bad in (["--samples", "0"], ["--a", "0"], ["--a", "nan"], ["--a", "inf"],
-                ["--seed", "-1"], ["--a=-1"]):
+    for bad in (["--a", "nan"], ["--a", "inf"], ["--a=-1"]):
         assert _exits_2_with_an_error_line(["verify", "mechanics", *bad], capsys)[0] == ""
-    _exits_2_with_an_error_line(["verify", "mechanics", "--samples", "2", "--json",
-                                 str(tmp_path / "no" / "such" / "dir" / "x.json")], capsys)
+    for bad, line in ((["--samples", "0"], "samples must be >= 1, got 0"),
+                      (["--seed", "-1"], "seed must be >= 0, got -1"),
+                      (["--a", "0"], "circle radius a must be finite and positive, got 0.0")):
+        assert _exits_2_with_an_error_line(["verify", "mechanics", *bad], capsys) == (
+            "", f"error: {line}\n")
+    # an unwritable report path is met after the rows, which stay on stdout
+    assert run(["verify", "mechanics", "--samples", "2"]) == 0
+    rows = capsys.readouterr().out
+    path = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert _exits_2_with_an_error_line(["verify", "mechanics", "--samples", "2", "--json",
+                                        str(path)], capsys) == (rows, _unwritable(path))
 
 
 def test_parse_accepts_full_names_in_any_order():
@@ -300,11 +313,16 @@ def test_curvature_profile_stdout(capsys):
 
 
 def test_curvature_profile_bad_args(tmp_path, capsys):
-    for bad in (["--steps", "1"], ["--a", "-1"], ["--a", "nan"], ["--rmax", "0"],
-                ["--rmax", "nan"], ["--rmax", "inf"]):
+    for bad in (["--a", "-1"], ["--a", "nan"], ["--rmax", "nan"], ["--rmax", "inf"]):
         _exits_2_with_an_error_line(["curvature-profile", *bad], capsys)
-    _exits_2_with_an_error_line(["curvature-profile", "--steps", "3", "--csv",
-                                 str(tmp_path / "no" / "dir" / "x.csv")], capsys)
+    for bad, line in ((["--steps", "1"], "--steps must be >= 2"),
+                      (["--rmax", "0"], "--rmax must be finite and exceed 1e-6"),
+                      (["--a", "0"], "circle radius a must be finite and positive, got 0.0")):
+        assert _exits_2_with_an_error_line(["curvature-profile", *bad], capsys) == (
+            "", f"error: {line}\n")
+    path = tmp_path / "no" / "dir" / "x.csv"
+    assert _exits_2_with_an_error_line(["curvature-profile", "--steps", "3", "--csv",
+                                        str(path)], capsys) == ("", _unwritable(path))
 
 
 SRC = Path(cli.__file__).parent.parent

@@ -319,3 +319,17 @@ def test_exclusions_give_finite_values_or_typed_errors():
              for p in (*_locus_points(dim), _locus_points(dim))
              if not _finite_or_typed(evaluate, p)]
     assert leaks == []
+
+
+def test_radial_distance_is_only_the_radius():
+    # the radius is smooth on the monopole string, which only the potential's
+    # quotients divide by: on the string at x3 = -1 it is finite to second
+    # order, while A1 and A2 still raise there
+    fns = {spec.name: spec.fn for spec in scalar_fields(1.0)}
+    on_string = np.array([0.0, 0.0, -1.0])
+    jet = evaluate_jet(fns["radial-distance"], on_string)
+    assert jet.value == 1.0 and _finite(jet)
+    assert np.array_equal(jet.gradient, on_string)
+    for name in ("monopole-A1", "monopole-A2"):
+        with pytest.raises(EvaluationError):
+            evaluate_jet(fns[name], on_string)

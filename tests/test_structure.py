@@ -326,8 +326,9 @@ UNENTERED = {}
 #: Runs the six commands, at small sizes, under ``sys.setprofile`` and prints
 #: the public functions and methods of ``hkgeo`` that none of them entered:
 #: module functions and the methods, properties and class or static methods
-#: of the classes a module defines, without dunders (and the machinery a
-#: NamedTuple or dataclass generates) or exception classes.
+#: of the classes a module defines, with those they inherit from a
+#: package-private base (such as ``fields._Field``), without dunders (and the
+#: machinery a NamedTuple or dataclass generates) or exception classes.
 _TRACE = """
 import contextlib, importlib, inspect, io, json, os, pkgutil, sys, tempfile
 import hkgeo, hkgeo.cli
@@ -363,7 +364,9 @@ for info in pkgutil.iter_modules(hkgeo.__path__):
         if inspect.isclass(obj):
             if issubclass(obj, BaseException):
                 continue
-            members = {f"{name}.{attr}": raw for attr, raw in vars(obj).items()
+            bases = [b for b in reversed(obj.__mro__) if b is obj or (
+                b.__module__.startswith("hkgeo.") and b.__name__.startswith("_"))]
+            members = {f"{name}.{attr}": raw for b in bases for attr, raw in vars(b).items()
                        if not attr.startswith("_")}
         never += [f"{info.name}.{key}" for key, raw in members.items()
                   if code(raw) is not None and code(raw) not in entered]
@@ -728,8 +731,9 @@ def _code_lines(path):
 
 #: The most code lines ``src/`` may have.  Lower it when the package shrinks;
 #: raising it is a change that shows in the diff.
-CODE_LINE_CEILING = 2307
+CODE_LINE_CEILING = 2258
 
 
 def test_src_code_lines():
-    assert sum(_code_lines(path) for path in SRC.glob("*.py")) <= CODE_LINE_CEILING
+    counts = {path.stem: _code_lines(path) for path in sorted(SRC.glob("*.py"))}
+    assert sum(counts.values()) <= CODE_LINE_CEILING, counts
