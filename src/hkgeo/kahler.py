@@ -5,10 +5,13 @@ Real realisation
 ----------------
 A complex chart of dimension ``n`` is the real
 :class:`~hkgeo.fields.Chart` of its ``2n`` coordinates, interleaved as
-``(u1, v1, ..., un, vn)`` with ``z^j = u^j + i v^j``.  A
-Hermitian component matrix ``h`` with ``h = A + iB`` realifies to the block
-pattern ``[[A, B], [-B, A]]`` per index pair, normalised so the flat
-potential ``sum |z|^2`` gives the identity metric.  A
+``(u1, v1, ..., un, vn)`` with ``z^j = u^j + i v^j``.  In these
+coordinates multiplication by ``i`` acts on tangent vectors as
+``E = 1_n (x) eps`` with ``eps = [[0, 1], [-1, 0]]``
+(:func:`symplectic_matrix`), and a Hermitian component matrix ``h`` realifies
+to ``Re h (x) 1_2 + Im h (x) eps`` (``(x)`` the Kronecker product), that is,
+``[[A, B], [-B, A]]`` per index pair for ``h = A + iB``, normalised so the
+flat potential ``sum |z|^2`` gives the identity metric.  A
 :class:`HermitianMetricField` is the :class:`~hkgeo.fields.MetricField` of
 that real metric, so the geometry and its real solves take it as it is;
 its ``matrix`` reads the complex components back.
@@ -20,9 +23,11 @@ Degree-2 forms are stored as antisymmetric coefficient matrices ``W`` with
 Hermitian ``h`` on a symplectic pairing ``Omega`` (block-diagonal
 ``[[0, 1], [-1, 0]]``) are, in that storage,
 
-* ``omega_I``: the Kaehler form of ``h`` (depends on the metric),
-* ``omega_J``, ``omega_K``: the real and imaginary parts of the
-  holomorphic pairing built from ``Omega`` (metric independent).
+* ``omega_I = g E``: the Kaehler form ``omega(U, V) = g(EU, V)`` of the
+  realified metric ``g`` (depends on the metric),
+* ``omega_J = Omega (x) diag(1, -1)`` and
+  ``omega_K = Omega (x) [[0, 1], [1, 0]]``: the real and imaginary parts of
+  the holomorphic pairing built from ``Omega`` (metric independent).
 
 Mixed-index structures are raised by ``X = -g^{-1} W``
 (:func:`hkgeo.reduction.complex_structure`), the convention in which
@@ -113,15 +118,13 @@ class HermitianMetricField(MetricField):
         """Complex component matrix ``(n, n)`` at interleaved real point ``p``,
         or a stack ``(B, n, n)`` over a batch ``(B, 2n)``: :meth:`value`
         read back as complex."""
-        g = self.value(np.asarray(p, dtype=float))
-        # row 2M of g holds Re h_MN, Im h_MN for each N in turn: complex128's layout
-        return np.ascontiguousarray(g[..., 0::2, :]).view(complex)
+        return _complex(self.value(np.asarray(p, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
 # symplectic pairing, coset generators, heavenly condition
 
-_EPS2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+_EPS = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 _PAULI = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -130,43 +133,41 @@ _PAULI = (
 )
 
 
-def symplectic_matrix(n):
-    """Block-diagonal pairing ``diag(eps, ..., eps)`` with ``eps = [[0,1],[-1,0]]``."""
+def _kron(A, B):
+    """Kronecker product ``A (x) B`` of matrices, over the (broadcast) leading
+    axes of both: the entries of ``np.kron``, without its call overhead, which
+    the dozens of small products of :func:`sp_generators` would pay."""
+    P = np.asarray(A)[..., :, None, :, None] * np.asarray(B)[..., None, :, None, :]
+    return P.reshape(*P.shape[:-4], P.shape[-4] * P.shape[-3], P.shape[-2] * P.shape[-1])
+
+
+def _half(n):
+    """``n / 2`` for an even ``n >= 2``; any other ``n`` is a ``ValueError``."""
     if n < 2 or n % 2:
         raise ValueError(f"need even n >= 2, got {n}")
-    out = np.zeros((n, n))
-    for b in range(n // 2):
-        out[2 * b: 2 * b + 2, 2 * b: 2 * b + 2] = _EPS2
-    return out
+    return n // 2
+
+
+def symplectic_matrix(n):
+    """Block-diagonal pairing ``1_{n/2} (x) eps`` with ``eps = [[0,1],[-1,0]]``."""
+    return _kron(np.eye(_half(n)), _EPS)
 
 
 def sp_generators(n):
     """Hermitian generators ``t`` with ``t^T Omega + Omega t = 0``.
 
     Explicit integer/half-integer entries, so the defining relations hold
-    exactly in floating point.  For ``n = 2`` the list is precisely the
-    three Pauli matrices; generally there are ``m (2m + 1)`` generators for
-    ``n = 2m``.
+    exactly in floating point.  For ``n = 2m`` there are ``m (2m + 1)``:
+    each Pauli block on the diagonal, then for each ``I < J`` the blocks
+    ``e_I e_J^T (x) Q + e_J e_I^T (x) Q^H`` for ``Q`` in
+    ``(sigma_x, sigma_y, sigma_z, i 1_2)``; for ``n = 2`` the list is
+    precisely the three Pauli matrices.
     """
-    if n < 2 or n % 2:
-        raise ValueError(f"need even n >= 2, got {n}")
-    m = n // 2
-    gens = []
-    for I in range(m):
-        for s in _PAULI:
-            X = np.zeros((n, n), dtype=complex)
-            X[2 * I: 2 * I + 2, 2 * I: 2 * I + 2] = s
-            gens.append(X)
-    off_blocks = _PAULI + (1j * np.eye(2),)
-    for I in range(m):
-        for J in range(I + 1, m):
-            for Q in off_blocks:
-                X = np.zeros((n, n), dtype=complex)
-                X[2 * I: 2 * I + 2, 2 * J: 2 * J + 2] = Q
-                X[2 * J: 2 * J + 2, 2 * I: 2 * I + 2] = Q.conj().T
-                gens.append(X)
-    assert len(gens) == m * (2 * m + 1)
-    return gens
+    unit = np.eye(_half(n))
+    return ([_kron(np.outer(e, e), s) for e in unit for s in _PAULI]
+            + [_kron(np.outer(a, b), Q) + _kron(np.outer(b, a), Q.conj().T)
+               for I, a in enumerate(unit) for b in unit[I + 1:]
+               for Q in (*_PAULI, 1j * np.eye(2))])
 
 
 def sp_residual(X, omega):
@@ -236,39 +237,21 @@ def heavenly_check(h, omega):
 
 
 def realify(h):
-    """Real 2n x 2n metric of Hermitian ``h`` (or of each of a stack
-    ``(..., n, n)``) in interleaved coordinates."""
+    """Real 2n x 2n metric ``Re h (x) 1_2 + Im h (x) eps`` of Hermitian ``h``
+    (or of each of a stack ``(..., n, n)``) in interleaved coordinates."""
     h = np.asarray(h, dtype=complex)
-    return _interleaved(h.real, h.real, h.imag, -h.imag)
+    return _kron(h.real, np.eye(2)) + _kron(h.imag, _EPS)
 
 
-def _interleaved(uu, vv, uv, vu):
-    """Real ``2n x 2n`` coefficients from the four ``du``/``dv`` blocks
-    (each ``(..., n, n)``)."""
-    n = uu.shape[-1]
-    T = np.zeros((*uu.shape[:-2], 2 * n, 2 * n))
-    T[..., 0::2, 0::2], T[..., 1::2, 1::2] = uu, vv
-    T[..., 0::2, 1::2], T[..., 1::2, 0::2] = uv, vu
-    return T
-
-
-def _mixed_form_to_real(F):
-    """Realify ``sum_{m,q} F_mq dz^m ^ dzbar^q`` (F anti-Hermitian, or a stack)."""
-    R, I = F.real, F.imag
-    A, S = R - np.swapaxes(R, -1, -2), I + np.swapaxes(I, -1, -2)
-    return _interleaved(A, A, S, -S)
-
-
-def _pair_form_to_real(P):
-    """Realify ``sum_{m<q} (P_mq dz^m ^ dz^q + conj)`` (P antisymmetric)."""
-    U, W = np.triu(2 * P.real, 1), np.triu(-2 * P.imag, 1)
-    return _interleaved(U - U.T, U.T - U, W - W.T, W - W.T)
+def _complex(T):
+    """Complex ``(..., n, n)`` read back from realified ``T`` ``(..., 2n, 2n)``:
+    row ``2M`` holds ``Re, Im`` of each entry in turn, complex128's layout."""
+    return np.ascontiguousarray(T[..., 0::2, :]).view(complex)
 
 
 def _pair_forms(omega):
     """The metric-independent ``omega_J``, ``omega_K`` of pairing ``omega``."""
-    return (_pair_form_to_real(np.asarray(omega) / 2.0),
-            _pair_form_to_real(-0.5j * np.asarray(omega, dtype=complex)))
+    return _kron(omega, [[1.0, 0.0], [0.0, -1.0]]), _kron(omega, [[0.0, 1.0], [1.0, 0.0]])
 
 
 class Triple(Frozen):
@@ -288,9 +271,8 @@ def triple_at(h, omega):
     a batch.  The quaternion relations among the mixed structures hold
     precisely when ``h`` passes :func:`heavenly_check` with ``C = 1``.
     """
-    h = np.asarray(h, dtype=complex)
     g = realify(h)
-    W_I = _mixed_form_to_real(0.5j * h)
+    W_I = g @ symplectic_matrix(g.shape[-1])
     W_J, W_K = (np.broadcast_to(W, g.shape) for W in _pair_forms(omega))
     return Triple(W_I, W_J, W_K, complex_structure(g, W_I),
                   complex_structure(g, W_J), complex_structure(g, W_K), g)
@@ -339,8 +321,7 @@ def x_matrices(hfield, p):
     """
     gv, dg, _ = hfield.jet(np.asarray(p, dtype=float), order=1)
     S = dg[..., 0::2, :, :] + dg[..., 1::2, :, :] @ symplectic_matrix(2 * hfield.n)
-    Yt = np.swapaxes(raise_first_index(gv, S), -1, -2)
-    return Yt[..., 0::2, 0::2] + 1j * Yt[..., 0::2, 1::2]
+    return _complex(np.swapaxes(raise_first_index(gv, S), -1, -2))
 
 
 # ---------------------------------------------------------------------------

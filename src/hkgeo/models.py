@@ -170,9 +170,14 @@ def _radius(x1, x2, x3):
     return jets.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
 
 
-def _monopole_terms(x1, x2, x3):
+def _monopole_denominator(x1, x2, x3):
+    """``r`` and ``r (r + x3)``, which both terms of the monopole potential divide by."""
     r = _radius(x1, x2, x3)
-    denom = r * (r + x3)
+    return r, r * (r + x3)
+
+
+def _monopole_terms(x1, x2, x3):
+    r, denom = _monopole_denominator(x1, x2, x3)
     return r, x2 / denom, -x1 / denom
 
 
@@ -610,7 +615,7 @@ def scalar_fields(a=1.0):
 
     The derivative-consistency suite (jets against central differences)
     sweeps exactly this list, so any new closed-form function should be
-    registered here.  The moment maps, monopole terms, coordinate change,
+    registered here.  The moment maps, monopole denominator, coordinate change,
     Taub-NUT fiber norm (its metric's ``[3][3]`` entry) and Kaehler
     potentials are the models' and ``kahler``'s own callables, so the sweep
     checks the functions the other checks use.
@@ -626,9 +631,6 @@ def scalar_fields(a=1.0):
     tn_metric = build("taub-nut", a).metric.fn
     mu_cart = build("r8-parent", a).cartesian.targets
 
-    def part(fn, k):
-        return lambda c: fn(c)[k]
-
     return (
         ScalarFieldSpec("toy-moment-map", build("toy-parent", a).targets["moment_map"],
                         ((*_RADIAL,), (*_ANGLE,), (*_CART,), (*_ANGLE,))),
@@ -636,8 +638,10 @@ def scalar_fields(a=1.0):
                         lambda c: 8.0 * a ** 4 / jets.power(c[0] * c[0] + a * a, 3),
                         ((*_RADIAL,), (*_ANGLE,))),
         ScalarFieldSpec("radial-distance", lambda c: _radius(*c), box3, string),
-        *(ScalarFieldSpec(f"monopole-A{k}", part(lambda c: _monopole_terms(*c), k), box3,
-                          string) for k in (1, 2)),
+        ScalarFieldSpec("monopole-A1", lambda c: c[1] / _monopole_denominator(*c)[1], box3,
+                        string),
+        ScalarFieldSpec("monopole-A2", lambda c: -c[0] / _monopole_denominator(*c)[1], box3,
+                        string),
         ScalarFieldSpec("gh-angle", _VAR_CHANGE[3], box4y, pole),
         *(ScalarFieldSpec(f"gh-x{k + 1}", _VAR_CHANGE[k], box4y) for k in range(3)),
         *(ScalarFieldSpec(f"mu-{k}-cartesian", mu_cart[f"mu_{k}"],

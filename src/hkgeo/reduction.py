@@ -89,15 +89,6 @@ class DegeneratePullbackWarning(UserWarning):
     """Jacobian of the map is rank deficient; the pullback is degenerate."""
 
 
-def _as_vector_fn(V, dim):
-    if isinstance(V, VectorFieldR):
-        return V.fn
-    v = np.asarray(V, dtype=float)
-    if v.shape != (dim,):
-        raise ValueError(f"vector of shape {v.shape} on a {dim}-dimensional chart")
-    return lambda coords: list(v)
-
-
 def contract(form, V, p):
     """Value of ``i_V w`` at ``p``: components ``w_MN V^N``."""
     if form.degree != 2:
@@ -108,16 +99,16 @@ def contract(form, V, p):
 
 
 def contraction_field(form, V, name=""):
-    """``i_V w`` as a jet-capable degree-1 field on the same chart."""
+    """``i_V w`` of a 2-form field and a :class:`~hkgeo.fields.VectorFieldR`
+    on the same chart, as a jet-capable degree-1 field."""
     if form.degree != 2:
         raise ValueError("contraction is defined here for degree-2 forms")
     d = form.dim
-    vfn = _as_vector_fn(V, d)
 
     def fn(coords):
         # w_MN V^N over the strict upper triangle, with w_NM = -w_MN; each
         # row still sums in the order N = 0, 1, ..., and exact zeros are skipped
-        v = vfn(coords)
+        v = V.fn(coords)
         out = [0.0] * d
         for M, N, w in _triangle(form.fn(coords), -1):
             if not (isinstance(w, float) and w == 0.0):
@@ -268,27 +259,25 @@ def quotient_metric(g, V, invariant, p):
 FIBER_TOL = 1e-10
 
 
-def quotient_form(form, fiber_index, invariant, p):
+def quotient_form(W, fiber_index, invariant, p):
     """Invariant block of a form whose fiber components cancel.
 
     The cancellation is a theorem for the pipelines assembled here, so a
     fiber component above :data:`FIBER_TOL` (or NaN) means the input is wrong and
     raises :class:`ObstructionError` (with the offending residual, at the
     first such point of a batch) instead of being projected away silently.
-    ``form`` is a :class:`~hkgeo.fields.FormField` or its values
-    ``(..., d, d)`` at ``p``.
+    ``W`` holds the form's values at ``p``, ``(d, d)`` at a point or
+    ``(B, d, d)`` on a batch, as from :func:`pullback_form`; ``p`` serves
+    only to name a failing point.
     """
-    W = form.value(p) if isinstance(form, FormField) else np.asarray(form, dtype=float)
+    W = np.asarray(W, dtype=float)
     residual = np.max(np.abs(W[..., fiber_index, :]), axis=-1)
     failure = first_failure(residual <= FIBER_TOL, p)  # written so that NaN fails
     if failure is not None:
         k, where = failure
         worst = float(residual[() if k is None else k])
-        raise ObstructionError(
-            f"fiber components of {getattr(form, 'name', 'form') or 'form'} do not "
-            f"cancel (max {worst:.3e} > {FIBER_TOL:.1e}){where}",
-            residual=worst,
-        )
+        raise ObstructionError(f"fiber components of form do not cancel (max {worst:.3e} > "
+                               f"{FIBER_TOL:.1e}){where}", residual=worst)
     idx = np.asarray(invariant, dtype=int)
     return W[..., idx[:, None], idx]
 

@@ -105,6 +105,10 @@ def test_potential_reproduces_entries():
         direct = shear.matrix(p)
         from_pot = metric_from_potential(shear.potential, p)
         assert np.max(np.abs(direct - from_pot)) < 1e-12
+    control = non_unimodular_field()
+    for p in RNG.uniform(-1.0, 1.0, size=(5, 4)):
+        assert np.max(np.abs(control.matrix(p)
+                             - metric_from_potential(control.potential, p))) < 1e-12
     single = single_mode_field()
     for p in RNG.uniform(-1.0, 1.0, size=(5, 2)):
         assert np.max(np.abs(single.matrix(p)
@@ -247,3 +251,37 @@ def test_real_metric_block_structure():
             assert np.allclose(blk, [[A, B], [-B, A]], atol=1e-14)
     assert np.allclose(g, g.T)
     assert np.min(np.linalg.eigvalsh(g)) > 0.0
+    # the field's interleaved entries and realify of its matrix, at a point and on a batch
+    pts = RNG.uniform(-1.0, 1.0, size=(6, 4))
+    assert np.array_equal(kahler.realify(h), g)
+    assert np.array_equal(kahler.realify(shear.matrix(pts)), shear.value(pts))
+
+
+_SIGMA = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]]))
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_realified_blocks_by_slicing(n):
+    # each real structure read block by block: rows and columns 0::2 are the
+    # u directions, 1::2 the v directions (z = u + iv)
+    gens = sp_generators(n)
+    h = coset_exponential(RNG.normal(scale=0.4, size=(5, len(gens))), gens)
+    om = symplectic_matrix(n)
+    A, B, t = h.real, h.imag, triple_at(h, om)
+    for T, want in ((kahler.realify(h), (A, B, -B, A)), (t.g, (A, B, -B, A)),
+                    (t.omega_I, (-B, A, -A, -B)), (t.omega_J, (om, 0, 0, -om)),
+                    (t.omega_K, (0, om, om, 0))):
+        got = (T[..., 0::2, 0::2], T[..., 0::2, 1::2], T[..., 1::2, 0::2], T[..., 1::2, 1::2])
+        for block, w in zip(got, want):
+            assert np.array_equal(block, np.broadcast_to(w, block.shape))
+    # each generator is its 2 x 2 block (and the block's adjoint mirrored) at its place
+    m = n // 2
+    places = ([(I, I, s) for I in range(m) for s in _SIGMA]
+              + [(I, J, Q) for I in range(m) for J in range(I + 1, m)
+                 for Q in (*_SIGMA, 1j * np.eye(2))])
+    for X, (I, J, Q) in zip(gens, places, strict=True):
+        rest = X.copy()
+        assert np.array_equal(X[2 * I:2 * I + 2, 2 * J:2 * J + 2], Q)
+        assert np.array_equal(X[2 * J:2 * J + 2, 2 * I:2 * I + 2], Q.conj().T)
+        rest[2 * I:2 * I + 2, 2 * J:2 * J + 2] = rest[2 * J:2 * J + 2, 2 * I:2 * I + 2] = 0
+        assert not rest.any()

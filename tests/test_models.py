@@ -333,3 +333,19 @@ def test_radial_distance_is_only_the_radius():
     for name in ("monopole-A1", "monopole-A2"):
         with pytest.raises(EvaluationError):
             evaluate_jet(fns[name], on_string)
+
+
+@pytest.mark.parametrize("name", ["monopole-A1", "monopole-A2"])
+def test_monopole_term_is_only_its_quotient(name, monkeypatch):
+    # each monopole spec divides once, by r (r + x3): it does not evaluate
+    # the other term of the potential and throw it away
+    fn = {spec.name: spec.fn for spec in scalar_fields(1.0)}[name]
+    divisions = []
+    divide = Jet.__truediv__
+    monkeypatch.setattr(Jet, "__truediv__",
+                        lambda self, other: divisions.append(1) or divide(self, other))
+    jet = evaluate_jet(fn, np.array([[0.3, -0.7, 0.5], [1.1, 0.4, -0.2]]))
+    assert len(divisions) == 1
+    x1, x2, x3 = 0.3, -0.7, 0.5
+    r = np.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    assert jet.value[0] == (x2 if name == "monopole-A1" else -x1) / (r * (r + x3))

@@ -32,7 +32,8 @@ alone reduces to a worst error and a sample count; a level set or a
 Cartesian picture is a ``Model`` of its own.  Every module but ``checks``
 lists its public functions and classes in ``__all__``.  ``src/`` stays
 under a code-line ceiling, so growth shows in the diff, and every
-package name the README puts in backticks exists.
+package name the README puts in backticks exists.  Every argument check
+at a public entry raises its typed error, and a test reaches it.
 """
 
 import ast
@@ -54,7 +55,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hkgeo
-from hkgeo import checks, cli, fields, geometry, jets, mechanics, models, reduction
+from hkgeo import checks, cli, fields, geometry, jets, kahler, mechanics, models, reduction
 from hkgeo.ddouble import DD
 from hkgeo.fields import EmbeddingMap
 from hkgeo.jets import call_field
@@ -378,6 +379,57 @@ def test_commands_enter_every_public_function():
     # what no command runs is deleted, or moved to tests/oracles.py if a test
     # needs it as a reference, or listed in UNENTERED with its reason
     assert json.loads(_fresh(_TRACE)) == sorted(UNENTERED)
+
+
+_PLANE, _SPACE = fields.Chart(("x", "y")), fields.Chart(("x", "y", "z"))
+_ONE_FORM = fields.FormField(_PLANE, 1, lambda c: [c[1], c[0]])
+_ROUND = fields.VectorFieldR(_PLANE, lambda c: [-c[1], c[0]])
+_FLAT3 = fields.MetricField(_SPACE, lambda c: np.eye(3).tolist())
+
+#: Every argument check at a public entry: (call, typed error, message fragment).
+ARGUMENT_ERRORS = [
+    (lambda: checks.run_suite("no-such-suite"), KeyError, "unknown suite 'no-such-suite'"),
+    (lambda: fields.FormField(_PLANE, 3, lambda c: 0.0), ValueError,
+     "only degree-1 and degree-2 forms"),
+    (lambda: EmbeddingMap(_PLANE, _SPACE, lambda c: [c[0], c[1]]).value([0.5, 0.5]),
+     ValueError, "map produced 2 components for target"),
+    (lambda: geometry.gaussian_curvature(_FLAT3, [0.0, 0.0, 0.0]), ValueError,
+     "gaussian_curvature expects a 2-dimensional metric"),
+    (lambda: geometry.euler_characteristic(_FLAT3), ValueError,
+     "euler_characteristic expects a 2-dimensional metric"),
+    (lambda: jets.fd_oracle(lambda c: c[0], [0.5, 0.5], order=3), ValueError,
+     "jet order must be 1 or 2, not 3"),
+    (lambda: kahler.symplectic_matrix(3), ValueError, "need even n >= 2, got 3"),
+    (lambda: kahler.sp_generators(3), ValueError, "need even n >= 2, got 3"),
+    (lambda: kahler.coset_exponential(np.zeros(2), kahler.sp_generators(2)), ValueError,
+     "coefficients (2,) for 3 generators"),
+    (lambda: mechanics.constrain_and_reduce(_FLAT3, 3), ValueError,
+     "fiber index 3 outside 0..2"),
+    (lambda: reduction.contract(_ONE_FORM, _ROUND, [0.5, 0.5]), ValueError,
+     "defined here for degree-2 forms"),
+    (lambda: reduction.contraction_field(_ONE_FORM, _ROUND), ValueError,
+     "defined here for degree-2 forms"),
+    (lambda: reduction.recover_moment_map(_ONE_FORM, [0.0, 0.0], [0.5, 0.5, 0.5]),
+     ValueError, "base and target points live on different charts"),
+]
+
+
+@pytest.mark.parametrize("call, error, fragment", ARGUMENT_ERRORS)
+def test_argument_errors_are_typed(call, error, fragment):
+    with pytest.raises(error) as exc:
+        call()
+    assert fragment in str(exc.value)
+
+
+def test_constant_field_jet_and_reflected_double_double_subtraction():
+    # the two branches no command reaches: a field that returns a constant,
+    # and a float minus a double-double
+    jet = jets.evaluate_jet(lambda c: 2.5, [0.5, -0.5])
+    assert jet.value == 2.5 and np.array_equal(jet.gradient, [0.0, 0.0])
+    assert np.array_equal(jet.hessian, np.zeros((2, 2)))
+    x = DD(1.0 / 3.0, 1.0 / 3.0 * 2.0 ** -54)
+    got, want = 1.0 - x, DD(1.0, 0.0) - x
+    assert (got.hi, got.lo) == (want.hi, want.lo) and got.hi == 2.0 / 3.0
 
 
 def test_oracle_calls_its_field_once_per_batch():
@@ -731,7 +783,7 @@ def _code_lines(path):
 
 #: The most code lines ``src/`` may have.  Lower it when the package shrinks;
 #: raising it is a change that shows in the diff.
-CODE_LINE_CEILING = 2258
+CODE_LINE_CEILING = 2222
 
 
 def test_src_code_lines():
