@@ -294,7 +294,7 @@ def check_cyclic_brackets(ctx, rng, names, count):
 def check_toy_contraction(ctx, rng):
     m = models.build("toy-parent", ctx.a)
     pts = m.sample(ctx.samples, ctx.subseed(rng))
-    got = reduction.contract(m.forms["omega"], m.killing["shift"], pts)
+    got = reduction.contraction_field(m.forms["omega"], m.killing["shift"]).value(pts)
     want = np.zeros_like(pts)
     want[:, 0], want[:, 2] = pts[:, 0], m.a
     return got - want
@@ -354,7 +354,7 @@ def check_tn_radius(ctx, rng):
     gh = models.build("gh-flat", ctx.a)
     pts = gh.cartesian.sample(ctx.samples, ctx.subseed(rng))
     x = gh.embeddings["to_monopole"].value(pts)
-    return np.sqrt(x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2) - gh.targets["radius"](pts)
+    return models._radius(x[:, 0], x[:, 1], x[:, 2]) - gh.targets["radius"](pts)
 
 
 def check_tn_gh_metric(ctx, rng):
@@ -387,9 +387,8 @@ def check_tn_curl(ctx, rng):
 def check_tn_moment_gradients(ctx, rng):
     cart = models.build("r8-parent", ctx.a).cartesian
     pts = cart.sample(ctx.samples, ctx.subseed(rng))
-    G = cart.killing["G"].value(pts)  # one evaluation serves the three forms
     return _side_by_side(*(
-        reduction.contract(cart.forms[f"omega_{k}"], G, pts)
+        reduction.contraction_field(cart.forms[f"omega_{k}"], cart.killing["G"]).value(pts)
         - evaluate_jet(cart.targets[f"mu_{k}"], pts, order=1).gradient.T  # (d, B) -> (B, d)
         for k in "IJK"))
 

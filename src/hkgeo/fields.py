@@ -7,7 +7,10 @@ its ``name`` the same way (the private base ``_Field``, which also gives
 ``dim`` and the ``repr``); each class adds only how its components are
 read: exact symmetry / antisymmetry by storage (only one triangle of the
 component matrix is ever read), and jet extraction of all components in a
-single pass.
+single pass.  One packer, :func:`_pack`, turns every table of entries of
+the package into one array, values and derivatives together, and mirrors
+a triangle as it packs: a field's components here, a mass matrix's
+entries in :func:`hkgeo.geometry._solve_entries`.
 """
 
 from __future__ import annotations
@@ -44,10 +47,42 @@ class Chart(Frozen):
 
 
 def _triangle(raw, sign):
-    """``(M, N, entry)`` over the triangle of ``raw`` that a mirror reads."""
-    d = len(raw)
-    return ((M, N, raw[M][N]) for M in range(d)
-            for N in range(M if sign > 0 else M + 1, d))
+    """``(M, N, entry)`` over the entries of the table ``raw`` that a mirror of
+    ``sign`` reads: the upper triangle for ``+1``, the strict upper triangle
+    for ``-1`` and every entry for ``0``."""
+    return ((M, N, row[N]) for M, row in enumerate(raw)
+            for N in range(0 if sign == 0 else M if sign > 0 else M + 1, len(row)))
+
+
+def _pack(table, dim, order, batch, sign=0, zeros=np.zeros):
+    """The entries of ``table`` with their derivatives of ``order`` as one array
+    ``(rows, cols, 1 + derivative slots, *batch)``, point axis last as a jet
+    carries it.
+
+    Slot 0 holds the values, then ``dim`` gradient slots at ``order=1`` and
+    ``dim + dim * dim`` gradient and Hessian slots at ``order=2`` (none at
+    ``order=None``).  An entry may be a number, an array over the batch of
+    points or a jet, in float64 or double-double (``zeros=DD.zeros``); a jet
+    writes only the derivative rows of its support (:attr:`hkgeo.jets.Jet.rows`),
+    straight from the rows it carries, and the others stay zero, as do all of
+    a number's.  ``sign=0`` reads every entry; ``sign=+1`` or ``-1`` reads one
+    triangle (:func:`_triangle`) and writes each entry to ``[M, N]`` and
+    ``[N, M]``, negated for ``-1``, whose diagonal stays zero.
+    """
+    packed = zeros((len(table), len(table[0]),
+                    1 + {None: 0, 1: dim, 2: dim + dim * dim}[order], *batch))
+    for M, N, e in _triangle(table, sign):
+        slots = packed[M, N]
+        if isinstance(e, Jet):
+            rows, block = e.rows
+            slots[1:dim + 1][rows] = e.grad
+            if order == 2:
+                slots[dim + 1:].reshape(dim, dim, *batch)[block] = e.hess
+            e = e.value
+        slots[0] = e
+        if sign:
+            packed[N, M] = slots if sign > 0 else -slots
+    return packed
 
 
 def _square_jet(fn, p, sign, order):
@@ -57,35 +92,18 @@ def _square_jet(fn, p, sign, order):
     ``D2[..., P, Q, M, N]`` the second derivatives; ``D2 = None`` at
     ``order=1``, and ``D1 = D2 = None`` at ``order=None`` (values only).
     The leading axis ``...`` is the batch of points (none for one point).
-    The triangle is lifted to jets of that order and packed into one array
-    ``(1 + derivative slots, d, d, *batch)``, point axis last as a jet
-    carries it: each entry is written to ``[M, N]`` and ``[N, M]`` (negated
-    for ``sign=-1``; that diagonal stays zero).  A jet entry writes only the
-    derivative rows of its support (:attr:`hkgeo.jets.Jet.rows`), straight
-    from the rows it carries; the others stay zero, as do all of a constant
-    entry's.  ``V, D1, D2`` are point-first views of that array, so for a
-    batch they are not C-contiguous; a caller that needs contiguity copies.
+    The triangle of ``sign`` is packed and mirrored by :func:`_pack`, and
+    ``V, D1, D2`` are point-first views of its array, so they are not
+    C-contiguous; a caller that needs contiguity copies.
     """
     batch = _batch_shape(p)
     dim = len(p[0]) if batch else len(p)
-    raw = call_field(fn, p, order)
-    d = len(raw)
-    shape = (1 + {None: 0, 1: dim, 2: dim + dim * dim}[order], d, d, *batch)
-    packed = DD.zeros(shape) if isinstance(p, DD) else np.zeros(shape)
-    for M, N, e in _triangle(raw, sign):
-        slots = packed[:, M, N]
-        if isinstance(e, Jet):
-            rows, block = e.rows
-            slots[1:dim + 1][rows] = e.grad
-            if order == 2:
-                slots[dim + 1:].reshape(dim, dim, *batch)[block] = e.hess
-            e = e.value
-        slots[0] = e
-        packed[:, N, M] = slots if sign > 0 else -slots
-    move = (range(3, len(shape)), range(len(batch)))  # the point axis to the front
+    packed = _pack(call_field(fn, p, order), dim, order, batch, sign,
+                   DD.zeros if isinstance(p, DD) else np.zeros)
+    move = ((0, 1, 2), (-2, -1, -3))  # (d, d, slots, *batch) -> (*batch, slots, d, d)
     full = packed.map(np.moveaxis, *move) if isinstance(packed, DD) else np.moveaxis(packed, *move)
     D1 = full[..., 1:dim + 1, :, :] if order else None
-    D2 = (full[..., dim + 1:, :, :].reshape(*full.shape[:-3], dim, dim, d, d)
+    D2 = (full[..., dim + 1:, :, :].reshape(*batch, dim, dim, *full.shape[-2:])
           if order == 2 else None)
     return full[..., 0, :, :], D1, D2
 
@@ -93,18 +111,12 @@ def _square_jet(fn, p, sign, order):
 def _vector_jet(fn, p, order):
     """Values ``V[..., M]`` and first derivatives ``D[..., P, M] = d_P V[..., M]``
     of a vector-valued field (``D = None`` at ``order=None``); ``...`` is the
-    batch of points, if any."""
-    raw = call_field(fn, p, order)
+    batch of points, if any.  Both are point-first views of :func:`_pack`'s
+    array, as for :func:`_square_jet`."""
     batch = _batch_shape(p)
-    dim = len(p[0]) if batch else len(p)
-    V = np.zeros((*batch, len(raw)))
-    D = None if order is None else np.zeros((*batch, dim, len(raw)))
-    for M, e in enumerate(raw):
-        if isinstance(e, Jet):
-            V[..., M], D[(..., *e.rows[0], M)] = e.value, e.grad.T
-        else:
-            V[..., M] = e
-    return V, D
+    packed = _pack([call_field(fn, p, order)], len(p[0]) if batch else len(p), order, batch)
+    full = np.moveaxis(packed[0], (0, 1), (-1, -2))  # (n, slots, *batch) -> (*batch, slots, n)
+    return full[..., 0, :], full[..., 1:, :] if order else None
 
 
 class _Field:

@@ -29,12 +29,13 @@ factorisation, so a non-positive-definite metric surfaces as a
 positive-definite solve of the package factors its real symmetric
 matrices once: the guard returns the factor ``L`` of ``g = L L^T`` and the
 solve substitutes with it (:func:`_solve`); a mass-matrix solve does the
-same with the factor of its own rule, jet entries differentiated
-implicitly (:func:`_solve_entries`).  The substitution runs point axes
-last, as jets and packed fields carry them: its arrays are ``(rows, cols,
-*derivative axes, *batch)`` (:func:`_stack_entries`), so each elementwise
-step runs over the batch innermost, and the point-first :func:`_solve`
-converts once going in and once coming out.  A stack's conditioning is bounded
+same with the factor of its own rule, which it takes as its guard, jet
+entries differentiated implicitly (:func:`_solve_entries`).  The
+substitution runs point axes last, as jets and packed fields carry them:
+its arrays are slices ``(rows, cols, *derivative axes, *batch)`` of the
+tables that ``hkgeo.fields._pack`` packs, so each elementwise step runs
+over the batch innermost, and the point-first :func:`_solve` converts
+once going in and once coming out.  A stack's conditioning is bounded
 without eigenvalues or singular values by one scale-free Cholesky
 certificate (:func:`_certified_cholesky`), which the mass-matrix rule of
 :mod:`hkgeo.mechanics` and the Jacobian rank guard of
@@ -52,6 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ddouble import DD, DIGITS
+from .fields import _pack
 from .jets import EvaluationError, Jet, first_failure
 from .quadrature import integrate
 
@@ -185,56 +187,40 @@ def _solve(gv, B):
     return _solve_factored(_check_positive_definite(gv), B)
 
 
-def _stack_entries(table, part="value", tail=(), batch=None):
-    """One part (``"value"``, ``"grad"`` or ``"hess"``) of every entry
-    of a table (rows of floats, arrays over a batch of points and jets) as
-    one float array ``(rows, cols, *tail, *batch)``: the layout of a jet,
-    whose derivative axes come first and point axis last.
+def _solve_entries(guard, A, B, sign=0):
+    """Solve ``A X = B`` on tables of entries, factoring ``A``'s float values
+    with ``guard``, which maps them ``(..., n, n)`` (point axis first) to
+    their lower Cholesky factor or raises.
 
-    A number has no derivative parts (zero there), and a jet fills only the
-    derivative rows of its support (:attr:`hkgeo.jets.Jet.rows`).
-    ``batch`` defaults to the broadcast shape of the entries' values.
-    """
-    if batch is None:
-        batch = np.broadcast_shapes(*(np.shape(e.value if isinstance(e, Jet) else e)
-                                      for row in table for e in row))
-    t = np.zeros((len(table), len(table[0]), *tail, *batch))
-    for i, row in enumerate(table):
-        for j, e in enumerate(row):
-            if isinstance(e, Jet) or part == "value":
-                x = np.asarray(getattr(e, part) if isinstance(e, Jet) else e)
-                at = () if part == "value" else e.rows[part == "hess"]
-                t[(i, j, *at)] = x.reshape(x.shape + (1,) * (t.ndim - 2 - x.ndim))
-    return t
-
-
-def _solve_entries(L, A, B):
-    """Solve ``A X = B`` on tables of entries, given the Cholesky factor ``L``
-    ``(..., n, n)`` of ``A``'s float values (point axis first).
-
-    ``A`` is ``n x n`` and ``B`` a vector of ``n`` entries or ``n`` rows of
-    them: floats, arrays over a batch of points and jets, mixed freely, in
-    float64; the result is a list of entries or of rows, shaped as ``B``.
-    The values are solved once,
+    ``A`` is ``n x n``, or its upper triangle for ``sign=+1``, and ``B`` a
+    vector of ``n`` entries or ``n`` rows of them: floats, arrays over a
+    batch of points and jets, mixed freely, in float64; the result is a
+    list of entries or of rows, shaped as ``B``.  The values are solved once,
     ``X = A^{-1} B``, and the derivatives by implicit differentiation with
     the same factor (Giles 2008, "Collected matrix derivative results for
     forward and reverse mode algorithmic differentiation"):
     ``d_k X = A^{-1} (d_k B - d_k A X)`` and, when every jet carries a
     Hessian, ``d_kl X = A^{-1} (d_kl B - d_kl A X - d_k A d_l X - d_l A d_k X)``.
-    Every part is an array ``(n, cols, *derivative axes, *batch)``
-    (:func:`_stack_entries`), so an entry's value, gradient and Hessian
-    come out as the contiguous slices ``[i, j]`` a jet holds.
+    ``A`` and ``B`` are packed once each (:func:`hkgeo.fields._pack`) and
+    every part is a slice of those arrays, ``(n, cols, *derivative axes,
+    *batch)``, so an entry's value, gradient and Hessian come out as the
+    contiguous slices ``[i, j]`` a jet holds.
     """
     vector = not (isinstance(B[0], (list, tuple))
                   or isinstance(B, np.ndarray) and B.ndim >= 2)
     rhs = [[b] for b in B] if vector else B
-    jets = [e for table in (A, rhs) for row in table for e in row if isinstance(e, Jet)]
+    entries = [e for table in (A, rhs) for row in table for e in row]
+    jets = [e for e in entries if isinstance(e, Jet)]
     batch = np.broadcast_shapes(*(np.shape(e.value if isinstance(e, Jet) else e)
-                                  for table in (A, rhs) for row in table for e in row))
-    factor = _factor_last(L, len(batch))
+                                  for e in entries))
+    order = None if not jets else 2 if all(e.hess is not None for e in jets) else 1
+    dim = jets[0].dim if jets else 0
+    PA, PB = _pack(A, dim, order, batch, sign), _pack(rhs, dim, order, batch)
+    factor = _factor_last(guard(np.moveaxis(PA[:, :, 0], (0, 1), (-2, -1))), len(batch))
 
     def substitute(R):  # each derivative slice of R becomes columns of one substitution
-        return _substitute(*factor, R.reshape(len(A), -1, *batch)).reshape(R.shape)
+        X = np.ascontiguousarray(R).reshape(len(A), -1, *batch)
+        return _substitute(*factor, X).reshape(R.shape)
 
     def product(M, Y):  # sum_j M[:, j] Y[j], term by term in index order
         acc = M[:, 0, None] * Y[0, None]
@@ -242,17 +228,18 @@ def _solve_entries(L, A, B):
             acc += M[:, j, None] * Y[j, None]
         return acc
 
-    X = substitute(_stack_entries(rhs, batch=batch))
+    def hessians(P):
+        return P[:, :, dim + 1:].reshape(*P.shape[:2], dim, dim, *batch)
+
+    X = substitute(PB[:, :, 0])
     dX = d2X = None
-    if jets:
-        tail = (jets[0].dim,)
-        dA = _stack_entries(A, "grad", tail, batch)
-        dX = substitute(_stack_entries(rhs, "grad", tail, batch) - product(dA, X[:, :, None]))
-        if all(e.hess is not None for e in jets):
+    if order:
+        dA = PA[:, :, 1:dim + 1]
+        dX = substitute(PB[:, :, 1:dim + 1] - product(dA, X[:, :, None]))
+        if order == 2:
             T = product(dA[:, :, :, None], dX[:, :, None])  # [i, c, k, l]: d_k A d_l X
-            d2A = _stack_entries(A, "hess", tail * 2, batch)
-            d2X = substitute(_stack_entries(rhs, "hess", tail * 2, batch)
-                             - product(d2A, X[:, :, None, None]) - T - np.swapaxes(T, 2, 3))
+            d2X = substitute(hessians(PB) - product(hessians(PA), X[:, :, None, None])
+                             - T - np.swapaxes(T, 2, 3))
 
     def entry(i, j):
         hess = None if d2X is None else d2X[i, j]

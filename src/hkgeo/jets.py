@@ -50,8 +50,8 @@ the same elementwise operations, in the same order, as if every jet
 carried all ``d`` rows, so values and derivatives are bit for bit those of
 dense jets (``tests/oracles.py`` keeps the dense rules as the reference).
 Readers see dense arrays: ``Jet(value, gradient, hessian)`` takes them,
-:attr:`Jet.gradient` and :attr:`Jet.hessian` return them, and the packers
-of :mod:`hkgeo.fields` and :mod:`hkgeo.geometry` write a jet's rows
+:attr:`Jet.gradient` and :attr:`Jet.hessian` return them, and the one
+packer of entry tables, ``hkgeo.fields._pack``, writes a jet's rows
 straight to where :attr:`Jet.rows` says they go.
 
 Where the seeds start narrow is decided by the arithmetic.  A

@@ -38,6 +38,8 @@ deviation from each of its six relations.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ._record import Frozen
@@ -153,21 +155,26 @@ def symplectic_matrix(n):
     return _kron(np.eye(_half(n)), _EPS)
 
 
+@functools.cache
 def sp_generators(n):
-    """Hermitian generators ``t`` with ``t^T Omega + Omega t = 0``.
+    """Hermitian generators ``t`` with ``t^T Omega + Omega t = 0``, a tuple of
+    read-only arrays built once per ``n``.
 
     Explicit integer/half-integer entries, so the defining relations hold
     exactly in floating point.  For ``n = 2m`` there are ``m (2m + 1)``:
     each Pauli block on the diagonal, then for each ``I < J`` the blocks
     ``e_I e_J^T (x) Q + e_J e_I^T (x) Q^H`` for ``Q`` in
-    ``(sigma_x, sigma_y, sigma_z, i 1_2)``; for ``n = 2`` the list is
+    ``(sigma_x, sigma_y, sigma_z, i 1_2)``; for ``n = 2`` the tuple is
     precisely the three Pauli matrices.
     """
     unit = np.eye(_half(n))
-    return ([_kron(np.outer(e, e), s) for e in unit for s in _PAULI]
+    gens = ([_kron(np.outer(e, e), s) for e in unit for s in _PAULI]
             + [_kron(np.outer(a, b), Q) + _kron(np.outer(b, a), Q.conj().T)
                for I, a in enumerate(unit) for b in unit[I + 1:]
                for Q in (*_PAULI, 1j * np.eye(2))])
+    for t in gens:
+        t.flags.writeable = False
+    return tuple(gens)
 
 
 def sp_residual(X, omega):

@@ -18,11 +18,13 @@ eigenvalues ``lambda_min >= MIN_RCOND * lambda_max > 0``: an indefinite one
 is rejected even when invertible.  Every inversion or solve applies that
 rule.  A stacked Cholesky factorisation decides it for well-conditioned
 stacks; the eigenvalues are computed only for a stack it cannot clear,
-and they word every rejection (:func:`_check_mass`).  The solve then
-substitutes with the factor the rule has just certified, so each solve
-factors its mass matrices once; on jet entries the values are solved once
-and the derivatives follow by implicit differentiation with the same
-factor (:func:`hkgeo.geometry._solve_entries`).
+and they word every rejection (:func:`_check_mass`).  The rule is the
+guard of the generic entry solve (:func:`hkgeo.geometry._solve_entries`),
+which substitutes with the factor the rule has just certified, so each
+solve factors its mass matrices once; on jet entries the values are solved
+once and the derivatives follow by implicit differentiation with the same
+factor.  A mass matrix's entries are read as its metric field's ``fn``
+returns them, one triangle, mirrored as they are packed.
 
 Every entry point takes one point or a batch of points, and the shape
 decides: a :class:`PhasePoint` of ``(n,)`` or ``(B, n)`` arrays, a
@@ -37,8 +39,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import Frozen
-from .fields import Chart, MetricField, _triangle
-from .geometry import _certified_cholesky, _solve_entries, _solve_factored, _stack_entries
+from .fields import Chart, MetricField
+from .geometry import _certified_cholesky, _solve_entries, _solve_factored
 from .jets import evaluate_jet, first_failure
 
 __all__ = [
@@ -97,18 +99,6 @@ MIN_RCOND = 1e-13
 CYCLIC_TOL = 1e-10
 
 
-def _mass_entries(g, q):
-    """Mass matrix ``g`` at ``q`` as an ``n x n`` object array of entries.
-
-    The entries are what ``g.fn`` returns (floats, arrays over a batch of
-    points, or jets), mirrored from the upper triangle, not converted.
-    """
-    M = np.empty((g.dim, g.dim), dtype=object)
-    for i, j, e in _triangle(g.fn(q), +1):
-        M[i, j] = M[j, i] = e
-    return M
-
-
 def _check_mass(Mv, q=None):
     """Cholesky factor ``(..., n, n)`` of the float values ``Mv`` ``(..., n, n)``
     of a mass matrix, or :class:`DegenerateLagrangianError` for one that is
@@ -147,11 +137,12 @@ def _check_mass(Mv, q=None):
         f"{hi[at]:.3e}; need min >= {MIN_RCOND:.0e} max > 0){where}")
 
 
-def _solve_mass(M, B):
+def _solve_mass(M, B, sign=0):
     """``M X = B`` in jet-capable arithmetic, for a mass matrix ``M`` of
-    entries, with the factor :func:`_check_mass` has just certified on
+    entries (or, for ``sign=+1``, its upper triangle, as a metric field's
+    ``fn`` returns it), with the factor :func:`_check_mass` certifies on
     their values."""
-    return _solve_entries(_check_mass(np.moveaxis(_stack_entries(M), (0, 1), (-2, -1))), M, B)
+    return _solve_entries(_check_mass, M, B, sign)
 
 
 def legendre_to_hamiltonian(g, q):
@@ -177,7 +168,7 @@ def hamiltonian_field(g):
 
     def H(coords):
         q, mom = coords[:n], coords[n:]
-        x = _solve_mass(_mass_entries(g, q), mom)
+        x = _solve_mass(g.fn(q), mom, +1)
         acc = 0.0
         for pi, xi in zip(mom, x):
             acc = acc + pi * xi
@@ -263,7 +254,7 @@ def constrain_and_reduce(g, fiber_index, probe_points=None):
     def reduced_fn(coords):
         full = list(coords)
         full.insert(fiber_index, 0.0)
-        Minv = _solve_mass(_mass_entries(g, full), np.eye(n).tolist())
+        Minv = _solve_mass(g.fn(full), np.eye(n).tolist(), +1)
         block = [[Minv[i][j] for j in keep] for i in keep]
         return _solve_mass(block, np.eye(n - 1).tolist())
 

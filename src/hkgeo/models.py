@@ -5,7 +5,8 @@ Five model families are registered, keyed by the names the command line
 uses:
 
 ``toy-parent``
-    Flat ``R^2 x (R x S^1)`` in chart ``(r, phi, x, theta)`` with the
+    Flat ``R^2 x (R x S^1)`` in chart ``(r, phi, x, theta)``: the polar
+    plane ``(r, phi)`` times the ``(x, theta)`` circle factor, with the
     diagonal shift isometry, its symplectic form, moment map and the zero
     level-set embedding into the 3-chart ``(r, theta, chi)``.
 ``toy-reduced``
@@ -24,12 +25,15 @@ uses:
 
 gh-flat and taub-nut come from one Gibbons-Hawking builder, with harmonic
 functions ``V = 1/r`` and ``V = 1/r + 1/a^2``: the quotient only shifts
-``V``.  r8-parent's metric and forms, in both pictures, are gh-flat's beside
-the constant ``(X, theta)`` block.  The references the checks compare
-against are written out on their own: the level-set metrics, the numpy
-closed form :func:`taub_nut_metric` and the moment maps.  A quotient's
-forms have no separate closed form: they are the reduced model's ``forms``
-(``toy-reduced``'s, ``taub-nut``'s), compared at the invariant coordinates.
+``V``.  Both reductions start from a product with a circle factor, and
+one builder writes each product's metric and forms: toy-parent's are the
+polar plane's beside the constant ``(x, theta)`` block, r8-parent's, in
+both pictures, gh-flat's beside the constant ``(X, theta)`` block.  The
+references the checks compare against are written out on their own: the
+level-set metrics, the numpy closed form :func:`taub_nut_metric` and the
+moment maps.  A quotient's forms have no separate closed form: they are the
+reduced model's ``forms`` (``toy-reduced``'s, ``taub-nut``'s), compared at
+the invariant coordinates.
 
 The first reduction stage's level set is a :class:`Model` of its own,
 ``m.level`` (its chart, metric, ``killing["fiber"]``, box, exclusions and
@@ -137,7 +141,7 @@ def _string_exclusion(margin=0.3):
     """Reject points whose first three coordinates approach the gauge string."""
 
     def near(p):
-        r = np.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
+        r = _radius(p[0], p[1], p[2])
         return (r < margin) | ((r + p[2]) < margin)
 
     return Exclusion("monopole-string", near)
@@ -167,6 +171,7 @@ _CART = (-2.0, 2.0)
 
 
 def _radius(x1, x2, x3):
+    """The radius ``r = |x|`` of a 3-point, on floats, arrays or jets."""
     return jets.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
 
 
@@ -196,28 +201,35 @@ def monopole_potential(x):
 
 
 # ---------------------------------------------------------------------------
+# products with a circle factor, the parents of both reductions
+
+
+def _direct_sum(fn, k, block):
+    """Rows of ``fn`` on the first ``k`` coordinates beside the constant square
+    ``block`` on the rest: the matrix of a product's metric or 2-form."""
+
+    def rows(c):
+        top = fn(c[:k])
+        return ([[*top[m]] + [0.0] * len(block) for m in range(k)]
+                + [[0.0] * k + list(row) for row in block])
+
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # toy family
 
 
 def toy_parent(a=1.0):
-    """Flat 4-chart ``(r, phi, x, theta)`` with the diagonal shift isometry."""
+    """Flat 4-chart ``(r, phi, x, theta)``: the polar plane times the ``(x, theta)``
+    cylinder, with the diagonal shift isometry."""
     a = _check_a(a)
     chart = Chart(("r", "phi", "x", "theta"))
-
-    def gfn(c):
-        return [[1.0, 0.0, 0.0, 0.0],
-                [None, c[0] * c[0], 0.0, 0.0],
-                [None, None, 1.0, 0.0],
-                [None, None, None, a * a]]
-
-    def wfn(c):
-        return [[0.0, c[0], 0.0, 0.0],
-                [None, 0.0, 0.0, 0.0],
-                [None, None, 0.0, a],
-                [None, None, None, 0.0]]
-
-    metric = MetricField(chart, gfn, name="flat polar x cylinder")
-    omega = FormField(chart, 2, wfn, name="omega")
+    metric = MetricField(chart, _direct_sum(lambda c: [[1.0, 0.0], [None, c[0] * c[0]]], 2,
+                                            np.diag([1.0, a * a])),
+                         name="flat polar x cylinder")
+    omega = FormField(chart, 2, _direct_sum(lambda c: [[0.0, c[0]], [None, 0.0]], 2,
+                                            [[0.0, a], [None, 0.0]]), name="omega")
     V = VectorFieldR(chart, lambda c: [0.0, 1.0, 0.0, 1.0], name="shift")
 
     level_chart = Chart(("r", "theta", "chi"))
@@ -375,7 +387,7 @@ def _var_change_fn(c):
 
 def _inverse_var_change_fn(c):
     x1, x2, x3, psi = c
-    r = jets.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    r = _radius(x1, x2, x3)
     rho = jets.sqrt((r + x3) / 2.0)
     y1 = -rho * jets.sin(psi * 0.5)
     y2 = rho * jets.cos(psi * 0.5)
@@ -422,18 +434,6 @@ def gh_flat(a=1.0):
 # eight-dimensional parent and its reduction to Taub-NUT
 
 
-def _direct_sum(fn, block):
-    """Rows of ``fn`` on the first four coordinates beside the constant 4 x 4
-    ``block`` on the last four: the matrix of a product's metric or 2-form."""
-
-    def rows(c):
-        top = fn(c[:4])
-        return ([[*top[m], 0.0, 0.0, 0.0, 0.0] for m in range(4)]
-                + [[0.0] * 4 + list(row) for row in block])
-
-    return rows
-
-
 def r8_parent(a=1.0):
     """``R^4 x (R^3 x S^1)``: gh-flat times the flat ``(X, theta)`` factor, with
     the symplectic triple and its moment maps.
@@ -452,9 +452,9 @@ def r8_parent(a=1.0):
     def times_x(m):
         """Chart, metric and triple of ``m`` times the ``(X, theta)`` factor."""
         chart = Chart(m.chart.names + ("X1", "X2", "X3", "theta"))
-        metric = MetricField(chart, _direct_sum(m.metric.fn, np.diag([1.0, 1.0, 1.0, a * a])),
+        metric = MetricField(chart, _direct_sum(m.metric.fn, 4, np.diag([1.0, 1.0, 1.0, a * a])),
                              name=f"{m.name} x (R^3 x S^1)")
-        forms = {k: FormField(chart, 2, _direct_sum(w.fn, _triple_rows(_TRIPLE[k], 1.0, a)),
+        forms = {k: FormField(chart, 2, _direct_sum(w.fn, 4, _triple_rows(_TRIPLE[k], 1.0, a)),
                               name=k) for k, w in m.forms.items()}
         return chart, metric, forms
 
@@ -539,7 +539,7 @@ def _gauge_checked(x):
     if x.ndim not in (1, 2) or x.shape[-1] != 3:
         raise SingularGaugeError(f"monopole gauge takes points (3,) or (B, 3), "
                                  f"not shape {x.shape}")
-    r = np.sqrt(np.sum(x * x, axis=-1))
+    r = _radius(x[..., 0], x[..., 1], x[..., 2])
     failure = jets.first_failure((r > 0.0) & (r + x[..., 2] > 1e-8 * r), x)
     if failure is not None:
         raise SingularGaugeError(f"monopole gauge singular{failure[1]}")

@@ -15,7 +15,10 @@ fiber component cancels -- a condition that is checked, not assumed.
 
 Coefficient conventions follow :class:`~hkgeo.fields.FormField`: a 2-form
 is the antisymmetric matrix of displayed wedge coefficients, and the
-contraction is ``(i_V w)_M = w_MN V^N``.
+contraction is ``(i_V w)_M = w_MN V^N``, one degree-1 field
+(:func:`contraction_field`) whose ``value`` gives it at points.
+:func:`quotient_metric` takes fields too, the level-set metric and the
+fiber vector; :func:`quotient_form` takes the values of a pulled-back form.
 
 A reduction is not bundled here: its data is a
 :class:`~hkgeo.models.Model` (parent metric and forms, ``killing``, the
@@ -42,7 +45,7 @@ from __future__ import annotations
 import warnings
 import numpy as np
 
-from .fields import FormField, MetricField, VectorFieldR, _triangle
+from .fields import FormField, _triangle
 from .geometry import DivergenceError, _certified_cholesky, _solve
 from .jets import EvaluationError, first_failure
 from .quadrature import integrate
@@ -52,7 +55,6 @@ __all__ = [
     "DegenerateFiberError",
     "ObstructionError",
     "DegeneratePullbackWarning",
-    "contract",
     "contraction_field",
     "exterior_derivative",
     "recover_moment_map",
@@ -87,15 +89,6 @@ class ObstructionError(ValueError):
 
 class DegeneratePullbackWarning(UserWarning):
     """Jacobian of the map is rank deficient; the pullback is degenerate."""
-
-
-def contract(form, V, p):
-    """Value of ``i_V w`` at ``p``: components ``w_MN V^N``."""
-    if form.degree != 2:
-        raise ValueError("contraction is defined here for degree-2 forms")
-    W = form.value(p)
-    v = V.value(p) if isinstance(V, VectorFieldR) else np.asarray(V, dtype=float)
-    return (W @ v[..., None])[..., 0]
 
 
 def contraction_field(form, V, name=""):
@@ -235,14 +228,13 @@ def pullback_form(form, phi, p):
 def quotient_metric(g, V, invariant, p):
     """Project out the fiber direction of ``V`` and keep the invariant block.
 
-    ``g`` is the level-set metric field (or a plain matrix), ``V`` the
-    fiber vector (field or constant components).  ``p`` is one point or a
+    ``g`` is the level-set :class:`~hkgeo.fields.MetricField` and ``V`` the
+    fiber :class:`~hkgeo.fields.VectorFieldR`.  ``p`` is one point or a
     batch ``(B, d)``, for which the result is ``(B, k, k)``.  Raises
     :class:`DegenerateFiberError` unless ``g(V, V) > 0`` (so also on NaN)
     at every point, naming the first point where it fails.
     """
-    gv = g.value(p) if isinstance(g, MetricField) else np.asarray(g, dtype=float)
-    v = V.value(p) if isinstance(V, VectorFieldR) else np.asarray(V, dtype=float)
+    gv, v = g.value(p), V.value(p)
     gu = (gv @ v[..., None])[..., 0]
     gvv = (v[..., None, :] @ gu[..., None])[..., 0, 0]
     failure = first_failure(gvv > 0.0, p)  # written so that NaN fails

@@ -163,10 +163,11 @@ def stack_entries(table, part="value", tail=(), batch=None):
     return t.transpose(*range(2 + len(tail), t.ndim), *range(2, 2 + len(tail)), 0, 1)
 
 
-def solve_entries(L, A, B):
+def solve_entries(guard, A, B):
     """:func:`hkgeo.geometry._solve_entries` point axis first: the values
     ``X = A^{-1} B`` and, by implicit differentiation with the factor ``L``
-    ``(..., n, n)``, ``d_k X = A^{-1} (d_k B - d_k A X)`` and (when every jet
+    ``(..., n, n)`` that ``guard`` gives of ``A``'s values,
+    ``d_k X = A^{-1} (d_k B - d_k A X)`` and (when every jet
     carries a Hessian) ``d_kl X = A^{-1} (d_kl B - d_kl A X - d_k A d_l X -
     d_l A d_k X)``, each derivative slice a block of columns of one
     :func:`substitute`."""
@@ -176,6 +177,7 @@ def solve_entries(L, A, B):
     jets = [e for table in (A, rhs) for row in table for e in row if isinstance(e, Jet)]
     batch = np.broadcast_shapes(*(np.shape(e.value if isinstance(e, Jet) else e)
                                   for table in (A, rhs) for row in table for e in row))
+    L = guard(stack_entries(A, batch=batch))
 
     def solved(R):  # the slices R[..., k, :, :] become blocks of columns
         Rm = np.moveaxis(R, -2, len(batch))

@@ -223,8 +223,8 @@ def test_criterion_09_taub_nut_pipeline():
     for q in cart_pts:
         for wk, mk in (("omega_I", "mu_I"), ("omega_J", "mu_J"),
                        ("omega_K", "mu_K")):
-            alpha = reduction.contract(m.cartesian.forms[wk],
-                                       m.cartesian.killing["G"], q)
+            alpha = reduction.contraction_field(m.cartesian.forms[wk],
+                                                m.cartesian.killing["G"]).value(q)
             grad = evaluate_jet(m.cartesian.targets[mk], q).gradient
             worst_mu = max(worst_mu, float(np.max(np.abs(alpha - grad))))
 

@@ -386,8 +386,8 @@ def test_geometry_batch_equal_single(name):
         same_bits(reduction.exterior_derivative(f, pts),
                   stacked(lambda p: reduction.exterior_derivative(f, p), pts))
         for V in m.killing.values():
-            same_bits(reduction.contract(f, V, pts),
-                      stacked(lambda p: reduction.contract(f, V, p), pts))
+            iV = reduction.contraction_field(f, V)
+            same_bits(iV.value(pts), stacked(iV.value, pts))
 
 
 def test_non_spd_metric_names_the_point():

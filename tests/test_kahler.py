@@ -51,6 +51,14 @@ def test_generator_count_and_algebra(n, count):
         assert sp_residual(t, om) == 0.0
 
 
+def test_generators_are_built_once_and_read_only():
+    gens = sp_generators(4)
+    assert isinstance(gens, tuple) and sp_generators(4) is gens
+    assert not any(t.flags.writeable for t in gens)
+    with pytest.raises(ValueError, match="read-only"):
+        gens[0][0, 0] = 2.0
+
+
 def test_generators_linearly_independent():
     gens = sp_generators(4)
     flat = np.stack([t.reshape(-1) for t in gens])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkgeo import mechanics, models
-from hkgeo.fields import Chart, MetricField
+from hkgeo.fields import Chart, MetricField, VectorFieldR
 from hkgeo.jets import evaluate_jet
 from hkgeo.mechanics import (
     DegenerateLagrangianError,
@@ -156,8 +156,8 @@ def test_constrain_matches_quotient_metric():
     L2 = constrain_and_reduce(L, 1)
     for q0 in (0.0, 0.8, -1.3):
         got = L2.value([q0])
-        want = quotient_metric(np.array([[2.0 + q0 ** 2, 1.0], [1.0, 1.0]]),
-                               np.array([0.0, 1.0]), (0,), [q0, 0.0])
+        M = MetricField(L.chart, lambda c, q0=q0: [[2.0 + q0 ** 2, 1.0], [None, 1.0]])
+        want = quotient_metric(M, VectorFieldR(L.chart, lambda c: [0.0, 1.0]), (0,), [q0, 0.0])
         assert np.allclose(got, want, atol=1e-13)
 
 

@@ -13,7 +13,6 @@ from hkgeo.reduction import (
     NotExactError,
     ObstructionError,
     complex_structure,
-    contract,
     contraction_field,
     exterior_derivative,
     pullback_form,
@@ -35,7 +34,7 @@ TO_CART = EmbeddingMap(POLAR, PLANE,
 
 def test_contract_matches_matrix_vector():
     w = FormField(PLANE, 2, lambda c: [[0.0, c[0]], [None, 0.0]])
-    got = contract(w, np.array([2.0, 3.0]), [1.5, 0.0])
+    got = contraction_field(w, VectorFieldR(PLANE, lambda c: [2.0, 3.0])).value([1.5, 0.0])
     # (i_V w)_M = w_MN V^N
     assert np.allclose(got, [1.5 * 3.0, -1.5 * 2.0])
 
@@ -147,24 +146,28 @@ def test_a_list_of_forms_shares_one_jacobian(monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
+#: The fiber direction ``y`` of the quotient-metric tests, as a constant field.
+FIBER = VectorFieldR(PLANE, lambda c: [0.0, 1.0])
+
+
 def test_quotient_metric_schur_block():
-    g = np.array([[2.0, 1.0], [1.0, 1.0]])
-    got = quotient_metric(g, np.array([0.0, 1.0]), (0,), [0.0, 0.0])
+    g = MetricField(PLANE, lambda c: [[2.0, 1.0], [None, 1.0]])
+    got = quotient_metric(g, FIBER, (0,), [0.0, 0.0])
     # g_xx - g_xy^2 / g_yy
     assert got.shape == (1, 1)
     assert got[0, 0] == pytest.approx(1.0)
 
 
 def test_quotient_metric_rejects_null_fiber():
-    g = np.diag([1.0, 0.0])
+    g = MetricField(PLANE, lambda c: [[1.0, 0.0], [None, 0.0]])
     with pytest.raises(DegenerateFiberError):
-        quotient_metric(g, np.array([0.0, 1.0]), (0,), [0.0, 0.0])
+        quotient_metric(g, FIBER, (0,), [0.0, 0.0])
 
 
 def test_quotient_metric_rejects_nan_fiber():
-    g = np.diag([1.0, np.nan])
+    g = MetricField(PLANE, lambda c: [[1.0, 0.0], [None, np.nan]])
     with pytest.raises(DegenerateFiberError):
-        quotient_metric(g, np.array([0.0, 1.0]), (0,), [0.0, 0.0])
+        quotient_metric(g, FIBER, (0,), [0.0, 0.0])
 
 
 def test_quotient_form_cancellation_enforced():

@@ -234,9 +234,33 @@ def test_entry_solve_is_the_point_first_reference(order, count, columns):
               for c in range(max(columns, 1))] for i in range(n)]
         if columns == 0:
             B = [row[0] for row in B]
-        L = np.linalg.cholesky(oracles.stack_entries(A))
-        got, want = geometry._solve_entries(L, A, B), oracles.solve_entries(L, A, B)
+        got = geometry._solve_entries(np.linalg.cholesky, A, B)
+        want = oracles.solve_entries(np.linalg.cholesky, A, B)
         if columns == 0:
             got, want = [[x] for x in got], [[x] for x in want]
         assert [[_entry_bits(e) for e in row] for row in got] \
             == [[_entry_bits(e) for e in row] for row in want]
+
+
+@pytest.mark.parametrize("count", [0, 5], ids=["point", "batch"])
+@pytest.mark.parametrize("order", [None, 1, 2], ids=["values", "order1", "order2"])
+def test_mass_solve_reads_a_triangle_as_its_mirror(order, count):
+    # a metric field's fn gives one triangle, None below the diagonal; the
+    # mass solve reads it (sign +1) as the mirrored table, bit for bit
+    rng = np.random.default_rng(13)
+    kinds = ["float", "array"] + (["jet", "jet"] if order else [])
+    for n in range(1, 7):
+        vals = _spd(rng, n, max(count, 1))
+        full = np.empty((n, n), dtype=object)
+        upper = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                kind = kinds[rng.integers(len(kinds))]
+                if kind == "float":
+                    vals[:, i, j] = vals[:, j, i] = vals[0, i, j]
+                full[i, j] = full[j, i] = upper[i][j] = _entry(rng, vals[:, i, j], kind,
+                                                                order, count)
+        B = [_entry(rng, rng.uniform(-1.0, 1.0, size=max(count, 1)), kinds[-1], order, count)
+             for _ in range(n)]
+        got, want = mechanics._solve_mass(upper, B, +1), mechanics._solve_mass(full, B)
+        assert [_entry_bits(e) for e in got] == [_entry_bits(e) for e in want]

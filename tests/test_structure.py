@@ -8,7 +8,9 @@ Every positive-definite solve factors its matrices once: only
 ``geometry._cholesky`` calls ``np.linalg.cholesky``, the guards read that
 factor and the solves substitute with it, so no module calls an LU solve
 or forms a bare inverse; every substitution runs on C-contiguous arrays
-with the point axes last.  The package neither imports scipy
+with the point axes last.  One packer, ``fields._pack``, turns every
+table of entries into arrays: it alone reads where a jet's rows go, and it
+and the contraction alone walk a triangle.  The package neither imports scipy
 nor leaves ``numpy.random`` to load lazily inside a run.  It has one
 number system besides float64, double-double: no module imports mpmath
 (the tests' 60-digit curvature oracle), at any level, or keeps an
@@ -125,6 +127,25 @@ def _imported(node):
     if isinstance(node, ast.ImportFrom):
         return [(node.module or "").split(".")[0]]
     return []
+
+
+def test_one_packer_reads_jet_rows_and_triangles():
+    # a table of entries becomes arrays in one place: outside the jets
+    # themselves, only fields._pack reads where a jet's rows go, and only the
+    # packer and the contraction (which sums a 2-form's triangle) walk a
+    # triangle
+    rows, triangles = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                where = (path.stem, getattr(top, "name", None))
+                if (isinstance(node, ast.Attribute) and node.attr == "rows"
+                        and path.stem != "jets"):
+                    rows.add(where)
+                if isinstance(node, ast.Call) and _dotted(node.func) == "_triangle":
+                    triangles.add(where)
+    assert rows == {("fields", "_pack")}
+    assert triangles == {("fields", "_pack"), ("reduction", "contraction_field")}
 
 
 def test_no_module_imports_scipy():
@@ -405,8 +426,6 @@ ARGUMENT_ERRORS = [
      "coefficients (2,) for 3 generators"),
     (lambda: mechanics.constrain_and_reduce(_FLAT3, 3), ValueError,
      "fiber index 3 outside 0..2"),
-    (lambda: reduction.contract(_ONE_FORM, _ROUND, [0.5, 0.5]), ValueError,
-     "defined here for degree-2 forms"),
     (lambda: reduction.contraction_field(_ONE_FORM, _ROUND), ValueError,
      "defined here for degree-2 forms"),
     (lambda: reduction.recover_moment_map(_ONE_FORM, [0.0, 0.0], [0.5, 0.5, 0.5]),
@@ -783,7 +802,7 @@ def _code_lines(path):
 
 #: The most code lines ``src/`` may have.  Lower it when the package shrinks;
 #: raising it is a change that shows in the diff.
-CODE_LINE_CEILING = 2222
+CODE_LINE_CEILING = 2195
 
 
 def test_src_code_lines():
