@@ -380,8 +380,7 @@ def check_tn_curl(ctx, rng):
     dA = [fd_oracle(lambda c, m=m: models.monopole_potential(np.stack(c, axis=-1))[:, m],
                     pts, order=1).gradient for m in range(2)]
     curl = np.stack([-dA[1][2], dA[0][2], dA[1][0] - dA[0][1]], axis=-1)
-    want = [models.MONOPOLE_CURL_SIGN * x / float(np.linalg.norm(x)) ** 3 for x in pts]
-    return curl - np.array(want)
+    return curl - models.MONOPOLE_CURL_SIGN * pts / models._radius(*pts.T)[:, None] ** 3
 
 
 def check_tn_moment_gradients(ctx, rng):
@@ -443,7 +442,7 @@ def check_mech_roundtrip(ctx, rng):
         Ms = 0.5 * (Ms + np.swapaxes(Ms, -1, -2))
         # configuration k of the batch carries the k-th matrix (entries (B,))
         g = fields.MetricField(fields.Chart(tuple(f"q{i}" for i in range(d))),
-                               lambda c, S=np.moveaxis(Ms, 0, -1): S)
+                               lambda c, S=Ms.transpose(1, 2, 0): S)
         Minv = mechanics.legendre_to_hamiltonian(g, np.zeros((len(Ms), d)))
         blocks.append(geometry._solve(Minv, np.eye(d)) - Ms)
     return _one_after_another(*blocks)
@@ -492,7 +491,7 @@ def check_hygiene_jets_vs_fd(ctx, rng):
         # point axis last: (d, B) and (d, d, B).
         blocks.append(_side_by_side(
             (jet.gradient - ora.gradient).T,
-            np.moveaxis(jet.hessian - ora.hessian, -1, 0) * (1e-6 / 1e-4)))
+            (jet.hessian - ora.hessian).transpose(2, 0, 1) * (1e-6 / 1e-4)))
     return _one_after_another(*blocks)
 
 

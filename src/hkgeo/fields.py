@@ -100,8 +100,8 @@ def _square_jet(fn, p, sign, order):
     dim = len(p[0]) if batch else len(p)
     packed = _pack(call_field(fn, p, order), dim, order, batch, sign,
                    DD.zeros if isinstance(p, DD) else np.zeros)
-    move = ((0, 1, 2), (-2, -1, -3))  # (d, d, slots, *batch) -> (*batch, slots, d, d)
-    full = packed.map(np.moveaxis, *move) if isinstance(packed, DD) else np.moveaxis(packed, *move)
+    move = (*range(3, 3 + len(batch)), 2, 0, 1)  # (d, d, slots, *batch) -> (*batch, slots, d, d)
+    full = packed.map(np.transpose, move) if isinstance(packed, DD) else packed.transpose(move)
     D1 = full[..., 1:dim + 1, :, :] if order else None
     D2 = (full[..., dim + 1:, :, :].reshape(*batch, dim, dim, *full.shape[-2:])
           if order == 2 else None)
@@ -111,12 +111,9 @@ def _square_jet(fn, p, sign, order):
 def _vector_jet(fn, p, order):
     """Values ``V[..., M]`` and first derivatives ``D[..., P, M] = d_P V[..., M]``
     of a vector-valued field (``D = None`` at ``order=None``); ``...`` is the
-    batch of points, if any.  Both are point-first views of :func:`_pack`'s
-    array, as for :func:`_square_jet`."""
-    batch = _batch_shape(p)
-    packed = _pack([call_field(fn, p, order)], len(p[0]) if batch else len(p), order, batch)
-    full = np.moveaxis(packed[0], (0, 1), (-1, -2))  # (n, slots, *batch) -> (*batch, slots, n)
-    return full[..., 0, :], full[..., 1:, :] if order else None
+    batch of points, if any: the one row of a table, by :func:`_square_jet`."""
+    V, D, _ = _square_jet(lambda c: [fn(c)], p, 0, order)
+    return V[..., 0, :], None if D is None else D[..., 0, :]
 
 
 class _Field:

@@ -141,8 +141,8 @@ def _factor_last(L, nb):
     ``(..., d, d)`` with at most ``nb`` leading axes: ``U = L / diag``
     ``(d, d, *batch)``, point axes last and C-contiguous, and the squared
     diagonal ``d2`` ``(d, *batch)``."""
-    U = np.moveaxis(L.reshape((1,) * (nb + 2 - L.ndim) + L.shape), (-2, -1), (0, 1)).copy()
-    diag = np.moveaxis(U.diagonal(0, 0, 1), -1, 0).copy()
+    U = L.reshape((1,) * (nb + 2 - L.ndim) + L.shape).transpose(nb, nb + 1, *range(nb)).copy()
+    diag = U.diagonal(0, 0, 1).transpose(nb, *range(nb)).copy()
     U /= diag
     return U, diag * diag
 
@@ -174,9 +174,9 @@ def _solve_factored(L, B):
     (:func:`_substitute`) and handed back as a point-first view.
     """
     batch = np.broadcast_shapes(L.shape[:-2], B.shape[:-2])
-    X = np.moveaxis(np.broadcast_to(B, (*batch, *B.shape[-2:])), (-2, -1), (0, 1))
+    X = np.broadcast_to(B, (*batch, *B.shape[-2:])).transpose(-2, -1, *range(len(batch)))
     X = _substitute(*_factor_last(L, len(batch)), X.astype(np.result_type(L, B), order="C"))
-    return np.moveaxis(X, (0, 1), (-2, -1))
+    return X.transpose(*range(2, X.ndim), 0, 1)
 
 
 def _solve(gv, B):
@@ -194,8 +194,9 @@ def _solve_entries(guard, A, B, sign=0):
 
     ``A`` is ``n x n``, or its upper triangle for ``sign=+1``, and ``B`` a
     vector of ``n`` entries or ``n`` rows of them: floats, arrays over a
-    batch of points and jets, mixed freely, in float64; the result is a
-    list of entries or of rows, shaped as ``B``.  The values are solved once,
+    batch of points and jets, mixed freely, in float64 (a double-double
+    entry raises TypeError); the result is a list of entries or of rows,
+    shaped as ``B``.  The values are solved once,
     ``X = A^{-1} B``, and the derivatives by implicit differentiation with
     the same factor (Giles 2008, "Collected matrix derivative results for
     forward and reverse mode algorithmic differentiation"):
@@ -211,12 +212,14 @@ def _solve_entries(guard, A, B, sign=0):
     rhs = [[b] for b in B] if vector else B
     entries = [e for table in (A, rhs) for row in table for e in row]
     jets = [e for e in entries if isinstance(e, Jet)]
-    batch = np.broadcast_shapes(*(np.shape(e.value if isinstance(e, Jet) else e)
-                                  for e in entries))
+    values = [e.value if isinstance(e, Jet) else e for e in entries]
+    if any(isinstance(v, DD) for v in values):
+        raise TypeError("a solve is float64 only, not double-double; evaluate with dps=None")
+    batch = np.broadcast_shapes(*map(np.shape, values))
     order = None if not jets else 2 if all(e.hess is not None for e in jets) else 1
     dim = jets[0].dim if jets else 0
     PA, PB = _pack(A, dim, order, batch, sign), _pack(rhs, dim, order, batch)
-    factor = _factor_last(guard(np.moveaxis(PA[:, :, 0], (0, 1), (-2, -1))), len(batch))
+    factor = _factor_last(guard(PA[:, :, 0].transpose(*range(2, PA.ndim - 1), 0, 1)), len(batch))
 
     def substitute(R):  # each derivative slice of R becomes columns of one substitution
         X = np.ascontiguousarray(R).reshape(len(A), -1, *batch)

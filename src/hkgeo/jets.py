@@ -63,7 +63,12 @@ one Hessian entry per component instead of 2 and 4.  A float64 seed or
 constant spans every coordinate, so float64 jets never embed: a float64
 rule on the few points of a check costs about what one embedding does (on
 a 2-core x86_64 host, second-order jets of the scalar fields on 8-point
-batches took 15% longer with narrow float64 seeds).
+batches took 15% longer with narrow float64 seeds).  The float64 seeds of
+a call are built together (:func:`call_field`): one gradient block ``(d, d,
+*batch)`` whose diagonal is ``x * 0 + 1``, one row per seed, and one zero
+Hessian block that every seed shares.  No rule writes into a jet's arrays
+(every rule returns new ones; a seed's are written once, as they are
+made), so seeds may be views of shared blocks.
 
 Batch axis
 ----------
@@ -149,6 +154,13 @@ def _mathmod(x):
                         "integer powers); evaluate this field in float64 "
                         "(dps=None) instead")
     return np
+
+
+def _order(order):
+    """``order`` if it is a jet order, 1 or 2; else ValueError."""
+    if order not in (1, 2):
+        raise ValueError(f"jet order must be 1 or 2, not {order!r}")
+    return order
 
 
 def _zeros(shape, like):
@@ -254,12 +266,10 @@ class Jet:
         """Constant jet of ``order`` (1 or 2) in ``like``'s arithmetic (else
         ``value``'s): support ``()`` in double-double, every coordinate in
         float64 (module docstring)."""
-        if order not in (1, 2):
-            raise ValueError(f"jet order must be 1 or 2, not {order!r}")
         ref = value if like is None else like
         support = () if isinstance(ref, DD) else _every(dim)
         k = len(support)
-        return cls(value, _zeros((k,), ref), _zeros((k, k), ref) if order == 2 else None,
+        return cls(value, _zeros((k,), ref), _zeros((k, k), ref) if _order(order) == 2 else None,
                    support, dim)
 
     @classmethod
@@ -456,13 +466,11 @@ def first_failure(ok, p=None):
     ``" at [x, y]"`` or ``" at point k [x, y]"``, without the coordinates
     when ``p`` is None.
     """
-    if isinstance(ok, (bool, np.bool_)) and ok:  # one passing point: no reduction
-        return None
     ok = np.asarray(ok)
-    if ok.ndim == 0:
-        return None if ok else (None, "" if p is None else f" at {_plain(p).tolist()}")
     if ok.all():
         return None
+    if ok.ndim == 0:
+        return None, "" if p is None else f" at {_plain(p).tolist()}"
     k = int(np.argmin(ok.reshape(-1)))
     return k, f" at point {k}" + ("" if p is None else f" {_plain(p)[k].tolist()}")
 
@@ -485,6 +493,20 @@ def _coords(p):
     return list(p if isinstance(p, DD) else np.asarray(p, dtype=float))
 
 
+def _seeds(coords, order):
+    """The jet seeds of ``order`` of the coordinates ``coords`` (one point, or
+    the columns of a batch), bit for bit :meth:`Jet.variable`'s, built as
+    :func:`call_field` says."""
+    dim = len(coords)
+    if isinstance(coords[0], DD):
+        return [Jet.variable(x, i, dim, order) for i, x in enumerate(coords)]
+    x = np.asarray(coords)
+    grad = np.zeros((dim, *x.shape))
+    grad.reshape(dim * dim, *x.shape[1:])[::dim + 1] = x * 0 + 1
+    hess = None if _order(order) == 1 else np.zeros(grad.shape)
+    return [Jet(c, g, hess, _every(dim), dim) for c, g in zip(coords, grad)]
+
+
 def call_field(f, p, order=None):
     """``f`` at ``p``: on plain coordinates, or on jet seeds of ``order``.
 
@@ -497,14 +519,16 @@ def call_field(f, p, order=None):
     division by zero or an invalid operation inside it (a field evaluated
     on its singular locus) surfaces as :class:`EvaluationError`: numpy is
     made to raise, and a ``ZeroDivisionError`` of Python constants the
-    field divides is caught too.  A failing batch is
+    field divides is caught too.  Float64 seeds are the rows of one
+    gradient block and share one zero Hessian (module docstring), since no
+    rule writes into a jet's arrays; double-double seeds are
+    :meth:`Jet.variable`'s, each with its own row only.  A failing batch is
     evaluated again one point at a time to name the first point that
     fails.
     """
     coords = _coords(p)
     if order is not None:
-        dim = len(coords)
-        coords = [Jet.variable(x, i, dim, order) for i, x in enumerate(coords)]
+        coords = _seeds(coords, order)
     try:
         with np.errstate(divide="raise", invalid="raise"):
             return f(coords)
@@ -550,11 +574,9 @@ def evaluate_jet(f, p, order=2):
         offending point of a batch and the first offending coordinate
         index when one can be identified.
     """
-    coords = _coords(p)
-    dim = len(coords)
     out = call_field(f, p, order)
     if not isinstance(out, Jet):
-        out = Jet.constant(out, dim, order, like=coords[0])
+        out = Jet.constant(out, np.shape(p)[-1], order, like=_coords(p)[0])
     # derivatives outside the support are exact zeros: only its rows can fail
     ok_value = np.broadcast_to(np.isfinite(out.value), _batch_shape(p))
     ok_coord = np.isfinite(out.grad)
@@ -577,6 +599,29 @@ def fd_step(x):
     return np.maximum(FD_STEP, FD_STEP * np.abs(x))
 
 
+@functools.cache
+def _stencil(d, order):
+    """``(offsets, I, J)`` of :func:`fd_oracle`'s stencil in ``d`` coordinates at
+    ``order``, built once each and read-only: the offsets in steps, one row
+    per stencil point, and the pairs ``I < J`` of its mixed rows.
+
+    The rows are the centre; ``+e_i``, ``-e_i`` for each ``i``; then at
+    ``order=2`` ``+e_i +e_j``, ``+e_i -e_j``, ``-e_i +e_j``, ``-e_i -e_j``
+    for each pair ``i < j``.
+    """
+    E, (I, J) = np.eye(d), np.triu_indices(d, 1)
+    A = np.stack([E, -E], 1)  # A[i] = (+e_i, -e_i); a pair's rows are A[i, s] + A[j, t]
+    rows = [np.zeros((1, d)), A] + ([A[I][:, :, None] + A[J][:, None, :]] if order == 2 else [])
+    return _read_only(np.concatenate([r.reshape(-1, d) for r in rows]), I, J)
+
+
+def _read_only(*arrays):
+    """``arrays`` as a tuple, each made read-only in place."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def fd_oracle(f, p, exclusions=(), order=2):
     """Finite-difference (value, gradient, Hessian) of ``f`` at ``p``.
 
@@ -597,20 +642,11 @@ def fd_oracle(f, p, exclusions=(), order=2):
     on which ``f`` fails raises :class:`EvaluationError` naming the first
     point of the batch whose stencil fails, and the first failing row of it.
     """
-    if order not in (1, 2):
-        raise ValueError(f"jet order must be 1 or 2, not {order!r}")
     p = np.asarray(p, dtype=float)
     P = p.reshape(-1, p.shape[-1])
     B, d = P.shape
-    # stencil offsets in steps: the centre; +e_i, -e_i for each i; then +e_i +e_j,
-    # +e_i -e_j, -e_i +e_j, -e_i -e_j for each pair i < j
-    E, (I, J) = np.eye(d), np.triu_indices(d, 1)
-    offsets = [np.zeros((1, d)), np.stack([E, -E], 1).reshape(-1, d)]
-    if order == 2:
-        offsets.append(np.stack([E[I] + E[J], E[I] - E[J], -E[I] + E[J], -E[I] - E[J]],
-                                1).reshape(-1, d))
+    offsets, I, J = _stencil(d, _order(order))
     h = fd_step(P.T)
-    offsets = np.concatenate(offsets)
     # stencil row s of point b is row b S + s
     q = (P[:, None, :] + offsets * h.T[:, None, :]).reshape(-1, d)
     for excl in exclusions:
@@ -636,7 +672,7 @@ def fd_oracle(f, p, exclusions=(), order=2):
     if order == 2:
         fpp, fpm, fmp, fmm = F[2 * d + 1:].reshape(-1, 4, B).transpose(1, 0, 2)
         hess = np.zeros((d, d, B))
-        hess[np.arange(d), np.arange(d)] = (fp - 2 * f0 + fm) / (h * h)
+        hess.reshape(d * d, B)[::d + 1] = (fp - 2 * f0 + fm) / (h * h)
         hess[I, J] = hess[J, I] = (fpp - fpm - fmp + fmm) / (4 * h[I] * h[J])
     if p.ndim == 1:
         f0, grad, hess = f0[0], grad[:, 0], None if hess is None else hess[..., 0]

@@ -44,7 +44,7 @@ import numpy as np
 
 from ._record import Frozen
 from .fields import Chart, FormField, MetricField
-from .jets import first_failure
+from .jets import _read_only, first_failure
 from .reduction import complex_structure, raise_first_index
 
 __all__ = [
@@ -172,9 +172,7 @@ def sp_generators(n):
             + [_kron(np.outer(a, b), Q) + _kron(np.outer(b, a), Q.conj().T)
                for I, a in enumerate(unit) for b in unit[I + 1:]
                for Q in (*_PAULI, 1j * np.eye(2))])
-    for t in gens:
-        t.flags.writeable = False
-    return tuple(gens)
+    return _read_only(*gens)
 
 
 def sp_residual(X, omega):

@@ -124,7 +124,7 @@ def _check_mass(Mv, q=None):
             return factor
     else:
         Mv = np.where(finite[..., None, None], Mv, np.eye(Mv.shape[-1]))
-    lo, hi = np.moveaxis(np.linalg.eigvalsh(Mv)[..., [0, -1]], -1, 0)  # ascending
+    lo, hi = np.linalg.eigvalsh(Mv)[..., [0, -1]].transpose(-1, *range(Mv.ndim - 2))  # ascending
     failure = first_failure(finite & (lo >= MIN_RCOND * hi) & (hi > 0), q)
     if failure is None:
         return factor
@@ -179,11 +179,7 @@ def hamiltonian_field(g):
 
 def momentum_field(i, n):
     """The phase-space scalar ``p_i`` on an ``n``-coordinate configuration."""
-
-    def f(coords):
-        return coords[n + i]
-
-    return f
+    return lambda coords: coords[n + i]
 
 
 def poisson_bracket(f, g, s):

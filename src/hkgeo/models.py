@@ -594,15 +594,11 @@ _built = contextvars.ContextVar("built")
 def build(name, a=1.0):
     """Instantiate a registered model by CLI name: within a run once per
     ``(name, a)``, handed to every caller, and outside a run afresh."""
-    try:
-        builder = REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}"
-        ) from None
+    if name not in REGISTRY:
+        raise KeyError(f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}")
     built = _built.get({})  # outside a run a fresh dict: a fresh build
     if (name, a) not in built:
-        built[name, a] = builder(a)
+        built[name, a] = REGISTRY[name](a)
     return built[name, a]
 
 

@@ -290,5 +290,5 @@ def complex_structure(gv, W):
 def raise_first_index(gv, T):
     """Raise the first lower index of each slice ``T[..., P, :, :]`` with
     ``gv``; ``gv`` and the errors are as in :func:`complex_structure`."""
-    S = np.moveaxis(T, -3, -2)  # [..., E, P, N], solved as d x (P N) columns
-    return np.moveaxis(_solve(gv, S.reshape(*S.shape[:-2], -1)).reshape(S.shape), -2, -3)
+    S = T.swapaxes(-3, -2)  # [..., E, P, N], solved as d x (P N) columns
+    return _solve(gv, S.reshape(*S.shape[:-2], -1)).reshape(S.shape).swapaxes(-2, -3)

@@ -93,7 +93,8 @@ def sample_points(spec: SampleSpec) -> np.ndarray:
     rejected = 0
     budget = 10 * spec.count
     while missing:
-        block = rng.uniform(lo, hi, size=(missing, spec.dim))
+        # rng.uniform(lo, hi)'s draws bit for bit, without its broadcasting set-up
+        block = lo + (hi - lo) * rng.random((missing, spec.dim))
         bad = np.zeros(missing, dtype=bool)
         for excl in spec.exclusions:
             bad |= np.broadcast_to(excl(list(block.T)), bad.shape)

@@ -30,6 +30,35 @@ def test_variable_seeding():
     assert np.all(x.hessian == 0.0)
 
 
+def _jet_bits(jet):
+    """A jet's support and the shapes and bytes of its value, gradient and Hessian."""
+    return jet.support, [None if a is None else (np.shape(a), np.asarray(a).tobytes())
+                         for a in (jet.value, jet.grad, jet.hess)]
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_block_seeds_are_variable_seeds(order, batch):
+    # call_field seeds float64 coordinates as the rows of one gradient block
+    # that share one zero Hessian; each is Jet.variable's seed bit for bit,
+    # the NaN derivative of an infinite coordinate (x * 0 + 1) included
+    p = np.array([[0.5, -0.0, np.inf], [3.0, -2.0, 1e-300]])
+    p = p if batch else p[0]
+    with np.errstate(invalid="ignore"):
+        seeds = call_field(lambda c: c, p, order)
+        want = [Jet.variable(x, i, 3, order) for i, x in enumerate(jets._coords(p))]
+    assert [_jet_bits(s) for s in seeds] == [_jet_bits(w) for w in want]
+    assert all(s.hess is seeds[0].hess for s in seeds)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_cached_stencil_is_read_only(order):
+    # fd_oracle builds its stencil once per (d, order) and shares it
+    for a in jets._stencil(3, order):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+
+
 def test_product_rule():
     # (fg)'' = f''g + 2f'g' + fg'' entry by entry
     f = Jet(2.0, np.array([1.0, -3.0]), np.array([[0.5, 1.0], [1.0, 0.0]]))

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hkgeo import geometry, kahler, mechanics, reduction
+from hkgeo import geometry, kahler, mechanics, models, reduction
+from hkgeo.ddouble import DD, DIGITS
 from hkgeo.geometry import MetricDomainError
 from hkgeo.jets import Jet
 from hkgeo.mechanics import DegenerateLagrangianError
@@ -264,3 +265,15 @@ def test_mass_solve_reads_a_triangle_as_its_mirror(order, count):
              for _ in range(n)]
         got, want = mechanics._solve_mass(upper, B, +1), mechanics._solve_mass(full, B)
         assert [_entry_bits(e) for e in got] == [_entry_bits(e) for e in want]
+
+
+def test_double_double_entries_are_refused_by_name():
+    # the solves are float64 only: double-double entries (the reduced mass
+    # matrix of constrain_and_reduce at dps=31) raise TypeError naming that
+    # limit, not numpy's ValueError from the packer
+    g2 = mechanics.constrain_and_reduce(models.build("toy-parent", 0.5).level.metric, 1)
+    with pytest.raises(TypeError, match="float64 only"):
+        geometry.gaussian_curvature(g2, [[0.01, 1.0]], dps=DIGITS)
+    with pytest.raises(TypeError, match="float64 only"):
+        geometry._solve_entries(np.linalg.cholesky, [[DD(2.0, 0.0)]], [1.0])
+    assert geometry.gaussian_curvature(g2, [0.01, 1.0]) > 0.0

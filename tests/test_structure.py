@@ -25,8 +25,9 @@ clear.  A verify run computes each quantity once: one model build per
 ``(name, a)``, one connection per metric and point set, one Jacobian per
 map and point set, singular values only for a Jacobian stack the rank
 guard's Cholesky certificate cannot clear, no field value, jet or
-Jacobian asked twice at the same points, and no model built outside
-``models.build``.
+Jacobian asked twice at the same points, no model built outside
+``models.build``, and each finite-difference stencil built once per
+``(d, order)``.
 Each reduction stage is one check of ``checks.py``, run on both reduction
 models.  Each acceptance claim is one row of ``checks.CLAIMS``, whose
 measures return only an array of per-item errors, which ``run_suite``
@@ -517,6 +518,27 @@ def test_roundtrip_check_is_one_qr_per_dimension(monkeypatch):
     checks.check_mech_roundtrip(ctx, ctx.rng("mechanics.legendre_roundtrip"))
     assert sorted(s[-1] for s in shapes) == [2, 3, 4]  # one stack per dimension
     assert sum(s[0] for s in shapes) == 750
+
+
+def test_verify_all_builds_each_stencil_once(monkeypatch):
+    # fd_oracle asks for its stencil on every call; a run builds each
+    # (d, order) once (one np.triu_indices per build) and reuses it after
+    asked, built = [], []
+    stencil, triu = jets._stencil, np.triu_indices
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return triu(*args, **kwargs)
+
+    def asking(d, order):
+        asked.append((d, order))
+        return stencil(d, order)
+
+    stencil.cache_clear()
+    monkeypatch.setattr(np, "triu_indices", counted)
+    monkeypatch.setattr(jets, "_stencil", asking)
+    checks.run_suite("all", seed=0, samples=20)
+    assert len(built) == len(set(asked)) < len(asked)
 
 
 def test_conserved_check_evaluates_each_hamiltonian_jet_once(monkeypatch):
