@@ -81,10 +81,6 @@ class DD:
     def shape(self):
         return np.shape(self.hi)
 
-    @property
-    def ndim(self):
-        return np.ndim(self.hi)
-
     def __len__(self):
         return len(self.hi)
 

@@ -305,12 +305,12 @@ def gaussian_curvature(g, p, dps=None):
     if g.dim != 2:
         raise ValueError("gaussian_curvature expects a 2-dimensional metric")
     if dps is None:
-        return _curvature(g, p)
+        return _curvature(*g.jet(p))
     if dps != DIGITS:
         raise ValueError(f"dps must be None (float64) or {DIGITS} (double-double), "
                          f"not {dps!r}")
     p = np.asarray(p, dtype=float)
-    return _curvature(g, DD(p, np.zeros_like(p)))
+    return _curvature(*g.jet(DD(p, np.zeros_like(p))))
 
 
 def _at(a, *index):
@@ -318,8 +318,9 @@ def _at(a, *index):
     return a[(..., *index)][()]
 
 
-def _curvature(g, p):
-    """``2K`` at ``p`` as floats, by Brioschi's formula on ``g.jet(p)``.
+def _curvature(gv, dg, d2g):
+    """``2K`` as floats, by Brioschi's formula on a metric's order-2 jet
+    ``(gv, dg, d2g)`` at one point or a batch (``g.jet(p)``).
 
     With ``E, F, G`` the metric components on the chart ``(u, v)`` and
     ``W = EG - F^2``, ``K W^2`` is the difference of two 3x3 determinants
@@ -330,7 +331,6 @@ def _curvature(g, p):
     positive definite raises :class:`MetricDomainError` and a non-finite
     curvature :class:`~hkgeo.jets.EvaluationError`, naming the point.
     """
-    gv, dg, d2g = g.jet(p)
     _check_positive_definite(gv)
     E, F, G = _at(gv, 0, 0), _at(gv, 0, 1), _at(gv, 1, 1)
     Eu, Fu, Gu = _at(dg, 0, 0, 0), _at(dg, 0, 0, 1), _at(dg, 0, 1, 1)
@@ -362,14 +362,14 @@ def covariant_derivative_02(g, T, p):
         return (dT - np.einsum("...spm,...sn->...pmn", G, Tv)
                 - np.einsum("...spn,...ms->...pmn", G, Tv))
 
-    out = [nabla(*f.jet(p)) for f in (T if isinstance(T, list) else [T])]
+    out = [nabla(*f.jet(p, order=1)) for f in (T if isinstance(T, list) else [T])]
     return out if isinstance(T, list) else out[0]
 
 
 def killing_deviation(g, V, p):
     """Lie derivative ``(L_V g)_{MN}``; identically zero iff V is Killing."""
     gv, dg, _ = g.jet(p, order=1)
-    Vv, dV = V.jet(p)
+    Vv, dV, _ = V.jet(p, order=1)
     return (np.einsum("...p,...pmn->...mn", Vv, dg)
             + np.einsum("...pn,...mp->...mn", gv, dV)
             + np.einsum("...mp,...np->...mn", gv, dV))
@@ -387,8 +387,8 @@ def euler_characteristic(g, r_scale=1.0):
     The radial half line is compactified with ``r = r_scale * u / (1 - u)``,
     ``u in [0, 1)``, floored at ``r = 1e-6``, and integrated by
     :func:`hkgeo.quadrature.integrate` (adaptive Gauss-Kronrod), whose every
-    refinement round is one batched metric value and one curvature call on
-    all of the round's nodes.
+    refinement round is one batched metric jet on all of the round's nodes:
+    its derivatives give the curvature and its value ``sqrt(det g)``.
     The metric must be 2-dimensional with chart order (radial, angular) and
     angle-independent components.
 
@@ -408,11 +408,8 @@ def euler_characteristic(g, r_scale=1.0):
     def integrand(u):  # nodes (n,) -> (n,)
         r = np.maximum(r_scale * u / (1.0 - u), 1e-6)
         jac = r_scale / (1.0 - u) ** 2
-        points = np.stack([r, np.zeros_like(r)], axis=-1)
-        # one metric value per point: the jet's value part can differ from
-        # g.value in the last bit (jet division multiplies by a reciprocal)
-        gv = g.value(points)
-        return _curvature(g, points) * np.sqrt(np.linalg.det(gv)) * jac
+        gv, dg, d2g = g.jet(np.stack([r, np.zeros_like(r)], axis=-1))
+        return _curvature(gv, dg, d2g) * np.sqrt(np.linalg.det(gv)) * jac
 
     value, err = integrate(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=200)[:2]
     if not err <= EULER_QUAD_TOL:

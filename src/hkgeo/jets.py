@@ -78,8 +78,9 @@ its gradient ``(d, B)`` and its Hessian ``(d, d, B)``.  The point axis is
 is ``(d, B) * (B,)``, outer products are ``a[:, None] * b[None, :]``) and
 ``jet.gradient[i]`` still means the derivative along coordinate ``i``, now
 at every point.  :func:`call_field` and :func:`evaluate_jet` take one point
-``(d,)`` or a batch ``(B, d)``, and the shape of the input decides: a
-single float point is the same code fed numpy float64 scalars.  The
+``(d,)`` or a batch ``(B, d)``, read once on entry as a float64 array
+(nested lists too) or a double-double, and the shape decides: a single
+float point is the same code fed numpy float64 scalars.  The
 elementary functions come from numpy (``np.sqrt``, ``np.atan2``, ...) at
 a point as on a batch, and so does :func:`power`, so a batch gives what
 its points give one at a time.  A double-double point or batch (a
@@ -480,17 +481,21 @@ def _plain(p):
     return p.hi if isinstance(p, DD) else np.asarray(p)
 
 
+def _points(p):
+    """Point(s) ``p`` as read once on entry: a double-double stays, anything
+    else (an array, a list of floats or of points) becomes a float64 array."""
+    return p if isinstance(p, DD) else np.asarray(p, dtype=float)
+
+
 def _batch_shape(p):
-    """``(B,)`` for a batch of points, a ``(B, d)`` array; ``()`` for one point."""
-    return p.shape[:1] if isinstance(p, (np.ndarray, DD)) and p.ndim == 2 else ()
+    """``(B,)`` for a batch of points ``(B, d)``; ``()`` for one point ``(d,)``."""
+    return p.shape[:-1]
 
 
 def _coords(p):
-    """Coordinate list of one point ``(d,)``, as numpy float64 scalars if it is
-    not double-double, or the columns of a batch ``(B, d)``."""
-    if _batch_shape(p):
-        return list(p.T if isinstance(p, DD) else np.ascontiguousarray(p.T))
-    return list(p if isinstance(p, DD) else np.asarray(p, dtype=float))
+    """Coordinate list of points ``p`` (:func:`_points`): the columns of a
+    batch, or the numpy float64 (or double-double) scalars of one point."""
+    return list(p.T if isinstance(p, DD) else np.ascontiguousarray(p.T))
 
 
 def _seeds(coords, order):
@@ -526,6 +531,7 @@ def call_field(f, p, order=None):
     evaluated again one point at a time to name the first point that
     fails.
     """
+    p = _points(p)
     coords = _coords(p)
     if order is not None:
         coords = _seeds(coords, order)
@@ -574,9 +580,10 @@ def evaluate_jet(f, p, order=2):
         offending point of a batch and the first offending coordinate
         index when one can be identified.
     """
+    p = _points(p)
     out = call_field(f, p, order)
     if not isinstance(out, Jet):
-        out = Jet.constant(out, np.shape(p)[-1], order, like=_coords(p)[0])
+        out = Jet.constant(out, p.shape[-1], order, like=_coords(p)[0])
     # derivatives outside the support are exact zeros: only its rows can fail
     ok_value = np.broadcast_to(np.isfinite(out.value), _batch_shape(p))
     ok_coord = np.isfinite(out.grad)

@@ -120,7 +120,7 @@ class HermitianMetricField(MetricField):
         """Complex component matrix ``(n, n)`` at interleaved real point ``p``,
         or a stack ``(B, n, n)`` over a batch ``(B, 2n)``: :meth:`value`
         read back as complex."""
-        return _complex(self.value(np.asarray(p, dtype=float)))
+        return _complex(self.value(p))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def x_matrices(hfield, p):
     that is not positive definite raises
     :class:`~hkgeo.geometry.MetricDomainError`.
     """
-    gv, dg, _ = hfield.jet(np.asarray(p, dtype=float), order=1)
+    gv, dg, _ = hfield.jet(p, order=1)
     S = dg[..., 0::2, :, :] + dg[..., 1::2, :, :] @ symplectic_matrix(2 * hfield.n)
     return _complex(np.swapaxes(raise_first_index(gv, S), -1, -2))
 

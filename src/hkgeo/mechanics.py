@@ -85,10 +85,9 @@ class PhasePoint(Frozen):
 
     @property
     def coords(self):
-        """``(q, p)`` joined: a list of ``2n`` floats, or a ``(B, 2n)`` array."""
-        c = np.concatenate([np.asarray(self.q, dtype=float),
-                            np.asarray(self.p, dtype=float)], axis=-1)
-        return c if c.ndim == 2 else c.tolist()
+        """``(q, p)`` joined: an array ``(2n,)``, or ``(B, 2n)`` for a batch."""
+        return np.concatenate([np.asarray(self.q, dtype=float),
+                               np.asarray(self.p, dtype=float)], axis=-1)
 
 
 #: Smallest ``lambda_min / lambda_max`` of an admissible mass matrix.

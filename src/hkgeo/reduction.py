@@ -120,7 +120,7 @@ def exterior_derivative(form, p):
     ``d_M w_NP + d_N w_PM + d_P w_MN``.  Either vanishes identically iff
     the form is closed, which is all the callers test.
     """
-    _, D1, _ = form.jet(p)
+    _, D1, _ = form.jet(p, order=1)
     if form.degree == 1:
         return D1 - np.swapaxes(D1, -1, -2)
     return D1 + np.einsum("...npm->...mnp", D1) + np.einsum("...pmn->...mnp", D1)
@@ -183,7 +183,9 @@ def recover_moment_map(alpha, base, p, base_value=0.0):
 
 
 def _jacobian_checked(phi, p):
-    """Jacobian of ``phi`` at ``p``; warns at the first rank-deficient point.
+    """``(q, J)``: the image ``q = phi(p)`` and the Jacobian ``J[..., M, m] =
+    d phi^M / d x^m`` from one ``phi.jet(p, order=1)``; warns at the first
+    rank-deficient point.
 
     A non-finite Jacobian raises :class:`~hkgeo.jets.EvaluationError` naming
     the first such point.  One stacked Cholesky factorisation of ``J^T J``
@@ -192,34 +194,35 @@ def _jacobian_checked(phi, p):
     ``max(M, N) eps`` of ``np.linalg.matrix_rank``); only a stack it cannot
     clear is judged by ``matrix_rank``, which words every warning.
     """
-    J = phi.jacobian(p)
+    q, D1, _ = phi.jet(p, order=1)
+    J = np.ascontiguousarray(np.swapaxes(D1, -1, -2))
     failure = first_failure(np.isfinite(J).all(axis=(-2, -1)), p)
     if failure is not None:
         raise EvaluationError(f"non-finite jacobian of {phi.name or 'map'}{failure[1]}",
                               point=failure[0])
     if _certified_cholesky(np.swapaxes(J, -1, -2) @ J, 1e-12)[1]:  # sigma ratio 1e-6
-        return J
+        return q, J
     failure = first_failure(np.linalg.matrix_rank(J) >= phi.source.dim, p)
     if failure is not None:
         warnings.warn(f"jacobian of {phi.name or 'map'} is rank deficient{failure[1]}",
                       DegeneratePullbackWarning, stacklevel=3)
-    return J
+    return q, J
 
 
 def pullback_metric(g, phi, p):
     """``(phi* g)_mn = d_m phi^M d_n phi^N g_MN`` at the source point ``p``."""
-    J = _jacobian_checked(phi, p)
-    return np.swapaxes(J, -1, -2) @ g.value(phi.value(p)) @ J
+    q, J = _jacobian_checked(phi, p)
+    return np.swapaxes(J, -1, -2) @ g.value(q) @ J
 
 
 def pullback_form(form, phi, p):
     """Pull a 1- or 2-form on the target back through ``phi``.
 
-    ``form`` may be a list of forms: they share one guarded Jacobian and one
-    ``phi.value``, and their pullbacks come back as a list, in order.
+    ``form`` may be a list of forms: they share one guarded Jacobian and its
+    image point, and their pullbacks come back as a list, in order.
     """
-    J = _jacobian_checked(phi, p)
-    q, Jt = phi.value(p), np.swapaxes(J, -1, -2)
+    q, J = _jacobian_checked(phi, p)
+    Jt = np.swapaxes(J, -1, -2)
     out = [(Jt @ w.value(q)[..., None])[..., 0] if w.degree == 1 else Jt @ w.value(q) @ J
            for w in (form if isinstance(form, list) else [form])]
     return out if isinstance(form, list) else out[0]

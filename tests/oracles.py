@@ -27,7 +27,7 @@ The others are second routes to what the package computes another way:
   :class:`hkgeo.jets.Jet`, which must match them bit for bit;
 * :func:`square_jet`, a field's matrix and its derivatives packed point
   axis first and mirrored as a whole by :func:`mirror_triangle`, for the
-  point-last fill of :func:`hkgeo.fields._square_jet`;
+  point-last fill of :meth:`hkgeo.fields.Field.jet`;
 * :func:`substitute` and :func:`solve_entries`, the factored solves run
   point axis first (every array ``(*batch, ..., rows, cols)``), for the
   point-last :func:`hkgeo.geometry._solve` and
@@ -323,7 +323,7 @@ def metric_from_potential(potential, p):
 
 
 def square_jet(fn, p, sign, order):
-    """``(V, D1, D2)`` of :func:`hkgeo.fields._square_jet`, built another way.
+    """``(V, D1, D2)`` of a matrix field's :meth:`hkgeo.fields.Field.jet`, built another way.
 
     The triangle of ``fn``'s matrix (with the diagonal for ``sign=+1``, without
     it for ``sign=-1``) is lifted to jets of ``order`` and packed into an array

@@ -319,21 +319,56 @@ def test_field_jets_batch_equal_single(name):
         for V in m.killing.values()]
     assert any(f.degree == 1 for f in fields) == bool(m.forms)
     for f in fields:
-        V, D1, none = f.jet(pts)
+        V, D1, none = f.jet(pts, order=1)
         assert none is None
-        same_bits(V, stacked(lambda p: f.jet(p)[0], pts))
-        same_bits(D1, stacked(lambda p: f.jet(p)[1], pts))
+        same_bits(V, stacked(lambda p: f.jet(p, order=1)[0], pts))
+        same_bits(D1, stacked(lambda p: f.jet(p, order=1)[1], pts))
         same_bits(f.value(pts), stacked(f.value, pts))
     for X in m.killing.values():
         for k in (0, 1):
             same_bits(X.jet(pts)[k], stacked(lambda p: X.jet(p)[k], pts))
 
 
+def _same_reading(field, pts):
+    """``field``'s value and jets of both orders at the nested list of the
+    points ``pts`` are the ones at the array, bit for bit."""
+    rows = pts.tolist()
+    same_bits(field.value(rows), field.value(pts))
+    for order in (1, 2):
+        for got, want in zip(field.jet(rows, order), field.jet(pts, order)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                same_bits(got, want)
+
+
+def test_a_nested_list_of_points_is_a_batch():
+    # a batch given as nested lists (B, d) is read as the batch its array is:
+    # every carrier, connection, Killing deviation and curvature, float64 and
+    # double-double, gives the same bits
+    for name in models.MODEL_NAMES:
+        m, pts = model_batch(name)
+        rows = pts.tolist()
+        w = next(iter(m.forms.values()))
+        for V in m.killing.values():
+            for field in (m.metric, *m.forms.values(), V, reduction.contraction_field(w, V)):
+                _same_reading(field, pts)
+            same_bits(geometry.killing_deviation(m.metric, V, rows),
+                      geometry.killing_deviation(m.metric, V, pts))
+        same_bits(geometry.christoffel(m.metric, rows), geometry.christoffel(m.metric, pts))
+        if m.chart.dim == 2:
+            for dps in (None, DIGITS):
+                same_bits(geometry.gaussian_curvature(m.metric, rows, dps),
+                          geometry.gaussian_curvature(m.metric, pts, dps))
+    for _, phi, pts in embeddings_with_points():
+        _same_reading(phi, pts)
+
+
 @pytest.mark.parametrize("case", range(4))
 def test_jacobians_and_pullbacks_batch_equal_single(case):
     # gh-flat's maps call atan2, sin and cos: numpy's at a point as on a batch
     m, phi, pts = embeddings_with_points()[case]
-    same_bits(phi.jacobian(pts), stacked(phi.jacobian, pts))
+    for k in (0, 1):
+        same_bits(phi.jet(pts, order=1)[k], stacked(lambda p: phi.jet(p, order=1)[k], pts))
     same_bits(phi.value(pts), stacked(phi.value, pts))
     target = m.metric if phi.target == m.chart else m.cartesian.metric
     forms = m.forms if phi.target == m.chart else m.cartesian.forms

@@ -8,7 +8,7 @@ import pytest
 
 from hkgeo import geometry, jets, models
 from hkgeo.ddouble import DD, DIGITS
-from hkgeo.fields import Chart, FormField, MetricField, VectorFieldR, _square_jet
+from hkgeo.fields import Chart, FormField, MetricField, VectorFieldR
 from hkgeo.geometry import (
     MetricDomainError,
     christoffel,
@@ -206,7 +206,7 @@ def test_square_jet_reads_one_triangle(field, points, order):
     p = {"float point": P[0], "float batch": P,
          "double-double batch": DD(P, P * 1e-19)}[points]
     sign = +1 if isinstance(field, MetricField) else -1
-    got, want = _square_jet(field.fn, p, sign, order), square_jet(field.fn, p, sign, order)
+    got, want = field._jet(p, order), square_jet(field.fn, p, sign, order)
     assert [x is None for x in got] == [x is None for x in want] == [False, not order,
                                                                       order != 2]
     for g, w in zip(got, want):
@@ -222,16 +222,14 @@ def test_values_are_the_order_none_jet():
     # plain values come from the jet path with no derivative slots; they
     # match a jet's value slot to rounding (a jet divides by a constant
     # as a product with its reciprocal)
-    from hkgeo.fields import _square_jet, _vector_jet
-
     m = models.build("r8-parent", 1.0)
     pts = m.sample(6, seed=4)
-    assert _square_jet(m.metric.fn, pts, +1, None)[1:] == (None, None)
-    assert _vector_jet(m.killing["G"].fn, pts, None)[1] is None
+    assert m.metric._jet(pts, None)[1:] == (None, None)
+    assert m.killing["G"]._jet(pts, None)[1:] == (None, None)
     level = m.embeddings["level"]
     for got, jet in ((m.metric.value(pts), m.metric.jet(pts, order=1)[0]),
-                     (m.forms["omega_I"].value(pts), m.forms["omega_I"].jet(pts)[0]),
-                     (level.value(pts[:, :5]), _vector_jet(level.fn, pts[:, :5], 1)[0])):
+                     (m.forms["omega_I"].value(pts), m.forms["omega_I"].jet(pts, order=1)[0]),
+                     (level.value(pts[:, :5]), level.jet(pts[:, :5], order=1)[0])):
         assert got.shape == jet.shape and np.allclose(got, jet, rtol=1e-14, atol=1e-15)
 
 
@@ -270,8 +268,8 @@ def test_euler_characteristic_cigar():
     assert err < 1e-8
 
 
-def test_euler_characteristic_one_metric_value_per_point(monkeypatch):
-    # every integrand point takes one metric value and one metric jet
+def test_euler_characteristic_one_metric_jet_per_point(monkeypatch):
+    # every integrand point takes one metric jet, which gives sqrt(det g) too
     red = models.build("toy-reduced", 1.0)
     calls = {"value": 0, "jet": 0}
     for name in calls:
@@ -285,7 +283,7 @@ def test_euler_characteristic_one_metric_value_per_point(monkeypatch):
     val, _ = euler_characteristic(red.metric)
     assert val == pytest.approx(2.0, abs=1e-6)
     assert calls["jet"] > 0
-    assert calls["value"] == calls["jet"]
+    assert calls["value"] == 0
 
 
 def test_euler_characteristic_divergence_guard(monkeypatch):

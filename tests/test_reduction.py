@@ -137,9 +137,9 @@ def test_a_list_of_forms_shares_one_jacobian(monkeypatch):
     pts = np.array([[0.5, 0.3], [1.5, -2.0], [2.0, 1.0]])
     alone = [pullback_form(w, TO_CART, p) for w in forms for p in (pts, pts[1])]
     calls = []
-    jacobian = EmbeddingMap.jacobian
-    monkeypatch.setattr(EmbeddingMap, "jacobian",
-                        lambda phi, p: calls.append(1) or jacobian(phi, p))
+    jet = EmbeddingMap.jet
+    monkeypatch.setattr(EmbeddingMap, "jet",
+                        lambda phi, p, order=2: calls.append(1) or jet(phi, p, order))
     together = [pullback_form(forms, TO_CART, p) for p in (pts, pts[1])]
     assert len(calls) == 2
     for got, want in zip([t[i] for i in range(2) for t in together], alone):
