@@ -14,6 +14,17 @@ the accurate add and the quotient the three-step divide of the QD library
 ``2**27 + 1``, so a product with a factor above about ``1e300`` comes out
 NaN; :func:`hkgeo.geometry.gaussian_curvature` rejects a NaN metric and a
 non-finite curvature with typed errors.
+
+Two rules skip work whose result is known, and change no value.  A float
+operand ``f`` (a Python float, a 0-d or any float64 array) is the
+double-double ``DD(f, 0.0)``, and the terms of its zero low part are
+skipped: a sum with it is one TwoSum and one renormalisation, a product
+with it has no ``hi * 0.0`` term, and each gives the value of the full
+rule (a zero low part may differ in sign).  And the Python int ``0`` is the
+exact zero: ``x + 0`` and ``x - 0`` are ``x`` itself, ``0 - x`` is ``-x``
+and ``x * 0`` is ``0``, with no arithmetic, so an expression that meets it
+rounds as its other operands alone would
+(:func:`hkgeo.geometry._curvature` reads its exact-zero entries so).
 """
 
 from __future__ import annotations
@@ -58,11 +69,18 @@ def _parts(x):
     return (x.hi, x.lo) if isinstance(x, DD) else (x, 0.0)
 
 
+def _is_zero(x):
+    """Whether ``x`` is the exact zero, the Python int ``0``."""
+    return type(x) is int and x == 0
+
+
 class DD:
     """Double-double numbers: ``hi + lo``, float64 arrays of one shape.
 
-    Operands may be DDs, floats or float arrays (taken exactly); shapes
-    broadcast as numpy's do.  Indexing reads and writes both parts.
+    Operands may be DDs, floats or float arrays (taken exactly, with the
+    terms of their zero low part skipped), or the exact zero ``0``, which
+    ``+``, ``-`` and ``*`` answer without arithmetic (module docstring);
+    shapes broadcast as numpy's do.  Indexing reads and writes both parts.
     """
 
     __slots__ = ("hi", "lo")
@@ -105,9 +123,13 @@ class DD:
         return DD(-self.hi, -self.lo)
 
     def __add__(self, other):
-        bh, bl = _parts(other)
-        s, e = _two_sum(self.hi, bh)
-        t, f = _two_sum(self.lo, bl)
+        if _is_zero(other):
+            return self
+        if not isinstance(other, DD):  # a float's low part is zero: one TwoSum
+            s, e = _two_sum(self.hi, other)
+            return DD(*_quick_two_sum(s, e + self.lo))
+        s, e = _two_sum(self.hi, other.hi)
+        t, f = _two_sum(self.lo, other.lo)
         s, e = _quick_two_sum(s, e + t)
         return DD(*_quick_two_sum(s, e + f))
 
@@ -120,9 +142,13 @@ class DD:
         return (-self) + other
 
     def __mul__(self, other):
-        bh, bl = _parts(other)
-        p, e = _two_prod(self.hi, bh)
-        return DD(*_quick_two_sum(p, e + (self.hi * bl + self.lo * bh)))
+        if _is_zero(other):
+            return 0
+        if not isinstance(other, DD):  # a float's low part is zero: no hi * lo term
+            p, e = _two_prod(self.hi, other)
+            return DD(*_quick_two_sum(p, e + self.lo * other))
+        p, e = _two_prod(self.hi, other.hi)
+        return DD(*_quick_two_sum(p, e + (self.hi * other.lo + self.lo * other.hi)))
 
     __rmul__ = __mul__
 

@@ -21,7 +21,12 @@ normalisation the rotationally symmetric reductions built in
 :func:`euler_characteristic`.  Below ``r =`` :data:`DD_RADIUS` (0.05) on a
 polar chart the curvature runs on double-double numbers
 (:mod:`hkgeo.ddouble`, see :func:`curvature_at_radii`); everything else
-runs on float64.
+runs on float64.  In double-double, an entry of the formula that is zero
+at every point (the off-diagonal and angular terms of a surface of
+revolution) is read as the exact zero ``0``, so only the products and sums
+that can be non-zero are computed, each rounding as before; a metric jet
+with a non-finite entry is refused first, at both precisions, so no
+``0 * inf`` is skipped into a finite curvature.
 
 Inverse-metric contractions and curvatures are guarded by a Cholesky
 factorisation, so a non-positive-definite metric surfaces as a
@@ -314,8 +319,10 @@ def gaussian_curvature(g, p, dps=None):
 
 
 def _at(a, *index):
-    """``a[..., *index]``: a scalar entry for one point, an array for a batch."""
-    return a[(..., *index)][()]
+    """``a[..., *index]``: a scalar entry for one point, an array for a batch;
+    a double-double entry that is zero at every point is the exact zero ``0``."""
+    x = a[(..., *index)][()]
+    return 0 if isinstance(x, DD) and not x.hi.any() else x
 
 
 def _curvature(gv, dg, d2g):
@@ -327,11 +334,22 @@ def _curvature(gv, dg, d2g):
     of the components and their first and second derivatives (do Carmo,
     *Differential Geometry of Curves and Surfaces*, section 4-3), so no
     linear solve is needed and the arithmetic of the entries (float64 or
-    double-double) is all there is.  A metric that is not
-    positive definite raises :class:`MetricDomainError` and a non-finite
-    curvature :class:`~hkgeo.jets.EvaluationError`, naming the point.
+    double-double) is all there is.  A double-double entry that is zero at
+    every point is read as the exact zero ``0`` (:func:`_at`), which the
+    formula's products and sums skip (:mod:`hkgeo.ddouble`) in its own
+    evaluation order, so every term that is left rounds as before.  A metric
+    that is not positive definite raises :class:`MetricDomainError`; a
+    non-finite entry of ``gv``, ``dg`` or ``d2g`` (either part of a
+    double-double), checked before any entry is read, and a non-finite
+    curvature raise :class:`~hkgeo.jets.EvaluationError`, naming the point.
     """
     _check_positive_definite(gv)
+    nb = len(gv.shape) - 2  # batch axes, then each array's entry axes
+    finite = [np.isfinite(x).all(axis=tuple(range(nb, x.ndim))) for a in (gv, dg, d2g)
+              for x in ((a.hi, a.lo) if isinstance(a, DD) else (a,))]
+    failure = first_failure(np.all(finite, axis=0))
+    if failure is not None:
+        raise EvaluationError(f"non-finite metric jet{failure[1]}", point=failure[0])
     E, F, G = _at(gv, 0, 0), _at(gv, 0, 1), _at(gv, 1, 1)
     Eu, Fu, Gu = _at(dg, 0, 0, 0), _at(dg, 0, 0, 1), _at(dg, 0, 1, 1)
     Ev, Fv, Gv = _at(dg, 1, 0, 0), _at(dg, 1, 0, 1), _at(dg, 1, 1, 1)

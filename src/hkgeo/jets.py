@@ -281,7 +281,7 @@ class Jet:
         if isinstance(value, DD):
             jet.support, jet.grad = (index,), _zeros((1,), value)
             jet.hess, index = None if order == 1 else _zeros((1, 1), value), 0
-        jet.grad[index] = value * 0 + 1  # one of the same scalar type as `value`
+        jet.grad[index] = value * 0 + 1  # a float one, or the exact int 1 for a DD
         return jet
 
     @property
@@ -353,7 +353,7 @@ class Jet:
 
     def __pow__(self, k):
         if k == 0:
-            return self._lift(self.value * 0 + 1)
+            return self._lift(self.value * 0.0 + 1.0)  # a DD times the int 0 is 0
         if k == 1:
             return self
         u = self.value

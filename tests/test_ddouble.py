@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkgeo import geometry, jets, models
+from hkgeo import ddouble, geometry, jets, models
 from hkgeo.ddouble import DD, DIGITS
 from hkgeo.fields import Chart, MetricField
 from hkgeo.geometry import MetricDomainError
@@ -60,6 +60,63 @@ def test_operations_match_mpmath():
         for k in range(200):
             assert exact((DD(a, 0 * a) * b)[k]) == mpmath.mpf(a[k]) * mpmath.mpf(b[k])
             assert exact((DD(a, 0 * a) + b)[k]) == mpmath.mpf(a[k]) + mpmath.mpf(b[k])
+
+
+#: Every operation with a float operand ``f`` (``x / f`` is the only quotient
+#: with one), as ``op(x, f)``.
+FLOAT_OPERATIONS = {"x + f": lambda x, f: x + f, "f + x": lambda x, f: f + x,
+                    "x - f": lambda x, f: x - f, "f - x": lambda x, f: f - x,
+                    "x * f": lambda x, f: x * f, "f * x": lambda x, f: f * x,
+                    "x / f": lambda x, f: x / f}
+
+
+@PROPERTY
+@given(st.lists(st.floats(1e-3, 1.0), min_size=3, max_size=3),
+       st.lists(st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+                          st.floats(-300.0, 300.0)), min_size=3, max_size=3),
+       st.sampled_from(["float", "0-d array", "(B,) array"]))
+def test_a_float_operand_is_a_double_double_with_zero_low_part(nums, fs, kind):
+    # the float-operand rules skip the terms of f's zero low part; they give
+    # the values of f taken as DD(f, 0.0): hi bit for bit, lo as a number
+    # (the sign of a zero lo may differ)
+    x = DD(np.array(nums) * [1.0, -1.0, 1.0], np.zeros(3)) / 3.0  # full low parts
+    f = {"float": fs[0], "0-d array": np.array(fs[0]), "(B,) array": np.array(fs)}[kind]
+    for name, op in FLOAT_OPERATIONS.items():
+        got, want = op(x, f), op(x, DD(f, 0.0))
+        assert got.hi.tobytes() == want.hi.tobytes(), name
+        assert np.array_equal(got.lo, want.lo), name
+
+
+def test_the_int_zero_is_exact():
+    # 0 is the identity of + and - and the annihilator of *, skipping all work;
+    # the rules that build ones from a double-double value keep its shape
+    x = DD(np.array([1.5, -2.0]), np.array([1e-20, 0.0]))
+    assert x + 0 is x and 0 + x is x and x - 0 is x
+    assert (0 - x).hi.tolist() == [-1.5, 2.0] and (0 - x).lo.tolist() == [-1e-20, 0.0]
+    assert x * 0 == 0 and 0 * x == 0
+    seed = jets.Jet.variable(x, 1, 2)
+    assert isinstance(seed.grad, DD) and seed.gradient.shape == (2, 2)
+    assert seed.gradient.hi.tolist() == [[0.0, 0.0], [1.0, 1.0]] and not seed.gradient.lo.any()
+    one = seed ** 0
+    assert isinstance(one.value, DD) and one.value.shape == (2,)
+    assert one.value.hi.tolist() == [1.0, 1.0] and not one.value.lo.any()
+    assert isinstance(one.gradient, DD) and one.gradient.shape == (2, 2)
+
+
+def test_double_double_curvature_work_count(monkeypatch):
+    # Brioschi's formula on toy-reduced reads 7 of its 12 entries as the exact
+    # zero and skips their products and sums, and float operands skip their
+    # zero low part: a dense rule again raises these counts
+    calls = {"_two_prod": 0, "_two_sum": 0}
+    for name in calls:
+        def counted(a, b, _f=getattr(ddouble, name), _name=name):
+            calls[_name] += 1
+            return _f(a, b)
+        monkeypatch.setattr(ddouble, name, counted)
+    rs = np.linspace(1e-4, 0.049, 50)
+    geometry.gaussian_curvature(models.build("toy-reduced", 1.3).metric,
+                                np.stack([rs, np.ones(50)], axis=1), dps=DIGITS)
+    assert calls["_two_prod"] <= 49 and calls["_two_sum"] <= 51, calls
 
 
 @PROPERTY
@@ -155,3 +212,26 @@ def test_overflow_is_a_typed_error_not_nan():
     for dps in (DIGITS, None):
         with pytest.raises(EvaluationError, match="non-finite curvature at point 0"):
             geometry.gaussian_curvature(cigar(1e160), pts, dps=dps)
+
+
+def test_a_non_finite_metric_jet_names_its_point():
+    # checked before Brioschi's formula reads any entry as the exact zero, so
+    # no 0 * inf is skipped into a finite curvature; at point 1 the value
+    # 1.2**2 * 8e307 is finite and its derivative 2 * 1.2 * 8e307 is not
+    g = MetricField(Chart(("x", "y")),
+                    lambda c: [[c[0] * c[0] * 8e307, 0.0], [None, 1e-300 * (1.0 + c[0] * c[0])]])
+    pts = np.array([[1.0, 0.0], [1.2, 0.0], [1.1, 0.0]])
+    with np.errstate(over="ignore"):
+        assert np.isfinite(geometry.gaussian_curvature(g, pts[[0, 2]])).all()
+        with pytest.raises(EvaluationError, match="non-finite metric jet at point 1") as err:
+            geometry.gaussian_curvature(g, pts)
+    assert err.value.point == 1
+    # a double-double jet is checked in both parts
+    r = np.array([0.01, 0.02, 0.03])
+    q = np.stack([r, np.ones(3)], axis=1)
+    gv, dg, d2g = models.build("toy-reduced", 1.0).metric.jet(DD(q, 0 * q))
+    for part in ("hi", "lo"):
+        bad = dg.map(np.copy)
+        getattr(bad, part)[2, 1, 0, 1] = np.inf  # F_v, zero at every other point
+        with pytest.raises(EvaluationError, match="non-finite metric jet at point 2"):
+            geometry._curvature(gv, bad, d2g)

@@ -152,6 +152,50 @@ def test_float_and_mp40_curvature_agree(a):
         assert K64 == pytest.approx(K60, rel=1e-10, abs=0), r
 
 
+#: A rational metric with ``F != 0`` whose twelve Brioschi entries are all
+#: non-zero for ``u, v > 0``: none is read as the exact zero.
+SKEWED = MetricField(Chart(("u", "v")),
+                     lambda c: [[1.0 + c[0] * c[0] + c[0] * c[1] * c[1],
+                                 c[0] * c[1] / (2.0 + c[0] * c[0] + c[1] * c[1])],
+                                [None, 1.0 + c[1] * c[1] + c[0] * c[0] * c[1]]])
+
+
+def _spy_entries(monkeypatch):
+    """The entries Brioschi's formula reads, listed as ``geometry._at`` reads them."""
+    read, at = [], geometry._at
+    monkeypatch.setattr(geometry, "_at", lambda a, *index: read.append(at(a, *index)) or read[-1])
+    return read
+
+
+def _read_densely(monkeypatch):
+    """``geometry._at`` without the exact-zero reading: every entry as an array."""
+    monkeypatch.setattr(geometry, "_at", lambda a, *index: a[(..., *index)][()])
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_exact_zero_entries_change_no_bit(monkeypatch, a):
+    # toy-reduced has F = 0 and E, G functions of r alone: its double-double
+    # curvature reads 7 of the 12 entries as the exact zero, its float64 none
+    g = models.build("toy-reduced", a).metric
+    rs = [1e-6, 1e-4, 1e-2, 0.049, *np.linspace(0.05, 10.0, 12)]
+    read = _spy_entries(monkeypatch)
+    K = geometry.curvature_at_radii(g, rs)
+    assert [type(x) is int for x in read].count(True) == 7 and len(read) == 24
+    _read_densely(monkeypatch)
+    assert geometry.curvature_at_radii(g, rs).tobytes() == K.tobytes()
+
+
+def test_a_metric_without_zero_entries_reads_every_entry(monkeypatch):
+    pts = np.array([[0.01, 0.02], [0.03, 0.5], [1.0, 2.0], [0.2, 0.04]])
+    read = _spy_entries(monkeypatch)
+    K = [gaussian_curvature(SKEWED, pts, dps=dps) for dps in (DIGITS, None)]
+    assert len(read) == 24 and not any(type(x) is int for x in read)
+    _read_densely(monkeypatch)
+    for got, dps in zip(K, (DIGITS, None)):
+        assert gaussian_curvature(SKEWED, pts, dps=dps).tobytes() == got.tobytes()
+    assert K[0] == pytest.approx(K[1], rel=1e-12)
+
+
 def test_curvature_digits_are_float64_or_double_double():
     g = models.build("toy-reduced", 1.0).metric
     pts = np.array([[0.01, 1.0], [0.3, 1.0]])

@@ -839,7 +839,7 @@ def _code_lines(path):
 
 #: The most code lines ``src/`` may have.  Lower it when the package shrinks;
 #: raising it is a change that shows in the diff.
-CODE_LINE_CEILING = 2178
+CODE_LINE_CEILING = 2195
 
 
 def test_src_code_lines():
