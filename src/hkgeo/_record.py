@@ -1,15 +1,15 @@
-"""Plain record classes: fields in ``__slots__``, set by a written-out ``__init__``.
+"""Plain record class: fields in ``__slots__``, set once by a written-out ``__init__``.
 
-:class:`Record` adds what the fields alone decide: a ``repr`` in
+A :class:`Frozen` record has what the fields alone decide: a ``repr`` in
 constructor order, equality over the fields between records of the same
-class (an array field by its shape and entries), and copying and pickling
-through the constructor.  A :class:`Frozen` record also rejects assignment
-and hashes by its fields.
+class (an array field by its shape and entries), a hash over the fields,
+and copying and pickling through the constructor.  It rejects assignment
+and deletion after construction.
 """
 
 import numpy as np
 
-__all__ = ["Record", "Frozen"]
+__all__ = ["Frozen"]
 
 
 def _field_equal(a, b):
@@ -18,8 +18,13 @@ def _field_equal(a, b):
     return a is b or a == b
 
 
-class Record:
+class Frozen:
     __slots__ = ()
+
+    def _set(self, *values):
+        """Set the fields, in ``__slots__`` order, once, from ``__init__``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -34,25 +39,14 @@ class Record:
             return NotImplemented
         return all(map(_field_equal, self._values(), other._values()))
 
-    __hash__ = None  # mutable: no hash
+    def __hash__(self):
+        return hash(self._values())
 
     def __reduce__(self):
         return type(self), self._values()
-
-
-class Frozen(Record):
-    __slots__ = ()
-
-    def _set(self, *values):
-        """Set the fields, in ``__slots__`` order, once, from ``__init__``."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self):
-        return hash(self._values())

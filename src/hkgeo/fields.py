@@ -45,9 +45,6 @@ class Chart(Frozen):
     def dim(self):
         return len(self.names)
 
-    def __str__(self):
-        return "(" + ", ".join(self.names) + ")"
-
 
 def _triangle(raw, sign):
     """``(M, N, entry)`` over the entries of the table ``raw`` that a mirror of
@@ -110,7 +107,7 @@ class Field:
         return self.chart.dim
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.name or self.chart})"
+        return f"{type(self).__name__}({self.name or self.chart.names})"
 
     def value(self, p):
         """Components ``V[..., *c]`` at ``p``, with no derivative made."""

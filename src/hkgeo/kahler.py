@@ -34,6 +34,14 @@ Mixed-index structures are raised by ``X = -g^{-1} W``
 ``w(U, V) = g(XU, V)`` and the flat case satisfies the quaternion algebra
 ``I J = K``, ``J K = I``, ``K I = J``; :func:`quaternion_defects` gives the
 deviation from each of its six relations.
+
+Stock fields
+------------
+The checks use two fields of complex dimension 2, both Kaehler:
+:func:`unit_determinant_shear_field`, which passes the heavenly condition,
+and :func:`non_unimodular_field`, the negative control, which fails it.  A
+field holds its metric only; the hygiene check differentiates the shear
+field's Kaehler potential as one of :func:`hkgeo.models.scalar_fields`.
 """
 
 from __future__ import annotations
@@ -63,7 +71,6 @@ __all__ = [
     "x_matrices",
     "unit_determinant_shear_field",
     "non_unimodular_field",
-    "single_mode_field",
 ]
 
 
@@ -92,13 +99,9 @@ class HermitianMetricField(MetricField):
         parts.  Only the upper triangles are read; the mirrors (symmetric
         for ``re_fn``, antisymmetric with zero diagonal for ``im_fn``) are
         filled in, so Hermiticity is exact by storage.
-    potential : callable, optional
-        Real Kaehler potential generating the same components; the
-        derivative-oracle hygiene check differentiates it, and evaluation
-        never reads it.
     """
 
-    def __init__(self, n, re_fn, im_fn=None, potential=None, name=""):
+    def __init__(self, n, re_fn, im_fn=None, name=""):
         im_fn = im_fn or (lambda coords: [[0.0] * n for _ in range(n)])
 
         def fn(coords):
@@ -114,7 +117,7 @@ class HermitianMetricField(MetricField):
 
         super().__init__(Chart(tuple(f"{c}{j}" for j in range(1, n + 1) for c in "uv")),
                          fn, name)
-        self.n, self.potential = n, potential
+        self.n = n
 
     def matrix(self, p):
         """Complex component matrix ``(n, n)`` at interleaved real point ``p``,
@@ -341,7 +344,10 @@ def unit_determinant_shear_field():
     is the standard positive fixture for the covariant-constancy and
     symplectic-algebra checks.  Generated by the potential
 
-        |z1|^2 + |z1|^4 / 4 + |z2|^2 + Re(z1^2 zbar2).
+        |z1|^2 + |z1|^4 / 4 + |z2|^2 + Re(z1^2 zbar2),
+
+    which the derivative-oracle hygiene check differentiates
+    (:func:`hkgeo.models.scalar_fields`).
     """
 
     def re_fn(c):
@@ -352,18 +358,12 @@ def unit_determinant_shear_field():
         u1, v1, u2, v2 = c
         return [[0.0, v1], [None, 0.0]]
 
-    def potential(c):
-        u1, v1, u2, v2 = c
-        r2 = u1 * u1 + v1 * v1
-        return (r2 + r2 * r2 / 4.0 + u2 * u2 + v2 * v2
-                + (u1 * u1 - v1 * v1) * u2 + 2.0 * u1 * v1 * v2)
-
-    return HermitianMetricField(2, re_fn, im_fn, potential=potential,
-                                name="unit-determinant shear")
+    return HermitianMetricField(2, re_fn, im_fn, name="unit-determinant shear")
 
 
 def non_unimodular_field():
-    """Kaehler but with varying determinant: ``diag(1 + |z1|^2, 1)``.
+    """Kaehler (from the potential ``|z1|^2 + |z1|^4 / 4 + |z2|^2``) but with
+    varying determinant: ``diag(1 + |z1|^2, 1)``.
 
     The negative control: it fails the heavenly constancy test, and the J/K
     pair is not covariantly constant for it.
@@ -373,25 +373,5 @@ def non_unimodular_field():
         u1, v1, u2, v2 = c
         return [[1.0 + u1 * u1 + v1 * v1, 0.0], [None, 1.0]]
 
-    def potential(c):
-        u1, v1, u2, v2 = c
-        r2 = u1 * u1 + v1 * v1
-        return r2 + r2 * r2 / 4.0 + u2 * u2 + v2 * v2
+    return HermitianMetricField(2, re_fn, name="non-unimodular control")
 
-    return HermitianMetricField(2, re_fn, potential=potential,
-                                name="non-unimodular control")
-
-
-def single_mode_field():
-    """One complex dimension, ``h = 1 + |z|^2`` from ``|z|^2 + |z|^4/4``."""
-
-    def re_fn(c):
-        u, v = c
-        return [[1.0 + u * u + v * v]]
-
-    def potential(c):
-        u, v = c
-        r2 = u * u + v * v
-        return r2 + r2 * r2 / 4.0
-
-    return HermitianMetricField(1, re_fn, potential=potential, name="1 + |z|^2")

@@ -54,7 +54,7 @@ import contextvars
 import numpy as np
 
 from . import jets
-from ._record import Frozen, Record
+from ._record import Frozen
 from .fields import Chart, EmbeddingMap, FormField, MetricField, VectorFieldR
 from .sampling import Exclusion, SampleSpec, sample_points
 
@@ -103,7 +103,7 @@ class ScalarFieldSpec(Frozen):
         self._set(name, fn, box, exclusions)
 
 
-class Model(Record):
+class Model(Frozen):
     """One registry entry: a chart with everything the pipelines consume.
 
     ``forms``, ``killing``, ``embeddings`` and ``targets`` default to a new
@@ -114,7 +114,8 @@ class Model(Record):
     coordinates), whose metric is also the mass matrix that
     :func:`hkgeo.mechanics.constrain_and_reduce` reduces.  A model with a
     Cartesian picture carries it as the model ``cartesian``; both are None
-    otherwise.
+    otherwise.  Its fields are read-only: :func:`build` hands one model to
+    every check of a run, so no check can change what another one reads.
     """
 
     __slots__ = ("name", "a", "chart", "metric", "forms", "killing", "embeddings",
@@ -124,14 +125,10 @@ class Model(Record):
     def __init__(self, name, a, chart, metric, forms=None, killing=None, embeddings=None,
                  targets=None, box=(), exclusions=(), cyclic=(), fiber_index=None,
                  invariant=None, level=None, cartesian=None):
-        self.name, self.a, self.chart, self.metric = name, a, chart, metric
-        self.forms = {} if forms is None else forms
-        self.killing = {} if killing is None else killing
-        self.embeddings = {} if embeddings is None else embeddings
-        self.targets = {} if targets is None else targets
-        self.box, self.exclusions, self.cyclic = box, exclusions, cyclic
-        self.fiber_index, self.invariant = fiber_index, invariant
-        self.level, self.cartesian = level, cartesian
+        self._set(name, a, chart, metric, {} if forms is None else forms,
+                  {} if killing is None else killing, {} if embeddings is None else embeddings,
+                  {} if targets is None else targets, box, exclusions, cyclic, fiber_index,
+                  invariant, level, cartesian)
 
     def sample(self, count, seed=0):
         return sample_points(SampleSpec(self.box, count, seed, self.exclusions))
@@ -606,18 +603,32 @@ def build(name, a=1.0):
 # scalar fields for derivative-oracle hygiene
 
 
+def _shear_potential(c):
+    """Kaehler potential of :func:`hkgeo.kahler.unit_determinant_shear_field`."""
+    u1, v1, u2, v2 = c
+    r2 = u1 * u1 + v1 * v1
+    return (r2 + r2 * r2 / 4.0 + u2 * u2 + v2 * v2
+            + (u1 * u1 - v1 * v1) * u2 + 2.0 * u1 * v1 * v2)
+
+
+def _single_mode_potential(c):
+    """``|z|^2 + |z|^4 / 4``, the Kaehler potential of ``h = 1 + |z|^2``."""
+    u, v = c
+    r2 = u * u + v * v
+    return r2 + r2 * r2 / 4.0
+
+
 def scalar_fields(a=1.0):
     """Every scalar field the models expose, with its sampling domain.
 
     The derivative-consistency suite (jets against central differences)
     sweeps exactly this list, so any new closed-form function should be
-    registered here.  The moment maps, monopole denominator, coordinate change,
-    Taub-NUT fiber norm (its metric's ``[3][3]`` entry) and Kaehler
-    potentials are the models' and ``kahler``'s own callables, so the sweep
-    checks the functions the other checks use.
+    registered here.  The moment maps, monopole denominator, coordinate change
+    and Taub-NUT fiber norm (its metric's ``[3][3]`` entry) are the models'
+    own callables, so the sweep checks the functions the other checks use;
+    the Kaehler potentials are those of ``kahler``'s shear field and of the
+    one-dimensional metric ``h = 1 + |z|^2``.
     """
-    from . import kahler  # here, not at the top: importing models loads no kahler
-
     a = _check_a(a)
     string = (_string_exclusion(),)
     pole = (_pole_exclusion(),)
@@ -644,8 +655,7 @@ def scalar_fields(a=1.0):
                           box4y + box3 + ((*_ANGLE,),), pole) for k in "IJK"),
         ScalarFieldSpec("taub-nut-fiber-norm", lambda c: tn_metric(c)[3][3],
                         box3 + ((*_ANGLE,),), string),
-        ScalarFieldSpec("potential-shear", kahler.unit_determinant_shear_field().potential,
-                        kbox),
-        ScalarFieldSpec("potential-single-mode", kahler.single_mode_field().potential,
+        ScalarFieldSpec("potential-shear", _shear_potential, kbox),
+        ScalarFieldSpec("potential-single-mode", _single_mode_potential,
                         ((-1.5, 1.5), (-1.5, 1.5))),
     )

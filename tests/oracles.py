@@ -18,7 +18,10 @@ The others are second routes to what the package computes another way:
   :func:`hkgeo.geometry.gaussian_curvature`;
 * :func:`metric_from_potential`, the Hermitian metric of a Kaehler
   potential, for the stock fields of :mod:`hkgeo.kahler` and the
-  potentials the hygiene check differentiates;
+  potentials the hygiene check differentiates, with two fixtures that no
+  command builds: :func:`control_potential`, the potential of the negative
+  control, and :func:`single_mode_field`, the one-dimensional metric of
+  the hygiene check's single-mode potential;
 * :func:`x_matrices`, ``2 (d_z h) h^{-1}`` in complex arithmetic from the
   Wirtinger derivative, for the realified solve of
   :func:`hkgeo.kahler.x_matrices`;
@@ -41,6 +44,7 @@ from hkgeo.ddouble import DD
 from hkgeo.geometry import _christoffel_from, _lowered_christoffel, _solve
 from hkgeo.jets import (Jet, _batch_shape, _coords, _outer, _zeros, call_field, evaluate_jet,
                         fd_step, first_failure)
+from hkgeo.kahler import HermitianMetricField
 
 #: Working digits of the oracle: well above the 31 of a double-double.
 DPS = 60
@@ -320,6 +324,26 @@ def metric_from_potential(potential, p):
     if dev > 1e-12 * max(1.0, float(np.max(np.abs(h)))):
         raise HermiticityError(f"Hessian combination non-Hermitian by {dev:.3e}")
     return h
+
+
+def control_potential(c):
+    """``|z1|^2 + |z1|^4 / 4 + |z2|^2``: the Kaehler potential of
+    :func:`hkgeo.kahler.non_unimodular_field`, which shows that the negative
+    control is Kaehler and fails only the unit-determinant condition."""
+    u1, v1, u2, v2 = c
+    r2 = u1 * u1 + v1 * v1
+    return r2 + r2 * r2 / 4.0 + u2 * u2 + v2 * v2
+
+
+def single_mode_field():
+    """One complex dimension, ``h = 1 + |z|^2``: the metric of the hygiene
+    check's single-mode potential ``|z|^2 + |z|^4 / 4``."""
+
+    def re_fn(c):
+        u, v = c
+        return [[1.0 + u * u + v * v]]
+
+    return HermitianMetricField(1, re_fn, name="1 + |z|^2")
 
 
 def square_jet(fn, p, sign, order):

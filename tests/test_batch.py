@@ -39,7 +39,7 @@ from hkgeo.reduction import (
 )
 from hkgeo.sampling import SampleSpec, sample_points
 
-from oracles import christoffel_fd, riemann
+from oracles import christoffel_fd, riemann, single_mode_field
 
 MODELS = ["toy-parent", "r8-parent"]
 
@@ -630,7 +630,7 @@ def test_hermitian_real_metric_values_batch_equal_single():
     # a Hermitian field is the MetricField of its real metric, and its
     # complex matrix is that metric's value de-interleaved, bit for bit
     pts = batch_of(((-1.5, 1.5),) * 4)
-    for hf in (*hermitian_fields(), kahler.single_mode_field()):
+    for hf in (*hermitian_fields(), single_mode_field()):
         assert isinstance(hf, MetricField)
         p = pts[:, :hf.dim]
         same_bits(hf.value(p), stacked(hf.value, p))
@@ -660,7 +660,7 @@ def test_hermitian_matrices_and_heavenly_batch_equal_single():
         same_complex_bits(hf.matrix(pts), stacked(hf.matrix, pts))
         few_ulp(kahler.x_matrices(hf, pts),
                 stacked(lambda p: kahler.x_matrices(hf, p), pts))
-    single = kahler.single_mode_field()
+    single = single_mode_field()
     same_complex_bits(single.matrix(pts[:, :2]), stacked(single.matrix, pts[:, :2]))
     H = kahler.unit_determinant_shear_field().matrix(pts)
     same_bits(kahler.heavenly_check(H, om), [kahler.heavenly_check(h, om) for h in H])

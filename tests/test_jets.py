@@ -94,6 +94,36 @@ def test_lifted_constants_take_the_jet_order(order):
     assert (x ** 0).value == 1.0 and list((x ** 0).gradient) == [0.0]
 
 
+def test_first_power_is_the_jet_itself():
+    # at x = 0 the general rule's f'' = k (k - 1) x^(k - 2) would divide by zero
+    x = Jet.variable(0.0, 0, 1, order=2)
+    assert x ** 1 is x
+    j = evaluate_jet(lambda c: c[0] ** 1, [0.0])
+    assert (j.value, list(j.gradient), j.hessian.tolist()) == (0.0, [1.0], [[0.0]])
+
+
+def test_jet_repr_names_value_dim_support_and_order():
+    assert repr(Jet.variable(0.0, 0, 1, order=2)) == (
+        "Jet(value=0.0, dim=1, support=(0,), hessian=True)")
+
+
+def test_a_field_failing_only_on_a_batch_is_an_evaluation_error():
+    # the field divides by zero on a batch and at none of its points, so no
+    # point can be named, by call_field or by the oracle it feeds
+    def field(c):
+        return 1.0 / np.float64(np.ndim(c[0]) - 1)
+
+    assert call_field(field, [0.5, 0.5]) == -1.0
+    for evaluate in (lambda: call_field(field, [[0.5, 0.5], [1.0, 1.0]]),
+                     lambda: fd_oracle(field, [0.5, 0.5]),
+                     lambda: fd_oracle(field, [[0.5, 0.5], [1.0, 1.0]])):
+        with pytest.raises(EvaluationError, match="evaluating a field on a batch of points$"
+                           ) as exc:
+            evaluate()
+        assert exc.value.point is None
+        assert isinstance(exc.value.__cause__, FloatingPointError)
+
+
 def test_unknown_order_is_refused():
     for order in (0, 3):
         with pytest.raises(ValueError, match="order"):

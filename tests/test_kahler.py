@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy._core import _multiarray_umath
 
-from hkgeo import kahler
+from hkgeo import kahler, models
 from hkgeo.geometry import MetricDomainError, covariant_derivative_02
 from hkgeo.kahler import (
     HeavenlyViolation,
@@ -24,7 +24,6 @@ from hkgeo.kahler import (
     triple_at,
     unit_determinant_shear_field,
     non_unimodular_field,
-    single_mode_field,
     x_matrices,
 )
 
@@ -108,19 +107,22 @@ def test_nan_metric_fails_heavenly_check():
 
 
 def test_potential_reproduces_entries():
+    # the potentials the hygiene check differentiates generate the shear
+    # field and the single-mode metric; the control is Kaehler too
+    potentials = {spec.name: spec.fn for spec in models.scalar_fields()}
     shear = unit_determinant_shear_field()
     for p in RNG.uniform(-1.0, 1.0, size=(10, 4)):
         direct = shear.matrix(p)
-        from_pot = metric_from_potential(shear.potential, p)
+        from_pot = metric_from_potential(potentials["potential-shear"], p)
         assert np.max(np.abs(direct - from_pot)) < 1e-12
     control = non_unimodular_field()
     for p in RNG.uniform(-1.0, 1.0, size=(5, 4)):
         assert np.max(np.abs(control.matrix(p)
-                             - metric_from_potential(control.potential, p))) < 1e-12
-    single = single_mode_field()
+                             - metric_from_potential(oracles.control_potential, p))) < 1e-12
+    single = oracles.single_mode_field()
     for p in RNG.uniform(-1.0, 1.0, size=(5, 2)):
-        assert np.max(np.abs(single.matrix(p)
-                             - metric_from_potential(single.potential, p))) < 1e-12
+        assert np.max(np.abs(single.matrix(p) - metric_from_potential(
+            potentials["potential-single-mode"], p))) < 1e-12
 
 
 def test_constancy_across_points():
@@ -197,7 +199,7 @@ def test_x_matrices_in_algebra():
 
 @pytest.mark.parametrize("points", ["point", "batch"])
 @pytest.mark.parametrize("field", [unit_determinant_shear_field, non_unimodular_field,
-                                   single_mode_field])
+                                   oracles.single_mode_field])
 def test_x_matrices_match_the_complex_reference(field, points):
     # the realified solve gives 2 (d_z h) h^{-1} as complex arithmetic does
     hf = field()
