@@ -35,14 +35,13 @@ print(f"line-integrated moment map {val:.12f} vs closed form {mu(p):.12f}")
 
 lev = m.embeddings["level"]
 lm = m.level.metric
-fiber = m.level.killing["fiber"]
 
 worst_pull = worst_quot = 0.0
 for _ in range(30):
     q = [rng.uniform(0.3, 3.0), rng.uniform(0.1, 5.9), rng.uniform(0.1, 5.9)]
     got = reduction.pullback_metric(m.metric, lev, q)
     worst_pull = max(worst_pull, float(np.max(np.abs(got - lm.value(q)))))
-    gq = reduction.quotient_metric(lm, fiber, m.invariant, q)
+    gq = reduction.quotient_metric(lm, m.fiber_index, q)
     want = red.metric.value([q[0], q[2]])
     worst_quot = max(worst_quot, float(np.max(np.abs(gq - want))))
 print(f"\nlevel-set pullback vs 3-chart closed form: {worst_pull:.3e}")

@@ -66,12 +66,12 @@ lm = m.level.metric
 tn = models.build("taub-nut", a)
 worst_q = worst_f = 0.0
 for p in pts:
-    gq = reduction.quotient_metric(lm, m.level.killing["fiber"], m.invariant, p)
+    gq = reduction.quotient_metric(lm, m.fiber_index, p)
     worst_q = max(worst_q, float(np.max(np.abs(
         gq - models.taub_nut_metric(p[:3], a)))))
     for k in ("omega_I", "omega_J", "omega_K"):
         W5 = reduction.pullback_form(m.forms[k], lev, p)
-        Wq = reduction.quotient_form(W5, m.fiber_index, m.invariant, p)
+        Wq = reduction.quotient_form(W5, m.fiber_index, p)
         worst_f = max(worst_f, float(np.max(np.abs(Wq - tn.forms[k].value(p[:4])))))
 print(f"quotient metric vs Taub-NUT closed form:   {worst_q:.3e}")
 print(f"quotient forms vs shifted flat triple:     {worst_f:.3e}")

@@ -43,8 +43,7 @@ worst = 0.0
 for _ in range(30):
     q = [rng.uniform(0.3, 3.0), rng.uniform(0.1, 5.9), rng.uniform(0.1, 5.9)]
     got = g2.value([q[0], q[2]])
-    want = reduction.quotient_metric(lm, m.level.killing["fiber"],
-                                     m.invariant, q)
+    want = reduction.quotient_metric(lm, m.fiber_index, q)
     worst = max(worst, float(np.max(np.abs(got - want))))
 print(f"\ntoy model: |mechanical - geometric| over 30 points: {worst:.3e}")
 
@@ -58,8 +57,7 @@ for _ in range(20):
     q = [*rng.uniform(0.4, 1.8, size=3), rng.uniform(0.1, 5.9),
          rng.uniform(0.1, 5.9)]
     got = g4.value(q[:4])
-    want = reduction.quotient_metric(lm8, m8.level.killing["fiber"],
-                                     m8.invariant, q)
+    want = reduction.quotient_metric(lm8, m8.fiber_index, q)
     worst = max(worst, float(np.max(np.abs(got - want))))
 print(f"5-chart:   |mechanical - geometric| over 20 points: {worst:.3e}")
 print("\nand the geometric side of the 5-chart quotient is Taub-NUT:")

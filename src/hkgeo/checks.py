@@ -233,8 +233,13 @@ def check_sp_algebra(ctx, rng):
 
 def _level_quotient(m, pts):
     """The orthogonal-projection quotient of ``m``'s level-set metric at ``pts``."""
-    return reduction.quotient_metric(m.level.metric, m.level.killing["fiber"],
-                                     m.invariant, pts)
+    return reduction.quotient_metric(m.level.metric, m.fiber_index, pts)
+
+
+def _kept(m, pts):
+    """The level-set points ``pts`` on the coordinates ``m``'s quotient keeps:
+    every one but the fiber's."""
+    return pts[:, reduction._kept(m.level.chart.dim, m.fiber_index)]
 
 
 def check_level_pullback(ctx, rng, name):
@@ -245,21 +250,23 @@ def check_level_pullback(ctx, rng, name):
 
 
 def check_quotient_metric(ctx, rng, name, target):
-    """The quotient metric against ``target(m, pts)``."""
+    """The quotient metric against ``target(m, q)`` at the kept coordinates
+    ``q`` of the level-set points."""
     m = models.build(name, ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
-    return _level_quotient(m, pts) - target(m, pts)
+    return _level_quotient(m, pts) - target(m, _kept(m, pts))
 
 
 def check_quotient_forms(ctx, rng, name, target):
     """Each form of the model, pulled back and quotiented, against the matching
-    entry of ``target(m, pts)``."""
+    entry of ``target(m, q)`` at the kept coordinates ``q`` of the level-set
+    points."""
     m = models.build(name, ctx.a)
     pts = m.level.sample(ctx.samples, ctx.subseed(rng))
     pulled = reduction.pullback_form(list(m.forms.values()), m.embeddings["level"], pts)
     return _side_by_side(*(
-        reduction.quotient_form(w, m.fiber_index, m.invariant, pts) - want
-        for w, want in zip(pulled, target(m, pts))))
+        reduction.quotient_form(w, m.fiber_index, pts) - want
+        for w, want in zip(pulled, target(m, _kept(m, pts)))))
 
 
 def check_hamiltonian_equivalence(ctx, rng, name, count, probes):
@@ -269,7 +276,7 @@ def check_hamiltonian_equivalence(ctx, rng, name, count, probes):
     pts = m.level.sample(count, ctx.subseed(rng))
     g2 = mechanics.constrain_and_reduce(m.level.metric, m.fiber_index,
                                         probe_points=pts[:probes])
-    return g2.value(pts[:, m.invariant]) - _level_quotient(m, pts)
+    return g2.value(_kept(m, pts)) - _level_quotient(m, pts)
 
 
 def check_cyclic_brackets(ctx, rng, names, count):
@@ -542,13 +549,13 @@ CLAIMS = [
      lambda c, r: check_level_pullback(c, r, "toy-parent")),
     ("toy.quotient_metric", 1e-10,
      "orthogonal-projection quotient matches the reduced surface metric",
-     lambda c, r: check_quotient_metric(c, r, "toy-parent", lambda m, p: models.build(
-         "toy-reduced", m.a).metric.value(p[:, [0, 2]]))),
+     lambda c, r: check_quotient_metric(c, r, "toy-parent", lambda m, q: models.build(
+         "toy-reduced", m.a).metric.value(q))),
     ("toy.quotient_form", 1e-10,
      "fiber components of the pulled-back form cancel and the rest is "
      "the area form r dr d chi",
-     lambda c, r: check_quotient_forms(c, r, "toy-parent", lambda m, p: [models.build(
-         "toy-reduced", m.a).forms["omega"].value(p[:, [0, 2]])])),
+     lambda c, r: check_quotient_forms(c, r, "toy-parent", lambda m, q: [models.build(
+         "toy-reduced", m.a).forms["omega"].value(q)])),
     ("toy.quotient_complex_structure", 1e-8,
      "quotient complex structure squares to -1 and is covariantly constant",
      check_toy_complex_structure),
@@ -587,12 +594,12 @@ CLAIMS = [
     ("taubnut.quotient_metric", 1e-10,
      "projecting out the circle fiber of the 5-metric gives the Taub-NUT closed form",
      lambda c, r: check_quotient_metric(
-         c, r, "r8-parent", lambda m, p: models.taub_nut_metric(p[:, :3], m.a))),
+         c, r, "r8-parent", lambda m, q: models.taub_nut_metric(q[:, :3], m.a))),
     ("taubnut.quotient_triple", 1e-8,
      "pulled-back triple drops its fiber components and equals the flat "
      "forms with 1/r -> 1/r + 1/a^2",
-     lambda c, r: check_quotient_forms(c, r, "r8-parent", lambda m, p: [
-         w.value(p[:, :4]) for w in models.build("taub-nut", m.a).forms.values()])),
+     lambda c, r: check_quotient_forms(c, r, "r8-parent", lambda m, q: [
+         w.value(q) for w in models.build("taub-nut", m.a).forms.values()])),
     ("taubnut.triple_closed", 1e-8, "quotient triple is closed", check_tn_triple_closed),
     ("taubnut.hyperkahler", 1e-7,
      "Taub-NUT triple is quaternionic and covariantly constant", check_tn_hyperkahler),

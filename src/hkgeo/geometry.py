@@ -171,25 +171,20 @@ def _substitute(U, d2, X):
     return X
 
 
-def _solve_factored(L, B):
-    """``X`` with ``L L^T X = B``, point axis first: ``L`` ``(..., d, d)`` is a
-    lower Cholesky factor and ``B`` ``(..., d, m)`` holds the right-hand
-    sides as columns; leading axes broadcast.  It converts once each way:
-    ``B`` is copied point axes last, substituted in place
+def _solve(gv, B, guard=_check_positive_definite):
+    """Solve ``gv @ X = B`` for real symmetric positive-definite ``gv``
+    ``(..., d, d)``, point axis first, with the lower Cholesky factor ``L``
+    that ``guard`` returns for ``gv`` or its error (by default
+    :func:`_check_positive_definite`'s).  ``B`` ``(..., d, m)`` holds the
+    right-hand sides as columns; leading axes broadcast.  It converts once
+    each way: ``B`` is copied point axes last, substituted in place
     (:func:`_substitute`) and handed back as a point-first view.
     """
+    L = guard(gv)
     batch = np.broadcast_shapes(L.shape[:-2], B.shape[:-2])
     X = np.broadcast_to(B, (*batch, *B.shape[-2:])).transpose(-2, -1, *range(len(batch)))
     X = _substitute(*_factor_last(L, len(batch)), X.astype(np.result_type(L, B), order="C"))
     return X.transpose(*range(2, X.ndim), 0, 1)
-
-
-def _solve(gv, B):
-    """Solve ``gv @ X = B`` for real symmetric positive-definite ``gv``
-    ``(..., d, d)``, broadcasting: the factor of
-    :func:`_check_positive_definite`, substituted by :func:`_solve_factored`.
-    """
-    return _solve_factored(_check_positive_definite(gv), B)
 
 
 def _solve_entries(guard, A, B, sign=0):

@@ -139,6 +139,15 @@ class EvaluationError(ArithmeticError):
         self.point = point
 
 
+class _ResidualError(ValueError):
+    """A check that measured how far its input is from passing: ``residual``
+    is that measure, where it is known."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
+
+
 class StencilExclusionError(ValueError):
     """A finite-difference stencil point landed on an excluded locus."""
 

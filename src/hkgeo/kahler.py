@@ -52,7 +52,7 @@ import numpy as np
 
 from ._record import Frozen
 from .fields import Chart, FormField, MetricField
-from .jets import _read_only, first_failure
+from .jets import _read_only, _ResidualError, first_failure
 from .reduction import complex_structure, raise_first_index
 
 __all__ = [
@@ -74,12 +74,8 @@ __all__ = [
 ]
 
 
-class HeavenlyViolation(ValueError):
+class HeavenlyViolation(_ResidualError):
     """``h Omega h^T`` is not proportional to ``Omega`` (or not positively so)."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ inversion (``H = p^T M^{-1} p / 2``) and imposing a conserved momentum
 ``p_fiber = 0`` is pure linear algebra: delete the fiber row and column of
 ``M^{-1}`` and invert the rest.  By the Schur complement identity this
 equals the orthogonal-projection quotient of the metric ``M``, which is the
-point the cross-module tests drive home.
+point the cross-module tests drive home.  The fiber is a coordinate, named
+by its index, ``fiber_index``, as in :mod:`hkgeo.reduction`, and both keep
+the same coordinates, every other one.
 
 Phase-space scalars are plain callables over the ``2n`` coordinates
 ``(q_1 .. q_n, p_1 .. p_n)``; Poisson brackets differentiate them with
@@ -19,12 +21,14 @@ is rejected even when invertible.  Every inversion or solve applies that
 rule.  A stacked Cholesky factorisation decides it for well-conditioned
 stacks; the eigenvalues are computed only for a stack it cannot clear,
 and they word every rejection (:func:`_check_mass`).  The rule is the
-guard of the generic entry solve (:func:`hkgeo.geometry._solve_entries`),
-which substitutes with the factor the rule has just certified, so each
-solve factors its mass matrices once; on jet entries the values are solved
-once and the derivatives follow by implicit differentiation with the same
-factor.  A mass matrix's entries are read as its metric field's ``fn``
-returns them, one triangle, mirrored as they are packed.
+guard of the array solve (:func:`hkgeo.geometry._solve`, in the Legendre
+transform) and of the entry solve (:func:`hkgeo.geometry._solve_entries`,
+everywhere else), each of which substitutes with the factor the rule has
+just certified, so each solve factors its mass matrices once; on jet
+entries the values are solved once and the derivatives follow by implicit
+differentiation with the same factor.  A mass matrix's entries are read
+as its metric field's ``fn`` returns them, one triangle, mirrored as they
+are packed.
 
 Every entry point takes one point or a batch of points, and the shape
 decides: a :class:`PhasePoint` of ``(n,)`` or ``(B, n)`` arrays, a
@@ -40,8 +44,9 @@ import numpy as np
 
 from ._record import Frozen
 from .fields import Chart, MetricField
-from .geometry import _certified_cholesky, _solve_entries, _solve_factored
-from .jets import evaluate_jet, first_failure
+from .geometry import _certified_cholesky, _solve, _solve_entries
+from .jets import _ResidualError, evaluate_jet, first_failure
+from .reduction import _kept
 
 __all__ = [
     "DegenerateLagrangianError",
@@ -59,12 +64,8 @@ class DegenerateLagrangianError(ValueError):
     """The mass matrix is not positive definite (singular, nearly so or indefinite)."""
 
 
-class InvalidConstraintError(ValueError):
+class InvalidConstraintError(_ResidualError):
     """The requested constraint momentum is not conserved."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class PhasePoint(Frozen):
@@ -106,9 +107,9 @@ def _check_mass(Mv, q=None):
     The one rule of this module, applied wherever a mass matrix is inverted
     or solved: eigenvalues ``lambda_min >= MIN_RCOND * lambda_max > 0``, or
     :class:`DegenerateLagrangianError`.  Jet entries are judged by their
-    values (:func:`_solve_mass`).  Over a batch the rule holds per point,
-    and the error names the first failing point (with its coordinates, when
-    ``q`` is given).
+    values (:func:`hkgeo.geometry._solve_entries` with this guard).  Over a
+    batch the rule holds per point, and the error names the first failing
+    point (with its coordinates, when ``q`` is given).
 
     One Cholesky factorisation of the stack clears it when every matrix has
     ``prod(l_i^2 / tr M) >= 2 MIN_RCOND`` over its factor's diagonal ``l``
@@ -136,14 +137,6 @@ def _check_mass(Mv, q=None):
         f"{hi[at]:.3e}; need min >= {MIN_RCOND:.0e} max > 0){where}")
 
 
-def _solve_mass(M, B, sign=0):
-    """``M X = B`` in jet-capable arithmetic, for a mass matrix ``M`` of
-    entries (or, for ``sign=+1``, its upper triangle, as a metric field's
-    ``fn`` returns it), with the factor :func:`_check_mass` certifies on
-    their values."""
-    return _solve_entries(_check_mass, M, B, sign)
-
-
 def legendre_to_hamiltonian(g, q):
     """Kinetic matrix ``M(q)^{-1}`` of the Hamiltonian ``p^T M^{-1} p / 2``
     of the mass matrix ``g`` (a :class:`~hkgeo.fields.MetricField`).
@@ -151,7 +144,7 @@ def legendre_to_hamiltonian(g, q):
     ``(n, n)`` at one configuration, ``(B, n, n)`` over a batch ``(B, n)``.
     """
     M = g.value(q)
-    Minv = _solve_factored(_check_mass(M, q), np.eye(M.shape[-1]))
+    Minv = _solve(M, np.eye(M.shape[-1]), guard=lambda Mv: _check_mass(Mv, q))
     return 0.5 * (Minv + np.swapaxes(Minv, -1, -2))
 
 
@@ -167,7 +160,7 @@ def hamiltonian_field(g):
 
     def H(coords):
         q, mom = coords[:n], coords[n:]
-        x = _solve_mass(g.fn(q), mom, +1)
+        x = _solve_entries(_check_mass, g.fn(q), mom, +1)
         acc = 0.0
         for pi, xi in zip(mom, x):
             acc = acc + pi * xi
@@ -213,7 +206,9 @@ def _probe_momenta(d):
 def constrain_and_reduce(g, fiber_index, probe_points=None):
     """Impose ``p_fiber = 0`` on the kinetic term of the mass matrix ``g`` and
     return the reduced mass matrix, a :class:`~hkgeo.fields.MetricField` on
-    the kept coordinates.
+    every coordinate but ``fiber_index``, the ones
+    :func:`hkgeo.reduction.quotient_metric` keeps (an index outside the
+    chart raises ValueError).
 
     The fiber coordinate must be cyclic; this is checked literally, as
     Poisson brackets ``{p_fiber, H}`` over a basis of probe momenta at the
@@ -227,8 +222,7 @@ def constrain_and_reduce(g, fiber_index, probe_points=None):
     like that of any metric field.
     """
     n = g.dim
-    if not 0 <= fiber_index < n:
-        raise ValueError(f"fiber index {fiber_index} outside 0..{n - 1}")
+    keep = _kept(n, fiber_index)
     H = hamiltonian_field(g)
     pf = momentum_field(fiber_index, n)
     points = np.asarray(probe_points if probe_points is not None else [[1.0] * n],
@@ -244,14 +238,12 @@ def constrain_and_reduce(g, fiber_index, probe_points=None):
             residual=worst,
         )
 
-    keep = [i for i in range(n) if i != fiber_index]
-
     def reduced_fn(coords):
         full = list(coords)
         full.insert(fiber_index, 0.0)
-        Minv = _solve_mass(g.fn(full), np.eye(n).tolist(), +1)
+        Minv = _solve_entries(_check_mass, g.fn(full), np.eye(n).tolist(), +1)
         block = [[Minv[i][j] for j in keep] for i in keep]
-        return _solve_mass(block, np.eye(n - 1).tolist())
+        return _solve_entries(_check_mass, block, np.eye(n - 1).tolist())
 
     return MetricField(Chart(tuple(g.chart.names[i] for i in keep)), reduced_fn,
                        name=f"{g.name or 'kinetic'} / {g.chart.names[fiber_index]}")

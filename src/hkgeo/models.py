@@ -32,14 +32,16 @@ both pictures, gh-flat's beside the constant ``(X, theta)`` block.  The
 references the checks compare against are written out on their own: the
 level-set metrics, the numpy closed form :func:`taub_nut_metric` and the
 moment maps.  A quotient's forms have no separate closed form: they are the
-reduced model's ``forms`` (``toy-reduced``'s, ``taub-nut``'s), compared at
-the invariant coordinates.
+reduced model's ``forms`` (``toy-reduced``'s, ``taub-nut``'s), compared on
+the kept coordinates.
 
 The first reduction stage's level set is a :class:`Model` of its own,
-``m.level`` (its chart, metric, ``killing["fiber"]``, box, exclusions and
-cyclic coordinates), and so is a Cartesian picture, ``m.cartesian`` (its
-metric, forms, ``killing["G"]``, moment maps as ``targets``, box and
-exclusions); each samples its own domain with ``sample``.
+``m.level`` (its chart, metric, box, exclusions and cyclic coordinates),
+and so is a Cartesian picture, ``m.cartesian`` (its metric, forms,
+``killing["G"]``, moment maps as ``targets``, box and exclusions); each
+samples its own domain with ``sample``.  A reduction parent states its
+fiber once, as the coordinate ``fiber_index`` of its level set: the second
+stage keeps every other coordinate.
 
 Sampling boxes keep clear of coordinate degeneracies: radial coordinates
 in ``[0.3, 3]``, angles in ``[0.1, 5.9]``, Cartesian components in
@@ -108,10 +110,11 @@ class Model(Frozen):
 
     ``forms``, ``killing``, ``embeddings`` and ``targets`` default to a new
     empty dict for each model.  A reduction parent is the whole reduction:
-    its metric, forms, Killing vector, ``embeddings["level"]``,
-    ``fiber_index`` and ``invariant``, and its level set as the model
-    ``level`` (chart, metric, ``killing["fiber"]``, box, exclusions, cyclic
-    coordinates), whose metric is also the mass matrix that
+    its metric, forms, Killing vector, ``embeddings["level"]``, its level
+    set as the model ``level`` (chart, metric, box, exclusions, cyclic
+    coordinates) and ``fiber_index``, the level-set coordinate of the fiber,
+    which the quotient drops and whose every other coordinate it keeps.  The
+    level-set metric is also the mass matrix that
     :func:`hkgeo.mechanics.constrain_and_reduce` reduces.  A model with a
     Cartesian picture carries it as the model ``cartesian``; both are None
     otherwise.  Its fields are read-only: :func:`build` hands one model to
@@ -119,16 +122,16 @@ class Model(Frozen):
     """
 
     __slots__ = ("name", "a", "chart", "metric", "forms", "killing", "embeddings",
-                 "targets", "box", "exclusions", "cyclic", "fiber_index", "invariant",
-                 "level", "cartesian")
+                 "targets", "box", "exclusions", "cyclic", "fiber_index", "level",
+                 "cartesian")
 
     def __init__(self, name, a, chart, metric, forms=None, killing=None, embeddings=None,
                  targets=None, box=(), exclusions=(), cyclic=(), fiber_index=None,
-                 invariant=None, level=None, cartesian=None):
+                 level=None, cartesian=None):
         self._set(name, a, chart, metric, {} if forms is None else forms,
                   {} if killing is None else killing, {} if embeddings is None else embeddings,
                   {} if targets is None else targets, box, exclusions, cyclic, fiber_index,
-                  invariant, level, cartesian)
+                  level, cartesian)
 
     def sample(self, count, seed=0):
         return sample_points(SampleSpec(self.box, count, seed, self.exclusions))
@@ -144,16 +147,17 @@ def _string_exclusion(margin=0.3):
     return Exclusion("monopole-string", near)
 
 
-def _pole_exclusion(margin=0.15):
+def _pole_exclusion():
     """Reject Cartesian points where the angle Psi degenerates.
 
-    ``r + x_3 = 2 (y_1^2 + y_2^2)`` identically, so this is the same locus
-    as the monopole string, seen from the other chart.
+    ``r = |y|^2`` and ``r + x_3 = 2 (y_1^2 + y_2^2)`` identically, so this is
+    the locus of :func:`_string_exclusion` (``r < 0.3`` or ``r + x_3 < 0.3``),
+    seen from the other chart.
     """
 
     def near(p):
-        return ((p[0] ** 2 + p[1] ** 2) < margin) | \
-            ((p[0] ** 2 + p[1] ** 2 + p[2] ** 2 + p[3] ** 2) < 2 * margin)
+        return ((p[0] ** 2 + p[1] ** 2) < 0.15) | \
+            ((p[0] ** 2 + p[1] ** 2 + p[2] ** 2 + p[3] ** 2) < 0.3)
 
     return Exclusion("gauge-pole", near)
 
@@ -256,12 +260,9 @@ def toy_parent(a=1.0):
         targets={"moment_map": moment, "moment_base": (1.0, 0.5, -0.5 / a, 0.3)},
         box=((*_RADIAL,), (*_ANGLE,), (*_CART,), (*_ANGLE,)),
         fiber_index=1,
-        invariant=(0, 2),
         level=Model(
             "toy-parent level", a, level_chart,
             MetricField(level_chart, level_gfn, name="level 3-metric"),
-            killing={"fiber": VectorFieldR(level_chart, lambda c: [0.0, 1.0, 0.0],
-                                           name="level fiber")},
             box=((*_RADIAL,), (*_ANGLE,), (*_ANGLE,)),
             cyclic=(1, 2)),
     )
@@ -505,13 +506,9 @@ def r8_parent(a=1.0):
         box=gh.box + x_box,
         exclusions=gh.exclusions,
         fiber_index=4,
-        invariant=(0, 1, 2, 3),
         level=Model(
             "r8-parent level", a, level_chart,
             MetricField(level_chart, level_gfn, name="5-metric"),
-            killing={"fiber": VectorFieldR(level_chart,
-                                           lambda c: [0.0, 0.0, 0.0, 0.0, 1.0],
-                                           name="G fiber")},
             box=((*_CART,), (*_CART,), (*_CART,), (*_ANGLE,), (*_ANGLE,)),
             exclusions=(_string_exclusion(),),
             cyclic=(3, 4)),

@@ -8,23 +8,27 @@ project out the fiber direction.  Metrics descend by orthogonal projection
 
     g_red(U, W) = g(U, W) - g(U, V) g(W, V) / g(V, V)
 
-restricted to the invariant coordinates (the coordinate-free form of
-completing the square on the fiber and dropping it); 2-forms descend by
-simply keeping their invariant block, which is only legitimate when every
+restricted to the kept coordinates (the coordinate-free form of completing
+the square on the fiber and dropping it); 2-forms descend by simply keeping
+their block on the kept coordinates, which is only legitimate when every
 fiber component cancels -- a condition that is checked, not assumed.
 
 Coefficient conventions follow :class:`~hkgeo.fields.FormField`: a 2-form
 is the antisymmetric matrix of displayed wedge coefficients, and the
 contraction is ``(i_V w)_M = w_MN V^N``, one degree-1 field
 (:func:`contraction_field`) whose ``value`` gives it at points.
-:func:`quotient_metric` takes fields too, the level-set metric and the
-fiber vector; :func:`quotient_form` takes the values of a pulled-back form.
 
-A reduction is not bundled here: its data is a
+The fiber is a coordinate, named by its index alone: :func:`quotient_metric`
+(which takes the level-set metric field) and :func:`quotient_form` (which
+takes the values of a pulled-back form) keep every coordinate but
+``fiber_index``, as :func:`hkgeo.mechanics.constrain_and_reduce` does, and
+refuse an index outside the chart with ValueError.  In the projection above
+``V`` is then the fiber's coordinate vector, so ``g(U, V)`` is the metric's
+fiber column.  A reduction is not bundled here: its data is a
 :class:`~hkgeo.models.Model` (parent metric and forms, ``killing``, the
-``embeddings["level"]`` map, ``fiber_index``, ``invariant`` and the level
-set ``level``), whose pieces the functions below take.  The level-set
-metric that :func:`quotient_metric` projects is the same
+``embeddings["level"]`` map, ``fiber_index`` and the level set ``level``),
+whose pieces the functions below take.  The level-set metric that
+:func:`quotient_metric` projects is the same
 :class:`~hkgeo.fields.MetricField` that :func:`hkgeo.mechanics.constrain_and_reduce`
 reduces as a kinetic term.
 
@@ -47,7 +51,7 @@ import numpy as np
 
 from .fields import FormField, _triangle
 from .geometry import DivergenceError, _certified_cholesky, _solve
-from .jets import EvaluationError, first_failure
+from .jets import EvaluationError, _ResidualError, first_failure
 from .quadrature import integrate
 
 __all__ = [
@@ -67,31 +71,23 @@ __all__ = [
 ]
 
 
-class NotExactError(ValueError):
+class NotExactError(_ResidualError):
     """A 1-form that must be closed/exact measurably is not."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class DegenerateFiberError(ValueError):
     """The fiber direction has non-positive norm; the quotient metric is undefined."""
 
 
-class ObstructionError(ValueError):
+class ObstructionError(_ResidualError):
     """A form has non-cancelling fiber components and does not descend."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class DegeneratePullbackWarning(UserWarning):
     """Jacobian of the map is rank deficient; the pullback is degenerate."""
 
 
-def contraction_field(form, V, name=""):
+def contraction_field(form, V):
     """``i_V w`` of a 2-form field and a :class:`~hkgeo.fields.VectorFieldR`
     on the same chart, as a jet-capable degree-1 field."""
     if form.degree != 2:
@@ -109,7 +105,7 @@ def contraction_field(form, V, name=""):
                 out[N] = out[N] - w * v[M]
         return out
 
-    return FormField(form.chart, 1, fn, name=name or f"i_V {form.name}")
+    return FormField(form.chart, 1, fn, name=f"i_V {form.name}")
 
 
 def exterior_derivative(form, p):
@@ -228,34 +224,45 @@ def pullback_form(form, phi, p):
     return out if isinstance(form, list) else out[0]
 
 
-def quotient_metric(g, V, invariant, p):
-    """Project out the fiber direction of ``V`` and keep the invariant block.
+def _kept(n, fiber_index):
+    """The coordinates ``0..n-1`` but ``fiber_index``, which a quotient keeps,
+    as an index array; ValueError for an index outside the chart."""
+    if not 0 <= fiber_index < n:
+        raise ValueError(f"fiber index {fiber_index} outside 0..{n - 1}")
+    return np.delete(np.arange(n), fiber_index)
 
-    ``g`` is the level-set :class:`~hkgeo.fields.MetricField` and ``V`` the
-    fiber :class:`~hkgeo.fields.VectorFieldR`.  ``p`` is one point or a
-    batch ``(B, d)``, for which the result is ``(B, k, k)``.  Raises
-    :class:`DegenerateFiberError` unless ``g(V, V) > 0`` (so also on NaN)
-    at every point, naming the first point where it fails.
+
+def quotient_metric(g, fiber_index, p):
+    """Project out the fiber coordinate and keep the block of every other one.
+
+    ``g`` is the level-set :class:`~hkgeo.fields.MetricField` and
+    ``fiber_index`` the fiber's coordinate.  ``p`` is one point or a batch
+    ``(B, d)``, for which the result is ``(B, d - 1, d - 1)``.  Raises
+    :class:`DegenerateFiberError` unless the fiber norm ``g_ff > 0`` (so
+    also on NaN), and :class:`~hkgeo.jets.EvaluationError` for a metric
+    with any other non-finite entry, each naming the first failing point.
     """
-    gv, v = g.value(p), V.value(p)
-    gu = (gv @ v[..., None])[..., 0]
-    gvv = (v[..., None, :] @ gu[..., None])[..., 0, 0]
-    failure = first_failure(gvv > 0.0, p)  # written so that NaN fails
+    keep = _kept(g.dim, fiber_index)
+    gv = g.value(p)
+    gu, gvv = gv[..., :, fiber_index], gv[..., fiber_index, fiber_index]
+    failure = first_failure(np.isfinite(gv).all(axis=(-2, -1)) & (gvv > 0.0), p)  # NaN fails
     if failure is not None:
         k, where = failure
-        raise DegenerateFiberError(
-            f"fiber norm g(V, V) = {gvv[() if k is None else k]:.3e}{where}")
+        norm = gvv[() if k is None else k]
+        if not norm > 0.0:
+            raise DegenerateFiberError(f"fiber norm g(V, V) = {norm:.3e}{where}")
+        raise EvaluationError(f"metric has non-finite entries{where}", point=k)
     proj = gv - gu[..., :, None] * gu[..., None, :] / gvv[..., None, None]
-    idx = np.asarray(invariant, dtype=int)
-    return proj[..., idx[:, None], idx]
+    return proj[..., keep[:, None], keep]
 
 
 #: Largest fiber component that :func:`quotient_form` counts as cancelled.
 FIBER_TOL = 1e-10
 
 
-def quotient_form(W, fiber_index, invariant, p):
-    """Invariant block of a form whose fiber components cancel.
+def quotient_form(W, fiber_index, p):
+    """Block of a form whose fiber components cancel, on every coordinate
+    but ``fiber_index``.
 
     The cancellation is a theorem for the pipelines assembled here, so a
     fiber component above :data:`FIBER_TOL` (or NaN) means the input is wrong and
@@ -266,6 +273,7 @@ def quotient_form(W, fiber_index, invariant, p):
     only to name a failing point.
     """
     W = np.asarray(W, dtype=float)
+    keep = _kept(W.shape[-1], fiber_index)
     residual = np.max(np.abs(W[..., fiber_index, :]), axis=-1)
     failure = first_failure(residual <= FIBER_TOL, p)  # written so that NaN fails
     if failure is not None:
@@ -273,8 +281,7 @@ def quotient_form(W, fiber_index, invariant, p):
         worst = float(residual[() if k is None else k])
         raise ObstructionError(f"fiber components of form do not cancel (max {worst:.3e} > "
                                f"{FIBER_TOL:.1e}){where}", residual=worst)
-    idx = np.asarray(invariant, dtype=int)
-    return W[..., idx[:, None], idx]
+    return W[..., keep[:, None], keep]
 
 
 def complex_structure(gv, W):

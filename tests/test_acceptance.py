@@ -136,12 +136,11 @@ def test_criterion_05_toy_reduction():
     red = models.build("toy-reduced", 1.0)
     lev = m.embeddings["level"]
     lm = m.level.metric
-    fiber = m.level.killing["fiber"]
     worst_pull = worst_quot = 0.0
     for p in _pts(m.level.box, count=N_POINTS):
         got = reduction.pullback_metric(m.metric, lev, p)
         worst_pull = max(worst_pull, float(np.max(np.abs(got - lm.value(p)))))
-        q = reduction.quotient_metric(lm, fiber, m.invariant, p)
+        q = reduction.quotient_metric(lm, m.fiber_index, p)
         want = red.metric.value([p[0], p[2]])
         worst_quot = max(worst_quot, float(np.max(np.abs(q - want))))
     _report(5, "toy level-set pullback and fiber quotient match their closed"
@@ -155,11 +154,10 @@ def test_criterion_06_hamiltonian_route():
     pts = _pts(m.level.box, count=N_POINTS)
     g2 = mechanics.constrain_and_reduce(lm, m.fiber_index,
                                         probe_points=[list(p) for p in pts[:3]])
-    fiber = m.level.killing["fiber"]
     worst_eq = 0.0
     for p in pts:
         got = g2.value([p[0], p[2]])
-        want = reduction.quotient_metric(lm, fiber, m.invariant, p)
+        want = reduction.quotient_metric(lm, m.fiber_index, p)
         worst_eq = max(worst_eq, float(np.max(np.abs(got - want))))
 
     H = mechanics.hamiltonian_field(lm)
@@ -236,13 +234,12 @@ def test_criterion_09_taub_nut_pipeline():
     for p in lev_pts:
         got = reduction.pullback_metric(m.metric, lev, p)
         worst_pull = max(worst_pull, float(np.max(np.abs(got - lm.value(p)))))
-        q = reduction.quotient_metric(lm, m.level.killing["fiber"],
-                                      m.invariant, p)
+        q = reduction.quotient_metric(lm, m.fiber_index, p)
         worst_quot = max(worst_quot, float(np.max(np.abs(
             q - models.taub_nut_metric(p[:3], 1.0)))))
         for k in ("omega_I", "omega_J", "omega_K"):
             W5 = reduction.pullback_form(m.forms[k], lev, p)
-            Wq = reduction.quotient_form(W5, m.fiber_index, m.invariant, p)
+            Wq = reduction.quotient_form(W5, m.fiber_index, p)
             worst_forms = max(worst_forms, float(np.max(np.abs(
                 Wq - tn.forms[k].value(p[:4])))))
 

@@ -19,7 +19,7 @@ from scipy import integrate
 from hkgeo import checks, geometry, kahler, mechanics, models, reduction
 from hkgeo.ddouble import DD, DIGITS
 from hkgeo.fields import Chart, MetricField
-from hkgeo.geometry import DivergenceError, MetricDomainError
+from hkgeo.geometry import DivergenceError, MetricDomainError, _solve_entries
 from hkgeo.jets import EvaluationError, Jet, call_field, evaluate_jet
 from hkgeo.mechanics import (
     DegenerateLagrangianError,
@@ -29,7 +29,7 @@ from hkgeo.mechanics import (
     legendre_to_hamiltonian,
     momentum_field,
     poisson_bracket,
-    _solve_mass,
+    _check_mass,
 )
 from hkgeo.reduction import (
     DegenerateFiberError,
@@ -100,10 +100,8 @@ def test_matrices_batch_equal_single(name):
     m, L, pts = level(name)
     same_bits(legendre_to_hamiltonian(L, pts),
               [legendre_to_hamiltonian(L, list(p)) for p in pts])
-    fiber = m.level.killing["fiber"]
-    same_bits(quotient_metric(m.level.metric, fiber, m.invariant, pts),
-              [quotient_metric(m.level.metric, fiber, m.invariant, p)
-               for p in pts])
+    same_bits(quotient_metric(m.level.metric, m.fiber_index, pts),
+              [quotient_metric(m.level.metric, m.fiber_index, p) for p in pts])
     L2 = constrain_and_reduce(L, m.fiber_index, probe_points=pts[:2])
     keep = [i for i in range(L.dim) if i != m.fiber_index]
     same_bits(L2.value(pts[:, keep]), [L2.value(list(p[keep])) for p in pts])
@@ -116,11 +114,12 @@ def test_solve_pivots_per_point():
     # its points bit for bit, float and jet entries alike, zero signs included
     x = np.array([0.5, 2.0])
     dx = np.array([[1.0, 1.0], [0.0, 0.0]])  # gradient (d, B)
-    got = _solve_mass([[x, 1.0], [1.0, 3.0]], [1.0, -2.0])
-    got_jet = _solve_mass([[Jet(x, dx), 1.0], [1.0, 3.0]], [1.0, -2.0])
+    b = [1.0, -2.0]
+    got = _solve_entries(_check_mass, [[x, 1.0], [1.0, 3.0]], b)
+    got_jet = _solve_entries(_check_mass, [[Jet(x, dx), 1.0], [1.0, 3.0]], b)
     for k in range(2):
-        want = _solve_mass([[x[k], 1.0], [1.0, 3.0]], [1.0, -2.0])
-        want_jet = _solve_mass([[Jet(x[k], dx[:, k]), 1.0], [1.0, 3.0]], [1.0, -2.0])
+        want = _solve_entries(_check_mass, [[x[k], 1.0], [1.0, 3.0]], b)
+        want_jet = _solve_entries(_check_mass, [[Jet(x[k], dx[:, k]), 1.0], [1.0, 3.0]], b)
         same_bits([g[k] for g in got], want)
         same_bits([g.value[k] for g in got_jet], [w.value for w in want_jet])
         same_bits([g.gradient[:, k] for g in got_jet], [w.gradient for w in want_jet])
@@ -180,10 +179,11 @@ def test_solve_batch_equals_points(n, count, order, columns, seed):
     def flat(out):
         return out if columns == 0 else [e for row in out for e in row]
 
-    got = flat(_solve_mass(A, b))
+    got = flat(_solve_entries(_check_mass, A, b))
     for k in range(count):
         at_k = [_at_point(e, k) if columns == 0 else [_at_point(x, k) for x in e] for e in b]
-        want = flat(_solve_mass([[_at_point(e, k) for e in row] for row in A], at_k))
+        A_k = [[_at_point(e, k) for e in row] for row in A]
+        want = flat(_solve_entries(_check_mass, A_k, at_k))
         for g, w in zip(got, want):
             for part, single in zip(_point_parts(g, k), _point_parts(w, k)):
                 same_bits(part, single)
@@ -216,8 +216,7 @@ def test_nan_fiber_in_batch_names_the_point():
     m, _, pts = level("toy-parent", 5)
     pts[3, 0] = np.nan  # g(V, V) = r^2 + a^2 turns NaN at point 3
     with pytest.raises(DegenerateFiberError, match="point 3"):
-        quotient_metric(m.level.metric, m.level.killing["fiber"],
-                        m.invariant, pts)
+        quotient_metric(m.level.metric, m.fiber_index, pts)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -378,8 +377,8 @@ def test_jacobians_and_pullbacks_batch_equal_single(case):
         W = reduction.pullback_form(f, phi, pts)
         same_bits(W, stacked(lambda p: reduction.pullback_form(f, phi, p), pts))
         if phi.name.endswith("level set"):
-            same_bits(reduction.quotient_form(W, m.fiber_index, m.invariant, pts),
-                      [reduction.quotient_form(w, m.fiber_index, m.invariant, p)
+            same_bits(reduction.quotient_form(W, m.fiber_index, pts),
+                      [reduction.quotient_form(w, m.fiber_index, p)
                        for w, p in zip(W, pts)])
 
 
@@ -459,11 +458,11 @@ def test_non_cancelling_fiber_names_the_point():
     W[3, 1, 0], W[3, 0, 1] = 1e-3, -1e-3  # a fiber component at point 3
     pts = np.zeros((5, 3))
     with pytest.raises(ObstructionError, match="point 3") as exc:
-        reduction.quotient_form(W, 1, (0, 2), pts)
+        reduction.quotient_form(W, 1, pts)
     assert exc.value.residual == 1e-3
     W[3] = np.nan  # NaN fails the cancellation too
     with pytest.raises(ObstructionError, match="point 3"):
-        reduction.quotient_form(W, 1, (0, 2), pts)
+        reduction.quotient_form(W, 1, pts)
 
 
 def _only_row(monkeypatch, check_id, **kwargs):

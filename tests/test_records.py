@@ -31,10 +31,10 @@ RECORDS = [
     (models.ScalarFieldSpec, ("name", "fn", "box", "exclusions"),
      ("f", abs, ((0.0, 1.0),)), ((),)),
     (models.Model, ("name", "a", "chart", "metric", "forms", "killing", "embeddings",
-                    "targets", "box", "exclusions", "cyclic", "fiber_index", "invariant",
-                    "level", "cartesian"),
+                    "targets", "box", "exclusions", "cyclic", "fiber_index", "level",
+                    "cartesian"),
      ("m", 1.0, fields.Chart(("x",)), "g"),
-     ({}, {}, {}, {}, (), (), (), None, None, None, None)),
+     ({}, {}, {}, {}, (), (), (), None, None, None)),
     (sampling.Exclusion, ("name", "predicate"), ("n", abs), ()),
     (sampling.SampleSpec, ("box", "count", "seed", "exclusions"), (((0.0, 1.0),), 5),
      (0, ())),

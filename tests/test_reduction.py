@@ -1,6 +1,8 @@
 """Contractions, pullbacks, level integrals and fiber quotients on small
 hand-checkable configurations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,13 +148,10 @@ def test_a_list_of_forms_shares_one_jacobian(monkeypatch):
         assert got.tobytes() == want.tobytes()
 
 
-#: The fiber direction ``y`` of the quotient-metric tests, as a constant field.
-FIBER = VectorFieldR(PLANE, lambda c: [0.0, 1.0])
-
-
 def test_quotient_metric_schur_block():
+    # the fiber is y, index 1
     g = MetricField(PLANE, lambda c: [[2.0, 1.0], [None, 1.0]])
-    got = quotient_metric(g, FIBER, (0,), [0.0, 0.0])
+    got = quotient_metric(g, 1, [0.0, 0.0])
     # g_xx - g_xy^2 / g_yy
     assert got.shape == (1, 1)
     assert got[0, 0] == pytest.approx(1.0)
@@ -161,27 +160,45 @@ def test_quotient_metric_schur_block():
 def test_quotient_metric_rejects_null_fiber():
     g = MetricField(PLANE, lambda c: [[1.0, 0.0], [None, 0.0]])
     with pytest.raises(DegenerateFiberError):
-        quotient_metric(g, FIBER, (0,), [0.0, 0.0])
+        quotient_metric(g, 1, [0.0, 0.0])
 
 
 def test_quotient_metric_rejects_nan_fiber():
     g = MetricField(PLANE, lambda c: [[1.0, 0.0], [None, np.nan]])
     with pytest.raises(DegenerateFiberError):
-        quotient_metric(g, FIBER, (0,), [0.0, 0.0])
+        quotient_metric(g, 1, [0.0, 0.0])
+
+
+def test_quotient_metric_rejects_a_metric_not_finite_off_the_fiber():
+    # an inf that never meets the fiber column: the fiber norm is 1 and
+    # finite, so the guard names the metric's entries, and numpy warns of
+    # nothing (the warnings are errors here)
+    space = Chart(("x", "y", "z"))
+    g = MetricField(space, lambda c: [[1.0, 0.0, np.inf], [None, 1.0, 0.0],
+                                      [None, None, 1.0]])
+    pts = np.array([[0.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(jets.EvaluationError,
+                           match=r"^metric has non-finite entries at \[0.5, 0.0, 0.0\]$"):
+            quotient_metric(g, 1, pts[0])
+        with pytest.raises(jets.EvaluationError, match=r"at point 0 \[0.5, 0.0, 0.0\]$") as exc:
+            quotient_metric(g, 1, pts)
+    assert exc.value.point == 0
 
 
 def test_quotient_form_cancellation_enforced():
     W = np.array([[0.0, 2.0, 0.0],
                   [-2.0, 0.0, 0.0],
                   [0.0, 0.0, 0.0]])
-    got = quotient_form(W, 2, (0, 1), [0.0, 0.0, 0.0])
+    got = quotient_form(W, 2, [0.0, 0.0, 0.0])
     assert np.allclose(got, [[0.0, 2.0], [-2.0, 0.0]])
 
     W_bad = W.copy()
     W_bad[2, 0] = 1e-3
     W_bad[0, 2] = -1e-3
     with pytest.raises(ObstructionError) as exc:
-        quotient_form(W_bad, 2, (0, 1), [0.0, 0.0, 0.0])
+        quotient_form(W_bad, 2, [0.0, 0.0, 0.0])
     assert exc.value.residual == pytest.approx(1e-3)
 
 

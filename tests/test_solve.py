@@ -2,8 +2,9 @@
 
 Every positive-definite solve factors its float values once: a metric
 solve (``geometry._solve``) and a mass-matrix solve
-(``mechanics._solve_mass``, jet entries differentiated implicitly) use the
-Cholesky factor their guard has just computed.  ``oracles.solve``, the
+(``geometry._solve_entries`` guarded by ``mechanics._check_mass``, jet
+entries differentiated implicitly) use the Cholesky factor their guard has
+just computed.  ``oracles.solve``, the
 Gauss-Jordan elimination over entries, is the reference here: on random
 positive-definite stacks (batches of float, array and jet entries,
 realified Hermitian metrics) the two agree to rounding, and a batch with
@@ -99,7 +100,7 @@ def test_mass_solve_matches_elimination(n, count, columns, order, seed):
     expected = 0 if not jets else 2 if all(e.hessian is not None for e in jets) else 1
     if columns == 0:
         B = [row[0] for row in B]
-    got, want = mechanics._solve_mass(A, B), solve(A, B)
+    got, want = geometry._solve_entries(mechanics._check_mass, A, B), solve(A, B)
     if columns == 0:
         got, want = [[x] for x in got], [[x] for x in want]
     for grow, wrow in zip(got, want):
@@ -151,7 +152,7 @@ def test_one_bad_point_is_named_by_every_solve(n, count, defect, jets, data):
             entries[i, j] = Jet(v, np.ones((DIM, count))) if jets else v
     b = [1.0] * n
     with pytest.raises(DegenerateLagrangianError) as err:
-        mechanics._solve_mass(entries, b)
+        geometry._solve_entries(mechanics._check_mass, entries, b)
     assert str(err.value).endswith(where)
     assert str(err.value) == _mass_message(g)  # the rule's own wording
     with pytest.raises(np.linalg.LinAlgError, match=f"not positive{where}$"):
@@ -209,7 +210,7 @@ def test_metric_solve_is_the_point_first_reference(case, hermitian):
         L = np.linalg.cholesky(g)
         want = oracles.substitute(L, B)
         assert _bits(geometry._solve(g, B)) == _bits(want)
-        assert _bits(geometry._solve_factored(L, B)) == _bits(want)
+        assert _bits(geometry._solve(g, B, guard=lambda a: L)) == _bits(want)
 
 
 @pytest.mark.parametrize("columns", [0, 3], ids=["vector", "matrix"])
@@ -263,7 +264,8 @@ def test_mass_solve_reads_a_triangle_as_its_mirror(order, count):
                                                                 order, count)
         B = [_entry(rng, rng.uniform(-1.0, 1.0, size=max(count, 1)), kinds[-1], order, count)
              for _ in range(n)]
-        got, want = mechanics._solve_mass(upper, B, +1), mechanics._solve_mass(full, B)
+        got = geometry._solve_entries(mechanics._check_mass, upper, B, +1)
+        want = geometry._solve_entries(mechanics._check_mass, full, B)
         assert [_entry_bits(e) for e in got] == [_entry_bits(e) for e in want]
 
 
