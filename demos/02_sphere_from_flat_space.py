@@ -35,6 +35,7 @@ print(f"line-integrated moment map {val:.12f} vs closed form {mu(p):.12f}")
 
 lev = m.embeddings["level"]
 lm = m.level.metric
+keep = reduction._kept(lm.dim, m.fiber_index)  # the coordinates the quotient keeps
 
 worst_pull = worst_quot = 0.0
 for _ in range(30):
@@ -42,7 +43,7 @@ for _ in range(30):
     got = reduction.pullback_metric(m.metric, lev, q)
     worst_pull = max(worst_pull, float(np.max(np.abs(got - lm.value(q)))))
     gq = reduction.quotient_metric(lm, m.fiber_index, q)
-    want = red.metric.value([q[0], q[2]])
+    want = red.metric.value(np.take(q, keep))
     worst_quot = max(worst_quot, float(np.max(np.abs(gq - want))))
 print(f"\nlevel-set pullback vs 3-chart closed form: {worst_pull:.3e}")
 print(f"fiber quotient vs reduced 2-metric:        {worst_quot:.3e}")
@@ -52,7 +53,7 @@ print(f"fiber quotient vs reduced 2-metric:        {worst_quot:.3e}")
 g2 = mechanics.constrain_and_reduce(lm, m.fiber_index)
 q = [1.7, 0.0, 0.0]
 print(f"reduced mass matrix at r = {q[0]}:")
-print(np.round(g2.value([q[0], q[2]]), 12))
+print(np.round(g2.value(np.take(q, keep)), 12))
 
 # --- curvature of the quotient ----------------------------------------------
 

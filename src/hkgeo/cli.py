@@ -112,11 +112,12 @@ def _cmd_curvature_profile(args):
         raise ValueError("--rmax must be finite and exceed 1e-6")
     red = models.build("toy-reduced", args.a)
     rs = [1e-6 + (args.rmax - 1e-6) * i / (args.steps - 1) for i in range(args.steps)]
-    Ks = geometry.curvature_at_radii(red.metric, rs).tolist()
-    cells = tuple([x for r, K, Kref in zip(rs, Ks, map(red.targets["curvature"], rs))
-                   for x in (r, K, Kref, abs(K - Kref))])
+    cells = [0.0] * (4 * len(rs))  # the table row by row, filled column by column
+    cells[::4], cells[1::4] = rs, geometry.curvature_at_radii(red.metric, rs).tolist()
+    cells[2::4] = map(red.targets["curvature"], rs)
+    cells[3::4] = [abs(K - Kref) for K, Kref in zip(cells[1::4], cells[2::4])]
     text = ("r,K_numeric,K_closed_form,abs_err\n"
-            + "%.12g,%.12g,%.12g,%.6g\n" * len(rs) % cells)
+            + "%.12g,%.12g,%.12g,%.6g\n" * len(rs) % tuple(cells))
     if args.csv is None:
         sys.stdout.write(text)
     else:

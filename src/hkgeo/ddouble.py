@@ -24,7 +24,10 @@ rule (a zero low part may differ in sign).  And the Python int ``0`` is the
 exact zero: ``x + 0`` and ``x - 0`` are ``x`` itself, ``0 - x`` is ``-x``
 and ``x * 0`` is ``0``, with no arithmetic, so an expression that meets it
 rounds as its other operands alone would
-(:func:`hkgeo.geometry._curvature` reads its exact-zero entries so).
+(:func:`hkgeo.geometry._curvature` reads its exact-zero entries so).  A
+scalar float zero (``0.0`` or ``-0.0``, such as ``0 * 0.5``) is an
+identity of ``+`` and ``-`` too, but a product with it still computes, so
+a non-finite operand still gives NaN.
 """
 
 from __future__ import annotations
@@ -69,17 +72,13 @@ def _parts(x):
     return (x.hi, x.lo) if isinstance(x, DD) else (x, 0.0)
 
 
-def _is_zero(x):
-    """Whether ``x`` is the exact zero, the Python int ``0``."""
-    return type(x) is int and x == 0
-
-
 class DD:
     """Double-double numbers: ``hi + lo``, float64 arrays of one shape.
 
     Operands may be DDs, floats or float arrays (taken exactly, with the
     terms of their zero low part skipped), or the exact zero ``0``, which
-    ``+``, ``-`` and ``*`` answer without arithmetic (module docstring);
+    ``+``, ``-`` and ``*`` answer without arithmetic, as ``+`` and ``-``
+    answer a scalar float zero (module docstring);
     shapes broadcast as numpy's do.  Indexing reads and writes both parts.
     """
 
@@ -112,6 +111,9 @@ class DD:
         """``f(part, *args)`` for both parts: for moves and negations only."""
         return DD(f(self.hi, *args), f(self.lo, *args))
 
+    def swapaxes(self, i, j):
+        return self.map(np.swapaxes, i, j)
+
     @property
     def T(self):
         return self.map(np.transpose)
@@ -123,7 +125,7 @@ class DD:
         return DD(-self.hi, -self.lo)
 
     def __add__(self, other):
-        if _is_zero(other):
+        if type(other) in (int, float) and other == 0:  # 0, or a scalar float zero
             return self
         if not isinstance(other, DD):  # a float's low part is zero: one TwoSum
             s, e = _two_sum(self.hi, other)
@@ -142,7 +144,7 @@ class DD:
         return (-self) + other
 
     def __mul__(self, other):
-        if _is_zero(other):
+        if type(other) is int and other == 0:  # the exact zero
             return 0
         if not isinstance(other, DD):  # a float's low part is zero: no hi * lo term
             p, e = _two_prod(self.hi, other)

@@ -35,6 +35,12 @@ zero-argument callable that only a jet with a Hessian calls, so a
 first-order evaluation succeeds where only the second derivative divides
 by zero or underflows (``sqrt`` at ``1e-220``, ``x ** 1.5`` at 0).
 
+A reciprocal divides once: ``r = 1/u``, then ``f' = -(r r)`` and ``f'' =
+2 (r r) r`` are products sharing ``r r``, since a double-double division
+costs about five products.  ``Jet / Jet`` multiplies by it, so its ``f''``
+at ``u = 1e-110`` overflows to inf (a non-finite derivative) where only
+order 2 reads it.
+
 Support
 -------
 A jet carries derivatives only along its *support*, the sorted tuple of
@@ -251,9 +257,12 @@ class Jet:
     ``_compose`` (``f''`` as a zero-argument callable that only a jet with a
     Hessian calls).  The Hessian stays exactly symmetric because every
     update is built from symmetric terms (``outer(a, b) + outer(b, a)`` and
-    scalar multiples of symmetric arrays).  Outer products are written
-    ``a[:, None] * b[None, :]``, which equals ``np.outer`` bit for bit and
-    carries a trailing point axis.
+    scalar multiples of symmetric arrays); ``outer(b, a)`` is formed as the
+    transpose of ``outer(a, b)``, the same products bit for bit at both
+    precisions (Dekker's TwoProduct is error free, so a double-double
+    product does not depend on the order of its factors).  Outer products
+    are written ``a[:, None] * b[None, :]``, which equals ``np.outer`` bit
+    for bit and carries a trailing point axis.
     """
 
     __slots__ = ("value", "grad", "hess", "support", "dim")
@@ -337,8 +346,8 @@ class Jet:
             return Jet(self.value * other, self.grad * other,
                        None if self.hess is None else self.hess * other, self.support, self.dim)
         s, ga, ha, gb, hb = _pair(self, other)
-        hess = (None if ha is None or hb is None
-                else hb * self.value + ha * other.value + _outer(ga, gb) + _outer(gb, ga))
+        o = None if ha is None or hb is None else _outer(ga, gb)  # its transpose is outer(gb, ga)
+        hess = None if o is None else hb * self.value + ha * other.value + o + o.swapaxes(0, 1)
         return Jet(self.value * other.value, gb * self.value + ga * other.value, hess,
                    s, self.dim)
 
@@ -388,15 +397,17 @@ class Jet:
         if ha is None or hb is None:
             return Jet(f0, grad, None, s, self.dim)
         faa, fab, fbb = second()
+        o = _outer(ga, gb)
         hess = (ha * fa + hb * fb
                 + _outer(ga, ga) * faa
-                + (_outer(ga, gb) + _outer(gb, ga)) * fab
+                + (o + o.swapaxes(0, 1)) * fab
                 + _outer(gb, gb) * fbb)
         return Jet(f0, grad, hess, s, self.dim)
 
     def _reciprocal(self):
-        u = self.value
-        return self._compose(1 / u, -1 / (u * u), lambda: 2 / (u * u * u))
+        r = 1 / self.value
+        r2 = r * r
+        return self._compose(r, -r2, lambda: 2 * (r2 * r))
 
     def sqrt(self):
         r = _mathmod(self.value).sqrt(self.value)

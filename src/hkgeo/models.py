@@ -272,17 +272,18 @@ def toy_reduced(a=1.0):
     """Surface of revolution on ``(r, chi)`` produced by the toy quotient."""
     a = _check_a(a)
     chart = Chart(("r", "chi"))
+    a2, c8 = a * a, 8.0 * a ** 4
 
     def gfn(c):
         r2 = c[0] * c[0]
-        return [[1.0 + r2 / (a * a), 0.0],
-                [None, a * a * r2 / (r2 + a * a)]]
+        return [[1.0 + r2 / a2, 0.0],
+                [None, a2 * r2 / (r2 + a2)]]
 
     def wfn(c):
         return [[0.0, c[0]], [None, 0.0]]
 
     def curvature(r):
-        return 8.0 * a ** 4 / (float(r) ** 2 + a * a) ** 3
+        return c8 / (float(r) ** 2 + a2) ** 3
 
     return Model(
         name="toy-reduced",

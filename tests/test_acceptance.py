@@ -136,12 +136,13 @@ def test_criterion_05_toy_reduction():
     red = models.build("toy-reduced", 1.0)
     lev = m.embeddings["level"]
     lm = m.level.metric
+    keep = reduction._kept(lm.dim, m.fiber_index)
     worst_pull = worst_quot = 0.0
     for p in _pts(m.level.box, count=N_POINTS):
         got = reduction.pullback_metric(m.metric, lev, p)
         worst_pull = max(worst_pull, float(np.max(np.abs(got - lm.value(p)))))
         q = reduction.quotient_metric(lm, m.fiber_index, p)
-        want = red.metric.value([p[0], p[2]])
+        want = red.metric.value(p[keep])
         worst_quot = max(worst_quot, float(np.max(np.abs(q - want))))
     _report(5, "toy level-set pullback and fiber quotient match their closed"
                f" forms at {N_POINTS} points",
@@ -154,9 +155,10 @@ def test_criterion_06_hamiltonian_route():
     pts = _pts(m.level.box, count=N_POINTS)
     g2 = mechanics.constrain_and_reduce(lm, m.fiber_index,
                                         probe_points=[list(p) for p in pts[:3]])
+    keep = reduction._kept(lm.dim, m.fiber_index)
     worst_eq = 0.0
     for p in pts:
-        got = g2.value([p[0], p[2]])
+        got = g2.value(p[keep])
         want = reduction.quotient_metric(lm, m.fiber_index, p)
         worst_eq = max(worst_eq, float(np.max(np.abs(got - want))))
 
@@ -229,6 +231,7 @@ def test_criterion_09_taub_nut_pipeline():
     lev = m.embeddings["level"]
     lm = m.level.metric
     lev_pts = _pts(m.level.box, m.level.exclusions)
+    keep = reduction._kept(lm.dim, m.fiber_index)
     tn = models.build("taub-nut", 1.0)
     worst_pull = worst_quot = worst_forms = 0.0
     for p in lev_pts:
@@ -241,7 +244,7 @@ def test_criterion_09_taub_nut_pipeline():
             W5 = reduction.pullback_form(m.forms[k], lev, p)
             Wq = reduction.quotient_form(W5, m.fiber_index, p)
             worst_forms = max(worst_forms, float(np.max(np.abs(
-                Wq - tn.forms[k].value(p[:4])))))
+                Wq - tn.forms[k].value(p[keep])))))
 
     worst_closed = 0.0
     for p in tn.sample(10, seed=SEED):

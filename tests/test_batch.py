@@ -103,7 +103,7 @@ def test_matrices_batch_equal_single(name):
     same_bits(quotient_metric(m.level.metric, m.fiber_index, pts),
               [quotient_metric(m.level.metric, m.fiber_index, p) for p in pts])
     L2 = constrain_and_reduce(L, m.fiber_index, probe_points=pts[:2])
-    keep = [i for i in range(L.dim) if i != m.fiber_index]
+    keep = reduction._kept(L.dim, m.fiber_index)
     same_bits(L2.value(pts[:, keep]), [L2.value(list(p[keep])) for p in pts])
 
 

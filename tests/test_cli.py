@@ -1,6 +1,7 @@
 """Command-line behaviour: argument syntax, exit codes, report determinism,
 CSV output."""
 
+import hashlib
 import json
 import math
 import os
@@ -285,6 +286,23 @@ def test_curvature_profile_csv_bytes(args, capsys):
                                   map(red.targets["curvature"], rs))]
     assert run(["curvature-profile", *args]) == 0
     assert capsys.readouterr().out == "\n".join(["r,K_numeric,K_closed_form,abs_err", *rows]) + "\n"
+
+
+#: SHA-256 of the ``K_numeric`` column of ``curvature-profile --a 1.234 --rmax
+#: 0.045 --steps 800``, its 800 cells joined by newlines.  Every radius is
+#: below ``geometry.DD_RADIUS``, so the column is double-double arithmetic
+#: alone: IEEE ``+ - * /`` on float64, rounded to 12 digits by Python's
+#: correctly rounded formatting, the same bytes on every host.
+K_NUMERIC_SHA256 = "52be6a9812b63b0426f6ca5077d998d080621dbc97cc82b1d228cca841da9418"
+
+
+def test_curvature_profile_double_double_column_is_pinned(capsys):
+    # test_curvature_profile_csv_bytes renders its reference with the code
+    # under test; this digest sees any change to the 31-digit column's digits
+    assert run(["curvature-profile", "--a", "1.234", "--rmax", "0.045", "--steps", "800"]) == 0
+    column = [row.split(",")[1] for row in capsys.readouterr().out.splitlines()[1:]]
+    assert len(column) == 800
+    assert hashlib.sha256("\n".join(column).encode()).hexdigest() == K_NUMERIC_SHA256
 
 
 def test_curvature_profile_one_call_per_precision(monkeypatch, tmp_path):

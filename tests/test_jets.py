@@ -1,7 +1,9 @@
 """Forward-mode jet arithmetic against hand derivatives and stencils."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,14 +239,38 @@ def test_a_list_point_is_an_array_point(order):
 @pytest.mark.parametrize("f, x", [
     (lambda c: jets.sqrt(c[0]), 1e-220),  # f'' = -1/(4 r^3): r^3 underflows
     (lambda c: c[0] ** 1.5, 0.0),         # f'' = 0.75 / sqrt(x)
-    (lambda c: 1.0 / c[0], 1e-110),       # f'' = 2/x^3: x^3 underflows
+    (lambda c: 1.0 / c[0], 1e-110),       # f'' = 2 r^3, r = 1/x: r^3 overflows
 ], ids=["sqrt", "pow", "reciprocal"])
 def test_first_order_never_computes_second_derivative(f, x):
-    # only f'' divides by zero here: order 1 is finite, order 2 still raises
+    # only f'' fails here, by a division by zero or an overflow to inf: order 1
+    # is finite, order 2 still raises the typed error, and no warning escapes
+    # (numpy warns of an overflow unless the caller silences it, as the other
+    # overflow tests do)
     j = evaluate_jet(f, [x], order=1)
     assert math.isfinite(j.value) and math.isfinite(j.gradient[0])
-    with pytest.raises(EvaluationError):
-        evaluate_jet(f, [x], order=2)
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match="non-finite derivative|divide by zero"):
+            evaluate_jet(f, [x], order=2)
+
+
+@pytest.mark.parametrize("dd", [False, True], ids=["float64", "double-double"])
+def test_reciprocal_rule_matches_mpmath(dd):
+    # one division, then products: r = 1/x, f' = -(r r), f'' = 2 (r r) r.  In
+    # float64 that is 1, 3 and 5 roundings, each a relative error of at most
+    # 2**-53; a double-double rule keeps 2**-100
+    xs = np.concatenate([[1.0, 3.0, -7.0, 0.1, 1e-30, -3e25],
+                         np.random.default_rng(5).uniform(-8.0, 8.0, 40)])
+    seed = DD(xs, 0.0 * xs) if dd else xs
+    jet = Jet.variable(seed, 0, 1)._reciprocal()
+    with mpmath.workdps(60):
+        for k, x in enumerate(xs):
+            r = 1 / mpmath.mpf(x)
+            for got, want, rounds in ((jet.value, r, 1), (jet.grad[0], -r * r, 3),
+                                      (jet.hess[0, 0], 2 * r ** 3, 5)):
+                got = got[k]
+                got = mpmath.mpf(got.hi) + mpmath.mpf(got.lo) if dd else mpmath.mpf(got)
+                assert abs(got / want - 1) <= (2.0 ** -100 if dd else rounds * 2.0 ** -53)
 
 
 def test_first_order_gradient_is_jet2_gradient():
